@@ -31,9 +31,6 @@ class SimState:
     t: int
     remaining: dict[str, float]
 
-    def laxities(self, instance: Instance) -> dict[str, float]:
-        return {s.id: laxity(s, self.t, self.remaining[s.id]) for s in instance.sessions}
-
 
 def initial_state(instance: Instance) -> SimState:
     return SimState(0, {s.id: s.energy for s in instance.sessions})
@@ -54,7 +51,8 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
             continue
         s = active[sid]
         cap = min(s.max_rate, remaining[sid])
-        if r < -RATE_TOL * max(1.0, s.max_rate) or r > cap + RATE_TOL * max(1.0, s.max_rate):
+        tol = RATE_TOL * max(1.0, s.max_rate)
+        if not -tol <= r <= cap + tol:  # written so that NaN fails too
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
         r = min(max(r, 0.0), cap)
         remaining[sid] = max(remaining[sid] - r, 0.0)

@@ -1,10 +1,10 @@
 """The six online rate-allocation policies.
 
 Every policy maps (state, instance, t) to this slot's rates using only the
-sessions present at t; future arrivals are never consulted.  The smoothed
-least-laxity-first policy solves its concave program in closed form: each
-rate is a laxity-threshold clamp, with the threshold found by bisection so
-the available power is exactly saturated.
+sessions present at t; future arrivals are never consulted.  sLLF, ES and REP
+share one form: each rate is a clamp `clamp(a_i * (L - c_i), 0, cap_i)`, with
+the water level L solved exactly by a breakpoint search so the available
+power is used exactly.
 """
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ from .netflow import FlowGraph
 
 #: remaining energy below this fraction of the original demand counts as done
 FINISHED_EPS = 1e-12
-
-#: maximum bisection steps for the sLLF threshold
-MAX_BISECT = 80
 
 
 @dataclass
@@ -43,6 +40,31 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
     return out
 
 
+def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
+    """Level L with sum(clamp(a * (L - c), 0, cap)) == p_limit; also the breakpoints visited.
+
+    The sum is piecewise linear and nondecreasing in L and bends only at c and
+    c + cap / a, so one sorted sweep over those 2n breakpoints finds the
+    segment holding p_limit, where one linear equation gives L (the
+    continuous-knapsack breakpoint search).  L is +inf when the caps fit
+    under p_limit and -inf when there is no power to share.
+    """
+    if sum(caps) <= p_limit:
+        return math.inf, 0
+    if p_limit <= 0.0:
+        return -math.inf, 0
+    points = sorted([(c, a) for a, c in zip(slopes, offsets)]
+                    + [(c + cap / a, -a) for a, c, cap in zip(slopes, offsets, caps)])
+    level, total, slope = points[0][0], 0.0, 0.0
+    for steps, (x, bend) in enumerate(points, 1):
+        reach = total + slope * (x - level)
+        if reach >= p_limit:
+            return level + (p_limit - total) / slope, steps
+        level, total, slope = x, reach, slope + bend
+    # rounding left the full sum a hair under p_limit: every EV is at its cap
+    return level, len(points)
+
+
 def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
     return [
         min(max(rb * (level - lx + 1.0), 0.0), cap)
@@ -53,33 +75,13 @@ def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
     evs = _chargeable(state, instance, t)
-    if not evs:
-        return RateDecision({}, threshold=math.inf)
-    p_limit = instance.power.at(t)
     lax = [laxity(s, t, state.remaining[s.id]) for s in evs]
     caps = [min(s.max_rate, state.remaining[s.id]) for s in evs]
     rbars = [s.max_rate for s in evs]
-    if sum(caps) <= p_limit:
-        # under-loaded: every EV charges as fast as it can, no threshold needed
-        return RateDecision({s.id: c for s, c in zip(evs, caps)}, threshold=math.inf,
-                            diagnostics={"bisect_iterations": 0})
-    tol = 1e-9 * max(1.0, p_limit)
-    lo, hi = min(lax) - 1.0, max(lax) + 1.0
-    level = lo
-    iters = 0
-    for _ in range(MAX_BISECT):
-        iters += 1
-        level = 0.5 * (lo + hi)
-        total = sum(_sllf_fill(level, lax, caps, rbars))
-        if abs(total - p_limit) <= tol:
-            break
-        if total < p_limit:
-            lo = level
-        else:
-            hi = level
+    level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, instance.power.at(t))
     rates = _sllf_fill(level, lax, caps, rbars)
     return RateDecision({s.id: r for s, r in zip(evs, rates)}, threshold=level,
-                        diagnostics={"bisect_iterations": iters})
+                        diagnostics={"solver_steps": steps})
 
 
 def _greedy_fill(evs, state, p_limit, key) -> dict[str, float]:
@@ -107,47 +109,26 @@ def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return RateDecision(_greedy_fill(evs, state, instance.power.at(t), key))
 
 
-def _waterfill(evs, state, p_limit, weight) -> dict[str, float]:
-    """Iterative capped sharing; each round saturates at least one EV."""
-    alloc = {s.id: 0.0 for s in evs}
-    caps = {s.id: min(s.max_rate, state.remaining[s.id]) for s in evs}
-    residual = p_limit
-    open_ids = [s.id for s in evs if caps[s.id] > 0.0]
-    rounds = 0
-    while residual > 1e-12 and open_ids:
-        rounds += 1
-        assert rounds <= len(evs) + 1, "sharing loop failed to saturate"
-        weights = {sid: weight(sid) for sid in open_ids}
-        wsum = sum(weights.values())
-        if wsum <= 0.0:
-            break
-        spent = 0.0
-        still_open = []
-        for sid in open_ids:
-            share = residual * weights[sid] / wsum
-            add = min(share, caps[sid] - alloc[sid])
-            alloc[sid] += add
-            spent += add
-            if caps[sid] - alloc[sid] > 1e-15 * max(1.0, caps[sid]):
-                still_open.append(sid)
-        residual -= spent
-        if spent <= 1e-15 * max(1.0, p_limit):
-            break
-        open_ids = still_open
-    return alloc
+def _proportional_fill(evs, state: SimState, p_limit: float, weights) -> RateDecision:
+    """Rates `clamp(w * L, 0, cap)`: the power shared in proportion to the weights."""
+    caps = [min(s.max_rate, state.remaining[s.id]) for s in evs]
+    level, steps = _water_level(weights, [0.0] * len(evs), caps, p_limit)
+    return RateDecision({s.id: min(max(w * level, 0.0), cap)
+                         for s, w, cap in zip(evs, weights, caps)},
+                        diagnostics={"solver_steps": steps})
 
 
 def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Equal share: repeatedly split the leftover power evenly."""
+    """Equal share: every EV gets the same rate, clipped to its cap."""
     evs = _chargeable(state, instance, t)
-    return RateDecision(_waterfill(evs, state, instance.power.at(t), lambda sid: 1.0))
+    return _proportional_fill(evs, state, instance.power.at(t), [1.0] * len(evs))
 
 
 def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Remaining-energy-proportional sharing of the leftover power."""
+    """Remaining-energy-proportional sharing, clipped to the caps."""
     evs = _chargeable(state, instance, t)
-    return RateDecision(
-        _waterfill(evs, state, instance.power.at(t), lambda sid: state.remaining[sid]))
+    return _proportional_fill(evs, state, instance.power.at(t),
+                              [state.remaining[s.id] for s in evs])
 
 
 def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:

@@ -7,7 +7,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .dynamics import RunVerdict, Schedule, SimState, initial_state, laxity, step
+from .dynamics import RunVerdict, Schedule, initial_state, laxity, step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -17,42 +17,27 @@ class PolicyContractError(ContractError):
     """A policy returned rates violating its stated invariants (a bug signal)."""
 
 
-def _check_decision(decision, state: SimState, instance: Instance, t: int) -> dict[str, float]:
-    p_limit = instance.power.at(t)
-    power_tol = 1e-9 * max(1.0, p_limit)
-    total = 0.0
-    cleaned = {}
-    for sid, r in decision.rates.items():
-        s = instance.session(sid)
-        if not (s.arrival <= t < s.departure):
-            raise PolicyContractError(f"rate for inactive session {sid} at slot {t}")
-        cap = min(s.max_rate, state.remaining[sid])
-        tol = 1e-9 * max(1.0, s.max_rate)
-        if r < -tol or r > cap + tol:
-            raise PolicyContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
-        cleaned[sid] = min(max(r, 0.0), cap)
-        total += cleaned[sid]
-    if total > p_limit + power_tol:
-        raise PolicyContractError(f"slot {t} total {total} exceeds limit {p_limit}")
-    return cleaned
-
-
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
     """Run one policy over the full horizon; deterministic for fixed inputs."""
     policy = get_policy(policy_name)
     horizon = instance.horizon
     state = initial_state(instance)
     rows = {s.id: [0.0] * horizon for s in instance.sessions}
+    max_rate = {s.id: s.max_rate for s in instance.sessions}
     min_lax = math.inf
     for t in range(horizon):
         for s in instance.sessions:
             if s.arrival <= t:
                 min_lax = min(min_lax, laxity(s, t, state.remaining[s.id]))
-        decision = policy(state, instance, t)
-        rates = _check_decision(decision, state, instance, t)
+        rates = policy(state, instance, t).rates
+        try:
+            applied = step(state, rates, instance)
+        except ContractError as exc:
+            raise PolicyContractError(str(exc)) from exc
         for sid, r in rates.items():
-            rows[sid][t] = r
-        state = step(state, rates, instance)
+            if r > 0.0:  # step let it through, so sid is an active session
+                rows[sid][t] = min(r, max_rate[sid], state.remaining[sid])
+        state = applied
     for s in instance.sessions:
         min_lax = min(min_lax, laxity(s, horizon, state.remaining[s.id]))
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})

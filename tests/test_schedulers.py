@@ -50,7 +50,7 @@ class TestSllf:
         decision = sllf_rates(initial_state(inst), inst, 0)
         assert decision.rates == {"a": 0.3}
         assert decision.threshold == math.inf
-        assert decision.diagnostics["bisect_iterations"] == 0
+        assert decision.diagnostics["solver_steps"] == 0
 
     def test_no_chargeable_sessions(self):
         inst = Instance((ChargingSession("a", 3, 5, 1.0, 1.0),), ConstantPower(1.0))
@@ -61,12 +61,27 @@ class TestSllf:
             sllf_rates(initial_state(instance_ia), instance_ia, 1)
 
     def test_saturation_property(self):
-        rng = random.Random(101)
-        for _ in range(400):
+        """sLLF and the two sharing policies use min(P, sum of caps) exactly."""
+        for policy in (sllf_rates, es_rates, rep_rates):
+            rng = random.Random(101)
+            for _ in range(400):
+                state, inst = random_slot_state(rng)
+                total = sum(policy(state, inst, 0).rates.values())
+                tol = 1e-12 * max(1.0, inst.power.at(0))
+                assert abs(total - saturation_target(state, inst, 0)) <= tol, policy
+
+    def test_power_just_under_summed_caps(self):
+        """Rounding can leave the sweep short of P at its last breakpoint."""
+        rng = random.Random(105)
+        for _ in range(200):
             state, inst = random_slot_state(rng)
-            decision = sllf_rates(state, inst, 0)
-            total = sum(decision.rates.values())
-            assert abs(total - saturation_target(state, inst, 0)) <= 1e-8
+            caps = {s.id: min(s.max_rate, state.remaining[s.id]) for s in inst.sessions}
+            p = math.nextafter(sum(caps.values()), 0.0)
+            inst = Instance(inst.sessions, ConstantPower(p))
+            for policy in (sllf_rates, es_rates, rep_rates):
+                rates = policy(state, inst, 0).rates
+                assert abs(sum(rates.values()) - p) <= 1e-12 * max(1.0, p), policy
+                assert all(r <= caps[sid] for sid, r in rates.items()), policy
 
     def test_rates_match_clamp_formula_at_threshold(self):
         rng = random.Random(102)
@@ -106,10 +121,6 @@ class TestLlf:
         decision = llf_rates(state, instance_ia, 1)
         assert decision.rates["EV1"] == pytest.approx(0.75)
         assert decision.rates["EV2"] == pytest.approx(0.25)
-
-    def test_zero_power(self):
-        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(0.0))
-        assert llf_rates(initial_state(inst), inst, 0).rates == {"a": 0.0}
 
 
 class TestEdf:
@@ -219,6 +230,14 @@ class TestAllPolicies:
                     total += r
                 p = inst.power.at(0)
                 assert total <= p + 1e-9 * max(1.0, p), name
+
+    def test_zero_power(self):
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),
+                         ChargingSession("b", 0, 3, 1.0, 1.0)), ConstantPower(0.0))
+        for name, policy in POLICIES.items():
+            rates = policy(initial_state(inst), inst, 0).rates
+            assert set(rates) == {"a", "b"}, name
+            assert all(r == 0.0 for r in rates.values()), (name, rates)
 
     def test_finished_sessions_get_no_rate(self):
         inst = Instance((ChargingSession("a", 0, 4, 1.0, 1.0),

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import warnings
@@ -6,7 +7,7 @@ import pytest
 
 from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import ChargingSession, ConstantPower, Instance
-from evcs.schedulers import POLICIES
+from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness,
                             simulate, success_rate, worker_count)
@@ -84,11 +85,18 @@ class TestSimulate:
                 assert sch_a.rates[sid][:3] == sch_b.rates[sid][:3], name
 
     def test_contract_breach_detected(self, instance_ia):
-        POLICIES["__bad__"] = lambda state, inst, t: type(
-            "D", (), {"rates": {"EV1": 2.0}})()
+        bad_decisions = (
+            {"EV1": 2.0},              # above the rate cap
+            {"EV1": -0.5},             # negative rate
+            {"EV1": 0.6, "EV2": 0.6},  # total above the power limit
+            {"ghost": 0.5},            # no such session
+            {"EV1": math.nan},
+        )
         try:
-            with pytest.raises(PolicyContractError):
-                simulate(instance_ia, "__bad__")
+            for rates in bad_decisions:
+                POLICIES["__bad__"] = lambda state, inst, t: RateDecision(rates)
+                with pytest.raises(PolicyContractError):
+                    simulate(instance_ia, "__bad__")
         finally:
             del POLICIES["__bad__"]
 
