@@ -111,6 +111,8 @@ def theorem2_bound(instance: Instance) -> float:
 
 def corpus_bound_inputs(instances) -> BoundInputs:
     """Corpus-level inputs: demand cap, smallest inter-arrival gap, power extremes."""
+    if not any(inst.sessions for inst in instances):
+        raise ContractError("no sessions to bound")
     max_demand = max(s.energy for inst in instances for s in inst.sessions)
     gaps = []
     p_lo, p_hi = math.inf, -math.inf

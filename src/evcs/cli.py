@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import augmentation, corpus, feasibility, simulator
 from .augmentation import AugmentationMode
-from .model import validate
+from .model import ContractError, validate
 from .schedulers import POLICIES
 
 #: minimum augmentations reported on the unpublished full production traces;
@@ -47,7 +47,13 @@ def _emit(rows: list[dict], columns: list[str], as_json: bool) -> None:
 
 def _load_corpus(path: Path):
     files = sorted(p for p in path.iterdir() if p.suffix == ".evcs")
-    return files, [corpus.read_instance(p) for p in files]
+    instances = [corpus.read_instance(p) for p in files]
+    for p, inst in zip(files, instances):
+        problems = validate(inst)
+        if problems:
+            v = problems[0]
+            raise SystemExit2(f"{p}: invalid instance: {v.code} ({v.subject}): {v.message}")
+    return instances
 
 
 def _parse_algs(raw: str) -> list[str]:
@@ -119,7 +125,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    files, instances = _load_corpus(Path(args.corpus_dir))
+    instances = _load_corpus(Path(args.corpus_dir))
     algs = _parse_algs(args.algs)
     rows = []
     for alg in algs:
@@ -142,13 +148,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    files, instances = _load_corpus(Path(args.corpus_dir))
+    instances = _load_corpus(Path(args.corpus_dir))
     algs = _parse_algs(args.algs)
     mode = AugmentationMode.POWER if args.mode == "power" else AugmentationMode.POWER_AND_RATE
     t2 = max((max(augmentation.theorem2_bound(i), 0.0) for i in instances), default=0.0)
     try:
         t1 = augmentation.theorem1_bound(augmentation.corpus_bound_inputs(instances))
-    except Exception:
+    except ContractError:
         t1 = None
     rows = []
     for alg in algs:

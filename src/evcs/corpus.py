@@ -3,8 +3,8 @@
 The generator emulates the published per-session statistics (sojourn and
 initial-laxity means with hard min/max envelopes) via truncated log-normal
 sampling; demands are derived as peak rate times (sojourn - laxity) so the
-laxity targets are hit exactly per session.  Every generated instance is
-made offline feasible by running it at its own minimum constant power.
+laxity targets are hit exactly per session.  Every generated instance runs
+at its own exact minimum constant power, unpadded, and is checked feasible.
 """
 from __future__ import annotations
 
@@ -150,19 +150,10 @@ def generate(spec: CorpusSpec) -> list[Instance]:
                        0.99 * max(spec.laxity_max, 1e-3))
     instances = []
     for sessions in corpus_sessions:
-        probe = Instance(tuple(sessions), ConstantPower(sum(s.max_rate for s in sessions)))
-        # the flow oracle's demand slack lets the bisection undershoot the true
-        # minimum by a few ulps of the total demand; pad it back out
-        p_star = min_power_capacity(probe) * (1.0 + 1e-4)
-        instance = Instance(tuple(sessions), ConstantPower(p_star))
-        # the bisection's feasible endpoint can still sit a hair under P*
-        for _ in range(4):
-            if offline_feasible(instance)[0]:
-                break
-            p_star *= 1.0 + 1e-9
-            instance = Instance(tuple(sessions), ConstantPower(p_star))
-        else:
-            raise GenerationError("could not pin a feasible constant power")
+        p_star = min_power_capacity(Instance(sessions, ConstantPower(0.0)))
+        instance = Instance(sessions, ConstantPower(p_star))
+        if not offline_feasible(instance)[0]:
+            raise GenerationError(f"instance infeasible at its minimum power {p_star}")
         problems = validate(instance)
         if problems:
             raise GenerationError(f"generated invalid instance: {problems[0]}")

@@ -96,6 +96,20 @@ class Schedule:
         return count
 
 
+def min_laxity(instance: Instance, schedule: Schedule) -> float:
+    """Smallest laxity any session reaches over slots [0, horizon] of the schedule."""
+    horizon, lowest = schedule.horizon, math.inf
+    for s in instance.sessions:
+        rem, row = s.energy, schedule.rates[s.id]
+        for t in range(max(s.arrival, 0), horizon + 1):  # plain compares: a hot loop
+            lax = laxity(s, t, 0.0 if rem < 0.0 else rem)
+            if lax < lowest:
+                lowest = lax
+            if t < horizon:
+                rem -= row[t]
+    return lowest
+
+
 @dataclass(frozen=True)
 class RunVerdict:
     """Feasibility outcome of a schedule plus the scalar metrics of a run."""
@@ -107,13 +121,3 @@ class RunVerdict:
     switch_count: int
     violations: tuple = ()
 
-
-def energy_delivered(schedule: Schedule, ids: set[str], t1: int, t2: int) -> float:
-    """Total energy the schedule supplies to `ids` over slots t1..t2 inclusive."""
-    if not 0 <= t1 <= t2 <= schedule.horizon:
-        raise ContractError(f"bad interval [{t1}, {t2}] for horizon {schedule.horizon}")
-    for sid in ids:
-        if sid not in schedule.rates:
-            raise KeyError(sid)
-    hi = min(t2 + 1, schedule.horizon)
-    return sum(sum(schedule.rates[sid][t1:hi]) for sid in ids)

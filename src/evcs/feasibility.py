@@ -4,13 +4,14 @@ Feasibility is decided on the time-expanded transportation network:
 source -> session arcs carry the energy demands, session -> slot arcs the
 peak rates over each sojourn window, slot -> sink arcs the station power.
 The instance is offline feasible exactly when the maximum flow ships every
-unit of demand.
+unit of demand; Newton steps on its minimum cut give the exact minimum power.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .dynamics import RunVerdict, Schedule, laxity
+from .dynamics import RunVerdict, Schedule, min_laxity
 from .model import ContractError, Instance, Violation
 from .netflow import FlowGraph
 
@@ -55,8 +56,6 @@ def offline_feasible(
 ) -> tuple[bool, Optional[Schedule]]:
     """Max-flow feasibility test; returns a witness schedule when feasible."""
     demand = sum(s.energy for s in instance.sessions)
-    if demand == 0.0:
-        return True, Schedule(instance.horizon, {})
     g, source, sink, window_arcs, _ = _build_network(instance, power_override)
     value = g.max_flow(source, sink)
     if value < demand - DEMAND_TOL * max(1.0, demand):
@@ -64,27 +63,31 @@ def offline_feasible(
     return True, _extract_schedule(instance, g, window_arcs)
 
 
-def min_power_capacity(instance: Instance, iterations: int = 60) -> float:
+def min_power_capacity(instance: Instance) -> float:
     """Smallest constant station power P* making the instance offline feasible.
 
-    Bisection with the flow oracle inside; the bracket upper end (sum of peak
-    rates) is always feasible for individually satisfiable sessions.
+    The max-flow value is the minimum over cuts of a + k*P, k the slots on the
+    cut's source side (Gallo, Grigoriadis & Tarjan 1989).  Newton steps from
+    P = 0 move P to the root of the current min cut's line until the flow
+    ships the demand; each raises P by at least DEMAND_TOL * max(1, D) / k.
     """
     for s in instance.sessions:
+        if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
+            raise ContractError(f"session {s.id} has non-finite energy or max rate")
         if s.energy > s.max_rate * s.sojourn:
             raise ContractError(f"session {s.id} individually unsatisfiable")
-    if not instance.sessions:
-        return 0.0
-    lo, hi = 0.0, sum(s.max_rate for s in instance.sessions)
-    if offline_feasible(instance, power_override=lo)[0]:
-        return 0.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if offline_feasible(instance, power_override=mid)[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    demand = sum(s.energy for s in instance.sessions)
+    p = 0.0
+    while True:
+        g, source, sink, _, sink_arcs = _build_network(instance, p)
+        short = demand - g.max_flow(source, sink)
+        if short <= DEMAND_TOL * max(1.0, demand):
+            return p
+        reach = g.source_side(source)
+        k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
+        if k == 0:
+            raise ContractError("no constant power ships the demand inside the horizon")
+        p += short / k
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
@@ -112,7 +115,6 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
     unmet = {}
-    min_lax = float("inf")
     for s in instance.sessions:
         short = s.energy - schedule.delivered(s.id)
         unmet[s.id] = max(short, 0.0)
@@ -122,14 +124,9 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
         elif short < -DEMAND_TOL * s.energy:
             violations.append(Violation(
                 "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
-        rem = s.energy
-        for t in range(s.arrival, horizon + 1):
-            min_lax = min(min_lax, laxity(s, t, max(rem, 0.0)))
-            if t < horizon:
-                rem -= schedule.rates[s.id][t]
     return RunVerdict(
         feasible=not violations,
-        min_laxity=min_lax,
+        min_laxity=min_laxity(instance, schedule),
         unmet_energy=unmet,
         oscillation=schedule.total_variation(),
         switch_count=schedule.switch_count(),

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -108,6 +108,9 @@ def validate(instance: Instance) -> list[Violation]:
         if s.arrival < 0 or s.departure > instance.horizon:
             out.append(Violation("window-out-of-range", s.id,
                                  f"[{s.arrival}, {s.departure}) outside [0, {instance.horizon}]"))
+        if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
+            out.append(Violation("non-finite", s.id,
+                                 f"energy {s.energy} and max rate {s.max_rate} must be finite"))
         if s.energy <= 0:
             out.append(Violation("nonpositive-energy", s.id, f"energy {s.energy} must be > 0"))
         if s.max_rate <= 0:
@@ -123,13 +126,9 @@ def validate(instance: Instance) -> list[Violation]:
             out.append(Violation("power-profile-short", f"slot {t}",
                                  "stepwise profile does not cover the horizon"))
             break
-        if p < 0:
+        if not math.isfinite(p):
+            out.append(Violation("non-finite", f"slot {t}", f"P({t}) = {p} must be finite"))
+        elif p < 0:
             out.append(Violation("negative-power", f"slot {t}", f"P({t}) = {p} < 0"))
     return out
 
-
-def active_set(instance: Instance, t: int) -> set[str]:
-    """Ids of sessions present at slot t (arrived, not yet departed)."""
-    if t < 0 or t > instance.horizon:
-        raise ContractError(f"slot {t} outside [0, {instance.horizon}]")
-    return {s.id for s in instance.sessions if s.arrival <= t < s.departure}

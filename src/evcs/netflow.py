@@ -45,11 +45,10 @@ class FlowGraph:
         return self.cap[idx ^ 1]
 
     def max_flow(self, s: int, t: int) -> float:
-        scale = max(self._initial, default=0.0)
-        eps = 1e-12 * max(1.0, scale)
+        eps = self._eps()
         total = 0.0
         while True:
-            level = self._levels(s, t, eps)
+            level = self._levels(s, eps)
             if level[t] < 0:
                 return total
             it = [0] * self.n
@@ -59,7 +58,14 @@ class FlowGraph:
                     break
                 total += pushed
 
-    def _levels(self, s: int, t: int, eps: float) -> list[int]:
+    def source_side(self, s: int) -> list[bool]:
+        """Residual reachability from `s`: after `max_flow`, the source side of a min cut."""
+        return [lv >= 0 for lv in self._levels(s, self._eps())]
+
+    def _eps(self) -> float:
+        return 1e-12 * max(1.0, max(self._initial, default=0.0))
+
+    def _levels(self, s: int, eps: float) -> list[int]:
         level = [-1] * self.n
         level[s] = 0
         q = deque([s])

@@ -1,13 +1,12 @@
 """Drives a policy over an instance slot by slot and scores the outcome."""
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .dynamics import RunVerdict, Schedule, initial_state, laxity, step
+from .dynamics import RunVerdict, Schedule, initial_state, laxity, min_laxity, step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -24,11 +23,7 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     state = initial_state(instance)
     rows = {s.id: [0.0] * horizon for s in instance.sessions}
     max_rate = {s.id: s.max_rate for s in instance.sessions}
-    min_lax = math.inf
     for t in range(horizon):
-        for s in instance.sessions:
-            if s.arrival <= t:
-                min_lax = min(min_lax, laxity(s, t, state.remaining[s.id]))
         rates = policy(state, instance, t).rates
         try:
             applied = step(state, rates, instance)
@@ -38,14 +33,12 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
             if r > 0.0:  # step let it through, so sid is an active session
                 rows[sid][t] = min(r, max_rate[sid], state.remaining[sid])
         state = applied
-    for s in instance.sessions:
-        min_lax = min(min_lax, laxity(s, horizon, state.remaining[s.id]))
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
     verdict = RunVerdict(
         feasible=feasible,
-        min_laxity=min_lax,
+        min_laxity=min_laxity(instance, schedule),
         unmet_energy=unmet,
         oscillation=schedule.total_variation(),
         switch_count=schedule.switch_count(),

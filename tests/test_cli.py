@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
+from evcs import augmentation
 from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, main
 from evcs.corpus import generate, reference_spec, write_instance
 from evcs.model import ChargingSession, ConstantPower, Instance
@@ -32,6 +34,18 @@ def invalid_file(tmp_path):
     path = tmp_path / "bad.evcs"
     write_instance(inst, path)
     return str(path)
+
+
+@pytest.fixture(params=["duplicate-id", "non-finite"])
+def bad_corpus_dir(request, tmp_path, instance_ia):
+    """A valid instance next to one that breaks the named invariant."""
+    if request.param == "duplicate-id":
+        sessions = (ChargingSession("a", 0, 2, 1.0, 1.0), ChargingSession("a", 0, 2, 1.0, 1.0))
+    else:
+        sessions = (ChargingSession("a", 0, 3, math.nan, 1.0),)
+    write_instance(instance_ia, tmp_path / "instance_0000.evcs")
+    write_instance(Instance(sessions, ConstantPower(2.0)), tmp_path / "instance_0001.evcs")
+    return tmp_path, request.param
 
 
 def rows_from_csv(text):
@@ -69,6 +83,14 @@ class TestCheck:
         assert main(["check", invalid_file]) == 0
         rows = rows_from_csv(capsys.readouterr().out)
         assert "individually-unsatisfiable" in rows[0]["violations"]
+
+    def test_non_finite_energy_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "nan.evcs"
+        path.write_text("evcs-v1\nhorizon 3\npower constant 1\na 0 3 nan 1\n")
+        assert main(["check", str(path)]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["violations"] == "non-finite:a"
+        assert row["min_power_capacity"] == ""
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent.evcs"]) == 2
@@ -132,6 +154,13 @@ class TestSweep:
     def test_unknown_alg(self, corpus_dir):
         assert main(["sweep", str(corpus_dir), "--algs", "sllf,bogus"]) == 2
 
+    def test_invalid_corpus_exits_two(self, bad_corpus_dir, capsys):
+        path, code = bad_corpus_dir
+        assert main(["sweep", str(path), "--algs", "sllf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "instance_0001.evcs" in captured.err and code in captured.err
+
     def test_reports_are_byte_identical(self, corpus_dir, capsys):
         main(["sweep", str(corpus_dir), "--algs", "sllf,llf"])
         first = capsys.readouterr().out
@@ -155,6 +184,24 @@ class TestAugment:
         assert set(FULL_DATA_REFERENCE_EPS) == {"sllf", "llf", "edf", "es", "rep", "olp"}
         for modes in FULL_DATA_REFERENCE_EPS.values():
             assert set(modes) == {"power", "power-rate"}
+
+    def test_invalid_corpus_exits_two(self, bad_corpus_dir, capsys):
+        path, code = bad_corpus_dir
+        assert main(["augment", str(path), "--algs", "sllf", "--mode", "power"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "instance_0001.evcs" in captured.err and code in captured.err
+
+    def test_empty_corpus_leaves_theorem1_blank(self, tmp_path, capsys):
+        assert main(["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "sllf,power,0.0,,0.0,0.07"
+
+    def test_unrelated_errors_are_not_hidden(self, corpus_dir, monkeypatch):
+        def broken(instances):
+            raise RuntimeError("bug in the bound inputs")
+        monkeypatch.setattr(augmentation, "corpus_bound_inputs", broken)
+        with pytest.raises(RuntimeError):
+            main(["augment", str(corpus_dir), "--algs", "sllf", "--mode", "power"])
 
     def test_missing_mode_exits_two(self, corpus_dir):
         assert main(["augment", str(corpus_dir), "--algs", "sllf"]) == 2

@@ -1,10 +1,9 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evcs.dynamics import (Schedule, energy_delivered, initial_state, laxity, step)
+from evcs.dynamics import Schedule, initial_state, laxity, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
 
 
@@ -111,32 +110,3 @@ class TestSchedule:
         assert sch.total_variation() == 0.0
         assert sch.switch_count() == 0
 
-
-class TestEnergyDelivered:
-    def test_inclusive_interval(self):
-        sch = Schedule(3, {"a": (1.0, 2.0, 4.0)})
-        assert energy_delivered(sch, {"a"}, 0, 0) == 1.0
-        assert energy_delivered(sch, {"a"}, 0, 2) == 7.0
-        assert energy_delivered(sch, {"a"}, 1, 2) == 6.0
-
-    def test_group_additivity(self):
-        sch = Schedule(2, {"a": (1.0, 0.5), "b": (0.25, 0.25)})
-        assert energy_delivered(sch, {"a", "b"}, 0, 1) == pytest.approx(
-            energy_delivered(sch, {"a"}, 0, 1) + energy_delivered(sch, {"b"}, 0, 1))
-
-    def test_bad_interval_rejected(self):
-        sch = Schedule(2, {"a": (1.0, 1.0)})
-        with pytest.raises(ContractError):
-            energy_delivered(sch, {"a"}, 1, 0)
-        with pytest.raises(KeyError):
-            energy_delivered(sch, {"missing"}, 0, 1)
-
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
-    def test_interval_splitting(self, cut_a, cut_b):
-        rng = random.Random(7)
-        sch = Schedule(5, {"a": tuple(rng.random() for _ in range(5))})
-        t1, t2 = min(cut_a, cut_b), max(cut_a, cut_b)
-        if t1 < t2:
-            split = (energy_delivered(sch, {"a"}, t1, t1)
-                     + energy_delivered(sch, {"a"}, t1 + 1, t2))
-            assert energy_delivered(sch, {"a"}, t1, t2) == pytest.approx(split)

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from evcs.dynamics import Schedule
-from evcs.feasibility import (DEMAND_TOL, min_power_capacity, offline_feasible,
-                              validate_schedule)
+from evcs.feasibility import (DEMAND_TOL, _build_network, min_power_capacity,
+                              offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 
@@ -49,6 +50,12 @@ class TestOfflineFeasible:
         ok, sch = offline_feasible(Instance((), ConstantPower(1.0)))
         assert ok and sch.rates == {}
 
+    def test_zero_demand_witness_covers_every_session(self):
+        inst = single_ev(energy=0.0)
+        ok, sch = offline_feasible(inst)
+        assert ok and sch.rates == {"a": (0.0, 0.0)}
+        assert validate_schedule(inst, sch).feasible
+
     def test_monotone_in_power(self, reference_corpus):
         rng = random.Random(3)
         for inst in rng.sample(reference_corpus, 20):
@@ -73,13 +80,13 @@ class TestMinPowerCapacity:
     def test_two_identical_evs(self):
         inst = Instance((ChargingSession("a", 0, 2, 2.0, 2.0),
                          ChargingSession("b", 0, 2, 2.0, 2.0)), ConstantPower(4.0))
-        assert min_power_capacity(inst) == pytest.approx(2.0, abs=1e-5)
+        assert min_power_capacity(inst) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_ev_spread(self):
-        assert min_power_capacity(single_ev()) == pytest.approx(0.5, abs=1e-5)
+        assert min_power_capacity(single_ev()) == pytest.approx(0.5, abs=1e-12)
 
     def test_canonical_instance(self, instance_ia):
-        assert min_power_capacity(instance_ia) == pytest.approx(1.0, abs=1e-5)
+        assert min_power_capacity(instance_ia) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_instance(self):
         assert min_power_capacity(Instance((), ConstantPower(1.0))) == 0.0
@@ -88,6 +95,33 @@ class TestMinPowerCapacity:
         inst = single_ev(energy=5.0)
         with pytest.raises(ContractError):
             min_power_capacity(inst)
+
+    @pytest.mark.parametrize("energy, r_bar", [(math.nan, 1.0), (1.0, math.inf),
+                                               (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_session_rejected(self, energy, r_bar):
+        with pytest.raises(ContractError):
+            min_power_capacity(single_ev(energy=energy, r_bar=r_bar))
+
+    def test_window_cut_off_by_slot_zero_rejected(self):
+        # satisfiable over its sojourn, but only slot 0 lies inside [0, horizon)
+        inst = Instance((ChargingSession("a", -2, 1, 2.0, 1.0),), ConstantPower(5.0))
+        with pytest.raises(ContractError):
+            min_power_capacity(inst)
+
+    def test_exact_on_reference_sessions(self, reference_corpus):
+        # "short" means the max flow misses the demand by more than float noise,
+        # which is stricter than the oracle's DEMAND_TOL slack
+        def short(inst, power):
+            g, source, sink, _, _ = _build_network(inst, power)
+            demand = sum(s.energy for s in inst.sessions)
+            return demand - g.max_flow(source, sink) > 1e-12 * demand
+
+        rng = random.Random(5)
+        for inst in rng.sample(reference_corpus, 30):
+            p_star = min_power_capacity(inst)
+            assert offline_feasible(inst, power_override=p_star)[0]
+            assert not short(inst, p_star)
+            assert short(inst, p_star * (1 - 1e-6))
 
     def test_result_is_feasible_and_near_tight(self, instance_ia):
         p_star = min_power_capacity(instance_ia)

@@ -1,8 +1,8 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
-                        StepwisePower, active_set, validate)
+import pytest
+
+from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
 
 
 def codes(instance):
@@ -97,28 +97,20 @@ class TestValidate:
         inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), StepwisePower([1.0, -0.5]))
         assert "negative-power" in codes(inst)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_session_fields(self, value):
+        for energy, max_rate in ((value, 1.0), (1.0, value)):
+            inst = Instance((ChargingSession("a", 0, 3, energy, max_rate),),
+                            ConstantPower(1.0))
+            assert "non-finite" in codes(inst)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_power(self, value):
+        for power in (ConstantPower(value), StepwisePower([1.0, value])):
+            inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), power)
+            assert "non-finite" in codes(inst)
+
     def test_validate_is_pure(self, instance_ia):
         first = validate(instance_ia)
         assert validate(instance_ia) == first == []
 
-
-class TestActiveSet:
-    def test_window_is_half_open(self):
-        inst = Instance((ChargingSession("a", 1, 3, 1.0, 1.0),), ConstantPower(1.0))
-        assert active_set(inst, 0) == set()
-        assert active_set(inst, 1) == {"a"}
-        assert active_set(inst, 2) == {"a"}
-        assert active_set(inst, 3) == set()
-
-    def test_out_of_range_slot_rejected(self, instance_ia):
-        with pytest.raises(ContractError):
-            active_set(instance_ia, -1)
-        with pytest.raises(ContractError):
-            active_set(instance_ia, instance_ia.horizon + 1)
-
-    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=5))
-    def test_membership_matches_window(self, arrival, sojourn):
-        s = ChargingSession("a", arrival, arrival + sojourn, 1.0, 1.0)
-        inst = Instance((s,), ConstantPower(1.0))
-        for t in range(inst.horizon + 1):
-            assert (s.id in active_set(inst, t)) == (s.arrival <= t < s.departure)

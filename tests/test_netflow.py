@@ -73,3 +73,20 @@ class TestMaxFlow:
             assert net[n - 1] == pytest.approx(value, abs=1e-9)
             for node in range(1, n - 1):
                 assert net[node] == pytest.approx(0.0, abs=1e-9)
+
+    def test_source_side_is_a_min_cut(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            n = rng.randint(4, 8)
+            g = FlowGraph(n)
+            arcs = []
+            for _ in range(rng.randint(6, 16)):
+                u, v = rng.sample(range(n), 2)
+                cap = rng.uniform(0.1, 3.0)
+                g.add_edge(u, v, cap)
+                arcs.append((u, v, cap))
+            value = g.max_flow(0, n - 1)
+            side = g.source_side(0)
+            assert side[0] and not side[n - 1]
+            cut = sum(cap for u, v, cap in arcs if side[u] and not side[v])
+            assert cut == pytest.approx(value, abs=1e-9)
