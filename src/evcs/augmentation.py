@@ -11,8 +11,11 @@ from .simulator import run_feasibility
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
-#: absolute tolerance of the minimum-epsilon bisection
+#: absolute tolerance of the minimum-epsilon search
 EPS_TOL = 1e-3
+
+#: grid of the minimum-epsilon search: the largest power of two <= EPS_TOL (2**-10)
+EPS_STEP = 2.0 ** math.floor(math.log2(EPS_TOL))
 
 #: epsilon beyond which the search reports failure
 EPS_CEILING = 64.0
@@ -34,39 +37,55 @@ def augment(instance: Instance, mode: AugmentationMode, eps: float) -> Instance:
     return Instance(sessions, instance.power.scaled(factor), instance.horizon)
 
 
-def _all_feasible(instances, policy_name: str, mode: AugmentationMode, eps: float) -> bool:
-    return all(run_feasibility([augment(i, mode, eps) for i in instances], policy_name))
+def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode) -> float:
+    """Smallest eps on the EPS_STEP grid making the policy feasible on every instance.
 
-
-def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode,
-                     tol: float = EPS_TOL) -> float:
-    """Smallest augmentation making the policy feasible on every instance.
-
-    Bisection over eps with explicit re-verification of both endpoints;
-    feasibility is not assumed monotone in eps, only checked.  Returns +inf
-    when no feasible eps is found at or below EPS_CEILING.
+    Each instance is simulated at the running maximum `top`, and only one
+    that fails there is searched on its own: doubling brackets from 8, then
+    a bisection of integer grid indices above `top`.  Passes repeat until
+    none raises `top`, so the result has been simulated feasible on every
+    instance.  When feasibility is monotone in eps, this is the value a
+    bisection of the whole corpus over [0, 8 * 2**k] ends on.  It is not
+    assumed monotone: a warning is issued when the corpus is feasible at
+    eps - 2 * EPS_TOL, checked on the binding instance first.  Runs serially.
+    Returns +inf when some instance is infeasible at every bracket up to
+    EPS_CEILING.
     """
-    if not instances:
-        return 0.0
-    if _all_feasible(instances, policy_name, mode, 0.0):
-        return 0.0
-    hi = 8.0
-    while not _all_feasible(instances, policy_name, mode, hi):
-        hi *= 2.0
-        if hi > EPS_CEILING:
-            return math.inf
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _all_feasible(instances, policy_name, mode, mid):
-            hi = mid
-        else:
-            lo = mid
-    if not _all_feasible(instances, policy_name, mode, hi):
-        warnings.warn(f"feasibility not monotone near eps = {hi}")
-    if hi - 2.0 * tol >= 0.0 and _all_feasible(instances, policy_name, mode, hi - 2.0 * tol):
-        warnings.warn(f"feasibility not monotone near eps = {hi - 2.0 * tol}")
-    return hi
+    def feasible_at(k: int, eps: float) -> bool:
+        return run_feasibility([augment(instances[k], mode, eps)], policy_name)[0]
+
+    memo: dict[tuple[int, int], bool] = {}
+
+    def feasible(k: int, g: int) -> bool:
+        if (k, g) not in memo:
+            memo[k, g] = feasible_at(k, g * EPS_STEP)
+        return memo[k, g]
+
+    ceiling = EPS_CEILING / EPS_STEP
+    top, binding, raised = 0, 0, True
+    while raised:
+        raised = False
+        for k in range(len(instances)):
+            if feasible(k, top):
+                continue
+            lo, hi = top, round(8.0 / EPS_STEP)  # lo is infeasible for k
+            while hi <= lo or not feasible(k, hi):
+                hi *= 2
+                if hi > ceiling:
+                    return math.inf
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if feasible(k, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            top, binding, raised = hi, k, True
+    eps = top * EPS_STEP
+    below = eps - 2.0 * EPS_TOL
+    order = [binding] + [k for k in range(len(instances)) if k != binding]
+    if below >= 0.0 and all(feasible_at(k, below) for k in order):
+        warnings.warn(f"feasibility not monotone near eps = {below}")
+    return eps
 
 
 @dataclass(frozen=True)

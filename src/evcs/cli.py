@@ -151,11 +151,14 @@ def cmd_augment(args) -> int:
     instances = _load_corpus(Path(args.corpus_dir))
     algs = _parse_algs(args.algs)
     mode = AugmentationMode.POWER if args.mode == "power" else AugmentationMode.POWER_AND_RATE
-    t2 = max((max(augmentation.theorem2_bound(i), 0.0) for i in instances), default=0.0)
     try:
         t1 = augmentation.theorem1_bound(augmentation.corpus_bound_inputs(instances))
     except ContractError:
         t1 = None
+    try:
+        t2 = max((max(augmentation.theorem2_bound(i), 0.0) for i in instances), default=0.0)
+    except ContractError:
+        t2 = None
     rows = []
     for alg in algs:
         eps = augmentation.min_feasible_eps(instances, alg, mode)

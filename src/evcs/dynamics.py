@@ -97,15 +97,21 @@ class Schedule:
 
 
 def min_laxity(instance: Instance, schedule: Schedule) -> float:
-    """Smallest laxity any session reaches over slots [0, horizon] of the schedule."""
+    """Smallest laxity any session reaches over slots [0, horizon] of the schedule.
+
+    Each session is followed from its arrival to its departure (or the
+    horizon).  After the departure its laxity is -remaining/max_rate, which
+    nonnegative rates can only raise, so the slots after it are skipped.
+    """
     horizon, lowest = schedule.horizon, math.inf
     for s in instance.sessions:
         rem, row = s.energy, schedule.rates[s.id]
-        for t in range(max(s.arrival, 0), horizon + 1):  # plain compares: a hot loop
+        end = min(s.departure, horizon)
+        for t in range(max(s.arrival, 0), end + 1):  # plain compares: a hot loop
             lax = laxity(s, t, 0.0 if rem < 0.0 else rem)
             if lax < lowest:
                 lowest = lax
-            if t < horizon:
+            if t < end:
                 rem -= row[t]
     return lowest
 

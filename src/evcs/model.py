@@ -70,9 +70,8 @@ class Instance:
 
     def __init__(self, sessions, power, horizon=None):
         sessions = tuple(sessions)
-        latest = max((s.departure for s in sessions), default=0)
-        if horizon is None or horizon < latest:
-            horizon = latest
+        if horizon is None:
+            horizon = max((s.departure for s in sessions), default=0)
         object.__setattr__(self, "sessions", sessions)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "horizon", int(horizon))

@@ -1,12 +1,16 @@
 import math
+import random
 
 import pytest
 
+from evcs import augmentation, simulator
 from evcs.augmentation import (EPS_TOL, AugmentationMode, BoundInputs, augment,
                                corpus_bound_inputs, min_feasible_eps,
                                theorem1_bound, theorem2_bound)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
+
+from eps_oracle import corpus_bisection_eps
 
 
 def tight_ev(power=0.5):
@@ -65,6 +69,59 @@ class TestMinFeasibleEps:
         # power scaling cannot help a session whose rate cap is the binding limit
         hopeless = Instance((ChargingSession("a", 0, 2, 2.0, 0.5),), ConstantPower(1.0))
         assert min_feasible_eps([hopeless], "sllf", AugmentationMode.POWER) == math.inf
+
+
+@pytest.fixture(scope="module")
+def flags_at_zero(reference_corpus):
+    return {p: simulator.run_feasibility(reference_corpus, p) for p in ("sllf", "edf", "es")}
+
+
+class TestPerInstanceSearch:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", list(AugmentationMode))
+    @pytest.mark.parametrize("policy", ["sllf", "edf", "es"])
+    def test_equals_corpus_bisection(self, reference_corpus, flags_at_zero, policy, mode, seed):
+        # 4 instances the policy fails at eps = 0 and 8 it completes, so eps > 0
+        rng = random.Random(seed)
+        flags = flags_at_zero[policy]
+        sample = rng.sample([i for i, ok in zip(reference_corpus, flags) if not ok], 4) + \
+            rng.sample([i for i, ok in zip(reference_corpus, flags) if ok], 8)
+        eps = min_feasible_eps(sample, policy, mode)
+        assert eps > 0.0
+        assert eps == corpus_bisection_eps(sample, policy, mode)
+
+    @staticmethod
+    def patch_table(monkeypatch, table):
+        """Instances are names; feasibility is table[name](eps)."""
+        monkeypatch.setattr(augmentation, "augment", lambda inst, mode, eps: (inst, eps))
+        monkeypatch.setattr(augmentation, "run_feasibility",
+                            lambda insts, policy: [table[name](eps) for name, eps in insts])
+
+    def test_result_feasible_on_every_instance(self, monkeypatch):
+        # "a" has a gap [1, 2) where "b" first becomes feasible, so one pass
+        # would stop at 1.0 with "a" infeasible there
+        table = {"a": lambda e: e >= 0.25 and not 1.0 <= e < 2.0, "b": lambda e: e >= 1.0}
+        self.patch_table(monkeypatch, table)
+        eps = min_feasible_eps(["a", "b"], "sllf", AugmentationMode.POWER)
+        assert eps == 2.0
+        assert table["a"](eps) and table["b"](eps)
+
+    def test_non_monotone_warning_kept(self, monkeypatch):
+        below = 1.0 - 2.0 * EPS_TOL
+        table = {"a": lambda e: e >= 1.0 or e == below, "b": lambda e: e >= 0.5}
+        self.patch_table(monkeypatch, table)
+        with pytest.warns(UserWarning, match="not monotone"):
+            assert min_feasible_eps(["a", "b"], "sllf", AugmentationMode.POWER) == 1.0
+
+    def test_simulation_count(self, reference_corpus, monkeypatch):
+        calls = []
+        simulate = simulator.simulate
+        monkeypatch.setattr(simulator, "simulate",
+                            lambda *args: calls.append(1) or simulate(*args))
+        eps = min_feasible_eps(reference_corpus, "sllf", AugmentationMode.POWER)
+        assert eps > 0.0
+        # a bisection of the whole corpus makes 17 probes of 300 instances: 5,100
+        assert len(calls) <= 1000
 
 
 class TestTheorem1Bound:

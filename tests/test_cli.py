@@ -92,6 +92,14 @@ class TestCheck:
         assert row["violations"] == "non-finite:a"
         assert row["min_power_capacity"] == ""
 
+    def test_departure_past_declared_horizon_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "late.evcs"
+        path.write_text("evcs-v1\nhorizon 2\npower constant 1\na 0 4 1 1\n")
+        assert main(["check", str(path)]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["violations"] == "window-out-of-range:a"
+        assert row["offline_feasible"] == ""
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent.evcs"]) == 2
 
@@ -195,6 +203,14 @@ class TestAugment:
     def test_empty_corpus_leaves_theorem1_blank(self, tmp_path, capsys):
         assert main(["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "sllf,power,0.0,,0.0,0.07"
+
+    def test_zero_power_leaves_theorem2_blank(self, tmp_path, capsys):
+        (tmp_path / "instance_0000.evcs").write_text(
+            "evcs-v1\nhorizon 2\npower constant 0\na 0 2 1 1\n")
+        assert main(["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["theorem1_bound"] == row["theorem2_bound_max"] == ""
+        assert row["min_eps"] == f"no finite eps <= {augmentation.EPS_CEILING}"
 
     def test_unrelated_errors_are_not_hidden(self, corpus_dir, monkeypatch):
         def broken(instances):

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evcs.dynamics import Schedule, initial_state, laxity, step
+from evcs.dynamics import Schedule, initial_state, laxity, min_laxity, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
 
 
@@ -110,3 +111,46 @@ class TestSchedule:
         assert sch.total_variation() == 0.0
         assert sch.switch_count() == 0
 
+
+
+def min_laxity_to_horizon(instance, schedule):
+    """Brute force: every session's laxity at every slot from arrival to the horizon."""
+    lowest = math.inf
+    for s in instance.sessions:
+        rem = s.energy
+        for t in range(s.arrival, schedule.horizon + 1):
+            lowest = min(lowest, laxity(s, t, max(rem, 0.0)))
+            if t < schedule.horizon:
+                rem -= schedule.rates[s.id][t]
+    return lowest
+
+
+class TestMinLaxity:
+    def test_matches_brute_force_on_nonnegative_schedules(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            horizon = rng.randint(1, 12)
+            sessions, rows = [], {}
+            for k in range(rng.randint(1, 5)):
+                a = rng.randrange(horizon)
+                d = rng.randint(a + 1, horizon)
+                cap = rng.uniform(0.1, 2.0)
+                s = ChargingSession(f"s{k}", a, d, rng.uniform(0.01, cap * (d - a)), cap)
+                sessions.append(s)
+                # overshooting the demand is allowed: remaining clamps at zero;
+                # a nonnegative rate after the departure cannot lower the laxity
+                rows[s.id] = tuple(rng.uniform(0.0, cap)
+                                   if rng.random() < (0.7 if a <= t < d else 0.2) else 0.0
+                                   for t in range(horizon))
+            inst = Instance(tuple(sessions), ConstantPower(1.0), rng.randint(horizon, horizon + 3))
+            sch = Schedule(inst.horizon, {sid: row + (0.0,) * (inst.horizon - horizon)
+                                          for sid, row in rows.items()})
+            assert min_laxity(inst, sch) == min_laxity_to_horizon(inst, sch)
+
+    def test_stops_at_the_departure(self):
+        # validate_schedule flags the negative rate after the departure as
+        # rate-outside-window; it no longer lowers the laxity to -2
+        inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(1.0), 4)
+        sch = Schedule(4, {"a": (1.0, 0.0, -1.0, 0.0)})
+        assert min_laxity_to_horizon(inst, sch) == -2.0
+        assert min_laxity(inst, sch) == -1.0

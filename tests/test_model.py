@@ -15,10 +15,11 @@ class TestInstanceConstruction:
                          ChargingSession("b", 1, 7, 1.0, 1.0)), ConstantPower(1.0))
         assert inst.horizon == 7
 
-    def test_horizon_never_below_latest_departure(self):
+    def test_declared_horizon_is_kept(self):
         inst = Instance((ChargingSession("a", 0, 5, 1.0, 1.0),), ConstantPower(1.0),
                         horizon=2)
-        assert inst.horizon == 5
+        assert inst.horizon == 2
+        assert "window-out-of-range" in codes(inst)
 
     def test_horizon_may_extend_past_departures(self):
         inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(1.0),
