@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (corpus.ParseError, corpus.GenerationError, SystemExit2,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

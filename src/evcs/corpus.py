@@ -186,8 +186,14 @@ def write_instance(instance: Instance, path) -> None:
 
 
 def read_instance(path) -> Instance:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        before = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(f"{path}: line {len(before)}, column {len(before[-1])}: "
+                         f"byte {data[exc.start]:#04x} is not UTF-8") from None
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
     if not lines or lines[0][1].strip() != FORMAT_HEADER:
         raise ParseError(f"{path}: line 1, column 1: expected header {FORMAT_HEADER!r}")

@@ -95,6 +95,9 @@ class Violation:
 def validate(instance: Instance) -> list[Violation]:
     """Check all structural invariants; empty list means the instance is well formed."""
     out: list[Violation] = []
+    if instance.horizon < 0:
+        out.append(Violation("negative-horizon", "horizon",
+                             f"horizon {instance.horizon} must be >= 0"))
     seen: set[str] = set()
     for s in instance.sessions:
         if s.id in seen:

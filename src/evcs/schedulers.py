@@ -139,15 +139,18 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     slot -> sink arcs, so every augmenting path's cost is the index of the
     slot it exits through.  Opening the sink arcs one slot at a time and
     running blocking flow to exhaustion therefore performs successive
-    shortest-path augmentation exactly.  If the residual problem cannot ship
-    all remaining demand, this slot falls back to the sLLF rates.
+    shortest-path augmentation exactly.  The slot window ends at the last
+    departure: a later slot has no arc in, so its flow could only be zero.
+    If the residual problem cannot ship all remaining demand, this slot falls
+    back to the sLLF rates.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
         return RateDecision({})
     horizon = instance.horizon
+    end = max(min(s.departure, horizon) for s in evs)
     source, sink = 0, 1
-    g = FlowGraph(2 + len(evs) + (horizon - t))
+    g = FlowGraph(2 + len(evs) + (end - t))
     slot_node = lambda tau: 2 + len(evs) + (tau - t)
     demand = 0.0
     column_arcs: dict[str, int] = {}
@@ -159,9 +162,9 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
             idx = g.add_edge(2 + k, slot_node(tau), s.max_rate)
             if tau == t:
                 column_arcs[s.id] = idx
-    sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, horizon)]
+    sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, end)]
     shipped = 0.0
-    for tau, idx in zip(range(t, horizon), sink_arcs):
+    for tau, idx in zip(range(t, end), sink_arcs):
         g.raise_capacity(idx, instance.power.at(tau))
         shipped += g.max_flow(source, sink)
     if shipped < demand - 1e-9 * max(1.0, demand):

@@ -78,7 +78,12 @@ def success_rate(instances, policy_name: str) -> float:
 
 
 def instance_metrics(instance: Instance) -> tuple[float, float]:
-    """(max sojourn ratio, min normalized initial laxity) of an instance."""
+    """(max sojourn ratio, min normalized initial laxity) of an instance.
+
+    Without sessions both are at the end of their range: (1.0, 1.0).
+    """
+    if not instance.sessions:
+        return 1.0, 1.0
     sojourns = [s.sojourn for s in instance.sessions]
     ratio = max(sojourns) / min(sojourns)
     norm_lax = min(laxity(s, s.arrival, s.energy) / s.sojourn for s in instance.sessions)

@@ -100,8 +100,22 @@ class TestCheck:
         assert row["violations"] == "window-out-of-range:a"
         assert row["offline_feasible"] == ""
 
+    def test_negative_horizon_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "negative.evcs"
+        path.write_text("evcs-v1\nhorizon -3\npower constant 1\n")
+        assert main(["check", str(path)]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["violations"] == "negative-horizon:horizon"
+        assert row["offline_feasible"] == row["min_power_capacity"] == ""
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent.evcs"]) == 2
+
+    def test_non_utf8_byte_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.evcs"
+        path.write_bytes(b"evcs-v1\nhorizon 2\npower constant 1\nd\xe9j\xe0 0 2 1 1\n")
+        assert main(["check", str(path)]) == 2
+        assert "line 4, column 2" in capsys.readouterr().err
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "junk.evcs"
@@ -141,6 +155,19 @@ class TestRun:
     def test_unknown_alg_exits_two(self, ia_file):
         assert main(["run", ia_file, "--alg", "wrong"]) == 2
 
+    def test_session_less_instance(self, tmp_path, capsys):
+        path = tmp_path / "empty.evcs"
+        path.write_text("evcs-v1\nhorizon 0\npower constant 1\n")
+        assert main(["run", str(path), "--alg", "olp", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rows"] == [
+            {"session": "__verdict__", "slot": -1, "rate": ""}]
+        assert "sojourn_ratio=1 min_norm_laxity=1" in captured.err
+
+    def test_directory_exits_two(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--alg", "sllf"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_overall_rates(self, corpus_dir, capsys):
@@ -161,6 +188,19 @@ class TestSweep:
 
     def test_unknown_alg(self, corpus_dir):
         assert main(["sweep", str(corpus_dir), "--algs", "sllf,bogus"]) == 2
+
+    @pytest.mark.parametrize("metric", ["sojourn-ratio", "norm-laxity"])
+    def test_bins_a_session_less_instance(self, tmp_path, instance_ia, metric, capsys):
+        write_instance(instance_ia, tmp_path / "instance_0000.evcs")
+        (tmp_path / "instance_0001.evcs").write_text("evcs-v1\nhorizon 0\npower constant 1\n")
+        assert main(["sweep", str(tmp_path), "--algs", "sllf", "--bin-by", metric,
+                     "--bins", "2", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["instances"] for r in rows] == [2, 1, 1]
+
+    def test_file_exits_two(self, ia_file, capsys):
+        assert main(["sweep", ia_file, "--algs", "sllf"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_corpus_exits_two(self, bad_corpus_dir, capsys):
         path, code = bad_corpus_dir

@@ -1,12 +1,15 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evcs.corpus import (CorpusSpec, GenerationError, ParseError, generate,
                          read_instance, reference_spec, reference_spec_spaced,
                          write_instance)
 from evcs.feasibility import offline_feasible
-from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
+from evcs.model import (ChargingSession, ConstantPower, Instance, StepwisePower, Violation,
+                        validate)
 
 
 class TestSpecValidation:
@@ -147,3 +150,52 @@ class TestParseErrors:
                           "evcs-v1\nhorizon 2\npower constant 1\na 0 x 1.0 1.0\n")
         with pytest.raises(ParseError, match="line 4, column 3"):
             read_instance(path)
+
+
+def _rarely(good, bad):
+    """`good`, or one time in eight `bad`."""
+    return st.tuples(st.integers(0, 7), good, bad).map(lambda x: x[2] if x[0] == 0 else x[1])
+
+
+_int = _rarely(st.integers(-5, 40).map(str), st.sampled_from(["1.5", "x", "1_0", ""]))
+_float = _rarely(st.floats(-1.0, 50.0).map(repr),
+                 st.sampled_from(["nan", "-inf", "1e400", "0x1", "x"]))
+_session = st.builds(lambda sid, a, d, e, r: " ".join([sid, a, d, e, r]),
+                     st.sampled_from(["a", "b", "c"]), _int, _int, _float, _float)
+_power = st.one_of(st.builds("power constant {}".format, _float),
+                   st.builds(lambda vs: " ".join(["power", "step", *map(repr, vs)]),
+                             st.lists(st.floats(-1.0, 50.0) | st.just(float("nan")),
+                                      min_size=1, max_size=45)))
+
+
+@st.composite
+def instance_bytes(draw):
+    """An instance file, often well formed, sometimes with a line of arbitrary
+    text or raw bytes (not always UTF-8) spliced in."""
+    lines = ["evcs-v1", "horizon " + draw(_int), draw(_power),
+             *draw(st.lists(_session, max_size=4))]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.text(max_size=20))]
+    data = draw(st.sampled_from(["\n", "\r\n", "\n\n"])).join(lines).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+class TestInputBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(instance_bytes(), st.binary(max_size=200),
+                     st.text(max_size=200).map(str.encode)))
+    @example(b"evcs-v1\nhorizon -3\npower constant 1\n")
+    @example(b"evcs-v1\nhorizon 2\npower constant 1\n\xff 0 2 1 1\n")
+    def test_parses_or_names_line_and_column(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "boundary.evcs"
+        path.write_bytes(data)
+        try:
+            inst = read_instance(path)
+        except ParseError as exc:
+            assert re.search(r"line [1-9][0-9]*, column [1-9][0-9]*: ", str(exc))
+            return
+        assert all(isinstance(v, Violation) for v in validate(inst))

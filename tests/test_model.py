@@ -90,6 +90,9 @@ class TestValidate:
         inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(5.0))
         assert validate(inst) == []
 
+    def test_negative_horizon(self):
+        assert codes(Instance((), ConstantPower(1.0), horizon=-3)) == {"negative-horizon"}
+
     def test_power_profile_short(self):
         inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),), StepwisePower([1.0, 1.0]))
         assert "power-profile-short" in codes(inst)

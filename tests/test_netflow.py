@@ -4,6 +4,8 @@ import pytest
 
 from evcs.netflow import FlowGraph
 
+from flow_oracle import RecursiveFlowGraph
+
 
 class TestMaxFlow:
     def test_single_edge(self):
@@ -90,3 +92,43 @@ class TestMaxFlow:
             assert side[0] and not side[n - 1]
             cut = sum(cap for u, v, cap in arcs if side[u] and not side[v])
             assert cut == pytest.approx(value, abs=1e-9)
+
+
+def _random_graph_pair(rng):
+    """The same random graph as a FlowGraph and as the reference; also its arc ids."""
+    n = rng.randint(3, 14)
+    g, ref = FlowGraph(n), RecursiveFlowGraph(n)
+    scale = 10.0 ** rng.randint(-3, 3)
+    arcs = []
+    for _ in range(rng.randint(n, 4 * n)):
+        u, v = rng.sample(range(n), 2)
+        cap = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 3.0) * scale
+        arcs.append(g.add_edge(u, v, cap))
+        ref.add_edge(u, v, cap)
+    return g, ref, arcs
+
+
+class TestAgainstRecursiveOracle:
+    def test_same_floats_under_capacity_raises(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g, ref, arcs = _random_graph_pair(rng)
+            s, t = 0, g.n - 1
+            for _ in range(rng.randint(1, 6)):
+                assert g.max_flow(s, t) == ref.max_flow(s, t)
+                assert [g.flow_on(i) for i in arcs] == [ref.flow_on(i) for i in arcs]
+                assert g.source_side(s) == ref.source_side(s)
+                assert g._eps() == ref._eps()
+                for idx in rng.sample(arcs, rng.randint(1, len(arcs))):
+                    extra = rng.choice([0.0, rng.uniform(0.0, 2.0)]) * 10.0 ** rng.randint(-3, 4)
+                    cap = ref._initial[idx] + extra
+                    g.raise_capacity(idx, cap)
+                    ref.raise_capacity(idx, cap)
+
+    def test_long_chain_has_no_recursion_limit(self):
+        n = 1500
+        g = FlowGraph(n)
+        for u in range(n - 1):
+            g.add_edge(u, u + 1, 1.0 + u % 7)
+        assert g.max_flow(0, n - 1) == 1.0
+        assert g.source_side(0) == [True] + [False] * (n - 1)

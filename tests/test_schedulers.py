@@ -4,11 +4,14 @@ import random
 import pytest
 
 from evcs.dynamics import SimState, initial_state, laxity, step
-from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
+from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
+                        StepwisePower)
 from evcs.schedulers import (POLICIES, edf_rates, es_rates, get_policy, llf_rates,
                              olp_rates, rep_rates, sllf_rates)
+from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
+from flow_oracle import full_horizon_olp_rates
 
 
 def next_laxities(decision, state, instance):
@@ -207,6 +210,48 @@ class TestOlp:
     def test_no_active_evs(self):
         inst = Instance((ChargingSession("a", 2, 4, 1.0, 1.0),), ConstantPower(1.0))
         assert olp_rates(initial_state(inst), inst, 0).rates == {}
+
+
+def random_mid_run_state(rng: random.Random):
+    """A random OLP decision at slot t > 0 with slots left after the last departure.
+
+    Remaining demands may exceed what the residual window can ship, so some
+    states take the sLLF fallback; half the instances have stepwise power.
+    """
+    t = rng.randint(0, 6)
+    sessions = []
+    for k in range(rng.randint(1, 7)):
+        a = rng.randint(0, t + 3)
+        d = rng.randint(max(a, t) + 1, t + 10)
+        r_bar = rng.uniform(0.1, 3.0)
+        sessions.append(ChargingSession(f"s{k}", a, d, r_bar * (d - a), r_bar))
+    horizon = max(s.departure for s in sessions) + rng.randint(0, 8)
+    if rng.random() < 0.5:
+        power = StepwisePower([rng.uniform(0.0, 6.0) * rng.choice([0.1, 1.0, 10.0])
+                               for _ in range(horizon)])
+    else:
+        power = ConstantPower(rng.uniform(0.1, 8.0))
+    remaining = {s.id: rng.uniform(1e-3, 1.1 * s.max_rate * (s.departure - t))
+                 for s in sessions}
+    return SimState(t, remaining), Instance(tuple(sessions), power, horizon)
+
+
+class TestOlpAgainstFullHorizon:
+    def test_same_decisions_on_random_states(self):
+        rng = random.Random(105)
+        fallbacks = 0
+        for _ in range(400):
+            state, inst = random_mid_run_state(rng)
+            decision = olp_rates(state, inst, state.t)
+            assert decision == full_horizon_olp_rates(state, inst, state.t)
+            fallbacks += bool(decision.diagnostics.get("olp_fallback"))
+        assert 40 <= fallbacks <= 360
+
+    def test_same_runs_on_corpus_samples(self, monkeypatch, reference_corpus, spaced_corpus):
+        sample = reference_corpus[::20] + spaced_corpus[::20]
+        runs = [simulate(inst, "olp") for inst in sample]
+        monkeypatch.setitem(POLICIES, "olp", full_horizon_olp_rates)
+        assert runs == [simulate(inst, "olp") for inst in sample]
 
 
 class TestAllPolicies:

@@ -138,6 +138,9 @@ class TestAggregation:
         # session a: laxity 2 - 1 = 1 over sojourn 2; session b: 6/8
         assert norm_lax == pytest.approx(min(1 / 2, 6 / 8))
 
+    def test_instance_metrics_without_sessions(self):
+        assert instance_metrics(Instance((), ConstantPower(1.0), 0)) == (1.0, 1.0)
+
     def test_binned_rates_partition_equally(self, instance_ia):
         instances = [instance_ia] * 9
         flags = [True] * 4 + [False] * 5
