@@ -47,7 +47,9 @@ def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode) -> flo
     instance.  When feasibility is monotone in eps, this is the value a
     bisection of the whole corpus over [0, 8 * 2**k] ends on.  It is not
     assumed monotone: a warning is issued when the corpus is feasible at
-    eps - 2 * EPS_TOL, checked on the binding instance first.  Runs serially.
+    eps - 2 * EPS_TOL, checked on the binding instance first, and one for
+    each instance already simulated infeasible above a feasible eps.  Runs
+    serially.
     Returns +inf when some instance is infeasible at every bracket up to
     EPS_CEILING.
     """
@@ -72,6 +74,7 @@ def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode) -> flo
             while hi <= lo or not feasible(k, hi):
                 hi *= 2
                 if hi > ceiling:
+                    _warn_islands(memo)
                     return math.inf
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -80,12 +83,34 @@ def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode) -> flo
                 else:
                     lo = mid
             top, binding, raised = hi, k, True
+    _warn_islands(memo)
     eps = top * EPS_STEP
     below = eps - 2.0 * EPS_TOL
     order = [binding] + [k for k in range(len(instances)) if k != binding]
     if below >= 0.0 and all(feasible_at(k, below) for k in order):
         warnings.warn(f"feasibility not monotone near eps = {below}")
     return eps
+
+
+def _warn_islands(memo: dict[tuple[int, int], bool]) -> None:
+    """Warn for each instance the search saw infeasible above a feasible eps.
+
+    Simulation is deterministic, so such a pair proves that the instance's
+    feasibility is not monotone in eps; the warning names the lowest feasible
+    and the highest infeasible grid point probed.
+    """
+    lowest_ok: dict[int, int] = {}
+    highest_bad: dict[int, int] = {}
+    for (k, g), ok in memo.items():
+        if ok:
+            lowest_ok[k] = min(g, lowest_ok.get(k, g))
+        else:
+            highest_bad[k] = max(g, highest_bad.get(k, g))
+    for k in sorted(lowest_ok.keys() & highest_bad.keys()):
+        if highest_bad[k] > lowest_ok[k]:
+            warnings.warn(f"non-monotone island: instance {k} is feasible at "
+                          f"eps = {lowest_ok[k] * EPS_STEP} but infeasible at "
+                          f"eps = {highest_bad[k] * EPS_STEP}")
 
 
 @dataclass(frozen=True)

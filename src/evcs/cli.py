@@ -34,13 +34,15 @@ FULL_DATA_REFERENCE_EPS = {
 REPORT_SCHEMA = "evcs-report-v1"
 
 
-def _emit(rows: list[dict], columns: list[str], as_json: bool) -> None:
+def _emit(rows: list[tuple], columns: list[str], as_json: bool) -> None:
+    """Print rows, each a tuple in column order, as CSV or as JSON objects."""
     if as_json:
-        print(json.dumps({"schema": REPORT_SCHEMA, "rows": rows}, indent=2))
+        records = [dict(zip(columns, row)) for row in rows]
+        print(json.dumps({"schema": REPORT_SCHEMA, "rows": records}, indent=2))
         return
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=columns)
-    writer.writeheader()
+    writer = csv.writer(out)
+    writer.writerow(columns)
     writer.writerows(rows)
     sys.stdout.write(out.getvalue())
 
@@ -93,12 +95,8 @@ def cmd_check(args) -> int:
     if not problems:
         feasible = feasibility.offline_feasible(inst)[0]
         p_star = feasibility.min_power_capacity(inst)
-    rows = [{
-        "file": str(args.instance_file),
-        "violations": ";".join(f"{v.code}:{v.subject}" for v in problems),
-        "offline_feasible": feasible,
-        "min_power_capacity": p_star,
-    }]
+    rows = [(str(args.instance_file), ";".join(f"{v.code}:{v.subject}" for v in problems),
+             feasible, p_star)]
     _emit(rows, ["file", "violations", "offline_feasible", "min_power_capacity"], args.json)
     return 0
 
@@ -109,12 +107,13 @@ def cmd_run(args) -> int:
     if problems:
         raise SystemExit2(f"invalid instance: {problems[0].code} ({problems[0].subject})")
     schedule, verdict = simulator.simulate(inst, args.alg)
+    # a rate outside the sojourn is 0.0, so only the window can hold rows
     rows = []
-    for sid, row in schedule.rates.items():
-        for t, r in enumerate(row):
-            if r != 0.0:
-                rows.append({"session": sid, "slot": t, "rate": r})
-    rows.append({"session": "__verdict__", "slot": -1, "rate": ""})
+    for s in inst.sessions:
+        start = max(s.arrival, 0)
+        window = schedule.rates[s.id][start:min(s.departure, inst.horizon)]
+        rows.extend((s.id, t, r) for t, r in enumerate(window, start) if r != 0.0)
+    rows.append(("__verdict__", -1, ""))
     _emit(rows, ["session", "slot", "rate"], args.json)
     ratio, norm_lax = simulator.instance_metrics(inst)
     print(f"# alg={args.alg} feasible={verdict.feasible} "
@@ -130,18 +129,13 @@ def cmd_sweep(args) -> int:
     rows = []
     for alg in algs:
         flags = simulator.run_feasibility(instances, alg)
-        rows.append({"algorithm": alg, "bin": "all", "metric": "", "bin_low": "", "bin_high": "",
-                     "instances": len(instances),
-                     "success_rate": sum(flags) / len(flags) if flags else 1.0})
+        rows.append((alg, "all", "", "", "", len(instances),
+                     sum(flags) / len(flags) if flags else 1.0))
         if args.bin_by:
             idx = 0 if args.bin_by == "sojourn-ratio" else 1
             binned = simulator.binned_success_rates(instances, flags, idx, args.bins)
             for b, (lo, hi, count, rate) in enumerate(binned):
-                rows.append({
-                    "algorithm": alg, "bin": b, "metric": args.bin_by,
-                    "bin_low": lo, "bin_high": hi, "instances": count,
-                    "success_rate": rate,
-                })
+                rows.append((alg, b, args.bin_by, lo, hi, count, rate))
     _emit(rows, ["algorithm", "bin", "metric", "bin_low", "bin_high",
                  "instances", "success_rate"], args.json)
     return 0
@@ -162,12 +156,11 @@ def cmd_augment(args) -> int:
     rows = []
     for alg in algs:
         eps = augmentation.min_feasible_eps(instances, alg, mode)
-        rows.append({
-            "algorithm": alg, "mode": args.mode,
-            "min_eps": eps if math.isfinite(eps) else f"no finite eps <= {augmentation.EPS_CEILING}",
-            "theorem1_bound": t1, "theorem2_bound_max": t2,
-            "full_data_reference_eps": FULL_DATA_REFERENCE_EPS[alg][args.mode],
-        })
+        rows.append((
+            alg, args.mode,
+            eps if math.isfinite(eps) else f"no finite eps <= {augmentation.EPS_CEILING}",
+            t1, t2, FULL_DATA_REFERENCE_EPS[alg][args.mode],
+        ))
     _emit(rows, ["algorithm", "mode", "min_eps", "theorem1_bound",
                  "theorem2_bound_max", "full_data_reference_eps"], args.json)
     return 0

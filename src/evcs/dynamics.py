@@ -9,6 +9,9 @@ from .model import ChargingSession, ContractError, Instance
 #: relative tolerance separating contract violations from float noise
 RATE_TOL = 1e-9
 
+#: a rate at or below this magnitude counts as off when switches are counted
+ZERO_EPS = 1e-12
+
 
 def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
     """Slack before the session becomes unfinishable; +inf before arrival.
@@ -43,7 +46,7 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
     power_tol = RATE_TOL * max(1.0, p_limit)
     total = 0.0
     remaining = dict(state.remaining)
-    active = {s.id: s for s in instance.sessions if s.arrival <= t < s.departure}
+    active = {s.id: s for s in instance.active_at(t)}
     for sid, r in rates.items():
         if sid not in active:
             if r != 0.0:
@@ -70,6 +73,7 @@ class Schedule:
     rates: dict[str, tuple[float, ...]]
 
     def rate(self, sid: str, t: int) -> float:
+        """r(t) of session `sid`; public API for library callers."""
         return self.rates[sid][t]
 
     def slot_total(self, t: int) -> float:
@@ -86,7 +90,7 @@ class Schedule:
             for t in range(self.horizon - 1)
         )
 
-    def switch_count(self, zero_eps: float = 1e-12) -> int:
+    def switch_count(self, zero_eps: float = ZERO_EPS) -> int:
         """How many times any session's rate crosses between zero and nonzero."""
         count = 0
         for row in self.rates.values():
@@ -114,6 +118,36 @@ def min_laxity(instance: Instance, schedule: Schedule) -> float:
             if t < end:
                 rem -= row[t]
     return lowest
+
+
+def window_metrics(instance: Instance, schedule: Schedule) -> tuple[float, int]:
+    """(total variation, switch count) of a schedule that is zero outside every sojourn.
+
+    Equal to `schedule.total_variation()` and `schedule.switch_count()` on such
+    a schedule, float for float.  A term at slot t compares r(t) with r(t+1),
+    so it can be nonzero only for t in [arrival - 1, departure - 1]; one pass
+    per row covers that window (joined over sessions sharing an id) clipped to
+    [0, horizon - 2].  Each skipped term is |0.0 - 0.0| = +0.0, which leaves
+    the running sum, kept over rows in the same order, unchanged.  Schedules
+    from `simulate` qualify, because `step` rejects any other nonzero rate.
+    """
+    horizon = schedule.horizon
+    windows: dict[str, tuple[int, int]] = {}
+    for s in instance.sessions:
+        lo, hi = max(s.arrival - 1, 0), min(s.departure, horizon - 1)
+        if s.id in windows:
+            lo, hi = min(lo, windows[s.id][0]), max(hi, windows[s.id][1])
+        windows[s.id] = lo, hi
+    # the full sum has a float term whenever there is a row and a slot pair
+    variation = 0.0 if schedule.rates and horizon > 1 else 0
+    switches = 0
+    for sid, (lo, hi) in windows.items():
+        row = schedule.rates[sid]
+        for a, b in zip(row[lo:hi], row[lo + 1:hi + 1]):
+            variation += abs(b - a)
+            if (abs(a) <= ZERO_EPS) != (abs(b) <= ZERO_EPS):
+                switches += 1
+    return variation, switches
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Charging-instance data model and structural validation."""
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 
@@ -77,10 +79,53 @@ class Instance:
         object.__setattr__(self, "horizon", int(horizon))
 
     def session(self, sid: str) -> ChargingSession:
+        """The session with id `sid`; KeyError if there is none.
+
+        Public API, kept for library callers and the benchmark's tracer,
+        which counts its calls; the simulator itself never looks sessions up
+        by id.
+        """
         for s in self.sessions:
             if s.id == sid:
                 return s
         raise KeyError(sid)
+
+    def active_at(self, t: int) -> tuple[ChargingSession, ...]:
+        """The sessions with `arrival <= t < departure`, in instance order.
+
+        Instance order decides the policies' tie-breaks and the order of their
+        float sums, so it is kept.  Any integer t is allowed, and so are
+        instances that `validate` rejects: a session with `arrival >= departure`
+        is never active.  The first call builds an index of the active tuple
+        between consecutive event points (0 and every arrival and departure),
+        at most 2n + 1 tuples; each call is then a binary search.
+        """
+        points, active = self._active_index
+        return active[bisect.bisect_right(points, t)]
+
+    @cached_property
+    def _active_index(self):
+        """(event points, active tuples): `active[k]` holds on `[points[k-1], points[k])`.
+
+        `active[0]`, before the first point, is empty; so is the last, since
+        every departure is an event point.
+        """
+        events: dict[int, list[int]] = {0: []}
+        for k, s in enumerate(self.sessions):
+            if s.arrival < s.departure:
+                events.setdefault(s.arrival, []).append(k)
+                events.setdefault(s.departure, []).append(~k)
+        points = sorted(events)
+        live: set[int] = set()
+        active: list[tuple[ChargingSession, ...]] = [()]
+        for p in points:
+            for k in events[p]:
+                if k >= 0:
+                    live.add(k)
+                else:
+                    live.remove(~k)
+            active.append(tuple(self.sessions[k] for k in sorted(live)))
+        return points, active
 
 
 @dataclass(frozen=True)
@@ -121,16 +166,18 @@ def validate(instance: Instance) -> list[Violation]:
         elif s.energy > s.max_rate * s.sojourn:
             out.append(Violation("individually-unsatisfiable", s.id,
                                  f"energy {s.energy} exceeds {s.max_rate} * {s.sojourn}"))
-    for t in range(instance.horizon):
-        try:
-            p = instance.power.at(t)
-        except IndexError:
-            out.append(Violation("power-profile-short", f"slot {t}",
-                                 "stepwise profile does not cover the horizon"))
-            break
+    horizon, power = max(instance.horizon, 0), instance.power
+    if isinstance(power, ConstantPower):
+        levels = (power.power,)[:horizon]  # one check covers every slot
+    else:
+        levels = power.values[:horizon]
+    for t, p in enumerate(levels):
         if not math.isfinite(p):
             out.append(Violation("non-finite", f"slot {t}", f"P({t}) = {p} must be finite"))
         elif p < 0:
             out.append(Violation("negative-power", f"slot {t}", f"P({t}) = {p} < 0"))
+    if isinstance(power, StepwisePower) and len(levels) < horizon:
+        out.append(Violation("power-profile-short", f"slot {len(levels)}",
+                             "stepwise profile does not cover the horizon"))
     return out
 

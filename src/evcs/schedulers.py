@@ -33,10 +33,9 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
     out = []
-    for s in instance.sessions:
-        if s.arrival <= t < s.departure:
-            if state.remaining[s.id] > FINISHED_EPS * max(1.0, s.energy):
-                out.append(s)
+    for s in instance.active_at(t):
+        if state.remaining[s.id] > FINISHED_EPS * max(1.0, s.energy):
+            out.append(s)
     return out
 
 

@@ -6,7 +6,8 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .dynamics import RunVerdict, Schedule, initial_state, laxity, min_laxity, step
+from .dynamics import (RunVerdict, Schedule, initial_state, laxity, min_laxity, step,
+                       window_metrics)
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -17,7 +18,14 @@ class PolicyContractError(ContractError):
 
 
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
-    """Run one policy over the full horizon; deterministic for fixed inputs."""
+    """Run one policy over the full horizon; deterministic for fixed inputs.
+
+    Every slot is decided, also slots without sessions, but the work per slot
+    follows `Instance.active_at`.  Oscillation and switch count come from
+    `window_metrics`, which walks each session's sojourn only: `step` rejects
+    a nonzero rate outside it, so the skipped terms are all +0.0 and the
+    results equal `Schedule.total_variation()` and `switch_count()` exactly.
+    """
     policy = get_policy(policy_name)
     horizon = instance.horizon
     state = initial_state(instance)
@@ -36,12 +44,13 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
+    oscillation, switches = window_metrics(instance, schedule)
     verdict = RunVerdict(
         feasible=feasible,
         min_laxity=min_laxity(instance, schedule),
         unmet_energy=unmet,
-        oscillation=schedule.total_variation(),
-        switch_count=schedule.switch_count(),
+        oscillation=oscillation,
+        switch_count=switches,
     )
     return schedule, verdict
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -97,14 +98,28 @@ class TestPerInstanceSearch:
         monkeypatch.setattr(augmentation, "run_feasibility",
                             lambda insts, policy: [table[name](eps) for name, eps in insts])
 
+    #: "a" is searched first and ends at 0.25; it has a gap [3, 3.5) where "b"
+    #: first becomes feasible, so one pass would stop at 3.0 with "a" infeasible
+    ISLAND = {"a": lambda e: e >= 0.25 and not 3.0 <= e < 3.5, "b": lambda e: e >= 3.0}
+
+    @pytest.mark.filterwarnings("ignore:non-monotone island")
     def test_result_feasible_on_every_instance(self, monkeypatch):
-        # "a" has a gap [1, 2) where "b" first becomes feasible, so one pass
-        # would stop at 1.0 with "a" infeasible there
-        table = {"a": lambda e: e >= 0.25 and not 1.0 <= e < 2.0, "b": lambda e: e >= 1.0}
-        self.patch_table(monkeypatch, table)
+        self.patch_table(monkeypatch, self.ISLAND)
         eps = min_feasible_eps(["a", "b"], "sllf", AugmentationMode.POWER)
-        assert eps == 2.0
-        assert table["a"](eps) and table["b"](eps)
+        assert eps == 3.5
+        assert self.ISLAND["a"](eps) and self.ISLAND["b"](eps)
+
+    def test_island_is_reported(self, monkeypatch):
+        self.patch_table(monkeypatch, self.ISLAND)
+        with pytest.warns(UserWarning, match=r"^non-monotone island: instance 0 is feasible "
+                          r"at eps = 0\.25 but infeasible at eps = 3\.4990234375$"):
+            min_feasible_eps(["a", "b"], "sllf", AugmentationMode.POWER)
+
+    def test_monotone_table_warns_nothing(self, monkeypatch):
+        self.patch_table(monkeypatch, {"a": lambda e: e >= 0.25, "b": lambda e: e >= 3.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert min_feasible_eps(["a", "b"], "sllf", AugmentationMode.POWER) == 3.0
 
     def test_non_monotone_warning_kept(self, monkeypatch):
         below = 1.0 - 2.0 * EPS_TOL

@@ -164,6 +164,22 @@ class TestRun:
             {"session": "__verdict__", "slot": -1, "rate": ""}]
         assert "sojourn_ratio=1 min_norm_laxity=1" in captured.err
 
+    def test_quoted_ids(self, tmp_path, capsys):
+        # ids are whitespace-split tokens, so commas and quotes are allowed
+        path = tmp_path / "quoted.evcs"
+        path.write_text('evcs-v1\nhorizon 3\npower constant 1.5\n'
+                        'a,b 0 2 1.5 1\nq"x 1 3 1 1\n')
+        assert main(["run", str(path), "--alg", "edf"]) == 0
+        assert capsys.readouterr().out == (
+            'session,slot,rate\r\n"a,b",0,1.0\r\n"a,b",1,0.5\r\n"q""x",1,1.0\r\n'
+            '__verdict__,-1,\r\n')
+        assert main(["run", str(path), "--alg", "edf", "--json"]) == 0
+        rows = [("a,b", 0, 1.0), ("a,b", 1, 0.5), ('q\\"x', 1, 1.0), ("__verdict__", -1, '""')]
+        records = ",\n".join(f'    {{\n      "session": "{sid}",\n      "slot": {t},\n'
+                              f'      "rate": {r}\n    }}' for sid, t, r in rows)
+        assert capsys.readouterr().out == (
+            f'{{\n  "schema": "{REPORT_SCHEMA}",\n  "rows": [\n{records}\n  ]\n}}\n')
+
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--alg", "sllf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from evcs.corpus import (CorpusSpec, GenerationError, ParseError, generate,
                          read_instance, reference_spec, reference_spec_spaced,
                          write_instance)
-from evcs.feasibility import offline_feasible
+from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, Instance, StepwisePower, Violation,
                         validate)
+from evcs.schedulers import POLICIES
+from evcs.simulator import simulate
 
 
 class TestSpecValidation:
@@ -158,21 +161,36 @@ def _rarely(good, bad):
 
 
 _int = _rarely(st.integers(-5, 40).map(str), st.sampled_from(["1.5", "x", "1_0", ""]))
-_float = _rarely(st.floats(-1.0, 50.0).map(repr),
-                 st.sampled_from(["nan", "-inf", "1e400", "0x1", "x"]))
+_good_float = st.floats(-1.0, 50.0).map(repr)
+_float = _rarely(_good_float, st.sampled_from(["nan", "-inf", "1e400", "0x1", "x"]))
 _session = st.builds(lambda sid, a, d, e, r: " ".join([sid, a, d, e, r]),
                      st.sampled_from(["a", "b", "c"]), _int, _int, _float, _float)
-_power = st.one_of(st.builds("power constant {}".format, _float),
-                   st.builds(lambda vs: " ".join(["power", "step", *map(repr, vs)]),
-                             st.lists(st.floats(-1.0, 50.0) | st.just(float("nan")),
-                                      min_size=1, max_size=45)))
+
+
+def _power(number, level):
+    return st.one_of(st.builds("power constant {}".format, number),
+                     st.builds(lambda vs: " ".join(["power", "step", *map(repr, vs)]),
+                               st.lists(level, min_size=1, max_size=45)))
 
 
 @st.composite
-def instance_bytes(draw):
+def instance_bytes(draw, well_formed=False):
     """An instance file, often well formed, sometimes with a line of arbitrary
-    text or raw bytes (not always UTF-8) spliced in."""
-    lines = ["evcs-v1", "horizon " + draw(_int), draw(_power),
+    text or raw bytes (not always UTF-8) spliced in.  With `well_formed`,
+    every number parses, ids are distinct, windows lie inside the horizon and
+    nothing is spliced in, so that many files are valid instances with odd
+    energies, rates and power levels."""
+    if well_formed:
+        horizon = draw(st.integers(0, 40))
+        window = st.lists(st.integers(0, horizon), min_size=2, max_size=2, unique=True)
+        sessions = [" ".join([sid, *map(str, sorted(draw(window))),
+                              draw(_good_float), draw(_good_float)])
+                    for sid in draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True,
+                                             max_size=3 if horizon else 0))]
+        power = draw(_power(_good_float, st.floats(-1.0, 50.0)))
+        return "\n".join(["evcs-v1", f"horizon {horizon}", power, *sessions]).encode("utf-8")
+    lines = ["evcs-v1", "horizon " + draw(_int),
+             draw(_power(_float, st.floats(-1.0, 50.0) | st.just(float("nan")))),
              *draw(st.lists(_session, max_size=4))]
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(lines)))
@@ -199,3 +217,25 @@ class TestInputBoundary:
             assert re.search(r"line [1-9][0-9]*, column [1-9][0-9]*: ", str(exc))
             return
         assert all(isinstance(v, Violation) for v in validate(inst))
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance_bytes(well_formed=True))
+    @example(b"evcs-v1\nhorizon 0\npower constant 1\n")
+    @example(b"evcs-v1\nhorizon 6\npower step 0 0 2 0 2 1\na 0 3 1 1\nb 3 6 2 1\nc 3 4 1 2\n")
+    @example(b"evcs-v1\nhorizon 40\npower constant 0.5\na 30 31 0.5 0.5\nb 2 5 0.1 9\n")
+    def test_valid_instances_run_finite(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "finite.evcs"
+        path.write_bytes(data)
+        try:
+            inst = read_instance(path)
+        except ParseError:
+            return
+        if validate(inst):
+            return
+        for policy in POLICIES:
+            schedule, verdict = simulate(inst, policy)
+            numbers = [verdict.oscillation, *verdict.unmet_energy.values()]
+            assert all(math.isfinite(x) for x in numbers), (policy, verdict)
+            # the least laxity over no sessions is the empty minimum, +inf
+            assert math.isfinite(verdict.min_laxity) == bool(inst.sessions), (policy, verdict)
+            assert validate_schedule(inst, schedule).feasible == verdict.feasible, policy

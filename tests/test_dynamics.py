@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from evcs.dynamics import Schedule, initial_state, laxity, min_laxity, step
+from evcs.dynamics import Schedule, SimState, initial_state, laxity, min_laxity, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
+
+from sim_oracle import full_scan_step
 
 
 class TestLaxity:
@@ -88,6 +90,34 @@ class TestStep:
         inst = Instance((ChargingSession("a", 0, 2, 0.5, 1.0),), ConstantPower(1.0))
         nxt = step(initial_state(inst), {"a": 0.5}, inst)
         assert nxt.remaining["a"] == 0.0
+
+    def test_same_outcome_as_full_scan(self):
+        # active, inactive, unknown and NaN rates, in and out of the bounds
+        rng = random.Random(6)
+        for _ in range(500):
+            sessions = []
+            for k in range(rng.randint(0, 6)):
+                a = rng.randint(-1, 6)
+                d = a + rng.randint(-1, 5)
+                sessions.append(ChargingSession(f"s{k}", a, d, rng.uniform(0.1, 3.0),
+                                                rng.choice([0.5, 1.0, 2.0])))
+            inst = Instance(sessions, ConstantPower(rng.uniform(0.0, 1.5)),
+                            rng.randint(0, 8))
+            t = rng.randint(0, inst.horizon + 1)
+            state = SimState(t, {s.id: rng.uniform(0.0, s.energy) for s in sessions})
+            ids = [s.id for s in sessions] + ["ghost"]
+            rates = {sid: rng.choice([0.0, rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6),
+                                      rng.uniform(-0.1, 2.5), math.nan if k == 0 else 0.0])
+                     for k, sid in enumerate(rng.sample(ids, rng.randint(0, len(ids))))}
+            assert outcome(step, state, rates, inst) == \
+                outcome(full_scan_step, state, rates, inst)
+
+
+def outcome(step_fn, state, rates, instance):
+    try:
+        return repr(step_fn(state, rates, instance))
+    except ContractError as exc:
+        return f"ContractError: {exc}"
 
 
 class TestSchedule:

@@ -1,8 +1,11 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
+from evcs.model import (ChargingSession, ConstantPower, Instance, StepwisePower, Violation,
+                        validate)
 
 
 def codes(instance):
@@ -37,6 +40,29 @@ class TestInstanceConstruction:
         inst = Instance((), ConstantPower(1.0))
         assert inst.horizon == 0
         assert validate(inst) == []
+
+
+_any_session = st.builds(ChargingSession, st.sampled_from(["a", "b", "c", "d"]),
+                         st.integers(-4, 12), st.integers(-4, 12), st.just(1.0), st.just(1.0))
+
+
+class TestActiveAt:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_session, max_size=8), st.integers(0, 14))
+    def test_matches_brute_force(self, sessions, horizon):
+        # negative arrivals, empty sojourns and repeated ids included:
+        # `validate` rejects them, library callers may still pass them
+        inst = Instance(sessions, ConstantPower(1.0), horizon)
+        for t in range(-1, inst.horizon + 2):
+            expected = tuple(s for s in inst.sessions if s.arrival <= t < s.departure)
+            assert inst.active_at(t) == expected
+
+    def test_index_is_built_once_and_kept_out_of_equality(self):
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(1.0))
+        first = inst.active_at(0)
+        assert inst.active_at(0) is first
+        assert inst == Instance(inst.sessions, inst.power, inst.horizon)
+        assert inst.active_at(2) == () and inst.active_at(-5) == ()
 
 
 class TestPowerProfiles:
@@ -113,6 +139,21 @@ class TestValidate:
         for power in (ConstantPower(value), StepwisePower([1.0, value])):
             inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), power)
             assert "non-finite" in codes(inst)
+
+    def test_constant_power_is_checked_once(self):
+        # neither the time nor the report grows with the horizon
+        start = time.perf_counter()
+        assert validate(Instance((), ConstantPower(1.0), 10**12)) == []
+        assert time.perf_counter() - start < 1.0
+        problems = validate(Instance((), ConstantPower(-1.0), 5))
+        assert problems == [Violation("negative-power", "slot 0", "P(0) = -1.0 < 0")]
+
+    def test_stepwise_power_reports_each_slot_then_short(self):
+        inst = Instance((), StepwisePower([1.0, -1.0, math.nan]), 4)
+        assert [(v.code, v.subject) for v in validate(inst)] == [
+            ("negative-power", "slot 1"), ("non-finite", "slot 2"),
+            ("power-profile-short", "slot 3")]
+        assert validate(Instance((), StepwisePower([1.0, -1.0]), 1)) == []
 
     def test_validate_is_pure(self, instance_ia):
         first = validate(instance_ia)

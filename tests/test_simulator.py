@@ -4,13 +4,16 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcs.feasibility import offline_feasible, validate_schedule
-from evcs.model import ChargingSession, ConstantPower, Instance
+from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
 from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness,
                             simulate, success_rate, worker_count)
+
+from sim_oracle import full_scan_simulate
 
 
 def witness_instance():
@@ -157,3 +160,65 @@ class TestAggregation:
     def test_separation_witness_absent(self, instance_ia):
         # LLF completes the canonical instance, so no witness exists here
         assert separation_witness([instance_ia]) is None
+
+
+@st.composite
+def valid_instances(draw):
+    """Small valid instances with simultaneous arrivals, arrivals at another
+    session's departure, idle gaps and idle tails, and stepwise power that is
+    zero in some slots."""
+    sessions, departures = [], []
+    for k in range(draw(st.integers(0, 6))):
+        if departures and draw(st.booleans()):
+            arrival = draw(st.sampled_from(departures))
+        else:
+            arrival = draw(st.integers(0, 10))
+        departure = arrival + draw(st.integers(1, 8))
+        max_rate = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        energy = max_rate * (departure - arrival) * draw(st.floats(0.05, 1.0))
+        sessions.append(ChargingSession(f"s{k}", arrival, departure, energy, max_rate))
+        departures.append(departure)
+    horizon = max(departures, default=0) + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        power = ConstantPower(draw(st.floats(0.0, 6.0)))
+    else:
+        power = StepwisePower(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+                                            min_size=horizon, max_size=horizon)))
+    return Instance(sessions, power, horizon)
+
+
+def assert_same_run(instance, policy):
+    """`simulate` returns the full-scan run's repr, and its windowed metrics
+    are the `Schedule` methods' values."""
+    schedule, verdict = simulate(instance, policy)
+    assert repr((schedule, verdict)) == repr(full_scan_simulate(instance, policy))
+    assert repr((verdict.oscillation, verdict.switch_count)) == \
+        repr((schedule.total_variation(), schedule.switch_count()))
+
+
+class TestAgainstFullScan:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_instances(), st.sampled_from(sorted(POLICIES)))
+    def test_same_runs_on_drawn_instances(self, instance, policy):
+        assert validate(instance) == []
+        assert_same_run(instance, policy)
+
+    def test_same_runs_on_corpus_samples(self, reference_corpus, spaced_corpus):
+        for instance in reference_corpus[::20] + spaced_corpus[::20]:
+            for policy in POLICIES:
+                assert_same_run(instance, policy)
+
+    @pytest.mark.parametrize("sessions, horizon", [
+        ((ChargingSession("a", -2, 2, 1.0, 1.0), ChargingSession("b", 0, 3, 1.0, 1.0)), 3),
+        ((ChargingSession("a", 3, 1, 1.0, 1.0), ChargingSession("b", 1, 1, 1.0, 1.0)), 4),
+        ((ChargingSession("a", 3, 1, 1.0, 1.0),), 4),
+        ((ChargingSession("a", 0, 6, 2.0, 1.0), ChargingSession("b", 2, 9, 1.0, 1.0)), 4),
+        ((ChargingSession("a", 0, 2, 1.0, 1.0), ChargingSession("a", 3, 5, 1.0, 1.0)), 5),
+    ], ids=["negative-arrival", "empty-sojourns", "only-empty-sojourn",
+            "departure-past-horizon", "duplicate-id"])
+    def test_same_runs_on_invalid_instances(self, sessions, horizon):
+        # library callers may simulate what `validate` rejects
+        instance = Instance(sessions, ConstantPower(1.5), horizon)
+        assert validate(instance)
+        for policy in POLICIES:
+            assert_same_run(instance, policy)
