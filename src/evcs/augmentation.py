@@ -123,9 +123,14 @@ class BoundInputs:
     p_max: float
 
     def __post_init__(self):
-        if not (self.max_demand > 0 and self.min_arrival_gap >= 1
-                and 0 < self.p_min <= self.p_max):
-            raise ContractError(f"invalid bound inputs {self}")
+        if not self.max_demand > 0:
+            raise ContractError(f"theorem 1 needs a positive demand cap, not {self.max_demand}")
+        if not self.min_arrival_gap >= 1:
+            raise ContractError(f"theorem 1 needs an arrival gap of at least one slot, "
+                                f"not {self.min_arrival_gap}")
+        if not 0 < self.p_min <= self.p_max:
+            raise ContractError(f"theorem 1 needs positive power, not a range of "
+                                f"[{self.p_min}, {self.p_max}]")
 
 
 def theorem1_bound(inputs: BoundInputs) -> float:
@@ -145,8 +150,12 @@ def theorem2_bound(instance: Instance) -> float:
     for s in instance.sessions:
         window = range(s.arrival, min(s.departure, instance.horizon))
         powers = [instance.power.at(t) for t in window]
-        if not powers or min(powers) <= 0.0:
-            raise ContractError(f"nonpositive power inside sojourn of {s.id}")
+        if not powers:
+            raise ContractError(f"theorem 2 needs a sojourn inside the horizon, "
+                                f"and session {s.id} has none")
+        if min(powers) <= 0.0:
+            raise ContractError(f"theorem 2 needs positive power, and the sojourn of "
+                                f"session {s.id} sees P = {min(powers)}")
         spread = max(powers) / min(powers)
         rate_share = max(s.max_rate / p for p in powers)
         worst = max(worst, spread - rate_share)
@@ -156,7 +165,7 @@ def theorem2_bound(instance: Instance) -> float:
 def corpus_bound_inputs(instances) -> BoundInputs:
     """Corpus-level inputs: demand cap, smallest inter-arrival gap, power extremes."""
     if not any(inst.sessions for inst in instances):
-        raise ContractError("no sessions to bound")
+        raise ContractError("theorem 1 needs at least one session, and the corpus has none")
     max_demand = max(s.energy for inst in instances for s in inst.sessions)
     gaps = []
     p_lo, p_hi = math.inf, -math.inf

@@ -71,12 +71,19 @@ class SystemExit2(Exception):
 
 
 def cmd_gen(args) -> int:
-    with open(args.spec_file) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.spec_file, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"{args.spec_file}: byte {exc.start} is not UTF-8") from None
+    if not isinstance(raw, dict):
+        raise corpus.GenerationError(f"spec must be a JSON object, not {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(corpus.CorpusSpec)}
     unknown = set(raw) - known
     if unknown:
         raise SystemExit2(f"unknown spec fields: {', '.join(sorted(unknown))}")
+    if "count" not in raw:
+        raise corpus.GenerationError("spec field 'count' is required")
     spec = corpus.CorpusSpec(**raw)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,18 +148,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _note_blank(column: str, reason: ContractError) -> None:
+    """Say on stderr which hypothesis leaves a report column blank."""
+    print(f"note: {column} left blank: {reason}", file=sys.stderr)
+
+
 def cmd_augment(args) -> int:
     instances = _load_corpus(Path(args.corpus_dir))
     algs = _parse_algs(args.algs)
     mode = AugmentationMode.POWER if args.mode == "power" else AugmentationMode.POWER_AND_RATE
     try:
         t1 = augmentation.theorem1_bound(augmentation.corpus_bound_inputs(instances))
-    except ContractError:
+    except ContractError as exc:
         t1 = None
+        _note_blank("theorem1_bound", exc)
     try:
         t2 = max((max(augmentation.theorem2_bound(i), 0.0) for i in instances), default=0.0)
-    except ContractError:
+    except ContractError as exc:
         t2 = None
+        _note_blank("theorem2_bound_max", exc)
     rows = []
     for alg in algs:
         eps = augmentation.min_feasible_eps(instances, alg, mode)
@@ -164,6 +178,16 @@ def cmd_augment(args) -> int:
     _emit(rows, ["algorithm", "mode", "min_eps", "theorem1_bound",
                  "theorem2_bound_max", "full_data_reference_eps"], args.json)
     return 0
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_dir")
     p.add_argument("--algs", required=True)
     p.add_argument("--bin-by", choices=["sojourn-ratio", "norm-laxity"])
-    p.add_argument("--bins", type=int, default=3)
+    p.add_argument("--bins", type=_positive_int, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

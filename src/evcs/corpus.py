@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 from .feasibility import min_power_capacity, offline_feasible
@@ -27,6 +27,10 @@ class GenerationError(Exception):
 
 class ParseError(Exception):
     """An instance file is malformed; the message names line and column."""
+
+
+#: CorpusSpec fields that take integers; the others take any finite number
+_INT_FIELDS = frozenset({"count", "evs_min", "evs_max", "seed"})
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,16 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            kinds = int if f.name in _INT_FIELDS else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise GenerationError(f"spec field {f.name!r} must be {what}, not {value!r}")
+            if not math.isfinite(value):
+                raise GenerationError(f"spec field {f.name!r} must be finite, not {value!r}")
         for lo, mid, hi, what in (
             (self.sojourn_min, self.sojourn_mean, self.sojourn_max, "sojourn"),
             (self.laxity_min, self.laxity_mean, self.laxity_max, "laxity"),

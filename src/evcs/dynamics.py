@@ -128,7 +128,7 @@ def window_metrics(instance: Instance, schedule: Schedule) -> tuple[float, int]:
     so it can be nonzero only for t in [arrival - 1, departure - 1]; one pass
     per row covers that window (joined over sessions sharing an id) clipped to
     [0, horizon - 2].  Each skipped term is |0.0 - 0.0| = +0.0, which leaves
-    the running sum, kept over rows in the same order, unchanged.  Schedules
+    the running sum, kept over the rows in schedule order, unchanged.  Schedules
     from `simulate` qualify, because `step` rejects any other nonzero rate.
     """
     horizon = schedule.horizon
@@ -141,8 +141,8 @@ def window_metrics(instance: Instance, schedule: Schedule) -> tuple[float, int]:
     # the full sum has a float term whenever there is a row and a slot pair
     variation = 0.0 if schedule.rates and horizon > 1 else 0
     switches = 0
-    for sid, (lo, hi) in windows.items():
-        row = schedule.rates[sid]
+    for sid, row in schedule.rates.items():
+        lo, hi = windows[sid]
         for a, b in zip(row[lo:hi], row[lo + 1:hi + 1]):
             variation += abs(b - a)
             if (abs(a) <= ZERO_EPS) != (abs(b) <= ZERO_EPS):

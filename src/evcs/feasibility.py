@@ -8,10 +8,11 @@ unit of demand; Newton steps on its minimum cut give the exact minimum power.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
-from .dynamics import RunVerdict, Schedule, min_laxity
+from .dynamics import RunVerdict, Schedule, min_laxity, window_metrics
 from .model import ContractError, Instance, Violation
 from .netflow import FlowGraph
 
@@ -91,14 +92,35 @@ def min_power_capacity(instance: Instance) -> float:
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
-    """Check the box/window, per-slot power, and demand-equality constraints."""
+    """Check the box/window, per-slot power, and demand-equality constraints.
+
+    A row is tested with whole-slice passes: its minimum and maximum inside
+    the sojourn and its largest magnitude outside.  Only a row that breaks a
+    bound there, or whose slice minimum or maximum is NaN, is walked slot by
+    slot, so the violations and their order are those of a walk over every
+    slot.  Slot totals add the rows in schedule order, as `slot_total` does.
+    The run metrics walk the sojourns only (`window_metrics`) when every rate
+    outside them is exactly zero, and the whole horizon otherwise.
+    """
     horizon = instance.horizon
-    if schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}:
+    if (schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}
+            or any(len(row) != horizon for row in schedule.rates.values())):
         raise ContractError("schedule dimensions do not match the instance")
     violations: list[Violation] = []
+    zero_outside = True
     for s in instance.sessions:
         row = schedule.rates[s.id]
         tol = 1e-9 * max(1.0, s.max_rate)
+        lo = min(max(s.arrival, 0), horizon)
+        hi = max(min(s.departure, horizon), lo)
+        inside = row[lo:hi]
+        # a NaN slice extreme fails both compares and sends the row to the walk
+        broken = bool(inside) and not (-tol <= min(inside) and max(inside) <= s.max_rate + tol)
+        if any(row[:lo]) or any(row[hi:]):  # NaN is truthy, -0.0 is not
+            zero_outside = False
+            broken = broken or not max(map(abs, row[:lo] + row[hi:])) <= tol
+        if not broken:
+            continue
         for t in range(horizon):
             r = row[t]
             if s.arrival <= t < s.departure:
@@ -108,9 +130,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
             elif abs(r) > tol:
                 violations.append(Violation(
                     "rate-outside-window", s.id, f"r({t}) = {r} outside sojourn"))
-    for t in range(horizon):
+    rows = list(schedule.rates.values())
+    totals = map(sum, zip(*rows)) if rows else itertools.repeat(0, horizon)
+    for t, total in enumerate(totals):
         p = instance.power.at(t)
-        total = schedule.slot_total(t)
         if total > p + 1e-9 * max(1.0, p):
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
@@ -124,11 +147,15 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
         elif short < -DEMAND_TOL * s.energy:
             violations.append(Violation(
                 "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
+    if zero_outside:
+        oscillation, switches = window_metrics(instance, schedule)
+    else:
+        oscillation, switches = schedule.total_variation(), schedule.switch_count()
     return RunVerdict(
         feasible=not violations,
         min_laxity=min_laxity(instance, schedule),
         unmet_energy=unmet,
-        oscillation=schedule.total_variation(),
-        switch_count=schedule.switch_count(),
+        oscillation=oscillation,
+        switch_count=switches,
         violations=tuple(violations),
     )

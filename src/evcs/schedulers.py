@@ -140,6 +140,15 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     running blocking flow to exhaustion therefore performs successive
     shortest-path augmentation exactly.  The slot window ends at the last
     departure: a later slot has no arc in, so its flow could only be zero.
+
+    A slot's arcs are added only when the slot opens.  A slot whose sink arc
+    is still closed takes no flow, so its node is a dead-end leaf that sets
+    no other node's level, and each session reaches it only after every open
+    slot; the network of the open slots therefore yields the same augmenting
+    paths, in the same order, as the whole window built at once.  The flow
+    epsilon is unchanged too, because slot t's arcs already carry every
+    session's peak rate.
+
     If the residual problem cannot ship all remaining demand, this slot falls
     back to the sLLF rates.
     """
@@ -147,24 +156,26 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     if not evs:
         return RateDecision({})
     horizon = instance.horizon
-    end = max(min(s.departure, horizon) for s in evs)
+    stops = [min(s.departure, horizon) for s in evs]
+    end = max(stops)
     source, sink = 0, 1
-    g = FlowGraph(2 + len(evs) + (end - t))
-    slot_node = lambda tau: 2 + len(evs) + (tau - t)
+    first_slot = 2 + len(evs)
+    g = FlowGraph(first_slot + (end - t))
     demand = 0.0
-    column_arcs: dict[str, int] = {}
     for k, s in enumerate(evs):
         rem = state.remaining[s.id]
         demand += rem
         g.add_edge(source, 2 + k, rem)
-        for tau in range(t, min(s.departure, horizon)):
-            idx = g.add_edge(2 + k, slot_node(tau), s.max_rate)
-            if tau == t:
-                column_arcs[s.id] = idx
-    sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, end)]
+    column_arcs: dict[str, int] = {}
     shipped = 0.0
-    for tau, idx in zip(range(t, end), sink_arcs):
-        g.raise_capacity(idx, instance.power.at(tau))
+    for tau in range(t, end):
+        node = first_slot + (tau - t)
+        for k, (s, stop) in enumerate(zip(evs, stops)):
+            if stop > tau:
+                idx = g.add_edge(2 + k, node, s.max_rate)
+                if tau == t:
+                    column_arcs[s.id] = idx
+        g.raise_capacity(g.add_edge(node, sink, 0.0), instance.power.at(tau))
         shipped += g.max_flow(source, sink)
     if shipped < demand - 1e-9 * max(1.0, demand):
         fallback = sllf_rates(state, instance, t)

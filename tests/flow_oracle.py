@@ -3,10 +3,11 @@
 `RecursiveFlowGraph` labels every reachable node in each phase, walks
 augmenting paths by recursion from the source, and recomputes the epsilon
 from every arc's capacity on each call.  `full_horizon_olp_rates` builds
-slot nodes up to the instance horizon and runs a max-flow for every slot,
-past the last departure too.  `evcs.netflow.FlowGraph` and
-`evcs.schedulers.olp_rates` skip only work that cannot move flow, so they
-must return the same floats.
+every arc up to the instance horizon before the first max-flow and runs a
+max-flow for every slot, past the last departure too.
+`evcs.netflow.FlowGraph` and `evcs.schedulers.olp_rates`, which adds a
+slot's arcs only when the slot opens and stops at the last departure, skip
+only work that cannot move flow, so they must return the same floats.
 """
 from collections import deque
 

@@ -5,14 +5,17 @@ testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
 scores a run with `Schedule.total_variation()` and `switch_count()` over the
 whole horizon.  `evcs.simulator.simulate` reads the sessions from
 `Instance.active_at` and limits the metrics to each sojourn, so it must
-return the same floats.
+return the same floats.  `full_scan_validate_schedule` tests every rate of
+every row and sums every slot column one by one, where
+`evcs.feasibility.validate_schedule` walks only rows that break a bound; the
+two must return equal verdicts.
 """
 from unittest import mock
 
 from evcs import schedulers
 from evcs.dynamics import RATE_TOL, RunVerdict, Schedule, SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL
-from evcs.model import ContractError
+from evcs.model import ContractError, Violation
 from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import PolicyContractError
 
@@ -82,3 +85,46 @@ def full_scan_simulate(instance, policy_name):
         switch_count=schedule.switch_count(),
     )
     return schedule, verdict
+
+
+def full_scan_validate_schedule(instance, schedule):
+    horizon = instance.horizon
+    if schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}:
+        raise ContractError("schedule dimensions do not match the instance")
+    violations = []
+    for s in instance.sessions:
+        row = schedule.rates[s.id]
+        tol = 1e-9 * max(1.0, s.max_rate)
+        for t in range(horizon):
+            r = row[t]
+            if s.arrival <= t < s.departure:
+                if r < -tol or r > s.max_rate + tol:
+                    violations.append(Violation(
+                        "rate-bound", s.id, f"r({t}) = {r} outside [0, {s.max_rate}]"))
+            elif abs(r) > tol:
+                violations.append(Violation(
+                    "rate-outside-window", s.id, f"r({t}) = {r} outside sojourn"))
+    for t in range(horizon):
+        p = instance.power.at(t)
+        total = schedule.slot_total(t)
+        if total > p + 1e-9 * max(1.0, p):
+            violations.append(Violation(
+                "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
+    unmet = {}
+    for s in instance.sessions:
+        short = s.energy - schedule.delivered(s.id)
+        unmet[s.id] = max(short, 0.0)
+        if short > DEMAND_TOL * s.energy:
+            violations.append(Violation(
+                "demand-unmet", s.id, f"delivered misses demand by {short}"))
+        elif short < -DEMAND_TOL * s.energy:
+            violations.append(Violation(
+                "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
+    return RunVerdict(
+        feasible=not violations,
+        min_laxity=min_laxity(instance, schedule),
+        unmet_energy=unmet,
+        oscillation=schedule.total_variation(),
+        switch_count=schedule.switch_count(),
+        violations=tuple(violations),
+    )

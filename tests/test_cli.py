@@ -70,6 +70,41 @@ class TestGen:
         spec_file.write_text(json.dumps({"count": 1, "bogus": 7}))
         assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "JSON object"),
+        ('"spec"', "JSON object"),
+        ('{"evs_max": 3}', "'count'"),
+        ('{"count": "5"}', "'count'"),
+        ('{"count": true}', "'count'"),
+        ('{"count": 2, "evs_min": 3.5}', "'evs_min'"),
+        ('{"count": 2, "seed": 1.5}', "'seed'"),
+        ('{"count": 2, "rate_max": "2"}', "'rate_max'"),
+        ('{"count": 2, "demand_cap": [1]}', "'demand_cap'"),
+        ('{"count": 2, "sojourn_max": Infinity}', "'sojourn_max'"),
+        ('{"count": 2, "laxity_mean": NaN}', "'laxity_mean'"),
+        ('{"count": 2, "arrival_gap_floor": -Infinity}', "'arrival_gap_floor'"),
+    ])
+    def test_malformed_spec_names_the_field(self, tmp_path, capsys, text, named):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(text)
+        assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_that_is_not_utf8(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_bytes(b'{"count": 1, "seed": "\xff"}')
+        assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_integral_floats_and_null_options_are_accepted(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"count": 2, "evs_max": 3, "sojourn_min": 2,
+                                         "demand_cap": None, "seed": 5}))
+        assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 0
+
 
 class TestCheck:
     def test_feasible_instance(self, ia_file, capsys):
@@ -225,6 +260,15 @@ class TestSweep:
         assert captured.out == ""
         assert "instance_0001.evcs" in captured.err and code in captured.err
 
+    @pytest.mark.parametrize("bins", ["0", "-2", "1.5", "x"])
+    def test_bins_must_be_a_positive_integer(self, corpus_dir, capsys, bins):
+        argv = ["sweep", str(corpus_dir), "--algs", "sllf", "--bin-by", "norm-laxity"]
+        assert main(argv + ["--bins", bins]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--bins" in captured.err
+        assert main(argv + ["--bins", "1"]) == 0
+        assert len(rows_from_csv(capsys.readouterr().out)) == 2
+
     def test_reports_are_byte_identical(self, corpus_dir, capsys):
         main(["sweep", str(corpus_dir), "--algs", "sllf,llf"])
         first = capsys.readouterr().out
@@ -258,15 +302,33 @@ class TestAugment:
 
     def test_empty_corpus_leaves_theorem1_blank(self, tmp_path, capsys):
         assert main(["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "sllf,power,0.0,,0.0,0.07"
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "sllf,power,0.0,,0.0,0.07"
+        assert captured.err == ("note: theorem1_bound left blank: theorem 1 needs at "
+                                "least one session, and the corpus has none\n")
 
     def test_zero_power_leaves_theorem2_blank(self, tmp_path, capsys):
         (tmp_path / "instance_0000.evcs").write_text(
             "evcs-v1\nhorizon 2\npower constant 0\na 0 2 1 1\n")
-        assert main(["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]) == 0
-        row = rows_from_csv(capsys.readouterr().out)[0]
-        assert row["theorem1_bound"] == row["theorem2_bound_max"] == ""
-        assert row["min_eps"] == f"no finite eps <= {augmentation.EPS_CEILING}"
+        assert main(["augment", str(tmp_path), "--algs", "sllf,edf", "--mode", "power"]) == 0
+        captured = capsys.readouterr()
+        rows = rows_from_csv(captured.out)
+        assert all(row["theorem1_bound"] == row["theorem2_bound_max"] == "" for row in rows)
+        assert rows[0]["min_eps"] == f"no finite eps <= {augmentation.EPS_CEILING}"
+        # one note per blank column, not one per row
+        assert captured.err.splitlines() == [
+            "note: theorem1_bound left blank: theorem 1 needs positive power, "
+            "not a range of [0.0, 0.0]",
+            "note: theorem2_bound_max left blank: theorem 2 needs positive power, "
+            "and the sojourn of session a sees P = 0.0",
+        ]
+
+    def test_filled_cells_leave_stderr_quiet(self, corpus_dir, capsys):
+        assert main(["augment", str(corpus_dir), "--algs", "edf", "--mode", "power-rate"]) == 0
+        captured = capsys.readouterr()
+        row = rows_from_csv(captured.out)[0]
+        assert row["theorem1_bound"] != "" and row["theorem2_bound_max"] != ""
+        assert captured.err == ""
 
     def test_unrelated_errors_are_not_hidden(self, corpus_dir, monkeypatch):
         def broken(instances):

@@ -10,6 +10,8 @@ from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 
 from grid_oracle import grid_feasible, random_grid_instance
+from sim_oracle import full_scan_validate_schedule
+from evcs.simulator import simulate
 
 
 def single_ev(energy=1.0, r_bar=1.0, d=2, power=1.0):
@@ -183,3 +185,80 @@ class TestValidateSchedule:
         short = 1000.0 * DEMAND_TOL * 0.5
         sch = Schedule(2, {"a": (600.0, 400.0 - short)})
         assert validate_schedule(inst, sch).feasible
+
+
+def random_schedule_case(rng: random.Random):
+    """A random instance and a schedule of the right shape that may break any bound.
+
+    Rates inside a sojourn may sit just over the peak rate, go negative or
+    be NaN; outside it they are mostly exact zeros, sometimes -0.0, a value
+    under or over the tolerance, or NaN.  Ids repeat now and then, windows
+    may reach past either end of the horizon, and power may be stepwise.
+    """
+    horizon = rng.randint(0, 12)
+    sessions = []
+    for k in range(rng.randint(0, 6)):
+        a = rng.randint(-2, horizon + 1)
+        d = rng.randint(a - 1, horizon + 2)
+        r_bar = rng.uniform(0.1, 3.0)
+        sid = f"s{rng.randint(0, k)}" if rng.random() < 0.15 else f"s{k}"
+        sessions.append(ChargingSession(sid, a, d, rng.uniform(0.0, r_bar * max(d - a, 1)), r_bar))
+    if rng.random() < 0.5:
+        power = StepwisePower([rng.choice([rng.uniform(0.0, 6.0), -1.0, 0.0])
+                               for _ in range(horizon)])
+    else:
+        power = ConstantPower(rng.uniform(0.0, 8.0))
+    inst = Instance(tuple(sessions), power, horizon)
+
+    def inside(r_bar):
+        return rng.choice([
+            rng.uniform(0.0, r_bar), rng.uniform(0.0, r_bar), 0.0, -0.0, r_bar,
+            r_bar * (1 + 1e-8), r_bar + 1e-10, -1e-10, -1e-3, math.nan,
+        ])
+
+    def outside():
+        if rng.random() < 0.8:
+            return 0.0
+        return rng.choice([-0.0, 1e-15, -1e-15, 1e-6, -0.5, math.nan])
+
+    rates = {}
+    for s in sessions:
+        if s.id in rates:
+            continue
+        window = [s2 for s2 in sessions if s2.id == s.id]
+        rates[s.id] = tuple(
+            inside(s.max_rate) if any(w.arrival <= t < w.departure for w in window)
+            else outside()
+            for t in range(horizon))
+    keys = list(rates)
+    rng.shuffle(keys)
+    return inst, Schedule(horizon, {sid: rates[sid] for sid in keys})
+
+
+class TestValidateAgainstFullScan:
+    def test_same_verdicts_on_random_schedules(self):
+        rng = random.Random(707)
+        codes = set()
+        for _ in range(1500):
+            inst, sch = random_schedule_case(rng)
+            verdict = validate_schedule(inst, sch)
+            expected = full_scan_validate_schedule(inst, sch)
+            assert repr(verdict) == repr(expected)
+            if "nan" not in repr(expected):
+                assert verdict == expected
+            codes.update(v.code for v in expected.violations)
+        assert codes == {"rate-bound", "rate-outside-window", "power-bound",
+                         "demand-unmet", "demand-exceeded"}
+
+    def test_same_verdicts_on_simulated_runs(self, reference_corpus, spaced_corpus):
+        for inst in reference_corpus[::30] + spaced_corpus[::30]:
+            for policy in ("sllf", "edf", "olp"):
+                schedule, _ = simulate(inst, policy)
+                assert validate_schedule(inst, schedule) == \
+                    full_scan_validate_schedule(inst, schedule)
+
+    def test_row_length_must_match_horizon(self, instance_ia):
+        for row in [(0.75,), (0.5, 0.25, 0.0)]:
+            sch = Schedule(2, {"EV1": row, "EV2": (0.75, 0.5)})
+            with pytest.raises(ContractError, match="dimensions"):
+                validate_schedule(instance_ia, sch)

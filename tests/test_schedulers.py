@@ -8,6 +8,7 @@ from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 from evcs.schedulers import (POLICIES, edf_rates, es_rates, get_policy, llf_rates,
                              olp_rates, rep_rates, sllf_rates)
+from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
@@ -212,6 +213,32 @@ class TestOlp:
         assert olp_rates(initial_state(inst), inst, 0).rates == {}
 
 
+class TestOlpNetwork:
+    def test_arcs_follow_the_opened_slots(self, monkeypatch):
+        sessions = (ChargingSession("a", 0, 2, 1.5, 1.0), ChargingSession("b", 1, 4, 2.0, 1.0),
+                    ChargingSession("c", 0, 4, 3.0, 1.0), ChargingSession("d", 1, 6, 1.0, 0.5))
+        inst = Instance(sessions, ConstantPower(1.5), 9)
+        state = SimState(1, {"a": 0.5, "b": 2.0, "c": 2.0, "d": 1.0})
+        arcs_at_call = []
+        max_flow = FlowGraph.max_flow
+
+        def counting_max_flow(g, s, t):
+            arcs_at_call.append(len(g.to) // 2)
+            return max_flow(g, s, t)
+
+        monkeypatch.setattr(FlowGraph, "max_flow", counting_max_flow)
+        decision = olp_rates(state, inst, 1)
+        assert not decision.diagnostics.get("olp_fallback")
+        # 4 source arcs; slot tau opens the columns of the sessions still
+        # present at tau, then its own sink arc: slots 1..5, none past slot 5
+        open_columns = [4, 3, 3, 1, 1]
+        expected, arcs = [], 4
+        for columns in open_columns:
+            arcs += columns + 1
+            expected.append(arcs)
+        assert arcs_at_call == expected == [9, 13, 17, 19, 21]
+
+
 def random_mid_run_state(rng: random.Random):
     """A random OLP decision at slot t > 0 with slots left after the last departure.
 
@@ -236,7 +263,58 @@ def random_mid_run_state(rng: random.Random):
     return SimState(t, remaining), Instance(tuple(sessions), power, horizon)
 
 
+def random_wide_state(rng: random.Random):
+    """An OLP decision over a window of up to 60 slots.
+
+    Several sessions share a departure, stepwise power has zero slots, and
+    some remaining demands sit near the flow epsilon, 1e-12 times the
+    largest capacity, on either side of it.
+    """
+    t = rng.randint(0, 5)
+    shared = [rng.randint(t + 1, t + 60) for _ in range(2)]
+    sessions, remaining = [], {}
+    for k in range(rng.randint(1, 8)):
+        a = rng.randint(0, t)
+        d = rng.choice(shared) if rng.random() < 0.6 else rng.randint(t + 1, t + 60)
+        r_bar = rng.uniform(0.1, 3.0)
+        if rng.random() < 0.2:
+            energy, rem = 1.0, rng.choice([2e-12, 5e-12, 1e-11, 4e-11, 1e-9])
+        else:
+            energy = r_bar * (d - a)
+            rem = rng.uniform(1e-3, 1.05 * r_bar * (d - t))
+        sessions.append(ChargingSession(f"s{k}", a, d, energy, r_bar))
+        remaining[f"s{k}"] = rem
+    horizon = max(s.departure for s in sessions) + rng.randint(0, 4)
+    if rng.random() < 0.7:
+        power = StepwisePower([0.0 if rng.random() < 0.3 else rng.uniform(0.0, 6.0)
+                               for _ in range(horizon)])
+    else:
+        power = ConstantPower(rng.uniform(0.1, 8.0))
+    return SimState(t, remaining), Instance(tuple(sessions), power, horizon)
+
+
 class TestOlpAgainstFullHorizon:
+    def test_same_decisions_on_wide_windows(self):
+        rng = random.Random(106)
+        fallbacks = 0
+        for _ in range(300):
+            state, inst = random_wide_state(rng)
+            decision = olp_rates(state, inst, state.t)
+            assert decision == full_horizon_olp_rates(state, inst, state.t)
+            fallbacks += bool(decision.diagnostics.get("olp_fallback"))
+        assert 30 <= fallbacks <= 270
+
+    def test_negative_power_raises_as_the_reference_does(self):
+        inst = Instance((ChargingSession("a", 0, 3, 2.0, 1.0),
+                         ChargingSession("b", 0, 5, 2.0, 1.0)),
+                        StepwisePower([1.0, 1.0, 0.5, -1.0, 1.0]))
+        state = initial_state(inst)
+        with pytest.raises(ValueError) as expected:
+            full_horizon_olp_rates(state, inst, 0)
+        with pytest.raises(ValueError) as raised:
+            olp_rates(state, inst, 0)
+        assert str(raised.value) == str(expected.value) == "capacities may only be raised"
+
     def test_same_decisions_on_random_states(self):
         rng = random.Random(105)
         fallbacks = 0
