@@ -100,7 +100,7 @@ def cmd_check(args) -> int:
     feasible = None
     p_star = None
     if not problems:
-        feasible = feasibility.offline_feasible(inst)[0]
+        feasible = feasibility.is_offline_feasible(inst)
         p_star = feasibility.min_power_capacity(inst)
     rows = [(str(args.instance_file), ";".join(f"{v.code}:{v.subject}" for v in problems),
              feasible, p_star)]

@@ -1,10 +1,17 @@
 """Offline feasibility oracle, minimum uniform capacity, and schedule checking.
 
-Feasibility is decided on the time-expanded transportation network:
-source -> session arcs carry the energy demands, session -> slot arcs the
-peak rates over each sojourn window, slot -> sink arcs the station power.
-The instance is offline feasible exactly when the maximum flow ships every
-unit of demand; Newton steps on its minimum cut give the exact minimum power.
+Feasibility is decided on the interval network for preemptive scheduling
+with release times and deadlines (Horn 1974; Federgruen & Groenevelt 1986).
+The event points (0, the horizon, every arrival and departure clipped to
+[0, horizon], every change of a stepwise power) cut the horizon into
+intervals whose slots share their active sessions and power, so an interval
+of length l is one node.  source -> session arcs carry the energy demands,
+session -> interval arcs the peak rate times l, interval -> sink arcs the
+power times l; an interval with no active session gets no node.  That is at
+most 2n + 1 interval nodes plus the power changes, whatever the horizon, for
+the max-flow value of the network with one node per slot.  The instance is
+offline feasible exactly when the maximum flow ships every unit of demand;
+Newton steps on its minimum cut give the exact minimum power.
 """
 from __future__ import annotations
 
@@ -13,64 +20,97 @@ import math
 from typing import Optional
 
 from .dynamics import RunVerdict, Schedule, min_laxity, window_metrics
-from .model import ContractError, Instance, Violation
+from .model import ContractError, Instance, StepwisePower, Violation
 from .netflow import FlowGraph
 
 #: relative tolerance on the energy-demand equality
 DEMAND_TOL = 1e-6
 
+SOURCE, SINK = 0, 1
+
 
 def _build_network(instance: Instance, power_override: float | None = None):
-    """Time-expanded network; returns (graph, source, sink, session arc map)."""
-    n_sessions = len(instance.sessions)
-    horizon = instance.horizon
-    source, sink = 0, 1
-    g = FlowGraph(2 + n_sessions + horizon)
-    session_node = lambda k: 2 + k
-    slot_node = lambda t: 2 + n_sessions + t
-    window_arcs: dict[str, list[tuple[int, int]]] = {}
-    for k, s in enumerate(instance.sessions):
-        g.add_edge(source, session_node(k), s.energy)
-        arcs = []
-        for t in range(max(s.arrival, 0), min(s.departure, horizon)):
-            arcs.append((t, g.add_edge(session_node(k), slot_node(t), s.max_rate)))
-        window_arcs[s.id] = arcs
-    sink_arcs = []
-    for t in range(horizon):
-        p = power_override if power_override is not None else instance.power.at(t)
-        sink_arcs.append(g.add_edge(slot_node(t), sink, p))
-    return g, source, sink, window_arcs, sink_arcs
+    """Interval network; returns (graph, session arcs, sink arcs).
 
-
-def _extract_schedule(instance: Instance, g: FlowGraph, window_arcs) -> Schedule:
-    rates = {}
+    `session_arcs[k]` lists session k's (start, end, arc) per interval of its
+    window and `sink_arcs` every interval node's (start, end, arc), each in
+    time order.  Session k's node is 2 + k.  An override power ignores the
+    profile's change points.
+    """
+    horizon = max(instance.horizon, 0)
+    power = instance.power
+    points = {0, horizon}
+    if isinstance(power, StepwisePower):
+        values = power.values
+        if len(values) < horizon:
+            raise ContractError(
+                f"stepwise power has no value for slot {len(values)} of horizon {horizon}")
+        if power_override is None:
+            points.update(t for t in range(1, horizon) if values[t] != values[t - 1])
     for s in instance.sessions:
-        row = [0.0] * instance.horizon
-        for t, idx in window_arcs[s.id]:
-            row[t] = g.flow_on(idx)
-        rates[s.id] = tuple(row)
-    return Schedule(instance.horizon, rates)
+        points.add(min(max(s.arrival, 0), horizon))
+        points.add(min(max(s.departure, 0), horizon))
+    points = sorted(points)
+    spans = [(a, b, members) for a, b in zip(points, points[1:])
+             if (members := instance.active_indices_at(a))]
+    sessions = instance.sessions
+    g = FlowGraph(2 + len(sessions) + len(spans))
+    for k, s in enumerate(sessions):
+        g.add_edge(SOURCE, 2 + k, s.energy)
+    session_arcs = [[] for _ in sessions]
+    sink_arcs = []
+    for node, (a, b, members) in enumerate(spans, 2 + len(sessions)):
+        length = b - a
+        for k in members:
+            session_arcs[k].append((a, b, g.add_edge(2 + k, node, sessions[k].max_rate * length)))
+        p = power.at(a) if power_override is None else power_override
+        sink_arcs.append((a, b, g.add_edge(node, SINK, p * length)))
+    return g, session_arcs, sink_arcs
+
+
+def _solve(instance: Instance, power_override: float | None):
+    """Max flow on the interval network; returns (ships the demand, graph, session arcs)."""
+    demand = sum(s.energy for s in instance.sessions)
+    g, session_arcs, _ = _build_network(instance, power_override)
+    value = g.max_flow(SOURCE, SINK)
+    return not value < demand - DEMAND_TOL * max(1.0, demand), g, session_arcs
+
+
+def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
+    """The flag of `offline_feasible`, without the witness's horizon-long rows."""
+    return _solve(instance, power_override)[0]
 
 
 def offline_feasible(
     instance: Instance, power_override: float | None = None
 ) -> tuple[bool, Optional[Schedule]]:
-    """Max-flow feasibility test; returns a witness schedule when feasible."""
-    demand = sum(s.energy for s in instance.sessions)
-    g, source, sink, window_arcs, _ = _build_network(instance, power_override)
-    value = g.max_flow(source, sink)
-    if value < demand - DEMAND_TOL * max(1.0, demand):
+    """Max-flow feasibility test; returns a witness schedule when feasible.
+
+    The witness spreads each interval's flow evenly over its slots, at f / l
+    per slot: at most the peak rate, and a slot total of at most the power.
+    """
+    feasible, g, session_arcs = _solve(instance, power_override)
+    if not feasible:
         return False, None
-    return True, _extract_schedule(instance, g, window_arcs)
+    horizon = instance.horizon
+    rates = {}
+    for s, arcs in zip(instance.sessions, session_arcs):
+        row = [0.0] * horizon
+        for a, b, idx in arcs:
+            row[a:b] = [g.flow_on(idx) / (b - a)] * (b - a)
+        rates[s.id] = tuple(row)
+    return True, Schedule(horizon, rates)
 
 
 def min_power_capacity(instance: Instance) -> float:
     """Smallest constant station power P* making the instance offline feasible.
 
-    The max-flow value is the minimum over cuts of a + k*P, k the slots on the
-    cut's source side (Gallo, Grigoriadis & Tarjan 1989).  Newton steps from
-    P = 0 move P to the root of the current min cut's line until the flow
-    ships the demand; each raises P by at least DEMAND_TOL * max(1, D) / k.
+    The max-flow value is the minimum over cuts of a + k*P, k the total length
+    of the intervals on the cut's source side (Gallo, Grigoriadis & Tarjan
+    1989).  Newton steps from P = 0 move P to the root of the current min
+    cut's line until the flow ships the demand; each raises P by at least
+    DEMAND_TOL * max(1, D) / k.  P only rises, so each step raises the sink
+    arcs to P*l and the next max-flow augments the flow already sent.
     """
     for s in instance.sessions:
         if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
@@ -79,16 +119,19 @@ def min_power_capacity(instance: Instance) -> float:
             raise ContractError(f"session {s.id} individually unsatisfiable")
     demand = sum(s.energy for s in instance.sessions)
     p = 0.0
-    while True:
-        g, source, sink, _, sink_arcs = _build_network(instance, p)
-        short = demand - g.max_flow(source, sink)
-        if short <= DEMAND_TOL * max(1.0, demand):
-            return p
-        reach = g.source_side(source)
-        k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
+    g, _, sink_arcs = _build_network(instance, p)
+    short = demand - g.max_flow(SOURCE, SINK)
+    while short > DEMAND_TOL * max(1.0, demand):
+        reach = g.source_side(SOURCE)
+        # the paired arc leads back to the interval node
+        k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
         p += short / k
+        for a, b, idx in sink_arcs:
+            g.raise_capacity(idx, p * (b - a))
+        short -= g.max_flow(SOURCE, SINK)
+    return p
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:

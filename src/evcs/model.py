@@ -100,12 +100,22 @@ class Instance:
         between consecutive event points (0 and every arrival and departure),
         at most 2n + 1 tuples; each call is then a binary search.
         """
-        points, active = self._active_index
+        points, active, _ = self._active_index
         return active[bisect.bisect_right(points, t)]
+
+    def active_indices_at(self, t: int) -> tuple[int, ...]:
+        """The positions in `sessions` of the sessions `active_at(t)` returns.
+
+        Positions, unlike sessions, stay apart when one session object is
+        listed twice.
+        """
+        points, _, members = self._active_index
+        return members[bisect.bisect_right(points, t)]
 
     @cached_property
     def _active_index(self):
-        """(event points, active tuples): `active[k]` holds on `[points[k-1], points[k])`.
+        """(event points, active tuples, their positions): `active[k]` holds on
+        `[points[k-1], points[k])`.
 
         `active[0]`, before the first point, is empty; so is the last, since
         every departure is an event point.
@@ -117,15 +127,16 @@ class Instance:
                 events.setdefault(s.departure, []).append(~k)
         points = sorted(events)
         live: set[int] = set()
-        active: list[tuple[ChargingSession, ...]] = [()]
+        members: list[tuple[int, ...]] = [()]
         for p in points:
             for k in events[p]:
                 if k >= 0:
                     live.add(k)
                 else:
                     live.remove(~k)
-            active.append(tuple(self.sessions[k] for k in sorted(live)))
-        return points, active
+            members.append(tuple(sorted(live)))
+        active = [tuple(self.sessions[k] for k in m) for m in members]
+        return points, active, members
 
 
 @dataclass(frozen=True)

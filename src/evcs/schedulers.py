@@ -150,7 +150,8 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     session's peak rate.
 
     If the residual problem cannot ship all remaining demand, this slot falls
-    back to the sLLF rates.
+    back to the sLLF rates.  A negative power in the window is a
+    `ContractError` naming its slot.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
@@ -175,7 +176,10 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
                 idx = g.add_edge(2 + k, node, s.max_rate)
                 if tau == t:
                     column_arcs[s.id] = idx
-        g.raise_capacity(g.add_edge(node, sink, 0.0), instance.power.at(tau))
+        p = instance.power.at(tau)
+        if p < 0:
+            raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
+        g.add_edge(node, sink, p)
         shipped += g.max_flow(source, sink)
     if shipped < demand - 1e-9 * max(1.0, demand):
         fallback = sllf_rates(state, instance, t)

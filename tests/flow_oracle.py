@@ -1,4 +1,4 @@
-"""Reference max-flow and OLP: recursive blocking flow over the full horizon.
+"""Reference max-flow, OLP and feasibility network, one node per slot.
 
 `RecursiveFlowGraph` labels every reachable node in each phase, walks
 augmenting paths by recursion from the source, and recomputes the epsilon
@@ -8,9 +8,21 @@ max-flow for every slot, past the last departure too.
 `evcs.netflow.FlowGraph` and `evcs.schedulers.olp_rates`, which adds a
 slot's arcs only when the slot opens and stops at the last departure, skip
 only work that cannot move flow, so they must return the same floats.
+
+`slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
+the time-expanded network with one node and one sink arc per slot and one
+arc per (session, slot), and rebuild it for every Newton step.
+`evcs.feasibility` merges the slots between event points into one interval
+node, which keeps the max-flow value; the floats may differ in the last
+digits, and the witness spreads each interval's flow evenly.
 """
+import math
 from collections import deque
 
+from evcs.dynamics import Schedule
+from evcs.feasibility import DEMAND_TOL
+from evcs.model import ContractError
+from evcs.netflow import FlowGraph
 from evcs.schedulers import RateDecision, _chargeable, sllf_rates
 
 
@@ -124,3 +136,60 @@ def full_horizon_olp_rates(state, instance, t):
     rates = {s.id: (g.flow_on(column_arcs[s.id]) if s.id in column_arcs else 0.0)
              for s in evs}
     return RateDecision(rates, diagnostics={"olp_shipped": shipped})
+
+
+def slot_build_network(instance, power_override=None):
+    """Time-expanded network; returns (graph, source, sink, session arc map, sink arcs)."""
+    n_sessions = len(instance.sessions)
+    horizon = instance.horizon
+    source, sink = 0, 1
+    g = FlowGraph(2 + n_sessions + horizon)
+    session_node = lambda k: 2 + k
+    slot_node = lambda t: 2 + n_sessions + t
+    window_arcs = {}
+    for k, s in enumerate(instance.sessions):
+        g.add_edge(source, session_node(k), s.energy)
+        arcs = []
+        for t in range(max(s.arrival, 0), min(s.departure, horizon)):
+            arcs.append((t, g.add_edge(session_node(k), slot_node(t), s.max_rate)))
+        window_arcs[s.id] = arcs
+    sink_arcs = []
+    for t in range(horizon):
+        p = power_override if power_override is not None else instance.power.at(t)
+        sink_arcs.append(g.add_edge(slot_node(t), sink, p))
+    return g, source, sink, window_arcs, sink_arcs
+
+
+def slot_offline_feasible(instance, power_override=None):
+    demand = sum(s.energy for s in instance.sessions)
+    g, source, sink, window_arcs, _ = slot_build_network(instance, power_override)
+    value = g.max_flow(source, sink)
+    if value < demand - DEMAND_TOL * max(1.0, demand):
+        return False, None
+    rates = {}
+    for s in instance.sessions:
+        row = [0.0] * instance.horizon
+        for t, idx in window_arcs[s.id]:
+            row[t] = g.flow_on(idx)
+        rates[s.id] = tuple(row)
+    return True, Schedule(instance.horizon, rates)
+
+
+def slot_min_power_capacity(instance):
+    for s in instance.sessions:
+        if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
+            raise ContractError(f"session {s.id} has non-finite energy or max rate")
+        if s.energy > s.max_rate * s.sojourn:
+            raise ContractError(f"session {s.id} individually unsatisfiable")
+    demand = sum(s.energy for s in instance.sessions)
+    p = 0.0
+    while True:
+        g, source, sink, _, sink_arcs = slot_build_network(instance, p)
+        short = demand - g.max_flow(source, sink)
+        if short <= DEMAND_TOL * max(1.0, demand):
+            return p
+        reach = g.source_side(source)
+        k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
+        if k == 0:
+            raise ContractError("no constant power ships the demand inside the horizon")
+        p += short / k

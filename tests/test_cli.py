@@ -3,6 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +148,17 @@ class TestCheck:
         assert row["violations"] == "negative-horizon:horizon"
         assert row["offline_feasible"] == row["min_power_capacity"] == ""
 
+    def test_huge_declared_horizon_is_checked_quickly(self, tmp_path, capsys):
+        path = tmp_path / "huge.evcs"
+        path.write_text("evcs-v1\nhorizon 10000000000\npower constant 1\na 0 2 1 1\n")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["violations"] == ""
+        assert row["offline_feasible"] == "True"
+        assert float(row["min_power_capacity"]) == 0.5
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent.evcs"]) == 2
 
@@ -167,6 +183,17 @@ class TestCheck:
         assert str(json_row["offline_feasible"]) == csv_rows[0]["offline_feasible"]
         assert float(csv_rows[0]["min_power_capacity"]) == pytest.approx(
             json_row["min_power_capacity"])
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_check(self, ia_file):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "evcs", "check", ia_file],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert rows_from_csv(done.stdout)[0]["offline_feasible"] == "True"
 
 
 class TestRun:

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from evcs.dynamics import Schedule
-from evcs.feasibility import (DEMAND_TOL, _build_network, min_power_capacity,
+from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network,
+                              is_offline_feasible, min_power_capacity,
                               offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 
+from flow_oracle import slot_min_power_capacity, slot_offline_feasible
 from grid_oracle import grid_feasible, random_grid_instance
 from sim_oracle import full_scan_validate_schedule
 from evcs.simulator import simulate
@@ -114,9 +116,9 @@ class TestMinPowerCapacity:
         # "short" means the max flow misses the demand by more than float noise,
         # which is stricter than the oracle's DEMAND_TOL slack
         def short(inst, power):
-            g, source, sink, _, _ = _build_network(inst, power)
+            g, _, _ = _build_network(inst, power)
             demand = sum(s.energy for s in inst.sessions)
-            return demand - g.max_flow(source, sink) > 1e-12 * demand
+            return demand - g.max_flow(SOURCE, SINK) > 1e-12 * demand
 
         rng = random.Random(5)
         for inst in rng.sample(reference_corpus, 30):
@@ -142,6 +144,172 @@ class TestMinPowerCapacity:
                     nested = sum(s.energy for s in inst.sessions
                                  if t1 <= s.arrival and s.departure <= t2)
                     assert p_star >= nested / (t2 - t1) - 1e-5 * max(1.0, nested)
+
+
+def random_oracle_instance(rng: random.Random):
+    """An unvalidated instance whose event points often coincide.
+
+    Arrivals may be negative, departures may pass the horizon, and a few
+    sojourns are empty.  Power is constant, or stepwise in runs of equal
+    values with zero slots, sometimes longer than the horizon.
+    """
+    horizon = rng.randint(0, 14)
+    shared = [rng.randint(-3, horizon + 3) for _ in range(3)]
+
+    def point():
+        return rng.choice(shared) if rng.random() < 0.6 else rng.randint(-3, horizon + 3)
+
+    sessions = []
+    for k in range(rng.randint(0, 6)):
+        a, d = sorted((point(), point()))
+        if rng.random() < 0.05:
+            a, d = d, a
+        r_bar = rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)])
+        slots = max(min(d, horizon) - max(a, 0), 0)
+        energy = r_bar * slots * rng.choice([1.0, 0.0, rng.random(), rng.random()])
+        sessions.append(ChargingSession(f"s{k}", a, d, energy, r_bar))
+    if rng.random() < 0.5:
+        power = ConstantPower(rng.uniform(0.5, 6.0))
+    else:
+        values = []
+        while len(values) < horizon + rng.choice([0, 0, 0, 2]):
+            level = rng.choice([0.0, 1.0, rng.uniform(0.1, 6.0)])
+            values += [level] * rng.randint(1, 4)
+        power = StepwisePower(values[:horizon + 2])
+    return Instance(tuple(sessions), power, horizon)
+
+
+def change_points(instance: Instance) -> int:
+    if isinstance(instance.power, ConstantPower):
+        return 0
+    values = instance.power.values[:instance.horizon]
+    return sum(x != y for x, y in zip(values, values[1:]))
+
+
+class TestIntervalNetworkAgainstSlots:
+    """The interval network against the slot-level one in `flow_oracle`."""
+
+    def assert_same_verdict(self, inst, power_override=None, witness_checked=True):
+        """Same verdict as the slot network; the witness must pass validation.
+
+        At the smallest feasible power the flow may miss the demand by up to
+        DEMAND_TOL, which `validate_schedule` checks per session, so a caller
+        there can leave the witness unchecked.
+        """
+        ok, witness = offline_feasible(inst, power_override)
+        want = slot_offline_feasible(inst, power_override)[0]
+        assert ok == want == is_offline_feasible(inst, power_override), (inst, power_override)
+        if ok and witness_checked:
+            power = inst.power if power_override is None else ConstantPower(power_override)
+            verdict = validate_schedule(Instance(inst.sessions, power, inst.horizon), witness)
+            assert verdict.feasible, (inst, power_override, verdict.violations)
+        return ok
+
+    def test_same_verdicts_and_min_power_on_random_instances(self):
+        rng = random.Random(808)
+        seen = {"stepwise": 0, "feasible": 0, "infeasible": 0, "unsatisfiable": 0,
+                "infeasible at 0.999 P*": 0, "tight stepwise": 0}
+        for _ in range(1000):
+            inst = random_oracle_instance(rng)
+            seen[("feasible" if self.assert_same_verdict(inst) else "infeasible")] += 1
+            try:
+                want = slot_min_power_capacity(inst)
+            except ContractError:
+                seen["unsatisfiable"] += 1
+                with pytest.raises(ContractError):
+                    min_power_capacity(inst)
+                continue
+            got = min_power_capacity(inst)
+            assert abs(got - want) <= 1e-12 * want, (inst, got, want)
+            # under DEMAND_TOL the flow may fall short even at P*, and some
+            # demand below 1 passes even at 0.999 P*; the verdicts must agree
+            assert self.assert_same_verdict(inst, want, witness_checked=False)
+            assert self.assert_same_verdict(inst, want * 1.001)
+            seen["infeasible at 0.999 P*"] += not self.assert_same_verdict(
+                inst, want * 0.999, witness_checked=False)
+            if isinstance(inst.power, StepwisePower):
+                seen["stepwise"] += 1
+                seen["tight stepwise"] += self.check_tight_profile(inst)
+        assert min(seen.values()) >= 50, seen
+
+    def check_tight_profile(self, inst):
+        """Verdicts near the smallest scale of a stepwise profile that is feasible."""
+        def scaled(c):
+            return Instance(inst.sessions, inst.power.scaled(c), inst.horizon)
+
+        hi = 1.0
+        while not slot_offline_feasible(scaled(hi))[0]:
+            if hi > 100.0:
+                return False  # the zero slots leave some demand no power
+            hi *= 4.0
+        lo = 0.0
+        while hi - lo > 1e-4 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if slot_offline_feasible(scaled(mid))[0] else (mid, hi)
+        if lo == 0.0:
+            return False
+        assert self.assert_same_verdict(scaled(hi), witness_checked=False)
+        assert self.assert_same_verdict(scaled(hi * 1.001))
+        self.assert_same_verdict(scaled(hi * 0.999), witness_checked=False)
+        return True
+
+    def test_stored_min_power_on_shipped_corpora(self, reference_corpus, spaced_corpus):
+        for inst in reference_corpus + spaced_corpus:
+            want = slot_min_power_capacity(Instance(inst.sessions, ConstantPower(0.0)))
+            assert abs(inst.power.power - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("horizon", [10**2, 10**6])
+    def test_node_count_does_not_grow_with_the_horizon(self, horizon):
+        rng = random.Random(horizon)
+        for _ in range(10):
+            sessions = []
+            for k in range(rng.randint(0, 30)):
+                a = rng.randint(-5, horizon + 5)
+                sessions.append(ChargingSession(f"s{k}", a, a + rng.randint(0, horizon // 3 + 2),
+                                                1.0, 1.0))
+            if rng.random() < 0.5:
+                power = ConstantPower(2.0)
+            else:
+                cuts = sorted(rng.sample(range(horizon), 10)) + [horizon]
+                values = [0.0] * cuts[0]
+                for t, end in zip(cuts, cuts[1:]):
+                    values += [rng.choice([0.0, 1.0, 3.0])] * (end - t)
+                power = StepwisePower(values)
+            inst = Instance(tuple(sessions), power, horizon)
+            n = len(sessions)
+            g, _, sink_arcs = _build_network(inst)
+            assert g.n <= 2 + n + 2 * n + 1 + change_points(inst)
+            assert len(sink_arcs) == g.n - 2 - n
+
+    def test_one_session_listed_twice(self):
+        s = ChargingSession("a", 0, 2, 1.5, 1.0)
+        for p in (1.4, 1.5, 1.6):
+            inst = Instance((s, s), ConstantPower(p))
+            assert is_offline_feasible(inst) == slot_offline_feasible(inst)[0] == (p >= 1.5)
+        assert min_power_capacity(inst) == slot_min_power_capacity(inst) == 1.5
+
+    def test_short_stepwise_profile_names_the_first_uncovered_slot(self):
+        inst = Instance((ChargingSession("a", 0, 4, 1.0, 1.0),), StepwisePower([1.0, 1.0]))
+        for call in (offline_feasible, is_offline_feasible, min_power_capacity):
+            with pytest.raises(ContractError, match="slot 2 of horizon 4"):
+                call(inst)
+
+    def test_huge_horizon_costs_no_slot_work(self):
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(1.0), 10**10)
+        g, _, sink_arcs = _build_network(inst)
+        assert g.n == 2 + 1 + 1 and [(a, b) for a, b, _ in sink_arcs] == [(0, 2)]
+        assert is_offline_feasible(inst)
+        assert min_power_capacity(inst) == 0.5
+
+    def test_witness_spreads_each_interval_evenly(self):
+        # intervals [0, 2), [2, 4) and [4, 6)
+        inst = Instance((ChargingSession("a", 0, 6, 3.0, 1.0),
+                         ChargingSession("b", 2, 4, 1.0, 1.0)), ConstantPower(1.0))
+        ok, witness = offline_feasible(inst)
+        assert ok
+        a, b = witness.rates["a"], witness.rates["b"]
+        assert a[0] == a[1] and a[2] == a[3] and a[4] == a[5]
+        assert b[2] == b[3] and b[:2] == b[4:] == (0.0, 0.0)
 
 
 class TestValidateSchedule:

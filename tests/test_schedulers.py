@@ -311,9 +311,11 @@ class TestOlpAgainstFullHorizon:
         state = initial_state(inst)
         with pytest.raises(ValueError) as expected:
             full_horizon_olp_rates(state, inst, 0)
-        with pytest.raises(ValueError) as raised:
+        assert str(expected.value) == "capacities may only be raised"
+        # the reference fails inside the flow graph; olp_rates names slot and power
+        with pytest.raises(ContractError) as raised:
             olp_rates(state, inst, 0)
-        assert str(raised.value) == str(expected.value) == "capacities may only be raised"
+        assert str(raised.value) == "OLP: negative station power P(3) = -1.0 at slot 3"
 
     def test_same_decisions_on_random_states(self):
         rng = random.Random(105)
