@@ -85,9 +85,9 @@ def cmd_gen(args) -> int:
     if "count" not in raw:
         raise corpus.GenerationError("spec field 'count' is required")
     spec = corpus.CorpusSpec(**raw)
+    instances = corpus.generate(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    instances = corpus.generate(spec)
     for k, inst in enumerate(instances):
         corpus.write_instance(inst, out_dir / f"instance_{k:04d}.evcs")
     print(f"wrote {len(instances)} instances to {out_dir}")

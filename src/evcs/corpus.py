@@ -199,6 +199,26 @@ def write_instance(instance: Instance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SESSION_FIELDS = ("id", "arrival", "departure", "energy", "max_rate")
+
+
+def _column(line: str, k: int) -> int:
+    """1-based column where the k-th whitespace-separated token of `line` starts."""
+    end = 0
+    for token in line.split()[:k + 1]:
+        start = line.index(token, end)
+        end = start + len(token)
+    return start + 1
+
+
+def _parses(convert, token: str) -> bool:
+    try:
+        convert(token)
+    except ValueError:
+        return False
+    return True
+
+
 def read_instance(path) -> Instance:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -225,21 +245,22 @@ def read_instance(path) -> Instance:
     try:
         horizon = int(parts[1])
     except ValueError:
-        fail(ln, len("horizon ") + 1, f"bad horizon {parts[1]!r}")
+        fail(ln, _column(horizon_line, 1), f"bad horizon {parts[1]!r}")
 
     ln, power_line = body[1]
     parts = power_line.split()
     if parts[:1] != ["power"] or len(parts) < 3:
         fail(ln, 1, "expected 'power constant <P>' or 'power step <v0> ...'")
+    if parts[1] not in ("constant", "step"):
+        fail(ln, _column(power_line, 1), f"unknown power kind {parts[1]!r}")
+    if parts[1] == "constant" and len(parts) > 3:
+        fail(ln, _column(power_line, 3), "power constant takes exactly one value")
     try:
-        if parts[1] == "constant" and len(parts) == 3:
-            power = ConstantPower(float(parts[2]))
-        elif parts[1] == "step":
-            power = StepwisePower(tuple(float(v) for v in parts[2:]))
-        else:
-            fail(ln, len("power ") + 1, f"unknown power kind {parts[1]!r}")
+        values = [float(v) for v in parts[2:]]
     except ValueError:
-        fail(ln, len("power ") + 1, "bad power value")
+        k = next(k for k in range(2, len(parts)) if not _parses(float, parts[k]))
+        fail(ln, _column(power_line, k), f"bad power value {parts[k]!r}")
+    power = ConstantPower(values[0]) if parts[1] == "constant" else StepwisePower(values)
 
     sessions = []
     for ln, line in body[2:]:
@@ -251,7 +272,8 @@ def read_instance(path) -> Instance:
                 id=parts[0], arrival=int(parts[1]), departure=int(parts[2]),
                 energy=float(parts[3]), max_rate=float(parts[4])))
         except ValueError:
-            fail(ln, len(parts[0]) + 2, "bad session fields")
+            k = next(k for k in range(1, 5) if not _parses(int if k < 3 else float, parts[k]))
+            fail(ln, _column(line, k), f"bad {_SESSION_FIELDS[k]} {parts[k]!r}")
     return Instance(tuple(sessions), power, horizon)
 
 

@@ -90,12 +90,12 @@ class Schedule:
             for t in range(self.horizon - 1)
         )
 
-    def switch_count(self, zero_eps: float = ZERO_EPS) -> int:
+    def switch_count(self) -> int:
         """How many times any session's rate crosses between zero and nonzero."""
         count = 0
         for row in self.rates.values():
             for t in range(self.horizon - 1):
-                if (abs(row[t]) <= zero_eps) != (abs(row[t + 1]) <= zero_eps):
+                if (abs(row[t]) <= ZERO_EPS) != (abs(row[t + 1]) <= ZERO_EPS):
                     count += 1
         return count
 

@@ -113,11 +113,9 @@ def binned_success_rates(instances, flags, metric_index: int, bins: int):
     return out
 
 
-def separation_witness(instances, feasible_policy: str = "sllf",
-                       infeasible_policy: str = "llf"):
-    """First instance one policy completes and the other does not, else None."""
+def separation_witness(instances):
+    """First instance sLLF completes and LLF does not, else None."""
     for inst in instances:
-        if simulate(inst, feasible_policy)[1].feasible and \
-                not simulate(inst, infeasible_policy)[1].feasible:
+        if simulate(inst, "sllf")[1].feasible and not simulate(inst, "llf")[1].feasible:
             return inst
     return None

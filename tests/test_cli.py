@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from evcs import augmentation
+from evcs import augmentation, simulator
+from evcs.augmentation import AugmentationMode
 from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, main
-from evcs.corpus import generate, reference_spec, write_instance
+from evcs.corpus import (generate, read_instance, reference_spec, reference_spec_spaced,
+                         write_instance)
 from evcs.model import ChargingSession, ConstantPower, Instance
 
 
@@ -109,6 +111,22 @@ class TestGen:
         spec_file.write_text(json.dumps({"count": 2, "evs_max": 3, "sojourn_min": 2,
                                          "demand_cap": None, "seed": 5}))
         assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 0
+
+    def test_failed_generation_leaves_no_directory(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"count": 1, "demand_cap": 1e-10}))
+        assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 2
+        assert "demand cap leaves no room" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_regenerates_into_an_existing_directory(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"count": 2, "evs_max": 3, "seed": 9}))
+        out_dir = tmp_path / "out"
+        assert main(["gen", str(spec_file), str(out_dir)]) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert main(["gen", str(spec_file), str(out_dir)]) == 0
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
 
 class TestCheck:
@@ -366,6 +384,49 @@ class TestAugment:
 
     def test_missing_mode_exits_two(self, corpus_dir):
         assert main(["augment", str(corpus_dir), "--algs", "sllf"]) == 2
+
+
+class TestReproducesExperiments:
+    """The README recipe for the paper's experiments reports what the library
+    functions it stands for return when called directly."""
+
+    ALGS = "edf,es,llf,olp,rep,sllf"
+
+    @pytest.fixture(scope="class")
+    def instances(self, corpus_dir):
+        return [read_instance(p) for p in sorted(corpus_dir.glob("*.evcs"))]
+
+    def test_gen_of_the_spec_json_writes_the_spaced_corpus(self, tmp_path, spaced_corpus):
+        spec_file = tmp_path / "spaced.json"
+        spec_file.write_text(json.dumps(dataclasses.asdict(reference_spec_spaced())))
+        assert main(["gen", str(spec_file), str(tmp_path / "spaced")]) == 0
+        files = sorted((tmp_path / "spaced").glob("*.evcs"))
+        assert [read_instance(p) for p in files] == spaced_corpus
+
+    @pytest.mark.parametrize("metric, index", [("sojourn-ratio", 0), ("norm-laxity", 1)])
+    def test_sweep_reports_the_binned_success_rates(self, corpus_dir, instances, capsys,
+                                                     metric, index):
+        assert main(["sweep", str(corpus_dir), "--algs", self.ALGS, "--bin-by", metric]) == 0
+        expected = []
+        for alg in self.ALGS.split(","):
+            flags = simulator.run_feasibility(instances, alg)
+            expected.append((alg, "all", "", "", "", len(flags), sum(flags) / len(flags)))
+            binned = simulator.binned_success_rates(instances, flags, index, 3)
+            expected.extend((alg, b, metric, *cells) for b, cells in enumerate(binned))
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert rows == [[str(cell) for cell in row] for row in expected]
+
+    @pytest.mark.parametrize("mode", list(AugmentationMode))
+    def test_augment_reports_the_minimum_eps(self, corpus_dir, instances, capsys, mode):
+        assert main(["augment", str(corpus_dir), "--algs", self.ALGS,
+                     "--mode", mode.value]) == 0
+        rows = rows_from_csv(capsys.readouterr().out)
+        t1 = augmentation.theorem1_bound(augmentation.corpus_bound_inputs(instances))
+        t2 = max(max(augmentation.theorem2_bound(i), 0.0) for i in instances)
+        assert [(r["algorithm"], r["min_eps"], r["theorem1_bound"], r["theorem2_bound_max"])
+                for r in rows] == [
+            (alg, str(augmentation.min_feasible_eps(instances, alg, mode)), str(t1), str(t2))
+            for alg in self.ALGS.split(",")]
 
 
 def test_no_command_exits_two():

@@ -151,7 +151,23 @@ class TestParseErrors:
     def test_bad_session_number(self, tmp_path):
         path = self.write(tmp_path,
                           "evcs-v1\nhorizon 2\npower constant 1\na 0 x 1.0 1.0\n")
-        with pytest.raises(ParseError, match="line 4, column 3"):
+        with pytest.raises(ParseError, match="line 4, column 5: bad departure 'x'"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("body, where", [
+        ("horizon 2\npower constant 1\na 0 2 oops 1", "line 4, column 7: bad energy 'oops'"),
+        ("horizon 2\npower constant 1\n   a    0 2.5 1 1",
+         "line 4, column 11: bad departure '2.5'"),
+        ("horizon 2\npower constant 1\na 0 2 1 1e", "line 4, column 9: bad max_rate '1e'"),
+        ("horizon 2\npower step 1 x 1 1\na 0 2 1 1", "line 3, column 14: bad power value 'x'"),
+        ("horizon 2\n  power  constant  x\na 0 2 1 1", "line 3, column 20: bad power value 'x'"),
+        ("horizon 2\npower constant 1 2\na 0 2 1 1",
+         "line 3, column 18: power constant takes exactly one value"),
+        ("  horizon  2x\npower constant 1", "line 2, column 12: bad horizon '2x'"),
+    ])
+    def test_column_points_at_the_bad_token(self, tmp_path, body, where):
+        path = self.write(tmp_path, f"evcs-v1\n{body}\n")
+        with pytest.raises(ParseError, match=re.escape(where)):
             read_instance(path)
 
 
