@@ -142,13 +142,13 @@ def theorem1_bound(inputs: BoundInputs) -> float:
 def theorem2_bound(instance: Instance) -> float:
     """Power+rate augmentation guarantee from per-window power spread and rate share.
 
-    Evaluated over the discrete slots of each sojourn window.  The formula can
-    go negative when some peak rate exceeds the window's power; callers report
-    max(0, bound).
+    Evaluated over the discrete slots of each sojourn window, clipped to
+    [0, horizon).  The formula can go negative when some peak rate exceeds the
+    window's power; callers report max(0, bound).
     """
     worst = -math.inf
     for s in instance.sessions:
-        window = range(s.arrival, min(s.departure, instance.horizon))
+        window = range(max(s.arrival, 0), min(s.departure, instance.horizon))
         powers = [instance.power.at(t) for t in window]
         if not powers:
             raise ContractError(f"theorem 2 needs a sojourn inside the horizon, "

@@ -87,9 +87,16 @@ def cmd_gen(args) -> int:
     spec = corpus.CorpusSpec(**raw)
     instances = corpus.generate(spec)
     out_dir = Path(args.out_dir)
+    paths = [out_dir / f"instance_{k:04d}.evcs" for k in range(len(instances))]
+    if out_dir.is_dir():
+        # sweep and augment read every .evcs file, so a leftover one would join the corpus
+        stale = sorted({p for p in out_dir.iterdir() if p.suffix == ".evcs"} - set(paths))
+        if stale:
+            raise SystemExit2(f"{stale[0]} is not one of the {len(instances)} files this "
+                              f"spec writes; nothing written")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, inst in enumerate(instances):
-        corpus.write_instance(inst, out_dir / f"instance_{k:04d}.evcs")
+    for path, inst in zip(paths, instances):
+        corpus.write_instance(inst, path)
     print(f"wrote {len(instances)} instances to {out_dir}")
     return 0
 

@@ -83,12 +83,16 @@ class Schedule:
         return sum(self.rates[sid])
 
     def total_variation(self) -> float:
-        """Sum over sessions of |r(t+1) - r(t)| between consecutive slots."""
-        return sum(
-            abs(row[t + 1] - row[t])
-            for row in self.rates.values()
-            for t in range(self.horizon - 1)
-        )
+        """Sum over sessions of |r(t+1) - r(t)| between consecutive slots.
+
+        A running sum in row order, as in `window_metrics`, so the two agree
+        float for float; `sum()` of floats compensates from Python 3.12 on.
+        """
+        variation = 0
+        for row in self.rates.values():
+            for t in range(self.horizon - 1):
+                variation += abs(row[t + 1] - row[t])
+        return variation
 
     def switch_count(self) -> int:
         """How many times any session's rate crosses between zero and nonzero."""
@@ -128,8 +132,9 @@ def window_metrics(instance: Instance, schedule: Schedule) -> tuple[float, int]:
     so it can be nonzero only for t in [arrival - 1, departure - 1]; one pass
     per row covers that window (joined over sessions sharing an id) clipped to
     [0, horizon - 2].  Each skipped term is |0.0 - 0.0| = +0.0, which leaves
-    the running sum, kept over the rows in schedule order, unchanged.  Schedules
-    from `simulate` qualify, because `step` rejects any other nonzero rate.
+    the running sum, kept over the rows in schedule order, unchanged.  Its one
+    caller is `simulate`, whose schedules qualify because `step` rejects any
+    other nonzero rate.
     """
     horizon = schedule.horizon
     windows: dict[str, tuple[int, int]] = {}

@@ -169,6 +169,9 @@ def validate(instance: Instance) -> list[Violation]:
         if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
             out.append(Violation("non-finite", s.id,
                                  f"energy {s.energy} and max rate {s.max_rate} must be finite"))
+        elif math.isinf(s.max_rate * s.sojourn):
+            out.append(Violation("non-finite", s.id,
+                                 f"max rate {s.max_rate} * sojourn {s.sojourn} overflows"))
         if s.energy <= 0:
             out.append(Violation("nonpositive-energy", s.id, f"energy {s.energy} must be > 0"))
         if s.max_rate <= 0:
@@ -190,5 +193,13 @@ def validate(instance: Instance) -> list[Violation]:
     if isinstance(power, StepwisePower) and len(levels) < horizon:
         out.append(Violation("power-profile-short", f"slot {len(levels)}",
                              "stepwise profile does not cover the horizon"))
+    # finite inputs whose products, as the feasibility network forms them, overflow
+    energies = [s.energy for s in instance.sessions]
+    if all(map(math.isfinite, energies)) and math.isinf(sum(energies) * horizon):
+        out.append(Violation("non-finite", "demand",
+                             f"total energy {sum(energies)} * horizon {horizon} overflows"))
+    if levels and all(map(math.isfinite, levels)) and math.isinf(max(levels) * horizon):
+        out.append(Violation("non-finite", "power",
+                             f"largest power {max(levels)} * horizon {horizon} overflows"))
     return out
 

@@ -6,9 +6,8 @@ scores a run with `Schedule.total_variation()` and `switch_count()` over the
 whole horizon.  `evcs.simulator.simulate` reads the sessions from
 `Instance.active_at` and limits the metrics to each sojourn, so it must
 return the same floats.  `full_scan_validate_schedule` tests every rate of
-every row and sums every slot column one by one, where
-`evcs.feasibility.validate_schedule` walks only rows that break a bound; the
-two must return equal verdicts.
+every row and sums every slot column one by one; it pins the verdicts of
+`evcs.feasibility.validate_schedule`, which must stay equal to its own.
 """
 from unittest import mock
 

@@ -183,6 +183,12 @@ class TestTheorem2Bound:
                          ChargingSession("b", 0, 2, 0.5, 0.25)), ConstantPower(1.0))
         assert theorem2_bound(inst) == pytest.approx(1.0 - 0.25)
 
+    def test_slots_before_zero_are_not_read(self):
+        inst = Instance((ChargingSession("a", -1, 2, 1.0, 1.0),), StepwisePower([1.0, 2.0, 5.0]),
+                        horizon=3)
+        # the window is slots 0 and 1: spread 2/1, worst rate share 1/1; P(-1) is no slot
+        assert theorem2_bound(inst) == 1.0
+
     def test_zero_power_in_window_rejected(self):
         inst = Instance((ChargingSession("a", 0, 2, 0.5, 0.5),), StepwisePower([1.0, 0.0]))
         with pytest.raises(ContractError):

@@ -128,6 +128,20 @@ class TestGen:
         assert main(["gen", str(spec_file), str(out_dir)]) == 0
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
 
+    def test_leftover_corpus_file_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"count": 3, "evs_max": 3, "seed": 9}))
+        out_dir = tmp_path / "out"
+        assert main(["gen", str(spec_file), str(out_dir)]) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        spec_file.write_text(json.dumps({"count": 2, "evs_max": 3, "seed": 9}))
+        assert main(["gen", str(spec_file), str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "instance_0002.evcs" in captured.err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
 
 class TestCheck:
     def test_feasible_instance(self, ia_file, capsys):
@@ -165,6 +179,26 @@ class TestCheck:
         row = rows_from_csv(capsys.readouterr().out)[0]
         assert row["violations"] == "negative-horizon:horizon"
         assert row["offline_feasible"] == row["min_power_capacity"] == ""
+
+    @pytest.mark.parametrize("body, violations", [
+        ("horizon 2\npower constant 1\na 0 2 1e308 1e308\n", "non-finite:a;non-finite:demand"),
+        ("horizon 3\npower constant 1e308\na 0 3 1e308 1e308\nb 0 3 1e308 1e308\n",
+         "non-finite:a;non-finite:b;non-finite:demand;non-finite:power"),
+        ("horizon 2\npower constant 1e308\na 0 2 1 1\n", "non-finite:power"),
+    ], ids=["rate-times-sojourn", "every-product", "power-times-horizon"])
+    def test_overflowing_products_are_violations(self, tmp_path, capsys, body, violations):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        path = corpus_dir / "instance_0000.evcs"
+        path.write_text("evcs-v1\n" + body)
+        assert main(["check", str(path)]) == 0
+        row = rows_from_csv(capsys.readouterr().out)[0]
+        assert row["violations"] == violations
+        assert row["offline_feasible"] == row["min_power_capacity"] == ""
+        assert main(["run", str(path), "--alg", "sllf"]) == 2
+        assert main(["sweep", str(corpus_dir), "--algs", "sllf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_huge_declared_horizon_is_checked_quickly(self, tmp_path, capsys):
         path = tmp_path / "huge.evcs"

@@ -133,6 +133,12 @@ class TestSchedule:
     def test_total_variation(self):
         assert self.sample().total_variation() == pytest.approx(1.5 + 2.0)
 
+    def test_total_variation_is_a_running_sum_in_row_order(self):
+        # terms 1.0, 1e16, 1.0: a compensated sum (sum() from Python 3.12) gives 1e16 + 2
+        sch = Schedule(2, {"a": (0.0, 1.0), "b": (0.0, 1e16), "c": (0.0, 1.0)})
+        assert math.fsum([1.0, 1e16, 1.0]) != 1e16
+        assert sch.total_variation() == (1.0 + 1e16) + 1.0 == 1e16
+
     def test_switch_count(self):
         assert self.sample().switch_count() == 3
 

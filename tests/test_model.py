@@ -140,6 +140,16 @@ class TestValidate:
             inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), power)
             assert "non-finite" in codes(inst)
 
+    def test_finite_fields_whose_products_overflow(self):
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1e308),
+                         ChargingSession("b", 0, 2, 1e308, 1e308)), ConstantPower(1e308))
+        assert [(v.code, v.subject, v.message) for v in validate(inst)] == [
+            ("non-finite", "a", "max rate 1e+308 * sojourn 2 overflows"),
+            ("non-finite", "b", "max rate 1e+308 * sojourn 2 overflows"),
+            ("non-finite", "demand", "total energy 1e+308 * horizon 2 overflows"),
+            ("non-finite", "power", "largest power 1e+308 * horizon 2 overflows"),
+        ]
+
     def test_constant_power_is_checked_once(self):
         # neither the time nor the report grows with the horizon
         start = time.perf_counter()
