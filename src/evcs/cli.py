@@ -121,14 +121,9 @@ def cmd_run(args) -> int:
     if problems:
         raise SystemExit2(f"invalid instance: {problems[0].code} ({problems[0].subject})")
     schedule, verdict = simulator.simulate(inst, args.alg)
-    # a rate outside the sojourn is 0.0, so only the window can hold rows
-    rows = []
-    for s in inst.sessions:
-        start = max(s.arrival, 0)
-        window = schedule.rates[s.id][start:min(s.departure, inst.horizon)]
-        rows.extend((s.id, t, r) for t, r in enumerate(window, start) if r != 0.0)
-    rows.append(("__verdict__", -1, ""))
-    _emit(rows, ["session", "slot", "rate"], args.json)
+    rows = [(sid, t, r) for sid, row in schedule.rates.items()
+            for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
+    _emit(rows + [("__verdict__", -1, "")], ["session", "slot", "rate"], args.json)
     ratio, norm_lax = simulator.instance_metrics(inst)
     print(f"# alg={args.alg} feasible={verdict.feasible} "
           f"min_laxity={verdict.min_laxity:.6g} oscillation={verdict.oscillation:.6g} "

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, islice, pairwise, repeat
 
 from .model import ChargingSession, ContractError, Instance
 
@@ -67,41 +68,61 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
 
 @dataclass(frozen=True)
 class Schedule:
-    """The full rate matrix of one run: per-session rate rows over [0, horizon)."""
+    """The rate matrix of one run, one window per session.
+
+    `rates[sid]` holds r(t) from slot `starts.get(sid, 0)` on, and every rate
+    outside that window is 0.0.  A window lies inside [0, horizon), so
+    `Schedule(horizon, {sid: dense_row})` with horizon-long rows is still a
+    dense schedule.
+    """
 
     horizon: int
     rates: dict[str, tuple[float, ...]]
+    starts: dict[str, int] = field(default_factory=dict)
 
     def rate(self, sid: str, t: int) -> float:
         """r(t) of session `sid`; public API for library callers."""
-        return self.rates[sid][t]
+        return next(self._rates_from(sid, t))
+
+    def _rates_from(self, sid: str, t: int):
+        """r(t), r(t + 1), ... of session `sid` without end: zeros outside the window."""
+        row, start = self.rates[sid], self.starts.get(sid, 0)
+        return chain(repeat(0.0, start - t), islice(row, max(t - start, 0), None), repeat(0.0))
 
     def slot_total(self, t: int) -> float:
-        return sum(row[t] for row in self.rates.values())
+        """The rates at slot t, summed in row order as `validate_schedule` sums them."""
+        total = 0
+        for sid in self.rates:
+            total += self.rate(sid, t)
+        return total
 
     def delivered(self, sid: str) -> float:
-        return sum(self.rates[sid])
+        return sum(self.rates[sid], 0.0 if self.horizon > 0 else 0)  # as over a dense row
 
     def total_variation(self) -> float:
-        """Sum over sessions of |r(t+1) - r(t)| between consecutive slots.
-
-        A running sum in row order, as in `window_metrics`, so the two agree
-        float for float; `sum()` of floats compensates from Python 3.12 on.
-        """
-        variation = 0
-        for row in self.rates.values():
-            for t in range(self.horizon - 1):
-                variation += abs(row[t + 1] - row[t])
-        return variation
+        """Sum over sessions of |r(t+1) - r(t)| between consecutive slots."""
+        return self._metrics()[0]
 
     def switch_count(self) -> int:
         """How many times any session's rate crosses between zero and nonzero."""
-        count = 0
-        for row in self.rates.values():
-            for t in range(self.horizon - 1):
-                if (abs(row[t]) <= ZERO_EPS) != (abs(row[t + 1]) <= ZERO_EPS):
-                    count += 1
-        return count
+        return self._metrics()[1]
+
+    def _metrics(self) -> tuple[float, int]:
+        """(total variation, switch count) in one walk over each window and its
+        bordering zeros in [0, horizon); any other slot pair adds +0.0 and no
+        switch.  A running sum in row order: `sum()` compensates from 3.12 on.
+        """
+        horizon, switches = self.horizon, 0
+        variation = 0.0 if self.rates and horizon > 1 else 0
+        for sid, row in self.rates.items():
+            start = self.starts.get(sid, 0)
+            padded = chain((0.0,) if start > 0 else (), row,
+                           (0.0,) if start + len(row) < horizon else ())
+            for a, b in pairwise(padded):
+                variation += abs(b - a)
+                if (abs(a) <= ZERO_EPS) != (abs(b) <= ZERO_EPS):
+                    switches += 1
+        return variation, switches
 
 
 def min_laxity(instance: Instance, schedule: Schedule) -> float:
@@ -113,46 +134,13 @@ def min_laxity(instance: Instance, schedule: Schedule) -> float:
     """
     horizon, lowest = schedule.horizon, math.inf
     for s in instance.sessions:
-        rem, row = s.energy, schedule.rates[s.id]
-        end = min(s.departure, horizon)
-        for t in range(max(s.arrival, 0), end + 1):  # plain compares: a hot loop
-            lax = laxity(s, t, 0.0 if rem < 0.0 else rem)
+        rem, lo = s.energy, max(s.arrival, 0)
+        for t, r in zip(range(lo, min(s.departure, horizon) + 1), schedule._rates_from(s.id, lo)):
+            lax = laxity(s, t, 0.0 if rem < 0.0 else rem)  # plain compares: a hot loop
             if lax < lowest:
                 lowest = lax
-            if t < end:
-                rem -= row[t]
+            rem -= r  # after the last slot, rem is not read again
     return lowest
-
-
-def window_metrics(instance: Instance, schedule: Schedule) -> tuple[float, int]:
-    """(total variation, switch count) of a schedule that is zero outside every sojourn.
-
-    Equal to `schedule.total_variation()` and `schedule.switch_count()` on such
-    a schedule, float for float.  A term at slot t compares r(t) with r(t+1),
-    so it can be nonzero only for t in [arrival - 1, departure - 1]; one pass
-    per row covers that window (joined over sessions sharing an id) clipped to
-    [0, horizon - 2].  Each skipped term is |0.0 - 0.0| = +0.0, which leaves
-    the running sum, kept over the rows in schedule order, unchanged.  Its one
-    caller is `simulate`, whose schedules qualify because `step` rejects any
-    other nonzero rate.
-    """
-    horizon = schedule.horizon
-    windows: dict[str, tuple[int, int]] = {}
-    for s in instance.sessions:
-        lo, hi = max(s.arrival - 1, 0), min(s.departure, horizon - 1)
-        if s.id in windows:
-            lo, hi = min(lo, windows[s.id][0]), max(hi, windows[s.id][1])
-        windows[s.id] = lo, hi
-    # the full sum has a float term whenever there is a row and a slot pair
-    variation = 0.0 if schedule.rates and horizon > 1 else 0
-    switches = 0
-    for sid, row in schedule.rates.items():
-        lo, hi = windows[sid]
-        for a, b in zip(row[lo:hi], row[lo + 1:hi + 1]):
-            variation += abs(b - a)
-            if (abs(a) <= ZERO_EPS) != (abs(b) <= ZERO_EPS):
-                switches += 1
-    return variation, switches
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def _solve(instance: Instance, power_override: float | None):
 
 
 def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
-    """The flag of `offline_feasible`, without the witness's horizon-long rows."""
+    """The flag of `offline_feasible`, without building the witness's rows."""
     return _solve(instance, power_override)[0]
 
 
@@ -87,18 +87,18 @@ def offline_feasible(
 
     The witness spreads each interval's flow evenly over its slots, at f / l
     per slot: at most the peak rate, and a slot total of at most the power.
+    Each row is a window over its session's sojourn clipped to the horizon.
     """
     feasible, g, session_arcs = _solve(instance, power_override)
     if not feasible:
         return False, None
-    horizon = instance.horizon
-    rates = {}
+    rates, starts = {}, {}
     for s, arcs in zip(instance.sessions, session_arcs):
-        row = [0.0] * horizon
+        row = []
         for a, b, idx in arcs:
-            row[a:b] = [g.flow_on(idx) / (b - a)] * (b - a)
-        rates[s.id] = tuple(row)
-    return True, Schedule(horizon, rates)
+            row += [g.flow_on(idx) / (b - a)] * (b - a)
+        rates[s.id], starts[s.id] = tuple(row), arcs[0][0] if arcs else 0
+    return True, Schedule(instance.horizon, rates, starts)
 
 
 def min_power_capacity(instance: Instance) -> float:
@@ -136,31 +136,38 @@ def min_power_capacity(instance: Instance) -> float:
 def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     """Check the box/window, per-slot power, and demand-equality constraints.
 
-    One walk over every slot: each row against its rate bound inside the
-    sojourn and zero outside it, each slot total against the power, each
-    session's delivered energy against its demand.  The run metrics are
-    `Schedule.total_variation()` and `switch_count()` over the whole horizon.
+    Each row is walked over its window and its session's clipped sojourn:
+    the rate bound inside the sojourn, zero outside it.  Slot totals, summed
+    window by window in row order, meet the power at every slot, and each
+    delivered energy its demand.  A window must lie inside [0, horizon).
     """
     horizon = instance.horizon
     if (schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}
-            or any(len(row) != horizon for row in schedule.rates.values())):
+            or any(not 0 <= schedule.starts.get(sid, 0) <= horizon - len(row)
+                   for sid, row in schedule.rates.items())):
         raise ContractError("schedule dimensions do not match the instance")
     violations: list[Violation] = []
     for s in instance.sessions:
-        row = schedule.rates[s.id]
-        tol = 1e-9 * max(1.0, s.max_rate)
-        for t in range(horizon):
-            r = row[t]
-            if s.arrival <= t < s.departure:
+        row, start = schedule.rates[s.id], schedule.starts.get(s.id, 0)
+        arrival, departure = (min(max(x, 0), horizon) for x in (s.arrival, s.departure))
+        lo, tol = min(start, arrival), 1e-9 * max(1.0, s.max_rate)
+        for t, r in zip(range(lo, max(start + len(row), departure)),
+                        schedule._rates_from(s.id, lo)):
+            if arrival <= t < departure:
                 if r < -tol or r > s.max_rate + tol:
                     violations.append(Violation(
                         "rate-bound", s.id, f"r({t}) = {r} outside [0, {s.max_rate}]"))
             elif abs(r) > tol:
                 violations.append(Violation(
                     "rate-outside-window", s.id, f"r({t}) = {r} outside sojourn"))
+    totals: dict[int, float] = {}
+    for sid, row in schedule.rates.items():
+        for t, r in enumerate(row, schedule.starts.get(sid, 0)):
+            totals[t] = totals.get(t, 0) + r
+    idle = 0.0 if schedule.rates else 0  # a slot outside every window
     for t in range(horizon):
         p = instance.power.at(t)
-        total = schedule.slot_total(t)
+        total = totals.get(t, idle)
         if total > p + 1e-9 * max(1.0, p):
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))

@@ -112,6 +112,13 @@ class Instance:
         points, _, members = self._active_index
         return members[bisect.bisect_right(points, t)]
 
+    def busy_slots(self):
+        """The slots of [0, horizon) at which some session is active, in order."""
+        points, active, _ = self._active_index
+        for k in range(1, len(points)):
+            if active[k]:
+                yield from range(max(points[k - 1], 0), min(points[k], self.horizon))
+
     @cached_property
     def _active_index(self):
         """(event points, active tuples, their positions): `active[k]` holds on

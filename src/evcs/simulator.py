@@ -6,8 +6,8 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .dynamics import (RunVerdict, Schedule, initial_state, laxity, min_laxity, step,
-                       window_metrics)
+from .dynamics import (RunVerdict, Schedule, SimState, initial_state, laxity, min_laxity,
+                       step)
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -18,33 +18,36 @@ class PolicyContractError(ContractError):
 
 
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
-    """Run one policy over the full horizon; deterministic for fixed inputs.
+    """Run one policy over the busy slots; deterministic for fixed inputs.
 
-    Every slot is decided, also slots without sessions, but the work per slot
-    follows `Instance.active_at`.  Oscillation and switch count come from
-    `window_metrics`, which walks each session's sojourn only: `step` rejects
-    a nonzero rate outside it, so the skipped terms are all +0.0 and the
-    results equal `Schedule.total_variation()` and `switch_count()` exactly.
+    Only the slots of `Instance.busy_slots` are decided and stepped, so `P(t)`
+    is never read at an idle slot: a negative power there is left to
+    `validate`, which rejects it.  Each row is a window over its sojourn
+    clipped to [0, horizon), joined over an id; `step` rejects rates outside it.
     """
     policy = get_policy(policy_name)
     horizon = instance.horizon
-    state = initial_state(instance)
-    rows = {s.id: [0.0] * horizon for s in instance.sessions}
+    starts, ends = {}, {}
+    for s in instance.sessions:
+        lo, hi = min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon)
+        starts[s.id], ends[s.id] = min(lo, starts.get(s.id, lo)), max(hi, ends.get(s.id, hi))
+    rows = {sid: [0.0] * (ends[sid] - lo) for sid, lo in starts.items()}
     max_rate = {s.id: s.max_rate for s in instance.sessions}
-    for t in range(horizon):
+    remaining = initial_state(instance).remaining
+    for t in instance.busy_slots():
+        state = SimState(t, remaining)  # an idle slot leaves every energy as it is
         rates = policy(state, instance, t).rates
         try:
-            applied = step(state, rates, instance)
+            remaining = step(state, rates, instance).remaining
         except ContractError as exc:
             raise PolicyContractError(str(exc)) from exc
         for sid, r in rates.items():
-            if r > 0.0:  # step let it through, so sid is an active session
-                rows[sid][t] = min(r, max_rate[sid], state.remaining[sid])
-        state = applied
-    schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
-    unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
+            if r > 0.0:  # step let it through, so sid is active and t in its window
+                rows[sid][t - starts[sid]] = min(r, max_rate[sid], state.remaining[sid])
+    schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()}, starts)
+    unmet = {s.id: remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
-    oscillation, switches = window_metrics(instance, schedule)
+    oscillation, switches = schedule._metrics()
     verdict = RunVerdict(
         feasible=feasible,
         min_laxity=min_laxity(instance, schedule),

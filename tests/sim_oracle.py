@@ -2,21 +2,55 @@
 
 `full_scan_step` and `full_scan_chargeable` find the active sessions by
 testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-scores a run with `Schedule.total_variation()` and `switch_count()` over the
-whole horizon.  `evcs.simulator.simulate` reads the sessions from
-`Instance.active_at` and limits the metrics to each sojourn, so it must
-return the same floats.  `full_scan_validate_schedule` tests every rate of
-every row and sums every slot column one by one; it pins the verdicts of
-`evcs.feasibility.validate_schedule`, which must stay equal to its own.
+steps every slot of the horizon into horizon-long rows, scored by
+`dense_metrics` and `dense_min_laxity`, which index every slot.
+`evcs.simulator.simulate` steps only the busy slots into rows over each
+sojourn, so `dense` of its schedule must equal the full scan's, and its
+verdict must be the same floats.  `full_scan_validate_schedule` reads every
+rate of every row through `Schedule.rate` and sums every slot column one by
+one; it pins the verdicts of `evcs.feasibility.validate_schedule`, which
+walks windows and must stay equal to it.
 """
+import math
 from unittest import mock
 
 from evcs import schedulers
-from evcs.dynamics import RATE_TOL, RunVerdict, Schedule, SimState, initial_state, min_laxity
+from evcs.dynamics import RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state, laxity
 from evcs.feasibility import DEMAND_TOL
 from evcs.model import ContractError, Violation
 from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import PolicyContractError
+
+
+def dense(schedule):
+    """The same schedule with horizon-long rows from slot 0, read through `Schedule.rate`."""
+    horizon = schedule.horizon
+    return Schedule(horizon, {sid: tuple(schedule.rate(sid, t) for t in range(horizon))
+                              for sid in schedule.rates})
+
+
+def dense_metrics(schedule):
+    """(total variation, switch count) of a dense schedule over every slot pair."""
+    variation, switches = 0, 0
+    for row in schedule.rates.values():
+        for t in range(schedule.horizon - 1):
+            variation += abs(row[t + 1] - row[t])
+            if (abs(row[t]) <= ZERO_EPS) != (abs(row[t + 1]) <= ZERO_EPS):
+                switches += 1
+    return variation, switches
+
+
+def dense_min_laxity(instance, schedule):
+    """`min_laxity` of a dense schedule, indexing each slot of each sojourn."""
+    horizon, lowest = schedule.horizon, math.inf
+    for s in instance.sessions:
+        rem, row = s.energy, schedule.rates[s.id]
+        end = min(s.departure, horizon)
+        for t in range(max(s.arrival, 0), end + 1):
+            lowest = min(lowest, laxity(s, t, max(rem, 0.0)))
+            if t < end:
+                rem -= row[t]
+    return lowest
 
 
 def full_scan_step(state, rates, instance):
@@ -76,23 +110,28 @@ def full_scan_simulate(instance, policy_name):
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
+    oscillation, switches = dense_metrics(schedule)
     verdict = RunVerdict(
         feasible=feasible,
-        min_laxity=min_laxity(instance, schedule),
+        min_laxity=dense_min_laxity(instance, schedule),
         unmet_energy=unmet,
-        oscillation=schedule.total_variation(),
-        switch_count=schedule.switch_count(),
+        oscillation=oscillation,
+        switch_count=switches,
     )
     return schedule, verdict
 
 
 def full_scan_validate_schedule(instance, schedule):
     horizon = instance.horizon
-    if schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}:
+    if (schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}
+            or any(schedule.starts.get(sid, 0) < 0
+                   or schedule.starts.get(sid, 0) + len(row) > horizon
+                   for sid, row in schedule.rates.items())):
         raise ContractError("schedule dimensions do not match the instance")
+    full = dense(schedule)
     violations = []
     for s in instance.sessions:
-        row = schedule.rates[s.id]
+        row = full.rates[s.id]
         tol = 1e-9 * max(1.0, s.max_rate)
         for t in range(horizon):
             r = row[t]
@@ -105,13 +144,15 @@ def full_scan_validate_schedule(instance, schedule):
                     "rate-outside-window", s.id, f"r({t}) = {r} outside sojourn"))
     for t in range(horizon):
         p = instance.power.at(t)
-        total = schedule.slot_total(t)
+        total = 0
+        for row in full.rates.values():
+            total += row[t]
         if total > p + 1e-9 * max(1.0, p):
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
     unmet = {}
     for s in instance.sessions:
-        short = s.energy - schedule.delivered(s.id)
+        short = s.energy - sum(full.rates[s.id])
         unmet[s.id] = max(short, 0.0)
         if short > DEMAND_TOL * s.energy:
             violations.append(Violation(
@@ -119,11 +160,12 @@ def full_scan_validate_schedule(instance, schedule):
         elif short < -DEMAND_TOL * s.energy:
             violations.append(Violation(
                 "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
+    oscillation, switches = dense_metrics(full)
     return RunVerdict(
         feasible=not violations,
-        min_laxity=min_laxity(instance, schedule),
+        min_laxity=dense_min_laxity(instance, full),
         unmet_energy=unmet,
-        oscillation=schedule.total_variation(),
-        switch_count=schedule.switch_count(),
+        oscillation=oscillation,
+        switch_count=switches,
         violations=tuple(violations),
     )

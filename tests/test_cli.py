@@ -17,6 +17,7 @@ from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, main
 from evcs.corpus import (generate, read_instance, reference_spec, reference_spec_spaced,
                          write_instance)
 from evcs.model import ChargingSession, ConstantPower, Instance
+from evcs.schedulers import POLICIES
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,20 @@ class TestRun:
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--alg", "sllf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("alg", sorted(POLICIES))
+    def test_huge_declared_horizon_runs_quickly(self, tmp_path, capsys, alg):
+        # rows cover the sojourn and only busy slots are stepped
+        reports = []
+        for horizon in (2, 10**10):
+            path = tmp_path / f"h{horizon}.evcs"
+            path.write_text(f"evcs-v1\nhorizon {horizon}\npower constant 1\na 0 2 1 1\n")
+            start = time.perf_counter()
+            assert main(["run", str(path), "--alg", alg]) == 0
+            assert time.perf_counter() - start < 1.0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
 
 
 class TestSweep:

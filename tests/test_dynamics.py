@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from evcs.dynamics import Schedule, SimState, initial_state, laxity, min_laxity, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
 
-from sim_oracle import full_scan_step
+from sim_oracle import dense, dense_metrics, full_scan_step
 
 
 class TestLaxity:
@@ -146,6 +146,35 @@ class TestSchedule:
         sch = Schedule(4, {"a": (1.0, 1.0, 1.0, 1.0)})
         assert sch.total_variation() == 0.0
         assert sch.switch_count() == 0
+
+    @pytest.mark.parametrize("horizon, rates, starts, rows", [
+        (0, {"a": ()}, {}, {"a": ()}),
+        (1, {"a": ()}, {}, {"a": (0.0,)}),
+        (1, {"a": ()}, {"a": 1}, {"a": (0.0,)}),
+        (1, {"a": (2.0,)}, {}, {"a": (2.0,)}),
+        (2, {"a": ()}, {"a": 1}, {"a": (0.0, 0.0)}),
+        (2, {"a": ()}, {"a": 2}, {"a": (0.0, 0.0)}),
+        (3, {}, {}, {}),
+        (4, {"a": (1.0,)}, {}, {"a": (1.0, 0.0, 0.0, 0.0)}),
+        (4, {"a": (0.5, -0.0)}, {"a": 1}, {"a": (0.0, 0.5, -0.0, 0.0)}),
+        (4, {"a": (0.25, 1.0)}, {"a": 2}, {"a": (0.0, 0.0, 0.25, 1.0)}),
+        (5, {"a": (1.0, 1e-13), "b": (3.0, 1e16, 1.0), "c": ()},
+         {"a": 0, "b": 2, "c": 3},
+         {"a": (1.0, 1e-13, 0.0, 0.0, 0.0), "b": (0.0, 0.0, 3.0, 1e16, 1.0),
+          "c": (0.0,) * 5}),
+    ], ids=["horizon-0", "horizon-1-start-0", "horizon-1-at-end", "horizon-1-full",
+            "empty-inside", "empty-at-horizon", "no-rows", "short-row-at-0", "inside",
+            "touching-horizon", "three-rows"])
+    def test_windows_read_as_their_dense_form(self, horizon, rates, starts, rows):
+        sch, full = Schedule(horizon, rates, starts), Schedule(horizon, rows)
+        assert dense(sch) == full
+        for t in range(horizon):
+            assert repr(sch.slot_total(t)) == repr(full.slot_total(t))
+            for sid in rates:
+                assert repr(sch.rate(sid, t)) == repr(full.rate(sid, t))
+        for sid in rates:
+            assert repr(sch.delivered(sid)) == repr(sum(rows[sid]))
+        assert repr((sch.total_variation(), sch.switch_count())) == repr(dense_metrics(full))
 
 
 

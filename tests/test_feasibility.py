@@ -12,7 +12,7 @@ from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
 
 from flow_oracle import slot_min_power_capacity, slot_offline_feasible
 from grid_oracle import grid_feasible, random_grid_instance
-from sim_oracle import full_scan_validate_schedule
+from sim_oracle import dense, full_scan_validate_schedule
 from evcs.simulator import simulate
 
 
@@ -40,7 +40,7 @@ class TestOfflineFeasible:
                         StepwisePower([1.0, 0.5]))
         ok, sch = offline_feasible(inst)
         assert ok
-        assert sch.rates["a"] == pytest.approx((1.0, 0.5))
+        assert dense(sch).rates["a"] == pytest.approx((1.0, 0.5))
         tight = Instance((ChargingSession("a", 0, 2, 1.6, 1.0),),
                          StepwisePower([1.0, 0.5]))
         assert not offline_feasible(tight)[0]
@@ -57,7 +57,7 @@ class TestOfflineFeasible:
     def test_zero_demand_witness_covers_every_session(self):
         inst = single_ev(energy=0.0)
         ok, sch = offline_feasible(inst)
-        assert ok and sch.rates == {"a": (0.0, 0.0)}
+        assert ok and dense(sch).rates == {"a": (0.0, 0.0)}
         assert validate_schedule(inst, sch).feasible
 
     def test_monotone_in_power(self, reference_corpus):
@@ -307,7 +307,8 @@ class TestIntervalNetworkAgainstSlots:
                          ChargingSession("b", 2, 4, 1.0, 1.0)), ConstantPower(1.0))
         ok, witness = offline_feasible(inst)
         assert ok
-        a, b = witness.rates["a"], witness.rates["b"]
+        assert witness.starts == {"a": 0, "b": 2} and len(witness.rates["b"]) == 2
+        a, b = dense(witness).rates["a"], dense(witness).rates["b"]
         assert a[0] == a[1] and a[2] == a[3] and a[4] == a[5]
         assert b[2] == b[3] and b[:2] == b[4:] == (0.0, 0.0)
 
@@ -360,8 +361,11 @@ def random_schedule_case(rng: random.Random):
 
     Rates inside a sojourn may sit just over the peak rate, go negative or
     be NaN; outside it they are mostly exact zeros, sometimes -0.0, a value
-    under or over the tolerance, or NaN.  Ids repeat now and then, windows
+    under or over the tolerance, or NaN.  Ids repeat now and then, sojourns
     may reach past either end of the horizon, and power may be stepwise.
+    About half the rows are windows: the sojourn clipped to the horizon, a
+    part of it, more than it, a stretch beside it, an empty one, or one that
+    touches slot 0 or the horizon.
     """
     horizon = rng.randint(0, 12)
     sessions = []
@@ -389,24 +393,62 @@ def random_schedule_case(rng: random.Random):
             return 0.0
         return rng.choice([-0.0, 1e-15, -1e-15, 1e-6, -0.5, math.nan])
 
-    rates = {}
+    def window(lo, hi):
+        """A window near the sojourn [lo, hi), already clipped to the horizon."""
+        cut = rng.randint(0, horizon)
+        return rng.choice([
+            (lo, hi), (0, horizon), (0, cut), (cut, horizon), (cut, cut),
+            (rng.randint(lo, max(lo, hi)), rng.randint(lo, max(lo, hi))),
+            (rng.randint(0, lo), rng.randint(max(lo, hi), horizon)),
+            (rng.randint(0, lo), lo), (max(lo, hi), rng.randint(max(lo, hi), horizon)),
+        ])
+
+    rates, starts = {}, {}
     for s in sessions:
         if s.id in rates:
             continue
-        window = [s2 for s2 in sessions if s2.id == s.id]
+        group = [s2 for s2 in sessions if s2.id == s.id]
+        start, end = 0, horizon
+        if rng.random() < 0.5:
+            clip = [(min(max(w.arrival, 0), horizon), min(max(w.departure, 0), horizon))
+                    for w in group]
+            start, end = window(min(lo for lo, _ in clip), max(hi for _, hi in clip))
+            start, end = min(start, end), max(start, end)
+            starts[s.id] = start
         rates[s.id] = tuple(
-            inside(s.max_rate) if any(w.arrival <= t < w.departure for w in window)
+            inside(s.max_rate) if any(w.arrival <= t < w.departure for w in group)
             else outside()
-            for t in range(horizon))
+            for t in range(start, end))
     keys = list(rates)
     rng.shuffle(keys)
-    return inst, Schedule(horizon, {sid: rates[sid] for sid in keys})
+    return inst, Schedule(horizon, {sid: rates[sid] for sid in keys}, starts)
+
+
+def window_kinds(inst, sch):
+    """How each window of the schedule lies against its clipped sojourn."""
+    kinds = set()
+    for sid, start in sch.starts.items():
+        end = start + len(sch.rates[sid])
+        clip = [(min(max(s.arrival, 0), inst.horizon), min(max(s.departure, 0), inst.horizon))
+                for s in inst.sessions if s.id == sid]
+        lo, hi = min(a for a, _ in clip), max(d for _, d in clip)
+        if start == end:
+            kinds.add("empty")
+        elif end <= lo or start >= hi:
+            kinds.add("disjoint")
+        elif (start, end) != (lo, hi):
+            kinds.add("shorter" if lo <= start and end <= hi else "longer")
+        if start == 0:
+            kinds.add("at-0")
+        if end == inst.horizon:
+            kinds.add("at-horizon")
+    return kinds
 
 
 class TestValidateAgainstFullScan:
     def test_same_verdicts_on_random_schedules(self):
         rng = random.Random(707)
-        codes = set()
+        codes, kinds = set(), set()
         for _ in range(1500):
             inst, sch = random_schedule_case(rng)
             verdict = validate_schedule(inst, sch)
@@ -415,8 +457,10 @@ class TestValidateAgainstFullScan:
             if "nan" not in repr(expected):
                 assert verdict == expected
             codes.update(v.code for v in expected.violations)
+            kinds |= window_kinds(inst, sch)
         assert codes == {"rate-bound", "rate-outside-window", "power-bound",
                          "demand-unmet", "demand-exceeded"}
+        assert kinds == {"empty", "disjoint", "shorter", "longer", "at-0", "at-horizon"}
 
     def test_same_verdicts_on_simulated_runs(self, reference_corpus, spaced_corpus):
         for inst in reference_corpus[::30] + spaced_corpus[::30]:
@@ -426,7 +470,13 @@ class TestValidateAgainstFullScan:
                     full_scan_validate_schedule(inst, schedule)
 
     def test_row_length_must_match_horizon(self, instance_ia):
-        for row in [(0.75,), (0.5, 0.25, 0.0)]:
-            sch = Schedule(2, {"EV1": row, "EV2": (0.75, 0.5)})
-            with pytest.raises(ContractError, match="dimensions"):
-                validate_schedule(instance_ia, sch)
+        # a window must lie inside [0, horizon); a short row at 0 ends in zeros
+        for row, start in [((0.5, 0.25, 0.0), 0), ((0.75,), -1), ((0.75,), 2), ((0.5, 0.5), 1)]:
+            sch = Schedule(2, {"EV1": row, "EV2": (0.75, 0.5)}, {"EV1": start})
+            for check in (validate_schedule, full_scan_validate_schedule):
+                with pytest.raises(ContractError, match="dimensions"):
+                    check(instance_ia, sch)
+        short = validate_schedule(instance_ia, Schedule(2, {"EV1": (0.75,), "EV2": (0.75, 0.5)}))
+        padded = Schedule(2, {"EV1": (0.75, 0.0), "EV2": (0.75, 0.5)})
+        assert repr(short) == repr(validate_schedule(instance_ia, padded))
+        assert not short.feasible and {v.code for v in short.violations} == {"power-bound"}

@@ -13,7 +13,7 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness,
                             simulate, success_rate, worker_count)
 
-from sim_oracle import full_scan_simulate
+from sim_oracle import dense, full_scan_simulate
 
 
 def witness_instance():
@@ -103,6 +103,20 @@ class TestSimulate:
         finally:
             del POLICIES["__bad__"]
 
+    def test_idle_slots_read_no_power(self):
+        # negative power only before the first arrival and in the idle tail;
+        # `validate` rejects it, `simulate` never reads it
+        sessions = (ChargingSession("a", 2, 4, 1.5, 1.0), ChargingSession("b", 3, 5, 1.0, 1.0))
+        negative = Instance(sessions, StepwisePower([-1.0, -2.0, 1.5, 1.5, 1.5, -1.0, -3.0]))
+        zeroed = Instance(sessions, StepwisePower([0.0, 0.0, 1.5, 1.5, 1.5, 0.0, 0.0]))
+        assert {v.code for v in validate(negative)} == {"negative-power"}
+        assert validate(zeroed) == []
+        for name in POLICIES:
+            schedule, verdict = simulate(negative, name)
+            expected, expected_verdict = simulate(zeroed, name)
+            assert dense(schedule) == dense(expected), name
+            assert repr(verdict) == repr(expected_verdict), name
+
 
 class TestAggregation:
     def test_success_rate_empty_corpus_warns(self):
@@ -188,10 +202,10 @@ def valid_instances(draw):
 
 
 def assert_same_run(instance, policy):
-    """`simulate` returns the full-scan run's repr, and its windowed metrics
-    are the `Schedule` methods' values."""
+    """`simulate` returns the full-scan run's repr once its schedule is made
+    dense, and its metrics are the `Schedule` methods' values."""
     schedule, verdict = simulate(instance, policy)
-    assert repr((schedule, verdict)) == repr(full_scan_simulate(instance, policy))
+    assert repr((dense(schedule), verdict)) == repr(full_scan_simulate(instance, policy))
     assert repr((verdict.oscillation, verdict.switch_count)) == \
         repr((schedule.total_variation(), schedule.switch_count()))
 
