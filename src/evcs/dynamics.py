@@ -61,7 +61,7 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
         r = min(max(r, 0.0), cap)
         remaining[sid] = max(remaining[sid] - r, 0.0)
         total += r
-    if total > p_limit + power_tol:
+    if not total <= p_limit + power_tol:  # a NaN power fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
     return SimState(t + 1, remaining)
 

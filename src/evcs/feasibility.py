@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .dynamics import RunVerdict, Schedule, min_laxity
+from .dynamics import RATE_TOL, RunVerdict, Schedule, min_laxity
 from .model import ContractError, Instance, StepwisePower, Violation
 from .netflow import FlowGraph
 
@@ -150,7 +150,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     for s in instance.sessions:
         row, start = schedule.rates[s.id], schedule.starts.get(s.id, 0)
         arrival, departure = (min(max(x, 0), horizon) for x in (s.arrival, s.departure))
-        lo, tol = min(start, arrival), 1e-9 * max(1.0, s.max_rate)
+        lo, tol = min(start, arrival), RATE_TOL * max(1.0, s.max_rate)
         for t, r in zip(range(lo, max(start + len(row), departure)),
                         schedule._rates_from(s.id, lo)):
             if arrival <= t < departure:
@@ -168,7 +168,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     for t in range(horizon):
         p = instance.power.at(t)
         total = totals.get(t, idle)
-        if total > p + 1e-9 * max(1.0, p):
+        if total > p + RATE_TOL * max(1.0, p):
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
     unmet = {}

@@ -46,11 +46,11 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     c + cap / a, so one sorted sweep over those 2n breakpoints finds the
     segment holding p_limit, where one linear equation gives L (the
     continuous-knapsack breakpoint search).  L is +inf when the caps fit
-    under p_limit and -inf when there is no power to share.
+    under p_limit and -inf when there is no power to share, NaN included.
     """
     if sum(caps) <= p_limit:
         return math.inf, 0
-    if p_limit <= 0.0:
+    if not p_limit > 0.0:
         return -math.inf, 0
     points = sorted([(c, a) for a, c in zip(slopes, offsets)]
                     + [(c + cap / a, -a) for a, c, cap in zip(slopes, offsets, caps)])

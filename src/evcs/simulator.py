@@ -1,10 +1,11 @@
-"""Drives a policy over an instance slot by slot and scores the outcome."""
+"""Drives a policy over an instance slot by slot and scores the outcome.
+
+Everything runs serially in the calling process: the corpus sweeps and the
+augmentation search share `run_feasibility`, one `simulate` per instance.
+"""
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 from .dynamics import (RunVerdict, Schedule, SimState, initial_state, laxity, min_laxity,
                        step)
@@ -58,26 +59,9 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     return schedule, verdict
 
 
-def worker_count() -> int:
-    """Worker cap from EVCS_THREADS; 1 (serial) unless the variable is set."""
-    raw = os.environ.get("EVCS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _feasible_under(policy_name: str, instance: Instance) -> bool:
-    return simulate(instance, policy_name)[1].feasible
-
-
 def run_feasibility(instances, policy_name: str) -> list[bool]:
-    """Per-instance feasibility flags, fanned out across workers when allowed."""
-    workers = worker_count()
-    if workers > 1 and len(instances) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(_feasible_under, policy_name), instances))
-    return [_feasible_under(policy_name, inst) for inst in instances]
+    """Per-instance feasibility flags, one serial `simulate` each, in input order."""
+    return [simulate(inst, policy_name)[1].feasible for inst in instances]
 
 
 def success_rate(instances, policy_name: str) -> float:

@@ -238,15 +238,34 @@ class TestCheck:
             json_row["min_power_capacity"])
 
 
+def run_python(args, **env_vars):
+    """`python args...` with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("EVCS_THREADS", None)
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_check(self, ia_file):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-m", "evcs", "check", ia_file],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = run_python(["-m", "evcs", "check", ia_file])
         assert done.returncode == 0, done.stderr
         assert rows_from_csv(done.stdout)[0]["offline_feasible"] == "True"
+
+    def test_cli_runs_as_one_serial_process(self, tmp_path):
+        probe = run_python(["-c", "import sys, evcs.cli; print('multiprocessing' in sys.modules)"])
+        assert probe.stdout == "False\n", probe.stderr
+        spec = dataclasses.replace(reference_spec(), count=3, evs_max=4)
+        for k, inst in enumerate(generate(spec)):
+            write_instance(inst, tmp_path / f"instance_{k:04d}.evcs")
+        argv = ["-m", "evcs", "sweep", str(tmp_path), "--algs", ",".join(POLICIES)]
+        serial, pooled = run_python(argv), run_python(argv, EVCS_THREADS="2")
+        assert serial.returncode == 0, serial.stderr
+        assert (pooled.stdout, pooled.stderr, pooled.returncode) == \
+            (serial.stdout, serial.stderr, serial.returncode)
 
 
 class TestRun:

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import warnings
 
@@ -10,8 +9,8 @@ from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
 from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
-                            instance_metrics, run_feasibility, separation_witness,
-                            simulate, success_rate, worker_count)
+                            instance_metrics, separation_witness, simulate,
+                            success_rate)
 
 from sim_oracle import dense, full_scan_simulate
 
@@ -117,6 +116,13 @@ class TestSimulate:
             assert dense(schedule) == dense(expected), name
             assert repr(verdict) == repr(expected_verdict), name
 
+    @pytest.mark.parametrize("powers, slot", [([1.0, math.nan], 1), ([math.nan, math.nan], 0)])
+    def test_nan_power_at_a_busy_slot_is_a_contract_error(self, powers, slot):
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), StepwisePower(powers))
+        for name in POLICIES:
+            with pytest.raises(PolicyContractError, match=f"at slot {slot}$"):
+                simulate(inst, name)
+
 
 class TestAggregation:
     def test_success_rate_empty_corpus_warns(self):
@@ -128,24 +134,6 @@ class TestAggregation:
     def test_success_rate_counts(self, instance_ia):
         bad = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(0.5))
         assert success_rate([instance_ia, bad], "sllf") == 0.5
-
-    def test_parallel_matches_serial(self, reference_corpus):
-        sample = reference_corpus[:6]
-        serial = run_feasibility(sample, "sllf")
-        os.environ["EVCS_THREADS"] = "2"
-        try:
-            assert worker_count() == 2
-            assert run_feasibility(sample, "sllf") == serial
-        finally:
-            del os.environ["EVCS_THREADS"]
-
-    def test_worker_count_defaults_and_garbage(self):
-        assert worker_count() == 1
-        os.environ["EVCS_THREADS"] = "banana"
-        try:
-            assert worker_count() == 1
-        finally:
-            del os.environ["EVCS_THREADS"]
 
     def test_instance_metrics(self):
         inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),
