@@ -175,5 +175,8 @@ def corpus_bound_inputs(instances) -> BoundInputs:
         lo, hi = inst.power.bounds(inst.horizon)
         p_lo, p_hi = min(p_lo, lo), max(p_hi, hi)
     # arrivals are integer slots strictly more than the gap floor apart
-    min_gap = (min(gaps) - 1) if gaps else 1
-    return BoundInputs(max_demand, max(min_gap, 1), p_lo, p_hi)
+    spacing = min(gaps, default=2)
+    if spacing < 2:
+        raise ContractError(f"theorem 1 needs arrivals at least 2 slots apart, and the "
+                            f"smallest arrival spacing is {spacing}")
+    return BoundInputs(max_demand, spacing - 1, p_lo, p_hi)

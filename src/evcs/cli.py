@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import augmentation, corpus, feasibility, simulator
+from . import augmentation, corpus, dynamics, feasibility, simulator
 from .augmentation import AugmentationMode
 from .model import ContractError, validate
 from .schedulers import POLICIES
@@ -60,6 +60,8 @@ def _load_corpus(path: Path):
 
 def _parse_algs(raw: str) -> list[str]:
     algs = [a.strip() for a in raw.split(",") if a.strip()]
+    if not algs:
+        raise SystemExit2(f"--algs names no algorithm; valid: {', '.join(sorted(POLICIES))}")
     for a in algs:
         if a not in POLICIES:
             raise SystemExit2(f"unknown algorithm {a!r}; valid: {', '.join(sorted(POLICIES))}")
@@ -124,10 +126,11 @@ def cmd_run(args) -> int:
     rows = [(sid, t, r) for sid, row in schedule.rates.items()
             for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
     _emit(rows + [("__verdict__", -1, "")], ["session", "slot", "rate"], args.json)
+    oscillation, switches = schedule._metrics()
     ratio, norm_lax = simulator.instance_metrics(inst)
     print(f"# alg={args.alg} feasible={verdict.feasible} "
-          f"min_laxity={verdict.min_laxity:.6g} oscillation={verdict.oscillation:.6g} "
-          f"switches={verdict.switch_count} sojourn_ratio={ratio:.6g} "
+          f"min_laxity={dynamics.min_laxity(inst, schedule):.6g} oscillation={oscillation:.6g} "
+          f"switches={switches} sojourn_ratio={ratio:.6g} "
           f"min_norm_laxity={norm_lax:.6g}", file=sys.stderr)
     return 0 if verdict.feasible else 1
 

@@ -111,6 +111,7 @@ class Schedule:
         """(total variation, switch count) in one walk over each window and its
         bordering zeros in [0, horizon); any other slot pair adds +0.0 and no
         switch.  A running sum in row order: `sum()` compensates from 3.12 on.
+        `evcs run` prints both, so it takes them from this one walk.
         """
         horizon, switches = self.horizon, 0
         variation = 0.0 if self.rates and horizon > 1 else 0
@@ -145,12 +146,10 @@ def min_laxity(instance: Instance, schedule: Schedule) -> float:
 
 @dataclass(frozen=True)
 class RunVerdict:
-    """Feasibility outcome of a schedule plus the scalar metrics of a run."""
+    """The outcome of a run or of a schedule check; the run metrics are functions
+    of the schedule: `min_laxity`, `Schedule.total_variation` and `.switch_count`."""
 
     feasible: bool
-    min_laxity: float
     unmet_energy: dict[str, float]
-    oscillation: float
-    switch_count: int
     violations: tuple = ()
 

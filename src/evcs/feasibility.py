@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .dynamics import RATE_TOL, RunVerdict, Schedule, min_laxity
+from .dynamics import RATE_TOL, RunVerdict, Schedule
 from .model import ContractError, Instance, StepwisePower, Violation
 from .netflow import FlowGraph
 
@@ -181,11 +181,4 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
         elif short < -DEMAND_TOL * s.energy:
             violations.append(Violation(
                 "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
-    return RunVerdict(
-        feasible=not violations,
-        min_laxity=min_laxity(instance, schedule),
-        unmet_energy=unmet,
-        oscillation=schedule.total_variation(),
-        switch_count=schedule.switch_count(),
-        violations=tuple(violations),
-    )
+    return RunVerdict(not violations, unmet, tuple(violations))

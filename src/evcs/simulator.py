@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import warnings
 
-from .dynamics import (RunVerdict, Schedule, SimState, initial_state, laxity, min_laxity,
-                       step)
+from .dynamics import RunVerdict, Schedule, SimState, initial_state, laxity, step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -48,15 +47,7 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()}, starts)
     unmet = {s.id: remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
-    oscillation, switches = schedule._metrics()
-    verdict = RunVerdict(
-        feasible=feasible,
-        min_laxity=min_laxity(instance, schedule),
-        unmet_energy=unmet,
-        oscillation=oscillation,
-        switch_count=switches,
-    )
-    return schedule, verdict
+    return schedule, RunVerdict(feasible, unmet)
 
 
 def run_feasibility(instances, policy_name: str) -> list[bool]:

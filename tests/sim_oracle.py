@@ -2,11 +2,12 @@
 
 `full_scan_step` and `full_scan_chargeable` find the active sessions by
 testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-steps every slot of the horizon into horizon-long rows, scored by
-`dense_metrics` and `dense_min_laxity`, which index every slot.
+steps every slot of the horizon into horizon-long rows.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
-verdict must be the same floats.  `full_scan_validate_schedule` reads every
+verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
+which index every slot of a dense schedule, pin `Schedule._metrics` and
+`min_laxity` of the windowed one.  `full_scan_validate_schedule` reads every
 rate of every row through `Schedule.rate` and sums every slot column one by
 one; it pins the verdicts of `evcs.feasibility.validate_schedule`, which
 walks windows and must stay equal to it.
@@ -15,7 +16,8 @@ import math
 from unittest import mock
 
 from evcs import schedulers
-from evcs.dynamics import RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state, laxity
+from evcs.dynamics import (RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state,
+                           laxity, min_laxity)
 from evcs.feasibility import DEMAND_TOL
 from evcs.model import ContractError, Violation
 from evcs.schedulers import FINISHED_EPS, POLICIES
@@ -51,6 +53,13 @@ def dense_min_laxity(instance, schedule):
             if t < end:
                 rem -= row[t]
     return lowest
+
+
+def assert_dense_metrics(instance, schedule):
+    """`Schedule._metrics` and `min_laxity` give the dense schedule's values, float for float."""
+    full = dense(schedule)
+    assert repr(schedule._metrics()) == repr(dense_metrics(full))
+    assert repr(min_laxity(instance, schedule)) == repr(dense_min_laxity(instance, full))
 
 
 def full_scan_step(state, rates, instance):
@@ -110,15 +119,7 @@ def full_scan_simulate(instance, policy_name):
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
-    oscillation, switches = dense_metrics(schedule)
-    verdict = RunVerdict(
-        feasible=feasible,
-        min_laxity=dense_min_laxity(instance, schedule),
-        unmet_energy=unmet,
-        oscillation=oscillation,
-        switch_count=switches,
-    )
-    return schedule, verdict
+    return schedule, RunVerdict(feasible, unmet)
 
 
 def full_scan_validate_schedule(instance, schedule):
@@ -160,12 +161,4 @@ def full_scan_validate_schedule(instance, schedule):
         elif short < -DEMAND_TOL * s.energy:
             violations.append(Violation(
                 "demand-exceeded", s.id, f"delivered exceeds demand by {-short}"))
-    oscillation, switches = dense_metrics(full)
-    return RunVerdict(
-        feasible=not violations,
-        min_laxity=dense_min_laxity(instance, full),
-        unmet_energy=unmet,
-        oscillation=oscillation,
-        switch_count=switches,
-        violations=tuple(violations),
-    )
+    return RunVerdict(not violations, unmet, tuple(violations))

@@ -208,6 +208,18 @@ class TestCorpusBoundInputs:
         assert inputs.p_min == 1.0
         assert inputs.p_max == 2.0
 
+    @pytest.mark.parametrize("second_arrival", [0, 1])
+    def test_arrivals_closer_than_two_slots_are_rejected(self, second_arrival):
+        # the gap floor would be below one slot, outside theorem 1's hypothesis
+        spaced = Instance((ChargingSession("x", 0, 4, 1.0, 1.0),
+                           ChargingSession("y", 2, 4, 1.0, 1.0)), ConstantPower(1.0))
+        close = Instance((ChargingSession("x", 0, 4, 1.0, 1.0),
+                          ChargingSession("y", second_arrival, 4, 1.0, 1.0)), ConstantPower(1.0))
+        assert corpus_bound_inputs([spaced]).min_arrival_gap == 1
+        with pytest.raises(ContractError,
+                           match=f"smallest arrival spacing is {second_arrival}$"):
+            corpus_bound_inputs([spaced, close])
+
     def test_spaced_corpus_matches_declared_floor(self, spaced_corpus):
         inputs = corpus_bound_inputs(spaced_corpus)
         assert inputs.min_arrival_gap >= 4

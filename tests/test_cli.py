@@ -277,6 +277,15 @@ class TestRun:
         assert delivered == pytest.approx(2.0, abs=1e-6)
         assert "feasible=True" in captured.err
 
+    @pytest.mark.parametrize("alg, summary", [
+        ("sllf", "min_laxity=0 oscillation=0.5 switches=0"),
+        ("llf", "min_laxity=0 oscillation=1.5 switches=1"),
+    ])
+    def test_summary_line(self, ia_file, capsys, alg, summary):
+        assert main(["run", ia_file, "--alg", alg]) == 0
+        assert capsys.readouterr().err == (f"# alg={alg} feasible=True {summary} "
+                                           f"sojourn_ratio=1 min_norm_laxity=0.375\n")
+
     def test_infeasible_run_exits_one(self, tmp_path, capsys):
         inst = Instance((ChargingSession("a", 0, 2, 1.9, 1.0),), ConstantPower(0.5))
         path = tmp_path / "tight.evcs"
@@ -362,6 +371,16 @@ class TestSweep:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["instances"] for r in rows] == [2, 1, 1]
 
+    @pytest.mark.parametrize("command", [["sweep"], ["augment", "--mode", "power"]],
+                             ids=["sweep", "augment"])
+    @pytest.mark.parametrize("algs", [",", "", " , "], ids=["comma", "empty", "spaces"])
+    def test_empty_algs_exit_two(self, corpus_dir, capsys, command, algs):
+        assert main([command[0], str(corpus_dir), "--algs", algs, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --algs names no algorithm; "
+                                "valid: edf, es, llf, olp, rep, sllf\n")
+
     def test_file_exits_two(self, ia_file, capsys):
         assert main(["sweep", ia_file, "--algs", "sllf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -419,6 +438,18 @@ class TestAugment:
         assert captured.out.splitlines()[1] == "sllf,power,0.0,,0.0,0.07"
         assert captured.err == ("note: theorem1_bound left blank: theorem 1 needs at "
                                 "least one session, and the corpus has none\n")
+
+    def test_simultaneous_arrivals_leave_theorem1_blank(self, tmp_path, capsys):
+        (tmp_path / "instance_0000.evcs").write_text(
+            "evcs-v1\nhorizon 4\npower constant 2\na 1 3 1 1\nb 1 4 1 1\n")
+        assert main(["augment", str(tmp_path), "--algs", "sllf,edf", "--mode", "power"]) == 0
+        captured = capsys.readouterr()
+        rows = rows_from_csv(captured.out)
+        assert [row["theorem1_bound"] for row in rows] == ["", ""]
+        assert all(row["theorem2_bound_max"] != "" for row in rows)
+        assert captured.err == ("note: theorem1_bound left blank: theorem 1 needs arrivals "
+                                "at least 2 slots apart, and the smallest arrival spacing "
+                                "is 0\n")
 
     def test_zero_power_leaves_theorem2_blank(self, tmp_path, capsys):
         (tmp_path / "instance_0000.evcs").write_text(

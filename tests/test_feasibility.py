@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from evcs.dynamics import Schedule
+from evcs.dynamics import Schedule, min_laxity
 from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network,
                               is_offline_feasible, min_power_capacity,
                               offline_feasible, validate_schedule)
@@ -12,7 +12,7 @@ from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
 
 from flow_oracle import slot_min_power_capacity, slot_offline_feasible
 from grid_oracle import grid_feasible, random_grid_instance
-from sim_oracle import dense, full_scan_validate_schedule
+from sim_oracle import assert_dense_metrics, dense, full_scan_validate_schedule
 from evcs.simulator import simulate
 
 
@@ -320,7 +320,7 @@ class TestValidateSchedule:
         assert verdict.feasible
         assert verdict.unmet_energy == {"EV1": 0.0, "EV2": 0.0}
         # the trace ends with both sessions finished exactly at departure
-        assert verdict.min_laxity == pytest.approx(0.0)
+        assert min_laxity(instance_ia, sch) == pytest.approx(0.0)
 
     def test_demand_unmet(self, instance_ia):
         sch = Schedule(2, {"EV1": (0.25, 0.5), "EV2": (0.75, 0.0)})
@@ -454,6 +454,7 @@ class TestValidateAgainstFullScan:
             verdict = validate_schedule(inst, sch)
             expected = full_scan_validate_schedule(inst, sch)
             assert repr(verdict) == repr(expected)
+            assert_dense_metrics(inst, sch)
             if "nan" not in repr(expected):
                 assert verdict == expected
             codes.update(v.code for v in expected.violations)
@@ -468,6 +469,7 @@ class TestValidateAgainstFullScan:
                 schedule, _ = simulate(inst, policy)
                 assert validate_schedule(inst, schedule) == \
                     full_scan_validate_schedule(inst, schedule)
+                assert_dense_metrics(inst, schedule)
 
     def test_row_length_must_match_horizon(self, instance_ia):
         # a window must lie inside [0, horizon); a short row at 0 ends in zeros
@@ -476,7 +478,10 @@ class TestValidateAgainstFullScan:
             for check in (validate_schedule, full_scan_validate_schedule):
                 with pytest.raises(ContractError, match="dimensions"):
                     check(instance_ia, sch)
-        short = validate_schedule(instance_ia, Schedule(2, {"EV1": (0.75,), "EV2": (0.75, 0.5)}))
+        short_row = Schedule(2, {"EV1": (0.75,), "EV2": (0.75, 0.5)})
+        short = validate_schedule(instance_ia, short_row)
         padded = Schedule(2, {"EV1": (0.75, 0.0), "EV2": (0.75, 0.5)})
         assert repr(short) == repr(validate_schedule(instance_ia, padded))
+        assert repr((short_row._metrics(), min_laxity(instance_ia, short_row))) == \
+            repr((padded._metrics(), min_laxity(instance_ia, padded)))
         assert not short.feasible and {v.code for v in short.violations} == {"power-bound"}

@@ -5,6 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evcs.dynamics import min_laxity
 from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
 from evcs.schedulers import POLICIES, RateDecision
@@ -12,7 +13,7 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, separation_witness, simulate,
                             success_rate)
 
-from sim_oracle import dense, full_scan_simulate
+from sim_oracle import assert_dense_metrics, dense, full_scan_simulate
 
 
 def witness_instance():
@@ -28,14 +29,14 @@ class TestSimulate:
         assert verdict.feasible
         assert schedule.rates["EV1"] == pytest.approx((0.25, 0.5), abs=1e-8)
         assert schedule.rates["EV2"] == pytest.approx((0.75, 0.5), abs=1e-8)
-        assert verdict.oscillation == pytest.approx(0.5, abs=1e-8)
+        assert schedule.total_variation() == pytest.approx(0.5, abs=1e-8)
 
     def test_canonical_llf_oscillates_more(self, instance_ia):
         schedule, verdict = simulate(instance_ia, "llf")
         assert verdict.feasible
         assert schedule.rates["EV1"] == pytest.approx((0.0, 0.75))
         assert schedule.rates["EV2"] == pytest.approx((1.0, 0.25))
-        assert verdict.oscillation == pytest.approx(1.5)
+        assert schedule.total_variation() == pytest.approx(1.5)
 
     def test_deterministic(self, reference_corpus):
         inst = reference_corpus[0]
@@ -115,6 +116,8 @@ class TestSimulate:
             expected, expected_verdict = simulate(zeroed, name)
             assert dense(schedule) == dense(expected), name
             assert repr(verdict) == repr(expected_verdict), name
+            assert repr((schedule._metrics(), min_laxity(negative, schedule))) == \
+                repr((expected._metrics(), min_laxity(zeroed, expected))), name
 
     @pytest.mark.parametrize("powers, slot", [([1.0, math.nan], 1), ([math.nan, math.nan], 0)])
     def test_nan_power_at_a_busy_slot_is_a_contract_error(self, powers, slot):
@@ -191,11 +194,10 @@ def valid_instances(draw):
 
 def assert_same_run(instance, policy):
     """`simulate` returns the full-scan run's repr once its schedule is made
-    dense, and its metrics are the `Schedule` methods' values."""
+    dense, and the windowed metrics are those of the dense schedule."""
     schedule, verdict = simulate(instance, policy)
     assert repr((dense(schedule), verdict)) == repr(full_scan_simulate(instance, policy))
-    assert repr((verdict.oscillation, verdict.switch_count)) == \
-        repr((schedule.total_variation(), schedule.switch_count()))
+    assert_dense_metrics(instance, schedule)
 
 
 class TestAgainstFullScan:
