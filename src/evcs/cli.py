@@ -62,9 +62,11 @@ def _parse_algs(raw: str) -> list[str]:
     algs = [a.strip() for a in raw.split(",") if a.strip()]
     if not algs:
         raise SystemExit2(f"--algs names no algorithm; valid: {', '.join(sorted(POLICIES))}")
-    for a in algs:
+    for k, a in enumerate(algs):
         if a not in POLICIES:
             raise SystemExit2(f"unknown algorithm {a!r}; valid: {', '.join(sorted(POLICIES))}")
+        if a in algs[:k]:
+            raise SystemExit2(f"--algs names {a} twice")
     return algs
 
 

@@ -30,10 +30,17 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 
 @dataclass(frozen=True)
 class SimState:
-    """Simulation state at the start of slot t: remaining energy per session."""
+    """Simulation state at the start of slot t: remaining energy per session.
+
+    `memory` is what a policy keeps from one slot to the next of one run:
+    OLP's plan.  `simulate` creates it once per run and `step` carries it on.
+    It takes no part in equality, and a state without it (None) gets every
+    decision solved afresh.
+    """
 
     t: int
     remaining: dict[str, float]
+    memory: dict | None = field(default=None, compare=False, repr=False)
 
 
 def initial_state(instance: Instance) -> SimState:
@@ -63,7 +70,7 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
         total += r
     if not total <= p_limit + power_tol:  # a NaN power fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
-    return SimState(t + 1, remaining)
+    return SimState(t + 1, remaining, state.memory)
 
 
 @dataclass(frozen=True)

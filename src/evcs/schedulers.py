@@ -21,7 +21,17 @@ FINISHED_EPS = 1e-12
 
 @dataclass
 class RateDecision:
-    """This slot's rates, the sLLF water-level (when applicable), and solver stats."""
+    """This slot's rates, the sLLF water-level (when applicable), and solver stats.
+
+    The `diagnostics` keys, all optional, are:
+
+    - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
+    - `olp_shipped` (olp): the energy a fresh solve shipped over its window;
+    - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
+      follows; a decision without it was solved at its own slot;
+    - `olp_fallback` (olp): True when the residual problem could not ship every
+      remaining demand and the sLLF rates were taken.
+    """
 
     rates: dict[str, float]
     threshold: float | None = None
@@ -152,10 +162,28 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     If the residual problem cannot ship all remaining demand, this slot falls
     back to the sLLF rates.  A negative power in the window is a
     `ContractError` naming its slot.
+
+    In a run (`state.memory` set, as `simulate` sets it) a solve keeps its
+    flow as a plan, each session's rates over the window, and later slots
+    follow it until a chargeable session is one the plan does not hold
+    (sessions are held by object, so a repeated id solves again), the window
+    ends, or the solve fell back.  The rest of a min-cost flow stays min-cost
+    for the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9),
+    so a followed slot ships a fresh solve's slot total; only the split
+    between sessions may differ, by max-flow tie-breaks.  Without run memory
+    every slot is solved.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
         return RateDecision({})
+    memory = state.memory
+    plan = memory.get("olp") if memory is not None else None
+    if plan is not None:
+        owner, start, end, planned = plan
+        rows = [planned.get(id(s)) for s in evs]
+        if owner is instance and start <= t < end and None not in rows:
+            return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
+                                diagnostics={"olp_plan_slot": start})
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
@@ -167,27 +195,29 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         rem = state.remaining[s.id]
         demand += rem
         g.add_edge(source, 2 + k, rem)
-    column_arcs: dict[str, int] = {}
+    arcs: list[list[int]] = [[] for _ in evs]
     shipped = 0.0
     for tau in range(t, end):
         node = first_slot + (tau - t)
-        for k, (s, stop) in enumerate(zip(evs, stops)):
+        for k, stop in enumerate(stops):
             if stop > tau:
-                idx = g.add_edge(2 + k, node, s.max_rate)
-                if tau == t:
-                    column_arcs[s.id] = idx
+                arcs[k].append(g.add_edge(2 + k, node, evs[k].max_rate))
         p = instance.power.at(tau)
         if p < 0:
             raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
         g.add_edge(node, sink, p)
         shipped += g.max_flow(source, sink)
     if shipped < demand - 1e-9 * max(1.0, demand):
+        if memory is not None:
+            memory["olp"] = None
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
         return fallback
-    rates = {s.id: (g.flow_on(column_arcs[s.id]) if s.id in column_arcs else 0.0)
-             for s in evs}
-    return RateDecision(rates, diagnostics={"olp_shipped": shipped})
+    rows = [[g.flow_on(idx) for idx in column] for column in arcs]
+    if memory is not None:  # keyed by identity; the instance keeps those objects alive
+        memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
+    return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
+                        diagnostics={"olp_shipped": shipped})
 
 
 POLICIES = {

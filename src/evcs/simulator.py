@@ -24,6 +24,8 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     is never read at an idle slot: a negative power there is left to
     `validate`, which rejects it.  Each row is a window over its sojourn
     clipped to [0, horizon), joined over an id; `step` rejects rates outside it.
+    Every state of the run carries one run memory, created here, in which a
+    policy keeps what it plans across slots (OLP's plan).
     """
     policy = get_policy(policy_name)
     horizon = instance.horizon
@@ -33,19 +35,21 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
         starts[s.id], ends[s.id] = min(lo, starts.get(s.id, lo)), max(hi, ends.get(s.id, hi))
     rows = {sid: [0.0] * (ends[sid] - lo) for sid, lo in starts.items()}
     max_rate = {s.id: s.max_rate for s in instance.sessions}
-    remaining = initial_state(instance).remaining
+    state = SimState(0, initial_state(instance).remaining, {})
     for t in instance.busy_slots():
-        state = SimState(t, remaining)  # an idle slot leaves every energy as it is
+        if state.t != t:  # an idle slot leaves every energy as it is
+            state = SimState(t, state.remaining, state.memory)
         rates = policy(state, instance, t).rates
         try:
-            remaining = step(state, rates, instance).remaining
+            applied = step(state, rates, instance)
         except ContractError as exc:
             raise PolicyContractError(str(exc)) from exc
         for sid, r in rates.items():
             if r > 0.0:  # step let it through, so sid is active and t in its window
                 rows[sid][t - starts[sid]] = min(r, max_rate[sid], state.remaining[sid])
+        state = applied
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()}, starts)
-    unmet = {s.id: remaining[s.id] for s in instance.sessions}
+    unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
     return schedule, RunVerdict(feasible, unmet)
 

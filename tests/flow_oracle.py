@@ -8,6 +8,9 @@ max-flow for every slot, past the last departure too.
 `evcs.netflow.FlowGraph` and `evcs.schedulers.olp_rates`, which adds a
 slot's arcs only when the slot opens and stops at the last departure, skip
 only work that cannot move flow, so they must return the same floats.
+`plan_following_full_horizon_olp_rates` keeps each solve's flow in the run
+memory and follows it while no unplanned session is chargeable, as
+`olp_rates` does in a run; the two runs must be the same floats too.
 
 `slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
 the time-expanded network with one node and one sink arc per slot and one
@@ -107,23 +110,26 @@ class RecursiveFlowGraph:
 
 
 def full_horizon_olp_rates(state, instance, t):
+    return _full_horizon_olp_solve(state, instance, t)[0]
+
+
+def _full_horizon_olp_solve(state, instance, t):
+    """(decision, [(session, rates over slots t, t + 1, ...)] or None after a fallback)."""
     evs = _chargeable(state, instance, t)
     if not evs:
-        return RateDecision({})
+        return RateDecision({}), None
     horizon = instance.horizon
     source, sink = 0, 1
     g = RecursiveFlowGraph(2 + len(evs) + (horizon - t))
     slot_node = lambda tau: 2 + len(evs) + (tau - t)
     demand = 0.0
-    column_arcs = {}
+    window_arcs = []
     for k, s in enumerate(evs):
         rem = state.remaining[s.id]
         demand += rem
         g.add_edge(source, 2 + k, rem)
-        for tau in range(t, min(s.departure, horizon)):
-            idx = g.add_edge(2 + k, slot_node(tau), s.max_rate)
-            if tau == t:
-                column_arcs[s.id] = idx
+        window_arcs.append([g.add_edge(2 + k, slot_node(tau), s.max_rate)
+                            for tau in range(t, min(s.departure, horizon))])
     sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, horizon)]
     shipped = 0.0
     for tau, idx in zip(range(t, horizon), sink_arcs):
@@ -132,10 +138,26 @@ def full_horizon_olp_rates(state, instance, t):
     if shipped < demand - 1e-9 * max(1.0, demand):
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
-        return fallback
-    rates = {s.id: (g.flow_on(column_arcs[s.id]) if s.id in column_arcs else 0.0)
-             for s in evs}
-    return RateDecision(rates, diagnostics={"olp_shipped": shipped})
+        return fallback, None
+    plan = [(s, [g.flow_on(idx) for idx in arcs]) for s, arcs in zip(evs, window_arcs)]
+    rates = {s.id: (row[0] if row else 0.0) for s, row in plan}
+    return RateDecision(rates, diagnostics={"olp_shipped": shipped}), plan
+
+
+def plan_following_full_horizon_olp_rates(state, instance, t):
+    """`full_horizon_olp_rates` solved at a slot, then followed while every
+    chargeable session is one the solve planned for (matched by `is`)."""
+    evs = _chargeable(state, instance, t)
+    start, plan = state.memory.get("full_horizon_olp", (t, None))
+    if evs and plan is not None:
+        rows = [next((row for p, row in plan if p is s), None) for s in evs]
+        if all(row is not None and 0 <= t - start < len(row) for row in rows):
+            return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
+                                diagnostics={"olp_plan_slot": start})
+    decision, plan = _full_horizon_olp_solve(state, instance, t)
+    if evs:
+        state.memory["full_horizon_olp"] = (t, plan)
+    return decision
 
 
 def slot_build_network(instance, power_override=None):

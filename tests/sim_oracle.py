@@ -2,7 +2,8 @@
 
 `full_scan_step` and `full_scan_chargeable` find the active sessions by
 testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-steps every slot of the horizon into horizon-long rows.
+steps every slot of the horizon into horizon-long rows, carrying the run
+memory from each state to the next.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
@@ -84,7 +85,7 @@ def full_scan_step(state, rates, instance):
         total += r
     if total > p_limit + power_tol:
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
-    return SimState(t + 1, remaining)
+    return SimState(t + 1, remaining, state.memory)
 
 
 def full_scan_chargeable(state, instance, t):
@@ -99,11 +100,12 @@ def full_scan_chargeable(state, instance, t):
 
 
 def full_scan_simulate(instance, policy_name):
-    """The whole run, with every policy reading `full_scan_chargeable`."""
+    """The whole run, with every policy reading `full_scan_chargeable`; one run
+    memory, as `simulate` makes, goes from slot to slot."""
     with mock.patch.object(schedulers, "_chargeable", full_scan_chargeable):
         policy = POLICIES[policy_name]
         horizon = instance.horizon
-        state = initial_state(instance)
+        state = SimState(0, initial_state(instance).remaining, {})
         rows = {s.id: [0.0] * horizon for s in instance.sessions}
         max_rate = {s.id: s.max_rate for s in instance.sessions}
         for t in range(horizon):

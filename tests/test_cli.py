@@ -381,6 +381,16 @@ class TestSweep:
         assert captured.err == ("error: --algs names no algorithm; "
                                 "valid: edf, es, llf, olp, rep, sllf\n")
 
+    @pytest.mark.parametrize("command", [["sweep"], ["augment", "--mode", "power"]],
+                             ids=["sweep", "augment"])
+    @pytest.mark.parametrize("algs, name", [("sllf,sllf", "sllf"), ("olp, edf,olp", "olp")],
+                             ids=["adjacent", "apart"])
+    def test_repeated_algs_exit_two(self, corpus_dir, capsys, command, algs, name):
+        assert main([command[0], str(corpus_dir), "--algs", algs, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --algs names {name} twice\n"
+
     def test_file_exits_two(self, ia_file, capsys):
         assert main(["sweep", ia_file, "--algs", "sllf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -4,15 +4,16 @@ import random
 import pytest
 
 from evcs.dynamics import SimState, initial_state, laxity, step
+from evcs.feasibility import is_offline_feasible
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (POLICIES, edf_rates, es_rates, get_policy, llf_rates,
-                             olp_rates, rep_rates, sllf_rates)
+from evcs.schedulers import (POLICIES, _chargeable, edf_rates, es_rates, get_policy,
+                             llf_rates, olp_rates, rep_rates, sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
-from flow_oracle import full_horizon_olp_rates
+from flow_oracle import full_horizon_olp_rates, plan_following_full_horizon_olp_rates
 
 
 def next_laxities(decision, state, instance):
@@ -328,10 +329,119 @@ class TestOlpAgainstFullHorizon:
         assert 40 <= fallbacks <= 360
 
     def test_same_runs_on_corpus_samples(self, monkeypatch, reference_corpus, spaced_corpus):
+        # a run solves at a slot and follows that plan until a session arrives
         sample = reference_corpus[::20] + spaced_corpus[::20]
         runs = [simulate(inst, "olp") for inst in sample]
-        monkeypatch.setitem(POLICIES, "olp", full_horizon_olp_rates)
+        monkeypatch.setitem(POLICIES, "olp", plan_following_full_horizon_olp_rates)
         assert runs == [simulate(inst, "olp") for inst in sample]
+
+
+def random_run_instance(rng: random.Random):
+    """A random instance from slot 0: overlapping sojourns, later arrivals that
+    force a new solve, and constant or stepwise power, sometimes too little."""
+    sessions = []
+    for k in range(rng.randint(1, 8)):
+        a = rng.randint(0, 12)
+        d = a + rng.randint(1, 10)
+        r_bar = rng.uniform(0.2, 3.0)
+        sessions.append(ChargingSession(f"s{k}", a, d, r_bar * (d - a) * rng.uniform(0.05, 1.0),
+                                        r_bar))
+    horizon = max(s.departure for s in sessions) + rng.randint(0, 3)
+    if rng.random() < 0.5:
+        power = StepwisePower([0.0 if rng.random() < 0.2 else rng.uniform(0.5, 6.0)
+                               for _ in range(horizon)])
+    else:
+        power = ConstantPower(rng.uniform(0.5, 6.0))
+    return Instance(tuple(sessions), power, horizon)
+
+
+def planned_slot_totals(plan, t):
+    """Slot totals of an OLP plan from slot t to the end of its window."""
+    _, start, end, planned = plan
+    totals = {}
+    for tau in range(t, end):
+        totals[tau] = sum(row[tau - start] for row in planned.values() if tau - start < len(row))
+    return totals
+
+
+def residual_instance(state, instance, t):
+    """The chargeable sessions' remaining demands over slots t, t + 1, ..., shifted to 0."""
+    sessions = [ChargingSession(s.id, 0, s.departure - t, state.remaining[s.id], s.max_rate)
+                for s in _chargeable(state, instance, t)]
+    power = StepwisePower([instance.power.at(tau) for tau in range(t, instance.horizon)])
+    return Instance(sessions, power, instance.horizon - t)
+
+
+def run_checking_followed_slots(monkeypatch, instance):
+    """Simulate OLP, checking each followed slot against a fresh solve;
+    returns (solves, follows)."""
+    counts = {"olp_shipped": 0, "olp_plan_slot": 0}
+
+    def checking_olp(state, inst, t):
+        plan = state.memory.get("olp")
+        decision = olp_rates(state, inst, t)
+        for key in counts:
+            counts[key] += key in decision.diagnostics
+        if "olp_plan_slot" in decision.diagnostics:
+            fresh = SimState(t, state.remaining, {})
+            assert olp_rates(fresh, inst, t).diagnostics["olp_shipped"] > 0.0
+            followed = planned_slot_totals(plan, t)
+            solved = planned_slot_totals(fresh.memory["olp"], t)
+            for tau in sorted(set(followed) | set(solved)):
+                a, b = followed.get(tau, 0.0), solved.get(tau, 0.0)
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (t, tau, a, b)
+            assert is_offline_feasible(residual_instance(state, inst, t))
+        return decision
+
+    monkeypatch.setitem(POLICIES, "olp", checking_olp)
+    simulate(instance, "olp")
+    return counts["olp_shipped"], counts["olp_plan_slot"]
+
+
+class TestOlpPlan:
+    def test_followed_slots_ship_what_a_fresh_solve_ships_on_random_instances(
+            self, monkeypatch):
+        rng = random.Random(107)
+        solves = follows = 0
+        for _ in range(300):
+            s, f = run_checking_followed_slots(monkeypatch, random_run_instance(rng))
+            solves, follows = solves + s, follows + f
+        assert solves > 300 and follows > 300
+
+    def test_followed_slots_ship_what_a_fresh_solve_ships_on_corpus_samples(
+            self, monkeypatch, reference_corpus, spaced_corpus):
+        solves = follows = 0
+        for inst in reference_corpus[::10] + spaced_corpus[::10]:
+            s, f = run_checking_followed_slots(monkeypatch, inst)
+            solves, follows = solves + s, follows + f
+        assert follows > 2 * solves > 0
+
+    def test_repeated_id_solves_at_its_second_arrival(self, monkeypatch):
+        # the two sojourns of "a" share one remaining energy, 4.0; the plan made
+        # at slot 0 holds only the first, so slot 3 must solve again
+        inst = Instance((ChargingSession("a", 0, 5, 2.0, 1.0),
+                         ChargingSession("a", 3, 8, 4.0, 1.0)), ConstantPower(1.0), 8)
+        diagnostics = {}
+
+        def recording_olp(state, instance, t):
+            decision = olp_rates(state, instance, t)
+            diagnostics[t] = decision.diagnostics
+            return decision
+
+        monkeypatch.setitem(POLICIES, "olp", recording_olp)
+        simulate(inst, "olp")
+        assert diagnostics[1] == diagnostics[2] == {"olp_plan_slot": 0}
+        assert set(diagnostics[0]) == set(diagnostics[3]) == {"olp_shipped"}
+
+    def test_fallback_leaves_no_plan(self):
+        inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(0.5))
+        state = SimState(0, {"a": 2.0}, {})
+        assert olp_rates(state, inst, 0).diagnostics["olp_fallback"] is True
+        assert state.memory == {"olp": None}
+        assert olp_rates(step(state, {"a": 0.5}, inst), inst, 1).diagnostics["olp_fallback"]
+
+    def test_run_memory_takes_no_part_in_equality(self):
+        assert SimState(0, {"a": 1.0}, {"olp": None}) == SimState(0, {"a": 1.0})
 
 
 class TestAllPolicies:

@@ -218,8 +218,9 @@ class TestAgainstFullScan:
         ((ChargingSession("a", 3, 1, 1.0, 1.0),), 4),
         ((ChargingSession("a", 0, 6, 2.0, 1.0), ChargingSession("b", 2, 9, 1.0, 1.0)), 4),
         ((ChargingSession("a", 0, 2, 1.0, 1.0), ChargingSession("a", 3, 5, 1.0, 1.0)), 5),
+        ((ChargingSession("a", 0, 5, 2.0, 1.0), ChargingSession("a", 3, 8, 4.0, 1.0)), 8),
     ], ids=["negative-arrival", "empty-sojourns", "only-empty-sojourn",
-            "departure-past-horizon", "duplicate-id"])
+            "departure-past-horizon", "duplicate-id", "overlapping-duplicate-id"])
     def test_same_runs_on_invalid_instances(self, sessions, horizon):
         # library callers may simulate what `validate` rejects
         instance = Instance(sessions, ConstantPower(1.5), horizon)
