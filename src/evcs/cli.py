@@ -47,15 +47,17 @@ def _emit(rows: list[tuple], columns: list[str], as_json: bool) -> None:
     sys.stdout.write(out.getvalue())
 
 
+def _read_valid(path):
+    """The instance in file `path`; exit 2 naming its first violation if it has one."""
+    inst = corpus.read_instance(path)
+    problems = validate(inst)
+    if problems:
+        raise SystemExit2(f"{path}: invalid instance: {problems[0]}")
+    return inst
+
+
 def _load_corpus(path: Path):
-    files = sorted(p for p in path.iterdir() if p.suffix == ".evcs")
-    instances = [corpus.read_instance(p) for p in files]
-    for p, inst in zip(files, instances):
-        problems = validate(inst)
-        if problems:
-            v = problems[0]
-            raise SystemExit2(f"{p}: invalid instance: {v.code} ({v.subject}): {v.message}")
-    return instances
+    return [_read_valid(p) for p in sorted(p for p in path.iterdir() if p.suffix == ".evcs")]
 
 
 def _parse_algs(raw: str) -> list[str]:
@@ -120,10 +122,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    inst = corpus.read_instance(args.instance_file)
-    problems = validate(inst)
-    if problems:
-        raise SystemExit2(f"invalid instance: {problems[0].code} ({problems[0].subject})")
+    inst = _read_valid(args.instance_file)
     schedule, verdict = simulator.simulate(inst, args.alg)
     rows = [(sid, t, r) for sid, row in schedule.rates.items()
             for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]

@@ -46,7 +46,7 @@ class CorpusSpec:
     laxity_max: float = 55.0
     rate_min: float = 0.5
     rate_max: float = 2.0
-    slot_minutes: float = 12.0    # reporting scale only
+    slot_minutes: float = 12.0    # arrivals fall in the first ceil(720 / slot_minutes) slots
     arrival_gap_floor: float | None = None   # gaps strictly exceed this
     demand_cap: float | None = None          # per-session energy cap
     seed: int = 0
@@ -144,16 +144,23 @@ def _sample_corpus_sessions(spec: CorpusSpec, sojourn_dist, laxity_dist):
     return corpus_sessions
 
 
+def _sampler(what: str, lo: float, mean: float, hi: float) -> _TruncatedLogNormal:
+    try:
+        return _TruncatedLogNormal(lo, mean, hi)
+    except OverflowError:
+        raise GenerationError(f"{what} targets {lo}, {mean}, {hi} overflow the sampler") from None
+
+
 def generate(spec: CorpusSpec) -> list[Instance]:
-    sojourn_dist = _TruncatedLogNormal(spec.sojourn_min, spec.sojourn_mean, spec.sojourn_max)
+    sojourn_dist = _sampler("sojourn", spec.sojourn_min, spec.sojourn_mean, spec.sojourn_max)
     target = max(spec.laxity_mean, 1e-3)
     # clamping laxity below each sojourn drags the realized mean under the
     # target, so refit the sampling distribution against what actually lands
     fit_mean = target
     corpus_sessions = []
     for _ in range(5):
-        laxity_dist = _TruncatedLogNormal(max(spec.laxity_min, 1e-3), fit_mean,
-                                          max(spec.laxity_max, 1e-3))
+        laxity_dist = _sampler("laxity", max(spec.laxity_min, 1e-3), fit_mean,
+                               max(spec.laxity_max, 1e-3))
         corpus_sessions = _sample_corpus_sessions(spec, sojourn_dist, laxity_dist)
         realized = [s.sojourn - s.energy / s.max_rate
                     for sessions in corpus_sessions for s in sessions]
@@ -164,13 +171,14 @@ def generate(spec: CorpusSpec) -> list[Instance]:
                        0.99 * max(spec.laxity_max, 1e-3))
     instances = []
     for sessions in corpus_sessions:
-        p_star = min_power_capacity(Instance(sessions, ConstantPower(0.0)))
+        unpowered = Instance(sessions, ConstantPower(0.0))
+        problems = validate(unpowered)
+        if problems:
+            raise GenerationError(f"generated invalid instance: {problems[0]}")
+        p_star = min_power_capacity(unpowered)
         instance = Instance(sessions, ConstantPower(p_star))
         if not offline_feasible(instance)[0]:
             raise GenerationError(f"instance infeasible at its minimum power {p_star}")
-        problems = validate(instance)
-        if problems:
-            raise GenerationError(f"generated invalid instance: {problems[0]}")
         instances.append(instance)
     return instances
 

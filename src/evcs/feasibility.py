@@ -2,16 +2,15 @@
 
 Feasibility is decided on the interval network for preemptive scheduling
 with release times and deadlines (Horn 1974; Federgruen & Groenevelt 1986).
-The event points (0, the horizon, every arrival and departure clipped to
-[0, horizon], every change of a stepwise power) cut the horizon into
-intervals whose slots share their active sessions and power, so an interval
-of length l is one node.  source -> session arcs carry the energy demands,
-session -> interval arcs the peak rate times l, interval -> sink arcs the
-power times l; an interval with no active session gets no node.  That is at
-most 2n + 1 interval nodes plus the power changes, whatever the horizon, for
-the max-flow value of the network with one node per slot.  The instance is
-offline feasible exactly when the maximum flow ships every unit of demand;
-Newton steps on its minimum cut give the exact minimum power.
+The instance's event points (0, every arrival and departure, every change of
+a stepwise power) cut [0, horizon) into `Instance.busy_spans`, whose slots
+share their active sessions and power, so a span of length l is one interval
+node.  source -> session arcs carry the energy demands, session -> interval
+arcs the peak rate times l, interval -> sink arcs the power times l.  That
+is at most 2n + 1 interval nodes plus the power changes, whatever the
+horizon, for the max-flow value of the network with one node per slot.  The
+instance is offline feasible exactly when the maximum flow ships every unit
+of demand; Newton steps on its minimum cut give the exact minimum power.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ import math
 from typing import Optional
 
 from .dynamics import RATE_TOL, RunVerdict, Schedule
-from .model import ContractError, Instance, StepwisePower, Violation
+from .model import ContractError, Instance, Violation
 from .netflow import FlowGraph
 
 #: relative tolerance on the energy-demand equality
@@ -33,25 +32,10 @@ def _build_network(instance: Instance, power_override: float | None = None):
 
     `session_arcs[k]` lists session k's (start, end, arc) per interval of its
     window and `sink_arcs` every interval node's (start, end, arc), each in
-    time order.  Session k's node is 2 + k.  An override power ignores the
-    profile's change points.
+    time order.  Session k's node is 2 + k.  An override power keeps the
+    profile's change points as cuts, which leave the max-flow value as it is.
     """
-    horizon = max(instance.horizon, 0)
-    power = instance.power
-    points = {0, horizon}
-    if isinstance(power, StepwisePower):
-        values = power.values
-        if len(values) < horizon:
-            raise ContractError(
-                f"stepwise power has no value for slot {len(values)} of horizon {horizon}")
-        if power_override is None:
-            points.update(t for t in range(1, horizon) if values[t] != values[t - 1])
-    for s in instance.sessions:
-        points.add(min(max(s.arrival, 0), horizon))
-        points.add(min(max(s.departure, 0), horizon))
-    points = sorted(points)
-    spans = [(a, b, members) for a, b in zip(points, points[1:])
-             if (members := instance.active_indices_at(a))]
+    spans = list(instance.busy_spans())
     sessions = instance.sessions
     g = FlowGraph(2 + len(sessions) + len(spans))
     for k, s in enumerate(sessions):
@@ -62,7 +46,7 @@ def _build_network(instance: Instance, power_override: float | None = None):
         length = b - a
         for k in members:
             session_arcs[k].append((a, b, g.add_edge(2 + k, node, sessions[k].max_rate * length)))
-        p = power.at(a) if power_override is None else power_override
+        p = instance.power.at(a) if power_override is None else power_override
         sink_arcs.append((a, b, g.add_edge(node, SINK, p * length)))
     return g, session_arcs, sink_arcs
 

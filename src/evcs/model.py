@@ -96,38 +96,43 @@ class Instance:
         Instance order decides the policies' tie-breaks and the order of their
         float sums, so it is kept.  Any integer t is allowed, and so are
         instances that `validate` rejects: a session with `arrival >= departure`
-        is never active.  The first call builds an index of the active tuple
-        between consecutive event points (0 and every arrival and departure),
-        at most 2n + 1 tuples; each call is then a binary search.
+        is never active.  The first call builds the event index (see
+        `_active_index`); each call is then a binary search.
         """
         points, active, _ = self._active_index
         return active[bisect.bisect_right(points, t)]
 
-    def active_indices_at(self, t: int) -> tuple[int, ...]:
-        """The positions in `sessions` of the sessions `active_at(t)` returns.
+    def busy_spans(self):
+        """(start, end, positions) per stretch of [0, horizon) between event
+        points at which some session is active, in time order.
 
-        Positions, unlike sessions, stay apart when one session object is
-        listed twice.
+        At each slot of a stretch, `active_at` returns the sessions at
+        `positions` and the power is the same.  Positions, unlike sessions,
+        stay apart when one session object is listed twice.
         """
         points, _, members = self._active_index
-        return members[bisect.bisect_right(points, t)]
-
-    def busy_slots(self):
-        """The slots of [0, horizon) at which some session is active, in order."""
-        points, active, _ = self._active_index
         for k in range(1, len(points)):
-            if active[k]:
-                yield from range(max(points[k - 1], 0), min(points[k], self.horizon))
+            start, end = max(points[k - 1], 0), min(points[k], self.horizon)
+            if members[k] and start < end:
+                yield start, end, members[k]
 
     @cached_property
     def _active_index(self):
         """(event points, active tuples, their positions): `active[k]` holds on
         `[points[k-1], points[k])`.
 
-        `active[0]`, before the first point, is empty; so is the last, since
-        every departure is an event point.
+        The points are 0, each arrival and departure of a non-empty sojourn,
+        and each slot at which a stepwise power changes; a profile shorter than
+        the horizon is a ContractError.  `active[0]`, before the first point,
+        is empty; so is the last, since every departure is a point.
         """
+        horizon, power = max(self.horizon, 0), self.power
         events: dict[int, list[int]] = {0: []}
+        if isinstance(power, StepwisePower):
+            if len(power.values) < horizon:
+                raise ContractError(f"stepwise power has no value for slot "
+                                    f"{len(power.values)} of horizon {horizon}")
+            events.update((t, []) for t in range(1, horizon) if power.at(t) != power.at(t - 1))
         for k, s in enumerate(self.sessions):
             if s.arrival < s.departure:
                 events.setdefault(s.arrival, []).append(k)
@@ -153,6 +158,9 @@ class Violation:
     code: str
     subject: str
     message: str
+
+    def __str__(self) -> str:
+        return f"{self.code} ({self.subject}): {self.message}"
 
 
 def validate(instance: Instance) -> list[Violation]:

@@ -20,7 +20,7 @@ class PolicyContractError(ContractError):
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
     """Run one policy over the busy slots; deterministic for fixed inputs.
 
-    Only the slots of `Instance.busy_slots` are decided and stepped, so `P(t)`
+    Only the slots of `Instance.busy_spans` are decided and stepped, so `P(t)`
     is never read at an idle slot: a negative power there is left to
     `validate`, which rejects it.  Each row is a window over its sojourn
     clipped to [0, horizon), joined over an id; `step` rejects rates outside it.
@@ -36,7 +36,7 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     rows = {sid: [0.0] * (ends[sid] - lo) for sid, lo in starts.items()}
     max_rate = {s.id: s.max_rate for s in instance.sessions}
     state = SimState(0, initial_state(instance).remaining, {})
-    for t in instance.busy_slots():
+    for t in (u for a, b, _ in instance.busy_spans() for u in range(a, b)):
         if state.t != t:  # an idle slot leaves every energy as it is
             state = SimState(t, state.remaining, state.memory)
         rates = policy(state, instance, t).rates

@@ -91,6 +91,11 @@ class TestGen:
         ('{"count": 2, "sojourn_max": Infinity}', "'sojourn_max'"),
         ('{"count": 2, "laxity_mean": NaN}', "'laxity_mean'"),
         ('{"count": 2, "arrival_gap_floor": -Infinity}', "'arrival_gap_floor'"),
+        # well typed, but the sampled energies or the sampler itself overflow
+        ('{"count": 1, "rate_min": 1e307, "rate_max": 1e308}',
+         "generated invalid instance: non-finite (ev"),
+        ('{"count": 2, "sojourn_max": 1e300, "sojourn_mean": 1e299}',
+         "sojourn targets 1.0, 1e+299, 1e+300 overflow the sampler"),
     ])
     def test_malformed_spec_names_the_field(self, tmp_path, capsys, text, named):
         spec_file = tmp_path / "spec.json"
@@ -294,6 +299,15 @@ class TestRun:
 
     def test_invalid_instance_exits_two(self, invalid_file):
         assert main(["run", invalid_file, "--alg", "sllf"]) == 2
+
+    def test_invalid_instance_is_named_as_sweep_and_augment_name_it(self, tmp_path, capsys):
+        path = tmp_path / "instance_0000.evcs"
+        path.write_text("evcs-v1\nhorizon 2\npower constant 2\na 0 2 1 1\na 0 2 1 1\n")
+        message = f"error: {path}: invalid instance: duplicate-id (a): session id 'a' repeated\n"
+        for argv in (["run", str(path), "--alg", "sllf"], ["sweep", str(tmp_path), "--algs", "sllf"],
+                     ["augment", str(tmp_path), "--algs", "sllf", "--mode", "power"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
 
     def test_unknown_alg_exits_two(self, ia_file):
         assert main(["run", ia_file, "--alg", "wrong"]) == 2

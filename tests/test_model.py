@@ -65,6 +65,27 @@ class TestActiveAt:
         assert inst.active_at(2) == () and inst.active_at(-5) == ()
 
 
+class TestBusySpans:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_session, max_size=8), st.integers(0, 14), st.data())
+    def test_spans_cover_the_busy_slots(self, sessions, horizon, data):
+        # the session draw of TestActiveAt, under a power that covers the horizon
+        power = data.draw(st.one_of(
+            st.just(ConstantPower(1.0)),
+            st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=horizon,
+                     max_size=horizon + 2).map(StepwisePower)))
+        inst = Instance(sessions, power, horizon)
+        slots = []
+        for start, end, positions in inst.busy_spans():
+            assert 0 <= start < end <= horizon
+            assert not slots or slots[-1] < start  # ordered and disjoint
+            for t in range(start, end):
+                assert tuple(inst.sessions[k] for k in positions) == inst.active_at(t)
+                assert power.at(t) == power.at(start)
+            slots += range(start, end)
+        assert slots == [t for t in range(horizon) if inst.active_at(t)]
+
+
 class TestPowerProfiles:
     def test_constant(self):
         p = ConstantPower(2.5)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcs.dynamics import min_laxity
-from evcs.feasibility import offline_feasible, validate_schedule
-from evcs.model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
+from evcs.feasibility import is_offline_feasible, offline_feasible, validate_schedule
+from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
+                        validate)
 from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, separation_witness, simulate,
@@ -124,6 +125,16 @@ class TestSimulate:
         inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), StepwisePower(powers))
         for name in POLICIES:
             with pytest.raises(PolicyContractError, match=f"at slot {slot}$"):
+                simulate(inst, name)
+
+    def test_short_stepwise_power_is_the_oracles_contract_error(self):
+        # the run and the oracle read one event index, which checks the profile
+        inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),), StepwisePower([1.0]), 3)
+        message = "^stepwise power has no value for slot 1 of horizon 3$"
+        with pytest.raises(ContractError, match=message):
+            is_offline_feasible(inst)
+        for name in POLICIES:
+            with pytest.raises(ContractError, match=message):
                 simulate(inst, name)
 
 
