@@ -124,9 +124,13 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     inst = _read_valid(args.instance_file)
     schedule, verdict = simulator.simulate(inst, args.alg)
-    rows = [(sid, t, r) for sid, row in schedule.rates.items()
-            for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
-    _emit(rows + [("__verdict__", -1, "")], ["session", "slot", "rate"], args.json)
+    columns, last = ["session", "slot", "rate"], ("__verdict__", -1, "")
+    if args.json:
+        rows = [(sid, t, r) for sid, row in schedule.rates.items()
+                for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
+        _emit(rows + [last], columns, True)
+    else:
+        sys.stdout.write(_run_csv(schedule, columns, last))
     oscillation, switches = schedule._metrics()
     ratio, norm_lax = simulator.instance_metrics(inst)
     print(f"# alg={args.alg} feasible={verdict.feasible} "
@@ -134,6 +138,26 @@ def cmd_run(args) -> int:
           f"switches={switches} sojourn_ratio={ratio:.6g} "
           f"min_norm_laxity={norm_lax:.6g}", file=sys.stderr)
     return 0 if verdict.feasible else 1
+
+
+def _csv_line(row) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(row)
+    return out.getvalue()
+
+
+def _run_csv(schedule, columns: list[str], last: tuple) -> str:
+    """The CSV `_emit` writes for a run's nonzero rates and then `last`, with
+    one `csv.writer` call per session instead of per row: the writer quotes
+    the id, and each row appends the slot and the rate's `repr`, as the
+    writer renders an int and a float."""
+    parts = [_csv_line(columns)]
+    for sid, row in schedule.rates.items():
+        prefix = _csv_line((sid, ""))[:-2]  # the quoted id and its comma, without "\r\n"
+        parts += [f"{prefix}{t},{r!r}\r\n"
+                  for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
+    parts.append(_csv_line(last))
+    return "".join(parts)
 
 
 def cmd_sweep(args) -> int:

@@ -32,10 +32,12 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 class SimState:
     """Simulation state at the start of slot t: remaining energy per session.
 
+    Within one `simulate` run, `remaining` is the run's single dict, charged
+    in place after each decision; a policy may read it only during its call.
     `memory` is what a policy keeps from one slot to the next of one run:
-    OLP's plan.  `simulate` creates it once per run and `step` carries it on.
-    It takes no part in equality, and a state without it (None) gets every
-    decision solved afresh.
+    OLP's plan, and nothing else.  `simulate` creates it once per run and
+    `step` carries it on.  It takes no part in equality, and a state without
+    it (None) gets every decision solved afresh.
     """
 
     t: int
@@ -47,29 +49,57 @@ def initial_state(instance: Instance) -> SimState:
     return SimState(0, {s.id: s.energy for s in instance.sessions})
 
 
-def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimState:
-    """Apply one slot of charging and advance time; pure state-in/state-out."""
-    t = state.t
-    p_limit = instance.power.at(t) if t < instance.horizon else 0.0
-    power_tol = RATE_TOL * max(1.0, p_limit)
-    total = 0.0
-    remaining = dict(state.remaining)
-    active = {s.id: s for s in instance.active_at(t)}
+def _rate_limits(sessions) -> dict[str, tuple[float, float]]:
+    """Each id's (peak rate, rate tolerance) for `_charge`; a repeated id
+    takes the last of its sessions."""
+    return {s.id: (s.max_rate, RATE_TOL * max(1.0, s.max_rate)) for s in sessions}
+
+
+def _charge(remaining: dict[str, float], rates: dict[str, float],
+            limits: dict[str, tuple[float, float]], t: int, p_limit: float) -> dict[str, float]:
+    """Check one slot's rates and charge them into `remaining` in place.
+
+    `limits` maps each active id to its `_rate_limits` entry.  Returns the
+    applied (clamped) rate of each id whose rate is above 0.  The one rate
+    check of the package: `step` and `simulate` both charge through it.
+    """
+    total, applied = 0.0, {}
     for sid, r in rates.items():
-        if sid not in active:
+        limit = limits.get(sid)
+        if limit is None:
             if r != 0.0:
                 raise ContractError(f"rate {r} for inactive session {sid} at slot {t}")
             continue
-        s = active[sid]
-        cap = min(s.max_rate, remaining[sid])
-        tol = RATE_TOL * max(1.0, s.max_rate)
+        max_rate, tol = limit
+        rem = remaining[sid]
+        cap = rem if rem < max_rate else max_rate  # min(max_rate, rem), NaN alike
         if not -tol <= r <= cap + tol:  # written so that NaN fails too
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
-        r = min(max(r, 0.0), cap)
-        remaining[sid] = max(remaining[sid] - r, 0.0)
-        total += r
-    if not total <= p_limit + power_tol:  # a NaN power fails too
+        charged = 0.0 if r < 0.0 else r  # min(max(r, 0.0), cap), -0.0 kept as max keeps it
+        if cap < charged:
+            charged = cap
+        if r > 0.0:
+            applied[sid] = charged
+        rem -= charged
+        remaining[sid] = 0.0 if rem < 0.0 else rem  # max(rem, 0.0), NaN kept
+        total += charged
+    if not total <= p_limit + RATE_TOL * max(1.0, p_limit):  # a NaN power fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
+    return applied
+
+
+def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimState:
+    """Apply one slot of charging and advance time; pure state-in/state-out.
+
+    `state` is left as it is: the rates are checked and charged into a copy
+    of its `remaining` by `_charge`, the kernel with which `simulate`
+    charges its run's single dict in place after each decision.  The run
+    memory (OLP's plan, nothing else) is carried on as it is.
+    """
+    t = state.t
+    p_limit = instance.power.at(t) if t < instance.horizon else 0.0
+    remaining = dict(state.remaining)
+    _charge(remaining, rates, _rate_limits(instance.active_at(t)), t, p_limit)
     return SimState(t + 1, remaining, state.memory)
 
 
@@ -143,8 +173,10 @@ def min_laxity(instance: Instance, schedule: Schedule) -> float:
     horizon, lowest = schedule.horizon, math.inf
     for s in instance.sessions:
         rem, lo = s.energy, max(s.arrival, 0)
-        for t, r in zip(range(lo, min(s.departure, horizon) + 1), schedule._rates_from(s.id, lo)):
-            lax = laxity(s, t, 0.0 if rem < 0.0 else rem)  # plain compares: a hot loop
+        departure, max_rate = s.departure, s.max_rate
+        for t, r in zip(range(lo, min(departure, horizon) + 1), schedule._rates_from(s.id, lo)):
+            # `laxity`'s closed form, as arrival <= t <= departure; plain compares: a hot loop
+            lax = departure - t - (0.0 if rem < 0.0 else rem) / max_rate
             if lax < lowest:
                 lowest = lax
             rem -= r  # after the last slot, rem is not read again

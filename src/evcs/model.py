@@ -102,19 +102,24 @@ class Instance:
         points, active, _ = self._active_index
         return active[bisect.bisect_right(points, t)]
 
-    def busy_spans(self):
+    def spans(self):
         """(start, end, positions) per stretch of [0, horizon) between event
-        points at which some session is active, in time order.
+        points, idle ones (no positions) included, in time order.
 
         At each slot of a stretch, `active_at` returns the sessions at
         `positions` and the power is the same.  Positions, unlike sessions,
         stay apart when one session object is listed twice.
         """
         points, _, members = self._active_index
-        for k in range(1, len(points)):
-            start, end = max(points[k - 1], 0), min(points[k], self.horizon)
-            if members[k] and start < end:
+        for k, point in enumerate(points, 1):  # members[k] holds from points[k - 1] on
+            start = max(point, 0)
+            end = min(points[k], self.horizon) if k < len(points) else self.horizon
+            if start < end:
                 yield start, end, members[k]
+
+    def busy_spans(self):
+        """The `spans` at which some session is active."""
+        return ((a, b, m) for a, b, m in self.spans() if m)
 
     @cached_property
     def _active_index(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import SimState, laxity
+from .dynamics import SimState
 from .model import ChargingSession, ContractError, Instance
 from .netflow import FlowGraph
 
@@ -42,9 +42,10 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
     """Active sessions with unfinished demand, in instance order."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    out = []
+    remaining, out = state.remaining, []
     for s in instance.active_at(t):
-        if state.remaining[s.id] > FINISHED_EPS * max(1.0, s.energy):
+        energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
+        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
             out.append(s)
     return out
 
@@ -84,8 +85,10 @@ def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
     evs = _chargeable(state, instance, t)
-    lax = [laxity(s, t, state.remaining[s.id]) for s in evs]
-    caps = [min(s.max_rate, state.remaining[s.id]) for s in evs]
+    remaining = state.remaining
+    # `laxity`'s closed form: t lies inside each sojourn and every energy left is positive
+    lax = [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
+    caps = [min(s.max_rate, remaining[s.id]) for s in evs]
     rbars = [s.max_rate for s in evs]
     level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, instance.power.at(t))
     rates = _sllf_fill(level, lax, caps, rbars)
@@ -107,7 +110,8 @@ def _greedy_fill(evs, state, p_limit, key) -> dict[str, float]:
 def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Classic least-laxity-first: fill EVs in increasing laxity order."""
     evs = _chargeable(state, instance, t)
-    key = lambda s: (laxity(s, t, state.remaining[s.id]), s.arrival, s.id)
+    remaining = state.remaining  # the laxity in `laxity`'s closed form, as in `sllf_rates`
+    key = lambda s: (s.departure - t - remaining[s.id] / s.max_rate, s.arrival, s.id)
     return RateDecision(_greedy_fill(evs, state, instance.power.at(t), key))
 
 

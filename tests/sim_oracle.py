@@ -2,8 +2,9 @@
 
 `full_scan_step` and `full_scan_chargeable` find the active sessions by
 testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-steps every slot of the horizon into horizon-long rows, carrying the run
-memory from each state to the next.
+steps every slot of the horizon into horizon-long rows, each holding the
+rate `full_scan_charge` applied, and carries the run memory from each state
+to the next.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
@@ -63,13 +64,15 @@ def assert_dense_metrics(instance, schedule):
     assert repr(min_laxity(instance, schedule)) == repr(dense_min_laxity(instance, full))
 
 
-def full_scan_step(state, rates, instance):
+def full_scan_charge(state, rates, instance):
+    """The next state and the rate applied to each id charged above 0."""
     t = state.t
     p_limit = instance.power.at(t) if t < instance.horizon else 0.0
     power_tol = RATE_TOL * max(1.0, p_limit)
     total = 0.0
     remaining = dict(state.remaining)
     active = {s.id: s for s in instance.sessions if s.arrival <= t < s.departure}
+    applied = {}
     for sid, r in rates.items():
         if sid not in active:
             if r != 0.0:
@@ -80,12 +83,18 @@ def full_scan_step(state, rates, instance):
         tol = RATE_TOL * max(1.0, s.max_rate)
         if not -tol <= r <= cap + tol:
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
-        r = min(max(r, 0.0), cap)
-        remaining[sid] = max(remaining[sid] - r, 0.0)
-        total += r
-    if total > p_limit + power_tol:
+        clamped = min(max(r, 0.0), cap)
+        if r > 0.0:
+            applied[sid] = clamped
+        remaining[sid] = max(remaining[sid] - clamped, 0.0)
+        total += clamped
+    if not total <= p_limit + power_tol:  # a NaN power fails, as it does for `simulate`
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
-    return SimState(t + 1, remaining, state.memory)
+    return SimState(t + 1, remaining, state.memory), applied
+
+
+def full_scan_step(state, rates, instance):
+    return full_scan_charge(state, rates, instance)[0]
 
 
 def full_scan_chargeable(state, instance, t):
@@ -107,17 +116,14 @@ def full_scan_simulate(instance, policy_name):
         horizon = instance.horizon
         state = SimState(0, initial_state(instance).remaining, {})
         rows = {s.id: [0.0] * horizon for s in instance.sessions}
-        max_rate = {s.id: s.max_rate for s in instance.sessions}
         for t in range(horizon):
             rates = policy(state, instance, t).rates
             try:
-                applied = full_scan_step(state, rates, instance)
+                state, applied = full_scan_charge(state, rates, instance)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            for sid, r in rates.items():
-                if r > 0.0:
-                    rows[sid][t] = min(r, max_rate[sid], state.remaining[sid])
-            state = applied
+            for sid, r in applied.items():
+                rows[sid][t] = r
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)

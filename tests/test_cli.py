@@ -337,6 +337,28 @@ class TestRun:
         assert capsys.readouterr().out == (
             f'{{\n  "schema": "{REPORT_SCHEMA}",\n  "rows": [\n{records}\n  ]\n}}\n')
 
+    @pytest.mark.parametrize("alg", sorted(POLICIES))
+    def test_csv_is_what_csv_writer_writes(self, tmp_path, capsys, alg):
+        # rows are joined per session id, so compare them with the writer's own bytes
+        path = tmp_path / "quoted.evcs"
+        path.write_text('evcs-v1\nhorizon 5\npower constant 1.3\n'
+                        'a,b 0 4 2.9 1\nq"x 1 5 2.3 0.7\nplain 2 4 0.1 1\n')
+        schedule, _ = simulator.simulate(read_instance(path), alg)
+        columns = ["session", "slot", "rate"]
+        rows = [(sid, t, r) for sid, row in schedule.rates.items()
+                for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
+        rows.append(("__verdict__", -1, ""))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        writer.writerows(rows)
+        assert main(["run", str(path), "--alg", alg]) in (0, 1)
+        assert capsys.readouterr().out == expected.getvalue()
+        assert main(["run", str(path), "--alg", alg, "--json"]) in (0, 1)
+        records = [dict(zip(columns, row)) for row in rows]
+        assert capsys.readouterr().out == json.dumps(
+            {"schema": REPORT_SCHEMA, "rows": records}, indent=2) + "\n"
+
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--alg", "sllf"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

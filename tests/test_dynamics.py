@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evcs.dynamics import Schedule, SimState, initial_state, laxity, min_laxity, step
-from evcs.model import ChargingSession, ConstantPower, ContractError, Instance
+from evcs.model import ChargingSession, ConstantPower, ContractError, Instance, StepwisePower
 
 from sim_oracle import dense, dense_metrics, full_scan_step
 
@@ -111,6 +111,28 @@ class TestStep:
                      for k, sid in enumerate(rng.sample(ids, rng.randint(0, len(ids))))}
             assert outcome(step, state, rates, inst) == \
                 outcome(full_scan_step, state, rates, inst)
+
+    @pytest.mark.parametrize("remaining, rates, power", [
+        (math.nan, {"a": 0.5}, 1.5),
+        (2.0, {"a": -0.0}, 1.5),
+        (2.0, {"a": 1.0 + 1e-9}, 1.5),
+        (2.0, {"a": math.nextafter(1.0 + 1e-9, math.inf)}, 1.5),
+        (0.5, {"a": 0.5 + 1e-9}, 1.5),
+        (0.5, {"a": math.nextafter(0.5 + 1e-9, math.inf)}, 1.5),
+        (2.0, {"a": 0.5, "b": 0.0}, 1.5),
+        (2.0, {"a": 0.5, "b": 0.25}, 1.5),
+        (2.0, {"a": 0.5}, math.nan),
+    ], ids=["nan-remaining", "negative-zero-rate", "at-cap-plus-tol", "above-cap-plus-tol",
+            "at-remaining-plus-tol", "above-remaining-plus-tol", "inactive-zero",
+            "inactive-nonzero", "nan-power"])
+    def test_kernel_edge_cases_as_full_scan(self, remaining, rates, power):
+        # cap + tol is what the check computes; "above" is the next float after it
+        inst = Instance((ChargingSession("a", 0, 3, 2.0, 1.0),
+                         ChargingSession("b", 1, 3, 1.0, 0.5)), StepwisePower([power, 1.5, 1.5]))
+        state = SimState(0, {"a": remaining, "b": 1.0})
+        expected = outcome(full_scan_step, state, rates, inst)
+        assert outcome(step, state, rates, inst) == expected
+        assert state.remaining == {"a": remaining, "b": 1.0}  # step is pure
 
 
 def outcome(step_fn, state, rates, instance):

@@ -1,8 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
+from evcs.corpus import read_instance
 from evcs.dynamics import Schedule, min_laxity
 from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network,
                               is_offline_feasible, min_power_capacity,
@@ -340,6 +342,28 @@ class TestValidateSchedule:
         sch = Schedule(3, {"a": (0.25, 1.5, 0.0)})
         codes = {v.code for v in validate_schedule(inst, sch).violations}
         assert codes == {"rate-outside-window", "rate-bound", "demand-exceeded"}
+
+    def test_huge_declared_horizon_is_checked_quickly(self, tmp_path):
+        # an idle stretch between the two sessions, then an idle tail of 10**10 slots
+        verdicts = []
+        for horizon in (12, 10**10):
+            path = tmp_path / f"h{horizon}.evcs"
+            path.write_text(f"evcs-v1\nhorizon {horizon}\npower constant 1\n"
+                            f"a 0 2 1 1\nb 5 9 2 1\n")
+            inst = read_instance(path)
+            schedules = (simulate(inst, "sllf")[0],
+                         Schedule(horizon, {"a": (1.0, 1.5), "b": (0.5,) * 4}, {"b": 5}))
+            start = time.perf_counter()
+            verdicts.append([validate_schedule(inst, sch) for sch in schedules])
+            assert time.perf_counter() - start < 1.0
+            if horizon == 12:
+                assert repr(verdicts[0]) == repr([full_scan_validate_schedule(inst, sch)
+                                                  for sch in schedules])
+        assert repr(verdicts[0]) == repr(verdicts[1])
+        run, over = verdicts[1]
+        assert run.feasible
+        assert [(v.code, v.subject) for v in over.violations] == [
+            ("rate-bound", "a"), ("power-bound", "slot 1"), ("demand-exceeded", "a")]
 
     def test_dimension_mismatch_rejected(self, instance_ia):
         with pytest.raises(ContractError):

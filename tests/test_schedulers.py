@@ -14,6 +14,7 @@ from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
 from flow_oracle import full_horizon_olp_rates, plan_following_full_horizon_olp_rates
+from sim_oracle import full_scan_chargeable
 
 
 def next_laxities(decision, state, instance):
@@ -450,6 +451,15 @@ class TestAllPolicies:
         assert get_policy("sllf") is sllf_rates
         with pytest.raises(KeyError):
             get_policy("nope")
+
+    @pytest.mark.parametrize("energy, remaining", [
+        (math.nan, 0.5), (math.nan, 5e-13), (0.5, 5e-13), (0.5, 2e-12), (4.0, 3e-12),
+        (4.0, 5e-12), (-1.0, 2e-12)])
+    def test_chargeable_as_full_scan(self, energy, remaining):
+        # the finished threshold FINISHED_EPS * max(1.0, energy), a NaN energy included
+        inst = Instance((ChargingSession("a", 0, 2, energy, 1.0),), ConstantPower(1.0))
+        state = SimState(0, {"a": remaining})
+        assert _chargeable(state, inst, 0) == full_scan_chargeable(state, inst, 0)
 
     def test_decision_invariants_on_random_states(self):
         rng = random.Random(104)

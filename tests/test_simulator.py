@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs.dynamics import min_laxity
+from evcs.dynamics import initial_state, min_laxity
 from evcs.feasibility import is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
@@ -230,11 +230,19 @@ class TestAgainstFullScan:
         ((ChargingSession("a", 0, 6, 2.0, 1.0), ChargingSession("b", 2, 9, 1.0, 1.0)), 4),
         ((ChargingSession("a", 0, 2, 1.0, 1.0), ChargingSession("a", 3, 5, 1.0, 1.0)), 5),
         ((ChargingSession("a", 0, 5, 2.0, 1.0), ChargingSession("a", 3, 8, 4.0, 1.0)), 8),
+        ((ChargingSession("a", 0, 5, 2.0, 2.0), ChargingSession("a", 3, 8, 4.0, 0.5)), 8),
     ], ids=["negative-arrival", "empty-sojourns", "only-empty-sojourn",
-            "departure-past-horizon", "duplicate-id", "overlapping-duplicate-id"])
+            "departure-past-horizon", "duplicate-id", "overlapping-duplicate-id",
+            "duplicate-id-distinct-peak-rates"])
     def test_same_runs_on_invalid_instances(self, sessions, horizon):
         # library callers may simulate what `validate` rejects
         instance = Instance(sessions, ConstantPower(1.5), horizon)
         assert validate(instance)
+        initial = initial_state(instance).remaining
         for policy in POLICIES:
             assert_same_run(instance, policy)
+            # each row records what was charged, whichever session its id names
+            schedule, verdict = simulate(instance, policy)
+            for sid, row in schedule.rates.items():
+                assert sum(row) == pytest.approx(initial[sid] - verdict.unmet_energy[sid],
+                                                 abs=1e-12), (policy, sid)
