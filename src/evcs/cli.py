@@ -150,12 +150,18 @@ def _run_csv(schedule, columns: list[str], last: tuple) -> str:
     """The CSV `_emit` writes for a run's nonzero rates and then `last`, with
     one `csv.writer` call per session instead of per row: the writer quotes
     the id, and each row appends the slot and the rate's `repr`, as the
-    writer renders an int and a float."""
+    writer renders an int and a float.  Equal nonzero floats have equal
+    `repr`s, so a rate that repeats the one before it reuses its text."""
     parts = [_csv_line(columns)]
     for sid, row in schedule.rates.items():
         prefix = _csv_line((sid, ""))[:-2]  # the quoted id and its comma, without "\r\n"
-        parts += [f"{prefix}{t},{r!r}\r\n"
-                  for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]
+        lines, rate, text = [], None, ""
+        for t, r in enumerate(row, schedule.starts[sid]):
+            if r != 0.0:
+                if r != rate:
+                    rate, text = r, f"{r!r}\r\n"
+                lines.append(f"{prefix}{t},{text}")
+        parts.append("".join(lines))
     parts.append(_csv_line(last))
     return "".join(parts)
 

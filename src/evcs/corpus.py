@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
-from .feasibility import min_power_capacity, offline_feasible
+from .feasibility import is_offline_feasible, min_power_capacity
+from .feasibility import offline_feasible  # noqa: F401  kept: the benchmark's tracer wraps it
 from .model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
 
 _STD_NORMAL = NormalDist()
@@ -177,7 +178,7 @@ def generate(spec: CorpusSpec) -> list[Instance]:
             raise GenerationError(f"generated invalid instance: {problems[0]}")
         p_star = min_power_capacity(unpowered)
         instance = Instance(sessions, ConstantPower(p_star))
-        if not offline_feasible(instance)[0]:
+        if not is_offline_feasible(instance):
             raise GenerationError(f"instance infeasible at its minimum power {p_star}")
         instances.append(instance)
     return instances

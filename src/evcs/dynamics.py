@@ -35,7 +35,8 @@ class SimState:
     Within one `simulate` run, `remaining` is the run's single dict, charged
     in place after each decision; a policy may read it only during its call.
     `memory` is what a policy keeps from one slot to the next of one run:
-    OLP's plan, and nothing else.  `simulate` creates it once per run and
+    OLP's plan, or after a fallback the sessions of the residual that could
+    not ship, and nothing else.  `simulate` creates it once per run and
     `step` carries it on.  It takes no part in equality, and a state without
     it (None) gets every decision solved afresh.
     """
@@ -94,7 +95,7 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
     `state` is left as it is: the rates are checked and charged into a copy
     of its `remaining` by `_charge`, the kernel with which `simulate`
     charges its run's single dict in place after each decision.  The run
-    memory (OLP's plan, nothing else) is carried on as it is.
+    memory (OLP's plan or failed residual, nothing else) is carried on as it is.
     """
     t = state.t
     p_limit = instance.power.at(t) if t < instance.horizon else 0.0

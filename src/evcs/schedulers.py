@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import SimState
+from .feasibility import SINK, SOURCE, _build_network
 from .model import ChargingSession, ContractError, Instance
 from .netflow import FlowGraph
 
@@ -30,7 +31,10 @@ class RateDecision:
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
-      remaining demand and the sLLF rates were taken.
+      remaining demand and the sLLF rates were taken;
+    - `olp_unsolved` (olp): on a fallback decided without the per-slot solve,
+      "checked" when one max-flow on the residual's interval network decided
+      it and "skipped" when the run memory's failed residual did.
     """
 
     rates: dict[str, float]
@@ -144,6 +148,38 @@ def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
                               [state.remaining[s.id] for s in evs])
 
 
+def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
+    """The problem left at slot t: each chargeable session arrives at t and
+    departs at its departure clipped to the horizon, with its remaining energy
+    and peak rate, under the instance's power and horizon."""
+    horizon, remaining = instance.horizon, state.remaining
+    return Instance([ChargingSession(s.id, t, min(s.departure, horizon), remaining[s.id],
+                                     s.max_rate) for s in _chargeable(state, instance, t)],
+                    instance.power, horizon)
+
+
+def _window_power(instance: Instance, t: int, end: int) -> list[float]:
+    """P(t), ..., P(end - 1); a negative one is a `ContractError` naming its slot."""
+    powers = [instance.power.at(tau) for tau in range(t, end)]
+    for tau, p in enumerate(powers, t):
+        if p < 0:
+            raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
+    return powers
+
+
+def _olp_fallback(state: SimState, instance: Instance, t: int, failed, unsolved=None):
+    """The sLLF rates, with the sessions of the residual that could not ship
+    (ids of the objects) kept in the run memory."""
+    if state.memory is not None:
+        state.memory["olp"] = None
+        state.memory["olp_infeasible"] = (instance, failed)
+    fallback = sllf_rates(state, instance, t)
+    fallback.diagnostics["olp_fallback"] = True
+    if unsolved:
+        fallback.diagnostics["olp_unsolved"] = unsolved
+    return fallback
+
+
 def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Front-load the residual problem: earliest-slot-first minimum-cost flow.
 
@@ -174,8 +210,18 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     ends, or the solve fell back.  The rest of a min-cost flow stays min-cost
     for the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9),
     so a followed slot ships a fresh solve's slot total; only the split
-    between sessions may differ, by max-flow tie-breaks.  Without run memory
-    every slot is solved.
+    between sessions may differ, by max-flow tie-breaks.
+
+    A fallback keeps instead the sessions of the residual that could not
+    ship, and a later slot without a plan falls back at once while all of
+    them are still chargeable: if the later residual could ship, the rates
+    taken since, put in front of its schedule, would ship the failed one,
+    and arrivals only add demand.  Once one of them has departed or
+    finished, one max-flow on `residual_instance`'s interval network, whose
+    value is the per-slot network's (Horn 1974), decides under the same
+    criterion, and only a residual that ships is solved per slot.  A solve
+    that ships forgets the failed residual.  Without run memory every slot
+    is solved.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
@@ -191,35 +237,38 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
-    source, sink = 0, 1
+    powers = _window_power(instance, t, end)
+    demand = 0.0
+    for s in evs:
+        demand += state.remaining[s.id]
+    needed = demand - 1e-9 * max(1.0, demand)  # shipping less falls back
+    held = frozenset(map(id, evs))
+    failed = memory.get("olp_infeasible") if memory is not None else None
+    if failed is not None and failed[0] is instance:
+        if failed[1] <= held:
+            return _olp_fallback(state, instance, t, failed[1], "skipped")
+        g, _, _ = _build_network(residual_instance(state, instance, t))
+        if g.max_flow(SOURCE, SINK) < needed:
+            return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
-    demand = 0.0
     for k, s in enumerate(evs):
-        rem = state.remaining[s.id]
-        demand += rem
-        g.add_edge(source, 2 + k, rem)
+        g.add_edge(SOURCE, 2 + k, state.remaining[s.id])
     arcs: list[list[int]] = [[] for _ in evs]
     shipped = 0.0
-    for tau in range(t, end):
+    for tau, p in enumerate(powers, t):
         node = first_slot + (tau - t)
         for k, stop in enumerate(stops):
             if stop > tau:
                 arcs[k].append(g.add_edge(2 + k, node, evs[k].max_rate))
-        p = instance.power.at(tau)
-        if p < 0:
-            raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
-        g.add_edge(node, sink, p)
-        shipped += g.max_flow(source, sink)
-    if shipped < demand - 1e-9 * max(1.0, demand):
-        if memory is not None:
-            memory["olp"] = None
-        fallback = sllf_rates(state, instance, t)
-        fallback.diagnostics["olp_fallback"] = True
-        return fallback
+        g.add_edge(node, SINK, p)
+        shipped += g.max_flow(SOURCE, SINK)
+    if shipped < needed:
+        return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
     if memory is not None:  # keyed by identity; the instance keeps those objects alive
         memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
+        memory.pop("olp_infeasible", None)
     return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
                         diagnostics={"olp_shipped": shipped})
 

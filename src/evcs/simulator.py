@@ -32,7 +32,8 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     gets wraps it, and `_charge` updates it in place after each decision, so
     a policy may read it only during its call.  Every state of the run
     carries one run memory, created here, in which a policy keeps what it
-    plans across slots: OLP keeps its plan there, and nothing else does.
+    plans across slots: OLP keeps its plan there, or after a fallback the
+    residual that could not ship, and nothing else does.
     """
     policy = get_policy(policy_name)
     horizon, sessions, power = instance.horizon, instance.sessions, instance.power

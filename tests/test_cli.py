@@ -338,12 +338,24 @@ class TestRun:
             f'{{\n  "schema": "{REPORT_SCHEMA}",\n  "rows": [\n{records}\n  ]\n}}\n')
 
     @pytest.mark.parametrize("alg", sorted(POLICIES))
-    def test_csv_is_what_csv_writer_writes(self, tmp_path, capsys, alg):
-        # rows are joined per session id, so compare them with the writer's own bytes
+    @pytest.mark.parametrize("text", [
+        'evcs-v1\nhorizon 5\npower constant 1.3\n'
+        'a,b 0 4 2.9 1\nq"x 1 5 2.3 0.7\nplain 2 4 0.1 1\n',
+        # 30 slots: the caps fit, then zero power, a contended stretch, the caps again
+        'evcs-v1\nhorizon 30\npower step ' + ' '.join(['3'] * 10 + ['0'] * 5 + ['1.25'] * 5
+                                                     + ['3'] * 10) + '\n'
+        'a,b 0 30 20 1\nq"x 0 30 20 1\nplain 2 28 10 0.5\n',
+    ], ids=["short", "repeated-rates"])
+    def test_csv_is_what_csv_writer_writes(self, tmp_path, capsys, alg, text):
+        # rows are joined per session id and a repeated rate reuses its text,
+        # so compare them with the writer's own bytes
         path = tmp_path / "quoted.evcs"
-        path.write_text('evcs-v1\nhorizon 5\npower constant 1.3\n'
-                        'a,b 0 4 2.9 1\nq"x 1 5 2.3 0.7\nplain 2 4 0.1 1\n')
+        path.write_text(text)
         schedule, _ = simulator.simulate(read_instance(path), alg)
+        if "horizon 30" in text:
+            a, q = schedule.rates["a,b"], schedule.rates['q"x']
+            assert a[:10] == q[:10] == (1.0,) * 10  # a run of one rate, shared by two rows
+            assert a[10:15] == (0.0,) * 5 and a[20] == 1.0  # the rate again after a gap
         columns = ["session", "slot", "rate"]
         rows = [(sid, t, r) for sid, row in schedule.rates.items()
                 for t, r in enumerate(row, schedule.starts[sid]) if r != 0.0]

@@ -1,14 +1,18 @@
+import importlib.util
 import math
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from evcs.dynamics import SimState, initial_state, laxity, step
-from evcs.feasibility import is_offline_feasible
+from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 from evcs.schedulers import (POLICIES, _chargeable, edf_rates, es_rates, get_policy,
-                             llf_rates, olp_rates, rep_rates, sllf_rates)
+                             llf_rates, olp_rates, rep_rates, residual_instance, sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
@@ -319,6 +323,31 @@ class TestOlpAgainstFullHorizon:
             olp_rates(state, inst, 0)
         assert str(raised.value) == "OLP: negative station power P(3) = -1.0 at slot 3"
 
+    @pytest.mark.parametrize("late, unsolved", [
+        # "b" arrives while the failed "a" is chargeable: the slot is skipped
+        (ChargingSession("b", 1, 5, 1.0, 1.0), "skipped"),
+        # "c" arrives after "a" departs: one interval max-flow decides the slot
+        (ChargingSession("c", 2, 5, 3.0, 1.0), "checked"),
+    ])
+    def test_negative_power_raises_on_the_paths_without_a_solve(self, late, unsolved):
+        # slot 0 falls back over the window [0, 2); the late arrival's window reaches slot 3
+        sessions = (ChargingSession("a", 0, 2, 2.0, 1.0), late)
+        t = late.arrival
+        for p3 in (1.0, -1.0):
+            inst = Instance(sessions, StepwisePower([0.5, 0.5, 1.0, p3, 0.5]))
+            state = SimState(0, {s.id: s.energy for s in sessions}, {})
+            for u in range(t):
+                state = step(state, olp_rates(state, inst, u).rates, inst)
+            if p3 > 0:
+                assert olp_rates(state, inst, t).diagnostics["olp_unsolved"] == unsolved
+                continue
+            with pytest.raises(ContractError) as raised:
+                olp_rates(state, inst, t)
+            with pytest.raises(ContractError) as solved:  # no run memory: the per-slot solve
+                olp_rates(SimState(t, dict(state.remaining)), inst, t)
+            assert str(raised.value) == str(solved.value) == (
+                "OLP: negative station power P(3) = -1.0 at slot 3")
+
     def test_same_decisions_on_random_states(self):
         rng = random.Random(105)
         fallbacks = 0
@@ -365,12 +394,17 @@ def planned_slot_totals(plan, t):
     return totals
 
 
-def residual_instance(state, instance, t):
-    """The chargeable sessions' remaining demands over slots t, t + 1, ..., shifted to 0."""
-    sessions = [ChargingSession(s.id, 0, s.departure - t, state.remaining[s.id], s.max_rate)
-                for s in _chargeable(state, instance, t)]
-    power = StepwisePower([instance.power.at(tau) for tau in range(t, instance.horizon)])
-    return Instance(sessions, power, instance.horizon - t)
+def olp_run(monkeypatch, instance):
+    """One OLP run of the instance and each decided slot's diagnostics, by slot."""
+    diagnostics = {}
+
+    def recording_olp(state, inst, t):
+        decision = olp_rates(state, inst, t)
+        diagnostics[t] = decision.diagnostics
+        return decision
+
+    monkeypatch.setitem(POLICIES, "olp", recording_olp)
+    return simulate(instance, "olp"), diagnostics
 
 
 def run_checking_followed_slots(monkeypatch, instance):
@@ -399,6 +433,50 @@ def run_checking_followed_slots(monkeypatch, instance):
     return counts["olp_shipped"], counts["olp_plan_slot"]
 
 
+def contended_run_instance(rng: random.Random):
+    """`random_run_instance` at a constant power below its P*, so runs fall back."""
+    inst = random_run_instance(rng)
+    power = ConstantPower(rng.uniform(0.5, 0.95) * min_power_capacity(inst))
+    return Instance(inst.sessions, power, inst.horizon)
+
+
+def perfbench_workloads():
+    """The benchmark's `workloads` module, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOlpFailedResidual:
+    """Runs that skip or check a failed residual equal the per-slot reference."""
+
+    def same_runs_as_the_reference(self, monkeypatch, instances):
+        """Compare the runs; returns the fallback count and the `olp_unsolved` counts."""
+        runs, fallbacks, unsolved = [], 0, Counter()
+        for inst in instances:
+            run, diagnostics = olp_run(monkeypatch, inst)
+            runs.append(run)
+            fallbacks += sum("olp_fallback" in d for d in diagnostics.values())
+            unsolved.update(d["olp_unsolved"] for d in diagnostics.values() if "olp_unsolved" in d)
+        monkeypatch.setitem(POLICIES, "olp", plan_following_full_horizon_olp_rates)
+        assert runs == [simulate(inst, "olp") for inst in instances]
+        return fallbacks, unsolved
+
+    def test_same_runs_on_contended_instances(self, monkeypatch):
+        rng = random.Random(108)
+        instances = [contended_run_instance(rng) for _ in range(150)]
+        fallbacks, unsolved = self.same_runs_as_the_reference(monkeypatch, instances)
+        assert fallbacks >= 30 and unsolved["skipped"] > 0 and unsolved["checked"] > 0
+
+    def test_same_run_on_a_smoke_day_instance(self, monkeypatch):
+        inst = perfbench_workloads().day_instance(42, smoke=True)
+        fallbacks, unsolved = self.same_runs_as_the_reference(monkeypatch, [inst])
+        assert unsolved["skipped"] > 0 and unsolved["checked"] > 0
+
+
 class TestOlpPlan:
     def test_followed_slots_ship_what_a_fresh_solve_ships_on_random_instances(
             self, monkeypatch):
@@ -422,15 +500,7 @@ class TestOlpPlan:
         # at slot 0 holds only the first, so slot 3 must solve again
         inst = Instance((ChargingSession("a", 0, 5, 2.0, 1.0),
                          ChargingSession("a", 3, 8, 4.0, 1.0)), ConstantPower(1.0), 8)
-        diagnostics = {}
-
-        def recording_olp(state, instance, t):
-            decision = olp_rates(state, instance, t)
-            diagnostics[t] = decision.diagnostics
-            return decision
-
-        monkeypatch.setitem(POLICIES, "olp", recording_olp)
-        simulate(inst, "olp")
+        _, diagnostics = olp_run(monkeypatch, inst)
         assert diagnostics[1] == diagnostics[2] == {"olp_plan_slot": 0}
         assert set(diagnostics[0]) == set(diagnostics[3]) == {"olp_shipped"}
 
@@ -438,8 +508,41 @@ class TestOlpPlan:
         inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(0.5))
         state = SimState(0, {"a": 2.0}, {})
         assert olp_rates(state, inst, 0).diagnostics["olp_fallback"] is True
-        assert state.memory == {"olp": None}
-        assert olp_rates(step(state, {"a": 0.5}, inst), inst, 1).diagnostics["olp_fallback"]
+        # no plan, but the sessions of the failed residual, held by object
+        assert state.memory == {"olp": None,
+                                "olp_infeasible": (inst, frozenset({id(inst.sessions[0])}))}
+        decision = olp_rates(step(state, {"a": 0.5}, inst), inst, 1)
+        assert decision.diagnostics["olp_fallback"] is True
+        assert decision.diagnostics["olp_unsolved"] == "skipped"
+
+    def test_residual_is_checked_again_once_a_session_departs(self, monkeypatch):
+        # slot 0 cannot ship "a"'s 2.0 at power 0.8; "a" leaves at slot 2 and
+        # "b"'s residual then ships, so the check hands slot 2 to a solve
+        inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),
+                         ChargingSession("b", 0, 4, 1.0, 1.0)), ConstantPower(0.8))
+        _, diagnostics = olp_run(monkeypatch, inst)
+        assert diagnostics[0]["olp_fallback"] is True
+        assert "olp_unsolved" not in diagnostics[0]
+        assert diagnostics[1]["olp_unsolved"] == "skipped"
+        assert set(diagnostics[2]) == {"olp_shipped"}
+        assert diagnostics[3] == {"olp_plan_slot": 2}
+
+    def test_failed_residual_is_checked_again_on_one_interval_max_flow(self, monkeypatch):
+        # "a" departs unfinished at slot 2 and "c" arrives with more than the
+        # power left can ship: the interval network decides with one max-flow
+        inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),
+                         ChargingSession("c", 2, 5, 3.0, 1.0)),
+                        StepwisePower([0.5, 0.5, 1.0, 1.0, 0.5]))
+        calls = []
+        max_flow = FlowGraph.max_flow
+        monkeypatch.setattr(FlowGraph, "max_flow",
+                            lambda g, s, t: calls.append(g.n) or max_flow(g, s, t))
+        _, diagnostics = olp_run(monkeypatch, inst)
+        assert [d.get("olp_unsolved") for d in diagnostics.values()] == [
+            None, "skipped", "checked", "skipped", "skipped"]
+        # slot 0's solve opens slots 0 and 1; slot 2's network has "c" and the
+        # intervals [2, 4) and [4, 5), cut where the power changes
+        assert calls == [2 + 1 + 2, 2 + 1 + 2, 2 + 1 + 2]
 
     def test_run_memory_takes_no_part_in_equality(self):
         assert SimState(0, {"a": 1.0}, {"olp": None}) == SimState(0, {"a": 1.0})
