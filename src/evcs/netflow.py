@@ -3,13 +3,18 @@
 Residual capacities below a scale-aware epsilon are treated as exhausted,
 which keeps the level-graph phases finite despite floating-point arithmetic.
 Capacities may be raised between `max_flow` calls; a later call continues
-augmenting on top of the existing flow, which is what the earliest-slot-first
-minimum-cost routine in `schedulers` relies on.
+augmenting on top of the existing flow, which is what the Newton steps of
+`feasibility.min_power_capacity` rely on.
 
 Each phase labels levels by a BFS that stops at the sink's level, since only
 nodes below it can lie on a shortest path to the sink, then finds augmenting
 paths by an iterative depth-first walk over current arcs with an explicit arc
 stack, so path length is not bounded by the recursion limit.
+
+`earliest_exit_flow` is a minimum-cost flow for networks whose only priced
+arcs enter the sink, as OLP's slot network is: successive shortest paths
+from the flow the graph holds, each path found by a search from the source
+and one from the cheapest exit still in play, run in turn until they meet.
 """
 from __future__ import annotations
 
@@ -24,14 +29,15 @@ class FlowGraph:
         self._initial: list[float] = []
         self._top = 0.0  # max(self._initial), kept as arcs are added and raised
 
-    def add_edge(self, u: int, v: int, cap: float) -> int:
+    def add_edge(self, u: int, v: int, cap: float, flow: float = 0.0) -> int:
+        """Arc u -> v of capacity `cap` that already carries `flow`; returns its index."""
         idx = len(self.to)
         self.to.append(v)
-        self.cap.append(cap)
+        self.cap.append(cap - flow)
         self._initial.append(cap)
         self.adj[u].append(idx)
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(flow)
         self._initial.append(0.0)
         self.adj[v].append(idx + 1)
         if cap > self._top:
@@ -94,6 +100,95 @@ class FlowGraph:
                     break
                 u = to[path.pop() ^ 1]
                 it[u] += 1
+
+    def earliest_exit_flow(self, s: int, exits: list[int]) -> tuple[float, int]:
+        """Minimum-cost flow from `s` when only the arcs `exits` carry a cost.
+
+        The exits leave distinct nodes for one sink and cost more the later
+        they are listed; every other arc is free.  Successive shortest paths
+        (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment along a path that
+        leaves through the earliest exit with capacity left that the
+        residual graph reaches from `s`.  Augmenting adds only arcs into
+        nodes of the path, so the nodes reachable from `s` never grow in
+        number: an exit found out of reach, or without capacity, stays so.
+        Each search therefore asks whether the earliest exit not yet ruled
+        out is reachable, by a search forward from `s` and one backward from
+        the exit's node, one node each in turn; neither enters the sink or
+        leaves `s` again.  The searches meet on a path; if the backward one
+        runs out the exit is ruled out, and if the forward one does, the
+        earliest exit it reached is the next one used.  The flow the graph
+        holds at the start must be of minimum cost for what each node ships;
+        no flow is.  Returns the flow added and the searches run.
+        """
+        eps = self._eps()
+        adj, to, cap = self.adj, self.to, self.cap
+        rank = [-1] * self.n
+        for r, a in enumerate(exits):
+            rank[to[a ^ 1]] = r
+        blank = [-1] * self.n  # per node, the arc a search entered it by
+        if exits:
+            blank[to[exits[0]]] = -3  # the sink: neither search enters it
+        total, searches, lo, none = 0.0, 0, 0, len(exits)
+        while lo < none:
+            if cap[exits[lo]] <= eps:
+                lo += 1
+                continue
+            searches += 1
+            c = to[exits[lo] ^ 1]
+            fwd, bwd = blank[:], blank[:]
+            fwd[s] = bwd[c] = -2
+            fq, bq, fi, bi, meet = [s], [c], 0, 0, -1
+            while True:
+                if fi == len(fq):  # c is out of reach: take the earliest exit reached
+                    lo = min([rank[v] for v in fq if rank[v] >= 0 and cap[exits[rank[v]]] > eps],
+                             default=none)
+                    if lo == none:
+                        return total, searches
+                    meet = c = to[exits[lo] ^ 1]
+                    break
+                u = fq[fi]
+                fi += 1
+                for a in adj[u]:
+                    v = to[a]
+                    if fwd[v] == -1 and cap[a] > eps:
+                        fwd[v] = a
+                        if bwd[v] != -1:
+                            meet = v
+                            break
+                        fq.append(v)
+                if meet >= 0:
+                    break
+                if bi == len(bq):  # nothing left reaches c
+                    lo += 1
+                    break
+                u = bq[bi]
+                bi += 1
+                for a in adj[u]:
+                    v = to[a]
+                    if bwd[v] == -1 and cap[a ^ 1] > eps:
+                        bwd[v] = a ^ 1
+                        if fwd[v] != -1:
+                            meet = v
+                            break
+                        bq.append(v)
+            if meet < 0:
+                continue
+            path, v = [exits[lo]], meet
+            while v != s:
+                a = fwd[v]
+                path.append(a)
+                v = to[a ^ 1]
+            v = meet
+            while v != c:
+                a = bwd[v]
+                path.append(a)
+                v = to[a]
+            pushed = min([cap[a] for a in path])
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            total += pushed
+        return total, searches
 
     def source_side(self, s: int) -> list[bool]:
         """Residual reachability from `s`: after `max_flow`, the source side of a min cut."""

@@ -27,12 +27,14 @@ class RateDecision:
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
+      (olp) shortest-path searches of a solve that ships; a fallback carries
+      the sLLF decision's;
     - `olp_shipped` (olp): the energy a fresh solve shipped over its window;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
       remaining demand and the sLLF rates were taken;
-    - `olp_unsolved` (olp): on a fallback decided without the per-slot solve,
+    - `olp_unsolved` (olp): on a fallback decided without a solve,
       "checked" when one max-flow on the residual's interval network decided
       it and "skipped" when the run memory's failed residual did.
     """
@@ -186,18 +188,13 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     The residual transportation network (current EVs, remaining demands,
     remaining horizon) has per-unit cost equal to the slot index on the
     slot -> sink arcs, so every augmenting path's cost is the index of the
-    slot it exits through.  Opening the sink arcs one slot at a time and
-    running blocking flow to exhaustion therefore performs successive
-    shortest-path augmentation exactly.  The slot window ends at the last
-    departure: a later slot has no arc in, so its flow could only be zero.
-
-    A slot's arcs are added only when the slot opens.  A slot whose sink arc
-    is still closed takes no flow, so its node is a dead-end leaf that sets
-    no other node's level, and each session reaches it only after every open
-    slot; the network of the open slots therefore yields the same augmenting
-    paths, in the same order, as the whole window built at once.  The flow
-    epsilon is unchanged too, because slot t's arcs already carry every
-    session's peak rate.
+    slot it exits through, and `FlowGraph.earliest_exit_flow` solves it by
+    successive shortest paths: each path leaves through the earliest slot
+    with power left that the residual graph reaches.  A min-cost flow ships
+    through slots t..tau together the most they can ship, for every tau, so
+    its slot totals are unique; only the split between sessions depends on
+    the order of the searches.  The slot window ends at the last departure:
+    a later slot has no arc in, so its flow could only be zero.
 
     If the residual problem cannot ship all remaining demand, this slot falls
     back to the sLLF rates.  A negative power in the window is a
@@ -209,8 +206,10 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     (sessions are held by object, so a repeated id solves again), the window
     ends, or the solve fell back.  The rest of a min-cost flow stays min-cost
     for the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9),
-    so a followed slot ships a fresh solve's slot total; only the split
-    between sessions may differ, by max-flow tie-breaks.
+    so a followed slot ships a fresh solve's slot total, and the next solve
+    starts from it: the sessions the plan holds keep their planned rows as
+    flow, and only the demand not yet shipped, that of the sessions that
+    arrived since, is augmented.  Without a plan a solve starts from no flow.
 
     A fallback keeps instead the sessions of the residual that could not
     ship, and a later slot without a plan falls back at once while all of
@@ -219,19 +218,19 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     and arrivals only add demand.  Once one of them has departed or
     finished, one max-flow on `residual_instance`'s interval network, whose
     value is the per-slot network's (Horn 1974), decides under the same
-    criterion, and only a residual that ships is solved per slot.  A solve
-    that ships forgets the failed residual.  Without run memory every slot
-    is solved.
+    criterion, and only a residual that ships is solved.  A solve that ships
+    forgets the failed residual.  Without run memory every slot is solved.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
         return RateDecision({})
     memory = state.memory
     plan = memory.get("olp") if memory is not None else None
-    if plan is not None:
-        owner, start, end, planned = plan
+    start, planned = t, {}
+    if plan is not None and plan[0] is instance and plan[1] <= t:
+        _, start, end, planned = plan
         rows = [planned.get(id(s)) for s in evs]
-        if owner is instance and start <= t < end and None not in rows:
+        if t < end and None not in rows:
             return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
                                 diagnostics={"olp_plan_slot": start})
     horizon = instance.horizon
@@ -252,17 +251,20 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
             return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
-    for k, s in enumerate(evs):
-        g.add_edge(SOURCE, 2 + k, state.remaining[s.id])
-    arcs: list[list[int]] = [[] for _ in evs]
-    shipped = 0.0
-    for tau, p in enumerate(powers, t):
-        node = first_slot + (tau - t)
-        for k, stop in enumerate(stops):
-            if stop > tau:
-                arcs[k].append(g.add_edge(2 + k, node, evs[k].max_rate))
-        g.add_edge(node, SINK, p)
-        shipped += g.max_flow(SOURCE, SINK)
+    loads, arcs, shipped = [0.0] * (end - t), [], 0.0
+    for k, (s, stop) in enumerate(zip(evs, stops)):
+        row = planned.get(id(s))
+        row = row[t - start:] if row is not None else [0.0] * (stop - t)
+        sent = sum(row)
+        shipped += sent
+        g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sent)
+        arcs.append([g.add_edge(2 + k, first_slot + i, s.max_rate, f) for i, f in enumerate(row)])
+        for i, f in enumerate(row):
+            loads[i] += f
+    exits = [g.add_edge(first_slot + i, SINK, p, load)
+             for i, (p, load) in enumerate(zip(powers, loads))]
+    added, searches = g.earliest_exit_flow(SOURCE, exits)
+    shipped += added
     if shipped < needed:
         return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
@@ -270,7 +272,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
         memory.pop("olp_infeasible", None)
     return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
-                        diagnostics={"olp_shipped": shipped})
+                        diagnostics={"olp_shipped": shipped, "solver_steps": searches})
 
 
 POLICIES = {

@@ -2,15 +2,14 @@
 
 `RecursiveFlowGraph` labels every reachable node in each phase, walks
 augmenting paths by recursion from the source, and recomputes the epsilon
-from every arc's capacity on each call.  `full_horizon_olp_rates` builds
-every arc up to the instance horizon before the first max-flow and runs a
-max-flow for every slot, past the last departure too.
-`evcs.netflow.FlowGraph` and `evcs.schedulers.olp_rates`, which adds a
-slot's arcs only when the slot opens and stops at the last departure, skip
-only work that cannot move flow, so they must return the same floats.
-`plan_following_full_horizon_olp_rates` keeps each solve's flow in the run
-memory and follows it while no unplanned session is chargeable, as
-`olp_rates` does in a run; the two runs must be the same floats too.
+from every arc's capacity on each call; `evcs.netflow.FlowGraph.max_flow`
+must return the same floats.  `full_horizon_olp_rates` builds every arc up
+to the instance horizon, then raises one slot's sink arc at a time and runs
+a max-flow after each, past the last departure too: earliest-slot-first
+minimum-cost flow by blocking flow.  `evcs.schedulers.olp_rates` solves the
+same problem by successive shortest paths, from the plan it follows in a
+run, so it must fall back on the same slots and ship the same slot totals,
+up to the flow epsilon; the split between sessions may differ.
 
 `slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
 the time-expanded network with one node and one sink arc per slot and one
@@ -110,14 +109,9 @@ class RecursiveFlowGraph:
 
 
 def full_horizon_olp_rates(state, instance, t):
-    return _full_horizon_olp_solve(state, instance, t)[0]
-
-
-def _full_horizon_olp_solve(state, instance, t):
-    """(decision, [(session, rates over slots t, t + 1, ...)] or None after a fallback)."""
     evs = _chargeable(state, instance, t)
     if not evs:
-        return RateDecision({}), None
+        return RateDecision({})
     horizon = instance.horizon
     source, sink = 0, 1
     g = RecursiveFlowGraph(2 + len(evs) + (horizon - t))
@@ -138,26 +132,9 @@ def _full_horizon_olp_solve(state, instance, t):
     if shipped < demand - 1e-9 * max(1.0, demand):
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
-        return fallback, None
-    plan = [(s, [g.flow_on(idx) for idx in arcs]) for s, arcs in zip(evs, window_arcs)]
-    rates = {s.id: (row[0] if row else 0.0) for s, row in plan}
-    return RateDecision(rates, diagnostics={"olp_shipped": shipped}), plan
-
-
-def plan_following_full_horizon_olp_rates(state, instance, t):
-    """`full_horizon_olp_rates` solved at a slot, then followed while every
-    chargeable session is one the solve planned for (matched by `is`)."""
-    evs = _chargeable(state, instance, t)
-    start, plan = state.memory.get("full_horizon_olp", (t, None))
-    if evs and plan is not None:
-        rows = [next((row for p, row in plan if p is s), None) for s in evs]
-        if all(row is not None and 0 <= t - start < len(row) for row in rows):
-            return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
-                                diagnostics={"olp_plan_slot": start})
-    decision, plan = _full_horizon_olp_solve(state, instance, t)
-    if evs:
-        state.memory["full_horizon_olp"] = (t, plan)
-    return decision
+        return fallback
+    rates = {s.id: (g.flow_on(arcs[0]) if arcs else 0.0) for s, arcs in zip(evs, window_arcs)}
+    return RateDecision(rates, diagnostics={"olp_shipped": shipped})
 
 
 def slot_build_network(instance, power_override=None):

@@ -132,3 +132,71 @@ class TestAgainstRecursiveOracle:
             g.add_edge(u, u + 1, 1.0 + u % 7)
         assert g.max_flow(0, n - 1) == 1.0
         assert g.source_side(0) == [True] + [False] * (n - 1)
+
+
+def _random_slot_network(seed, graph=FlowGraph, closed=False):
+    """A random OLP-shaped network: source 0, sink 1, sessions, then slots in
+    cost order, each with an exit to the sink, of capacity 0.0 if `closed`;
+    returns (graph, source arcs, exits, exit capacities)."""
+    rng = random.Random(seed)
+    n, w = rng.randint(1, 6), rng.randint(1, 12)
+    g = graph(2 + n + w)
+    sources = []
+    for k in range(n):
+        sources.append(g.add_edge(0, 2 + k, rng.uniform(0.0, 6.0)))
+        first, rate = rng.randint(0, w - 1), rng.uniform(0.1, 2.0)
+        for i in range(first, w):
+            g.add_edge(2 + k, 2 + n + i, rate)
+    powers = [0.0 if rng.random() < 0.2 else rng.uniform(0.0, 3.0) for _ in range(w)]
+    exits = [g.add_edge(2 + n + i, 1, 0.0 if closed else p) for i, p in enumerate(powers)]
+    return g, sources, exits, powers
+
+
+class TestEarliestExitFlow:
+    def test_an_arc_can_start_with_flow(self):
+        g = FlowGraph(3)
+        first = g.add_edge(0, 1, 2.0, 1.5)
+        assert (g.flow_on(first), g.cap[first], g._initial[first], g._eps()) == (1.5, 0.5, 2.0, 2e-12)
+        g.add_edge(1, 2, 1.0)
+        assert g.max_flow(0, 2) == 0.5  # what the first arc has left
+        assert g.flow_on(first) == 2.0
+
+    def test_exit_flows_are_those_of_opening_one_exit_at_a_time(self):
+        # the reference raises each exit in turn and runs a max-flow, as OLP did
+        searches = 0
+        for seed in range(300):
+            g, _, exits, _ = _random_slot_network(seed)
+            ref, _, ref_exits, powers = _random_slot_network(seed, RecursiveFlowGraph, True)
+            value = 0.0
+            for a, p in zip(ref_exits, powers):
+                ref.raise_capacity(a, p)
+                value += ref.max_flow(0, 1)
+            shipped, steps = g.earliest_exit_flow(0, exits)
+            searches += steps
+            assert shipped == pytest.approx(value, rel=1e-12, abs=1e-12)
+            for a, b in zip(exits, ref_exits):
+                assert g.flow_on(a) == pytest.approx(ref.flow_on(b), rel=1e-12, abs=1e-12)
+        assert searches > 1000
+
+    def test_a_warm_start_ships_what_a_cold_one_does(self):
+        # a solve on part of each supply, then the rest on top of its flow
+        for seed in range(300):
+            cold, sources, exits, _ = _random_slot_network(seed)
+            warm, _, _, _ = _random_slot_network(seed)
+            rng = random.Random(seed)
+            supplies = [warm._initial[a] for a in sources]
+            for a, c in zip(sources, supplies):
+                warm.cap[a] = warm._initial[a] = c * rng.choice([0.0, rng.random(), 1.0])
+            first, _ = warm.earliest_exit_flow(0, exits)
+            for a, c in zip(sources, supplies):
+                warm.raise_capacity(a, c)
+            more, _ = warm.earliest_exit_flow(0, exits)
+            shipped, _ = cold.earliest_exit_flow(0, exits)
+            assert first + more == pytest.approx(shipped, rel=1e-12, abs=1e-12)
+            for a in exits:
+                assert warm.flow_on(a) == pytest.approx(cold.flow_on(a), rel=1e-12, abs=1e-12)
+
+    def test_no_exits(self):
+        g = FlowGraph(3)
+        g.add_edge(0, 2, 1.0)
+        assert g.earliest_exit_flow(0, []) == (0.0, 0)

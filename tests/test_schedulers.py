@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from evcs.dynamics import SimState, initial_state, laxity, step
+from evcs.dynamics import RATE_TOL, SimState, initial_state, laxity, step
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
@@ -17,7 +17,7 @@ from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
-from flow_oracle import full_horizon_olp_rates, plan_following_full_horizon_olp_rates
+from flow_oracle import full_horizon_olp_rates
 from sim_oracle import full_scan_chargeable
 
 
@@ -220,29 +220,29 @@ class TestOlp:
 
 
 class TestOlpNetwork:
-    def test_arcs_follow_the_opened_slots(self, monkeypatch):
-        sessions = (ChargingSession("a", 0, 2, 1.5, 1.0), ChargingSession("b", 1, 4, 2.0, 1.0),
-                    ChargingSession("c", 0, 4, 3.0, 1.0), ChargingSession("d", 1, 6, 1.0, 0.5))
-        inst = Instance(sessions, ConstantPower(1.5), 9)
-        state = SimState(1, {"a": 0.5, "b": 2.0, "c": 2.0, "d": 1.0})
-        arcs_at_call = []
-        max_flow = FlowGraph.max_flow
-
-        def counting_max_flow(g, s, t):
-            arcs_at_call.append(len(g.to) // 2)
-            return max_flow(g, s, t)
-
-        monkeypatch.setattr(FlowGraph, "max_flow", counting_max_flow)
-        decision = olp_rates(state, inst, 1)
-        assert not decision.diagnostics.get("olp_fallback")
-        # 4 source arcs; slot tau opens the columns of the sessions still
-        # present at tau, then its own sink arc: slots 1..5, none past slot 5
-        open_columns = [4, 3, 3, 1, 1]
-        expected, arcs = [], 4
-        for columns in open_columns:
-            arcs += columns + 1
-            expected.append(arcs)
-        assert arcs_at_call == expected == [9, 13, 17, 19, 21]
+    def test_a_warm_solve_keeps_the_planned_rows(self):
+        # slot 0 plans "a" and "c" over slots 0-2 at power 1.5; "b" arrives at
+        # slot 1, so slot 1 solves again from that plan: "a" and "c" keep
+        # their rows and fill slot 1, and "b" ships through slot 2
+        b, a, c = (ChargingSession("b", 1, 3, 1.0, 1.0), ChargingSession("a", 0, 3, 2.0, 1.0),
+                   ChargingSession("c", 0, 3, 1.0, 1.0))
+        inst = Instance((b, a, c), ConstantPower(1.5), 3)
+        state = SimState(0, {"b": 1.0, "a": 2.0, "c": 1.0}, {})
+        first = olp_rates(state, inst, 0)
+        assert first.diagnostics == {"olp_shipped": 3.0, "solver_steps": 5}
+        assert state.memory["olp"] == (inst, 0, 3, {id(a): [1.0, 1.0, 0.0],
+                                                    id(c): [0.5, 0.5, 0.0]})
+        state = step(state, first.rates, inst)
+        warm = olp_rates(state, inst, 1)
+        assert warm.rates == {"b": 0.0, "a": 1.0, "c": 0.5}
+        assert warm.diagnostics == {"olp_shipped": 2.5, "solver_steps": 2}
+        assert state.memory["olp"] == (inst, 1, 3, {id(b): [0.0, 1.0], id(a): [1.0, 0.0],
+                                                    id(c): [0.5, 0.0]})
+        # a cold solve of the same state ships the same slot totals, split otherwise
+        cold = SimState(1, dict(state.remaining), {})
+        assert olp_rates(cold, inst, 1).rates == {"b": 1.0, "a": 0.5, "c": 0.0}
+        assert cold.memory["olp"] == (inst, 1, 3, {id(b): [1.0, 0.0], id(a): [0.5, 0.5],
+                                                   id(c): [0.0, 0.5]})
 
 
 def random_mid_run_state(rng: random.Random):
@@ -299,15 +299,68 @@ def random_wide_state(rng: random.Random):
     return SimState(t, remaining), Instance(tuple(sessions), power, horizon)
 
 
+def assert_as_full_horizon(state, instance, decision) -> bool:
+    """Check an OLP decision made at `state` against `full_horizon_olp_rates`
+    on the same remaining energies; returns whether it fell back.
+
+    It falls back where the reference does, and then takes the sLLF rates.
+    Otherwise its slot total is the reference's within 1e-12 of the window
+    network's largest capacity, the scale of both flow epsilons, and what it
+    leaves of its sessions' demand at t + 1 is offline feasible, sessions
+    that depart at t + 1 having shipped theirs under OLP's criterion.
+    """
+    t = state.t
+    fresh = SimState(t, dict(state.remaining))
+    reference = full_horizon_olp_rates(fresh, instance, t)
+    fallback = decision.diagnostics.get("olp_fallback", False)
+    assert fallback == reference.diagnostics.get("olp_fallback", False), t
+    if fallback:
+        assert decision.rates == reference.rates == sllf_rates(fresh, instance, t).rates
+        return True
+    assert "olp_unsolved" not in decision.diagnostics
+    evs = _chargeable(fresh, instance, t)
+    if not evs:
+        assert decision.rates == reference.rates == {}
+        return False
+    stops = [min(s.departure, instance.horizon) for s in evs]
+    scale = max([1.0] + [instance.power.at(tau) for tau in range(t, max(stops))]
+                + [s.max_rate for s in evs] + [fresh.remaining[s.id] for s in evs])
+    a, b = sum(decision.rates.values()), sum(reference.rates.values())
+    assert abs(a - b) <= 1e-12 * scale, (t, a, b)
+    after = step(fresh, decision.rates, instance)
+    demand = sum(fresh.remaining[s.id] for s in evs)
+    assert all(after.remaining[s.id] <= 1e-9 * max(1.0, demand)
+               for s, stop in zip(evs, stops) if stop <= t + 1)
+    own = Instance(tuple(evs), instance.power, instance.horizon)
+    assert is_offline_feasible(residual_instance(after, own, t + 1))
+    return False
+
+
+def olp_runs_as_full_horizon(monkeypatch, instances):
+    """Run OLP on each instance and check every decision with
+    `assert_as_full_horizon`; returns the fallback count and the
+    `olp_unsolved` counts."""
+    counts = Counter()
+
+    def checking_olp(state, inst, t):
+        decision = olp_rates(state, inst, t)
+        counts["fallbacks"] += assert_as_full_horizon(state, inst, decision)
+        counts[decision.diagnostics.get("olp_unsolved")] += 1
+        return decision
+
+    monkeypatch.setitem(POLICIES, "olp", checking_olp)
+    for inst in instances:
+        simulate(inst, "olp")
+    return counts.pop("fallbacks", 0), counts
+
+
 class TestOlpAgainstFullHorizon:
-    def test_same_decisions_on_wide_windows(self):
+    def test_same_slot_totals_on_wide_windows(self):
         rng = random.Random(106)
         fallbacks = 0
         for _ in range(300):
             state, inst = random_wide_state(rng)
-            decision = olp_rates(state, inst, state.t)
-            assert decision == full_horizon_olp_rates(state, inst, state.t)
-            fallbacks += bool(decision.diagnostics.get("olp_fallback"))
+            fallbacks += assert_as_full_horizon(state, inst, olp_rates(state, inst, state.t))
         assert 30 <= fallbacks <= 270
 
     def test_negative_power_raises_as_the_reference_does(self):
@@ -348,22 +401,20 @@ class TestOlpAgainstFullHorizon:
             assert str(raised.value) == str(solved.value) == (
                 "OLP: negative station power P(3) = -1.0 at slot 3")
 
-    def test_same_decisions_on_random_states(self):
+    def test_same_slot_totals_on_random_states(self):
         rng = random.Random(105)
         fallbacks = 0
         for _ in range(400):
             state, inst = random_mid_run_state(rng)
-            decision = olp_rates(state, inst, state.t)
-            assert decision == full_horizon_olp_rates(state, inst, state.t)
-            fallbacks += bool(decision.diagnostics.get("olp_fallback"))
+            fallbacks += assert_as_full_horizon(state, inst, olp_rates(state, inst, state.t))
         assert 40 <= fallbacks <= 360
 
-    def test_same_runs_on_corpus_samples(self, monkeypatch, reference_corpus, spaced_corpus):
+    def test_same_slot_totals_on_corpus_samples(self, monkeypatch, reference_corpus,
+                                                spaced_corpus):
         # a run solves at a slot and follows that plan until a session arrives
         sample = reference_corpus[::20] + spaced_corpus[::20]
-        runs = [simulate(inst, "olp") for inst in sample]
-        monkeypatch.setitem(POLICIES, "olp", plan_following_full_horizon_olp_rates)
-        assert runs == [simulate(inst, "olp") for inst in sample]
+        fallbacks, unsolved = olp_runs_as_full_horizon(monkeypatch, sample)
+        assert fallbacks > 0 and unsolved["skipped"] > 0
 
 
 def random_run_instance(rng: random.Random):
@@ -451,29 +502,18 @@ def perfbench_workloads():
 
 
 class TestOlpFailedResidual:
-    """Runs that skip or check a failed residual equal the per-slot reference."""
+    """Runs that skip or check a failed residual fall back where the
+    per-slot reference does, slot by slot."""
 
-    def same_runs_as_the_reference(self, monkeypatch, instances):
-        """Compare the runs; returns the fallback count and the `olp_unsolved` counts."""
-        runs, fallbacks, unsolved = [], 0, Counter()
-        for inst in instances:
-            run, diagnostics = olp_run(monkeypatch, inst)
-            runs.append(run)
-            fallbacks += sum("olp_fallback" in d for d in diagnostics.values())
-            unsolved.update(d["olp_unsolved"] for d in diagnostics.values() if "olp_unsolved" in d)
-        monkeypatch.setitem(POLICIES, "olp", plan_following_full_horizon_olp_rates)
-        assert runs == [simulate(inst, "olp") for inst in instances]
-        return fallbacks, unsolved
-
-    def test_same_runs_on_contended_instances(self, monkeypatch):
+    def test_same_slot_totals_on_contended_instances(self, monkeypatch):
         rng = random.Random(108)
         instances = [contended_run_instance(rng) for _ in range(150)]
-        fallbacks, unsolved = self.same_runs_as_the_reference(monkeypatch, instances)
+        fallbacks, unsolved = olp_runs_as_full_horizon(monkeypatch, instances)
         assert fallbacks >= 30 and unsolved["skipped"] > 0 and unsolved["checked"] > 0
 
-    def test_same_run_on_a_smoke_day_instance(self, monkeypatch):
+    def test_same_slot_totals_on_a_smoke_day_instance(self, monkeypatch):
         inst = perfbench_workloads().day_instance(42, smoke=True)
-        fallbacks, unsolved = self.same_runs_as_the_reference(monkeypatch, [inst])
+        _, unsolved = olp_runs_as_full_horizon(monkeypatch, [inst])
         assert unsolved["skipped"] > 0 and unsolved["checked"] > 0
 
 
@@ -502,7 +542,7 @@ class TestOlpPlan:
                          ChargingSession("a", 3, 8, 4.0, 1.0)), ConstantPower(1.0), 8)
         _, diagnostics = olp_run(monkeypatch, inst)
         assert diagnostics[1] == diagnostics[2] == {"olp_plan_slot": 0}
-        assert set(diagnostics[0]) == set(diagnostics[3]) == {"olp_shipped"}
+        assert set(diagnostics[0]) == set(diagnostics[3]) == {"olp_shipped", "solver_steps"}
 
     def test_fallback_leaves_no_plan(self):
         inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(0.5))
@@ -524,7 +564,7 @@ class TestOlpPlan:
         assert diagnostics[0]["olp_fallback"] is True
         assert "olp_unsolved" not in diagnostics[0]
         assert diagnostics[1]["olp_unsolved"] == "skipped"
-        assert set(diagnostics[2]) == {"olp_shipped"}
+        assert set(diagnostics[2]) == {"olp_shipped", "solver_steps"}
         assert diagnostics[3] == {"olp_plan_slot": 2}
 
     def test_failed_residual_is_checked_again_on_one_interval_max_flow(self, monkeypatch):
@@ -540,12 +580,71 @@ class TestOlpPlan:
         _, diagnostics = olp_run(monkeypatch, inst)
         assert [d.get("olp_unsolved") for d in diagnostics.values()] == [
             None, "skipped", "checked", "skipped", "skipped"]
-        # slot 0's solve opens slots 0 and 1; slot 2's network has "c" and the
+        # slot 0's solve runs no max-flow; slot 2's network has "c" and the
         # intervals [2, 4) and [4, 5), cut where the power changes
-        assert calls == [2 + 1 + 2, 2 + 1 + 2, 2 + 1 + 2]
+        assert calls == [2 + 1 + 2]
 
     def test_run_memory_takes_no_part_in_equality(self):
         assert SimState(0, {"a": 1.0}, {"olp": None}) == SimState(0, {"a": 1.0})
+
+
+def run_checking_plans(monkeypatch, instance):
+    """Simulate OLP, checking the plan each solve stores; returns (solves,
+    solves that started from an earlier plan)."""
+    counts = Counter()
+
+    def checking_olp(state, inst, t):
+        evs = _chargeable(state, inst, t)
+        earlier = state.memory.get("olp")
+        warm = earlier is not None and any(id(s) in earlier[3] for s in evs)
+        decision = olp_rates(state, inst, t)
+        if "olp_shipped" not in decision.diagnostics:
+            return decision
+        counts["solves"] += 1
+        counts["warm"] += warm
+        owner, start, end, planned = state.memory["olp"]
+        assert owner is inst and start == t and set(planned) == {id(s) for s in evs}
+        demand = sum(state.remaining[s.id] for s in evs)
+        for s in evs:
+            row = planned[id(s)]
+            assert len(row) == min(s.departure, inst.horizon) - t
+            assert all(0.0 <= r <= s.max_rate + RATE_TOL for r in row), (t, s.id)
+            assert abs(sum(row) - state.remaining[s.id]) <= 1e-9 * max(1.0, demand), (t, s.id)
+        totals = planned_slot_totals(state.memory["olp"], t)
+        for tau, total in totals.items():
+            p = inst.power.at(tau)
+            assert total <= p + RATE_TOL * max(1.0, p), (t, tau)
+        cold = SimState(t, dict(state.remaining), {})
+        olp_rates(cold, inst, t)
+        for tau, a in planned_slot_totals(cold.memory["olp"], t).items():
+            b = totals[tau]
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (t, tau, a, b)
+        return decision
+
+    monkeypatch.setitem(POLICIES, "olp", checking_olp)
+    simulate(instance, "olp")
+    return counts["solves"], counts["warm"]
+
+
+class TestOlpPlanValidity:
+    """Every stored plan keeps the rates and the power, ships each held
+    session's remaining energy, and has a cold solve's slot totals."""
+
+    def test_plans_on_random_instances(self, monkeypatch):
+        rng = random.Random(109)
+        solves = warm = 0
+        for _ in range(200):
+            s, w = run_checking_plans(monkeypatch, random_run_instance(rng))
+            solves, warm = solves + s, warm + w
+        assert warm > 100 and solves > warm
+
+    def test_plans_on_contended_instances(self, monkeypatch):
+        rng = random.Random(110)
+        solves = warm = 0
+        for _ in range(100):
+            s, w = run_checking_plans(monkeypatch, contended_run_instance(rng))
+            solves, warm = solves + s, warm + w
+        assert warm > 20 and solves > warm
 
 
 class TestAllPolicies:
