@@ -13,8 +13,8 @@ stack, so path length is not bounded by the recursion limit.
 
 `earliest_exit_flow` is a minimum-cost flow for networks whose only priced
 arcs enter the sink, as OLP's slot network is: successive shortest paths
-from the flow the graph holds, each path found by a search from the source
-and one from the cheapest exit still in play, run in turn until they meet.
+from the flow the graph holds, each path found by one search from the
+source.
 """
 from __future__ import annotations
 
@@ -108,81 +108,56 @@ class FlowGraph:
         they are listed; every other arc is free.  Successive shortest paths
         (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment along a path that
         leaves through the earliest exit with capacity left that the
-        residual graph reaches from `s`.  Augmenting adds only arcs into
-        nodes of the path, so the nodes reachable from `s` never grow in
-        number: an exit found out of reach, or without capacity, stays so.
-        Each search therefore asks whether the earliest exit not yet ruled
-        out is reachable, by a search forward from `s` and one backward from
-        the exit's node, one node each in turn; neither enters the sink or
-        leaves `s` again.  The searches meet on a path; if the backward one
-        runs out the exit is ruled out, and if the forward one does, the
-        earliest exit it reached is the next one used.  The flow the graph
-        holds at the start must be of minimum cost for what each node ships;
-        no flow is.  Returns the flow added and the searches run.
+        residual graph reaches from `s`, found by one search from `s` that
+        never enters the sink.  Augmenting adds only arcs into nodes of the
+        path, so no node becomes reachable that was not: the exit used never
+        moves earlier.  A search ignores residual capacities up to 1e-12 of
+        the largest capacity among the arcs that are not exits and the exits
+        up to the earliest one still in play, the epsilon of a max-flow
+        through those exits alone.  The flow the graph holds at the start
+        must be of minimum cost for what each node ships; no flow is.
+        Returns the flow added and the searches run.
         """
-        eps = self._eps()
-        adj, to, cap = self.adj, self.to, self.cap
-        rank = [-1] * self.n
+        initial, adj, to, cap = self._initial, self.adj, self.to, self.cap
+        priced = set(exits)
+        top = max([1.0] + [c for a, c in enumerate(initial) if a not in priced])
+        scale, rank = [], [-1] * self.n
         for r, a in enumerate(exits):
+            top = max(top, initial[a])
+            scale.append(1e-12 * top)
             rank[to[a ^ 1]] = r
-        blank = [-1] * self.n  # per node, the arc a search entered it by
+        blank = [-1] * self.n  # per node, the arc the search entered it by
         if exits:
-            blank[to[exits[0]]] = -3  # the sink: neither search enters it
+            blank[to[exits[0]]] = -2  # the sink is never entered
         total, searches, lo, none = 0.0, 0, 0, len(exits)
         while lo < none:
+            eps = scale[lo]
             if cap[exits[lo]] <= eps:
                 lo += 1
                 continue
             searches += 1
-            c = to[exits[lo] ^ 1]
-            fwd, bwd = blank[:], blank[:]
-            fwd[s] = bwd[c] = -2
-            fq, bq, fi, bi, meet = [s], [c], 0, 0, -1
-            while True:
-                if fi == len(fq):  # c is out of reach: take the earliest exit reached
-                    lo = min([rank[v] for v in fq if rank[v] >= 0 and cap[exits[rank[v]]] > eps],
-                             default=none)
-                    if lo == none:
-                        return total, searches
-                    meet = c = to[exits[lo] ^ 1]
-                    break
-                u = fq[fi]
-                fi += 1
+            entry = blank[:]
+            entry[s] = -2
+            queue, best = [s], none
+            for u in queue:
+                r = rank[u]
+                if lo <= r < best and cap[exits[r]] > eps:
+                    best = r
+                    if r == lo:
+                        break
                 for a in adj[u]:
                     v = to[a]
-                    if fwd[v] == -1 and cap[a] > eps:
-                        fwd[v] = a
-                        if bwd[v] != -1:
-                            meet = v
-                            break
-                        fq.append(v)
-                if meet >= 0:
-                    break
-                if bi == len(bq):  # nothing left reaches c
-                    lo += 1
-                    break
-                u = bq[bi]
-                bi += 1
-                for a in adj[u]:
-                    v = to[a]
-                    if bwd[v] == -1 and cap[a ^ 1] > eps:
-                        bwd[v] = a ^ 1
-                        if fwd[v] != -1:
-                            meet = v
-                            break
-                        bq.append(v)
-            if meet < 0:
-                continue
-            path, v = [exits[lo]], meet
+                    if entry[v] == -1 and cap[a] > eps:
+                        entry[v] = a
+                        queue.append(v)
+            lo = best
+            if lo == none:
+                break
+            path, v = [exits[lo]], to[exits[lo] ^ 1]
             while v != s:
-                a = fwd[v]
+                a = entry[v]
                 path.append(a)
                 v = to[a ^ 1]
-            v = meet
-            while v != c:
-                a = bwd[v]
-                path.append(a)
-                v = to[a]
             pushed = min([cap[a] for a in path])
             for a in path:
                 cap[a] -= pushed

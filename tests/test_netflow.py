@@ -196,6 +196,30 @@ class TestEarliestExitFlow:
             for a in exits:
                 assert warm.flow_on(a) == pytest.approx(cold.flow_on(a), rel=1e-12, abs=1e-12)
 
+    def test_an_exit_s_epsilon_ignores_the_exits_after_it(self):
+        # 5e-12 is above 1e-12 * P(0) and below 1e-12 * P(1): a max-flow
+        # through exit 0 alone ships it, and so must the solve
+        g = FlowGraph(5)
+        g.add_edge(0, 2, 5e-12)
+        g.add_edge(2, 3, 1.0)
+        g.add_edge(2, 4, 1.0)
+        exits = [g.add_edge(3, 1, 1.0), g.add_edge(4, 1, 10.0)]
+        assert g.earliest_exit_flow(0, exits) == (5e-12, 2)
+        assert [g.flow_on(a) for a in exits] == [5e-12, 0.0]
+
+    def test_a_sliver_left_on_an_exit_is_still_used(self):
+        # "a" leaves 2**-22 of exit 0, which "b" fills before using exit 1
+        g = FlowGraph(6)
+        g.add_edge(0, 2, 1.0 - 2.0 ** -22)
+        g.add_edge(0, 3, 1.0)
+        g.add_edge(2, 4, 1.0)
+        g.add_edge(3, 4, 1.0)
+        g.add_edge(3, 5, 1.0)
+        exits = [g.add_edge(4, 1, 1.0), g.add_edge(5, 1, 1.0)]
+        shipped, _ = g.earliest_exit_flow(0, exits)
+        assert shipped == 2.0 - 2.0 ** -22
+        assert [g.flow_on(a) for a in exits] == [1.0, 1.0 - 2.0 ** -22]
+
     def test_no_exits(self):
         g = FlowGraph(3)
         g.add_edge(0, 2, 1.0)
