@@ -33,8 +33,8 @@ def _build_network(instance: Instance, power_override: float | None = None):
 
     `session_arcs[k]` lists session k's (start, end, arc) per interval of its
     window and `sink_arcs` every interval node's (start, end, arc), each in
-    time order.  Session k's node is 2 + k.  An override power keeps the
-    profile's change points as cuts, which leave the max-flow value as it is.
+    time order.  Session k's node is 2 + k, its source arc 2k.  An override
+    power keeps the profile's change points as cuts, which keep the max-flow value.
     """
     spans = list(instance.busy_spans())
     sessions = instance.sessions
@@ -52,12 +52,21 @@ def _build_network(instance: Instance, power_override: float | None = None):
     return g, session_arcs, sink_arcs
 
 
+def ships_demand(g: FlowGraph, sources, demands) -> bool:
+    """Whether each source arc's residual, what its session has not shipped,
+    is at most DEMAND_TOL of its demand: the rule a run is judged by."""
+    for a, d in zip(sources, demands):
+        if not g.cap[a] <= DEMAND_TOL * d:  # NaN fails too
+            return False
+    return True
+
+
 def _solve(instance: Instance, power_override: float | None):
     """Max flow on the interval network; returns (ships the demand, graph, session arcs)."""
-    demand = sum(s.energy for s in instance.sessions)
+    energies = [s.energy for s in instance.sessions]
     g, session_arcs, _ = _build_network(instance, power_override)
-    value = g.max_flow(SOURCE, SINK)
-    return not value < demand - DEMAND_TOL * max(1.0, demand), g, session_arcs
+    g.max_flow(SOURCE, SINK)
+    return ships_demand(g, range(0, 2 * len(energies), 2), energies), g, session_arcs
 
 
 def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
@@ -92,8 +101,8 @@ def min_power_capacity(instance: Instance) -> float:
     The max-flow value is the minimum over cuts of a + k*P, k the total length
     of the intervals on the cut's source side (Gallo, Grigoriadis & Tarjan
     1989).  Newton steps from P = 0 move P to the root of the current min
-    cut's line until the flow ships the demand; each raises P by at least
-    DEMAND_TOL * max(1, D) / k.  P only rises, so each step raises the sink
+    cut's line, and by at least 2e-12 * P, the least a sink arc's tolerance
+    sees, until `ships_demand`.  P only rises, so each step raises the sink
     arcs to P*l and the next max-flow augments the flow already sent.
     """
     for s in instance.sessions:
@@ -101,17 +110,17 @@ def min_power_capacity(instance: Instance) -> float:
             raise ContractError(f"session {s.id} has non-finite energy or max rate")
         if s.energy > s.max_rate * s.sojourn:
             raise ContractError(f"session {s.id} individually unsatisfiable")
-    demand = sum(s.energy for s in instance.sessions)
-    p = 0.0
+    energies = [s.energy for s in instance.sessions]
+    sources, demand, p = range(0, 2 * len(energies), 2), sum(energies), 0.0
     g, _, sink_arcs = _build_network(instance, p)
     short = demand - g.max_flow(SOURCE, SINK)
-    while short > DEMAND_TOL * max(1.0, demand):
+    while not ships_demand(g, sources, energies):
         reach = g.source_side(SOURCE)
         # the paired arc leads back to the interval node
         k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
-        p += short / k
+        p += max(short / k, 2e-12 * p)
         for a, b, idx in sink_arcs:
             g.raise_capacity(idx, p * (b - a))
         short -= g.max_flow(SOURCE, SINK)

@@ -1,7 +1,9 @@
 """Blocking-flow maximum flow on graphs with real-valued capacities.
 
-Residual capacities below a scale-aware epsilon are treated as exhausted,
-which keeps the level-graph phases finite despite floating-point arithmetic.
+An arc counts as exhausted once its residual is at most 1e-12 of its own
+capacity, or 0 if that is not positive; its paired arc shares the
+tolerance.  That keeps the level-graph phases finite despite floating-point
+arithmetic, whatever the capacities span.
 Capacities may be raised between `max_flow` calls; a later call continues
 augmenting on top of the existing flow, which is what the Newton steps of
 `feasibility.min_power_capacity` rely on.
@@ -22,26 +24,27 @@ from __future__ import annotations
 class FlowGraph:
     def __init__(self, n: int):
         self.n = n
-        # parallel arrays: to[], cap[] (residual), paired arc = idx ^ 1
+        # parallel arrays: to[], cap[] (residual), tol[], paired arc = idx ^ 1
         self.to: list[int] = []
         self.cap: list[float] = []
+        self.tol: list[float] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self._initial: list[float] = []
-        self._top = 0.0  # max(self._initial), kept as arcs are added and raised
 
     def add_edge(self, u: int, v: int, cap: float, flow: float = 0.0) -> int:
         """Arc u -> v of capacity `cap` that already carries `flow`; returns its index."""
         idx = len(self.to)
+        tol = 1e-12 * cap if cap > 0.0 else 0.0
         self.to.append(v)
         self.cap.append(cap - flow)
+        self.tol.append(tol)
         self._initial.append(cap)
         self.adj[u].append(idx)
         self.to.append(u)
         self.cap.append(flow)
+        self.tol.append(tol)
         self._initial.append(0.0)
         self.adj[v].append(idx + 1)
-        if cap > self._top:
-            self._top = cap
         return idx
 
     def raise_capacity(self, idx: int, cap: float) -> None:
@@ -51,19 +54,17 @@ class FlowGraph:
             raise ValueError("capacities may only be raised")
         self._initial[idx] = cap
         self.cap[idx] += extra
-        if cap > self._top:
-            self._top = cap
+        self.tol[idx] = self.tol[idx ^ 1] = 1e-12 * cap if cap > 0.0 else 0.0
 
     def flow_on(self, idx: int) -> float:
         """Flow currently routed through forward arc `idx`."""
         return self.cap[idx ^ 1]
 
     def max_flow(self, s: int, t: int) -> float:
-        eps = self._eps()
-        adj, to, cap = self.adj, self.to, self.cap
+        adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
         total = 0.0
         while True:
-            level = self._levels(s, eps, t)
+            level = self._levels(s, t)
             if level[t] < 0:
                 return total
             it = [0] * self.n
@@ -79,7 +80,7 @@ class FlowGraph:
                     # back up to the tail of the first arc this push exhausted:
                     # the walk from s would retrace the arcs before it
                     for k, a in enumerate(path):
-                        if cap[a] <= eps:
+                        if cap[a] <= tol[a]:
                             break
                     u = to[a ^ 1]
                     del path[k:]
@@ -87,7 +88,7 @@ class FlowGraph:
                 i, end = it[u], len(arcs)
                 while i < end:
                     a = arcs[i]
-                    if cap[a] > eps and level[to[a]] == nxt:
+                    if cap[a] > tol[a] and level[to[a]] == nxt:
                         break
                     i += 1
                 it[u] = i
@@ -111,28 +112,22 @@ class FlowGraph:
         residual graph reaches from `s`, found by one search from `s` that
         never enters the sink.  Augmenting adds only arcs into nodes of the
         path, so no node becomes reachable that was not: the exit used never
-        moves earlier.  A search ignores residual capacities up to 1e-12 of
-        the largest capacity among the arcs that are not exits and the exits
-        up to the earliest one still in play, the epsilon of a max-flow
-        through those exits alone.  The flow the graph holds at the start
-        must be of minimum cost for what each node ships; no flow is.
+        moves earlier.  An arc is exhausted by the same per-arc tolerance
+        as in `max_flow`.  The flow the graph holds at the start must be of
+        minimum cost for what each node ships; no flow is.
         Returns the flow added and the searches run.
         """
-        initial, adj, to, cap = self._initial, self.adj, self.to, self.cap
-        priced = set(exits)
-        top = max([1.0] + [c for a, c in enumerate(initial) if a not in priced])
-        scale, rank = [], [-1] * self.n
+        adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
+        rank = [-1] * self.n
         for r, a in enumerate(exits):
-            top = max(top, initial[a])
-            scale.append(1e-12 * top)
             rank[to[a ^ 1]] = r
         blank = [-1] * self.n  # per node, the arc the search entered it by
         if exits:
             blank[to[exits[0]]] = -2  # the sink is never entered
         total, searches, lo, none = 0.0, 0, 0, len(exits)
         while lo < none:
-            eps = scale[lo]
-            if cap[exits[lo]] <= eps:
+            a = exits[lo]
+            if cap[a] <= tol[a]:
                 lo += 1
                 continue
             searches += 1
@@ -141,13 +136,13 @@ class FlowGraph:
             queue, best = [s], none
             for u in queue:
                 r = rank[u]
-                if lo <= r < best and cap[exits[r]] > eps:
+                if lo <= r < best and cap[exits[r]] > tol[exits[r]]:
                     best = r
                     if r == lo:
                         break
                 for a in adj[u]:
                     v = to[a]
-                    if entry[v] == -1 and cap[a] > eps:
+                    if entry[v] == -1 and cap[a] > tol[a]:
                         entry[v] = a
                         queue.append(v)
             lo = best
@@ -167,12 +162,9 @@ class FlowGraph:
 
     def source_side(self, s: int) -> list[bool]:
         """Residual reachability from `s`: after `max_flow`, the source side of a min cut."""
-        return [lv >= 0 for lv in self._levels(s, self._eps())]
+        return [lv >= 0 for lv in self._levels(s)]
 
-    def _eps(self) -> float:
-        return 1e-12 * max(1.0, self._top)
-
-    def _levels(self, s: int, eps: float, t: int = -1) -> list[int]:
+    def _levels(self, s: int, t: int = -1) -> list[int]:
         """BFS levels over residual arcs, -1 where unreached.
 
         With a sink `t`, the search stops when it labels `t` and keeps only
@@ -181,12 +173,12 @@ class FlowGraph:
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
-        adj, to, cap = self.adj, self.to, self.cap
+        adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
         for u in queue:
             nxt = level[u] + 1
             for idx in adj[u]:
                 v = to[idx]
-                if level[v] < 0 and cap[idx] > eps:
+                if level[v] < 0 and cap[idx] > tol[idx]:
                     level[v] = nxt
                     if v == t:
                         level = [lv if lv < nxt else -1 for lv in level]

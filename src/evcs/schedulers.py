@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import SimState
-from .feasibility import SINK, SOURCE, _build_network
+from .feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import FlowGraph
 
@@ -33,10 +33,11 @@ class RateDecision:
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
-      remaining demand and the sLLF rates were taken;
+      remaining demand, by the rule of `feasibility.ships_demand`, and the
+      sLLF rates were taken;
     - `olp_unsolved` (olp): on a fallback decided without a solve,
-      "checked" when one max-flow on the residual's interval network decided
-      it and "skipped" when the run memory's failed residual did.
+      "checked" when `is_offline_feasible` on the residual decided it and
+      "skipped" when the run memory's failed residual did.
     """
 
     rates: dict[str, float]
@@ -196,9 +197,10 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     the order of the searches.  The slot window ends at the last departure:
     a later slot has no arc in, so its flow could only be zero.
 
-    If the residual problem cannot ship all remaining demand, this slot falls
-    back to the sLLF rates.  A negative power in the window is a
-    `ContractError` naming its slot.
+    If the flow leaves some session more than `DEMAND_TOL` of its remaining
+    energy unshipped (`feasibility.ships_demand`, the rule a run is judged
+    by), this slot falls back to the sLLF rates.  A negative power in the
+    window is a `ContractError` naming its slot.
 
     In a run (`state.memory` set, as `simulate` sets it) a solve keeps its
     flow as a plan, each session's rates over the window, and later slots
@@ -216,10 +218,11 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     them are still chargeable: if the later residual could ship, the rates
     taken since, put in front of its schedule, would ship the failed one,
     and arrivals only add demand.  Once one of them has departed or
-    finished, one max-flow on `residual_instance`'s interval network, whose
-    value is the per-slot network's (Horn 1974), decides under the same
-    criterion, and only a residual that ships is solved.  A solve that ships
-    forgets the failed residual.  Without run memory every slot is solved.
+    finished, `is_offline_feasible` on `residual_instance`, one max-flow on
+    its interval network, whose value is the per-slot network's (Horn
+    1974), decides by the same rule, and only a residual that ships is
+    solved.  A solve that ships forgets the failed residual.  Without run
+    memory every slot is solved.
     """
     evs = _chargeable(state, instance, t)
     if not evs:
@@ -237,27 +240,22 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
     powers = _window_power(instance, t, end)
-    demand = 0.0
-    for s in evs:
-        demand += state.remaining[s.id]
-    needed = demand - 1e-9 * max(1.0, demand)  # shipping less falls back
     held = frozenset(map(id, evs))
     failed = memory.get("olp_infeasible") if memory is not None else None
     if failed is not None and failed[0] is instance:
         if failed[1] <= held:
             return _olp_fallback(state, instance, t, failed[1], "skipped")
-        g, _, _ = _build_network(residual_instance(state, instance, t))
-        if g.max_flow(SOURCE, SINK) < needed:
+        if not is_offline_feasible(residual_instance(state, instance, t)):
             return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
-    loads, arcs, shipped = [0.0] * (end - t), [], 0.0
+    loads, arcs, sources, shipped = [0.0] * (end - t), [], [], 0.0
     for k, (s, stop) in enumerate(zip(evs, stops)):
         row = planned.get(id(s))
         row = row[t - start:] if row is not None else [0.0] * (stop - t)
         sent = sum(row)
         shipped += sent
-        g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sent)
+        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sent))
         arcs.append([g.add_edge(2 + k, first_slot + i, s.max_rate, f) for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f
@@ -265,7 +263,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
              for i, (p, load) in enumerate(zip(powers, loads))]
     added, searches = g.earliest_exit_flow(SOURCE, exits)
     shipped += added
-    if shipped < needed:
+    if not ships_demand(g, sources, [state.remaining[s.id] for s in evs]):
         return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
     if memory is not None:  # keyed by identity; the instance keeps those objects alive

@@ -1,15 +1,16 @@
 """Reference max-flow, OLP and feasibility network, one node per slot.
 
-`RecursiveFlowGraph` labels every reachable node in each phase, walks
-augmenting paths by recursion from the source, and recomputes the epsilon
-from every arc's capacity on each call; `evcs.netflow.FlowGraph.max_flow`
-must return the same floats.  `full_horizon_olp_rates` builds every arc up
-to the instance horizon, then raises one slot's sink arc at a time and runs
-a max-flow after each, past the last departure too: earliest-slot-first
-minimum-cost flow by blocking flow.  `evcs.schedulers.olp_rates` solves the
-same problem by successive shortest paths, from the plan it follows in a
-run, so it must fall back on the same slots and ship the same slot totals,
-up to the flow epsilon; the split between sessions may differ.
+`RecursiveFlowGraph` labels every reachable node in each phase and walks
+augmenting paths by recursion from the source; an arc counts as exhausted,
+as in `evcs.netflow.FlowGraph`, when its residual is at most 1e-12 of the
+pair's capacity, and `FlowGraph.max_flow` must return the same floats.
+`full_horizon_olp_rates` builds every arc up to the instance horizon, then
+raises one slot's sink arc at a time and runs a max-flow after each, past
+the last departure too: earliest-slot-first minimum-cost flow by blocking
+flow.  `evcs.schedulers.olp_rates` solves the same problem by successive
+shortest paths, from the plan it follows in a run, so it must fall back on
+the same slots and ship the same slot totals, up to the flow tolerance; the
+split between sessions may differ.
 
 `slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
 the time-expanded network with one node and one sink arc per slot and one
@@ -17,6 +18,10 @@ arc per (session, slot), and rebuild it for every Newton step.
 `evcs.feasibility` merges the slots between event points into one interval
 node, which keeps the max-flow value; the floats may differ in the last
 digits, and the witness spreads each interval's flow evenly.
+
+Every flow here ships the demand when each session's source arc has at most
+`DEMAND_TOL` of its demand left, the rule `validate_schedule` judges a
+delivered energy by.
 """
 import math
 from collections import deque
@@ -33,17 +38,21 @@ class RecursiveFlowGraph:
         self.n = n
         self.to = []
         self.cap = []
+        self.tol = []
         self.adj = [[] for _ in range(n)]
         self._initial = []
 
     def add_edge(self, u, v, cap):
         idx = len(self.to)
+        tol = max(1e-12 * cap, 0.0)
         self.to.append(v)
         self.cap.append(cap)
+        self.tol.append(tol)
         self._initial.append(cap)
         self.adj[u].append(idx)
         self.to.append(u)
         self.cap.append(0.0)
+        self.tol.append(tol)
         self._initial.append(0.0)
         self.adj[v].append(idx + 1)
         return idx
@@ -54,31 +63,28 @@ class RecursiveFlowGraph:
             raise ValueError("capacities may only be raised")
         self._initial[idx] = cap
         self.cap[idx] += extra
+        self.tol[idx] = self.tol[idx ^ 1] = max(1e-12 * cap, 0.0)
 
     def flow_on(self, idx):
         return self.cap[idx ^ 1]
 
     def max_flow(self, s, t):
-        eps = self._eps()
         total = 0.0
         while True:
-            level = self._levels(s, eps)
+            level = self._levels(s)
             if level[t] < 0:
                 return total
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, float("inf"), level, it, eps)
+                pushed = self._augment(s, t, float("inf"), level, it)
                 if pushed <= 0.0:
                     break
                 total += pushed
 
     def source_side(self, s):
-        return [lv >= 0 for lv in self._levels(s, self._eps())]
+        return [lv >= 0 for lv in self._levels(s)]
 
-    def _eps(self):
-        return 1e-12 * max(1.0, max(self._initial, default=0.0))
-
-    def _levels(self, s, eps):
+    def _levels(self, s):
         level = [-1] * self.n
         level[s] = 0
         q = deque([s])
@@ -86,19 +92,19 @@ class RecursiveFlowGraph:
             u = q.popleft()
             for idx in self.adj[u]:
                 v = self.to[idx]
-                if level[v] < 0 and self.cap[idx] > eps:
+                if level[v] < 0 and self.cap[idx] > self.tol[idx]:
                     level[v] = level[u] + 1
                     q.append(v)
         return level
 
-    def _augment(self, u, t, limit, level, it, eps):
+    def _augment(self, u, t, limit, level, it):
         if u == t:
             return limit
         while it[u] < len(self.adj[u]):
             idx = self.adj[u][it[u]]
             v = self.to[idx]
-            if self.cap[idx] > eps and level[v] == level[u] + 1:
-                pushed = self._augment(v, t, min(limit, self.cap[idx]), level, it, eps)
+            if self.cap[idx] > self.tol[idx] and level[v] == level[u] + 1:
+                pushed = self._augment(v, t, min(limit, self.cap[idx]), level, it)
                 if pushed > 0.0:
                     self.cap[idx] -= pushed
                     self.cap[idx ^ 1] += pushed
@@ -106,6 +112,10 @@ class RecursiveFlowGraph:
             it[u] += 1
         level[u] = -1
         return 0.0
+
+
+def ships_every_demand(g, source_arcs, demands):
+    return all(g.cap[a] <= DEMAND_TOL * d for a, d in zip(source_arcs, demands))
 
 
 def full_horizon_olp_rates(state, instance, t):
@@ -116,12 +126,10 @@ def full_horizon_olp_rates(state, instance, t):
     source, sink = 0, 1
     g = RecursiveFlowGraph(2 + len(evs) + (horizon - t))
     slot_node = lambda tau: 2 + len(evs) + (tau - t)
-    demand = 0.0
-    window_arcs = []
-    for k, s in enumerate(evs):
-        rem = state.remaining[s.id]
-        demand += rem
-        g.add_edge(source, 2 + k, rem)
+    demands = [state.remaining[s.id] for s in evs]
+    source_arcs, window_arcs = [], []
+    for k, (s, rem) in enumerate(zip(evs, demands)):
+        source_arcs.append(g.add_edge(source, 2 + k, rem))
         window_arcs.append([g.add_edge(2 + k, slot_node(tau), s.max_rate)
                             for tau in range(t, min(s.departure, horizon))])
     sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, horizon)]
@@ -129,7 +137,7 @@ def full_horizon_olp_rates(state, instance, t):
     for tau, idx in zip(range(t, horizon), sink_arcs):
         g.raise_capacity(idx, instance.power.at(tau))
         shipped += g.max_flow(source, sink)
-    if shipped < demand - 1e-9 * max(1.0, demand):
+    if not ships_every_demand(g, source_arcs, demands):
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
         return fallback
@@ -138,16 +146,17 @@ def full_horizon_olp_rates(state, instance, t):
 
 
 def slot_build_network(instance, power_override=None):
-    """Time-expanded network; returns (graph, source, sink, session arc map, sink arcs)."""
+    """Time-expanded network; returns (graph, source, sink, session arc map, sink arcs,
+    source arcs)."""
     n_sessions = len(instance.sessions)
     horizon = instance.horizon
     source, sink = 0, 1
     g = FlowGraph(2 + n_sessions + horizon)
     session_node = lambda k: 2 + k
     slot_node = lambda t: 2 + n_sessions + t
-    window_arcs = {}
+    window_arcs, source_arcs = {}, []
     for k, s in enumerate(instance.sessions):
-        g.add_edge(source, session_node(k), s.energy)
+        source_arcs.append(g.add_edge(source, session_node(k), s.energy))
         arcs = []
         for t in range(max(s.arrival, 0), min(s.departure, horizon)):
             arcs.append((t, g.add_edge(session_node(k), slot_node(t), s.max_rate)))
@@ -156,14 +165,13 @@ def slot_build_network(instance, power_override=None):
     for t in range(horizon):
         p = power_override if power_override is not None else instance.power.at(t)
         sink_arcs.append(g.add_edge(slot_node(t), sink, p))
-    return g, source, sink, window_arcs, sink_arcs
+    return g, source, sink, window_arcs, sink_arcs, source_arcs
 
 
 def slot_offline_feasible(instance, power_override=None):
-    demand = sum(s.energy for s in instance.sessions)
-    g, source, sink, window_arcs, _ = slot_build_network(instance, power_override)
-    value = g.max_flow(source, sink)
-    if value < demand - DEMAND_TOL * max(1.0, demand):
+    g, source, sink, window_arcs, _, source_arcs = slot_build_network(instance, power_override)
+    g.max_flow(source, sink)
+    if not ships_every_demand(g, source_arcs, [s.energy for s in instance.sessions]):
         return False, None
     rates = {}
     for s in instance.sessions:
@@ -183,12 +191,12 @@ def slot_min_power_capacity(instance):
     demand = sum(s.energy for s in instance.sessions)
     p = 0.0
     while True:
-        g, source, sink, _, sink_arcs = slot_build_network(instance, p)
+        g, source, sink, _, sink_arcs, source_arcs = slot_build_network(instance, p)
         short = demand - g.max_flow(source, sink)
-        if short <= DEMAND_TOL * max(1.0, demand):
+        if ships_every_demand(g, source_arcs, [s.energy for s in instance.sessions]):
             return p
         reach = g.source_side(source)
         k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
-        p += short / k
+        p += max(short / k, 2e-12 * p)  # a raise below 1e-12 of a sink arc goes unseen

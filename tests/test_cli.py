@@ -16,6 +16,7 @@ from evcs.augmentation import AugmentationMode
 from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, main
 from evcs.corpus import (generate, read_instance, reference_spec, reference_spec_spaced,
                          write_instance)
+from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import ChargingSession, ConstantPower, Instance
 from evcs.schedulers import POLICIES
 
@@ -216,6 +217,36 @@ class TestCheck:
         assert row["violations"] == ""
         assert row["offline_feasible"] == "True"
         assert float(row["min_power_capacity"]) == 0.5
+
+    @pytest.mark.parametrize("body, feasible, p_star", [
+        # 1e-12 of the session arc's 1e300 would hide the demand of 2
+        ("horizon 1\npower constant 3\na 0 1 2 1e300\n", "True", "2.0"),
+        # b's demand of 1 is short, though within DEMAND_TOL of the total demand
+        ("horizon 1\npower constant 10000000\na 0 1 10000000 10000000\nb 0 1 1 1\n",
+         "False", "10000001.0"),
+    ], ids=["huge-rate", "small-beside-large"])
+    def test_every_session_ships_its_own_demand(self, tmp_path, capsys, body, feasible, p_star):
+        path = tmp_path / "scales.evcs"
+        path.write_text("evcs-v1\n" + body)
+        assert main(["check", str(path)]) == 0
+        captured = capsys.readouterr()
+        row = rows_from_csv(captured.out)[0]
+        assert (row["violations"], row["offline_feasible"], row["min_power_capacity"]) == (
+            "", feasible, p_star)
+        assert "Traceback" not in captured.err
+
+    def test_a_demand_below_the_power_s_rounding_is_checked_quickly(self, tmp_path, capsys):
+        path = tmp_path / "tiny.evcs"
+        path.write_text("evcs-v1\nhorizon 2\npower constant 1\n"
+                        "a 0 2 1e300 1e300\nb 0 1 1e-300 1\n")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        p_star = float(rows_from_csv(capsys.readouterr().out)[0]["min_power_capacity"])
+        inst = read_instance(path)
+        ok, witness = offline_feasible(inst, p_star)
+        assert ok and validate_schedule(
+            Instance(inst.sessions, ConstantPower(p_star), inst.horizon), witness).feasible
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent.evcs"]) == 2

@@ -11,6 +11,7 @@ from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network,
                               offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
+from evcs.netflow import FlowGraph
 
 from flow_oracle import slot_min_power_capacity, slot_offline_feasible
 from grid_oracle import grid_feasible, random_grid_instance
@@ -96,6 +97,31 @@ class TestMinPowerCapacity:
 
     def test_empty_instance(self):
         assert min_power_capacity(Instance((), ConstantPower(1.0))) == 0.0
+
+    def test_a_small_demand_is_judged_at_its_own_scale(self):
+        # 0.999 P* leaves 7.66e-7 unshipped: under DEMAND_TOL of a demand of
+        # 1, but not under DEMAND_TOL of the session's own 7.66e-4
+        inst = Instance((ChargingSession("a", 2, 3, 7.66e-4, 1.0),), ConstantPower(1.0), 3)
+        p_star = min_power_capacity(inst)
+        ok, witness = offline_feasible(inst, p_star)
+        assert ok and validate_schedule(
+            Instance(inst.sessions, ConstantPower(p_star), 3), witness).feasible
+        assert not is_offline_feasible(inst, 0.999 * p_star)
+
+    def test_a_step_that_rounds_to_nothing_still_raises_the_power(self, monkeypatch):
+        # after the first step only b's 1e-300 is short, and short / k adds
+        # nothing to 5e299: the step raises P by 2e-12 * P instead
+        inst = Instance((ChargingSession("a", 0, 2, 1e300, 1e300),
+                         ChargingSession("b", 0, 1, 1e-300, 1.0)), ConstantPower(1.0), 2)
+        calls, max_flow = [], FlowGraph.max_flow
+        monkeypatch.setattr(FlowGraph, "max_flow",
+                            lambda g, s, t: calls.append(s) or max_flow(g, s, t))
+        p_star = min_power_capacity(inst)
+        assert len(calls) <= 10
+        assert p_star == 5e299 + 2e-12 * 5e299
+        ok, witness = offline_feasible(inst, p_star)
+        assert ok and validate_schedule(
+            Instance(inst.sessions, ConstantPower(p_star), 2), witness).feasible
 
     def test_unsatisfiable_session_rejected(self):
         inst = single_ev(energy=5.0)
@@ -191,17 +217,12 @@ def change_points(instance: Instance) -> int:
 class TestIntervalNetworkAgainstSlots:
     """The interval network against the slot-level one in `flow_oracle`."""
 
-    def assert_same_verdict(self, inst, power_override=None, witness_checked=True):
-        """Same verdict as the slot network; the witness must pass validation.
-
-        At the smallest feasible power the flow may miss the demand by up to
-        DEMAND_TOL, which `validate_schedule` checks per session, so a caller
-        there can leave the witness unchecked.
-        """
+    def assert_same_verdict(self, inst, power_override=None):
+        """Same verdict as the slot network; the witness must pass validation."""
         ok, witness = offline_feasible(inst, power_override)
         want = slot_offline_feasible(inst, power_override)[0]
         assert ok == want == is_offline_feasible(inst, power_override), (inst, power_override)
-        if ok and witness_checked:
+        if ok:
             power = inst.power if power_override is None else ConstantPower(power_override)
             verdict = validate_schedule(Instance(inst.sessions, power, inst.horizon), witness)
             assert verdict.feasible, (inst, power_override, verdict.violations)
@@ -223,12 +244,9 @@ class TestIntervalNetworkAgainstSlots:
                 continue
             got = min_power_capacity(inst)
             assert abs(got - want) <= 1e-12 * want, (inst, got, want)
-            # under DEMAND_TOL the flow may fall short even at P*, and some
-            # demand below 1 passes even at 0.999 P*; the verdicts must agree
-            assert self.assert_same_verdict(inst, want, witness_checked=False)
+            assert self.assert_same_verdict(inst, want)
             assert self.assert_same_verdict(inst, want * 1.001)
-            seen["infeasible at 0.999 P*"] += not self.assert_same_verdict(
-                inst, want * 0.999, witness_checked=False)
+            seen["infeasible at 0.999 P*"] += not self.assert_same_verdict(inst, want * 0.999)
             if isinstance(inst.power, StepwisePower):
                 seen["stepwise"] += 1
                 seen["tight stepwise"] += self.check_tight_profile(inst)
@@ -250,9 +268,9 @@ class TestIntervalNetworkAgainstSlots:
             lo, hi = (lo, mid) if slot_offline_feasible(scaled(mid))[0] else (mid, hi)
         if lo == 0.0:
             return False
-        assert self.assert_same_verdict(scaled(hi), witness_checked=False)
+        assert self.assert_same_verdict(scaled(hi))
         assert self.assert_same_verdict(scaled(hi * 1.001))
-        self.assert_same_verdict(scaled(hi * 0.999), witness_checked=False)
+        self.assert_same_verdict(scaled(hi * 0.999))
         return True
 
     def test_stored_min_power_on_shipped_corpora(self, reference_corpus, spaced_corpus):

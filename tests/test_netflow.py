@@ -38,6 +38,16 @@ class TestMaxFlow:
         g.add_edge(2, 3, 1.0)
         assert g.max_flow(0, 3) == pytest.approx(2.0)
 
+    def test_each_arc_is_exhausted_at_its_own_scale(self):
+        # a tolerance of 1e-12 of the largest capacity, 1e288, would hide
+        # both the 2 and the 3
+        g = FlowGraph(4)
+        g.add_edge(0, 1, 2.0)
+        g.add_edge(1, 2, 1e300)
+        g.add_edge(2, 3, 3.0)
+        assert g.max_flow(0, 3) == 2.0
+        assert g.source_side(0) == [True, False, False, False]
+
     def test_disconnected(self):
         g = FlowGraph(3)
         g.add_edge(0, 1, 1.0)
@@ -118,7 +128,7 @@ class TestAgainstRecursiveOracle:
                 assert g.max_flow(s, t) == ref.max_flow(s, t)
                 assert [g.flow_on(i) for i in arcs] == [ref.flow_on(i) for i in arcs]
                 assert g.source_side(s) == ref.source_side(s)
-                assert g._eps() == ref._eps()
+                assert g.tol == ref.tol
                 for idx in rng.sample(arcs, rng.randint(1, len(arcs))):
                     extra = rng.choice([0.0, rng.uniform(0.0, 2.0)]) * 10.0 ** rng.randint(-3, 4)
                     cap = ref._initial[idx] + extra
@@ -156,7 +166,8 @@ class TestEarliestExitFlow:
     def test_an_arc_can_start_with_flow(self):
         g = FlowGraph(3)
         first = g.add_edge(0, 1, 2.0, 1.5)
-        assert (g.flow_on(first), g.cap[first], g._initial[first], g._eps()) == (1.5, 0.5, 2.0, 2e-12)
+        assert (g.flow_on(first), g.cap[first], g._initial[first]) == (1.5, 0.5, 2.0)
+        assert g.tol[first] == g.tol[first ^ 1] == 2e-12  # 1e-12 of the arc's capacity
         g.add_edge(1, 2, 1.0)
         assert g.max_flow(0, 2) == 0.5  # what the first arc has left
         assert g.flow_on(first) == 2.0
@@ -197,8 +208,9 @@ class TestEarliestExitFlow:
                 assert warm.flow_on(a) == pytest.approx(cold.flow_on(a), rel=1e-12, abs=1e-12)
 
     def test_an_exit_s_epsilon_ignores_the_exits_after_it(self):
-        # 5e-12 is above 1e-12 * P(0) and below 1e-12 * P(1): a max-flow
-        # through exit 0 alone ships it, and so must the solve
+        # 5e-12 is above 1e-12 * P(0) and below 1e-12 * P(1), but each arc
+        # is exhausted only at 1e-12 of its own capacity, so no exit's
+        # capacity hides it: the solve ships it through exit 0
         g = FlowGraph(5)
         g.add_edge(0, 2, 5e-12)
         g.add_edge(2, 3, 1.0)

@@ -218,6 +218,19 @@ class TestOlp:
         inst = Instance((ChargingSession("a", 2, 4, 1.0, 1.0),), ConstantPower(1.0))
         assert olp_rates(initial_state(inst), inst, 0).rates == {}
 
+    def test_a_shortfall_within_demand_tol_is_solved(self):
+        # b ships 2.0 of its 2.0000015: 1.5e-6 is within DEMAND_TOL of b's
+        # demand, the rule a run is judged by, though not within 1e-9 of the total
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),
+                         ChargingSession("b", 0, 2, 2.0, 1.0)), ConstantPower(10.0))
+        state = SimState(0, {"a": 1.0, "b": 2.0 + 1.5e-6})
+        decision = olp_rates(state, inst, 0)
+        assert "olp_fallback" not in decision.diagnostics
+        assert decision.rates == {"a": 1.0, "b": 1.0}
+        reference = full_horizon_olp_rates(state, inst, 0)
+        assert "olp_fallback" not in reference.diagnostics
+        assert reference.rates == decision.rates
+
 
 class TestOlpNetwork:
     def test_a_warm_solve_keeps_the_planned_rows(self):
@@ -273,8 +286,8 @@ def random_wide_state(rng: random.Random):
     """An OLP decision over a window of up to 60 slots.
 
     Several sessions share a departure, stepwise power has zero slots, and
-    some remaining demands sit near the flow epsilon, 1e-12 times the
-    largest capacity, on either side of it.
+    some remaining demands are tiny, 2e-12 to 1e-9, on either side of 1e-12
+    times the other capacities.
     """
     t = rng.randint(0, 5)
     shared = [rng.randint(t + 1, t + 60) for _ in range(2)]
@@ -306,7 +319,7 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
     It falls back where the reference does, and then takes the sLLF rates.
     Otherwise its slot total is the reference's within 1e-12 relative, and
     what it leaves of its sessions' demand at t + 1 is offline feasible,
-    sessions that depart at t + 1 having shipped theirs under OLP's criterion.
+    sessions that depart at t + 1 having shipped theirs to 1e-9 of the total.
     """
     t = state.t
     fresh = SimState(t, dict(state.remaining))
