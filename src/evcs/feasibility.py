@@ -6,8 +6,8 @@ The instance's event points (0, every arrival and departure, every change of
 a stepwise power) cut [0, horizon) into `Instance.busy_spans`, whose slots
 share their active sessions and power, so a span of length l is one interval
 node.  source -> session arcs carry the energy demands, session -> interval
-arcs the peak rate times l, interval -> sink arcs the power times l.  That
-is at most 2n + 1 interval nodes plus the power changes, whatever the
+arcs the peak rate times l up to the demand, interval -> sink arcs the power
+times l: at most 2n + 1 interval nodes plus the power changes, whatever the
 horizon, for the max-flow value of the network with one node per slot.  The
 instance is offline feasible exactly when the maximum flow ships every unit
 of demand; Newton steps on its minimum cut give the exact minimum power.
@@ -20,7 +20,7 @@ from typing import Optional
 
 from .dynamics import RATE_TOL, RunVerdict, Schedule
 from .model import ContractError, Instance, Violation
-from .netflow import FlowGraph
+from .netflow import ARC_TOL, FlowGraph
 
 #: relative tolerance on the energy-demand equality
 DEMAND_TOL = 1e-6
@@ -33,7 +33,8 @@ def _build_network(instance: Instance, power_override: float | None = None):
 
     `session_arcs[k]` lists session k's (start, end, arc) per interval of its
     window and `sink_arcs` every interval node's (start, end, arc), each in
-    time order.  Session k's node is 2 + k, its source arc 2k.  An override
+    time order.  Session k's node is 2 + k, its source arc 2k; its arcs are
+    capped at its energy, so their tolerance is at the demand's scale.  An override
     power keeps the profile's change points as cuts, which keep the max-flow value.
     """
     spans = list(instance.busy_spans())
@@ -46,7 +47,8 @@ def _build_network(instance: Instance, power_override: float | None = None):
     for node, (a, b, members) in enumerate(spans, 2 + len(sessions)):
         length = b - a
         for k in members:
-            session_arcs[k].append((a, b, g.add_edge(2 + k, node, sessions[k].max_rate * length)))
+            cap, e = sessions[k].max_rate * length, sessions[k].energy
+            session_arcs[k].append((a, b, g.add_edge(2 + k, node, cap if cap < e else e)))
         p = instance.power.at(a) if power_override is None else power_override
         sink_arcs.append((a, b, g.add_edge(node, SINK, p * length)))
     return g, session_arcs, sink_arcs
@@ -61,17 +63,20 @@ def ships_demand(g: FlowGraph, sources, demands) -> bool:
     return True
 
 
-def _solve(instance: Instance, power_override: float | None):
-    """Max flow on the interval network; returns (ships the demand, graph, session arcs)."""
-    energies = [s.energy for s in instance.sessions]
+def _solve(instance: Instance, power_override: float | None, demands=None):
+    """Max flow on the interval network; returns (ships `demands`, by default
+    the energies, graph, session arcs)."""
     g, session_arcs, _ = _build_network(instance, power_override)
     g.max_flow(SOURCE, SINK)
-    return ships_demand(g, range(0, 2 * len(energies), 2), energies), g, session_arcs
+    demands = demands or [s.energy for s in instance.sessions]
+    return ships_demand(g, range(0, 2 * len(demands), 2), demands), g, session_arcs
 
 
-def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
-    """The flag of `offline_feasible`, without building the witness's rows."""
-    return _solve(instance, power_override)[0]
+def is_offline_feasible(instance: Instance, power_override: float | None = None,
+                        demands=None) -> bool:
+    """The flag of `offline_feasible`, without the witness's rows; OLP judges a
+    residual by the `demands` its sessions arrived with, as their run is."""
+    return _solve(instance, power_override, demands)[0]
 
 
 def offline_feasible(
@@ -101,9 +106,9 @@ def min_power_capacity(instance: Instance) -> float:
     The max-flow value is the minimum over cuts of a + k*P, k the total length
     of the intervals on the cut's source side (Gallo, Grigoriadis & Tarjan
     1989).  Newton steps from P = 0 move P to the root of the current min
-    cut's line, and by at least 2e-12 * P, the least a sink arc's tolerance
-    sees, until `ships_demand`.  P only rises, so each step raises the sink
-    arcs to P*l and the next max-flow augments the flow already sent.
+    cut's line, and by at least 2 * ARC_TOL * P, the least a sink arc's
+    tolerance sees, until `ships_demand`.  P only rises, so each step raises
+    the sink arcs to P*l and the next max-flow augments the flow already sent.
     """
     for s in instance.sessions:
         if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
@@ -120,7 +125,7 @@ def min_power_capacity(instance: Instance) -> float:
         k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
-        p += max(short / k, 2e-12 * p)
+        p += max(short / k, 2 * ARC_TOL * p)
         for a, b, idx in sink_arcs:
             g.raise_capacity(idx, p * (b - a))
         short -= g.max_flow(SOURCE, SINK)

@@ -1,9 +1,9 @@
 """Blocking-flow maximum flow on graphs with real-valued capacities.
 
-An arc counts as exhausted once its residual is at most 1e-12 of its own
-capacity, or 0 if that is not positive; its paired arc shares the
+An arc counts as exhausted once its residual is at most `ARC_TOL` of its
+own capacity, or 0 if that is not positive; its paired arc shares the
 tolerance.  That keeps the level-graph phases finite despite floating-point
-arithmetic, whatever the capacities span.
+arithmetic, whatever the capacities span; cap an arc at what can cross it.
 Capacities may be raised between `max_flow` calls; a later call continues
 augmenting on top of the existing flow, which is what the Newton steps of
 `feasibility.min_power_capacity` rely on.
@@ -20,6 +20,8 @@ source.
 """
 from __future__ import annotations
 
+ARC_TOL = 1e-12  # an arc's tolerance, relative to its capacity
+
 
 class FlowGraph:
     def __init__(self, n: int):
@@ -34,7 +36,7 @@ class FlowGraph:
     def add_edge(self, u: int, v: int, cap: float, flow: float = 0.0) -> int:
         """Arc u -> v of capacity `cap` that already carries `flow`; returns its index."""
         idx = len(self.to)
-        tol = 1e-12 * cap if cap > 0.0 else 0.0
+        tol = ARC_TOL * cap if cap > 0.0 else 0.0
         self.to.append(v)
         self.cap.append(cap - flow)
         self.tol.append(tol)
@@ -54,7 +56,7 @@ class FlowGraph:
             raise ValueError("capacities may only be raised")
         self._initial[idx] = cap
         self.cap[idx] += extra
-        self.tol[idx] = self.tol[idx ^ 1] = 1e-12 * cap if cap > 0.0 else 0.0
+        self.tol[idx] = self.tol[idx ^ 1] = ARC_TOL * cap if cap > 0.0 else 0.0
 
     def flow_on(self, idx: int) -> float:
         """Flow currently routed through forward arc `idx`."""

@@ -197,10 +197,11 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     the order of the searches.  The slot window ends at the last departure:
     a later slot has no arc in, so its flow could only be zero.
 
-    If the flow leaves some session more than `DEMAND_TOL` of its remaining
-    energy unshipped (`feasibility.ships_demand`, the rule a run is judged
-    by), this slot falls back to the sLLF rates.  A negative power in the
-    window is a `ContractError` naming its slot.
+    If the flow leaves some session more than `DEMAND_TOL` of its energy
+    unshipped (`feasibility.ships_demand`: the rule its run is judged by, not
+    tightened as the remaining energy shrinks), this slot falls back to the
+    sLLF rates.  A negative power in the window is a `ContractError` naming
+    its slot.  A session's arcs are capped at its remaining energy.
 
     In a run (`state.memory` set, as `simulate` sets it) a solve keeps its
     flow as a plan, each session's rates over the window, and later slots
@@ -240,12 +241,12 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
     powers = _window_power(instance, t, end)
-    held = frozenset(map(id, evs))
+    held, energies = frozenset(map(id, evs)), [s.energy for s in evs]
     failed = memory.get("olp_infeasible") if memory is not None else None
     if failed is not None and failed[0] is instance:
         if failed[1] <= held:
             return _olp_fallback(state, instance, t, failed[1], "skipped")
-        if not is_offline_feasible(residual_instance(state, instance, t)):
+        if not is_offline_feasible(residual_instance(state, instance, t), demands=energies):
             return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
@@ -256,14 +257,15 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         sent = sum(row)
         shipped += sent
         sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sent))
-        arcs.append([g.add_edge(2 + k, first_slot + i, s.max_rate, f) for i, f in enumerate(row)])
+        cap = min(s.max_rate, state.remaining[s.id])
+        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f
     exits = [g.add_edge(first_slot + i, SINK, p, load)
              for i, (p, load) in enumerate(zip(powers, loads))]
     added, searches = g.earliest_exit_flow(SOURCE, exits)
     shipped += added
-    if not ships_demand(g, sources, [state.remaining[s.id] for s in evs]):
+    if not ships_demand(g, sources, energies):
         return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
     if memory is not None:  # keyed by identity; the instance keeps those objects alive

@@ -2,8 +2,8 @@
 
 `RecursiveFlowGraph` labels every reachable node in each phase and walks
 augmenting paths by recursion from the source; an arc counts as exhausted,
-as in `evcs.netflow.FlowGraph`, when its residual is at most 1e-12 of the
-pair's capacity, and `FlowGraph.max_flow` must return the same floats.
+as in `evcs.netflow.FlowGraph`, when its residual is at most `ARC_TOL` of
+the pair's capacity, and `FlowGraph.max_flow` must return the same floats.
 `full_horizon_olp_rates` builds every arc up to the instance horizon, then
 raises one slot's sink arc at a time and runs a max-flow after each, past
 the last departure too: earliest-slot-first minimum-cost flow by blocking
@@ -20,8 +20,10 @@ node, which keeps the max-flow value; the floats may differ in the last
 digits, and the witness spreads each interval's flow evenly.
 
 Every flow here ships the demand when each session's source arc has at most
-`DEMAND_TOL` of its demand left, the rule `validate_schedule` judges a
-delivered energy by.
+`DEMAND_TOL` of its energy left, the rule `validate_schedule` judges a
+delivered energy by; OLP's residual is judged by the sessions' energies,
+not by what remains of them.  As in `evcs`, a session's arcs into the slots
+are capped at its demand, so their tolerance follows the demand's scale.
 """
 import math
 from collections import deque
@@ -29,7 +31,7 @@ from collections import deque
 from evcs.dynamics import Schedule
 from evcs.feasibility import DEMAND_TOL
 from evcs.model import ContractError
-from evcs.netflow import FlowGraph
+from evcs.netflow import ARC_TOL, FlowGraph
 from evcs.schedulers import RateDecision, _chargeable, sllf_rates
 
 
@@ -44,7 +46,7 @@ class RecursiveFlowGraph:
 
     def add_edge(self, u, v, cap):
         idx = len(self.to)
-        tol = max(1e-12 * cap, 0.0)
+        tol = max(ARC_TOL * cap, 0.0)
         self.to.append(v)
         self.cap.append(cap)
         self.tol.append(tol)
@@ -63,7 +65,7 @@ class RecursiveFlowGraph:
             raise ValueError("capacities may only be raised")
         self._initial[idx] = cap
         self.cap[idx] += extra
-        self.tol[idx] = self.tol[idx ^ 1] = max(1e-12 * cap, 0.0)
+        self.tol[idx] = self.tol[idx ^ 1] = max(ARC_TOL * cap, 0.0)
 
     def flow_on(self, idx):
         return self.cap[idx ^ 1]
@@ -126,18 +128,18 @@ def full_horizon_olp_rates(state, instance, t):
     source, sink = 0, 1
     g = RecursiveFlowGraph(2 + len(evs) + (horizon - t))
     slot_node = lambda tau: 2 + len(evs) + (tau - t)
-    demands = [state.remaining[s.id] for s in evs]
     source_arcs, window_arcs = [], []
-    for k, (s, rem) in enumerate(zip(evs, demands)):
+    for k, s in enumerate(evs):
+        rem = state.remaining[s.id]
         source_arcs.append(g.add_edge(source, 2 + k, rem))
-        window_arcs.append([g.add_edge(2 + k, slot_node(tau), s.max_rate)
+        window_arcs.append([g.add_edge(2 + k, slot_node(tau), min(s.max_rate, rem))
                             for tau in range(t, min(s.departure, horizon))])
     sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, horizon)]
     shipped = 0.0
     for tau, idx in zip(range(t, horizon), sink_arcs):
         g.raise_capacity(idx, instance.power.at(tau))
         shipped += g.max_flow(source, sink)
-    if not ships_every_demand(g, source_arcs, demands):
+    if not ships_every_demand(g, source_arcs, [s.energy for s in evs]):
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
         return fallback
@@ -159,7 +161,8 @@ def slot_build_network(instance, power_override=None):
         source_arcs.append(g.add_edge(source, session_node(k), s.energy))
         arcs = []
         for t in range(max(s.arrival, 0), min(s.departure, horizon)):
-            arcs.append((t, g.add_edge(session_node(k), slot_node(t), s.max_rate)))
+            arcs.append((t, g.add_edge(session_node(k), slot_node(t),
+                                       min(s.max_rate, s.energy))))
         window_arcs[s.id] = arcs
     sink_arcs = []
     for t in range(horizon):
@@ -199,4 +202,4 @@ def slot_min_power_capacity(instance):
         k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
-        p += max(short / k, 2e-12 * p)  # a raise below 1e-12 of a sink arc goes unseen
+        p += max(short / k, 2 * ARC_TOL * p)  # a smaller raise a sink arc's tolerance hides

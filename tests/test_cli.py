@@ -224,7 +224,12 @@ class TestCheck:
         # b's demand of 1 is short, though within DEMAND_TOL of the total demand
         ("horizon 1\npower constant 10000000\na 0 1 10000000 10000000\nb 0 1 1 1\n",
          "False", "10000001.0"),
-    ], ids=["huge-rate", "small-beside-large"])
+        # b ships only through the reverse of a's arc into slot 0, which a
+        # tolerance of 1e-12 of the peak rate times the slots would hide
+        ("horizon 2\npower constant 1.5\na 0 2 2 1e300\nb 0 1 1 1\n", "True", "1.5"),
+        ("horizon 2\npower constant 1.5\na 0 2 2 1e13\nb 0 1 1 1\n", "True", "1.5"),
+    ], ids=["huge-rate", "small-beside-large", "rerouted-past-huge-rate",
+            "rerouted-past-large-rate"])
     def test_every_session_ships_its_own_demand(self, tmp_path, capsys, body, feasible, p_star):
         path = tmp_path / "scales.evcs"
         path.write_text("evcs-v1\n" + body)

@@ -219,17 +219,32 @@ class TestOlp:
         assert olp_rates(initial_state(inst), inst, 0).rates == {}
 
     def test_a_shortfall_within_demand_tol_is_solved(self):
-        # b ships 2.0 of its 2.0000015: 1.5e-6 is within DEMAND_TOL of b's
-        # demand, the rule a run is judged by, though not within 1e-9 of the total
+        # b ships 2.0 of its 2.0000015 left: 1.5e-6 is within DEMAND_TOL of
+        # b's energy of 2, the rule a run is judged by, though not within 1e-9
+        # of the total; the rule does not tighten as the remaining energy
+        # shrinks, so the residual at slot 1 ships too
         inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),
                          ChargingSession("b", 0, 2, 2.0, 1.0)), ConstantPower(10.0))
         state = SimState(0, {"a": 1.0, "b": 2.0 + 1.5e-6})
         decision = olp_rates(state, inst, 0)
         assert "olp_fallback" not in decision.diagnostics
         assert decision.rates == {"a": 1.0, "b": 1.0}
+        assert not assert_as_full_horizon(state, inst, decision)
         reference = full_horizon_olp_rates(state, inst, 0)
-        assert "olp_fallback" not in reference.diagnostics
         assert reference.rates == decision.rates
+        after = step(state, decision.rates, inst)
+        assert "olp_fallback" not in olp_rates(after, inst, 1).diagnostics
+
+    def test_a_huge_peak_rate_does_not_hide_a_rerouted_flow(self):
+        # b can ship only in slot 0, through the reverse of a's arc into it;
+        # an arc capped at the peak rate 1e300 would have a tolerance of 1e288
+        inst = Instance((ChargingSession("a", 0, 2, 2.0, 1e300),
+                         ChargingSession("b", 0, 1, 1.0, 1.0)), ConstantPower(1.5))
+        state = initial_state(inst)
+        decision = olp_rates(state, inst, 0)
+        assert "olp_fallback" not in decision.diagnostics
+        assert sum(decision.rates.values()) == 1.5 and decision.rates["b"] == 1.0
+        assert not assert_as_full_horizon(state, inst, decision)
 
 
 class TestOlpNetwork:
@@ -319,7 +334,8 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
     It falls back where the reference does, and then takes the sLLF rates.
     Otherwise its slot total is the reference's within 1e-12 relative, and
     what it leaves of its sessions' demand at t + 1 is offline feasible,
-    sessions that depart at t + 1 having shipped theirs to 1e-9 of the total.
+    judged by their energies as OLP judges it, sessions that depart at t + 1
+    having shipped theirs to 1e-9 of the total.
     """
     t = state.t
     fresh = SimState(t, dict(state.remaining))
@@ -342,7 +358,8 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
     assert all(after.remaining[s.id] <= 1e-9 * max(1.0, demand)
                for s, stop in zip(evs, stops) if stop <= t + 1)
     own = Instance(tuple(evs), instance.power, instance.horizon)
-    assert is_offline_feasible(residual_instance(after, own, t + 1))
+    assert is_offline_feasible(residual_instance(after, own, t + 1), demands=[
+        s.energy for s in _chargeable(after, own, t + 1)])
     return False
 
 
