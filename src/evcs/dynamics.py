@@ -32,11 +32,11 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 class SimState:
     """Simulation state at the start of slot t: remaining energy per session.
 
-    Within one `simulate` run, `remaining` is the run's single dict, charged
+    Within one simulator run, `remaining` is the run's single dict, charged
     in place after each decision; a policy may read it only during its call.
     `memory` is what a policy keeps from one slot to the next of one run:
     OLP's plan, or after a fallback the sessions of the residual that could
-    not ship, and nothing else.  `simulate` creates it once per run and
+    not ship, and nothing else.  The simulator creates it once per run and
     `step` carries it on.  It takes no part in equality, and a state without
     it (None) gets every decision solved afresh.
     """
@@ -62,7 +62,7 @@ def _charge(remaining: dict[str, float], rates: dict[str, float],
 
     `limits` maps each active id to its `_rate_limits` entry.  Returns the
     applied (clamped) rate of each id whose rate is above 0.  The one rate
-    check of the package: `step` and `simulate` both charge through it.
+    check of the package: `step` and the simulator's runs both charge through it.
     """
     total, applied = 0.0, {}
     for sid, r in rates.items():
@@ -93,7 +93,7 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
     """Apply one slot of charging and advance time; pure state-in/state-out.
 
     `state` is left as it is: the rates are checked and charged into a copy
-    of its `remaining` by `_charge`, the kernel with which `simulate`
+    of its `remaining` by `_charge`, the kernel with which the simulator
     charges its run's single dict in place after each decision.  The run
     memory (OLP's plan or failed residual, nothing else) is carried on as it is.
     """

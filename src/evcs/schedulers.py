@@ -203,7 +203,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     sLLF rates.  A negative power in the window is a `ContractError` naming
     its slot.  A session's arcs are capped at its remaining energy.
 
-    In a run (`state.memory` set, as `simulate` sets it) a solve keeps its
+    In a run (`state.memory` set, as the simulator sets it) a solve keeps its
     flow as a plan, each session's rates over the window, and later slots
     follow it until a chargeable session is one the plan does not hold
     (sessions are held by object, so a repeated id solves again), the window

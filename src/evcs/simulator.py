@@ -1,7 +1,9 @@
 """Drives a policy over an instance slot by slot and scores the outcome.
 
-Everything runs serially in the calling process: the corpus sweeps and the
-augmentation search share `run_feasibility`, one `simulate` per instance.
+Everything runs serially in the calling process.  `simulate` and
+`run_feasibility` share one slot loop, `_run`; the corpus sweeps, the
+augmentation search and the separation search read only verdicts, so they run
+through `run_feasibility`, which stops each run once its verdict is settled.
 """
 from __future__ import annotations
 
@@ -22,27 +24,77 @@ class PolicyContractError(ContractError):
 def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict]:
     """Run one policy over the busy slots; deterministic for fixed inputs.
 
-    Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
-    is never read at an idle slot: a negative power there is left to
-    `validate`, which rejects it.  Each row is a window over its sojourn
-    clipped to [0, horizon), joined over an id, and records the rate that
-    `_charge`, the rate check `step` runs too, applied at each slot; it
-    rejects rates outside the window.  The rate limits are built once per
-    span.  The run keeps one `remaining` dict: every `SimState` a policy
-    gets wraps it, and `_charge` updates it in place after each decision, so
-    a policy may read it only during its call.  Every state of the run
-    carries one run memory, created here, in which a policy keeps what it
-    plans across slots: OLP keeps its plan there, or after a fallback the
-    residual that could not ship, and nothing else does.
+    Every busy slot is decided, checked and recorded (see `_run`).  Each row
+    is a window over its sojourn clipped to [0, horizon), joined over an id,
+    and records the rate that `_charge`, the rate check `step` runs too,
+    applied at each slot; it rejects rates outside the window.
     """
-    policy = get_policy(policy_name)
-    horizon, sessions, power = instance.horizon, instance.sessions, instance.power
-    starts, ends = {}, {}
-    for s in sessions:
+    starts, ends = _windows(instance)
+    rows = {sid: (lo, [0.0] * (ends[sid] - lo)) for sid, lo in starts.items()}
+    remaining = _run(instance, policy_name, rows)
+    schedule = Schedule(instance.horizon, {sid: tuple(row) for sid, (_, row) in rows.items()},
+                        starts)
+    unmet = {s.id: remaining[s.id] for s in instance.sessions}
+    return schedule, RunVerdict(_meets_demand(instance.sessions, remaining), unmet)
+
+
+def run_feasibility(instances, policy_name: str) -> list[bool]:
+    """Per-instance feasibility flags in input order: `simulate`'s verdicts,
+    from serial runs that build no schedule.
+
+    Each run stops after the first busy stretch at whose end the window of
+    some id closes with a session of that id short of its demand: that id's
+    remaining energy can no longer change, so the verdict is False, and no
+    later slot is decided or checked.  A policy contract error at such a
+    later slot, which `simulate` raises, is therefore not raised here; with
+    the shipped policies only an instance that `validate` rejects, such as
+    one with a NaN power, can have one.
+    """
+    return [_meets_demand(inst.sessions, _run(inst, policy_name, None)) for inst in instances]
+
+
+def _windows(instance: Instance) -> tuple[dict[str, int], dict[str, int]]:
+    """(starts, ends): each id's window, its sessions' sojourns clipped to
+    [0, horizon) and joined, as its first slot and the slot after its last."""
+    horizon, starts, ends = instance.horizon, {}, {}
+    for s in instance.sessions:
         lo, hi = min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon)
         starts[s.id], ends[s.id] = min(lo, starts.get(s.id, lo)), max(hi, ends.get(s.id, hi))
-    rows = {sid: [0.0] * (ends[sid] - lo) for sid, lo in starts.items()}
+    return starts, ends
+
+
+def _meets_demand(sessions, remaining: dict[str, float]) -> bool:
+    """Whether each session's id has at most `DEMAND_TOL` of its energy left."""
+    return all(remaining[s.id] <= DEMAND_TOL * s.energy for s in sessions)
+
+
+def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, float]:
+    """The one slot loop of a run; returns the run's `remaining` energies.
+
+    Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
+    is never read at an idle slot: a negative power there is left to
+    `validate`, which rejects it.  The rate limits are built once per span.
+    The run keeps one `remaining` dict: every `SimState` a policy gets wraps
+    it, and `_charge` updates it in place after each decision, so a policy
+    may read it only during its call.  Every state of the run carries one run
+    memory, created here, in which a policy keeps what it plans across
+    slots: OLP keeps its plan there, or after a fallback the residual that
+    could not ship, and nothing else does.
+
+    `rows` maps each id to (window start, row), and each applied rate is
+    recorded there.  Without rows (None) the run stops after the first span
+    [a, b) at whose end b some id's window closes with a session of that id
+    short of its demand: `_charge` charges only the ids of a span's limits,
+    so an id's remaining energy is final once its window has ended.
+    """
+    policy = get_policy(policy_name)
+    sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
+    due = {}  # window end -> the sessions whose id's window ends there
+    if rows is None:
+        ends = _windows(instance)[1]
+        for s in sessions:
+            due.setdefault(ends[s.id], []).append(s)
     for a, b, positions in instance.busy_spans():
         limits = _rate_limits(sessions[k] for k in positions)
         for t in range(a, b):
@@ -51,17 +103,13 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
                 applied = _charge(remaining, rates, limits, t, power.at(t))
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            for sid, r in applied.items():  # sid is active, so t lies in its window
-                rows[sid][t - starts[sid]] = r
-    schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()}, starts)
-    unmet = {s.id: remaining[s.id] for s in sessions}
-    feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in sessions)
-    return schedule, RunVerdict(feasible, unmet)
-
-
-def run_feasibility(instances, policy_name: str) -> list[bool]:
-    """Per-instance feasibility flags, one serial `simulate` each, in input order."""
-    return [simulate(inst, policy_name)[1].feasible for inst in instances]
+            if rows is not None:
+                for sid, r in applied.items():  # sid is active, so t lies in its window
+                    start, row = rows[sid]
+                    row[t - start] = r
+        if b in due and not _meets_demand(due[b], remaining):
+            break
+    return remaining
 
 
 def success_rate(instances, policy_name: str) -> float:
@@ -103,6 +151,6 @@ def binned_success_rates(instances, flags, metric_index: int, bins: int):
 def separation_witness(instances):
     """First instance sLLF completes and LLF does not, else None."""
     for inst in instances:
-        if simulate(inst, "sllf")[1].feasible and not simulate(inst, "llf")[1].feasible:
+        if run_feasibility([inst], "sllf")[0] and not run_feasibility([inst], "llf")[0]:
             return inst
     return None

@@ -130,9 +130,8 @@ class TestPerInstanceSearch:
 
     def test_simulation_count(self, reference_corpus, monkeypatch):
         calls = []
-        simulate = simulator.simulate
-        monkeypatch.setattr(simulator, "simulate",
-                            lambda *args: calls.append(1) or simulate(*args))
+        run = simulator._run
+        monkeypatch.setattr(simulator, "_run", lambda *args: calls.append(1) or run(*args))
         eps = min_feasible_eps(reference_corpus, "sllf", AugmentationMode.POWER)
         assert eps > 0.0
         # a bisection of the whole corpus makes 17 probes of 300 instances: 5,100

@@ -5,13 +5,14 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evcs import schedulers
 from evcs.dynamics import initial_state, min_laxity
-from evcs.feasibility import is_offline_feasible, offline_feasible, validate_schedule
+from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
 from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
-                            instance_metrics, separation_witness, simulate,
+                            instance_metrics, run_feasibility, separation_witness, simulate,
                             success_rate)
 
 from sim_oracle import assert_dense_metrics, dense, full_scan_simulate
@@ -136,6 +137,119 @@ class TestSimulate:
         for name in POLICIES:
             with pytest.raises(ContractError, match=message):
                 simulate(inst, name)
+
+
+def random_unvalidated_instance(rng: random.Random) -> Instance:
+    """A small instance `validate` may reject: negative arrivals, empty
+    sojourns, departures past the horizon, zero energies, repeated ids and
+    stepwise power; about one in four holds an id whose first session departs
+    short and whose later session can finish the demand."""
+    horizon = rng.randint(1, 10)
+    sessions = []
+    for k in range(rng.randint(1, 6)):
+        arrival = rng.randint(-3, horizon)
+        departure = arrival + rng.randint(-1, 6)
+        max_rate = rng.choice([0.5, 1.0, 2.0])
+        reach = max_rate * (min(departure, horizon) - max(arrival, 0))
+        energy = 0.0 if rng.random() < 0.15 or reach <= 0 and rng.random() < 0.7 else \
+            rng.uniform(0.1, max(reach, 1.0))
+        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.2 else f"s{k}"
+        sessions.append(ChargingSession(sid, arrival, departure, energy, max_rate))
+    if rng.random() < 0.25:
+        first = rng.randint(0, horizon - 1)
+        second = rng.randint(first + 1, horizon + 2)
+        energy = rng.uniform(1.5, 3.0) * (second - first)  # beyond the first window's reach
+        sessions += [ChargingSession("d", first - 1, first + 1, energy, 1.0),
+                     ChargingSession("d", second, second + 3, energy, 2.0 * energy)]
+    rng.shuffle(sessions)
+    if rng.random() < 0.5:
+        power = ConstantPower(rng.uniform(0.0, 4.0))
+    else:
+        power = StepwisePower([rng.choice([0.0, 0.5, 1.0, 2.5, 4.0]) for _ in range(horizon)])
+    return Instance(sessions, power, horizon)
+
+
+def misses_then_finishes(instance, schedule, verdict) -> bool:
+    """Some id's earlier session departs short of its demand, and the run still
+    ends feasible: a seal at each session's own departure would be wrong."""
+    if not verdict.feasible:
+        return False
+    for s in instance.sessions:
+        if any(o.id == s.id and o.departure > s.departure for o in instance.sessions):
+            end = min(max(s.departure, 0), instance.horizon)
+            delivered = sum(schedule.rate(s.id, t) for t in range(end))
+            if s.energy - delivered > DEMAND_TOL * s.energy:
+                return True
+    return False
+
+
+class TestRunFeasibility:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_verdicts_of_simulate_on_corpora(self, reference_corpus, spaced_corpus, policy):
+        instances = reference_corpus + spaced_corpus
+        assert run_feasibility(instances, policy) == \
+            [simulate(inst, policy)[1].feasible for inst in instances]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_verdicts_of_simulate_on_unvalidated_instances(self, policy):
+        rng = random.Random(20)
+        instances = [random_unvalidated_instance(rng) for _ in range(1000)]
+        compared, raised, covered = 0, 0, set()
+        for inst in instances:
+            try:
+                schedule, verdict = simulate(inst, policy)
+            except PolicyContractError:
+                raised += 1
+                continue
+            assert run_feasibility([inst], policy) == [verdict.feasible]
+            compared += 1
+            sessions = inst.sessions
+            covered.update(name for name, hit in (
+                ("negative arrival", any(s.arrival < 0 for s in sessions)),
+                ("empty sojourn", any(s.arrival >= s.departure for s in sessions)),
+                ("past the horizon", any(s.departure > inst.horizon for s in sessions)),
+                ("zero energy", any(s.energy == 0.0 for s in sessions)),
+                ("stepwise power", isinstance(inst.power, StepwisePower)),
+                ("infeasible", not verdict.feasible),
+                ("misses then finishes", misses_then_finishes(inst, schedule, verdict)),
+            ) if hit)
+        assert compared >= 950, raised
+        assert len(covered) == 7, covered
+
+    @pytest.mark.parametrize("sessions, decided, feasible", [
+        # "a" misses at its window end 2: slots 2 to 5 of "b" are not decided
+        ((ChargingSession("a", 0, 2, 3.0, 1.0), ChargingSession("b", 1, 6, 1.0, 1.0)),
+         [0, 1], False),
+        # the first "a" departs short, the second finishes it: no stop at 2
+        ((ChargingSession("a", 0, 2, 3.0, 1.0), ChargingSession("a", 3, 6, 3.0, 1.0)),
+         [0, 1, 3, 4, 5], True),
+    ], ids=["miss", "duplicate-id-finishes"])
+    def test_stops_at_the_first_missed_window_end(self, monkeypatch, sessions, decided,
+                                                  feasible):
+        slots = []
+
+        def counting(state, inst, t):
+            slots.append(t)
+            return POLICIES["edf"](state, inst, t)
+
+        monkeypatch.setitem(schedulers.POLICIES, "__count__", counting)
+        inst = Instance(sessions, ConstantPower(1.0), 6)
+        assert simulate(inst, "__count__")[1].feasible is feasible
+        assert slots == [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
+        slots.clear()
+        assert run_feasibility([inst], "__count__") == [feasible]
+        assert slots == decided
+
+    def test_no_contract_check_after_a_miss(self):
+        # "a" misses at slot 1; the NaN power at slot 1 is a contract error
+        # only for the run that goes on to decide that slot
+        inst = Instance((ChargingSession("a", 0, 1, 2.0, 1.0),
+                         ChargingSession("b", 1, 2, 0.5, 1.0)), StepwisePower([1.0, math.nan]))
+        assert validate(inst)
+        for name in POLICIES:
+            with pytest.raises(PolicyContractError, match="at slot 1$"):
+                simulate(inst, name)
+            assert run_feasibility([inst], name) == [False]
 
 
 class TestAggregation:
