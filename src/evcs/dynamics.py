@@ -127,13 +127,6 @@ class Schedule:
         row, start = self.rates[sid], self.starts.get(sid, 0)
         return chain(repeat(0.0, start - t), islice(row, max(t - start, 0), None), repeat(0.0))
 
-    def slot_total(self, t: int) -> float:
-        """The rates at slot t, summed in row order as `validate_schedule` sums them."""
-        total = 0
-        for sid in self.rates:
-            total += self.rate(sid, t)
-        return total
-
     def delivered(self, sid: str) -> float:
         return sum(self.rates[sid], 0.0 if self.horizon > 0 else 0)  # as over a dense row
 

@@ -140,9 +140,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     window by window in row order, meet the power at every slot, and each
     delivered energy its demand.  A window must lie inside [0, horizon).
     The power is checked slot by slot only where a window lies; each other
-    slot's total is the same zero, so it is checked once per stretch of
-    `Instance.spans`, whose power is the same at every slot, and the time
-    does not grow with the horizon.
+    slot's total is the same zero and the power is the same at every slot of
+    a stretch of `Instance.spans`, so each run of such slots in a stretch is
+    checked once and, over the bound, is one violation naming its slots:
+    neither the time nor the verdict grows with the horizon.
     """
     horizon = instance.horizon
     if (schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}
@@ -168,19 +169,21 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
         for t, r in enumerate(row, schedule.starts.get(sid, 0)):
             totals[t] = totals.get(t, 0) + r
     windowed = sorted(totals)
-    idle = 0.0 if schedule.rates else 0  # a slot outside every window
+    idle = 0.0 if schedule.rates else 0  # the total of a slot outside every window
     for a, b, _ in instance.spans():
         p = instance.power.at(a)  # the power of every slot of the stretch
-        if idle > p + RATE_TOL * max(1.0, p):
-            slots = range(a, b)  # each slot outside the windows breaks it too
-        else:
-            slots = windowed[bisect.bisect_left(windowed, a):bisect.bisect_left(windowed, b)]
-        for t in slots:
-            p = instance.power.at(t)
-            total = totals.get(t, idle)
-            if total > p + RATE_TOL * max(1.0, p):
+        bound, lo = p + RATE_TOL * max(1.0, p), a
+        inside = windowed[bisect.bisect_left(windowed, a):bisect.bisect_left(windowed, b)]
+        for t in inside + [b]:
+            if lo < t and idle > bound:  # the slots lo..t-1 lie outside every window
                 violations.append(Violation(
-                    "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
+                    "power-bound", f"slots {lo}-{t - 1}",
+                    f"total {idle} exceeds P = {instance.power.at(lo)} at each slot"))
+            if t < b and totals[t] > bound:
+                violations.append(Violation(
+                    "power-bound", f"slot {t}",
+                    f"total {totals[t]} exceeds P({t}) = {instance.power.at(t)}"))
+            lo = t + 1
     unmet = {}
     for s in instance.sessions:
         short = s.energy - schedule.delivered(s.id)

@@ -24,6 +24,9 @@ FINISHED_EPS = 1e-12
 class RateDecision:
     """This slot's rates, the sLLF water-level (when applicable), and solver stats.
 
+    `threshold == inf` means every chargeable session at its cap, for each of
+    sLLF, LLF, EDF, ES and REP (`_uncontended_caps`).
+
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
@@ -49,12 +52,48 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
     """Active sessions with unfinished demand, in instance order."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    remaining, out = state.remaining, []
-    for s in instance.active_at(t):
+    return _unfinished(instance.active_at(t), state.remaining)
+
+
+def _unfinished(sessions, remaining: dict[str, float]) -> list[ChargingSession]:
+    """The sessions with unfinished demand, in the given order."""
+    out = []
+    for s in sessions:
         energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
         if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
             out.append(s)
     return out
+
+
+def _caps(evs, remaining: dict[str, float]) -> list[float]:
+    """Each session's most this slot, min(max_rate, remaining) in plain
+    compares, NaN alike: a hot loop."""
+    caps = []
+    for s in evs:
+        max_rate, rem = s.max_rate, remaining[s.id]
+        caps.append(rem if rem < max_rate else max_rate)
+    return caps
+
+
+def _uncontended_caps(evs, caps, p_limit: float) -> dict[str, float] | None:
+    """The caps by id, in `evs` order, when their sum in that order is at most
+    `p_limit`; None otherwise, a NaN power included.
+
+    In such an uncontended slot sLLF, LLF, EDF, ES and REP each give every
+    session its cap, so each decides it here first (with `threshold=inf`),
+    and the simulator charges the slots after such a decision by this same
+    test, without a policy call.
+    """
+    if sum(caps) <= p_limit:
+        return {s.id: cap for s, cap in zip(evs, caps)}
+    return None
+
+
+def _contention(state: SimState, instance: Instance, t: int):
+    """(chargeable sessions, their caps, P(t), `_uncontended_caps` of them)."""
+    evs = _chargeable(state, instance, t)
+    caps, p_limit = _caps(evs, state.remaining), instance.power.at(t)
+    return evs, caps, p_limit, _uncontended_caps(evs, caps, p_limit)
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -63,11 +102,10 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     The sum is piecewise linear and nondecreasing in L and bends only at c and
     c + cap / a, so one sorted sweep over those 2n breakpoints finds the
     segment holding p_limit, where one linear equation gives L (the
-    continuous-knapsack breakpoint search).  L is +inf when the caps fit
-    under p_limit and -inf when there is no power to share, NaN included.
+    continuous-knapsack breakpoint search).  The caps sum to more than
+    p_limit (`_uncontended_caps` decides the other slots); L is -inf when
+    there is no power to share, NaN included.
     """
-    if sum(caps) <= p_limit:
-        return math.inf, 0
     if not p_limit > 0.0:
         return -math.inf, 0
     points = sorted([(c, a) for a, c in zip(slopes, offsets)]
@@ -91,47 +129,59 @@ def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
 
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
-    evs = _chargeable(state, instance, t)
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
     remaining = state.remaining
     # `laxity`'s closed form: t lies inside each sojourn and every energy left is positive
     lax = [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
-    caps = [min(s.max_rate, remaining[s.id]) for s in evs]
     rbars = [s.max_rate for s in evs]
-    level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, instance.power.at(t))
+    level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, p_limit)
     rates = _sllf_fill(level, lax, caps, rbars)
     return RateDecision({s.id: r for s, r in zip(evs, rates)}, threshold=level,
                         diagnostics={"solver_steps": steps})
 
 
-def _greedy_fill(evs, state, p_limit, key) -> dict[str, float]:
+def _greedy_fill(evs, caps, p_limit, key) -> dict[str, float]:
     rates = {}
     residual = p_limit
-    for s in sorted(evs, key=key):
-        r = min(s.max_rate, state.remaining[s.id], residual)
-        r = max(r, 0.0)
-        rates[s.id] = r
+    keys = [key(s) for s in evs]
+    for k in sorted(range(len(evs)), key=keys.__getitem__):
+        cap = caps[k]  # max(min(max_rate, remaining, residual), 0.0), NaN alike
+        r = residual if residual < cap else cap
+        if r < 0.0:
+            r = 0.0
+        rates[evs[k].id] = r
         residual -= r
     return rates
 
 
 def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Classic least-laxity-first: fill EVs in increasing laxity order."""
-    evs = _chargeable(state, instance, t)
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf)
     remaining = state.remaining  # the laxity in `laxity`'s closed form, as in `sllf_rates`
     key = lambda s: (s.departure - t - remaining[s.id] / s.max_rate, s.arrival, s.id)
-    return RateDecision(_greedy_fill(evs, state, instance.power.at(t), key))
+    return RateDecision(_greedy_fill(evs, caps, p_limit, key))
 
 
 def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Earliest-deadline-first: fill EVs in increasing departure order."""
-    evs = _chargeable(state, instance, t)
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf)
     key = lambda s: (s.departure, s.arrival, s.id)
-    return RateDecision(_greedy_fill(evs, state, instance.power.at(t), key))
+    return RateDecision(_greedy_fill(evs, caps, p_limit, key))
 
 
-def _proportional_fill(evs, state: SimState, p_limit: float, weights) -> RateDecision:
-    """Rates `clamp(w * L, 0, cap)`: the power shared in proportion to the weights."""
-    caps = [min(s.max_rate, state.remaining[s.id]) for s in evs]
+def _proportional_fill(state: SimState, instance: Instance, t: int, weight) -> RateDecision:
+    """Rates `clamp(w * L, 0, cap)`, w = `weight(s)`: the power shared in
+    proportion to the weights."""
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
+    weights = [weight(s) for s in evs]
     level, steps = _water_level(weights, [0.0] * len(evs), caps, p_limit)
     return RateDecision({s.id: min(max(w * level, 0.0), cap)
                          for s, w, cap in zip(evs, weights, caps)},
@@ -140,15 +190,12 @@ def _proportional_fill(evs, state: SimState, p_limit: float, weights) -> RateDec
 
 def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Equal share: every EV gets the same rate, clipped to its cap."""
-    evs = _chargeable(state, instance, t)
-    return _proportional_fill(evs, state, instance.power.at(t), [1.0] * len(evs))
+    return _proportional_fill(state, instance, t, lambda s: 1.0)
 
 
 def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Remaining-energy-proportional sharing, clipped to the caps."""
-    evs = _chargeable(state, instance, t)
-    return _proportional_fill(evs, state, instance.power.at(t),
-                              [state.remaining[s.id] for s in evs])
+    return _proportional_fill(state, instance, t, lambda s: state.remaining[s.id])
 
 
 def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
@@ -283,6 +330,11 @@ POLICIES = {
     "rep": rep_rates,
     "olp": olp_rates,
 }
+
+
+#: the policies that decide an uncontended slot by `_uncontended_caps` alone;
+#: not OLP, whose plan and failed residual must see every slot
+CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 
 
 def get_policy(name: str):

@@ -7,6 +7,7 @@ through `run_feasibility`, which stops each run once its verdict is settled.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits, initial_state,
@@ -14,7 +15,7 @@ from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits, in
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import get_policy
+from .schedulers import CAPS_FIRST, _caps, _uncontended_caps, _unfinished, get_policy
 
 
 class PolicyContractError(ContractError):
@@ -81,6 +82,12 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     slots: OLP keeps its plan there, or after a fallback the residual that
     could not ship, and nothing else does.
 
+    After a `CAPS_FIRST` policy gives every chargeable session its cap
+    (`threshold == inf`), each later slot is charged by the
+    `_uncontended_caps` test that policy would make first, over the same
+    sessions, without calling it, until the test fails and the policy
+    decides again; the rates, and so the run, are the same.
+
     `rows` maps each id to (window start, row), and each applied rate is
     recorded there.  Without rows (None) the run stops after the first span
     [a, b) at whose end b some id's window closes with a session of that id
@@ -88,6 +95,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     so an id's remaining energy is final once its window has ended.
     """
     policy = get_policy(policy_name)
+    caps_first, at_caps = policy_name in CAPS_FIRST, False
     sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
     due = {}  # window end -> the sessions whose id's window ends there
@@ -96,11 +104,18 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
         for s in sessions:
             due.setdefault(ends[s.id], []).append(s)
     for a, b, positions in instance.busy_spans():
-        limits = _rate_limits(sessions[k] for k in positions)
+        span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
+        limits = _rate_limits(span)
         for t in range(a, b):
-            rates = policy(SimState(t, remaining, memory), instance, t).rates
+            p_limit, rates = power.at(t), None
+            if at_caps:
+                evs = _unfinished(span, remaining)  # the policy's `_chargeable`
+                rates = _uncontended_caps(evs, _caps(evs, remaining), p_limit)
+            if rates is None:
+                decision = policy(SimState(t, remaining, memory), instance, t)
+                rates, at_caps = decision.rates, caps_first and decision.threshold == math.inf
             try:
-                applied = _charge(remaining, rates, limits, t, power.at(t))
+                applied = _charge(remaining, rates, limits, t, p_limit)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
             if rows is not None:

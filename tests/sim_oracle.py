@@ -2,17 +2,20 @@
 
 `full_scan_step` and `full_scan_chargeable` find the active sessions by
 testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-steps every slot of the horizon into horizon-long rows, each holding the
-rate `full_scan_charge` applied, and carries the run memory from each state
-to the next.
+calls the policy at every slot of the horizon, uncontended ones included,
+and steps each into horizon-long rows, each holding the rate
+`full_scan_charge` applied, and carries the run memory from each state to
+the next.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
 which index every slot of a dense schedule, pin `Schedule._metrics` and
 `min_laxity` of the windowed one.  `full_scan_validate_schedule` reads every
 rate of every row through `Schedule.rate` and sums every slot column one by
-one; it pins the verdicts of `evcs.feasibility.validate_schedule`, which
-walks windows and must stay equal to it.
+one, and joins the consecutive slots outside every window that break the
+power bound into one violation per stretch between event points; it pins
+the verdicts of `evcs.feasibility.validate_schedule`, which walks windows and
+must stay equal to it.
 """
 import math
 from unittest import mock
@@ -21,7 +24,7 @@ from evcs import schedulers
 from evcs.dynamics import (RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state,
                            laxity, min_laxity)
 from evcs.feasibility import DEMAND_TOL
-from evcs.model import ContractError, Violation
+from evcs.model import ContractError, StepwisePower, Violation
 from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import PolicyContractError
 
@@ -31,6 +34,14 @@ def dense(schedule):
     horizon = schedule.horizon
     return Schedule(horizon, {sid: tuple(schedule.rate(sid, t) for t in range(horizon))
                               for sid in schedule.rates})
+
+
+def slot_total(schedule, t):
+    """The rates at slot t, read through `Schedule.rate` and summed in row order."""
+    total = 0
+    for sid in schedule.rates:
+        total += schedule.rate(sid, t)
+    return total
 
 
 def dense_metrics(schedule):
@@ -151,14 +162,37 @@ def full_scan_validate_schedule(instance, schedule):
             elif abs(r) > tol:
                 violations.append(Violation(
                     "rate-outside-window", s.id, f"r({t}) = {r} outside sojourn"))
+    # a stretch starts at 0 and at each arrival, departure and power change
+    cuts = {0} | {t for s in instance.sessions if s.arrival < s.departure
+                  for t in (s.arrival, s.departure)}
+    if isinstance(instance.power, StepwisePower):
+        cuts |= {t for t in range(1, horizon) if instance.power.at(t) != instance.power.at(t - 1)}
+    run = None  # [first, last, total, P] of over-bound slots outside every window
+
+    def close():
+        first, last, total, p = run
+        violations.append(Violation("power-bound", f"slots {first}-{last}",
+                                    f"total {total} exceeds P = {p} at each slot"))
+
     for t in range(horizon):
         p = instance.power.at(t)
         total = 0
         for row in full.rates.values():
             total += row[t]
-        if total > p + 1e-9 * max(1.0, p):
+        over = total > p + 1e-9 * max(1.0, p)
+        covered = any(schedule.starts.get(sid, 0) <= t < schedule.starts.get(sid, 0) + len(row)
+                      for sid, row in schedule.rates.items())
+        if run is not None and (t in cuts or covered or not over):
+            close()
+            run = None
+        if over and covered:
             violations.append(Violation(
                 "power-bound", f"slot {t}", f"total {total} exceeds P({t}) = {p}"))
+        elif over:
+            run = run or [t, t, total, p]
+            run[1] = t
+    if run is not None:
+        close()
     unmet = {}
     for s in instance.sessions:
         short = s.energy - sum(full.rates[s.id])

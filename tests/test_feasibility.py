@@ -383,6 +383,31 @@ class TestValidateSchedule:
         assert [(v.code, v.subject) for v in over.violations] == [
             ("rate-bound", "a"), ("power-bound", "slot 1"), ("demand-exceeded", "a")]
 
+    def test_negative_power_is_one_violation_per_idle_run(self):
+        # the slots outside every window break a negative power together:
+        # one violation per run of them in a stretch, not one per slot
+        verdicts = []
+        for horizon in (12, 10**10):
+            inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(-1.0), horizon)
+            schedules = (Schedule(horizon, {"a": ()}),
+                         Schedule(horizon, {"a": (0.5,)}, {"a": 1}),
+                         Schedule(horizon, {"a": (0.5, 0.5)}, {"a": 4}))
+            start = time.perf_counter()
+            verdicts.append([validate_schedule(inst, sch) for sch in schedules])
+            assert time.perf_counter() - start < 1.0
+            if horizon == 12:
+                assert repr(verdicts[0]) == repr([full_scan_validate_schedule(inst, sch)
+                                                  for sch in schedules])
+        empty, inside, outside = verdicts[1]
+        assert [(v.code, v.subject) for v in empty.violations] == [
+            ("power-bound", "slots 0-1"), ("power-bound", "slots 2-9999999999"),
+            ("demand-unmet", "a")]
+        assert empty.violations[1].message == "total 0.0 exceeds P = -1.0 at each slot"
+        assert [v.subject for v in inside.violations] == [
+            "slots 0-0", "slot 1", "slots 2-9999999999", "a"]
+        assert [v.subject for v in outside.violations] == [
+            "a", "a", "slots 0-1", "slots 2-3", "slot 4", "slot 5", "slots 6-9999999999"]
+
     def test_dimension_mismatch_rejected(self, instance_ia):
         with pytest.raises(ContractError):
             validate_schedule(instance_ia, Schedule(2, {"EV1": (0.0, 0.0)}))

@@ -6,13 +6,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcs.dynamics import RATE_TOL, SimState, initial_state, laxity, step
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (POLICIES, _chargeable, edf_rates, es_rates, get_policy,
-                             llf_rates, olp_rates, rep_rates, residual_instance, sllf_rates)
+from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, edf_rates, es_rates,
+                             get_policy, llf_rates, olp_rates, rep_rates, residual_instance,
+                             sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
@@ -188,6 +190,64 @@ class TestEsRep:
                         ConstantPower(1.5))
         rates = rep_rates(initial_state(inst), inst, 0).rates
         assert all(r == pytest.approx(0.5) for r in rates.values())
+
+
+@st.composite
+def uncontended_slots(draw):
+    """(state, instance, t): a slot whose chargeable caps, summed in instance
+    order, fit under P(t), at it or with room to spare.  Ids may repeat, with
+    other peak rates; some sessions are finished or not active at t."""
+    t = draw(st.integers(0, 3))
+    sessions, remaining = [], {}
+    for k in range(draw(st.integers(0, 7))):
+        sid = f"s{draw(st.integers(0, k))}" if draw(st.booleans()) else f"s{k}"
+        arrival = draw(st.integers(0, t + 1))
+        departure = arrival + draw(st.integers(1, 6))
+        max_rate = draw(st.floats(0.01, 5.0))
+        energy = draw(st.floats(0.01, 20.0))
+        sessions.append(ChargingSession(sid, arrival, departure, energy, max_rate))
+        remaining.setdefault(sid, draw(st.sampled_from([0.0, 1e-13, energy, energy / 3,
+                                                         max_rate, max_rate * 0.999])))
+    state = SimState(t, remaining)
+    probe = Instance(sessions, ConstantPower(0.0), t + 8)
+    fitted = sum(min(s.max_rate, remaining[s.id]) for s in full_scan_chargeable(state, probe, t))
+    power = fitted + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
+    if draw(st.booleans()):
+        powers = [draw(st.floats(0.0, 10.0)) for _ in range(t + 8)]
+        powers[t] = power
+        return state, Instance(sessions, StepwisePower(powers), t + 8), t
+    return state, Instance(sessions, ConstantPower(power), t + 8), t
+
+
+class TestUncontendedSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(uncontended_slots())
+    def test_every_caps_first_policy_gives_each_session_its_cap(self, case):
+        state, inst, t = case
+        caps = {s.id: min(s.max_rate, state.remaining[s.id])
+                for s in full_scan_chargeable(state, inst, t)}
+        assert CAPS_FIRST == {"sllf", "llf", "edf", "es", "rep"}
+        for name in sorted(CAPS_FIRST):
+            decision = POLICIES[name](state, inst, t)
+            assert repr(decision.rates) == repr(caps), name
+            assert decision.threshold == math.inf, name
+
+    def test_greedy_policies_give_the_full_cap_at_an_exact_fit(self):
+        # 0.8 + 1.5 == 2.3, but 2.3 - 0.8 == 1.4999999999999998: a fill in
+        # deadline or laxity order would leave b that much short of its cap
+        inst = Instance((ChargingSession("a", 0, 1, 2.8, 0.8),
+                         ChargingSession("b", 0, 2, 2.9, 1.5)), ConstantPower(2.3))
+        assert 2.3 - 0.8 < 1.5
+        for policy in (llf_rates, edf_rates):
+            decision = policy(initial_state(inst), inst, 0)
+            assert decision.rates == {"a": 0.8, "b": 1.5}
+            assert decision.threshold == math.inf
+
+    def test_contended_slots_keep_a_finite_threshold(self, instance_ia):
+        decision = sllf_rates(initial_state(instance_ia), instance_ia, 0)
+        assert decision.threshold < math.inf
+        for name in ("llf", "edf", "es", "rep"):
+            assert POLICIES[name](initial_state(instance_ia), instance_ia, 0).threshold is None
 
 
 class TestOlp:

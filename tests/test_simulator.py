@@ -1,21 +1,23 @@
 import math
 import random
+import re
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcs import schedulers
-from evcs.dynamics import initial_state, min_laxity
+from evcs.dynamics import SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
-from evcs.schedulers import POLICIES, RateDecision
+from evcs.schedulers import CAPS_FIRST, POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness, simulate,
                             success_rate)
 
-from sim_oracle import assert_dense_metrics, dense, full_scan_simulate
+from sim_oracle import (assert_dense_metrics, dense, full_scan_chargeable, full_scan_charge,
+                        full_scan_simulate)
 
 
 def witness_instance():
@@ -360,3 +362,131 @@ class TestAgainstFullScan:
             for sid, row in schedule.rates.items():
                 assert sum(row) == pytest.approx(initial[sid] - verdict.unmet_energy[sid],
                                                  abs=1e-12), (policy, sid)
+
+
+def policy_calls(monkeypatch, name, instance, run=simulate):
+    """The slots at which `run` calls policy `name`, registered under its own name."""
+    slots, policy = [], POLICIES[name]
+
+    def counting(state, inst, t):
+        slots.append(t)
+        return policy(state, inst, t)
+
+    monkeypatch.setitem(schedulers.POLICIES, name, counting)
+    run(instance, name)
+    return slots
+
+
+def expected_calls(instance, name):
+    """The busy slots a run decides by a policy call: the first, each one whose
+    chargeable caps exceed P(t), and each one after such a slot; found by
+    stepping the full-scan run."""
+    policy, horizon = POLICIES[name], instance.horizon
+    state = SimState(0, initial_state(instance).remaining, {})
+    calls, contended = [], True
+    for t in range(horizon):
+        active = [s for s in instance.sessions if s.arrival <= t < s.departure]
+        caps = [min(s.max_rate, state.remaining[s.id])
+                for s in full_scan_chargeable(state, instance, t)]
+        if active:
+            was, contended = contended, not sum(caps) <= instance.power.at(t)
+            if was or contended:
+                calls.append(t)
+        state = full_scan_charge(state, policy(state, instance, t).rates, instance)[0]
+    return calls
+
+
+class TestUncontendedSlots:
+    """After a decision at the caps the run charges each slot whose caps fit
+    under P(t) without a policy call; every run stays the full scan's."""
+
+    @pytest.mark.parametrize("sessions, power, horizon", [
+        # b contends for slots 0-2; a alone fits from slot 3 on
+        ((ChargingSession("a", 0, 100, 50.0, 1.0), ChargingSession("b", 0, 3, 3.0, 1.0)),
+         ConstantPower(1.5), 100),
+        # a alone fits; b's arrival at 3 makes slot 3 contended
+        ((ChargingSession("a", 0, 10, 5.0, 1.0), ChargingSession("b", 3, 10, 5.0, 1.0)),
+         ConstantPower(1.5), 10),
+        # the power drops under a's cap at 3, inside a's sojourn, and rises at 5
+        ((ChargingSession("a", 0, 8, 4.0, 1.0),), StepwisePower([2, 2, 2, 0.5, 0.5, 2, 2, 2]),
+         8),
+        # overlapping sessions of one id, with other peak rates: one remaining energy
+        ((ChargingSession("a", 0, 5, 2.0, 2.0), ChargingSession("a", 3, 8, 4.0, 0.5),
+          ChargingSession("b", 0, 8, 3.0, 1.0)), ConstantPower(1.5), 8),
+        ((ChargingSession("a", 0, 5, 6.0, 2.0), ChargingSession("a", 3, 8, 6.0, 0.5),
+          ChargingSession("b", 2, 8, 3.0, 1.0)), ConstantPower(2.5), 8),
+        # a is left 3e-13 after slot 1, under FINISHED_EPS of its energy: no longer chargeable
+        ((ChargingSession("a", 0, 6, 2.0 + 3e-13, 1.0), ChargingSession("b", 0, 6, 2.0, 1.0)),
+         ConstantPower(1.5), 6),
+    ], ids=["long-tail", "arrival-contends", "power-drop", "repeated-id",
+            "repeated-id-contended", "finished-within-eps"])
+    def test_runs_as_the_full_scan(self, monkeypatch, sessions, power, horizon):
+        inst = Instance(sessions, power, horizon)
+        busy = [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
+        for name in sorted(CAPS_FIRST):
+            assert_same_run(inst, name)
+            expected = full_scan_simulate(inst, name)[1].feasible
+            assert run_feasibility([inst], name) == [expected], name
+            calls = expected_calls(inst, name)
+            assert len(calls) < len(busy), name
+            assert policy_calls(monkeypatch, name, inst) == calls, name
+            monkeypatch.undo()
+        # OLP decides every busy slot, by name, though its fallback is sLLF's decision
+        assert policy_calls(monkeypatch, "olp", inst) == busy
+        decided = policy_calls(monkeypatch, "olp", inst, lambda i, n: run_feasibility([i], n))
+        assert decided == busy[:len(decided)]
+
+    def test_calls_of_the_sample_runs(self, monkeypatch):
+        # sLLF on "long-tail" decides 0-2, where b contends, and 3; a alone is
+        # charged at its cap from then on without a call
+        inst = Instance((ChargingSession("a", 0, 100, 50.0, 1.0),
+                         ChargingSession("b", 0, 3, 3.0, 1.0)), ConstantPower(1.5), 100)
+        assert expected_calls(inst, "sllf") == policy_calls(monkeypatch, "sllf", inst) \
+            == [0, 1, 2, 3]
+
+    def test_nan_power_after_an_uncontended_slot(self, monkeypatch):
+        inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),),
+                        StepwisePower([2.0, 2.0, math.nan]))
+        for name in sorted(CAPS_FIRST):
+            with pytest.raises(PolicyContractError, match="at slot 2$") as raised:
+                simulate(inst, name)
+            with pytest.raises(PolicyContractError) as expected:
+                full_scan_simulate(inst, name)
+            assert str(raised.value) == str(expected.value)
+            with pytest.raises(PolicyContractError, match="at slot 2$"):
+                run_feasibility([inst], name)
+            # slot 1 is charged at the caps; the NaN at slot 2 hands it back to the policy
+            slots, policy = [], POLICIES[name]
+            monkeypatch.setitem(schedulers.POLICIES, name,
+                                lambda state, i, t: slots.append(t) or policy(state, i, t))
+            with pytest.raises(PolicyContractError, match="at slot 2$"):
+                simulate(inst, name)
+            assert slots == [0, 2], name
+            monkeypatch.undo()
+
+    def test_unvalidated_instances_run_as_the_full_scan(self, monkeypatch):
+        """Repeated ids share one remaining energy and one rate; the run and the
+        policy test the same sessions against the same dict, so they agree."""
+        rng = random.Random(21)
+        skipped, repeated = 0, 0
+        for _ in range(300):
+            inst = random_unvalidated_instance(rng)
+            busy = sum(b - a for a, b, _ in inst.busy_spans())
+            ids = [s.id for s in inst.sessions]
+            for name in sorted(CAPS_FIRST):
+                try:
+                    expected = full_scan_simulate(inst, name)
+                except PolicyContractError as exc:
+                    with pytest.raises(PolicyContractError, match=f"^{re.escape(str(exc))}$"):
+                        simulate(inst, name)
+                    continue
+                schedule, verdict = simulate(inst, name)
+                assert repr((dense(schedule), verdict)) == repr(expected), name
+                assert run_feasibility([inst], name) == [verdict.feasible], name
+                calls = policy_calls(monkeypatch, name, inst)
+                monkeypatch.undo()
+                assert calls == expected_calls(inst, name), name
+                saved = busy - len(calls)
+                skipped += saved
+                repeated += saved > 0 and len(set(ids)) < len(ids)
+        assert skipped > 1000 and repeated > 100, (skipped, repeated)
