@@ -127,14 +127,24 @@ def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
     ]
 
 
+def _laxities(evs, remaining: dict[str, float], t: int) -> list[float]:
+    """Each session's laxity at t in `laxity`'s closed form: t lies inside
+    each sojourn and every energy left is positive.  A peak rate of 0, which
+    `validate` rejects, is a `ContractError` naming the session and the slot."""
+    try:
+        return [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
+    except ZeroDivisionError:
+        sid = next(s.id for s in evs if s.max_rate == 0.0)
+        raise ContractError(
+            f"session {sid} has peak rate 0 at slot {t}: its laxity is undefined") from None
+
+
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
-    remaining = state.remaining
-    # `laxity`'s closed form: t lies inside each sojourn and every energy left is positive
-    lax = [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
+    lax = _laxities(evs, state.remaining, t)
     rbars = [s.max_rate for s in evs]
     level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, p_limit)
     rates = _sllf_fill(level, lax, caps, rbars)
@@ -142,10 +152,11 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
                         diagnostics={"solver_steps": steps})
 
 
-def _greedy_fill(evs, caps, p_limit, key) -> dict[str, float]:
+def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
+    """Each session in increasing `keys` order takes what its cap and the
+    power left allow."""
     rates = {}
     residual = p_limit
-    keys = [key(s) for s in evs]
     for k in sorted(range(len(evs)), key=keys.__getitem__):
         cap = caps[k]  # max(min(max_rate, remaining, residual), 0.0), NaN alike
         r = residual if residual < cap else cap
@@ -161,9 +172,8 @@ def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf)
-    remaining = state.remaining  # the laxity in `laxity`'s closed form, as in `sllf_rates`
-    key = lambda s: (s.departure - t - remaining[s.id] / s.max_rate, s.arrival, s.id)
-    return RateDecision(_greedy_fill(evs, caps, p_limit, key))
+    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, state.remaining, t))]
+    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
 
 
 def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -171,8 +181,8 @@ def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf)
-    key = lambda s: (s.departure, s.arrival, s.id)
-    return RateDecision(_greedy_fill(evs, caps, p_limit, key))
+    keys = [(s.departure, s.arrival, s.id) for s in evs]
+    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
 
 
 def _proportional_fill(state: SimState, instance: Instance, t: int, weight) -> RateDecision:

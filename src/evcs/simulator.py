@@ -15,7 +15,8 @@ from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits, in
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import CAPS_FIRST, _caps, _uncontended_caps, _unfinished, get_policy
+from .schedulers import (CAPS_FIRST, FINISHED_EPS, _caps, _uncontended_caps, _unfinished,
+                         get_policy)
 
 
 class PolicyContractError(ContractError):
@@ -88,6 +89,17 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     sessions, without calling it, until the test fails and the policy
     decides again; the rates, and so the run, are the same.
 
+    Once a slot t of a span [a, b) is charged at the caps, so is every later
+    slot of the span.  The span has one power and one set of sessions; each
+    cap `min(max_rate, remaining)` can only fall, finished sessions only drop
+    out, and a float sum of fewer, smaller nonnegative terms in the same
+    order is no larger.  So `_charge_at_caps` charges slots t + 1 ... b - 1
+    in one pass per session, with the float operations `_charge` would make
+    at each slot, and the loop goes on to the span's end.  That needs each
+    id's remaining energy to be its one session's and every cap above 0, so
+    a span with a repeated id or a peak rate that is not above 0 (NaN
+    included) keeps the per-slot path.
+
     `rows` maps each id to (window start, row), and each applied rate is
     recorded there.  Without rows (None) the run stops after the first span
     [a, b) at whose end b some id's window closes with a session of that id
@@ -106,6 +118,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     for a, b, positions in instance.busy_spans():
         span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
         limits = _rate_limits(span)
+        one_pass = len(limits) == len(span) and all(s.max_rate > 0.0 for s in span)
         for t in range(a, b):
             p_limit, rates = power.at(t), None
             if at_caps:
@@ -122,9 +135,37 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
                 for sid, r in applied.items():  # sid is active, so t lies in its window
                     start, row = rows[sid]
                     row[t - start] = r
+            if at_caps and one_pass:
+                _charge_at_caps(span, remaining, rows, t + 1, b)
+                break
         if b in due and not _meets_demand(due[b], remaining):
             break
     return remaining
+
+
+def _charge_at_caps(span, remaining: dict[str, float], rows: dict | None,
+                    t: int, b: int) -> None:
+    """Charge each session of `span` at its cap over slots t ... b - 1, in
+    place, as `_charge` would slot by slot (see `_run`): a session charges
+    while it is unfinished by `_unfinished`'s rule, its peak rate while that
+    fits, and then all it has left, to 0.0."""
+    for s in span:
+        sid, max_rate, energy = s.id, s.max_rate, s.energy
+        done = FINISHED_EPS * (energy if energy > 1.0 else 1.0)
+        rem, u = remaining[sid], t
+        if rows is None:
+            while u < b and rem > done:
+                rem = 0.0 if rem < max_rate else rem - max_rate
+                u += 1
+        else:
+            start, row = rows[sid]
+            while u < b and rem > done:
+                if rem < max_rate:
+                    row[u - start], rem = rem, 0.0
+                else:
+                    row[u - start], rem = max_rate, rem - max_rate
+                u += 1
+        remaining[sid] = rem
 
 
 def success_rate(instances, policy_name: str) -> float:

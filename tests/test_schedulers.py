@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs.dynamics import RATE_TOL, SimState, initial_state, laxity, step
+from evcs.dynamics import (RATE_TOL, SimState, _charge, _rate_limits, initial_state, laxity,
+                           step)
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, edf_rates, es_rates,
-                             get_policy, llf_rates, olp_rates, rep_rates, residual_instance,
-                             sllf_rates)
+from evcs.schedulers import (CAPS_FIRST, POLICIES, _caps, _chargeable, _uncontended_caps,
+                             _unfinished, edf_rates, es_rates, get_policy, llf_rates, olp_rates,
+                             rep_rates, residual_instance, sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
@@ -248,6 +249,44 @@ class TestUncontendedSlots:
         assert decision.threshold < math.inf
         for name in ("llf", "edf", "es", "rep"):
             assert POLICIES[name](initial_state(instance_ia), instance_ia, 0).threshold is None
+
+
+@st.composite
+def uncontended_spans(draw):
+    """(span, remaining, power): the sessions of one busy span, with unique ids
+    and peak rates above 0, whose chargeable caps fit under the power, at it
+    or with room to spare.  Some are finished, some land on a multiple of
+    their peak rate, and some are a hair above or below `FINISHED_EPS`."""
+    span, remaining = [], {}
+    for k in range(draw(st.integers(1, 7))):
+        max_rate = draw(st.floats(0.05, 5.0))
+        energy = draw(st.floats(1e-3, 20.0))
+        span.append(ChargingSession(f"s{k}", 0, 1000, energy, max_rate))
+        remaining[f"s{k}"] = draw(st.sampled_from([
+            0.0, 1e-13, energy, energy / 3, max_rate * draw(st.integers(1, 5)),
+            max_rate * 0.999, max_rate + 3e-12 * max(1.0, energy),
+            2 * max_rate + 0.5e-12 * max(1.0, energy)]))
+    evs = _unfinished(span, remaining)
+    power = sum(_caps(evs, remaining)) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
+    return span, remaining, power
+
+
+class TestUncontendedSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(uncontended_spans())
+    def test_caps_charged_at_one_slot_fit_at_the_next(self, case):
+        """The invariant behind the simulator's one pass over the rest of a
+        busy span: one power, one set of sessions, caps that only fall."""
+        span, remaining, power = case
+        limits = _rate_limits(span)
+        slots = max(math.ceil(remaining[s.id] / s.max_rate) for s in span) + 1
+        evs, t = _unfinished(span, remaining), 0
+        while evs:
+            caps = _uncontended_caps(evs, _caps(evs, remaining), power)
+            assert caps is not None, t
+            _charge(remaining, caps, limits, t, power)
+            evs, t = _unfinished(span, remaining), t + 1
+        assert t <= slots
 
 
 class TestOlp:

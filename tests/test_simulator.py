@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -6,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs import schedulers
+from evcs import schedulers, simulator
 from evcs.dynamics import SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
@@ -129,6 +130,20 @@ class TestSimulate:
         for name in POLICIES:
             with pytest.raises(PolicyContractError, match=f"at slot {slot}$"):
                 simulate(inst, name)
+
+    @pytest.mark.parametrize("name", ["sllf", "llf", "olp"])
+    def test_a_zero_peak_rate_at_a_contended_slot_is_a_contract_error(self, name):
+        # a's laxity divides by its peak rate; OLP reaches it through the sLLF fallback
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 0.0),
+                         ChargingSession("b", 0, 2, 1.0, 1.0)), ConstantPower(0.5))
+        message = "^session a has peak rate 0 at slot 0: its laxity is undefined$"
+        with pytest.raises(ContractError, match=message):
+            simulate(inst, name)
+        with pytest.raises(ContractError, match=message):
+            run_feasibility([inst], name)
+        for other in ("edf", "es", "rep"):
+            assert not simulate(inst, other)[1].feasible
+            assert run_feasibility([inst], other) == [False]
 
     def test_short_stepwise_power_is_the_oracles_contract_error(self):
         # the run and the oracle read one event index, which checks the profile
@@ -490,3 +505,110 @@ class TestUncontendedSlots:
                 skipped += saved
                 repeated += saved > 0 and len(set(ids)) < len(ids)
         assert skipped > 1000 and repeated > 100, (skipped, repeated)
+
+
+def assert_runs_as_full_scan(instance, name):
+    """`simulate` (rows and verdict, by `repr`) and `run_feasibility` agree
+    with the full scan, or raise its error."""
+    try:
+        expected = full_scan_simulate(instance, name)
+    except ContractError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            simulate(instance, name)
+        return
+    schedule, verdict = simulate(instance, name)
+    assert repr((dense(schedule), verdict)) == repr(expected), name
+    assert run_feasibility([instance], name) == [verdict.feasible], name
+
+
+def random_edge_instance(rng: random.Random) -> Instance:
+    """`random_unvalidated_instance` with about half the energies replaced by a
+    multiple of the peak rate, such a multiple plus a hair above or below
+    `FINISHED_EPS` of the energy, a value below 1, inf or NaN, and about one
+    peak rate in ten by 0, a tiny negative or NaN."""
+    inst = random_unvalidated_instance(rng)
+    sessions = []
+    for s in inst.sessions:
+        energy, max_rate = s.energy, s.max_rate
+        if rng.random() < 0.5:
+            whole = rng.randint(1, 4) * max_rate
+            energy = rng.choice([whole, whole + 3e-12 * whole, whole + 0.5e-12 * whole,
+                                 rng.uniform(0.01, 1.0), math.inf, math.nan])
+        if rng.random() < 0.1:
+            max_rate = rng.choice([0.0, -1e-12, math.nan])
+        sessions.append(dataclasses.replace(s, energy=energy, max_rate=max_rate))
+    return Instance(sessions, inst.power, inst.horizon)
+
+
+def one_pass_slots(monkeypatch):
+    """The (first, end) slots of each one-pass charge with slots left, as runs make them."""
+    passes, charge = [], simulator._charge_at_caps
+
+    def spying(span, remaining, rows, t, b):
+        if t < b:
+            passes.append((t, b))
+        charge(span, remaining, rows, t, b)
+
+    monkeypatch.setattr(simulator, "_charge_at_caps", spying)
+    return passes
+
+
+class TestOnePassSpans:
+    """After a slot charged at the caps, the rest of its busy span is charged
+    in one pass per session, with the run still the full scan's; a span with
+    a repeated id or a peak rate not above 0 keeps the per-slot path."""
+
+    @pytest.mark.parametrize("sessions, power, horizon, passes", [
+        # a lands on its peak rate 1.0 exactly; b's 0.3 leaves 0.09999999999999998 < 0.1
+        ((ChargingSession("a", 0, 10, 3.0, 1.0), ChargingSession("b", 0, 10, 0.3, 0.1)),
+         ConstantPower(5.0), 10, [(1, 10)]),
+        # a is left about 3e-12 after slot 1, above FINISHED_EPS * 2: charged at slot 2
+        ((ChargingSession("a", 0, 6, 2.0 + 3e-12, 1.0),), ConstantPower(5.0), 6, [(1, 6)]),
+        # a is left about 1e-12 after slot 1, at most FINISHED_EPS * 2: not charged
+        ((ChargingSession("a", 0, 6, 2.0 + 1e-12, 1.0),), ConstantPower(5.0), 6, [(1, 6)]),
+        # energies below 1 finish at FINISHED_EPS itself: a at 7e-13 left, b not at 1.5e-12
+        ((ChargingSession("a", 0, 6, 0.5 + 7e-13, 0.25),
+          ChargingSession("b", 0, 6, 0.5 + 1.5e-12, 0.25)), ConstantPower(1.0), 6, [(1, 6)]),
+        # inf and NaN energies are never chargeable
+        ((ChargingSession("a", 0, 6, math.inf, 1.0), ChargingSession("b", 0, 6, math.nan, 1.0),
+          ChargingSession("c", 0, 6, 3.0, 1.0)), ConstantPower(5.0), 6, [(1, 6)]),
+        # contended 0-2; the power rises at 3, a span boundary, and the pass starts at 4
+        ((ChargingSession("a", 0, 8, 5.0, 1.0), ChargingSession("b", 0, 8, 5.0, 1.0)),
+         StepwisePower([1.5] * 3 + [2.5] * 5), 8, [(4, 8)]),
+        # the power drops under a's cap at 4, a span boundary, and rises at 6
+        ((ChargingSession("a", 0, 8, 6.0, 1.0),), StepwisePower([2, 2, 2, 2, 0.5, 0.5, 2, 2]),
+         8, [(1, 4), (7, 8)]),
+    ], ids=["lands-on-peak-rate", "above-finished-eps", "below-finished-eps",
+            "energies-below-one", "inf-and-nan-energies", "power-rises", "power-drops"])
+    def test_one_pass_runs_as_the_full_scan(self, monkeypatch, sessions, power, horizon,
+                                            passes):
+        inst = Instance(sessions, power, horizon)
+        for name in sorted(CAPS_FIRST):
+            seen = one_pass_slots(monkeypatch)
+            assert_runs_as_full_scan(inst, name)
+            monkeypatch.undo()
+            assert seen[:len(passes)] == passes, name  # simulate's; run_feasibility's follow
+
+    @pytest.mark.parametrize("sessions", [
+        (ChargingSession("a", 0, 8, 4.0, 1.0), ChargingSession("a", 0, 8, 4.0, 0.5),
+         ChargingSession("b", 0, 8, 2.0, 1.0)),
+        (ChargingSession("a", 0, 8, 1.0, 0.0), ChargingSession("b", 0, 8, 3.0, 1.0)),
+        (ChargingSession("a", 0, 8, 1.0, -1e-12), ChargingSession("b", 0, 8, 3.0, 1.0)),
+        (ChargingSession("a", 0, 8, 1.0, math.nan), ChargingSession("b", 0, 8, 3.0, 1.0)),
+    ], ids=["repeated-id", "zero-peak-rate", "tiny-negative-peak-rate", "nan-peak-rate"])
+    def test_guarded_spans_keep_the_per_slot_path(self, monkeypatch, sessions):
+        inst = Instance(sessions, ConstantPower(10.0), 8)
+        for name in sorted(CAPS_FIRST):
+            seen = one_pass_slots(monkeypatch)
+            assert_runs_as_full_scan(inst, name)
+            monkeypatch.undo()
+            assert seen == [], name
+
+    def test_unvalidated_instances_run_as_the_full_scan(self, monkeypatch):
+        rng = random.Random(22)
+        seen = one_pass_slots(monkeypatch)
+        for _ in range(300):
+            inst = random_edge_instance(rng)
+            for name in sorted(CAPS_FIRST):
+                assert_runs_as_full_scan(inst, name)
+        assert sum(b - t for t, b in seen) > 1000, len(seen)
