@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import augmentation, corpus, dynamics, feasibility, simulator
@@ -269,12 +270,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    shown = warnings.showwarning  # a warning the filters let through: one line, no source path
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     try:
         return args.func(args)
     except (corpus.ParseError, corpus.GenerationError, SystemExit2,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

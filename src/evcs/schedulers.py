@@ -25,14 +25,14 @@ class RateDecision:
     """This slot's rates, the sLLF water-level (when applicable), and solver stats.
 
     `threshold == inf` means every chargeable session at its cap, for each of
-    sLLF, LLF, EDF, ES and REP (`_uncontended_caps`).
+    sLLF, LLF, EDF, ES and REP (`_contention`); the simulator then charges
+    the rest of the busy span at the caps without another call.
 
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
       (olp) shortest-path searches of a solve that ships; a fallback carries
       the sLLF decision's;
-    - `olp_shipped` (olp): the energy a fresh solve shipped over its window;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
@@ -52,48 +52,30 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
     """Active sessions with unfinished demand, in instance order."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    return _unfinished(instance.active_at(t), state.remaining)
-
-
-def _unfinished(sessions, remaining: dict[str, float]) -> list[ChargingSession]:
-    """The sessions with unfinished demand, in the given order."""
-    out = []
-    for s in sessions:
+    remaining, out = state.remaining, []
+    for s in instance.active_at(t):
         energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
         if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
             out.append(s)
     return out
 
 
-def _caps(evs, remaining: dict[str, float]) -> list[float]:
-    """Each session's most this slot, min(max_rate, remaining) in plain
-    compares, NaN alike: a hot loop."""
-    caps = []
+def _contention(state: SimState, instance: Instance, t: int):
+    """(chargeable sessions, their caps, P(t), the caps by id or None).
+
+    Each cap is min(max_rate, remaining) in plain compares, NaN alike (a hot
+    loop).  The caps by id, in instance order, are returned when their sum in
+    that order is at most P(t), and None otherwise, a NaN power included: in
+    such an uncontended slot sLLF, LLF, EDF, ES and REP each give every
+    session its cap, so each decides it here first (with `threshold=inf`).
+    """
+    evs, remaining, caps = _chargeable(state, instance, t), state.remaining, []
     for s in evs:
         max_rate, rem = s.max_rate, remaining[s.id]
         caps.append(rem if rem < max_rate else max_rate)
-    return caps
-
-
-def _uncontended_caps(evs, caps, p_limit: float) -> dict[str, float] | None:
-    """The caps by id, in `evs` order, when their sum in that order is at most
-    `p_limit`; None otherwise, a NaN power included.
-
-    In such an uncontended slot sLLF, LLF, EDF, ES and REP each give every
-    session its cap, so each decides it here first (with `threshold=inf`),
-    and the simulator charges the slots after such a decision by this same
-    test, without a policy call.
-    """
-    if sum(caps) <= p_limit:
-        return {s.id: cap for s, cap in zip(evs, caps)}
-    return None
-
-
-def _contention(state: SimState, instance: Instance, t: int):
-    """(chargeable sessions, their caps, P(t), `_uncontended_caps` of them)."""
-    evs = _chargeable(state, instance, t)
-    caps, p_limit = _caps(evs, state.remaining), instance.power.at(t)
-    return evs, caps, p_limit, _uncontended_caps(evs, caps, p_limit)
+    p_limit = instance.power.at(t)
+    at_caps = {s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit else None
+    return evs, caps, p_limit, at_caps
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -103,7 +85,7 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     c + cap / a, so one sorted sweep over those 2n breakpoints finds the
     segment holding p_limit, where one linear equation gives L (the
     continuous-knapsack breakpoint search).  The caps sum to more than
-    p_limit (`_uncontended_caps` decides the other slots); L is -inf when
+    p_limit (`_contention` decides every slot where they fit); L is -inf when
     there is no power to share, NaN included.
     """
     if not p_limit > 0.0:
@@ -307,21 +289,18 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
             return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
-    loads, arcs, sources, shipped = [0.0] * (end - t), [], [], 0.0
+    loads, arcs, sources = [0.0] * (end - t), [], []
     for k, (s, stop) in enumerate(zip(evs, stops)):
         row = planned.get(id(s))
         row = row[t - start:] if row is not None else [0.0] * (stop - t)
-        sent = sum(row)
-        shipped += sent
-        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sent))
+        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sum(row)))
         cap = min(s.max_rate, state.remaining[s.id])
         arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f
     exits = [g.add_edge(first_slot + i, SINK, p, load)
              for i, (p, load) in enumerate(zip(powers, loads))]
-    added, searches = g.earliest_exit_flow(SOURCE, exits)
-    shipped += added
+    searches = g.earliest_exit_flow(SOURCE, exits)[1]
     if not ships_demand(g, sources, energies):
         return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
@@ -329,7 +308,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
         memory.pop("olp_infeasible", None)
     return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
-                        diagnostics={"olp_shipped": shipped, "solver_steps": searches})
+                        diagnostics={"solver_steps": searches})
 
 
 POLICIES = {
@@ -342,7 +321,7 @@ POLICIES = {
 }
 
 
-#: the policies that decide an uncontended slot by `_uncontended_caps` alone;
+#: the policies that decide an uncontended slot by `_contention` alone;
 #: not OLP, whose plan and failed residual must see every slot
 CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 

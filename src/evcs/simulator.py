@@ -15,8 +15,7 @@ from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits, in
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import (CAPS_FIRST, FINISHED_EPS, _caps, _uncontended_caps, _unfinished,
-                         get_policy)
+from .schedulers import CAPS_FIRST, FINISHED_EPS, get_policy
 
 
 class PolicyContractError(ContractError):
@@ -83,22 +82,18 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     slots: OLP keeps its plan there, or after a fallback the residual that
     could not ship, and nothing else does.
 
-    After a `CAPS_FIRST` policy gives every chargeable session its cap
-    (`threshold == inf`), each later slot is charged by the
-    `_uncontended_caps` test that policy would make first, over the same
-    sessions, without calling it, until the test fails and the policy
-    decides again; the rates, and so the run, are the same.
-
-    Once a slot t of a span [a, b) is charged at the caps, so is every later
-    slot of the span.  The span has one power and one set of sessions; each
-    cap `min(max_rate, remaining)` can only fall, finished sessions only drop
-    out, and a float sum of fewer, smaller nonnegative terms in the same
-    order is no larger.  So `_charge_at_caps` charges slots t + 1 ... b - 1
-    in one pass per session, with the float operations `_charge` would make
-    at each slot, and the loop goes on to the span's end.  That needs each
-    id's remaining energy to be its one session's and every cap above 0, so
-    a span with a repeated id or a peak rate that is not above 0 (NaN
-    included) keeps the per-slot path.
+    A policy decides each busy slot but the rest of a span charged at the
+    caps: once a `CAPS_FIRST` policy gives every chargeable session its cap
+    (`threshold == inf`) at a slot t of a span [a, b), it would at every
+    later slot, since the span has one power and one set of sessions, each
+    cap `min(max_rate, remaining)` can only fall, finished sessions only
+    drop out, and a float sum of fewer, smaller nonnegative terms in the
+    same order is no larger.  So `_charge_at_caps` charges slots t + 1 ...
+    b - 1 in one pass per session, with the float operations `_charge`
+    would make at each slot.  That needs each id's remaining energy to be
+    its one session's and every cap above 0, so a span with a repeated id
+    or a peak rate that is not above 0 (NaN included) is decided slot by
+    slot.
 
     `rows` maps each id to (window start, row), and each applied rate is
     recorded there.  Without rows (None) the run stops after the first span
@@ -107,7 +102,6 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     so an id's remaining energy is final once its window has ended.
     """
     policy = get_policy(policy_name)
-    caps_first, at_caps = policy_name in CAPS_FIRST, False
     sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
     due = {}  # window end -> the sessions whose id's window ends there
@@ -118,24 +112,19 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     for a, b, positions in instance.busy_spans():
         span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
         limits = _rate_limits(span)
-        one_pass = len(limits) == len(span) and all(s.max_rate > 0.0 for s in span)
+        one_pass = (policy_name in CAPS_FIRST and len(limits) == len(span)
+                    and all(s.max_rate > 0.0 for s in span))
         for t in range(a, b):
-            p_limit, rates = power.at(t), None
-            if at_caps:
-                evs = _unfinished(span, remaining)  # the policy's `_chargeable`
-                rates = _uncontended_caps(evs, _caps(evs, remaining), p_limit)
-            if rates is None:
-                decision = policy(SimState(t, remaining, memory), instance, t)
-                rates, at_caps = decision.rates, caps_first and decision.threshold == math.inf
+            decision = policy(SimState(t, remaining, memory), instance, t)
             try:
-                applied = _charge(remaining, rates, limits, t, p_limit)
+                applied = _charge(remaining, decision.rates, limits, t, power.at(t))
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
             if rows is not None:
                 for sid, r in applied.items():  # sid is active, so t lies in its window
                     start, row = rows[sid]
                     row[t - start] = r
-            if at_caps and one_pass:
+            if one_pass and decision.threshold == math.inf:
                 _charge_at_caps(span, remaining, rows, t + 1, b)
                 break
         if b in due and not _meets_demand(due[b], remaining):
@@ -147,7 +136,7 @@ def _charge_at_caps(span, remaining: dict[str, float], rows: dict | None,
                     t: int, b: int) -> None:
     """Charge each session of `span` at its cap over slots t ... b - 1, in
     place, as `_charge` would slot by slot (see `_run`): a session charges
-    while it is unfinished by `_unfinished`'s rule, its peak rate while that
+    while it is unfinished by `_chargeable`'s rule, its peak rate while that
     fits, and then all it has left, to 0.0."""
     for s in span:
         sid, max_rate, energy = s.id, s.max_rate, s.energy
@@ -180,10 +169,16 @@ def success_rate(instances, policy_name: str) -> float:
 def instance_metrics(instance: Instance) -> tuple[float, float]:
     """(max sojourn ratio, min normalized initial laxity) of an instance.
 
-    Without sessions both are at the end of their range: (1.0, 1.0).
+    Without sessions both are at the end of their range: (1.0, 1.0).  A
+    session with an empty sojourn or a peak rate of 0, which `validate`
+    rejects, is a `ContractError` naming it.
     """
     if not instance.sessions:
         return 1.0, 1.0
+    for s in instance.sessions:  # each divisor below
+        if s.sojourn == 0 or s.max_rate == 0.0:
+            what = "an empty sojourn" if s.sojourn == 0 else "peak rate 0"
+            raise ContractError(f"session {s.id} has {what}: its instance metrics are undefined")
     sojourns = [s.sojourn for s in instance.sessions]
     ratio = max(sojourns) / min(sojourns)
     norm_lax = min(laxity(s, s.arrival, s.energy) / s.sojourn for s in instance.sessions)

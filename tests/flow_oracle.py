@@ -135,16 +135,15 @@ def full_horizon_olp_rates(state, instance, t):
         window_arcs.append([g.add_edge(2 + k, slot_node(tau), min(s.max_rate, rem))
                             for tau in range(t, min(s.departure, horizon))])
     sink_arcs = [g.add_edge(slot_node(tau), sink, 0.0) for tau in range(t, horizon)]
-    shipped = 0.0
     for tau, idx in zip(range(t, horizon), sink_arcs):
         g.raise_capacity(idx, instance.power.at(tau))
-        shipped += g.max_flow(source, sink)
+        g.max_flow(source, sink)
     if not ships_every_demand(g, source_arcs, [s.energy for s in evs]):
         fallback = sllf_rates(state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
         return fallback
     rates = {s.id: (g.flow_on(arcs[0]) if arcs else 0.0) for s, arcs in zip(evs, window_arcs)}
-    return RateDecision(rates, diagnostics={"olp_shipped": shipped})
+    return RateDecision(rates)
 
 
 def slot_build_network(instance, power_override=None):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -577,6 +578,24 @@ class TestAugment:
 
     def test_missing_mode_exits_two(self, corpus_dir):
         assert main(["augment", str(corpus_dir), "--algs", "sllf"]) == 2
+
+    def test_a_warning_is_one_line_without_its_source_path(self, corpus_dir, monkeypatch,
+                                                             capsys):
+        argv = ["augment", str(corpus_dir), "--algs", "edf", "--mode", "power-rate"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        search, shown = augmentation.min_feasible_eps, warnings.showwarning
+
+        def warning_search(instances, alg, mode):
+            warnings.warn("feasibility not monotone near eps = 0.5")
+            return search(instances, alg, mode)
+
+        monkeypatch.setattr(augmentation, "min_feasible_eps", warning_search)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == quiet.out
+        assert captured.err == quiet.err + "warning: feasibility not monotone near eps = 0.5\n"
+        assert warnings.showwarning is shown
 
 
 class TestReproducesExperiments:

@@ -13,9 +13,9 @@ from evcs.dynamics import (RATE_TOL, SimState, _charge, _rate_limits, initial_st
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (CAPS_FIRST, POLICIES, _caps, _chargeable, _uncontended_caps,
-                             _unfinished, edf_rates, es_rates, get_policy, llf_rates, olp_rates,
-                             rep_rates, residual_instance, sllf_rates)
+from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _contention, edf_rates, es_rates,
+                             get_policy, llf_rates, olp_rates, rep_rates, residual_instance,
+                             sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
@@ -253,10 +253,11 @@ class TestUncontendedSlots:
 
 @st.composite
 def uncontended_spans(draw):
-    """(span, remaining, power): the sessions of one busy span, with unique ids
-    and peak rates above 0, whose chargeable caps fit under the power, at it
-    or with room to spare.  Some are finished, some land on a multiple of
-    their peak rate, and some are a hair above or below `FINISHED_EPS`."""
+    """(instance, remaining): the sessions of one busy span, with unique ids
+    and peak rates above 0, under a constant power that their chargeable
+    caps fit under, at it or with room to spare.  Some are finished, some
+    land on a multiple of their peak rate, and some are a hair above or
+    below `FINISHED_EPS`."""
     span, remaining = [], {}
     for k in range(draw(st.integers(1, 7))):
         max_rate = draw(st.floats(0.05, 5.0))
@@ -266,9 +267,9 @@ def uncontended_spans(draw):
             0.0, 1e-13, energy, energy / 3, max_rate * draw(st.integers(1, 5)),
             max_rate * 0.999, max_rate + 3e-12 * max(1.0, energy),
             2 * max_rate + 0.5e-12 * max(1.0, energy)]))
-    evs = _unfinished(span, remaining)
-    power = sum(_caps(evs, remaining)) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
-    return span, remaining, power
+    caps = _contention(SimState(0, remaining), Instance(span, ConstantPower(0.0), 1000), 0)[1]
+    power = sum(caps) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
+    return Instance(span, ConstantPower(power), 1000), remaining
 
 
 class TestUncontendedSpans:
@@ -277,16 +278,17 @@ class TestUncontendedSpans:
     def test_caps_charged_at_one_slot_fit_at_the_next(self, case):
         """The invariant behind the simulator's one pass over the rest of a
         busy span: one power, one set of sessions, caps that only fall."""
-        span, remaining, power = case
+        inst, remaining = case
+        span, power = inst.sessions, inst.power.at(0)
         limits = _rate_limits(span)
         slots = max(math.ceil(remaining[s.id] / s.max_rate) for s in span) + 1
-        evs, t = _unfinished(span, remaining), 0
-        while evs:
-            caps = _uncontended_caps(evs, _caps(evs, remaining), power)
+        for t in range(slots + 1):
+            evs, _, _, caps = _contention(SimState(t, remaining), inst, t)
+            if not evs:
+                break
             assert caps is not None, t
             _charge(remaining, caps, limits, t, power)
-            evs, t = _unfinished(span, remaining), t + 1
-        assert t <= slots
+        assert not evs, slots
 
 
 class TestOlp:
@@ -356,13 +358,13 @@ class TestOlpNetwork:
         inst = Instance((b, a, c), ConstantPower(1.5), 3)
         state = SimState(0, {"b": 1.0, "a": 2.0, "c": 1.0}, {})
         first = olp_rates(state, inst, 0)
-        assert first.diagnostics == {"olp_shipped": 3.0, "solver_steps": 5}
+        assert first.diagnostics == {"solver_steps": 5}
         assert state.memory["olp"] == (inst, 0, 3, {id(a): [1.0, 1.0, 0.0],
                                                     id(c): [0.5, 0.5, 0.0]})
         state = step(state, first.rates, inst)
         warm = olp_rates(state, inst, 1)
         assert warm.rates == {"b": 0.0, "a": 1.0, "c": 0.5}
-        assert warm.diagnostics == {"olp_shipped": 2.5, "solver_steps": 2}
+        assert warm.diagnostics == {"solver_steps": 2}
         assert state.memory["olp"] == (inst, 1, 3, {id(b): [0.0, 1.0], id(a): [1.0, 0.0],
                                                     id(c): [0.5, 0.0]})
         # a cold solve of the same state ships the same slot totals, split otherwise
@@ -584,19 +586,24 @@ def olp_run(monkeypatch, instance):
     return simulate(instance, "olp"), diagnostics
 
 
+def fresh_solve(decision):
+    """Whether an OLP decision is a solve that ships, made at its own slot."""
+    return "solver_steps" in decision.diagnostics and "olp_fallback" not in decision.diagnostics
+
+
 def run_checking_followed_slots(monkeypatch, instance):
     """Simulate OLP, checking each followed slot against a fresh solve;
     returns (solves, follows)."""
-    counts = {"olp_shipped": 0, "olp_plan_slot": 0}
+    counts = Counter()
 
     def checking_olp(state, inst, t):
         plan = state.memory.get("olp")
         decision = olp_rates(state, inst, t)
-        for key in counts:
-            counts[key] += key in decision.diagnostics
+        counts["solves"] += fresh_solve(decision)
+        counts["follows"] += "olp_plan_slot" in decision.diagnostics
         if "olp_plan_slot" in decision.diagnostics:
             fresh = SimState(t, state.remaining, {})
-            assert olp_rates(fresh, inst, t).diagnostics["olp_shipped"] > 0.0
+            assert fresh_solve(olp_rates(fresh, inst, t))
             followed = planned_slot_totals(plan, t)
             solved = planned_slot_totals(fresh.memory["olp"], t)
             for tau in sorted(set(followed) | set(solved)):
@@ -607,7 +614,7 @@ def run_checking_followed_slots(monkeypatch, instance):
 
     monkeypatch.setitem(POLICIES, "olp", checking_olp)
     simulate(instance, "olp")
-    return counts["olp_shipped"], counts["olp_plan_slot"]
+    return counts["solves"], counts["follows"]
 
 
 def contended_run_instance(rng: random.Random):
@@ -668,7 +675,7 @@ class TestOlpPlan:
                          ChargingSession("a", 3, 8, 4.0, 1.0)), ConstantPower(1.0), 8)
         _, diagnostics = olp_run(monkeypatch, inst)
         assert diagnostics[1] == diagnostics[2] == {"olp_plan_slot": 0}
-        assert set(diagnostics[0]) == set(diagnostics[3]) == {"olp_shipped", "solver_steps"}
+        assert set(diagnostics[0]) == set(diagnostics[3]) == {"solver_steps"}
 
     def test_fallback_leaves_no_plan(self):
         inst = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),), ConstantPower(0.5))
@@ -690,7 +697,7 @@ class TestOlpPlan:
         assert diagnostics[0]["olp_fallback"] is True
         assert "olp_unsolved" not in diagnostics[0]
         assert diagnostics[1]["olp_unsolved"] == "skipped"
-        assert set(diagnostics[2]) == {"olp_shipped", "solver_steps"}
+        assert set(diagnostics[2]) == {"solver_steps"}
         assert diagnostics[3] == {"olp_plan_slot": 2}
 
     def test_failed_residual_is_checked_again_on_one_interval_max_flow(self, monkeypatch):
@@ -724,7 +731,7 @@ def run_checking_plans(monkeypatch, instance):
         earlier = state.memory.get("olp")
         warm = earlier is not None and any(id(s) in earlier[3] for s in evs)
         decision = olp_rates(state, inst, t)
-        if "olp_shipped" not in decision.diagnostics:
+        if not fresh_solve(decision):
             return decision
         counts["solves"] += 1
         counts["warm"] += warm
