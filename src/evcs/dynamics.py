@@ -50,21 +50,23 @@ def initial_state(instance: Instance) -> SimState:
     return SimState(0, {s.id: s.energy for s in instance.sessions})
 
 
-def _rate_limits(sessions) -> dict[str, tuple[float, float]]:
-    """Each id's (peak rate, rate tolerance) for `_charge`; a repeated id
-    takes the last of its sessions."""
-    return {s.id: (s.max_rate, RATE_TOL * max(1.0, s.max_rate)) for s in sessions}
+def _rate_limits(sessions) -> list[tuple[str, tuple[float, float]]]:
+    """(id, (peak rate, rate tolerance)) of each session, in order; as a dict,
+    `_charge`'s limits, in which a repeated id takes the last of its sessions."""
+    return [(s.id, (s.max_rate, RATE_TOL * max(1.0, s.max_rate))) for s in sessions]
 
 
 def _charge(remaining: dict[str, float], rates: dict[str, float],
-            limits: dict[str, tuple[float, float]], t: int, p_limit: float) -> dict[str, float]:
+            limits: dict[str, tuple[float, float]], t: int, p_limit: float,
+            rows: dict | None = None) -> None:
     """Check one slot's rates and charge them into `remaining` in place.
 
-    `limits` maps each active id to its `_rate_limits` entry.  Returns the
-    applied (clamped) rate of each id whose rate is above 0.  The one rate
-    check of the package: `step` and the simulator's runs both charge through it.
+    `limits` maps each active id to its `_rate_limits` entry.  With `rows`, a
+    run's (window start, row) per id, each id's applied (clamped) rate above 0
+    is written at slot t of its row, which covers t as the id is active.  The
+    one rate check of the package: `step` and the simulator's runs use it.
     """
-    total, applied = 0.0, {}
+    total = 0.0
     for sid, r in rates.items():
         limit = limits.get(sid)
         if limit is None:
@@ -79,28 +81,26 @@ def _charge(remaining: dict[str, float], rates: dict[str, float],
         charged = 0.0 if r < 0.0 else r  # min(max(r, 0.0), cap), -0.0 kept as max keeps it
         if cap < charged:
             charged = cap
-        if r > 0.0:
-            applied[sid] = charged
+        if r > 0.0 and rows is not None:
+            start, row = rows[sid]
+            row[t - start] = charged
         rem -= charged
         remaining[sid] = 0.0 if rem < 0.0 else rem  # max(rem, 0.0), NaN kept
         total += charged
     if not total <= p_limit + RATE_TOL * max(1.0, p_limit):  # a NaN power fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
-    return applied
 
 
 def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimState:
     """Apply one slot of charging and advance time; pure state-in/state-out.
 
-    `state` is left as it is: the rates are checked and charged into a copy
-    of its `remaining` by `_charge`, the kernel with which the simulator
-    charges its run's single dict in place after each decision.  The run
-    memory (OLP's plan or failed residual, nothing else) is carried on as it is.
+    `state` is left as it is: `_charge` checks the rates and charges them into
+    a copy of its `remaining`, without rows; the run memory is carried on.
     """
     t = state.t
     p_limit = instance.power.at(t) if t < instance.horizon else 0.0
     remaining = dict(state.remaining)
-    _charge(remaining, rates, _rate_limits(instance.active_at(t)), t, p_limit)
+    _charge(remaining, rates, dict(_rate_limits(instance.active_at(t))), t, p_limit)
     return SimState(t + 1, remaining, state.memory)
 
 

@@ -5,6 +5,11 @@ sessions present at t; future arrivals are never consulted.  sLLF, ES and REP
 share one form: each rate is a clamp `clamp(a_i * (L - c_i), 0, cap_i)`, with
 the water level L solved exactly by a breakpoint search so the available
 power is used exactly.
+
+A contended slot walks its sessions once per step: one scan for the
+chargeable sessions and their caps, one for each policy's keys, slopes or
+weights, one sort of the breakpoints, and one fill into the rates dict, whose
+plain compares keep `min(max(x, 0.0), cap)`'s results, -0.0 and NaN included.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ FINISHED_EPS = 1e-12
 class RateDecision:
     """This slot's rates, the sLLF water-level (when applicable), and solver stats.
 
+    `rates` is written in the one walk that computes it, so a repeated id
+    keeps its first place and its last rate.
     `threshold == inf` means every chargeable session at its cap, for each of
     sLLF, LLF, EDF, ES and REP (`_contention`); the simulator then charges
     the rest of the busy span at the caps without another call.
@@ -48,32 +55,35 @@ class RateDecision:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
-    """Active sessions with unfinished demand, in instance order."""
+def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list[float]]:
+    """(active sessions with unfinished demand, their caps) in instance order, in
+    one scan: unfinished while remaining > `FINISHED_EPS` * max(1.0, energy), cap
+    min(max_rate, remaining), both in plain compares, NaN alike (a hot loop)."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    remaining, out = state.remaining, []
+    remaining, out, caps = state.remaining, [], []
     for s in instance.active_at(t):
-        energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
-        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
+        rem, energy = remaining[s.id], s.energy
+        if rem > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
             out.append(s)
-    return out
+            max_rate = s.max_rate
+            caps.append(rem if rem < max_rate else max_rate)
+    return out, caps
 
 
 def _contention(state: SimState, instance: Instance, t: int):
     """(chargeable sessions, their caps, P(t), the caps by id or None).
 
-    Each cap is min(max_rate, remaining) in plain compares, NaN alike (a hot
-    loop).  The caps by id, in instance order, are returned when their sum in
-    that order is at most P(t), and None otherwise, a NaN power included: in
-    such an uncontended slot sLLF, LLF, EDF, ES and REP each give every
-    session its cap, so each decides it here first (with `threshold=inf`).
+    The caps by id, in instance order, are returned when their `sum()` (which
+    compensates from Python 3.12 on) is at most P(t), and None otherwise, a
+    NaN power included: in such an uncontended slot sLLF, LLF, EDF, ES and REP
+    each give every session its cap, so each decides it here first (with
+    `threshold=inf`).  A negative P(t) is a `ContractError` naming its slot.
     """
-    evs, remaining, caps = _chargeable(state, instance, t), state.remaining, []
-    for s in evs:
-        max_rate, rem = s.max_rate, remaining[s.id]
-        caps.append(rem if rem < max_rate else max_rate)
+    evs, caps = _chargeable(state, instance, t)
     p_limit = instance.power.at(t)
+    if p_limit < 0.0:
+        raise ContractError(f"negative station power P({t}) = {p_limit} at slot {t}")
     at_caps = {s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit else None
     return evs, caps, p_limit, at_caps
 
@@ -84,14 +94,16 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     The sum is piecewise linear and nondecreasing in L and bends only at c and
     c + cap / a, so one sorted sweep over those 2n breakpoints finds the
     segment holding p_limit, where one linear equation gives L (the
-    continuous-knapsack breakpoint search).  The caps sum to more than
-    p_limit (`_contention` decides every slot where they fit); L is -inf when
-    there is no power to share, NaN included.
+    continuous-knapsack breakpoint search; the breakpoints, starts first, are
+    sorted in place).  The caps sum to more than p_limit (`_contention`
+    decides every slot where they fit); L is -inf when there is no power to
+    share, NaN included.
     """
     if not p_limit > 0.0:
         return -math.inf, 0
-    points = sorted([(c, a) for a, c in zip(slopes, offsets)]
-                    + [(c + cap / a, -a) for a, c, cap in zip(slopes, offsets, caps)])
+    points = [(c, a) for a, c in zip(slopes, offsets)]
+    points += [(c + cap / a, -a) for a, c, cap in zip(slopes, offsets, caps)]
+    points.sort()
     level, total, slope = points[0][0], 0.0, 0.0
     for steps, (x, bend) in enumerate(points, 1):
         reach = total + slope * (x - level)
@@ -102,23 +114,22 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     return level, len(points)
 
 
-def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
-    return [
-        min(max(rb * (level - lx + 1.0), 0.0), cap)
-        for lx, cap, rb in zip(lax, caps, rbars)
-    ]
-
-
-def _laxities(evs, remaining: dict[str, float], t: int) -> list[float]:
-    """Each session's laxity at t in `laxity`'s closed form: t lies inside
-    each sojourn and every energy left is positive.  A peak rate of 0, which
-    `validate` rejects, is a `ContractError` naming the session and the slot."""
+def _laxities(evs, remaining: dict[str, float], t: int):
+    """(laxities at t, peak rates, laxities - 1.0) in one scan, each laxity in
+    `laxity`'s closed form: t lies inside each sojourn and every energy left is
+    positive.  A peak rate of 0 is a `ContractError` naming session and slot."""
+    lax, rbars, offsets = [], [], []
     try:
-        return [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
+        for s in evs:
+            rb = s.max_rate
+            lx = s.departure - t - remaining[s.id] / rb
+            lax.append(lx)
+            rbars.append(rb)
+            offsets.append(lx - 1.0)
     except ZeroDivisionError:
-        sid = next(s.id for s in evs if s.max_rate == 0.0)
         raise ContractError(
-            f"session {sid} has peak rate 0 at slot {t}: its laxity is undefined") from None
+            f"session {s.id} has peak rate 0 at slot {t}: its laxity is undefined") from None
+    return lax, rbars, offsets
 
 
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -126,12 +137,14 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
-    lax = _laxities(evs, state.remaining, t)
-    rbars = [s.max_rate for s in evs]
-    level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, p_limit)
-    rates = _sllf_fill(level, lax, caps, rbars)
-    return RateDecision({s.id: r for s, r in zip(evs, rates)}, threshold=level,
-                        diagnostics={"solver_steps": steps})
+    lax, rbars, offsets = _laxities(evs, state.remaining, t)
+    level, steps = _water_level(rbars, offsets, caps, p_limit)
+    rates = {}
+    for s, lx, rb, cap in zip(evs, lax, rbars, caps):
+        r = rb * (level - lx + 1.0)  # not level - (lx - 1.0), which rounds differently
+        r = 0.0 if 0.0 > r else r
+        rates[s.id] = cap if cap < r else r
+    return RateDecision(rates, threshold=level, diagnostics={"solver_steps": steps})
 
 
 def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
@@ -154,7 +167,7 @@ def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf)
-    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, state.remaining, t))]
+    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, state.remaining, t)[0])]
     return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
 
 
@@ -167,27 +180,30 @@ def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
 
 
-def _proportional_fill(state: SimState, instance: Instance, t: int, weight) -> RateDecision:
-    """Rates `clamp(w * L, 0, cap)`, w = `weight(s)`: the power shared in
-    proportion to the weights."""
+def _proportional_fill(state: SimState, instance: Instance, t: int, weigh) -> RateDecision:
+    """Rates `clamp(w * L, 0, cap)`, the weights w = `weigh(evs, remaining)`
+    taken in one call: the power shared in proportion to the weights."""
     evs, caps, p_limit, uncontended = _contention(state, instance, t)
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
-    weights = [weight(s) for s in evs]
+    weights = weigh(evs, state.remaining)
     level, steps = _water_level(weights, [0.0] * len(evs), caps, p_limit)
-    return RateDecision({s.id: min(max(w * level, 0.0), cap)
-                         for s, w, cap in zip(evs, weights, caps)},
-                        diagnostics={"solver_steps": steps})
+    rates = {}
+    for s, w, cap in zip(evs, weights, caps):
+        r = w * level
+        r = 0.0 if 0.0 > r else r
+        rates[s.id] = cap if cap < r else r
+    return RateDecision(rates, diagnostics={"solver_steps": steps})
 
 
 def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Equal share: every EV gets the same rate, clipped to its cap."""
-    return _proportional_fill(state, instance, t, lambda s: 1.0)
+    return _proportional_fill(state, instance, t, lambda evs, remaining: [1.0] * len(evs))
 
 
 def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Remaining-energy-proportional sharing, clipped to the caps."""
-    return _proportional_fill(state, instance, t, lambda s: state.remaining[s.id])
+    return _proportional_fill(state, instance, t, lambda evs, rem: [rem[s.id] for s in evs])
 
 
 def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
@@ -196,7 +212,7 @@ def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
     and peak rate, under the instance's power and horizon."""
     horizon, remaining = instance.horizon, state.remaining
     return Instance([ChargingSession(s.id, t, min(s.departure, horizon), remaining[s.id],
-                                     s.max_rate) for s in _chargeable(state, instance, t)],
+                                     s.max_rate) for s in _chargeable(state, instance, t)[0]],
                     instance.power, horizon)
 
 
@@ -264,7 +280,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     solved.  A solve that ships forgets the failed residual.  Without run
     memory every slot is solved.
     """
-    evs = _chargeable(state, instance, t)
+    evs, caps = _chargeable(state, instance, t)
     if not evs:
         return RateDecision({})
     memory = state.memory
@@ -290,11 +306,10 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))
     loads, arcs, sources = [0.0] * (end - t), [], []
-    for k, (s, stop) in enumerate(zip(evs, stops)):
+    for k, (s, stop, cap) in enumerate(zip(evs, stops, caps)):
         row = planned.get(id(s))
         row = row[t - start:] if row is not None else [0.0] * (stop - t)
         sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sum(row)))
-        cap = min(s.max_rate, state.remaining[s.id])
         arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f

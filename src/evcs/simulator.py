@@ -74,13 +74,9 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
 
     Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
     is never read at an idle slot: a negative power there is left to
-    `validate`, which rejects it.  The rate limits are built once per span.
-    The run keeps one `remaining` dict: every `SimState` a policy gets wraps
-    it, and `_charge` updates it in place after each decision, so a policy
-    may read it only during its call.  Every state of the run carries one run
-    memory, created here, in which a policy keeps what it plans across
-    slots: OLP keeps its plan there, or after a fallback the residual that
-    could not ship, and nothing else does.
+    `validate`, which rejects it.  Each session's rate limits are taken once
+    per run, and each span's dict is built from them by position.  Every
+    `SimState` of the run wraps its one `remaining` dict and run memory.
 
     A policy decides each busy slot but the rest of a span charged at the
     caps: once a `CAPS_FIRST` policy gives every chargeable session its cap
@@ -95,8 +91,8 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     or a peak rate that is not above 0 (NaN included) is decided slot by
     slot.
 
-    `rows` maps each id to (window start, row), and each applied rate is
-    recorded there.  Without rows (None) the run stops after the first span
+    `rows` maps each id to (window start, row), and `_charge` writes each
+    applied rate there.  Without rows (None) the run stops after the first span
     [a, b) at whose end b some id's window closes with a session of that id
     short of its demand: `_charge` charges only the ids of a span's limits,
     so an id's remaining energy is final once its window has ended.
@@ -104,6 +100,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     policy = get_policy(policy_name)
     sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
+    limits_of = _rate_limits(sessions)
     due = {}  # window end -> the sessions whose id's window ends there
     if rows is None:
         ends = _windows(instance)[1]
@@ -111,19 +108,15 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
             due.setdefault(ends[s.id], []).append(s)
     for a, b, positions in instance.busy_spans():
         span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
-        limits = _rate_limits(span)
+        limits = dict([limits_of[k] for k in positions])
         one_pass = (policy_name in CAPS_FIRST and len(limits) == len(span)
                     and all(s.max_rate > 0.0 for s in span))
         for t in range(a, b):
             decision = policy(SimState(t, remaining, memory), instance, t)
             try:
-                applied = _charge(remaining, decision.rates, limits, t, power.at(t))
+                _charge(remaining, decision.rates, limits, t, power.at(t), rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            if rows is not None:
-                for sid, r in applied.items():  # sid is active, so t lies in its window
-                    start, row = rows[sid]
-                    row[t - start] = r
             if one_pass and decision.threshold == math.inf:
                 _charge_at_caps(span, remaining, rows, t + 1, b)
                 break

@@ -121,7 +121,7 @@ def ships_every_demand(g, source_arcs, demands):
 
 
 def full_horizon_olp_rates(state, instance, t):
-    evs = _chargeable(state, instance, t)
+    evs = _chargeable(state, instance, t)[0]
     if not evs:
         return RateDecision({})
     horizon = instance.horizon

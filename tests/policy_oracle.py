@@ -1,0 +1,168 @@
+"""Frozen reference for the five simple policies: sLLF, LLF, EDF, ES and REP.
+
+The functions below are the policies and their helpers as they stood before
+each contended slot became one walk per step (fused scans, clamps written as
+plain compares, breakpoints sorted in place).  They are kept verbatim, so
+`evcs.schedulers` must give the same decisions, float for float: the same
+rates in the same key order, the same `threshold` and the same
+`diagnostics`.  `REFERENCE_POLICIES` maps each policy name to its reference.
+"""
+from __future__ import annotations
+
+import math
+
+from evcs.dynamics import SimState
+from evcs.model import ChargingSession, ContractError, Instance
+from evcs.schedulers import FINISHED_EPS, RateDecision
+
+
+def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
+    """Active sessions with unfinished demand, in instance order."""
+    if state.t != t:
+        raise ContractError(f"state at slot {state.t}, policy queried for {t}")
+    remaining, out = state.remaining, []
+    for s in instance.active_at(t):
+        energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
+        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
+            out.append(s)
+    return out
+
+
+def _contention(state: SimState, instance: Instance, t: int):
+    """(chargeable sessions, their caps, P(t), the caps by id or None).
+
+    Each cap is min(max_rate, remaining) in plain compares, NaN alike (a hot
+    loop).  The caps by id, in instance order, are returned when their sum in
+    that order is at most P(t), and None otherwise, a NaN power included: in
+    such an uncontended slot sLLF, LLF, EDF, ES and REP each give every
+    session its cap, so each decides it here first (with `threshold=inf`).
+    """
+    evs, remaining, caps = _chargeable(state, instance, t), state.remaining, []
+    for s in evs:
+        max_rate, rem = s.max_rate, remaining[s.id]
+        caps.append(rem if rem < max_rate else max_rate)
+    p_limit = instance.power.at(t)
+    at_caps = {s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit else None
+    return evs, caps, p_limit, at_caps
+
+
+def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
+    """Level L with sum(clamp(a * (L - c), 0, cap)) == p_limit; also the breakpoints visited.
+
+    The sum is piecewise linear and nondecreasing in L and bends only at c and
+    c + cap / a, so one sorted sweep over those 2n breakpoints finds the
+    segment holding p_limit, where one linear equation gives L (the
+    continuous-knapsack breakpoint search).  The caps sum to more than
+    p_limit (`_contention` decides every slot where they fit); L is -inf when
+    there is no power to share, NaN included.
+    """
+    if not p_limit > 0.0:
+        return -math.inf, 0
+    points = sorted([(c, a) for a, c in zip(slopes, offsets)]
+                    + [(c + cap / a, -a) for a, c, cap in zip(slopes, offsets, caps)])
+    level, total, slope = points[0][0], 0.0, 0.0
+    for steps, (x, bend) in enumerate(points, 1):
+        reach = total + slope * (x - level)
+        if reach >= p_limit:
+            return level + (p_limit - total) / slope, steps
+        level, total, slope = x, reach, slope + bend
+    # rounding left the full sum a hair under p_limit: every EV is at its cap
+    return level, len(points)
+
+
+def _sllf_fill(level: float, lax, caps, rbars) -> list[float]:
+    return [
+        min(max(rb * (level - lx + 1.0), 0.0), cap)
+        for lx, cap, rb in zip(lax, caps, rbars)
+    ]
+
+
+def _laxities(evs, remaining: dict[str, float], t: int) -> list[float]:
+    """Each session's laxity at t in `laxity`'s closed form: t lies inside
+    each sojourn and every energy left is positive.  A peak rate of 0, which
+    `validate` rejects, is a `ContractError` naming the session and the slot."""
+    try:
+        return [s.departure - t - remaining[s.id] / s.max_rate for s in evs]
+    except ZeroDivisionError:
+        sid = next(s.id for s in evs if s.max_rate == 0.0)
+        raise ContractError(
+            f"session {sid} has peak rate 0 at slot {t}: its laxity is undefined") from None
+
+
+def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
+    lax = _laxities(evs, state.remaining, t)
+    rbars = [s.max_rate for s in evs]
+    level, steps = _water_level(rbars, [lx - 1.0 for lx in lax], caps, p_limit)
+    rates = _sllf_fill(level, lax, caps, rbars)
+    return RateDecision({s.id: r for s, r in zip(evs, rates)}, threshold=level,
+                        diagnostics={"solver_steps": steps})
+
+
+def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
+    """Each session in increasing `keys` order takes what its cap and the
+    power left allow."""
+    rates = {}
+    residual = p_limit
+    for k in sorted(range(len(evs)), key=keys.__getitem__):
+        cap = caps[k]  # max(min(max_rate, remaining, residual), 0.0), NaN alike
+        r = residual if residual < cap else cap
+        if r < 0.0:
+            r = 0.0
+        rates[evs[k].id] = r
+        residual -= r
+    return rates
+
+
+def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Classic least-laxity-first: fill EVs in increasing laxity order."""
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf)
+    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, state.remaining, t))]
+    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
+
+
+def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Earliest-deadline-first: fill EVs in increasing departure order."""
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf)
+    keys = [(s.departure, s.arrival, s.id) for s in evs]
+    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
+
+
+def _proportional_fill(state: SimState, instance: Instance, t: int, weight) -> RateDecision:
+    """Rates `clamp(w * L, 0, cap)`, w = `weight(s)`: the power shared in
+    proportion to the weights."""
+    evs, caps, p_limit, uncontended = _contention(state, instance, t)
+    if uncontended is not None:
+        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
+    weights = [weight(s) for s in evs]
+    level, steps = _water_level(weights, [0.0] * len(evs), caps, p_limit)
+    return RateDecision({s.id: min(max(w * level, 0.0), cap)
+                         for s, w, cap in zip(evs, weights, caps)},
+                        diagnostics={"solver_steps": steps})
+
+
+def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Equal share: every EV gets the same rate, clipped to its cap."""
+    return _proportional_fill(state, instance, t, lambda s: 1.0)
+
+
+def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Remaining-energy-proportional sharing, clipped to the caps."""
+    return _proportional_fill(state, instance, t, lambda s: state.remaining[s.id])
+
+
+
+REFERENCE_POLICIES = {
+    "sllf": sllf_rates,
+    "llf": llf_rates,
+    "edf": edf_rates,
+    "es": es_rates,
+    "rep": rep_rates,
+}

@@ -109,6 +109,7 @@ def full_scan_step(state, rates, instance):
 
 
 def full_scan_chargeable(state, instance, t):
+    """(chargeable sessions, their caps), as `schedulers._chargeable` gives them."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
     out = []
@@ -116,7 +117,7 @@ def full_scan_chargeable(state, instance, t):
         if s.arrival <= t < s.departure:
             if state.remaining[s.id] > FINISHED_EPS * max(1.0, s.energy):
                 out.append(s)
-    return out
+    return out, [min(s.max_rate, state.remaining[s.id]) for s in out]
 
 
 def full_scan_simulate(instance, policy_name):

@@ -1,0 +1,145 @@
+"""The five simple policies against their frozen reference (`policy_oracle`).
+
+Each decision must equal the reference float for float: the rates by `repr`
+and in key order, the `threshold` and the `diagnostics`, or the same
+`ContractError` message.  Whole runs must give the same schedules and
+verdicts as runs driven by the reference policies.  These tests run on every
+Python version of the tier-1 matrix, where `sum()` differs from 3.12 on.
+"""
+import math
+import random
+from collections import Counter
+from unittest import mock
+
+import pytest
+
+from evcs.dynamics import SimState
+from evcs.model import ChargingSession, ConstantPower, ContractError, Instance, StepwisePower
+from evcs.schedulers import POLICIES
+from evcs.simulator import run_feasibility, simulate
+
+from policy_oracle import REFERENCE_POLICIES
+from sim_oracle import dense, full_scan_chargeable
+
+
+def outcome(policy, state, instance, t):
+    """The decision as (rates, threshold, diagnostics) reprs, or the error message."""
+    try:
+        d = policy(SimState(t, dict(state.remaining)), instance, t)
+    except ContractError as exc:
+        return "error", type(exc).__name__, str(exc)
+    return repr(d.rates), repr(d.threshold), repr(d.diagnostics)
+
+
+def run_outcome(instance, name):
+    """(dense schedule, verdict) reprs and `run_feasibility`'s flag, or the error message."""
+    try:
+        schedule, verdict = simulate(instance, name)
+        return repr(dense(schedule)), repr(verdict), run_feasibility([instance], name)
+    except ContractError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def random_policy_state(rng: random.Random):
+    """(state, instance, t, kind): one slot with up to 40 active sessions,
+    some finished, some of them sharing an id, a few inactive; a peak rate of 0 or NaN now and
+    then; a power of 0, NaN, or one that the caps exceed, just fit or leave
+    room under."""
+    t = rng.randint(0, 4)
+    sessions, remaining = [], {}
+    for k in range(rng.randint(1, 40)):
+        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.1 else f"s{k}"
+        arrival = rng.randint(0, t)
+        departure = t + rng.randint(1, 12)
+        if rng.random() < 0.05:  # not yet arrived or already gone
+            arrival, departure = rng.choice([(t + 1, t + 3), (0, t)])
+        max_rate = rng.choice([0.0, math.nan]) if rng.random() < 0.01 else rng.uniform(0.05, 5.0)
+        energy = rng.uniform(1e-3, 30.0)
+        sessions.append(ChargingSession(sid, arrival, departure, energy, max_rate))
+        remaining.setdefault(sid, rng.choice([
+            0.0, 1e-13, energy, energy * rng.random(), energy * rng.random(),
+            (max_rate * rng.randint(1, 4)) if math.isfinite(max_rate) else energy]))
+    state = SimState(t, remaining)
+    probe = Instance(sessions, ConstantPower(0.0), t + 13)
+    fitted = sum(c for c in full_scan_chargeable(state, probe, t)[1] if not math.isnan(c))
+    kind = rng.choice(["contended", "contended", "fit", "room", "zero", "nan"])
+    power = {"contended": fitted * rng.uniform(0.0, 0.999), "fit": fitted,
+             "room": fitted + rng.uniform(1e-9, 10.0), "zero": 0.0, "nan": math.nan}[kind]
+    if rng.random() < 0.5:
+        powers = [rng.uniform(0.0, 10.0) for _ in range(t + 13)]
+        powers[t] = power
+        return state, Instance(sessions, StepwisePower(powers), t + 13), t, kind
+    return state, Instance(sessions, ConstantPower(power), t + 13), t, kind
+
+
+def random_run(rng: random.Random):
+    """A run instance with up to 40 sessions: overlapping sojourns, now and
+    then a repeated id, and constant or stepwise power, sometimes too little."""
+    sessions = []
+    for k in range(rng.randint(1, 40)):
+        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.05 else f"s{k}"
+        a = rng.randint(0, 20)
+        d = a + rng.randint(1, 12)
+        r_bar = rng.uniform(0.2, 3.0)
+        sessions.append(ChargingSession(sid, a, d, r_bar * (d - a) * rng.uniform(0.05, 1.0),
+                                        r_bar))
+    horizon = max(s.departure for s in sessions) + rng.randint(0, 3)
+    scale = rng.uniform(0.2, 1.5) * sum(s.max_rate for s in sessions) / 3
+    if rng.random() < 0.5:
+        power = StepwisePower([0.0 if rng.random() < 0.1 else rng.uniform(0.3, 1.0) * scale
+                               for _ in range(horizon)])
+    else:
+        power = ConstantPower(scale)
+    return Instance(tuple(sessions), power, horizon)
+
+
+class TestFrozenReference:
+    def test_decisions_equal_the_reference_float_for_float(self):
+        rng = random.Random(240)
+        seen = Counter()
+        for _ in range(1500):
+            state, inst, t, kind = random_policy_state(rng)
+            active = [s for s in inst.sessions if s.arrival <= t < s.departure]
+            chargeable = full_scan_chargeable(state, inst, t)[0]
+            seen[kind] += 1
+            seen["repeated id"] += len({s.id for s in active}) < len(active)
+            seen["finished"] += len(chargeable) < len(active)
+            seen["many"] += len(chargeable) >= 25
+            for name, reference in REFERENCE_POLICIES.items():
+                expected = outcome(reference, state, inst, t)
+                assert outcome(POLICIES[name], state, inst, t) == expected, (name, t, kind)
+                seen["error" if expected[0] == "error" else
+                     "uncontended" if expected[1] == "inf" else "decided"] += 1
+        assert min(seen.values()) >= 10, seen
+        assert seen["uncontended"] >= 1000 and seen["error"] >= 10, seen
+
+    def test_peak_rate_zero_names_the_session(self):
+        sessions = (ChargingSession("a", 0, 4, 2.0, 1.0), ChargingSession("b", 0, 4, 2.0, 0.0))
+        inst = Instance(sessions, ConstantPower(0.5))
+        state = SimState(1, {"a": 2.0, "b": 1.0})
+        for name in ("sllf", "llf"):
+            expected = outcome(REFERENCE_POLICIES[name], state, inst, 1)
+            assert expected == ("error", "ContractError",
+                                "session b has peak rate 0 at slot 1: its laxity is undefined")
+            assert outcome(POLICIES[name], state, inst, 1) == expected
+
+    def test_runs_equal_runs_of_the_reference(self):
+        rng = random.Random(241)
+        for _ in range(150):
+            inst = random_run(rng)
+            for name, reference in REFERENCE_POLICIES.items():
+                with mock.patch.dict(POLICIES, {name: reference}):
+                    expected = run_outcome(inst, name)
+                assert run_outcome(inst, name) == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_POLICIES))
+@pytest.mark.parametrize("entry", ["simulate", "run_feasibility"])
+def test_negative_power_is_named(name, entry):
+    inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),), StepwisePower([1.0, -1.0, 1.0]))
+    run = {"simulate": lambda: simulate(inst, name),
+           "run_feasibility": lambda: run_feasibility([inst], name)}[entry]
+    with pytest.raises(ContractError) as raised:
+        run()
+    assert type(raised.value) is ContractError
+    assert str(raised.value) == "negative station power P(1) = -1.0 at slot 1"

@@ -211,7 +211,8 @@ def uncontended_slots(draw):
                                                          max_rate, max_rate * 0.999])))
     state = SimState(t, remaining)
     probe = Instance(sessions, ConstantPower(0.0), t + 8)
-    fitted = sum(min(s.max_rate, remaining[s.id]) for s in full_scan_chargeable(state, probe, t))
+    fitted = sum(min(s.max_rate, remaining[s.id])
+                 for s in full_scan_chargeable(state, probe, t)[0])
     power = fitted + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
     if draw(st.booleans()):
         powers = [draw(st.floats(0.0, 10.0)) for _ in range(t + 8)]
@@ -226,7 +227,7 @@ class TestUncontendedSlots:
     def test_every_caps_first_policy_gives_each_session_its_cap(self, case):
         state, inst, t = case
         caps = {s.id: min(s.max_rate, state.remaining[s.id])
-                for s in full_scan_chargeable(state, inst, t)}
+                for s in full_scan_chargeable(state, inst, t)[0]}
         assert CAPS_FIRST == {"sllf", "llf", "edf", "es", "rep"}
         for name in sorted(CAPS_FIRST):
             decision = POLICIES[name](state, inst, t)
@@ -280,7 +281,7 @@ class TestUncontendedSpans:
         busy span: one power, one set of sessions, caps that only fall."""
         inst, remaining = case
         span, power = inst.sessions, inst.power.at(0)
-        limits = _rate_limits(span)
+        limits = dict(_rate_limits(span))
         slots = max(math.ceil(remaining[s.id] / s.max_rate) for s in span) + 1
         for t in range(slots + 1):
             evs, _, _, caps = _contention(SimState(t, remaining), inst, t)
@@ -447,7 +448,7 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
         assert decision.rates == reference.rates == sllf_rates(fresh, instance, t).rates
         return True
     assert "olp_unsolved" not in decision.diagnostics
-    evs = _chargeable(fresh, instance, t)
+    evs = _chargeable(fresh, instance, t)[0]
     if not evs:
         assert decision.rates == reference.rates == {}
         return False
@@ -460,7 +461,7 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
                for s, stop in zip(evs, stops) if stop <= t + 1)
     own = Instance(tuple(evs), instance.power, instance.horizon)
     assert is_offline_feasible(residual_instance(after, own, t + 1), demands=[
-        s.energy for s in _chargeable(after, own, t + 1)])
+        s.energy for s in _chargeable(after, own, t + 1)[0]])
     return False
 
 
@@ -727,7 +728,7 @@ def run_checking_plans(monkeypatch, instance):
     counts = Counter()
 
     def checking_olp(state, inst, t):
-        evs = _chargeable(state, inst, t)
+        evs = _chargeable(state, inst, t)[0]
         earlier = state.memory.get("olp")
         warm = earlier is not None and any(id(s) in earlier[3] for s in evs)
         decision = olp_rates(state, inst, t)
