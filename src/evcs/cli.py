@@ -2,13 +2,14 @@
 
 Reports are CSV by default (fixed column sets per command) or JSON with
 identical values under --json.  Exit codes: 0 success, 1 an infeasible
-`run`, 2 usage or parse errors.
+`run`, 2 usage or parse errors, or output that stdout's encoding cannot write.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -227,6 +228,7 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evcs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (corpus.ParseError, corpus.GenerationError, SystemExit2,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -78,7 +78,12 @@ class CorpusSpec:
 
 
 class _TruncatedLogNormal:
-    """Log-normal conditioned on [lo, hi], with the location fit to a mean target."""
+    """Log-normal conditioned on [lo, hi], with the location fit to a mean target.
+
+    The fit's bisection stops once a step would not move its bracket, as every
+    later step would repeat it.  `quantile` maps a draw r = `rng.random()` as
+    `rng.uniform(u_lo, u_hi)` would, which CPython computes as a + (b - a) * r.
+    """
 
     def __init__(self, lo: float, mean: float, hi: float):
         lo = max(lo, 1e-3)
@@ -89,10 +94,10 @@ class _TruncatedLogNormal:
         mu_lo, mu_hi = math.log(lo) - 2 * self.sigma, math.log(hi) + 2 * self.sigma
         for _ in range(200):
             mu = 0.5 * (mu_lo + mu_hi)
-            if self._truncated_mean(mu) < mean:
-                mu_lo = mu
-            else:
-                mu_hi = mu
+            below = self._truncated_mean(mu) < mean
+            if mu == (mu_lo if below else mu_hi):  # never for a NaN
+                break
+            mu_lo, mu_hi = (mu, mu_hi) if below else (mu_lo, mu)
         self.mu = 0.5 * (mu_lo + mu_hi)
         self.u_lo = _STD_NORMAL.cdf((math.log(lo) - self.mu) / self.sigma)
         self.u_hi = _STD_NORMAL.cdf((math.log(hi) - self.mu) / self.sigma)
@@ -107,19 +112,21 @@ class _TruncatedLogNormal:
         shifted = _STD_NORMAL.cdf(b - s) - _STD_NORMAL.cdf(a - s)
         return math.exp(mu + 0.5 * s * s) * shifted / mass
 
-    def sample(self, rng: random.Random) -> float:
-        u = rng.uniform(self.u_lo, self.u_hi)
+    def quantile(self, r: float) -> float:
+        u = self.u_lo + (self.u_hi - self.u_lo) * r
         u = min(max(u, 1e-12), 1.0 - 1e-12)
         return math.exp(self.mu + self.sigma * _STD_NORMAL.inv_cdf(u))
 
 
-def _sample_corpus_sessions(spec: CorpusSpec, sojourn_dist, laxity_dist):
+def _draw_corpus(spec: CorpusSpec, sojourn_dist) -> list[list[tuple]]:
+    """Each instance's draws, per session (arrival, id, sojourn, laxity draw,
+    rate) in (arrival, id) order, drawn in that order but the id."""
     rng = random.Random(spec.seed)
     day_slots = max(int(math.ceil(720.0 / spec.slot_minutes)), int(spec.sojourn_max) + 1)
-    corpus_sessions = []
+    corpus_draws = []
     for _ in range(spec.count):
         n = rng.randint(spec.evs_min, spec.evs_max)
-        sessions = []
+        draws = []
         arrival = 0
         for k in range(n):
             if spec.arrival_gap_floor is not None:
@@ -127,22 +134,30 @@ def _sample_corpus_sessions(spec: CorpusSpec, sojourn_dist, laxity_dist):
                     arrival += int(spec.arrival_gap_floor) + 1 + _geometric(rng, 0.6)
             else:
                 arrival = rng.randrange(0, max(day_slots - int(spec.sojourn_min), 1))
-            sojourn = int(round(sojourn_dist.sample(rng)))
+            sojourn = int(round(sojourn_dist.quantile(rng.random())))
             sojourn = min(max(sojourn, max(int(spec.sojourn_min), 1)), int(spec.sojourn_max))
-            lax = laxity_dist.sample(rng)
-            lax = min(max(lax, spec.laxity_min), 0.98 * sojourn)
-            rate = rng.uniform(spec.rate_min, spec.rate_max)
-            energy = rate * (sojourn - lax)
-            if spec.demand_cap is not None:
-                if spec.demand_cap < 1e-9:
-                    raise GenerationError("demand cap leaves no room for any session")
-                energy = min(energy, spec.demand_cap)
-            sessions.append(ChargingSession(
-                id=f"ev{k:03d}", arrival=arrival, departure=arrival + sojourn,
-                energy=energy, max_rate=rate))
-        sessions.sort(key=lambda s: (s.arrival, s.id))
-        corpus_sessions.append(sessions)
-    return corpus_sessions
+            draws.append((arrival, f"ev{k:03d}", sojourn, rng.random(),
+                          rng.uniform(spec.rate_min, spec.rate_max)))
+        draws.sort()  # (arrival, id) is unique, so no later field is compared
+        corpus_draws.append(draws)
+    return corpus_draws
+
+
+def _energy(spec: CorpusSpec, laxity_dist, sojourn: int, r: float, rate: float) -> float:
+    """Rate times (sojourn - laxity), for the laxity `laxity_dist` maps draw `r` to."""
+    lax = min(max(laxity_dist.quantile(r), spec.laxity_min), 0.98 * sojourn)
+    energy = rate * (sojourn - lax)
+    if spec.demand_cap is not None:
+        if spec.demand_cap < 1e-9:
+            raise GenerationError("demand cap leaves no room for any session")
+        energy = min(energy, spec.demand_cap)
+    return energy
+
+
+def _sample_corpus_sessions(spec: CorpusSpec, sojourn_dist, laxity_dist):
+    return [[ChargingSession(sid, a, a + sojourn, _energy(spec, laxity_dist, sojourn, r, rate),
+                             rate) for a, sid, sojourn, r, rate in draws]
+            for draws in _draw_corpus(spec, sojourn_dist)]
 
 
 def _sampler(what: str, lo: float, mean: float, hi: float) -> _TruncatedLogNormal:
@@ -153,34 +168,40 @@ def _sampler(what: str, lo: float, mean: float, hi: float) -> _TruncatedLogNorma
 
 
 def generate(spec: CorpusSpec) -> list[Instance]:
+    """The spec's instances at their exact minimum constant power P*.  The corpus
+    is drawn once, and each refit maps the same laxity draws.  P* is checked on
+    the instance its search indexed; a constant power adds no event point."""
     sojourn_dist = _sampler("sojourn", spec.sojourn_min, spec.sojourn_mean, spec.sojourn_max)
     target = max(spec.laxity_mean, 1e-3)
     # clamping laxity below each sojourn drags the realized mean under the
     # target, so refit the sampling distribution against what actually lands
     fit_mean = target
-    corpus_sessions = []
+    flat = None  # drawn after the first fit, whose overflow error comes first
     for _ in range(5):
         laxity_dist = _sampler("laxity", max(spec.laxity_min, 1e-3), fit_mean,
                                max(spec.laxity_max, 1e-3))
-        corpus_sessions = _sample_corpus_sessions(spec, sojourn_dist, laxity_dist)
-        realized = [s.sojourn - s.energy / s.max_rate
-                    for sessions in corpus_sessions for s in sessions]
+        if flat is None:
+            corpus_draws = _draw_corpus(spec, sojourn_dist)
+            flat = [d for draws in corpus_draws for d in draws]
+        energies = [_energy(spec, laxity_dist, *d[2:]) for d in flat]
+        realized = [d[2] - e / d[4] for d, e in zip(flat, energies)]
         mean_realized = sum(realized) / len(realized) if realized else target
         if not realized or spec.count < 50 or abs(mean_realized - target) <= 0.08 * target:
             break
         fit_mean = min(max(fit_mean * target / max(mean_realized, 1e-6), 1e-3),
                        0.99 * max(spec.laxity_max, 1e-3))
-    instances = []
-    for sessions in corpus_sessions:
+    instances, energies = [], iter(energies)
+    for draws in corpus_draws:
+        sessions = [ChargingSession(sid, a, a + sojourn, next(energies), rate)
+                    for a, sid, sojourn, _, rate in draws]
         unpowered = Instance(sessions, ConstantPower(0.0))
         problems = validate(unpowered)
         if problems:
             raise GenerationError(f"generated invalid instance: {problems[0]}")
         p_star = min_power_capacity(unpowered)
-        instance = Instance(sessions, ConstantPower(p_star))
-        if not is_offline_feasible(instance):
+        if not is_offline_feasible(unpowered, power_override=p_star):
             raise GenerationError(f"instance infeasible at its minimum power {p_star}")
-        instances.append(instance)
+        instances.append(Instance(sessions, ConstantPower(p_star)))
     return instances
 
 
@@ -204,7 +225,7 @@ def write_instance(instance: Instance, path) -> None:
         lines.append("power step " + " ".join(_fmt(v) for v in instance.power.values))
     for s in instance.sessions:
         lines.append(f"{s.id} {s.arrival} {s.departure} {_fmt(s.energy)} {_fmt(s.max_rate)}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

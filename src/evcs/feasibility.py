@@ -109,6 +109,7 @@ def min_power_capacity(instance: Instance) -> float:
     cut's line, and by at least 2 * ARC_TOL * P, the least a sink arc's
     tolerance sees, until `ships_demand`.  P only rises, so each step raises
     the sink arcs to P*l and the next max-flow augments the flow already sent.
+    Each step's cut is the last level search of the max-flow before it.
     """
     for s in instance.sessions:
         if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
@@ -120,9 +121,9 @@ def min_power_capacity(instance: Instance) -> float:
     g, _, sink_arcs = _build_network(instance, p)
     short = demand - g.max_flow(SOURCE, SINK)
     while not ships_demand(g, sources, energies):
-        reach = g.source_side(SOURCE)
+        level = g.source_levels
         # the paired arc leads back to the interval node
-        k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])
+        k = sum(b - a for a, b, idx in sink_arcs if level[g.to[idx ^ 1]] >= 0)
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")
         p += max(short / k, 2 * ARC_TOL * p)

@@ -32,6 +32,7 @@ class FlowGraph:
         self.tol: list[float] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self._initial: list[float] = []
+        self.source_levels: list[int] = []  # see `max_flow`
 
     def add_edge(self, u: int, v: int, cap: float, flow: float = 0.0) -> int:
         """Arc u -> v of capacity `cap` that already carries `flow`; returns its index."""
@@ -63,11 +64,14 @@ class FlowGraph:
         return self.cap[idx ^ 1]
 
     def max_flow(self, s: int, t: int) -> float:
+        """Flow added from `s` to `t`.  Its last level search reaches no `t`, so it
+        labels all that `s` reaches: kept as `source_levels`, >= 0 on a min cut's source side."""
         adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
         total = 0.0
         while True:
             level = self._levels(s, t)
             if level[t] < 0:
+                self.source_levels = level
                 return total
             it = [0] * self.n
             path: list[int] = []  # arcs from s to u along current arcs
@@ -163,7 +167,7 @@ class FlowGraph:
         return total, searches
 
     def source_side(self, s: int) -> list[bool]:
-        """Residual reachability from `s`: after `max_flow`, the source side of a min cut."""
+        """Residual reachability from `s`: after `max_flow`, what `source_levels` already holds."""
         return [lv >= 0 for lv in self._levels(s)]
 
     def _levels(self, s: int, t: int = -1) -> list[int]:

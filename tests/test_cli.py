@@ -643,3 +643,31 @@ class TestReproducesExperiments:
 
 def test_no_command_exits_two():
     assert main([]) == 2
+
+
+def test_the_parser_is_built_once_and_reused(ia_file, capsys):
+    from evcs.cli import build_parser
+    assert build_parser() is build_parser()
+    reports = []
+    for _ in range(2):
+        assert main(["run", ia_file, "--alg", "sllf"]) == 0
+        assert main(["check", ia_file, "--json"]) == 0
+        assert main(["run", ia_file]) == 2
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+
+
+def test_an_id_stdout_cannot_encode_is_one_error_line(tmp_path):
+    path = tmp_path / "accent.evcs"
+    path.write_bytes("evcs-v1\nhorizon 2\npower constant 1\né 0 2 1 1\n".encode())
+    done = run_python(["-m", "evcs", "run", str(path), "--alg", "edf"],
+                      LC_ALL="C", PYTHONUTF8="0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "'ascii' codec" in done.stderr
+    # --json escapes the id, so it still runs
+    done = run_python(["-m", "evcs", "run", str(path), "--alg", "edf", "--json"],
+                      LC_ALL="C", PYTHONUTF8="0")
+    assert done.returncode == 0, done.stderr
+    assert '"session": "\\u00e9"' in done.stdout

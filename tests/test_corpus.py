@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -115,6 +119,22 @@ class TestRoundTrip:
             path = tmp_path / f"i{k}.evcs"
             write_instance(inst, path)
             assert read_instance(path) == inst
+
+    def test_writes_utf8_whatever_the_locale(self, tmp_path):
+        # an ASCII locale without UTF-8 mode; any open() that leaves the
+        # encoding to the locale warns, and the warning is an error
+        script = ("import sys; from evcs.corpus import *; from evcs.model import *; "
+                  "inst = Instance([ChargingSession('\\u00e9v', 0, 2, 1.0, 1.0)], "
+                  "ConstantPower(1.0)); write_instance(inst, sys.argv[1]); "
+                  "assert read_instance(sys.argv[1]) == inst")
+        path = tmp_path / "accent.evcs"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes().splitlines()[-1] == "év 0 2 1 1".encode()
 
 
 class TestParseErrors:
