@@ -75,6 +75,9 @@ class CorpusSpec:
             raise GenerationError("bad rate-cap range")
         if self.demand_cap is not None and self.demand_cap <= 0:
             raise GenerationError("demand cap must be positive")
+        if not (self.slot_minutes > 0 and math.isfinite(720.0 / self.slot_minutes)):
+            raise GenerationError(f"spec field 'slot_minutes' must be positive, with 720 / "
+                                  f"slot_minutes finite, not {self.slot_minutes!r}")
 
 
 class _TruncatedLogNormal:

@@ -16,7 +16,9 @@ stack, so path length is not bounded by the recursion limit.
 `earliest_exit_flow` is a minimum-cost flow for networks whose only priced
 arcs enter the sink, as OLP's slot network is: successive shortest paths
 from the flow the graph holds, each path found by one search from the
-source.
+source.  No search starts at an exit whose node no residual arc enters, as
+nothing can reach it, and each search stops once it labels the exit it looks
+for; neither changes a path or an amount pushed.
 """
 from __future__ import annotations
 
@@ -111,16 +113,25 @@ class FlowGraph:
     def earliest_exit_flow(self, s: int, exits: list[int]) -> tuple[float, int]:
         """Minimum-cost flow from `s` when only the arcs `exits` carry a cost.
 
-        The exits leave distinct nodes for one sink and cost more the later
-        they are listed; every other arc is free.  Successive shortest paths
-        (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment along a path that
-        leaves through the earliest exit with capacity left that the
-        residual graph reaches from `s`, found by one search from `s` that
-        never enters the sink.  Augmenting adds only arcs into nodes of the
+        The exits leave distinct nodes other than `s` for one sink and cost
+        more the later they are listed; every other arc is free.  Successive
+        shortest paths (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment
+        along a path that leaves through the earliest exit with capacity
+        left that the residual graph reaches from `s`, found by one search
+        from `s` that never enters the sink.  Augmenting adds only arcs into nodes of the
         path, so no node becomes reachable that was not: the exit used never
         moves earlier.  An arc is exhausted by the same per-arc tolerance
         as in `max_flow`.  The flow the graph holds at the start must be of
         minimum cost for what each node ships; no flow is.
+
+        Two skips leave every path and every amount pushed as they are.
+        Before each search the first exit to look for moves past every exit
+        whose node no residual arc enters (those from the sink aside): such
+        a node is not reached and, by the rule above, never will be, so a
+        solve whose exits left are all such runs no last, empty search.  A
+        search then stops once it labels that first exit's node rather than
+        once it dequeues it: a node's entry arc is fixed when it is
+        labelled, so the path back to `s` is the same.
         Returns the flow added and the searches run.
         """
         adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
@@ -128,29 +139,35 @@ class FlowGraph:
         for r, a in enumerate(exits):
             rank[to[a ^ 1]] = r
         blank = [-1] * self.n  # per node, the arc the search entered it by
+        sink = to[exits[0]] if exits else -1
         if exits:
-            blank[to[exits[0]]] = -2  # the sink is never entered
+            blank[sink] = -2  # the sink is never entered
         total, searches, lo, none = 0.0, 0, 0, len(exits)
-        while lo < none:
-            a = exits[lo]
-            if cap[a] <= tol[a]:
+        while True:
+            while lo < none:  # the first exit with capacity whose node an arc enters
+                a = exits[lo]  # the pair of each arc b out of its node enters it
+                if cap[a] > tol[a] and any(cap[b ^ 1] > tol[b] for b in adj[to[a ^ 1]]
+                                           if to[b] != sink):
+                    break
                 lo += 1
-                continue
+            if lo == none:
+                break
             searches += 1
             entry = blank[:]
             entry[s] = -2
-            queue, best = [s], none
+            target, queue, best = to[exits[lo] ^ 1], [s], none
             for u in queue:
                 r = rank[u]
-                if lo <= r < best and cap[exits[r]] > tol[exits[r]]:
+                if lo < r < best and cap[exits[r]] > tol[exits[r]]:
                     best = r
-                    if r == lo:
-                        break
                 for a in adj[u]:
                     v = to[a]
                     if entry[v] == -1 and cap[a] > tol[a]:
                         entry[v] = a
                         queue.append(v)
+                if entry[target] >= 0:
+                    best = lo
+                    break
             lo = best
             if lo == none:
                 break

@@ -38,10 +38,14 @@ class RateDecision:
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
-      (olp) shortest-path searches of a solve that ships; a fallback carries
-      the sLLF decision's;
+      (olp) shortest-path searches that ran in a solve that ships, a search
+      skipped as `FlowGraph.earliest_exit_flow` skips one not counted; a
+      fallback carries the sLLF decision's;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
-      follows; a decision without it was solved at its own slot;
+      follows; a decision without it was solved at its own slot.  A run asks
+      OLP only at the slots it does not charge from the plan in one pass
+      (`simulator._run`), so its decisions with this key are the first of a
+      busy span and those of spans decided slot by slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
       remaining demand, by the rule of `feasibility.ships_demand`, and the
       sLLF rates were taken;

@@ -1,19 +1,31 @@
-"""Frozen reference for the five simple policies: sLLF, LLF, EDF, ES and REP.
+"""Frozen reference for the six policies.
 
-The functions below are the policies and their helpers as they stood before
-each contended slot became one walk per step (fused scans, clamps written as
-plain compares, breakpoints sorted in place).  They are kept verbatim, so
-`evcs.schedulers` must give the same decisions, float for float: the same
-rates in the same key order, the same `threshold` and the same
-`diagnostics`.  `REFERENCE_POLICIES` maps each policy name to its reference.
+The first functions below are sLLF, LLF, EDF, ES and REP and their helpers
+as they stood before each contended slot became one walk per step (fused
+scans, clamps written as plain compares, breakpoints sorted in place).  They
+are kept verbatim, so `evcs.schedulers` must give the same decisions, float
+for float: the same rates in the same key order, the same `threshold` and
+the same `diagnostics`.  `REFERENCE_POLICIES` maps each policy name to its
+reference.
+
+`olp_rates` and `earliest_exit_flow` are OLP and its solver as they stood
+before a solve skipped the exits nothing can reach and stopped each search
+once it labelled the exit it looks for, the second as a function over a
+`FlowGraph`.  OLP must give the same decisions with the same diagnostics
+but `solver_steps`, which may be one fewer: a solve no longer runs its last,
+empty search.
 """
 from __future__ import annotations
 
 import math
 
 from evcs.dynamics import SimState
+from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
-from evcs.schedulers import FINISHED_EPS, RateDecision
+from evcs.netflow import FlowGraph
+from evcs.schedulers import (FINISHED_EPS, RateDecision, _olp_fallback, _window_power,
+                             residual_instance)
+from evcs.schedulers import _chargeable as _chargeable_with_caps
 
 
 def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
@@ -166,3 +178,112 @@ REFERENCE_POLICIES = {
     "es": es_rates,
     "rep": rep_rates,
 }
+
+
+def earliest_exit_flow(graph: FlowGraph, s: int, exits: list[int]) -> tuple[float, int]:
+    """Minimum-cost flow from `s` when only the arcs `exits` carry a cost.
+
+    The exits leave distinct nodes for one sink and cost more the later
+    they are listed; every other arc is free.  Successive shortest paths
+    (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment along a path that
+    leaves through the earliest exit with capacity left that the
+    residual graph reaches from `s`, found by one search from `s` that
+    never enters the sink.  Augmenting adds only arcs into nodes of the
+    path, so no node becomes reachable that was not: the exit used never
+    moves earlier.  An arc is exhausted by the same per-arc tolerance
+    as in `max_flow`.  The flow the graph holds at the start must be of
+    minimum cost for what each node ships; no flow is.
+    Returns the flow added and the searches run.
+    """
+    adj, to, cap, tol = graph.adj, graph.to, graph.cap, graph.tol
+    rank = [-1] * graph.n
+    for r, a in enumerate(exits):
+        rank[to[a ^ 1]] = r
+    blank = [-1] * graph.n  # per node, the arc the search entered it by
+    if exits:
+        blank[to[exits[0]]] = -2  # the sink is never entered
+    total, searches, lo, none = 0.0, 0, 0, len(exits)
+    while lo < none:
+        a = exits[lo]
+        if cap[a] <= tol[a]:
+            lo += 1
+            continue
+        searches += 1
+        entry = blank[:]
+        entry[s] = -2
+        queue, best = [s], none
+        for u in queue:
+            r = rank[u]
+            if lo <= r < best and cap[exits[r]] > tol[exits[r]]:
+                best = r
+                if r == lo:
+                    break
+            for a in adj[u]:
+                v = to[a]
+                if entry[v] == -1 and cap[a] > tol[a]:
+                    entry[v] = a
+                    queue.append(v)
+        lo = best
+        if lo == none:
+            break
+        path, v = [exits[lo]], to[exits[lo] ^ 1]
+        while v != s:
+            a = entry[v]
+            path.append(a)
+            v = to[a ^ 1]
+        pushed = min([cap[a] for a in path])
+        for a in path:
+            cap[a] -= pushed
+            cap[a ^ 1] += pushed
+        total += pushed
+    return total, searches
+
+
+def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Front-load the residual problem: earliest-slot-first minimum-cost flow,
+    following a solve's plan at later slots while it holds every chargeable
+    session and falling back to sLLF where the residual cannot ship."""
+    evs, caps = _chargeable_with_caps(state, instance, t)
+    if not evs:
+        return RateDecision({})
+    memory = state.memory
+    plan = memory.get("olp") if memory is not None else None
+    start, planned = t, {}
+    if plan is not None and plan[0] is instance and plan[1] <= t:
+        _, start, end, planned = plan
+        rows = [planned.get(id(s)) for s in evs]
+        if t < end and None not in rows:
+            return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
+                                diagnostics={"olp_plan_slot": start})
+    horizon = instance.horizon
+    stops = [min(s.departure, horizon) for s in evs]
+    end = max(stops)
+    powers = _window_power(instance, t, end)
+    held, energies = frozenset(map(id, evs)), [s.energy for s in evs]
+    failed = memory.get("olp_infeasible") if memory is not None else None
+    if failed is not None and failed[0] is instance:
+        if failed[1] <= held:
+            return _olp_fallback(state, instance, t, failed[1], "skipped")
+        if not is_offline_feasible(residual_instance(state, instance, t), demands=energies):
+            return _olp_fallback(state, instance, t, held, "checked")
+    first_slot = 2 + len(evs)
+    g = FlowGraph(first_slot + (end - t))
+    loads, arcs, sources = [0.0] * (end - t), [], []
+    for k, (s, stop, cap) in enumerate(zip(evs, stops, caps)):
+        row = planned.get(id(s))
+        row = row[t - start:] if row is not None else [0.0] * (stop - t)
+        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sum(row)))
+        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
+        for i, f in enumerate(row):
+            loads[i] += f
+    exits = [g.add_edge(first_slot + i, SINK, p, load)
+             for i, (p, load) in enumerate(zip(powers, loads))]
+    searches = earliest_exit_flow(g, SOURCE, exits)[1]
+    if not ships_demand(g, sources, energies):
+        return _olp_fallback(state, instance, t, held)
+    rows = [[g.flow_on(idx) for idx in column] for column in arcs]
+    if memory is not None:  # keyed by identity; the instance keeps those objects alive
+        memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
+        memory.pop("olp_infeasible", None)
+    return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
+                        diagnostics={"solver_steps": searches})

@@ -108,6 +108,18 @@ class TestGen:
         assert captured.err.startswith("error: ") and named in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0", "1e-320", "-1"])
+    def test_slot_minutes_must_be_positive_with_a_finite_day(self, tmp_path, capsys, value):
+        # 720 / slot_minutes sets how many slots a day's arrivals fall in
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(f'{{"count": 2, "slot_minutes": {value}}}')
+        assert main(["gen", str(spec_file), str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: spec field 'slot_minutes' must be positive, with "
+                                f"720 / slot_minutes finite, not {json.loads(value)!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_spec_that_is_not_utf8(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_bytes(b'{"count": 1, "seed": "\xff"}')

@@ -55,15 +55,22 @@ class TestGenerate:
 
     def test_random_specs(self):
         rng = random.Random(2025)
-        messages = []
+        messages, refused = [], 0
         for _ in range(120):
-            spec = random_spec(rng)
+            try:
+                spec = random_spec(rng)  # every value is drawn before the spec is built
+            except GenerationError as exc:  # slot_minutes 0.0, which the oracle divides by
+                assert str(exc) == ("spec field 'slot_minutes' must be positive, with "
+                                    "720 / slot_minutes finite, not 0.0")
+                refused += 1
+                continue
             got = outcome(corpus.generate, spec)
             assert got == outcome(gen_oracle.generate, spec), spec
             if isinstance(got, tuple) and got[0] is GenerationError:
                 messages.append(got[1])
         assert any(m.endswith("overflow the sampler") for m in messages)
         assert "demand cap leaves no room for any session" in messages
+        assert 10 <= refused <= 60, refused
 
     def test_refit_counts(self):
         # 49 takes the first fit; from 50 on the refit runs, and on these

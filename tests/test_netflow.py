@@ -5,6 +5,7 @@ import pytest
 from evcs.netflow import FlowGraph
 
 from flow_oracle import RecursiveFlowGraph
+from policy_oracle import earliest_exit_flow as frozen_earliest_exit_flow
 
 
 class TestMaxFlow:
@@ -236,3 +237,55 @@ class TestEarliestExitFlow:
         g = FlowGraph(3)
         g.add_edge(0, 2, 1.0)
         assert g.earliest_exit_flow(0, []) == (0.0, 0)
+
+
+def _random_exit_graph(seed):
+    """A random graph for `earliest_exit_flow` unlike OLP's slot network:
+    source 0, sink 1, free arcs between any other pair of nodes, a fifth of
+    them of capacity 0 and some carrying flow (a warm start), now and then an
+    arc out of the sink, and exits to the sink from some nodes but the source
+    in a random cost order; in about half the graphs the last node is
+    entered by no free arc, so only its exit's reverse, from the sink, enters
+    it once the exit carries flow.  Returns (graph, exits)."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    lonely = n - 1 if n > 3 and rng.random() < 0.5 else None
+    g = FlowGraph(n)
+    scale = 10.0 ** rng.randint(-3, 3)
+
+    def arc(u, v):
+        cap = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 3.0) * scale
+        return g.add_edge(u, v, cap, cap * rng.choice([0.0, 0.0, rng.random(), 1.0]))
+
+    inner = [0] + list(range(2, n))
+    for _ in range(rng.randint(n, 4 * n)):
+        u, v = rng.sample(inner, 2)
+        if v != lonely:
+            arc(u, v)
+    for _ in range(rng.randint(0, 2)):
+        arc(1, rng.randrange(2, n))
+    exits = [arc(v, 1) for v in rng.sample(range(2, n), rng.randint(1, n - 2))]
+    return g, exits
+
+
+class TestAgainstFrozenEarliestExitFlow:
+    def test_same_residual_arrays_bit_for_bit(self):
+        # each graph is solved, has some capacities raised, and is solved again
+        fewer = searches = 0
+        for seed in range(400):
+            g, exits = _random_exit_graph(seed)
+            ref, _ = _random_exit_graph(seed)
+            rng = random.Random(-seed)
+            for _ in range(3):
+                shipped, steps = g.earliest_exit_flow(0, exits)
+                ref_shipped, ref_steps = frozen_earliest_exit_flow(ref, 0, exits)
+                assert shipped.hex() == ref_shipped.hex(), seed
+                assert steps in (ref_steps, ref_steps - 1), (seed, steps, ref_steps)
+                assert list(map(float.hex, g.cap)) == list(map(float.hex, ref.cap)), seed
+                fewer += steps < ref_steps
+                searches += steps
+                for idx in rng.sample(range(0, len(g.to), 2), rng.randint(0, len(g.to) // 4)):
+                    cap = g._initial[idx] * rng.choice([1.0, 2.0]) + rng.uniform(0.0, 1.0)
+                    g.raise_capacity(idx, cap)
+                    ref.raise_capacity(idx, cap)
+        assert fewer > 100 and searches > 1000, (fewer, searches)

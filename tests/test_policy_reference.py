@@ -1,10 +1,12 @@
-"""The five simple policies against their frozen reference (`policy_oracle`).
+"""The six policies against their frozen reference (`policy_oracle`).
 
 Each decision must equal the reference float for float: the rates by `repr`
 and in key order, the `threshold` and the `diagnostics`, or the same
-`ContractError` message.  Whole runs must give the same schedules and
-verdicts as runs driven by the reference policies.  These tests run on every
-Python version of the tier-1 matrix, where `sum()` differs from 3.12 on.
+`ContractError` message; OLP's `solver_steps` may be one fewer.  Whole runs
+must give the same schedules and verdicts as runs driven by the reference
+policies; OLP's as runs of the frozen OLP that decide every busy slot.
+These tests run on every Python version of the tier-1 matrix, where `sum()`
+differs from 3.12 on.
 """
 import math
 import random
@@ -13,12 +15,13 @@ from unittest import mock
 
 import pytest
 
-from evcs.dynamics import SimState
+from evcs.dynamics import SimState, initial_state, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance, StepwisePower
-from evcs.schedulers import POLICIES
+from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import run_feasibility, simulate
 
 from policy_oracle import REFERENCE_POLICIES
+from policy_oracle import olp_rates as frozen_olp_rates
 from sim_oracle import dense, full_scan_chargeable
 
 
@@ -143,3 +146,124 @@ def test_negative_power_is_named(name, entry):
         run()
     assert type(raised.value) is ContractError
     assert str(raised.value) == "negative station power P(1) = -1.0 at slot 1"
+
+
+def olp_outcome(policy, state, instance, t):
+    """(decision or None, `outcome` of it without `solver_steps`, its `solver_steps`)."""
+    try:
+        d = policy(state, instance, t)
+    except ContractError as exc:
+        return None, ("error", type(exc).__name__, str(exc)), None
+    diagnostics = dict(d.diagnostics)
+    steps = diagnostics.pop("solver_steps", None)
+    return d, (repr(d.rates), repr(d.threshold), repr(diagnostics)), steps
+
+
+def assert_same_olp_decision(state, frozen_state, instance, t, seen):
+    """OLP at `state` decides as the frozen OLP at `frozen_state`, which holds
+    the same slot and energies and a run memory of its own, float for float,
+    with at most one search fewer; returns the frozen decision."""
+    decision, got, steps = olp_outcome(POLICIES["olp"], state, instance, t)
+    expected, want, want_steps = olp_outcome(frozen_olp_rates, frozen_state, instance, t)
+    assert got == want, t
+    if want_steps is None or decision.diagnostics.get("olp_fallback"):
+        assert steps == want_steps, t  # sLLF's, on a fallback
+    else:
+        assert steps in (want_steps, want_steps - 1), (t, steps, want_steps)
+        seen["one search fewer" if steps < want_steps else "as many searches"] += 1
+    diagnostics = decision.diagnostics if decision is not None else {}
+    seen["error" if decision is None else "followed" if "olp_plan_slot" in diagnostics
+         else diagnostics.get("olp_unsolved", "fallback") if "olp_fallback" in diagnostics
+         else "solved" if decision.rates else "none chargeable"] += 1
+    return expected
+
+
+def random_olp_state(rng: random.Random):
+    """(state, instance, t): `random_policy_state`, with each finite remaining
+    energy cut for about half the states to a part of what its first
+    session's peak rate can ship by that session's departure."""
+    state, inst, t, _ = random_policy_state(rng)
+    remaining = dict(state.remaining)
+    if rng.random() < 0.5:
+        for s in reversed(inst.sessions):  # an id's first session is cut last
+            if math.isfinite(s.max_rate) and math.isfinite(remaining[s.id]):
+                reach = s.max_rate * max(s.departure - t, 0)
+                remaining[s.id] = min(remaining[s.id], reach * rng.uniform(0.1, 1.0))
+    return SimState(t, remaining), inst, t
+
+
+def random_olp_run(rng: random.Random):
+    """`random_run` with about one session in four demanding its peak rate
+    times its sojourn, plus a hair 0.5e-12 or 3e-12 of it that the run leaves
+    within or beyond `FINISHED_EPS` of its energy."""
+    inst = random_run(rng)
+    sessions = []
+    for s in inst.sessions:
+        if rng.random() < 0.25:
+            whole = s.max_rate * (s.departure - s.arrival)
+            s = ChargingSession(s.id, s.arrival, s.departure,
+                                whole * (1.0 + rng.choice([0.5e-12, 3e-12])), s.max_rate)
+        sessions.append(s)
+    return Instance(tuple(sessions), inst.power, inst.horizon)
+
+
+class TestFrozenOlp:
+    def test_decisions_equal_the_frozen_ones_float_for_float(self):
+        # without run memory every decision is a solve or a fallback
+        rng = random.Random(242)
+        seen = Counter()
+        for _ in range(400):
+            state, inst, t = random_olp_state(rng)
+            assert_same_olp_decision(SimState(t, dict(state.remaining)),
+                                     SimState(t, dict(state.remaining)), inst, t, seen)
+        assert min(seen[k] for k in ("solved", "fallback", "as many searches")) >= 100, seen
+        assert seen["error"] >= 5 and seen["one search fewer"] >= 1, seen
+
+    def test_decisions_along_runs_equal_the_frozen_ones(self):
+        # each run follows the frozen decisions slot by slot, and each side
+        # keeps its own run memory: plans followed, failed residuals skipped
+        rng = random.Random(243)
+        seen = Counter()
+        for _ in range(150):
+            inst = random_olp_run(rng)
+            remaining, memory, frozen_memory = initial_state(inst).remaining, {}, {}
+            for t in range(inst.horizon):
+                decision = assert_same_olp_decision(
+                    SimState(t, dict(remaining), memory),
+                    SimState(t, dict(remaining), frozen_memory), inst, t, seen)
+                assert memory == frozen_memory, t  # the same plan or failed residual
+                if decision is None:
+                    break
+                try:
+                    remaining = step(SimState(t, remaining), decision.rates, inst).remaining
+                except ContractError:
+                    break
+        kinds = ("followed", "solved", "fallback", "skipped", "checked", "one search fewer",
+                 "as many searches")
+        assert min(seen[k] for k in kinds) >= 10, seen
+
+    def test_runs_equal_slot_by_slot_runs_of_the_frozen_olp(self):
+        # registered under another name, the frozen OLP is asked at every busy slot
+        rng = random.Random(244)
+        seen = Counter()
+        for _ in range(150):
+            inst = random_olp_run(rng)
+            ids = [s.id for s in inst.sessions]
+            seen["repeated id"] += len(set(ids)) < len(ids)
+            seen["stepwise"] += isinstance(inst.power, StepwisePower)
+            fallbacks = []
+
+            def frozen(state, i, t):
+                decision = frozen_olp_rates(state, i, t)
+                fallbacks.append("olp_fallback" in decision.diagnostics)
+                return decision
+
+            with mock.patch.dict(POLICIES, {"frozen olp": frozen}):
+                expected = run_outcome(inst, "frozen olp")
+            seen["fallback"] += any(fallbacks)
+            assert run_outcome(inst, "olp") == expected
+            if expected[0] != "error":
+                unmet = simulate(inst, "olp")[1].unmet_energy
+                seen["finished within eps"] += any(
+                    0.0 < unmet[s.id] <= FINISHED_EPS * max(1.0, s.energy) for s in inst.sessions)
+        assert min(seen.values()) >= 10, seen

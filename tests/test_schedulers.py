@@ -21,7 +21,7 @@ from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
 from flow_oracle import full_horizon_olp_rates
-from sim_oracle import full_scan_chargeable
+from sim_oracle import full_scan_chargeable, full_scan_simulate
 
 
 def next_laxities(decision, state, instance):
@@ -466,7 +466,8 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
 
 
 def olp_runs_as_full_horizon(monkeypatch, instances):
-    """Run OLP on each instance and check every decision with
+    """Run OLP on each instance by `full_scan_simulate`, which asks the
+    policy at every slot, and check every decision with
     `assert_as_full_horizon`; returns the fallback count and the
     `olp_unsolved` counts."""
     counts = Counter()
@@ -479,7 +480,7 @@ def olp_runs_as_full_horizon(monkeypatch, instances):
 
     monkeypatch.setitem(POLICIES, "olp", checking_olp)
     for inst in instances:
-        simulate(inst, "olp")
+        full_scan_simulate(inst, "olp")
     return counts.pop("fallbacks", 0), counts
 
 
@@ -575,7 +576,8 @@ def planned_slot_totals(plan, t):
 
 
 def olp_run(monkeypatch, instance):
-    """One OLP run of the instance and each decided slot's diagnostics, by slot."""
+    """One OLP run of the instance by `full_scan_simulate`, which asks the
+    policy at every slot, and each slot's diagnostics, by slot."""
     diagnostics = {}
 
     def recording_olp(state, inst, t):
@@ -584,7 +586,7 @@ def olp_run(monkeypatch, instance):
         return decision
 
     monkeypatch.setitem(POLICIES, "olp", recording_olp)
-    return simulate(instance, "olp"), diagnostics
+    return full_scan_simulate(instance, "olp"), diagnostics
 
 
 def fresh_solve(decision):
@@ -593,8 +595,9 @@ def fresh_solve(decision):
 
 
 def run_checking_followed_slots(monkeypatch, instance):
-    """Simulate OLP, checking each followed slot against a fresh solve;
-    returns (solves, follows)."""
+    """Run OLP by `full_scan_simulate`, which asks the policy at every slot,
+    checking each followed slot against a fresh solve; returns (solves,
+    follows)."""
     counts = Counter()
 
     def checking_olp(state, inst, t):
@@ -614,7 +617,7 @@ def run_checking_followed_slots(monkeypatch, instance):
         return decision
 
     monkeypatch.setitem(POLICIES, "olp", checking_olp)
-    simulate(instance, "olp")
+    full_scan_simulate(instance, "olp")
     return counts["solves"], counts["follows"]
 
 

@@ -403,9 +403,11 @@ def policy_calls(monkeypatch, name, instance, run=simulate):
 def expected_calls(instance, name):
     """The busy slots a run decides by a policy call: each one but those after
     a `CAPS_FIRST` decision at the caps (`threshold == inf`) in a span whose
-    ids are unique and whose peak rates are all above 0, where a span ends
-    wherever the active sessions or the power change; found by stepping the
-    full-scan run."""
+    ids are unique and whose peak rates are all above 0, and those after an
+    OLP decision that ships some rates without `olp_fallback` in a span whose
+    ids are unique, where a span ends wherever the active sessions or the
+    power change; found by stepping the full-scan run, which asks the policy
+    at every slot."""
     policy, sessions = POLICIES[name], instance.sessions
     state = SimState(0, initial_state(instance).remaining, {})
     calls, span, power, skip = [], None, None, False
@@ -417,18 +419,21 @@ def expected_calls(instance, name):
         if positions and not skip:
             calls.append(t)
             active = [sessions[k] for k in positions]
-            skip = (name in CAPS_FIRST and decision.threshold == math.inf
-                    and len({s.id for s in active}) == len(active)
-                    and all(s.max_rate > 0.0 for s in active))
+            unique = len({s.id for s in active}) == len(active)
+            at_caps = (name in CAPS_FIRST and decision.threshold == math.inf
+                       and all(s.max_rate > 0.0 for s in active))
+            ships = (name == "olp" and bool(decision.rates)
+                     and "olp_fallback" not in decision.diagnostics)
+            skip = unique and (at_caps or ships)
         state = full_scan_charge(state, decision.rates, instance)[0]
     return calls
 
 
 class TestUncontendedSlots:
     """After a decision at the caps in a span with unique ids and peak rates
-    above 0, the run charges the rest of the span without a policy call, and
-    the policy decides every other busy slot; every run stays the full
-    scan's."""
+    above 0, or an OLP decision that ships in a span with unique ids, the run
+    charges the rest of the span without a policy call, and the policy
+    decides every other busy slot; every run stays the full scan's."""
 
     @pytest.mark.parametrize("sessions, power, horizon", [
         # b contends for slots 0-2; a alone fits from slot 3 on
@@ -453,7 +458,7 @@ class TestUncontendedSlots:
     def test_runs_as_the_full_scan(self, monkeypatch, sessions, power, horizon):
         inst = Instance(sessions, power, horizon)
         busy = [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
-        for name in sorted(CAPS_FIRST):
+        for name in sorted(POLICIES):
             assert_same_run(inst, name)
             expected = full_scan_simulate(inst, name)[1].feasible
             assert run_feasibility([inst], name) == [expected], name
@@ -461,10 +466,9 @@ class TestUncontendedSlots:
             assert len(calls) < len(busy), name
             assert policy_calls(monkeypatch, name, inst) == calls, name
             monkeypatch.undo()
-        # OLP decides every busy slot, by name, though its fallback is sLLF's decision
-        assert policy_calls(monkeypatch, "olp", inst) == busy
-        decided = policy_calls(monkeypatch, "olp", inst, lambda i, n: run_feasibility([i], n))
-        assert decided == busy[:len(decided)]
+            decided = policy_calls(monkeypatch, name, inst, lambda i, n: run_feasibility([i], n))
+            monkeypatch.undo()
+            assert decided == calls[:len(decided)], name
 
     def test_calls_of_the_sample_runs(self, monkeypatch):
         # sLLF on "long-tail" decides 0-2, where b contends, and 3; a alone is
@@ -630,3 +634,116 @@ class TestOnePassSpans:
             for name in sorted(CAPS_FIRST):
                 assert_runs_as_full_scan(inst, name)
         assert sum(b - t for t, b in seen) > 1000, len(seen)
+
+
+def plan_passes(monkeypatch):
+    """(first slot, end, charged) of each `_charge_plan` call, as runs make them."""
+    passes, charge = [], simulator._charge_plan
+
+    def spying(span, remaining, limits, rows, plan, t, b, p_limit):
+        done = charge(span, remaining, limits, rows, plan, t, b, p_limit)
+        passes.append((t, b, done))
+        return done
+
+    monkeypatch.setattr(simulator, "_charge_plan", spying)
+    return passes
+
+
+def olp_editing_plans(monkeypatch, edit):
+    """Register under "olp" an OLP whose solves hand each new plan to
+    `edit(rows by session id, plan start)` before the run reads it."""
+    def editing(state, inst, t):
+        decision = schedulers.olp_rates(state, inst, t)
+        if "solver_steps" in decision.diagnostics and "olp_fallback" not in decision.diagnostics:
+            _, start, _, planned = state.memory["olp"]
+            edit({s.id: planned[id(s)] for s in inst.sessions if id(s) in planned}, start)
+        return decision
+
+    monkeypatch.setitem(schedulers.POLICIES, "olp", editing)
+
+
+class TestOlpPlanSpans:
+    """After an OLP decision that ships in a span with unique ids, the rest of
+    the span is charged from the plan's rows in one pass per session, with
+    `_charge`'s clamp and checks; a check that would fail leaves the span to
+    the per-slot path, which raises it at its slot."""
+
+    def test_rates_are_clamped_as_charge_clamps_them(self, monkeypatch):
+        # the plan gives a its cap 1.0 at slots 0 and 1 and b 1.0 at slot 2
+        inst = Instance((ChargingSession("a", 0, 4, 2.0, 1.0),
+                         ChargingSession("b", 0, 4, 1.0, 1.0)), ConstantPower(1.0))
+        above = 1.0 + 3 * 2.0 ** -52  # three ulps above a's cap, inside RATE_TOL
+
+        def edit(rows, start):
+            assert rows == {"a": [1.0, 1.0, 0.0, 0.0], "b": [0.0, 0.0, 1.0, 0.0]}
+            rows["a"][1] = above  # charged at the cap
+            rows["b"][1] = -0.0  # charged as 0.0 is, and not written to b's row
+
+        olp_editing_plans(monkeypatch, edit)
+        passes = plan_passes(monkeypatch)
+        assert_runs_as_full_scan(inst, "olp")
+        assert passes == [(1, 4, True)] * 2  # simulate's and run_feasibility's
+        schedule, verdict = simulate(inst, "olp")
+        assert schedule.rates == {"a": (1.0, 1.0, 0.0, 0.0), "b": (0.0, 0.0, 1.0, 0.0)}
+        assert verdict.feasible and verdict.unmet_energy == {"a": 0.0, "b": 0.0}
+
+    def test_a_slot_total_over_the_power_raises_as_slot_by_slot(self, monkeypatch):
+        # each row moves 0.3 from its last slot to slot 3: every rate stays
+        # under its cap, but slot 3's total goes over P = 0.6
+        inst = Instance((ChargingSession("a", 0, 10, 3.0, 1.0),
+                         ChargingSession("b", 0, 10, 3.0, 1.0)), ConstantPower(0.6))
+
+        def overfill(rows, start):
+            for row in rows.values():
+                last = max(k for k, r in enumerate(row) if r > 0.0)
+                assert last > 3 - start
+                row[3 - start] += 0.3
+                row[last] -= 0.3
+
+        olp_editing_plans(monkeypatch, overfill)
+        with pytest.raises(PolicyContractError) as expected:
+            full_scan_simulate(inst, "olp")
+        message = str(expected.value)
+        assert message.startswith("total rate ") and message.endswith(
+            " exceeds power limit 0.6 at slot 3")
+        passes = plan_passes(monkeypatch)
+        for run in (lambda: simulate(inst, "olp"), lambda: run_feasibility([inst], "olp")):
+            with pytest.raises(PolicyContractError, match=f"^{re.escape(message)}$"):
+                run()
+        assert passes == [(1, 10, False)] * 2  # then slots 1, 2 and 3 are decided one by one
+
+    @pytest.mark.parametrize("energy", [2.0, 2.0 + 3e-13], ids=["exact", "within-finished-eps"])
+    def test_a_session_that_finishes_mid_span(self, monkeypatch, energy):
+        # a finishes after slots 0 and 1, with 3e-13 left or none; its plan is
+        # given 3e-13 at slot 2, which a run must not charge, as a no longer
+        # counts as chargeable
+        inst = Instance((ChargingSession("a", 0, 6, energy, 1.0),
+                         ChargingSession("b", 0, 6, 4.0, 1.0)), ConstantPower(2.0))
+
+        def leave(rows, start):
+            assert rows["a"] == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+            rows["a"][2] = 3e-13
+
+        olp_editing_plans(monkeypatch, leave)
+        passes = plan_passes(monkeypatch)
+        assert_runs_as_full_scan(inst, "olp")
+        assert passes == [(1, 6, True)] * 2
+        schedule, verdict = simulate(inst, "olp")
+        assert schedule.rates["a"] == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert verdict.unmet_energy["a"] == energy - 2.0
+
+    def test_a_span_with_a_repeated_id_is_decided_slot_by_slot(self, monkeypatch):
+        inst = Instance((ChargingSession("a", 0, 6, 2.0, 1.0),
+                         ChargingSession("a", 0, 6, 2.0, 1.0),
+                         ChargingSession("b", 0, 6, 3.0, 1.0)), ConstantPower(2.0))
+        passes = plan_passes(monkeypatch)
+        assert_runs_as_full_scan(inst, "olp")
+        assert passes == []
+        assert policy_calls(monkeypatch, "olp", inst) == list(range(6))
+
+    def test_unvalidated_instances_run_as_the_full_scan(self, monkeypatch):
+        rng = random.Random(23)
+        passes = plan_passes(monkeypatch)
+        for _ in range(300):
+            assert_runs_as_full_scan(random_edge_instance(rng), "olp")
+        assert sum(b - t for t, b, done in passes if done) > 100, passes
