@@ -15,10 +15,12 @@ stack, so path length is not bounded by the recursion limit.
 
 `earliest_exit_flow` is a minimum-cost flow for networks whose only priced
 arcs enter the sink, as OLP's slot network is: successive shortest paths
-from the flow the graph holds, each path found by one search from the
-source.  No search starts at an exit whose node no residual arc enters, as
-nothing can reach it, and each search stops once it labels the exit it looks
-for; neither changes a path or an amount pushed.
+from the flow the graph holds.  Each path is the one a breadth-first search
+from the source would find, but the search runs only when that path has more
+than two free arcs: the nodes one arc from the source labels, kept per solve,
+and one scan of the exit's in-arcs give a path of one or two free arcs, and
+show when no residual arc but the sink's enters the exit's node, so that
+nothing can reach it and it is passed over.
 """
 from __future__ import annotations
 
@@ -117,70 +119,105 @@ class FlowGraph:
         more the later they are listed; every other arc is free.  Successive
         shortest paths (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment
         along a path that leaves through the earliest exit with capacity
-        left that the residual graph reaches from `s`, found by one search
-        from `s` that never enters the sink.  Augmenting adds only arcs into nodes of the
-        path, so no node becomes reachable that was not: the exit used never
-        moves earlier.  An arc is exhausted by the same per-arc tolerance
-        as in `max_flow`.  The flow the graph holds at the start must be of
-        minimum cost for what each node ships; no flow is.
+        left that the residual graph reaches from `s`: the path of a
+        breadth-first search from `s` that never enters the sink and stops
+        once it labels the node x of that exit.  Augmenting adds only arcs
+        into nodes of the path, so no node becomes reachable that was not:
+        the exit used never moves earlier.  An arc is exhausted by the same
+        per-arc tolerance as in `max_flow`.  The flow the graph holds at the
+        start must be of minimum cost for what each node ships; no flow is.
 
-        Two skips leave every path and every amount pushed as they are.
-        Before each search the first exit to look for moves past every exit
-        whose node no residual arc enters (those from the sink aside): such
-        a node is not reached and, by the rule above, never will be, so a
-        solve whose exits left are all such runs no last, empty search.  A
-        search then stops once it labels that first exit's node rather than
-        once it dequeues it: a node's entry arc is fixed when it is
-        labelled, so the path back to `s` is the same.
-        Returns the flow added and the searches run.
+        The search runs only for paths of more than two free arcs.  Its
+        first level is kept per solve: adjacency lists are in arc-index
+        order, so it labels, in `adj[s]` order, each node a free arc from
+        `s` enters, by the first such arc, and a node's entry arc is fixed
+        once labelled.  If x is one of them, that arc is the path; else, if
+        some of them have a free arc into x, the search labels x from the
+        first of them, w, by w's first such arc: the path s -> w -> x.  A
+        push changes only its first arc among the arcs out of `s`, so the
+        level is found again only after a push exhausts that arc.  The same
+        scan of x's in-arcs tells whether any residual arc enters x other
+        than from the sink; if none does, x is not reached and, by the rule
+        above, never will be, so its exit is passed over without a search,
+        and a solve whose exits left are all such runs no last, empty one.
+        Returns the flow added and the augmentations tried: one per push,
+        and one for a last search that finds no path.
         """
-        adj, to, cap, tol = self.adj, self.to, self.cap, self.tol
-        rank = [-1] * self.n
+        if not exits:
+            return 0.0, 0
+        adj, to, cap, tol, n = self.adj, self.to, self.cap, self.tol, self.n
+        rank = [-1] * n
         for r, a in enumerate(exits):
             rank[to[a ^ 1]] = r
-        blank = [-1] * self.n  # per node, the arc the search entered it by
-        sink = to[exits[0]] if exits else -1
-        if exits:
-            blank[sink] = -2  # the sink is never entered
+        blank = [-1] * n  # per node, the arc the search entered it by
+        sink = to[exits[0]]
+        blank[sink] = -2  # the sink is never entered
+        # the nodes the search labels from s: each one's place in that order
+        # (n if not labelled, n + 1 for s and the sink) and its entry arc
+        place, first, near, stale = [n] * n, blank[:], [], True
+        place[s] = place[sink] = n + 1
         total, searches, lo, none = 0.0, 0, 0, len(exits)
-        while True:
-            while lo < none:  # the first exit with capacity whose node an arc enters
-                a = exits[lo]  # the pair of each arc b out of its node enters it
-                if cap[a] > tol[a] and any(cap[b ^ 1] > tol[b] for b in adj[to[a ^ 1]]
-                                           if to[b] != sink):
-                    break
+        while lo < none:
+            e = exits[lo]
+            if not cap[e] > tol[e]:  # a NaN left too
                 lo += 1
-            if lo == none:
-                break
-            searches += 1
-            entry = blank[:]
-            entry[s] = -2
-            target, queue, best = to[exits[lo] ^ 1], [s], none
-            for u in queue:
-                r = rank[u]
-                if lo < r < best and cap[exits[r]] > tol[exits[r]]:
-                    best = r
-                for a in adj[u]:
+                continue
+            if stale:  # only a push that exhausts its arc out of s changes them
+                for v in near:
+                    place[v] = n
+                near = []
+                for a in adj[s]:
                     v = to[a]
-                    if entry[v] == -1 and cap[a] > tol[a]:
-                        entry[v] = a
-                        queue.append(v)
-                if entry[target] >= 0:
-                    best = lo
-                    break
-            lo = best
-            if lo == none:
-                break
-            path, v = [exits[lo]], to[exits[lo] ^ 1]
-            while v != s:
-                a = entry[v]
-                path.append(a)
-                v = to[a ^ 1]
+                    if place[v] == n and cap[a] > tol[a]:
+                        place[v], first[v] = len(near), a
+                        near.append(v)
+                stale = False
+            x = to[e ^ 1]
+            if place[x] < n:
+                path = [e, first[x]]
+            else:  # s -> w -> x, w the first labelled node with an arc b ^ 1 into x
+                k = n + 1  # stays so if no residual arc enters x but from the sink
+                for b in adj[x]:
+                    if place[to[b]] < k and cap[b ^ 1] > tol[b]:
+                        k, via = place[to[b]], b
+                if k < n:
+                    path = [e, via ^ 1, first[to[via]]]
+                elif k > n:  # unreached, and by the rule above never reached
+                    lo += 1
+                    continue
+                else:
+                    entry = blank[:]
+                    entry[s] = -2
+                    queue, best = [s], none
+                    for u in queue:
+                        r = rank[u]
+                        if lo < r < best and cap[exits[r]] > tol[exits[r]]:
+                            best = r
+                        for a in adj[u]:
+                            v = to[a]
+                            if entry[v] == -1 and cap[a] > tol[a]:
+                                entry[v] = a
+                                queue.append(v)
+                        if entry[x] >= 0:
+                            best = lo
+                            break
+                    lo = best
+                    if lo == none:
+                        searches += 1
+                        break
+                    e = exits[lo]
+                    path, v = [e], to[e ^ 1]
+                    while v != s:
+                        a = entry[v]
+                        path.append(a)
+                        v = to[a ^ 1]
+            searches += 1
             pushed = min([cap[a] for a in path])
             for a in path:
                 cap[a] -= pushed
                 cap[a ^ 1] += pushed
             total += pushed
+            stale = not cap[path[-1]] > tol[path[-1]]
         return total, searches
 
     def source_side(self, s: int) -> list[bool]:

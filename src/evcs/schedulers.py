@@ -4,7 +4,8 @@ Every policy maps (state, instance, t) to this slot's rates using only the
 sessions present at t; future arrivals are never consulted.  sLLF, ES and REP
 share one form: each rate is a clamp `clamp(a_i * (L - c_i), 0, cap_i)`, with
 the water level L solved exactly by a breakpoint search so the available
-power is used exactly.
+power is used exactly; rates that would sum over `_charge`'s bound, as next
+to a huge peak rate, are taken again from L's segment (`_share_exactly`).
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable sessions and their caps, one for each policy's keys, slopes or
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import SimState
+from .dynamics import RATE_TOL, SimState
 from .feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import FlowGraph
@@ -38,9 +39,11 @@ class RateDecision:
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
-      (olp) shortest-path searches that ran in a solve that ships, a search
-      skipped as `FlowGraph.earliest_exit_flow` skips one not counted; a
-      fallback carries the sLLF decision's;
+      (olp) the augmentations `FlowGraph.earliest_exit_flow` tried in a solve
+      that ships: one per augmenting path, whether a search found it or the
+      path of at most two free arcs was taken without one, and one for a
+      last search that finds no path, as before; a fallback carries the
+      sLLF decision's;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot.  A run asks
       OLP only at the slots it does not charge from the plan in one pass
@@ -118,6 +121,49 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     return level, len(points)
 
 
+def _over_power(total: float, caps, p_limit: float) -> bool:
+    """Whether rates summing to `total` in session order, as `_charge` sums
+    them when ids are unique, exceed its bound while every cap is a number
+    (`_charge` refuses the rate under a NaN cap first)."""
+    return total > p_limit + RATE_TOL * max(1.0, p_limit) and all(c == c for c in caps)
+
+
+def _share_exactly(evs, slopes, offsets, caps, p_limit: float) -> dict[str, float]:
+    """The rates clamp(a * (L - c), 0, cap) by id, for a slot where those taken
+    from `_water_level`'s L sum over `_charge`'s bound: a * (L - c) scales
+    the rounding of L by a, which next to a peak rate of 1e10 is too much,
+    and the sweep's running slope can lose a small slope beside a huge one.
+
+    Here L = x + delta, x the highest breakpoint at which the clamps, summed
+    directly, stay below p_limit (a bisection, as the sum is nondecreasing),
+    and delta what p_limit leaves over the slopes of the sessions below
+    their caps at x.  A session starting after x gets 0, one at its cap
+    keeps it, and the others min(a * ((x - c) + delta), cap), where x - c
+    rounds once and is exact for nearby values (Sterbenz); every term is at
+    most p_limit, so the rates sum to it within a few roundings.
+    """
+    def clamps(x):
+        return [0.0 if c > x else min(a * (x - c), cap)
+                for a, c, cap in zip(slopes, offsets, caps)]
+    points = sorted({*offsets, *(c + cap / a for a, c, cap in zip(slopes, offsets, caps))})
+    lo, hi = 0, len(points)  # the clamps sum below p_limit at points[lo], not at points[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(clamps(points[mid])) < p_limit:
+            lo = mid
+        else:
+            hi = mid
+    x = points[lo]
+    rates = clamps(x)
+    free = [c <= x and r < cap for c, r, cap in zip(offsets, rates, caps)]
+    slope = sum(a for a, f in zip(slopes, free) if f)
+    if slope > 0.0:
+        delta = (p_limit - sum(rates)) / slope
+        rates = [min(a * ((x - c) + delta), cap) if f else r
+                 for a, c, cap, r, f in zip(slopes, offsets, caps, rates, free)]
+    return {s.id: r for s, r in zip(evs, rates)}
+
+
 def _laxities(evs, remaining: dict[str, float], t: int):
     """(laxities at t, peak rates, laxities - 1.0) in one scan, each laxity in
     `laxity`'s closed form: t lies inside each sojourn and every energy left is
@@ -143,11 +189,15 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
     lax, rbars, offsets = _laxities(evs, state.remaining, t)
     level, steps = _water_level(rbars, offsets, caps, p_limit)
-    rates = {}
+    rates, total = {}, 0.0
     for s, lx, rb, cap in zip(evs, lax, rbars, caps):
         r = rb * (level - lx + 1.0)  # not level - (lx - 1.0), which rounds differently
         r = 0.0 if 0.0 > r else r
-        rates[s.id] = cap if cap < r else r
+        r = cap if cap < r else r
+        rates[s.id] = r
+        total += r
+    if _over_power(total, caps, p_limit):
+        rates = _share_exactly(evs, rbars, offsets, caps, p_limit)
     return RateDecision(rates, threshold=level, diagnostics={"solver_steps": steps})
 
 
@@ -191,12 +241,17 @@ def _proportional_fill(state: SimState, instance: Instance, t: int, weigh) -> Ra
     if uncontended is not None:
         return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
     weights = weigh(evs, state.remaining)
-    level, steps = _water_level(weights, [0.0] * len(evs), caps, p_limit)
-    rates = {}
+    offsets = [0.0] * len(evs)
+    level, steps = _water_level(weights, offsets, caps, p_limit)
+    rates, total = {}, 0.0
     for s, w, cap in zip(evs, weights, caps):
         r = w * level
         r = 0.0 if 0.0 > r else r
-        rates[s.id] = cap if cap < r else r
+        r = cap if cap < r else r
+        rates[s.id] = r
+        total += r
+    if _over_power(total, caps, p_limit):
+        rates = _share_exactly(evs, weights, offsets, caps, p_limit)
     return RateDecision(rates, diagnostics={"solver_steps": steps})
 
 

@@ -13,7 +13,10 @@ before a solve skipped the exits nothing can reach and stopped each search
 once it labelled the exit it looks for, the second as a function over a
 `FlowGraph`.  OLP must give the same decisions with the same diagnostics
 but `solver_steps`, which may be one fewer: a solve no longer runs its last,
-empty search.
+empty search.  `searching_earliest_exit_flow` is the solver with those two
+skips, as it stood before paths of at most two free arcs were taken without
+a search: the solver must leave the same residuals and return the same flow
+and the same count.
 """
 from __future__ import annotations
 
@@ -223,6 +226,61 @@ def earliest_exit_flow(graph: FlowGraph, s: int, exits: list[int]) -> tuple[floa
                 if entry[v] == -1 and cap[a] > tol[a]:
                     entry[v] = a
                     queue.append(v)
+        lo = best
+        if lo == none:
+            break
+        path, v = [exits[lo]], to[exits[lo] ^ 1]
+        while v != s:
+            a = entry[v]
+            path.append(a)
+            v = to[a ^ 1]
+        pushed = min([cap[a] for a in path])
+        for a in path:
+            cap[a] -= pushed
+            cap[a ^ 1] += pushed
+        total += pushed
+    return total, searches
+
+
+def searching_earliest_exit_flow(graph: FlowGraph, s: int, exits: list[int]) -> tuple[float, int]:
+    """`earliest_exit_flow` that runs one search for every path it pushes along,
+    skipping the exits whose node no residual arc enters (those from the sink
+    aside) and stopping each search once it labels the exit it looks for.
+    Returns the flow added and the searches run."""
+    adj, to, cap, tol = graph.adj, graph.to, graph.cap, graph.tol
+    rank = [-1] * graph.n
+    for r, a in enumerate(exits):
+        rank[to[a ^ 1]] = r
+    blank = [-1] * graph.n  # per node, the arc the search entered it by
+    sink = to[exits[0]] if exits else -1
+    if exits:
+        blank[sink] = -2  # the sink is never entered
+    total, searches, lo, none = 0.0, 0, 0, len(exits)
+    while True:
+        while lo < none:  # the first exit with capacity whose node an arc enters
+            a = exits[lo]  # the pair of each arc b out of its node enters it
+            if cap[a] > tol[a] and any(cap[b ^ 1] > tol[b] for b in adj[to[a ^ 1]]
+                                       if to[b] != sink):
+                break
+            lo += 1
+        if lo == none:
+            break
+        searches += 1
+        entry = blank[:]
+        entry[s] = -2
+        target, queue, best = to[exits[lo] ^ 1], [s], none
+        for u in queue:
+            r = rank[u]
+            if lo < r < best and cap[exits[r]] > tol[exits[r]]:
+                best = r
+            for a in adj[u]:
+                v = to[a]
+                if entry[v] == -1 and cap[a] > tol[a]:
+                    entry[v] = a
+                    queue.append(v)
+            if entry[target] >= 0:
+                best = lo
+                break
         lo = best
         if lo == none:
             break

@@ -438,6 +438,20 @@ class TestRun:
             reports.append(capsys.readouterr())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("alg", sorted(POLICIES))
+    def test_a_huge_peak_rate_next_to_the_power_runs(self, tmp_path, capsys, alg):
+        # a peak rate of 1e10 multiplies the rounding of sLLF's water level
+        # by 1e10: its slot-0 rate read 2.5000002068509275 against P = 2.5
+        path = tmp_path / "peak.evcs"
+        path.write_text("evcs-v1\nhorizon 4\npower constant 2.5\na 0 4 3 1e10\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",True,0.75")
+        assert main(["run", str(path), "--alg", alg]) == 0
+        captured = capsys.readouterr()
+        rows = [r for r in rows_from_csv(captured.out) if r["session"] != "__verdict__"]
+        assert [(r["slot"], float(r["rate"])) for r in rows] == [("0", 2.5), ("1", 0.5)]
+        assert f"# alg={alg} feasible=True " in captured.err
+
 
 class TestSweep:
     def test_overall_rates(self, corpus_dir, capsys):

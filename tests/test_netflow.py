@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from evcs.netflow import FlowGraph
 
 from flow_oracle import RecursiveFlowGraph
 from policy_oracle import earliest_exit_flow as frozen_earliest_exit_flow
+from policy_oracle import searching_earliest_exit_flow
 
 
 class TestMaxFlow:
@@ -289,3 +291,76 @@ class TestAgainstFrozenEarliestExitFlow:
                     g.raise_capacity(idx, cap)
                     ref.raise_capacity(idx, cap)
         assert fewer > 100 and searches > 1000, (fewer, searches)
+
+
+def _olp_shape(rng):
+    """Sessions (first slot, stop, rate cap, supplies of its source arcs) and
+    slot powers for a network of OLP's shape: 1-40 sessions whose windows
+    overlap, some with a rate cap or a supply of 0, some with two parallel
+    arcs from the source, and powers of which some are 0 and a few NaN."""
+    w = rng.randint(1, 24)
+    sessions = []
+    for _ in range(rng.randint(1, 40)):
+        first = rng.randrange(w)
+        stop = rng.randint(first + 1, w)
+        rate = 0.0 if rng.random() < 0.1 else rng.uniform(0.1, 3.0)
+        supply = 0.0 if rng.random() < 0.05 else rate * (stop - first) * rng.uniform(0.1, 1.2)
+        split = rng.random()
+        sessions.append((first, stop, rate,
+                         [supply] if split < 0.7 else [supply * split, supply - supply * split]))
+    load = sum(rate * (stop - first) for first, stop, rate, _ in sessions) / w
+    powers = [0.0 if u < 0.15 else math.nan if u < 0.17 else rng.uniform(0.0, 1.2) * load
+              for u in (rng.random() for _ in range(w))]
+    return sessions, powers
+
+
+def _olp_network(shape, arrived, flows=None):
+    """The network of `shape`: source 0, sink 1, the sessions, then one node per
+    slot with its exit; a session not `arrived` has supply 0, and each arc
+    starts with its flow in `flows`, one per arc in order.  Returns (graph,
+    exits, the arcs from sessions to slots)."""
+    sessions, powers = shape
+    n = len(sessions)
+    arcs = []
+    for k, (first, stop, rate, supplies) in enumerate(sessions):
+        arcs += [(0, 2 + k, c if arrived[k] else 0.0) for c in supplies]
+        arcs += [(2 + k, 2 + n + i, rate) for i in range(first, stop)]
+    arcs += [(2 + n + i, 1, p) for i, p in enumerate(powers)]
+    g = FlowGraph(2 + n + len(powers))
+    ids = [g.add_edge(u, v, c, flows[j] if flows else 0.0) for j, (u, v, c) in enumerate(arcs)]
+    exits = ids[len(ids) - len(powers):]
+    return g, exits, [a for a, (u, _, _) in zip(ids, arcs) if u >= 2]
+
+
+class TestOlpShapedAgainstTheSearchingSolver:
+    def test_same_residuals_flow_and_count_bit_for_bit(self):
+        # a cold solve with some sessions not arrived, then a warm start from
+        # its flow with every session arrived, solved three times with
+        # capacities raised between, as OLP's next solve starts from its plan
+        rerouted = direct_only = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            shape = _olp_shape(rng)
+            arrived = [rng.random() < 0.6 for _ in shape[0]]
+            g, exits, _ = _olp_network(shape, arrived)
+            ref, _, _ = _olp_network(shape, arrived)
+            assert g.earliest_exit_flow(0, exits) == searching_earliest_exit_flow(ref, 0, exits)
+            assert list(map(float.hex, g.cap)) == list(map(float.hex, ref.cap)), seed
+            flows = [g.flow_on(a) for a in range(0, len(g.to), 2)]
+            g, exits, slot_arcs = _olp_network(shape, [True] * len(arrived), flows)
+            ref, _, _ = _olp_network(shape, [True] * len(arrived), flows)
+            for _ in range(3):
+                before = [g.flow_on(a) for a in slot_arcs]
+                got = g.earliest_exit_flow(0, exits)
+                want = searching_earliest_exit_flow(ref, 0, exits)
+                assert got[0].hex() == want[0].hex() and got[1] == want[1], (seed, got, want)
+                assert list(map(float.hex, g.cap)) == list(map(float.hex, ref.cap)), seed
+                if any(g.flow_on(a) < f for a, f in zip(slot_arcs, before)):
+                    rerouted += 1  # some path ran back along a slot arc: a search
+                elif got[0] > 0.0:
+                    direct_only += 1  # every path was one of two free arcs
+                for idx in rng.sample(range(0, len(g.to), 2), rng.randint(0, len(g.to) // 8)):
+                    cap = g._initial[idx] * rng.choice([1.0, 1.5]) + rng.uniform(0.0, 1.0)
+                    g.raise_capacity(idx, cap)
+                    ref.raise_capacity(idx, cap)
+        assert rerouted > 200 and direct_only > 200, (rerouted, direct_only)

@@ -194,6 +194,40 @@ class TestEsRep:
 
 
 @st.composite
+def far_apart_slots(draw):
+    """(state, instance): slot 0 with unique ids, peak rates from 1e-3 to 1e13,
+    energies left from a hundredth of a slot at the peak rate to the whole
+    sojourn at it, or from 1e-3 to 1e6 whatever the peak rate, under a
+    constant power from 1e-3 to 1e6."""
+    sessions, remaining = [], {}
+    for k in range(draw(st.integers(1, 6))):
+        max_rate = 10.0 ** draw(st.floats(-3.0, 13.0))
+        departure = draw(st.integers(1, 30))
+        if draw(st.booleans()):
+            energy = max_rate * draw(st.floats(0.01, float(departure)))
+        else:
+            energy = 10.0 ** draw(st.floats(-3.0, 6.0))
+        sessions.append(ChargingSession(f"s{k}", 0, departure, energy, max_rate))
+        remaining[f"s{k}"] = energy
+    power = 10.0 ** draw(st.floats(-3.0, 6.0))
+    return SimState(0, remaining), Instance(sessions, ConstantPower(power), 30)
+
+
+class TestFarApartNumbers:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(far_apart_slots())
+    def test_rates_stay_within_the_caps_and_the_power(self, case):
+        state, inst = case
+        limits = dict(_rate_limits(inst.sessions))
+        for policy in (sllf_rates, es_rates, rep_rates):
+            rates = policy(state, inst, 0).rates
+            for s in inst.sessions:
+                assert 0.0 <= rates[s.id] <= min(s.max_rate, state.remaining[s.id]), policy
+            # `_charge` raises on a total over p_limit + RATE_TOL * max(1.0, p_limit)
+            _charge(dict(state.remaining), rates, limits, 0, inst.power.at(0))
+
+
+@st.composite
 def uncontended_slots(draw):
     """(state, instance, t): a slot whose chargeable caps, summed in instance
     order, fit under P(t), at it or with room to spare.  Ids may repeat, with
