@@ -37,8 +37,8 @@ class SimState:
     `memory` is what a policy keeps from one slot to the next of one run:
     OLP's plan, or after a fallback the sessions of the residual that could
     not ship, and nothing else.  The simulator creates it once per run, and
-    reads OLP's plan to charge the rest of a busy span (`simulator._run`);
-    `step` carries it on.  It takes no part in equality, and a state without
+    charges from OLP's plan where it holds (see `simulator._run`); `step`
+    carries it on.  It takes no part in equality, and a state without
     it (None) gets every decision solved afresh.
     """
 

@@ -4,8 +4,9 @@ Every policy maps (state, instance, t) to this slot's rates using only the
 sessions present at t; future arrivals are never consulted.  sLLF, ES and REP
 share one form: each rate is a clamp `clamp(a_i * (L - c_i), 0, cap_i)`, with
 the water level L solved exactly by a breakpoint search so the available
-power is used exactly; rates that would sum over `_charge`'s bound, as next
-to a huge peak rate, are taken again from L's segment (`_share_exactly`).
+power is used exactly; rates that would miss P(t) by more than `_charge`'s
+tolerance, as next to a huge peak rate, are taken again from L's segment
+(`_share_exactly`).
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable sessions and their caps, one for each policy's keys, slopes or
@@ -42,13 +43,11 @@ class RateDecision:
       (olp) the augmentations `FlowGraph.earliest_exit_flow` tried in a solve
       that ships: one per augmenting path, whether a search found it or the
       path of at most two free arcs was taken without one, and one for a
-      last search that finds no path, as before; a fallback carries the
-      sLLF decision's;
+      last search that finds no path; a fallback carries the sLLF
+      decision's;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
-      follows; a decision without it was solved at its own slot.  A run asks
-      OLP only at the slots it does not charge from the plan in one pass
-      (`simulator._run`), so its decisions with this key are the first of a
-      busy span and those of spans decided slot by slot;
+      follows; a decision without it was solved at its own slot.  A run
+      charges such slots without asking OLP (see `simulator._run`);
     - `olp_fallback` (olp): True when the residual problem could not ship every
       remaining demand, by the rule of `feasibility.ships_demand`, and the
       sLLF rates were taken;
@@ -121,31 +120,38 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     return level, len(points)
 
 
-def _over_power(total: float, caps, p_limit: float) -> bool:
+def _off_power(total: float, caps, p_limit: float) -> bool:
     """Whether rates summing to `total` in session order, as `_charge` sums
-    them when ids are unique, exceed its bound while every cap is a number
-    (`_charge` refuses the rate under a NaN cap first)."""
-    return total > p_limit + RATE_TOL * max(1.0, p_limit) and all(c == c for c in caps)
+    them when ids are unique, miss p_limit by more than `_charge`'s
+    tolerance, above or below, while every cap is a number (`_charge`
+    refuses the rate under a NaN cap first)."""
+    return abs(total - p_limit) > RATE_TOL * max(1.0, p_limit) and all(c == c for c in caps)
 
 
 def _share_exactly(evs, slopes, offsets, caps, p_limit: float) -> dict[str, float]:
     """The rates clamp(a * (L - c), 0, cap) by id, for a slot where those taken
-    from `_water_level`'s L sum over `_charge`'s bound: a * (L - c) scales
-    the rounding of L by a, which next to a peak rate of 1e10 is too much,
-    and the sweep's running slope can lose a small slope beside a huge one.
+    from `_water_level`'s L miss p_limit by more than `_charge`'s tolerance:
+    a * (L - c) scales the rounding of L by a, which next to a peak rate of
+    1e10 is too much, and the sweep's running slope can lose a small slope
+    beside a huge one.
 
     Here L = x + delta, x the highest breakpoint at which the clamps, summed
     directly, stay below p_limit (a bisection, as the sum is nondecreasing),
-    and delta what p_limit leaves over the slopes of the sessions below
-    their caps at x.  A session starting after x gets 0, one at its cap
-    keeps it, and the others min(a * ((x - c) + delta), cap), where x - c
-    rounds once and is exact for nearby values (Sterbenz); every term is at
-    most p_limit, so the rates sum to it within a few roundings.
+    and delta what p_limit leaves over the slopes of the sessions whose
+    segment [c, c + cap / a) holds x.  A session starting after x gets 0,
+    one whose segment ends at or before x its cap (there a * (x - c) can
+    round a hair under the cap, and a huge slope taken as free would take
+    up delta only to lose it to the cap), and the others
+    min(a * ((x - c) + delta), cap), where x - c rounds once and is exact
+    for nearby values (Sterbenz); every term is at most p_limit, so the
+    rates sum to it within a few roundings.
     """
+    ends = [c + cap / a for a, c, cap in zip(slopes, offsets, caps)]
+
     def clamps(x):
-        return [0.0 if c > x else min(a * (x - c), cap)
-                for a, c, cap in zip(slopes, offsets, caps)]
-    points = sorted({*offsets, *(c + cap / a for a, c, cap in zip(slopes, offsets, caps))})
+        return [0.0 if c > x else cap if x >= end else min(a * (x - c), cap)
+                for a, c, cap, end in zip(slopes, offsets, caps, ends)]
+    points = sorted({*offsets, *ends})
     lo, hi = 0, len(points)  # the clamps sum below p_limit at points[lo], not at points[hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -155,7 +161,7 @@ def _share_exactly(evs, slopes, offsets, caps, p_limit: float) -> dict[str, floa
             hi = mid
     x = points[lo]
     rates = clamps(x)
-    free = [c <= x and r < cap for c, r, cap in zip(offsets, rates, caps)]
+    free = [c <= x < end for c, end in zip(offsets, ends)]
     slope = sum(a for a, f in zip(slopes, free) if f)
     if slope > 0.0:
         delta = (p_limit - sum(rates)) / slope
@@ -196,7 +202,7 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         r = cap if cap < r else r
         rates[s.id] = r
         total += r
-    if _over_power(total, caps, p_limit):
+    if _off_power(total, caps, p_limit):
         rates = _share_exactly(evs, rbars, offsets, caps, p_limit)
     return RateDecision(rates, threshold=level, diagnostics={"solver_steps": steps})
 
@@ -250,7 +256,7 @@ def _proportional_fill(state: SimState, instance: Instance, t: int, weigh) -> Ra
         r = cap if cap < r else r
         rates[s.id] = r
         total += r
-    if _over_power(total, caps, p_limit):
+    if _off_power(total, caps, p_limit):
         rates = _share_exactly(evs, weights, offsets, caps, p_limit)
     return RateDecision(rates, diagnostics={"solver_steps": steps})
 
@@ -321,7 +327,8 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     flow as a plan, each session's rates over the window, and later slots
     follow it until a chargeable session is one the plan does not hold
     (sessions are held by object, so a repeated id solves again), the window
-    ends, or the solve fell back.  The rest of a min-cost flow stays min-cost
+    ends, or the solve fell back; a run charges the followed slots without a
+    call (see `simulator._run`).  The rest of a min-cost flow stays min-cost
     for the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9),
     so a followed slot ships a fresh solve's slot total, and the next solve
     starts from it: the sessions the plan holds keep their planned rows as
@@ -396,7 +403,8 @@ POLICIES = {
 
 
 #: the policies that decide an uncontended slot by `_contention` alone;
-#: not OLP, whose plan and failed residual must see every slot
+#: not OLP, whose fallback carries sLLF's `threshold == inf` while its failed
+#: residual must be asked again at the next slot (its plan: `simulator._run`)
 CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 
 

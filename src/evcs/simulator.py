@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .dynamics import (RATE_TOL, RunVerdict, Schedule, SimState, _charge, _rate_limits,
+from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits,
                        initial_state, laxity)
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
@@ -76,34 +76,28 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     is never read at an idle slot: a negative power there is left to
     `validate`, which rejects it.  Each session's rate limits are taken once
     per run, and each span's dict is built from them by position.  Every
-    `SimState` of the run wraps its one `remaining` dict and run memory.
+    `SimState` of the run wraps its one `remaining` dict and run memory, and
+    every slot's rates are checked and charged by `_charge`.
 
-    A policy decides each busy slot but the rest of a span charged in one
-    pass, by one of two rules.  First, at the caps: once a `CAPS_FIRST`
-    policy gives every chargeable session its cap (`threshold == inf`) at a
-    slot t of a span [a, b), it would at every later slot, since the span
-    has one power and one set of sessions, each cap `min(max_rate,
-    remaining)` can only fall, finished sessions only drop out, and a float
-    sum of fewer, smaller nonnegative terms in the same order is no larger.
-    So `_charge_at_caps` charges slots t + 1 ... b - 1 in one pass per
-    session, with the float operations `_charge` would make at each slot.
-    That needs each id's remaining energy to be its one session's and every
-    cap above 0, so a span with a repeated id or a peak rate that is not
-    above 0 (NaN included) is decided slot by slot.
+    A policy decides each busy slot but those a run charges by one of two
+    rules.  First, at the caps: once a `CAPS_FIRST` policy gives every
+    chargeable session its cap (`threshold == inf`) at a slot t of a span
+    [a, b), it would at every later slot, since the span has one power and
+    one set of sessions, each cap `min(max_rate, remaining)` can only fall,
+    finished sessions only drop out, and a float sum of fewer, smaller
+    nonnegative terms in the same order is no larger.  So `_charge_at_caps`
+    charges slots t + 1 ... b - 1 in one pass per session, with the float
+    operations `_charge` would make at each slot.  That needs each id's
+    remaining energy to be its one session's and every cap above 0, so a
+    span with a repeated id or a peak rate that is not above 0 (NaN
+    included) is decided slot by slot.
 
-    Second, from OLP's plan, by `_charge_plan`: once an OLP decision at slot
-    t of a span [a, b) with unique ids ships some rates (no
-    `olp_fallback`), the run memory holds a plan with a row for each
-    chargeable session.  At each later slot of the span every chargeable
-    session is one of those (the span has one set of sessions, and finished
-    sessions only drop out), and the plan's window reaches b, which is at
-    most each one's departure and the horizon, so OLP would follow the plan
-    and change nothing in the memory: its rates are the rows' entries at
-    that slot.  `_charge_plan` charges them with `_charge`'s float
-    operations, clamp and checks, summing each slot's total in span order;
-    where a check would fail it charges nothing, and the span goes on slot
-    by slot, so `_charge` raises the same error at the same slot.  A span
-    with a repeated id is decided slot by slot.
+    Second, OLP's plan: OLP is asked at a busy slot only where the run
+    memory holds no plan (before its first solve, and after a fallback) or
+    the plan misses a chargeable session.  At every other busy slot
+    `olp_rates` would follow the plan and leave the memory as it is, so the
+    run charges the rates it would follow there (`_followed_rates`), and a
+    plan rate that breaks a check raises at its slot as a call's would.
 
     `rows` maps each id to (window start, row), and `_charge` writes each
     applied rate there.  Without rows (None) the run stops after the first span
@@ -115,6 +109,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
     limits_of = _rate_limits(sessions)
+    follows = policy_name == "olp"
     due = {}  # window end -> the sessions whose id's window ends there
     if rows is None:
         ends = _windows(instance)[1]
@@ -123,27 +118,45 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     for a, b, positions in instance.busy_spans():
         span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
         limits = dict([limits_of[k] for k in positions])
-        unique = len(limits) == len(span)
-        one_pass = (policy_name in CAPS_FIRST and unique
+        one_pass = (policy_name in CAPS_FIRST and len(limits) == len(span)
                     and all(s.max_rate > 0.0 for s in span))
-        follow = unique and policy_name == "olp"
         for t in range(a, b):
-            decision = policy(SimState(t, remaining, memory), instance, t)
-            p_limit = power.at(t)
+            rates = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
+            if rates is None:
+                decision = policy(SimState(t, remaining, memory), instance, t)
+                rates = decision.rates
             try:
-                _charge(remaining, decision.rates, limits, t, p_limit, rows)
+                _charge(remaining, rates, limits, t, power.at(t), rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            if one_pass and decision.threshold == math.inf:
+            if one_pass and decision.threshold == math.inf:  # never OLP, which may follow
                 _charge_at_caps(span, remaining, rows, t + 1, b)
                 break
-            if follow and decision.rates and "olp_fallback" not in decision.diagnostics:
-                if _charge_plan(span, remaining, limits, rows, memory["olp"], t + 1, b, p_limit):
-                    break
-                follow = False  # a check fails: the slots ahead raise it where `_charge` does
         if b in due and not _meets_demand(due[b], remaining):
             break
     return remaining
+
+
+def _followed_rates(span, remaining: dict[str, float], plan, t: int) -> dict[str, float] | None:
+    """The rates `olp_rates` follows at slot t of `span` from the run
+    memory's `plan`, or None without a plan or where a chargeable session
+    (`_chargeable`'s rule) is one the plan does not hold: each chargeable
+    session's row entry at t by id, in span order, where a later session of
+    a repeated id sets that id's rate; none when no session is chargeable.
+    A held session's row reaches its departure clipped to the horizon, so
+    it covers t, and t lies in the plan's window."""
+    if plan is None:
+        return None
+    _, start, _, planned = plan
+    rates = {}
+    for s in span:
+        energy = s.energy
+        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
+            row = planned.get(id(s))
+            if row is None:
+                return None
+            rates[s.id] = row[t - start]
+    return rates
 
 
 def _charge_at_caps(span, remaining: dict[str, float], rows: dict | None,
@@ -169,52 +182,6 @@ def _charge_at_caps(span, remaining: dict[str, float], rows: dict | None,
                     row[u - start], rem = max_rate, rem - max_rate
                 u += 1
         remaining[sid] = rem
-
-
-def _charge_plan(span, remaining: dict[str, float], limits: dict, rows: dict | None,
-                 plan, t: int, b: int, p_limit: float) -> bool:
-    """Charge each chargeable session of `span` its row of OLP's `plan`
-    over slots t ... b - 1, in place, as `_charge` would slot by slot (see
-    `_run`), and return True; or return False and charge nothing where one
-    of `_charge`'s checks would fail.
-
-    A session charges while it is unfinished by `_chargeable`'s rule, at
-    each slot the rate `_charge` applies to its row's entry; each slot's
-    total adds the sessions' rates in span order, as `_charge` sums them."""
-    _, start, _, planned = plan
-    totals, charges = [0.0] * (b - t), []
-    for s in span:
-        sid, energy = s.id, s.energy
-        done = FINISHED_EPS * (energy if energy > 1.0 else 1.0)
-        rem = remaining[sid]
-        if not rem > done:
-            continue
-        row = planned[id(s)]
-        max_rate, tol = limits[sid]
-        applied = []  # the row entries `_charge` writes, 0.0 where it writes none
-        for k, r in enumerate(row[t - start:b - start]):
-            cap = rem if rem < max_rate else max_rate
-            if not -tol <= r <= cap + tol:
-                return False
-            charged = 0.0 if r < 0.0 else r
-            if cap < charged:
-                charged = cap
-            totals[k] += charged
-            applied.append(charged if r > 0.0 else 0.0)
-            rem -= charged
-            rem = 0.0 if rem < 0.0 else rem
-            if not rem > done:
-                break
-        charges.append((sid, rem, applied))
-    bound = p_limit + RATE_TOL * max(1.0, p_limit)
-    if not all(total <= bound for total in totals):
-        return False
-    for sid, rem, applied in charges:
-        remaining[sid] = rem
-        if rows is not None:
-            first, row = rows[sid]
-            row[t - first:t - first + len(applied)] = applied
-    return True
 
 
 def success_rate(instances, policy_name: str) -> float:

@@ -21,7 +21,7 @@ from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
 from flow_oracle import full_horizon_olp_rates
-from sim_oracle import full_scan_chargeable, full_scan_simulate
+from sim_oracle import dense, full_scan_chargeable, full_scan_simulate
 
 
 def next_laxities(decision, state, instance):
@@ -219,12 +219,36 @@ class TestFarApartNumbers:
     def test_rates_stay_within_the_caps_and_the_power(self, case):
         state, inst = case
         limits = dict(_rate_limits(inst.sessions))
+        p = inst.power.at(0)
+        caps = [min(s.max_rate, state.remaining[s.id]) for s in inst.sessions]
         for policy in (sllf_rates, es_rates, rep_rates):
             rates = policy(state, inst, 0).rates
-            for s in inst.sessions:
-                assert 0.0 <= rates[s.id] <= min(s.max_rate, state.remaining[s.id]), policy
+            for s, cap in zip(inst.sessions, caps):
+                assert 0.0 <= rates[s.id] <= cap, policy
             # `_charge` raises on a total over p_limit + RATE_TOL * max(1.0, p_limit)
-            _charge(dict(state.remaining), rates, limits, 0, inst.power.at(0))
+            _charge(dict(state.remaining), rates, limits, 0, p)
+            total = 0.0
+            for r in rates.values():
+                total += r
+            assert total >= min(p, sum(caps)) - RATE_TOL * max(1.0, p), policy
+
+    def test_a_huge_peak_rate_leaves_no_power_unused(self):
+        # sLLF's level L = c + 4.6e-16 rounded to c here, and its rate to 0.0
+        inst = Instance((ChargingSession("a", 0, 27, 5.1e13, 3.2e12),), ConstantPower(0.0015))
+        state = SimState(0, {"a": 5.1e13})
+        for policy in (sllf_rates, es_rates, rep_rates):
+            rate = policy(state, inst, 0).rates["a"]
+            assert abs(rate - 0.0015) <= math.ulp(0.0015), (policy, rate)
+
+    def test_a_huge_slope_past_its_segment_takes_no_share(self):
+        # b's segment ends at the breakpoint 4.0, where 2.9e11 * (4.0 - c) rounds
+        # under its cap: taken as free there, b took up what a should get
+        inst = Instance((ChargingSession("a", 0, 19, 138394.01548547982, 9725.873887230646),
+                         ChargingSession("b", 0, 5, 49.75309804282538, 289713079182.51794)),
+                        ConstantPower(2500.0))
+        rates = sllf_rates(initial_state(inst), inst, 0).rates
+        assert rates["b"] == 49.75309804282538
+        assert abs(rates["a"] + rates["b"] - 2500.0) <= 1e-12 * 2500.0, rates
 
 
 @st.composite
@@ -670,6 +694,43 @@ def perfbench_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def truncated(instance, cut: int) -> Instance:
+    """The instance without the sessions that arrive at or after slot `cut`,
+    under the same power and horizon."""
+    return Instance(tuple(s for s in instance.sessions if s.arrival < cut), instance.power,
+                    instance.horizon)
+
+
+def assert_sees_only_the_present(instance):
+    """Each policy's run of the instance and of its truncation at each later
+    arrival time T give the same rows before T, by `repr`; returns the number
+    of truncated runs."""
+    cuts = sorted({s.arrival for s in instance.sessions})[1:]
+    for name in sorted(POLICIES):
+        rows = dense(simulate(instance, name)[0]).rates
+        for cut in cuts:
+            kept = dense(simulate(truncated(instance, cut), name)[0]).rates
+            for sid, row in kept.items():
+                assert repr(row[:cut]) == repr(rows[sid][:cut]), (name, cut, sid)
+    return len(POLICIES) * len(cuts)
+
+
+class TestOnlyThePresent:
+    """Future arrivals are never consulted: cutting them off leaves every
+    policy's rates before them as they were."""
+
+    def test_on_random_instances(self):
+        rng = random.Random(111)
+        instances = [random_run_instance(rng) for _ in range(150)]
+        assert any(isinstance(inst.power, StepwisePower) for inst in instances)
+        assert any(isinstance(inst.power, ConstantPower) for inst in instances)
+        assert sum(map(assert_sees_only_the_present, instances)) > 2000
+
+    def test_on_a_smoke_day_instance(self):
+        inst = perfbench_workloads().day_instance(42, smoke=True)
+        assert assert_sees_only_the_present(inst) > 80
 
 
 class TestOlpFailedResidual:

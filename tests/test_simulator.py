@@ -17,7 +17,8 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness, simulate,
                             success_rate)
 
-from sim_oracle import assert_dense_metrics, dense, full_scan_charge, full_scan_simulate
+from sim_oracle import (assert_dense_metrics, dense, full_scan_chargeable, full_scan_charge,
+                        full_scan_simulate)
 
 
 def witness_instance():
@@ -401,13 +402,13 @@ def policy_calls(monkeypatch, name, instance, run=simulate):
 
 
 def expected_calls(instance, name):
-    """The busy slots a run decides by a policy call: each one but those after
-    a `CAPS_FIRST` decision at the caps (`threshold == inf`) in a span whose
-    ids are unique and whose peak rates are all above 0, and those after an
-    OLP decision that ships some rates without `olp_fallback` in a span whose
-    ids are unique, where a span ends wherever the active sessions or the
-    power change; found by stepping the full-scan run, which asks the policy
-    at every slot."""
+    """The busy slots a run decides by a policy call, found by stepping the
+    full-scan run, which asks the policy at every slot: for a `CAPS_FIRST`
+    policy each one but those after a decision at the caps (`threshold ==
+    inf`) in a span whose ids are unique and whose peak rates are all above
+    0, where a span ends wherever the active sessions or the power change;
+    for OLP each one where the run memory holds no plan, or the plan misses
+    a chargeable session."""
     policy, sessions = POLICIES[name], instance.sessions
     state = SimState(0, initial_state(instance).remaining, {})
     calls, span, power, skip = [], None, None, False
@@ -415,25 +416,26 @@ def expected_calls(instance, name):
         positions = [k for k, s in enumerate(sessions) if s.arrival <= t < s.departure]
         if positions != span or instance.power.at(t) != power:
             span, power, skip = positions, instance.power.at(t), False
+        if name == "olp":
+            plan = state.memory.get("olp")
+            skip = plan is not None and all(
+                id(s) in plan[3] for s in full_scan_chargeable(state, instance, t)[0])
         decision = policy(state, instance, t)
         if positions and not skip:
             calls.append(t)
             active = [sessions[k] for k in positions]
-            unique = len({s.id for s in active}) == len(active)
-            at_caps = (name in CAPS_FIRST and decision.threshold == math.inf
-                       and all(s.max_rate > 0.0 for s in active))
-            ships = (name == "olp" and bool(decision.rates)
-                     and "olp_fallback" not in decision.diagnostics)
-            skip = unique and (at_caps or ships)
+            skip = (name in CAPS_FIRST and decision.threshold == math.inf
+                    and len({s.id for s in active}) == len(active)
+                    and all(s.max_rate > 0.0 for s in active))
         state = full_scan_charge(state, decision.rates, instance)[0]
     return calls
 
 
 class TestUncontendedSlots:
     """After a decision at the caps in a span with unique ids and peak rates
-    above 0, or an OLP decision that ships in a span with unique ids, the run
-    charges the rest of the span without a policy call, and the policy
-    decides every other busy slot; every run stays the full scan's."""
+    above 0 the run charges the rest of the span without a policy call, OLP
+    is not asked where its plan holds every chargeable session, and the
+    policy decides every other busy slot; every run stays the full scan's."""
 
     @pytest.mark.parametrize("sessions, power, horizon", [
         # b contends for slots 0-2; a alone fits from slot 3 on
@@ -636,17 +638,19 @@ class TestOnePassSpans:
         assert sum(b - t for t, b in seen) > 1000, len(seen)
 
 
-def plan_passes(monkeypatch):
-    """(first slot, end, charged) of each `_charge_plan` call, as runs make them."""
-    passes, charge = [], simulator._charge_plan
+def followed_slots(monkeypatch):
+    """The slots that runs charge from OLP's plan without a call, in the order
+    they charge them."""
+    slots, follow = [], simulator._followed_rates
 
-    def spying(span, remaining, limits, rows, plan, t, b, p_limit):
-        done = charge(span, remaining, limits, rows, plan, t, b, p_limit)
-        passes.append((t, b, done))
-        return done
+    def spying(span, remaining, plan, t):
+        rates = follow(span, remaining, plan, t)
+        if rates is not None:
+            slots.append(t)
+        return rates
 
-    monkeypatch.setattr(simulator, "_charge_plan", spying)
-    return passes
+    monkeypatch.setattr(simulator, "_followed_rates", spying)
+    return slots
 
 
 def olp_editing_plans(monkeypatch, edit):
@@ -663,10 +667,9 @@ def olp_editing_plans(monkeypatch, edit):
 
 
 class TestOlpPlanSpans:
-    """After an OLP decision that ships in a span with unique ids, the rest of
-    the span is charged from the plan's rows in one pass per session, with
-    `_charge`'s clamp and checks; a check that would fail leaves the span to
-    the per-slot path, which raises it at its slot."""
+    """Where OLP's plan holds every chargeable session, the run charges the
+    plan's rates without a call, through `_charge`'s clamp and checks, which
+    raise at the slot where a call's rates would."""
 
     def test_rates_are_clamped_as_charge_clamps_them(self, monkeypatch):
         # the plan gives a its cap 1.0 at slots 0 and 1 and b 1.0 at slot 2
@@ -680,9 +683,9 @@ class TestOlpPlanSpans:
             rows["b"][1] = -0.0  # charged as 0.0 is, and not written to b's row
 
         olp_editing_plans(monkeypatch, edit)
-        passes = plan_passes(monkeypatch)
+        followed = followed_slots(monkeypatch)
         assert_runs_as_full_scan(inst, "olp")
-        assert passes == [(1, 4, True)] * 2  # simulate's and run_feasibility's
+        assert followed == [1, 2, 3] * 2  # simulate's and run_feasibility's
         schedule, verdict = simulate(inst, "olp")
         assert schedule.rates == {"a": (1.0, 1.0, 0.0, 0.0), "b": (0.0, 0.0, 1.0, 0.0)}
         assert verdict.feasible and verdict.unmet_energy == {"a": 0.0, "b": 0.0}
@@ -706,11 +709,11 @@ class TestOlpPlanSpans:
         message = str(expected.value)
         assert message.startswith("total rate ") and message.endswith(
             " exceeds power limit 0.6 at slot 3")
-        passes = plan_passes(monkeypatch)
+        followed = followed_slots(monkeypatch)
         for run in (lambda: simulate(inst, "olp"), lambda: run_feasibility([inst], "olp")):
             with pytest.raises(PolicyContractError, match=f"^{re.escape(message)}$"):
                 run()
-        assert passes == [(1, 10, False)] * 2  # then slots 1, 2 and 3 are decided one by one
+        assert followed == [1, 2, 3] * 2  # slot 3's rates are the plan's, and `_charge` raises
 
     @pytest.mark.parametrize("energy", [2.0, 2.0 + 3e-13], ids=["exact", "within-finished-eps"])
     def test_a_session_that_finishes_mid_span(self, monkeypatch, energy):
@@ -725,25 +728,39 @@ class TestOlpPlanSpans:
             rows["a"][2] = 3e-13
 
         olp_editing_plans(monkeypatch, leave)
-        passes = plan_passes(monkeypatch)
+        followed = followed_slots(monkeypatch)
         assert_runs_as_full_scan(inst, "olp")
-        assert passes == [(1, 6, True)] * 2
+        assert followed == [1, 2, 3, 4, 5] * 2
         schedule, verdict = simulate(inst, "olp")
         assert schedule.rates["a"] == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         assert verdict.unmet_energy["a"] == energy - 2.0
 
-    def test_a_span_with_a_repeated_id_is_decided_slot_by_slot(self, monkeypatch):
+    def test_a_span_with_a_repeated_id_is_charged_from_the_plan(self, monkeypatch):
+        # the plan holds both sessions of "a" by object; its rates go by id,
+        # the second session's entry in the first's place, as `olp_rates` gives them
         inst = Instance((ChargingSession("a", 0, 6, 2.0, 1.0),
                          ChargingSession("a", 0, 6, 2.0, 1.0),
                          ChargingSession("b", 0, 6, 3.0, 1.0)), ConstantPower(2.0))
-        passes = plan_passes(monkeypatch)
+        followed = followed_slots(monkeypatch)
         assert_runs_as_full_scan(inst, "olp")
-        assert passes == []
-        assert policy_calls(monkeypatch, "olp", inst) == list(range(6))
+        assert followed == [1, 2, 3, 4, 5] * 2
+        assert policy_calls(monkeypatch, "olp", inst) == [0]
+
+    def test_a_departure_inside_the_plan_is_followed_across_spans(self, monkeypatch):
+        # a departs at 2, which opens the span [2, 5) with b alone; nothing
+        # arrives, so the plan made at slot 0 holds b there and OLP is not asked
+        inst = Instance((ChargingSession("a", 0, 2, 1.5, 1.0),
+                         ChargingSession("b", 0, 5, 2.0, 1.0)), ConstantPower(1.0))
+        assert [a for a, _, _ in inst.busy_spans()] == [0, 2]
+        followed = followed_slots(monkeypatch)
+        assert_runs_as_full_scan(inst, "olp")
+        assert followed == [1, 2, 3, 4] * 2
+        assert expected_calls(inst, "olp") == [0]
+        assert policy_calls(monkeypatch, "olp", inst) == [0]
 
     def test_unvalidated_instances_run_as_the_full_scan(self, monkeypatch):
         rng = random.Random(23)
-        passes = plan_passes(monkeypatch)
+        followed = followed_slots(monkeypatch)
         for _ in range(300):
             assert_runs_as_full_scan(random_edge_instance(rng), "olp")
-        assert sum(b - t for t, b, done in passes if done) > 100, passes
+        assert len(followed) > 100, followed
