@@ -54,11 +54,11 @@ def _build_network(instance: Instance, power_override: float | None = None):
     return g, session_arcs, sink_arcs
 
 
-def ships_demand(g: FlowGraph, sources, demands) -> bool:
+def ships_demand(residuals, demands) -> bool:
     """Whether each source arc's residual, what its session has not shipped,
     is at most DEMAND_TOL of its demand: the rule a run is judged by."""
-    for a, d in zip(sources, demands):
-        if not g.cap[a] <= DEMAND_TOL * d:  # NaN fails too
+    for r, d in zip(residuals, demands):
+        if not r <= DEMAND_TOL * d:  # NaN fails too
             return False
     return True
 
@@ -69,7 +69,7 @@ def _solve(instance: Instance, power_override: float | None, demands=None):
     g, session_arcs, _ = _build_network(instance, power_override)
     g.max_flow(SOURCE, SINK)
     demands = demands or [s.energy for s in instance.sessions]
-    return ships_demand(g, range(0, 2 * len(demands), 2), demands), g, session_arcs
+    return ships_demand(g.cap[0:2 * len(demands):2], demands), g, session_arcs
 
 
 def is_offline_feasible(instance: Instance, power_override: float | None = None,
@@ -117,10 +117,10 @@ def min_power_capacity(instance: Instance) -> float:
         if s.energy > s.max_rate * s.sojourn:
             raise ContractError(f"session {s.id} individually unsatisfiable")
     energies = [s.energy for s in instance.sessions]
-    sources, demand, p = range(0, 2 * len(energies), 2), sum(energies), 0.0
+    n, demand, p = len(energies), sum(energies), 0.0
     g, _, sink_arcs = _build_network(instance, p)
     short = demand - g.max_flow(SOURCE, SINK)
-    while not ships_demand(g, sources, energies):
+    while not ships_demand(g.cap[0:2 * n:2], energies):
         level = g.source_levels
         # the paired arc leads back to the interval node
         k = sum(b - a for a, b, idx in sink_arcs if level[g.to[idx ^ 1]] >= 0)

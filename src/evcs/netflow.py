@@ -13,14 +13,8 @@ nodes below it can lie on a shortest path to the sink, then finds augmenting
 paths by an iterative depth-first walk over current arcs with an explicit arc
 stack, so path length is not bounded by the recursion limit.
 
-`earliest_exit_flow` is a minimum-cost flow for networks whose only priced
-arcs enter the sink, as OLP's slot network is: successive shortest paths
-from the flow the graph holds.  Each path is the one a breadth-first search
-from the source would find, but the search runs only when that path has more
-than two free arcs: the nodes one arc from the source labels, kept per solve,
-and one scan of the exit's in-arcs give a path of one or two free arcs, and
-show when no residual arc but the sink's enters the exit's node, so that
-nothing can reach it and it is passed over.
+`SlotRows` is OLP's minimum-cost flow by successive shortest paths, on a
+row of floats per session over its window instead of a graph.
 """
 from __future__ import annotations
 
@@ -112,114 +106,6 @@ class FlowGraph:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    def earliest_exit_flow(self, s: int, exits: list[int]) -> tuple[float, int]:
-        """Minimum-cost flow from `s` when only the arcs `exits` carry a cost.
-
-        The exits leave distinct nodes other than `s` for one sink and cost
-        more the later they are listed; every other arc is free.  Successive
-        shortest paths (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment
-        along a path that leaves through the earliest exit with capacity
-        left that the residual graph reaches from `s`: the path of a
-        breadth-first search from `s` that never enters the sink and stops
-        once it labels the node x of that exit.  Augmenting adds only arcs
-        into nodes of the path, so no node becomes reachable that was not:
-        the exit used never moves earlier.  An arc is exhausted by the same
-        per-arc tolerance as in `max_flow`.  The flow the graph holds at the
-        start must be of minimum cost for what each node ships; no flow is.
-
-        The search runs only for paths of more than two free arcs.  Its
-        first level is kept per solve: adjacency lists are in arc-index
-        order, so it labels, in `adj[s]` order, each node a free arc from
-        `s` enters, by the first such arc, and a node's entry arc is fixed
-        once labelled.  If x is one of them, that arc is the path; else, if
-        some of them have a free arc into x, the search labels x from the
-        first of them, w, by w's first such arc: the path s -> w -> x.  A
-        push changes only its first arc among the arcs out of `s`, so the
-        level is found again only after a push exhausts that arc.  The same
-        scan of x's in-arcs tells whether any residual arc enters x other
-        than from the sink; if none does, x is not reached and, by the rule
-        above, never will be, so its exit is passed over without a search,
-        and a solve whose exits left are all such runs no last, empty one.
-        Returns the flow added and the augmentations tried: one per push,
-        and one for a last search that finds no path.
-        """
-        if not exits:
-            return 0.0, 0
-        adj, to, cap, tol, n = self.adj, self.to, self.cap, self.tol, self.n
-        rank = [-1] * n
-        for r, a in enumerate(exits):
-            rank[to[a ^ 1]] = r
-        blank = [-1] * n  # per node, the arc the search entered it by
-        sink = to[exits[0]]
-        blank[sink] = -2  # the sink is never entered
-        # the nodes the search labels from s: each one's place in that order
-        # (n if not labelled, n + 1 for s and the sink) and its entry arc
-        place, first, near, stale = [n] * n, blank[:], [], True
-        place[s] = place[sink] = n + 1
-        total, searches, lo, none = 0.0, 0, 0, len(exits)
-        while lo < none:
-            e = exits[lo]
-            if not cap[e] > tol[e]:  # a NaN left too
-                lo += 1
-                continue
-            if stale:  # only a push that exhausts its arc out of s changes them
-                for v in near:
-                    place[v] = n
-                near = []
-                for a in adj[s]:
-                    v = to[a]
-                    if place[v] == n and cap[a] > tol[a]:
-                        place[v], first[v] = len(near), a
-                        near.append(v)
-                stale = False
-            x = to[e ^ 1]
-            if place[x] < n:
-                path = [e, first[x]]
-            else:  # s -> w -> x, w the first labelled node with an arc b ^ 1 into x
-                k = n + 1  # stays so if no residual arc enters x but from the sink
-                for b in adj[x]:
-                    if place[to[b]] < k and cap[b ^ 1] > tol[b]:
-                        k, via = place[to[b]], b
-                if k < n:
-                    path = [e, via ^ 1, first[to[via]]]
-                elif k > n:  # unreached, and by the rule above never reached
-                    lo += 1
-                    continue
-                else:
-                    entry = blank[:]
-                    entry[s] = -2
-                    queue, best = [s], none
-                    for u in queue:
-                        r = rank[u]
-                        if lo < r < best and cap[exits[r]] > tol[exits[r]]:
-                            best = r
-                        for a in adj[u]:
-                            v = to[a]
-                            if entry[v] == -1 and cap[a] > tol[a]:
-                                entry[v] = a
-                                queue.append(v)
-                        if entry[x] >= 0:
-                            best = lo
-                            break
-                    lo = best
-                    if lo == none:
-                        searches += 1
-                        break
-                    e = exits[lo]
-                    path, v = [e], to[e ^ 1]
-                    while v != s:
-                        a = entry[v]
-                        path.append(a)
-                        v = to[a ^ 1]
-            searches += 1
-            pushed = min([cap[a] for a in path])
-            for a in path:
-                cap[a] -= pushed
-                cap[a ^ 1] += pushed
-            total += pushed
-            stale = not cap[path[-1]] > tol[path[-1]]
-        return total, searches
-
     def source_side(self, s: int) -> list[bool]:
         """Residual reachability from `s`: after `max_flow`, what `source_levels` already holds."""
         return [lv >= 0 for lv in self._levels(s)]
@@ -246,3 +132,128 @@ class FlowGraph:
                         return level
                     queue.append(v)
         return level
+
+
+class SlotRows:
+    """OLP's network held as its sessions' rows, and its minimum-cost flow.
+
+    A source feeds session k up to `supplies[k]`, and session k each slot of
+    its window 0 .. `lengths[k]` - 1 up to `caps[k]`; slot i, to the end of
+    the longest window, ships up to `powers[i]` at cost i a unit.  Session
+    k's arcs are its rows `residuals[k]` and `flows[k]`, the paired arcs'
+    residuals, under one tolerance; a row of `warm` is its flow already sent
+    (None: none), kept and augmented.  The source and exit arcs keep their
+    residuals, `supply_left` and `power_left`: the floats and tolerances a
+    `FlowGraph` of the network would hold.
+    """
+
+    def __init__(self, supplies, caps, lengths, powers, warm):
+        self.flows, self.residuals = flows, residuals = [], []
+        self.supply_left, loads = list(supplies), [0.0] * len(powers)
+        for k, (cap, length, row) in enumerate(zip(caps, lengths, warm)):
+            if row is None:
+                flows.append([0.0] * length)
+                residuals.append([cap] * length)
+            else:
+                flows.append(row)
+                residuals.append([cap - f for f in row])
+                self.supply_left[k] -= sum(row)
+                loads[:len(row)] = [load + f for load, f in zip(loads, row)]
+        self.tols = [ARC_TOL * c if c > 0.0 else 0.0 for c in caps]
+        self.supply_tols = [ARC_TOL * c if c > 0.0 else 0.0 for c in supplies]
+        self.power_left = [p - load for p, load in zip(powers, loads)]
+        self.power_tols = [ARC_TOL * p if p > 0.0 else 0.0 for p in powers]
+        self.cover, members = [], list(range(len(lengths)))  # per slot, its sessions in order
+        for stop in sorted(set(lengths)):
+            self.cover += [members] * (stop - len(self.cover))
+            members = [k for k in members if lengths[k] > stop]
+
+    def solve(self) -> int:
+        """Successive shortest paths (Ahuja, Magnanti & Orlin 1993, ch. 9)
+        from a flow of minimum cost for what each session ships: each path
+        leaves by the earliest slot with power left that a breadth-first
+        search from the source reaches; augmenting adds only arcs into the
+        path's nodes, so that slot never moves earlier.  A path source ->
+        session -> slot, by the first session with supply left and a free
+        arc into the slot, is taken without a search, and a slot that no
+        arc enters is passed over.  Returns the pushes, plus one for a last
+        search that finds no path."""
+        flows, residuals, tols, cover = self.flows, self.residuals, self.tols, self.cover
+        supply, supply_tols = self.supply_left, self.supply_tols
+        power, power_tols = self.power_left, self.power_tols
+        n, steps, lo, stale = len(power), 0, 0, True
+        while lo < n:
+            if not power[lo] > power_tols[lo]:  # a NaN left too
+                lo += 1
+                continue
+            if stale:  # only a push that exhausts its session's supply changes them
+                sourced, stale = [c > tol for c, tol in zip(supply, supply_tols)], False
+            w, entered = -1, False
+            for k in cover[lo]:
+                if residuals[k][lo] > tols[k]:
+                    if sourced[k]:
+                        w = k
+                        break
+                    entered = True
+            if w >= 0:
+                pushed = min(power[lo], residuals[w][lo], supply[w])
+                residuals[w][lo] -= pushed
+                flows[w][lo] += pushed
+            elif not entered:
+                lo += 1
+                continue
+            else:
+                lo, path, w = self._search(lo, sourced)
+                if path is None:
+                    return steps + 1
+                pushed = min([power[lo]] + [row[i] for row, _, i in path] + [supply[w]])
+                for row, paired, i in path:
+                    row[i] -= pushed
+                    paired[i] += pushed
+            steps += 1
+            power[lo] -= pushed
+            supply[w] -= pushed
+            stale = not supply[w] > supply_tols[w]
+        return steps
+
+    def _search(self, x: int, sourced):
+        """(slot x, or the earliest later slot with power left that the search
+        reaches, or the slot count; the path's arcs from that slot back as
+        (row, paired row, slot), or None; the path's first session).  It visits
+        the source's and each slot's sessions in session order and a session's
+        slots in slot order, as `FlowGraph`'s adjacency lists do, and stops at x."""
+        flows, residuals, tols, cover = self.flows, self.residuals, self.tols, self.cover
+        power, power_tols = self.power_left, self.power_tols
+        n = best = len(power)
+        entry = [-2 if yes else -1 for yes in sourced]  # the slot before it; -2: the source
+        via = [-1] * n  # per slot, the session before
+        layer = [k for k, yes in enumerate(sourced) if yes]
+        while layer:
+            slots = []
+            for k in layer:
+                tol = tols[k]
+                for i, c in enumerate(residuals[k]):
+                    if c > tol and via[i] < 0:
+                        via[i] = k
+                        slots.append(i)
+                if via[x] >= 0:
+                    best, slots = x, []
+                    break
+            layer = []
+            for i in slots:
+                if x < i < best and power[i] > power_tols[i]:
+                    best = i
+                for k in cover[i]:
+                    if entry[k] == -1 and flows[k][i] > tols[k]:
+                        entry[k] = i
+                        layer.append(k)
+        if best == n:
+            return n, None, -1
+        path, i = [], best
+        while True:
+            w = via[i]
+            path.append((residuals[w], flows[w], i))
+            i = entry[w]
+            if i < 0:
+                return best, path, w
+            path.append((flows[w], residuals[w], i))

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import RATE_TOL, SimState
-from .feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
+from .feasibility import is_offline_feasible, ships_demand
 from .model import ChargingSession, ContractError, Instance
-from .netflow import FlowGraph
+from .netflow import SlotRows
 
 #: remaining energy below this fraction of the original demand counts as done
 FINISHED_EPS = 1e-12
@@ -40,11 +40,10 @@ class RateDecision:
     The `diagnostics` keys, all optional, are:
 
     - `solver_steps` (sllf, es, rep): breakpoints the water-level search visited;
-      (olp) the augmentations `FlowGraph.earliest_exit_flow` tried in a solve
-      that ships: one per augmenting path, whether a search found it or the
-      path of at most two free arcs was taken without one, and one for a
-      last search that finds no path; a fallback carries the sLLF
-      decision's;
+      (olp) the augmentations `netflow.SlotRows.solve` tried in a solve that
+      ships: one per augmenting path, whether a search found it or the path
+      source -> session -> slot was taken without one, and one for a last
+      search that finds no path; a fallback carries the sLLF decision's;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
       follows; a decision without it was solved at its own slot.  A run
       charges such slots without asking OLP (see `simulator._run`);
@@ -309,12 +308,13 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     The residual transportation network (current EVs, remaining demands,
     remaining horizon) has per-unit cost equal to the slot index on the
     slot -> sink arcs, so every augmenting path's cost is the index of the
-    slot it exits through, and `FlowGraph.earliest_exit_flow` solves it by
-    successive shortest paths: each path leaves through the earliest slot
-    with power left that the residual graph reaches.  A min-cost flow ships
-    through slots t..tau together the most they can ship, for every tau, so
-    its slot totals are unique; only the split between sessions depends on
-    the order of the searches.  The slot window ends at the last departure:
+    slot it exits through, and `netflow.SlotRows` solves it by successive
+    shortest paths on each session's rows over its window, with no graph
+    built: each path leaves through the earliest slot with power left that
+    the residual network reaches.  A min-cost flow ships through slots
+    t..tau together the most they can ship, for every tau, so its slot
+    totals are unique; only the split between sessions depends on the order
+    of the searches.  The slot window ends at the last departure:
     a later slot has no arc in, so its flow could only be zero.
 
     If the flow leaves some session more than `DEMAND_TOL` of its energy
@@ -324,7 +324,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     its slot.  A session's arcs are capped at its remaining energy.
 
     In a run (`state.memory` set, as the simulator sets it) a solve keeps its
-    flow as a plan, each session's rates over the window, and later slots
+    flow rows as a plan, each session's rates over the window, and later slots
     follow it until a chargeable session is one the plan does not hold
     (sessions are held by object, so a repeated id solves again), the window
     ends, or the solve fell back; a run charges the followed slots without a
@@ -351,12 +351,12 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         return RateDecision({})
     memory = state.memory
     plan = memory.get("olp") if memory is not None else None
-    start, planned = t, {}
+    start, warm = t, [None] * len(evs)
     if plan is not None and plan[0] is instance and plan[1] <= t:
         _, start, end, planned = plan
-        rows = [planned.get(id(s)) for s in evs]
-        if t < end and None not in rows:
-            return RateDecision({s.id: row[t - start] for s, row in zip(evs, rows)},
+        warm = [planned.get(id(s)) for s in evs]
+        if t < end and None not in warm:
+            return RateDecision({s.id: row[t - start] for s, row in zip(evs, warm)},
                                 diagnostics={"olp_plan_slot": start})
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
@@ -369,27 +369,16 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
             return _olp_fallback(state, instance, t, failed[1], "skipped")
         if not is_offline_feasible(residual_instance(state, instance, t), demands=energies):
             return _olp_fallback(state, instance, t, held, "checked")
-    first_slot = 2 + len(evs)
-    g = FlowGraph(first_slot + (end - t))
-    loads, arcs, sources = [0.0] * (end - t), [], []
-    for k, (s, stop, cap) in enumerate(zip(evs, stops, caps)):
-        row = planned.get(id(s))
-        row = row[t - start:] if row is not None else [0.0] * (stop - t)
-        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sum(row)))
-        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
-        for i, f in enumerate(row):
-            loads[i] += f
-    exits = [g.add_edge(first_slot + i, SINK, p, load)
-             for i, (p, load) in enumerate(zip(powers, loads))]
-    searches = g.earliest_exit_flow(SOURCE, exits)[1]
-    if not ships_demand(g, sources, energies):
+    net = SlotRows([state.remaining[s.id] for s in evs], caps, [stop - t for stop in stops],
+                   powers, [row if row is None else row[t - start:] for row in warm])
+    steps = net.solve()
+    if not ships_demand(net.supply_left, energies):
         return _olp_fallback(state, instance, t, held)
-    rows = [[g.flow_on(idx) for idx in column] for column in arcs]
     if memory is not None:  # keyed by identity; the instance keeps those objects alive
-        memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, rows)})
+        memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, net.flows)})
         memory.pop("olp_infeasible", None)
-    return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, rows)},
-                        diagnostics={"solver_steps": searches})
+    return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, net.flows)},
+                        diagnostics={"solver_steps": steps})
 
 
 POLICIES = {

@@ -145,7 +145,7 @@ def min_power_capacity(instance: Instance) -> float:
     sources, demand, p = range(0, 2 * len(energies), 2), sum(energies), 0.0
     g, _, sink_arcs = _build_network(instance, p)
     short = demand - g.max_flow(SOURCE, SINK)
-    while not ships_demand(g, sources, energies):
+    while not ships_demand([g.cap[a] for a in sources], energies):
         reach = g.source_side(SOURCE)
         # the paired arc leads back to the interval node
         k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])

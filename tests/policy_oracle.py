@@ -15,8 +15,11 @@ once it labelled the exit it looks for, the second as a function over a
 but `solver_steps`, which may be one fewer: a solve no longer runs its last,
 empty search.  `searching_earliest_exit_flow` is the solver with those two
 skips, as it stood before paths of at most two free arcs were taken without
-a search: the solver must leave the same residuals and return the same flow
-and the same count.
+a search, and `two_arc_earliest_exit_flow` the solver with those paths, as
+it stood as a `FlowGraph` method before OLP solved on its sessions' rows:
+each must leave the same residuals and return the same flow and the same
+count as the one after it, and `netflow.SlotRows` the same floats and count
+as the last on OLP's network.
 """
 from __future__ import annotations
 
@@ -297,6 +300,116 @@ def searching_earliest_exit_flow(graph: FlowGraph, s: int, exits: list[int]) -> 
     return total, searches
 
 
+def two_arc_earliest_exit_flow(graph: FlowGraph, s: int,
+                               exits: list[int]) -> tuple[float, int]:
+    """Minimum-cost flow from `s` when only the arcs `exits` carry a cost.
+
+    The exits leave distinct nodes other than `s` for one sink and cost
+    more the later they are listed; every other arc is free.  Successive
+    shortest paths (Ahuja, Magnanti & Orlin 1993, ch. 9) then augment
+    along a path that leaves through the earliest exit with capacity
+    left that the residual graph reaches from `s`: the path of a
+    breadth-first search from `s` that never enters the sink and stops
+    once it labels the node x of that exit.  Augmenting adds only arcs
+    into nodes of the path, so no node becomes reachable that was not:
+    the exit used never moves earlier.  An arc is exhausted by the same
+    per-arc tolerance as in `FlowGraph.max_flow`.  The flow the graph holds
+    at the start must be of minimum cost for what each node ships; no flow is.
+
+    The search runs only for paths of more than two free arcs.  Its
+    first level is kept per solve: adjacency lists are in arc-index
+    order, so it labels, in `adj[s]` order, each node a free arc from
+    `s` enters, by the first such arc, and a node's entry arc is fixed
+    once labelled.  If x is one of them, that arc is the path; else, if
+    some of them have a free arc into x, the search labels x from the
+    first of them, w, by w's first such arc: the path s -> w -> x.  A
+    push changes only its first arc among the arcs out of `s`, so the
+    level is found again only after a push exhausts that arc.  The same
+    scan of x's in-arcs tells whether any residual arc enters x other
+    than from the sink; if none does, x is not reached and, by the rule
+    above, never will be, so its exit is passed over without a search,
+    and a solve whose exits left are all such runs no last, empty one.
+    Returns the flow added and the augmentations tried: one per push,
+    and one for a last search that finds no path.
+    """
+    if not exits:
+        return 0.0, 0
+    adj, to, cap, tol, n = graph.adj, graph.to, graph.cap, graph.tol, graph.n
+    rank = [-1] * n
+    for r, a in enumerate(exits):
+        rank[to[a ^ 1]] = r
+    blank = [-1] * n  # per node, the arc the search entered it by
+    sink = to[exits[0]]
+    blank[sink] = -2  # the sink is never entered
+    # the nodes the search labels from s: each one's place in that order
+    # (n if not labelled, n + 1 for s and the sink) and its entry arc
+    place, first, near, stale = [n] * n, blank[:], [], True
+    place[s] = place[sink] = n + 1
+    total, searches, lo, none = 0.0, 0, 0, len(exits)
+    while lo < none:
+        e = exits[lo]
+        if not cap[e] > tol[e]:  # a NaN left too
+            lo += 1
+            continue
+        if stale:  # only a push that exhausts its arc out of s changes them
+            for v in near:
+                place[v] = n
+            near = []
+            for a in adj[s]:
+                v = to[a]
+                if place[v] == n and cap[a] > tol[a]:
+                    place[v], first[v] = len(near), a
+                    near.append(v)
+            stale = False
+        x = to[e ^ 1]
+        if place[x] < n:
+            path = [e, first[x]]
+        else:  # s -> w -> x, w the first labelled node with an arc b ^ 1 into x
+            k = n + 1  # stays so if no residual arc enters x but from the sink
+            for b in adj[x]:
+                if place[to[b]] < k and cap[b ^ 1] > tol[b]:
+                    k, via = place[to[b]], b
+            if k < n:
+                path = [e, via ^ 1, first[to[via]]]
+            elif k > n:  # unreached, and by the rule above never reached
+                lo += 1
+                continue
+            else:
+                entry = blank[:]
+                entry[s] = -2
+                queue, best = [s], none
+                for u in queue:
+                    r = rank[u]
+                    if lo < r < best and cap[exits[r]] > tol[exits[r]]:
+                        best = r
+                    for a in adj[u]:
+                        v = to[a]
+                        if entry[v] == -1 and cap[a] > tol[a]:
+                            entry[v] = a
+                            queue.append(v)
+                    if entry[x] >= 0:
+                        best = lo
+                        break
+                lo = best
+                if lo == none:
+                    searches += 1
+                    break
+                e = exits[lo]
+                path, v = [e], to[e ^ 1]
+                while v != s:
+                    a = entry[v]
+                    path.append(a)
+                    v = to[a ^ 1]
+        searches += 1
+        pushed = min([cap[a] for a in path])
+        for a in path:
+            cap[a] -= pushed
+            cap[a ^ 1] += pushed
+        total += pushed
+        stale = not cap[path[-1]] > tol[path[-1]]
+    return total, searches
+
+
 def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Front-load the residual problem: earliest-slot-first minimum-cost flow,
     following a solve's plan at later slots while it holds every chargeable
@@ -337,7 +450,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     exits = [g.add_edge(first_slot + i, SINK, p, load)
              for i, (p, load) in enumerate(zip(powers, loads))]
     searches = earliest_exit_flow(g, SOURCE, exits)[1]
-    if not ships_demand(g, sources, energies):
+    if not ships_demand([g.cap[a] for a in sources], energies):
         return _olp_fallback(state, instance, t, held)
     rows = [[g.flow_on(idx) for idx in column] for column in arcs]
     if memory is not None:  # keyed by identity; the instance keeps those objects alive

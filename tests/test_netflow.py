@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from evcs.netflow import FlowGraph
+from evcs.netflow import FlowGraph, SlotRows
 
 from flow_oracle import RecursiveFlowGraph
 from policy_oracle import earliest_exit_flow as frozen_earliest_exit_flow
-from policy_oracle import searching_earliest_exit_flow
+from policy_oracle import searching_earliest_exit_flow, two_arc_earliest_exit_flow
 
 
 class TestMaxFlow:
@@ -185,7 +185,7 @@ class TestEarliestExitFlow:
             for a, p in zip(ref_exits, powers):
                 ref.raise_capacity(a, p)
                 value += ref.max_flow(0, 1)
-            shipped, steps = g.earliest_exit_flow(0, exits)
+            shipped, steps = two_arc_earliest_exit_flow(g, 0, exits)
             searches += steps
             assert shipped == pytest.approx(value, rel=1e-12, abs=1e-12)
             for a, b in zip(exits, ref_exits):
@@ -201,11 +201,11 @@ class TestEarliestExitFlow:
             supplies = [warm._initial[a] for a in sources]
             for a, c in zip(sources, supplies):
                 warm.cap[a] = warm._initial[a] = c * rng.choice([0.0, rng.random(), 1.0])
-            first, _ = warm.earliest_exit_flow(0, exits)
+            first, _ = two_arc_earliest_exit_flow(warm, 0, exits)
             for a, c in zip(sources, supplies):
                 warm.raise_capacity(a, c)
-            more, _ = warm.earliest_exit_flow(0, exits)
-            shipped, _ = cold.earliest_exit_flow(0, exits)
+            more, _ = two_arc_earliest_exit_flow(warm, 0, exits)
+            shipped, _ = two_arc_earliest_exit_flow(cold, 0, exits)
             assert first + more == pytest.approx(shipped, rel=1e-12, abs=1e-12)
             for a in exits:
                 assert warm.flow_on(a) == pytest.approx(cold.flow_on(a), rel=1e-12, abs=1e-12)
@@ -219,7 +219,7 @@ class TestEarliestExitFlow:
         g.add_edge(2, 3, 1.0)
         g.add_edge(2, 4, 1.0)
         exits = [g.add_edge(3, 1, 1.0), g.add_edge(4, 1, 10.0)]
-        assert g.earliest_exit_flow(0, exits) == (5e-12, 2)
+        assert two_arc_earliest_exit_flow(g, 0, exits) == (5e-12, 2)
         assert [g.flow_on(a) for a in exits] == [5e-12, 0.0]
 
     def test_a_sliver_left_on_an_exit_is_still_used(self):
@@ -231,18 +231,18 @@ class TestEarliestExitFlow:
         g.add_edge(3, 4, 1.0)
         g.add_edge(3, 5, 1.0)
         exits = [g.add_edge(4, 1, 1.0), g.add_edge(5, 1, 1.0)]
-        shipped, _ = g.earliest_exit_flow(0, exits)
+        shipped, _ = two_arc_earliest_exit_flow(g, 0, exits)
         assert shipped == 2.0 - 2.0 ** -22
         assert [g.flow_on(a) for a in exits] == [1.0, 1.0 - 2.0 ** -22]
 
     def test_no_exits(self):
         g = FlowGraph(3)
         g.add_edge(0, 2, 1.0)
-        assert g.earliest_exit_flow(0, []) == (0.0, 0)
+        assert two_arc_earliest_exit_flow(g, 0, []) == (0.0, 0)
 
 
 def _random_exit_graph(seed):
-    """A random graph for `earliest_exit_flow` unlike OLP's slot network:
+    """A random graph for `two_arc_earliest_exit_flow` unlike OLP's slot network:
     source 0, sink 1, free arcs between any other pair of nodes, a fifth of
     them of capacity 0 and some carrying flow (a warm start), now and then an
     arc out of the sink, and exits to the sink from some nodes but the source
@@ -279,7 +279,7 @@ class TestAgainstFrozenEarliestExitFlow:
             ref, _ = _random_exit_graph(seed)
             rng = random.Random(-seed)
             for _ in range(3):
-                shipped, steps = g.earliest_exit_flow(0, exits)
+                shipped, steps = two_arc_earliest_exit_flow(g, 0, exits)
                 ref_shipped, ref_steps = frozen_earliest_exit_flow(ref, 0, exits)
                 assert shipped.hex() == ref_shipped.hex(), seed
                 assert steps in (ref_steps, ref_steps - 1), (seed, steps, ref_steps)
@@ -344,14 +344,15 @@ class TestOlpShapedAgainstTheSearchingSolver:
             arrived = [rng.random() < 0.6 for _ in shape[0]]
             g, exits, _ = _olp_network(shape, arrived)
             ref, _, _ = _olp_network(shape, arrived)
-            assert g.earliest_exit_flow(0, exits) == searching_earliest_exit_flow(ref, 0, exits)
+            want = searching_earliest_exit_flow(ref, 0, exits)
+            assert two_arc_earliest_exit_flow(g, 0, exits) == want
             assert list(map(float.hex, g.cap)) == list(map(float.hex, ref.cap)), seed
             flows = [g.flow_on(a) for a in range(0, len(g.to), 2)]
             g, exits, slot_arcs = _olp_network(shape, [True] * len(arrived), flows)
             ref, _, _ = _olp_network(shape, [True] * len(arrived), flows)
             for _ in range(3):
                 before = [g.flow_on(a) for a in slot_arcs]
-                got = g.earliest_exit_flow(0, exits)
+                got = two_arc_earliest_exit_flow(g, 0, exits)
                 want = searching_earliest_exit_flow(ref, 0, exits)
                 assert got[0].hex() == want[0].hex() and got[1] == want[1], (seed, got, want)
                 assert list(map(float.hex, g.cap)) == list(map(float.hex, ref.cap)), seed
@@ -364,3 +365,122 @@ class TestOlpShapedAgainstTheSearchingSolver:
                     g.raise_capacity(idx, cap)
                     ref.raise_capacity(idx, cap)
         assert rerouted > 200 and direct_only > 200, (rerouted, direct_only)
+
+
+def _rows_state(rng):
+    """Supplies, rate caps, stops and slot powers of an OLP-shaped solve: 1-40
+    sessions whose windows start at slot 0 and end at their stops, some caps
+    and supplies 0 or NaN, and powers up to the last stop, some 0 or NaN."""
+    stops = [rng.randint(1, rng.randint(1, 24)) for _ in range(rng.randint(1, 40))]
+    caps = [_odd(rng, rng.uniform(0.1, 3.0)) for _ in stops]
+    supplies = [_odd(rng, rng.uniform(0.1, 3.0) * stop * rng.uniform(0.1, 1.2)) for stop in stops]
+    load = sum(rng.uniform(0.1, 3.0) for _ in stops) / 2
+    powers = [0.0 if u < 0.15 else math.nan if u < 0.17 else rng.uniform(0.0, 1.2) * load
+              for u in (rng.random() for _ in range(max(stops)))]
+    return supplies, caps, stops, powers
+
+
+def _odd(rng, x):
+    """x, or now and then 0.0 or NaN."""
+    u = rng.random()
+    return 0.0 if u < 0.05 else math.nan if u < 0.08 else x
+
+
+def _next_solve(rng, state, flows):
+    """The state of a solve d slots after the one of `state` that left
+    `flows`, as OLP's next solve starts: the sessions whose stop is past d
+    hold their rows from d on as flow, with what they did not ship before d
+    and sometimes more as supply, and up to five new sessions without flow
+    come in between them.  Returns (state, warm rows), or None if no session
+    is held."""
+    supplies, caps, stops, powers = state
+    d = rng.randrange(max(stops))
+    held = [k for k, stop in enumerate(stops) if stop > d]
+    if not held:
+        return None
+    sessions = [(supplies[k] - sum(flows[k][:d]) + rng.choice([0.0, 0.0, 1.0]), caps[k],
+                 stops[k] - d, flows[k][d:]) for k in held]
+    for _ in range(rng.randint(0, 5)):
+        stop = rng.randint(1, max(stops) - d)
+        sessions.insert(rng.randint(0, len(sessions)), (
+            _odd(rng, rng.uniform(0.1, 3.0) * stop), _odd(rng, rng.uniform(0.1, 3.0)), stop, None))
+    supplies, caps, stops, warm = map(list, zip(*sessions))
+    return (supplies, caps, stops, powers[d:d + max(stops)]), warm
+
+
+def _graph_of_rows(supplies, caps, stops, powers, warm):
+    """The same network as a `FlowGraph`, built as OLP built it, each arc
+    with the flow of its session's `warm` row (None: no flow); returns
+    (graph, source arcs, each session's slot arcs, exits)."""
+    first_slot = 2 + len(supplies)
+    g = FlowGraph(first_slot + len(powers))
+    loads, sources, arcs = [0.0] * len(powers), [], []
+    for k, (supply, cap, stop, row) in enumerate(zip(supplies, caps, stops, warm)):
+        row = [0.0] * stop if row is None else row
+        sources.append(g.add_edge(0, 2 + k, supply, sum(row)))
+        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
+        for i, f in enumerate(row):
+            loads[i] += f
+    exits = [g.add_edge(first_slot + i, 1, p, load)
+             for i, (p, load) in enumerate(zip(powers, loads))]
+    return g, sources, arcs, exits
+
+
+def _hex_rows(rows):
+    return [list(map(float.hex, row)) for row in rows]
+
+
+class TestRowSolve:
+    def solve_both(self, supplies, caps, stops, powers, warm):
+        """Solve the rows and the graph; assert the same floats and count, bit for bit."""
+        # the rows augment their warm rows in place; the graph takes them as they were
+        net = SlotRows(supplies, caps, stops, powers,
+                       [None if row is None else row[:] for row in warm])
+        g, sources, arcs, exits = _graph_of_rows(supplies, caps, stops, powers, warm)
+        steps = net.solve()
+        assert steps == two_arc_earliest_exit_flow(g, 0, exits)[1]
+        assert _hex_rows(net.flows) == _hex_rows([[g.flow_on(a) for a in r] for r in arcs])
+        assert _hex_rows(net.residuals) == _hex_rows([[g.cap[a] for a in r] for r in arcs])
+        assert _hex_rows([net.supply_left, net.power_left]) == _hex_rows(
+            [[g.cap[a] for a in sources], [g.cap[a] for a in exits]])
+        return net, steps
+
+    def test_same_floats_and_count_as_the_graph_solver(self, monkeypatch):
+        # 300 cold solves, each followed by up to two warm starts
+        searches, search = [], SlotRows._search
+
+        def recorded(net, x, sourced):
+            searches.append(search(net, x, sourced))
+            return searches[-1]
+        monkeypatch.setattr(SlotRows, "_search", recorded)
+        states = pushes = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            state, warm = _rows_state(rng), None
+            for _ in range(3):
+                net, steps = self.solve_both(*state, warm or [None] * len(state[0]))
+                states += 1
+                pushes += steps
+                following = _next_solve(rng, state, net.flows)
+                if following is None:
+                    break
+                state, warm = following
+        searched = sum(path is not None for _, path, _ in searches)
+        pushes -= len(searches) - searched  # a last search that finds no path pushes nothing
+        assert states > 600 and searched > 500 and pushes - searched > 500, (
+            states, searched, pushes)
+
+    def test_an_exit_s_epsilon_ignores_the_exits_after_it(self):
+        # as the graph test of that name: one session of 5e-12 over two slots
+        net, steps = self.solve_both([5e-12], [1.0], [2], [1.0, 10.0], [None])
+        assert steps == 2 and net.flows == [[5e-12, 0.0]]
+
+    def test_a_sliver_left_on_an_exit_is_still_used(self):
+        # as the graph test of that name: "a" (slot 0 only) leaves 2**-22 of
+        # slot 0, which "b" fills before using slot 1
+        net, _ = self.solve_both([1.0 - 2.0 ** -22, 1.0], [1.0, 1.0], [1, 2], [1.0, 1.0],
+                                 [None, None])
+        assert [1.0 - x for x in net.power_left] == [1.0, 1.0 - 2.0 ** -22]
+
+    def test_no_slots(self):
+        assert SlotRows([1.0], [1.0], [0], [], [None]).solve() == 0

@@ -816,6 +816,25 @@ class TestOlpPlan:
         # intervals [2, 4) and [4, 5), cut where the power changes
         assert calls == [2 + 1 + 2]
 
+    def test_only_a_checked_residual_builds_a_graph(self, monkeypatch):
+        # a solve works on its sessions' rows; the one FlowGraph of a run is
+        # that of `is_offline_feasible` on a failed residual
+        built, init = [], FlowGraph.__init__
+        monkeypatch.setattr(FlowGraph, "__init__", lambda g, n: built.append(n) or init(g, n))
+        ships = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),
+                          ChargingSession("b", 1, 4, 2.0, 1.0)), ConstantPower(1.0))
+        _, diagnostics = olp_run(monkeypatch, ships)
+        assert [set(d) for d in diagnostics.values()] == [
+            {"solver_steps"}, {"solver_steps"}, {"olp_plan_slot"}, set()]
+        assert built == []
+        checked = Instance((ChargingSession("a", 0, 2, 2.0, 1.0),
+                            ChargingSession("c", 2, 5, 3.0, 1.0)),
+                           StepwisePower([0.5, 0.5, 1.0, 1.0, 0.5]))
+        _, diagnostics = olp_run(monkeypatch, checked)
+        assert [d.get("olp_unsolved") for d in diagnostics.values()] == [
+            None, "skipped", "checked", "skipped", "skipped"]
+        assert built == [2 + 1 + 2]
+
     def test_run_memory_takes_no_part_in_equality(self):
         assert SimState(0, {"a": 1.0}, {"olp": None}) == SimState(0, {"a": 1.0})
 
