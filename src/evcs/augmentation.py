@@ -4,9 +4,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import ContractError, Instance
+from .model import ChargingSession, ConstantPower, ContractError, Instance
 from .simulator import run_feasibility
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -33,7 +33,8 @@ def augment(instance: Instance, mode: AugmentationMode, eps: float) -> Instance:
     factor = 1.0 + eps
     sessions = instance.sessions
     if mode is AugmentationMode.POWER_AND_RATE:
-        sessions = tuple(replace(s, max_rate=s.max_rate * factor) for s in sessions)
+        sessions = tuple(ChargingSession(s.id, s.arrival, s.departure, s.energy,
+                                         s.max_rate * factor) for s in sessions)
     return Instance(sessions, instance.power.scaled(factor), instance.horizon)
 
 
@@ -143,13 +144,16 @@ def theorem2_bound(instance: Instance) -> float:
     """Power+rate augmentation guarantee from per-window power spread and rate share.
 
     Evaluated over the discrete slots of each sojourn window, clipped to
-    [0, horizon).  The formula can go negative when some peak rate exceeds the
-    window's power; callers report max(0, bound).
+    [0, horizon), read as one window; a constant power's one value stands
+    for its window, whose min, max and ratios are that value's.  The formula
+    can go negative when some peak rate exceeds the window's power; callers
+    report max(0, bound).
     """
-    worst = -math.inf
+    power, horizon, worst = instance.power, instance.horizon, -math.inf
+    constant = isinstance(power, ConstantPower)
     for s in instance.sessions:
-        window = range(max(s.arrival, 0), min(s.departure, instance.horizon))
-        powers = [instance.power.at(t) for t in window]
+        lo, hi = max(s.arrival, 0), min(s.departure, horizon)
+        powers = power.window(lo, hi)[:1] if constant else power.window(lo, hi)
         if not powers:
             raise ContractError(f"theorem 2 needs a sojourn inside the horizon, "
                                 f"and session {s.id} has none")

@@ -34,6 +34,10 @@ class ConstantPower:
     def at(self, t: int) -> float:
         return self.power
 
+    def window(self, lo: int, hi: int) -> tuple[float, ...]:
+        """P(lo), ..., P(hi - 1): the one power, hi - lo times."""
+        return (self.power,) * (hi - lo)
+
     def bounds(self, horizon: int) -> tuple[float, float]:
         return self.power, self.power
 
@@ -50,6 +54,14 @@ class StepwisePower:
 
     def at(self, t: int) -> float:
         return self.values[t]
+
+    def window(self, lo: int, hi: int) -> tuple[float, ...]:
+        """P(lo), ..., P(hi - 1) as one slice of the values, or slot by slot,
+        as `at` reads them, where the window is not inside the profile."""
+        values = self.values
+        if 0 <= lo <= hi <= len(values):
+            return values[lo:hi]
+        return tuple(values[t] for t in range(lo, hi))
 
     def bounds(self, horizon: int) -> tuple[float, float]:
         window = self.values[: horizon or None]

@@ -8,6 +8,14 @@ power is used exactly; rates that would miss P(t) by more than `_charge`'s
 tolerance, as next to a huge peak rate, are taken again from L's segment
 (`_share_exactly`).
 
+sLLF, LLF, EDF, ES and REP are each a rate kernel, `kernel(evs, caps,
+remaining, t, p_limit)` -> (rates, threshold, solver steps or None), behind a
+thin public function: `_contention` decides an uncontended slot, and the
+kernel a contended one.  A run calls the kernels itself (`KERNELS`), on the
+sessions and power of the busy span it holds, with no `SimState` or
+`RateDecision` per slot; OLP, and any other function in `POLICIES`, is
+called with a `SimState`.
+
 A contended slot walks its sessions once per step: one scan for the
 chargeable sessions and their caps, one for each policy's keys, slopes or
 weights, one sort of the breakpoints, and one fill into the rates dict, whose
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import RATE_TOL, SimState
 from .feasibility import is_offline_feasible, ships_demand
-from .model import ChargingSession, ContractError, Instance
+from .model import ChargingSession, ConstantPower, ContractError, Instance
 from .netflow import SlotRows
 
 #: remaining energy below this fraction of the original demand counts as done
@@ -34,8 +42,11 @@ class RateDecision:
     `rates` is written in the one walk that computes it, so a repeated id
     keeps its first place and its last rate.
     `threshold == inf` means every chargeable session at its cap, for each of
-    sLLF, LLF, EDF, ES and REP (`_contention`); the simulator then charges
-    the rest of the busy span at the caps without another call.
+    sLLF, LLF, EDF, ES and REP (`_contention`).  A run of these five builds
+    no decision: it calls their rate kernels (`KERNELS`), and charges the
+    rest of the busy span at the caps once `_contention` gives them; a run
+    that calls a function put in `POLICIES` under one of their names does so
+    once its decision has `threshold == inf`.
 
     The `diagnostics` keys, all optional, are:
 
@@ -60,14 +71,18 @@ class RateDecision:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list[float]]:
-    """(active sessions with unfinished demand, their caps) in instance order, in
-    one scan: unfinished while remaining > `FINISHED_EPS` * max(1.0, energy), cap
-    min(max_rate, remaining), both in plain compares, NaN alike (a hot loop)."""
+def _at_slot(state: SimState, t: int) -> None:
+    """A `ContractError` unless `state` is the state at slot t."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    remaining, out, caps = state.remaining, [], []
-    for s in instance.active_at(t):
+
+
+def _unfinished(sessions, remaining: dict[str, float]) -> tuple[list, list[float]]:
+    """(the sessions with unfinished demand, their caps) in the given order, in
+    one scan: unfinished while remaining > `FINISHED_EPS` * max(1.0, energy),
+    cap min(max_rate, remaining), both in plain compares, NaN alike (a hot loop)."""
+    out, caps = [], []
+    for s in sessions:
         rem, energy = remaining[s.id], s.energy
         if rem > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
             out.append(s)
@@ -76,8 +91,15 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list
     return out, caps
 
 
-def _contention(state: SimState, instance: Instance, t: int):
-    """(chargeable sessions, their caps, P(t), the caps by id or None).
+def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list[float]]:
+    """(active sessions with unfinished demand, their caps) at t, in instance order."""
+    _at_slot(state, t)
+    return _unfinished(instance.active_at(t), state.remaining)
+
+
+def _contention(sessions, remaining: dict[str, float], p_limit: float, t: int):
+    """(chargeable sessions, their caps, the caps by id or None) at slot t,
+    where `sessions` are the active ones in instance order and P(t) is `p_limit`.
 
     The caps by id, in instance order, are returned when their `sum()` (which
     compensates from Python 3.12 on) is at most P(t), and None otherwise, a
@@ -85,12 +107,24 @@ def _contention(state: SimState, instance: Instance, t: int):
     each give every session its cap, so each decides it here first (with
     `threshold=inf`).  A negative P(t) is a `ContractError` naming its slot.
     """
-    evs, caps = _chargeable(state, instance, t)
-    p_limit = instance.power.at(t)
+    evs, caps = _unfinished(sessions, remaining)
     if p_limit < 0.0:
         raise ContractError(f"negative station power P({t}) = {p_limit} at slot {t}")
-    at_caps = {s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit else None
-    return evs, caps, p_limit, at_caps
+    return evs, caps, ({s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit
+                       else None)
+
+
+def _decide(kernel, state: SimState, instance: Instance, t: int, stepped: bool) -> RateDecision:
+    """The decision of a policy with rate kernel `kernel` at slot t: `_contention`
+    first, and the kernel at a contended slot; `stepped` when the kernel
+    counts solver steps, 0 at an uncontended slot."""
+    _at_slot(state, t)
+    sessions, p_limit = instance.active_at(t), instance.power.at(t)
+    evs, caps, at_caps = _contention(sessions, state.remaining, p_limit, t)
+    if at_caps is not None:
+        return RateDecision(at_caps, math.inf, {"solver_steps": 0} if stepped else {})
+    rates, threshold, steps = kernel(evs, caps, state.remaining, t, p_limit)
+    return RateDecision(rates, threshold, {} if steps is None else {"solver_steps": steps})
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -187,12 +221,9 @@ def _laxities(evs, remaining: dict[str, float], t: int):
     return lax, rbars, offsets
 
 
-def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
-    evs, caps, p_limit, uncontended = _contention(state, instance, t)
-    if uncontended is not None:
-        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
-    lax, rbars, offsets = _laxities(evs, state.remaining, t)
+def _sllf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+    """sLLF's rate kernel: (rates, water level, solver steps) at a contended slot."""
+    lax, rbars, offsets = _laxities(evs, remaining, t)
     level, steps = _water_level(rbars, offsets, caps, p_limit)
     rates, total = {}, 0.0
     for s, lx, rb, cap in zip(evs, lax, rbars, caps):
@@ -203,7 +234,12 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
         total += r
     if _off_power(total, caps, p_limit):
         rates = _share_exactly(evs, rbars, offsets, caps, p_limit)
-    return RateDecision(rates, threshold=level, diagnostics={"solver_steps": steps})
+    return rates, level, steps
+
+
+def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
+    return _decide(_sllf, state, instance, t, stepped=True)
 
 
 def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
@@ -221,31 +257,31 @@ def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
     return rates
 
 
+def _llf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+    """LLF's rate kernel: (rates, None, None) at a contended slot."""
+    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, remaining, t)[0])]
+    return _greedy_fill(evs, caps, p_limit, keys), None, None
+
+
 def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Classic least-laxity-first: fill EVs in increasing laxity order."""
-    evs, caps, p_limit, uncontended = _contention(state, instance, t)
-    if uncontended is not None:
-        return RateDecision(uncontended, threshold=math.inf)
-    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, state.remaining, t)[0])]
-    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
+    return _decide(_llf, state, instance, t, stepped=False)
+
+
+def _edf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+    """EDF's rate kernel: (rates, None, None) at a contended slot."""
+    keys = [(s.departure, s.arrival, s.id) for s in evs]
+    return _greedy_fill(evs, caps, p_limit, keys), None, None
 
 
 def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Earliest-deadline-first: fill EVs in increasing departure order."""
-    evs, caps, p_limit, uncontended = _contention(state, instance, t)
-    if uncontended is not None:
-        return RateDecision(uncontended, threshold=math.inf)
-    keys = [(s.departure, s.arrival, s.id) for s in evs]
-    return RateDecision(_greedy_fill(evs, caps, p_limit, keys))
+    return _decide(_edf, state, instance, t, stepped=False)
 
 
-def _proportional_fill(state: SimState, instance: Instance, t: int, weigh) -> RateDecision:
-    """Rates `clamp(w * L, 0, cap)`, the weights w = `weigh(evs, remaining)`
-    taken in one call: the power shared in proportion to the weights."""
-    evs, caps, p_limit, uncontended = _contention(state, instance, t)
-    if uncontended is not None:
-        return RateDecision(uncontended, threshold=math.inf, diagnostics={"solver_steps": 0})
-    weights = weigh(evs, state.remaining)
+def _proportional_fill(evs, caps, weights, p_limit: float):
+    """(rates `clamp(w * L, 0, cap)`, None, solver steps): the power shared in
+    proportion to the weights."""
     offsets = [0.0] * len(evs)
     level, steps = _water_level(weights, offsets, caps, p_limit)
     rates, total = {}, 0.0
@@ -257,17 +293,27 @@ def _proportional_fill(state: SimState, instance: Instance, t: int, weigh) -> Ra
         total += r
     if _off_power(total, caps, p_limit):
         rates = _share_exactly(evs, weights, offsets, caps, p_limit)
-    return RateDecision(rates, diagnostics={"solver_steps": steps})
+    return rates, None, steps
+
+
+def _es(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+    """ES's rate kernel at a contended slot: one weight for every session."""
+    return _proportional_fill(evs, caps, [1.0] * len(evs), p_limit)
 
 
 def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Equal share: every EV gets the same rate, clipped to its cap."""
-    return _proportional_fill(state, instance, t, lambda evs, remaining: [1.0] * len(evs))
+    return _decide(_es, state, instance, t, stepped=True)
+
+
+def _rep(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+    """REP's rate kernel at a contended slot: each remaining energy its weight."""
+    return _proportional_fill(evs, caps, [remaining[s.id] for s in evs], p_limit)
 
 
 def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Remaining-energy-proportional sharing, clipped to the caps."""
-    return _proportional_fill(state, instance, t, lambda evs, rem: [rem[s.id] for s in evs])
+    return _decide(_rep, state, instance, t, stepped=True)
 
 
 def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
@@ -280,10 +326,12 @@ def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
                     instance.power, horizon)
 
 
-def _window_power(instance: Instance, t: int, end: int) -> list[float]:
-    """P(t), ..., P(end - 1); a negative one is a `ContractError` naming its slot."""
-    powers = [instance.power.at(tau) for tau in range(t, end)]
-    for tau, p in enumerate(powers, t):
+def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
+    """P(t), ..., P(end - 1), read as one window; a negative one is a
+    `ContractError` naming its slot, which a constant power's first names."""
+    power = instance.power
+    powers = power.window(t, end)
+    for tau, p in enumerate(powers[:1] if isinstance(power, ConstantPower) else powers, t):
         if p < 0:
             raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
     return powers
@@ -391,8 +439,17 @@ POLICIES = {
 }
 
 
-#: the policies that decide an uncontended slot by `_contention` alone;
-#: not OLP, whose fallback carries sLLF's `threshold == inf` while its failed
+#: each simple policy's rate kernel, keyed by its public function: a run
+#: whose `get_policy` gives one of these calls the kernel, and any other
+#: function (OLP, or a wrapper put in `POLICIES`) with a `SimState`
+KERNELS = {sllf_rates: _sllf, llf_rates: _llf, edf_rates: _edf, es_rates: _es, rep_rates: _rep}
+
+
+#: the policies that decide an uncontended slot by `_contention` alone, by
+#: name: a run of their kernels charges the rest of a busy span at the caps
+#: once `_contention` gives the caps, and a run that calls a function put
+#: under one of these names once its decision has `threshold == inf`; not
+#: OLP, whose fallback carries sLLF's `threshold == inf` while its failed
 #: residual must be asked again at the next slot (its plan: `simulator._run`)
 CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 

@@ -15,7 +15,7 @@ from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits,
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import CAPS_FIRST, FINISHED_EPS, get_policy
+from .schedulers import CAPS_FIRST, FINISHED_EPS, KERNELS, _contention, get_policy
 
 
 class PolicyContractError(ContractError):
@@ -74,14 +74,24 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
 
     Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
     is never read at an idle slot: a negative power there is left to
-    `validate`, which rejects it.  Each session's rate limits are taken once
-    per run, and each span's dict is built from them by position.  Every
-    `SimState` of the run wraps its one `remaining` dict and run memory, and
-    every slot's rates are checked and charged by `_charge`.
+    `validate`, which rejects it.  Each span's power is read once, at its
+    first slot.  Each session's rate limits are taken once per run, and each
+    span's dict is built from them by position.  Every slot's rates are
+    checked and charged by `_charge`.
+
+    For sLLF, LLF, EDF, ES and REP, the functions `get_policy` gives for
+    them, each slot is decided on the span the loop holds, with no
+    `SimState` or `RateDecision`: `_contention` on the span's sessions, its
+    power and the run's `remaining` gives the caps at an uncontended slot,
+    and the policy's rate kernel (`schedulers.KERNELS`) the rates at a
+    contended one, as the public function would.  Any other function in
+    `POLICIES` (OLP, or a wrapper put there) is called with a `SimState`
+    that wraps the run's one `remaining` dict and run memory.
 
     A policy decides each busy slot but those a run charges by one of two
     rules.  First, at the caps: once a `CAPS_FIRST` policy gives every
-    chargeable session its cap (`threshold == inf`) at a slot t of a span
+    chargeable session its cap (`_contention` gives the caps, or a called
+    function's decision has `threshold == inf`) at a slot t of a span
     [a, b), it would at every later slot, since the span has one power and
     one set of sessions, each cap `min(max_rate, remaining)` can only fall,
     finished sessions only drop out, and a float sum of fewer, smaller
@@ -106,6 +116,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     so an id's remaining energy is final once its window has ended.
     """
     policy = get_policy(policy_name)
+    kernel = KERNELS.get(policy)
     sessions, power = instance.sessions, instance.power
     remaining, memory = initial_state(instance).remaining, {}
     limits_of = _rate_limits(sessions)
@@ -118,18 +129,25 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     for a, b, positions in instance.busy_spans():
         span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
         limits = dict([limits_of[k] for k in positions])
+        p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
         one_pass = (policy_name in CAPS_FIRST and len(limits) == len(span)
                     and all(s.max_rate > 0.0 for s in span))
         for t in range(a, b):
-            rates = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
-            if rates is None:
-                decision = policy(SimState(t, remaining, memory), instance, t)
-                rates = decision.rates
+            if kernel is not None:
+                evs, caps, rates = _contention(span, remaining, p_limit, t)
+                at_caps = rates is not None
+                if not at_caps:
+                    rates = kernel(evs, caps, remaining, t, p_limit)[0]
+            else:
+                rates = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
+                if rates is None:
+                    decision = policy(SimState(t, remaining, memory), instance, t)
+                    rates, at_caps = decision.rates, decision.threshold == math.inf
             try:
-                _charge(remaining, rates, limits, t, power.at(t), rows)
+                _charge(remaining, rates, limits, t, p_limit, rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            if one_pass and decision.threshold == math.inf:  # never OLP, which may follow
+            if one_pass and at_caps:  # never OLP, which may follow
                 _charge_at_caps(span, remaining, rows, t + 1, b)
                 break
         if b in due and not _meets_demand(due[b], remaining):

@@ -1,8 +1,9 @@
 """Reference simulator: every slot scans every session, metrics walk every slot.
 
-`full_scan_step` and `full_scan_chargeable` find the active sessions by
-testing `arrival <= t < departure` on all of them, and `full_scan_simulate`
-calls the policy at every slot of the horizon, uncontended ones included,
+`full_scan_step`, `full_scan_chargeable` and `full_scan_active` find the
+active sessions by testing `arrival <= t < departure` on all of them, and
+`full_scan_simulate` calls the policy at every slot of the horizon,
+uncontended ones included, with `Instance.active_at` answered by that scan,
 and steps each into horizon-long rows, each holding the rate
 `full_scan_charge` applied, and carries the run memory from each state to
 the next.
@@ -20,11 +21,10 @@ must stay equal to it.
 import math
 from unittest import mock
 
-from evcs import schedulers
 from evcs.dynamics import (RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state,
                            laxity, min_laxity)
 from evcs.feasibility import DEMAND_TOL
-from evcs.model import ContractError, StepwisePower, Violation
+from evcs.model import ContractError, Instance, StepwisePower, Violation
 from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import PolicyContractError
 
@@ -120,10 +120,17 @@ def full_scan_chargeable(state, instance, t):
     return out, [min(s.max_rate, state.remaining[s.id]) for s in out]
 
 
+def full_scan_active(instance, t):
+    """The sessions with `arrival <= t < departure`, in instance order, as
+    `Instance.active_at` gives them."""
+    return tuple(s for s in instance.sessions if s.arrival <= t < s.departure)
+
+
 def full_scan_simulate(instance, policy_name):
-    """The whole run, with every policy reading `full_scan_chargeable`; one run
-    memory, as `simulate` makes, goes from slot to slot."""
-    with mock.patch.object(schedulers, "_chargeable", full_scan_chargeable):
+    """The whole run, with every policy reading its active sessions from
+    `full_scan_active`; one run memory, as `simulate` makes, goes from slot
+    to slot."""
+    with mock.patch.object(Instance, "active_at", full_scan_active):
         policy = POLICIES[policy_name]
         horizon = instance.horizon
         state = SimState(0, initial_state(instance).remaining, {})

@@ -326,7 +326,7 @@ def uncontended_spans(draw):
             0.0, 1e-13, energy, energy / 3, max_rate * draw(st.integers(1, 5)),
             max_rate * 0.999, max_rate + 3e-12 * max(1.0, energy),
             2 * max_rate + 0.5e-12 * max(1.0, energy)]))
-    caps = _contention(SimState(0, remaining), Instance(span, ConstantPower(0.0), 1000), 0)[1]
+    caps = _contention(span, remaining, 0.0, 0)[1]
     power = sum(caps) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
     return Instance(span, ConstantPower(power), 1000), remaining
 
@@ -342,7 +342,7 @@ class TestUncontendedSpans:
         limits = dict(_rate_limits(span))
         slots = max(math.ceil(remaining[s.id] / s.max_rate) for s in span) + 1
         for t in range(slots + 1):
-            evs, _, _, caps = _contention(SimState(t, remaining), inst, t)
+            evs, _, caps = _contention(span, remaining, power, t)
             if not evs:
                 break
             assert caps is not None, t

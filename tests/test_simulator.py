@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -636,6 +637,83 @@ class TestOnePassSpans:
             for name in sorted(CAPS_FIRST):
                 assert_runs_as_full_scan(inst, name)
         assert sum(b - t for t, b in seen) > 1000, len(seen)
+
+
+def random_kernel_instance(rng: random.Random) -> Instance:
+    """`random_unvalidated_instance` with about one peak rate in ten 0 and, in
+    about one instance in three, a power of 0, below 0 or NaN: throughout a
+    constant power, or at about one slot in five of a stepwise one."""
+    inst = random_unvalidated_instance(rng)
+    sessions = [dataclasses.replace(s, max_rate=0.0) if rng.random() < 0.1 else s
+                for s in inst.sessions]
+    power, odd = inst.power, [0.0, -1.0, math.nan]
+    if rng.random() < 0.35:
+        if isinstance(power, StepwisePower):
+            power = StepwisePower([rng.choice(odd) if rng.random() < 0.2 else p
+                                   for p in power.values])
+        else:
+            power = ConstantPower(rng.choice(odd))
+    return Instance(sessions, power, inst.horizon)
+
+
+def run_outcome(instance, name):
+    """(`simulate`'s dense schedule and verdict, `run_feasibility`'s flags), each
+    by `repr` or as the type and message of its error."""
+    try:
+        schedule, verdict = simulate(instance, name)
+        ran = repr((dense(schedule), verdict))
+    except Exception as exc:  # noqa: BLE001  the error is the outcome compared
+        ran = type(exc), str(exc)
+    try:
+        flags = repr(run_feasibility([instance], name))
+    except Exception as exc:  # noqa: BLE001
+        flags = type(exc), str(exc)
+    return ran, flags
+
+
+class TestKernelPath:
+    """A run of sLLF, LLF, EDF, ES or REP calls the policy's rate kernel on
+    the span it holds, with no `SimState` or `RateDecision` per slot and no
+    call of a `POLICIES` entry, and equals the run that calls the public
+    function at each slot it decides, put in `POLICIES` behind a wrapper."""
+
+    def test_runs_equal_runs_that_call_the_policy(self, monkeypatch):
+        built = []  # each SimState the loop builds and each RateDecision a policy builds
+        monkeypatch.setattr(simulator, "SimState",
+                            lambda *args: built.append(args) or SimState(*args))
+        monkeypatch.setattr(schedulers, "RateDecision",
+                            lambda *args, **kw: built.append(args) or RateDecision(*args, **kw))
+        passes = one_pass_slots(monkeypatch)
+        rng, seen = random.Random(30), collections.Counter()
+        for _ in range(300):
+            inst = random_kernel_instance(rng)
+            busy = [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
+            ids = [s.id for s in inst.sessions]
+            for name in sorted(CAPS_FIRST):
+                built.clear()
+                passes.clear()
+                kernel = run_outcome(inst, name)
+                assert built == [], name
+                policy, calls = POLICIES[name], []
+                monkeypatch.setitem(POLICIES, name,
+                                    lambda state, i, t, policy=policy:
+                                    calls.append(t) or policy(state, i, t))
+                called = run_outcome(inst, name)
+                monkeypatch.setitem(POLICIES, name, policy)
+                assert kernel == called, (name, inst)
+                assert bool(calls) == bool(busy) and len(built) >= len(calls), name
+                error = kernel[0][1] if isinstance(kernel[0], tuple) else ""
+                seen.update(kind for kind, hit in (
+                    ("negative power", "negative station power" in error),
+                    ("nan power", "exceeds power limit nan" in error),
+                    ("zero peak rate", "peak rate 0" in error),
+                    ("zero power", any(inst.power.at(t) == 0.0 for t in busy)),
+                    ("stepwise", isinstance(inst.power, StepwisePower)),
+                    ("repeated id", len(set(ids)) < len(ids)),
+                    ("one pass", bool(passes)),
+                    ("finished", not error),
+                ) if hit)
+        assert len(seen) == 8 and min(seen.values()) >= 10, seen
 
 
 def followed_slots(monkeypatch):
