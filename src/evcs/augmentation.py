@@ -6,7 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .model import ChargingSession, ConstantPower, ContractError, Instance
+from .model import ChargingSession, ContractError, Instance
 from .simulator import run_feasibility
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -144,16 +144,12 @@ def theorem2_bound(instance: Instance) -> float:
     """Power+rate augmentation guarantee from per-window power spread and rate share.
 
     Evaluated over the discrete slots of each sojourn window, clipped to
-    [0, horizon), read as one window; a constant power's one value stands
-    for its window, whose min, max and ratios are that value's.  The formula
-    can go negative when some peak rate exceeds the window's power; callers
-    report max(0, bound).
+    [0, horizon), read as one window.  The formula can go negative when
+    some peak rate exceeds the window's power; callers report max(0, bound).
     """
     power, horizon, worst = instance.power, instance.horizon, -math.inf
-    constant = isinstance(power, ConstantPower)
     for s in instance.sessions:
-        lo, hi = max(s.arrival, 0), min(s.departure, horizon)
-        powers = power.window(lo, hi)[:1] if constant else power.window(lo, hi)
+        powers = power.window(max(s.arrival, 0), min(s.departure, horizon))
         if not powers:
             raise ContractError(f"theorem 2 needs a sojourn inside the horizon, "
                                 f"and session {s.id} has none")

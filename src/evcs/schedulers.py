@@ -10,11 +10,12 @@ tolerance, as next to a huge peak rate, are taken again from L's segment
 
 sLLF, LLF, EDF, ES and REP are each a rate kernel, `kernel(evs, caps,
 remaining, t, p_limit)` -> (rates, threshold, solver steps or None), behind a
-thin public function: `_contention` decides an uncontended slot, and the
-kernel a contended one.  A run calls the kernels itself (`KERNELS`), on the
-sessions and power of the busy span it holds, with no `SimState` or
-`RateDecision` per slot; OLP, and any other function in `POLICIES`, is
-called with a `SimState`.
+thin public function.  `_kernel_rates` holds the rule for all five:
+`_contention` decides an uncontended slot, and the kernel a contended one.
+The public functions call it with a `SimState`'s view of the slot, and a
+run calls it itself (`KERNELS`) on the sessions and power of the busy span
+it holds, with no `SimState` or `RateDecision` per slot; OLP, and any other
+function in `POLICIES`, is called with a `SimState`.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable sessions and their caps, one for each policy's keys, slopes or
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import RATE_TOL, SimState
 from .feasibility import is_offline_feasible, ships_demand
-from .model import ChargingSession, ConstantPower, ContractError, Instance
+from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
 
 #: remaining energy below this fraction of the original demand counts as done
@@ -43,8 +44,9 @@ class RateDecision:
     keeps its first place and its last rate.
     `threshold == inf` means every chargeable session at its cap, for each of
     sLLF, LLF, EDF, ES and REP (`_contention`).  A run of these five builds
-    no decision: it calls their rate kernels (`KERNELS`), and charges the
-    rest of the busy span at the caps once `_contention` gives them; a run
+    no decision: it calls their rate kernels (`KERNELS`, by `_kernel_rates`),
+    and charges the rest of the busy span at the caps once `_kernel_rates`
+    gives them; a run
     that calls a function put in `POLICIES` under one of their names does so
     once its decision has `threshold == inf`.
 
@@ -114,17 +116,26 @@ def _contention(sessions, remaining: dict[str, float], p_limit: float, t: int):
                        else None)
 
 
-def _decide(kernel, state: SimState, instance: Instance, t: int, stepped: bool) -> RateDecision:
-    """The decision of a policy with rate kernel `kernel` at slot t: `_contention`
-    first, and the kernel at a contended slot; `stepped` when the kernel
-    counts solver steps, 0 at an uncontended slot."""
-    _at_slot(state, t)
-    sessions, p_limit = instance.active_at(t), instance.power.at(t)
-    evs, caps, at_caps = _contention(sessions, state.remaining, p_limit, t)
+def _kernel_rates(kernel, sessions, remaining: dict[str, float], p_limit: float, t: int):
+    """(rates, at the caps, threshold, solver steps or None) at slot t of the
+    policy with rate kernel `kernel`, for its active `sessions` under P(t) =
+    `p_limit`: `_contention` first, which at an uncontended slot gives every
+    session its cap (True, `threshold=inf`, 0 steps), and the kernel at a
+    contended one (False)."""
+    evs, caps, at_caps = _contention(sessions, remaining, p_limit, t)
     if at_caps is not None:
-        return RateDecision(at_caps, math.inf, {"solver_steps": 0} if stepped else {})
-    rates, threshold, steps = kernel(evs, caps, state.remaining, t, p_limit)
-    return RateDecision(rates, threshold, {} if steps is None else {"solver_steps": steps})
+        return at_caps, True, math.inf, 0
+    rates, threshold, steps = kernel(evs, caps, remaining, t, p_limit)
+    return rates, False, threshold, steps
+
+
+def _decide(kernel, state: SimState, instance: Instance, t: int, stepped: bool) -> RateDecision:
+    """The decision of a policy with rate kernel `kernel` at slot t
+    (`_kernel_rates`); `stepped` when the kernel counts solver steps."""
+    _at_slot(state, t)
+    rates, _, threshold, steps = _kernel_rates(kernel, instance.active_at(t), state.remaining,
+                                               instance.power.at(t), t)
+    return RateDecision(rates, threshold, {"solver_steps": steps} if stepped else {})
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -328,10 +339,9 @@ def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
 
 def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
     """P(t), ..., P(end - 1), read as one window; a negative one is a
-    `ContractError` naming its slot, which a constant power's first names."""
-    power = instance.power
-    powers = power.window(t, end)
-    for tau, p in enumerate(powers[:1] if isinstance(power, ConstantPower) else powers, t):
+    `ContractError` naming its slot."""
+    powers = instance.power.window(t, end)
+    for tau, p in enumerate(powers, t):
         if p < 0:
             raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
     return powers
@@ -447,7 +457,7 @@ KERNELS = {sllf_rates: _sllf, llf_rates: _llf, edf_rates: _edf, es_rates: _es, r
 
 #: the policies that decide an uncontended slot by `_contention` alone, by
 #: name: a run of their kernels charges the rest of a busy span at the caps
-#: once `_contention` gives the caps, and a run that calls a function put
+#: once `_kernel_rates` gives the caps, and a run that calls a function put
 #: under one of these names once its decision has `threshold == inf`; not
 #: OLP, whose fallback carries sLLF's `threshold == inf` while its failed
 #: residual must be asked again at the next slot (its plan: `simulator._run`)

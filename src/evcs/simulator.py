@@ -15,7 +15,7 @@ from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits,
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import CAPS_FIRST, FINISHED_EPS, KERNELS, _contention, get_policy
+from .schedulers import CAPS_FIRST, FINISHED_EPS, KERNELS, _kernel_rates, get_policy
 
 
 class PolicyContractError(ContractError):
@@ -81,16 +81,15 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
 
     For sLLF, LLF, EDF, ES and REP, the functions `get_policy` gives for
     them, each slot is decided on the span the loop holds, with no
-    `SimState` or `RateDecision`: `_contention` on the span's sessions, its
-    power and the run's `remaining` gives the caps at an uncontended slot,
-    and the policy's rate kernel (`schedulers.KERNELS`) the rates at a
-    contended one, as the public function would.  Any other function in
-    `POLICIES` (OLP, or a wrapper put there) is called with a `SimState`
-    that wraps the run's one `remaining` dict and run memory.
+    `SimState` or `RateDecision`: `_kernel_rates` with the policy's rate
+    kernel (`schedulers.KERNELS`) on the span's sessions, its power and the
+    run's `remaining` gives the rates the public function would.  Any other
+    function in `POLICIES` (OLP, or a wrapper put there) is called with a
+    `SimState` that wraps the run's one `remaining` dict and run memory.
 
     A policy decides each busy slot but those a run charges by one of two
     rules.  First, at the caps: once a `CAPS_FIRST` policy gives every
-    chargeable session its cap (`_contention` gives the caps, or a called
+    chargeable session its cap (`_kernel_rates` gives the caps, or a called
     function's decision has `threshold == inf`) at a slot t of a span
     [a, b), it would at every later slot, since the span has one power and
     one set of sessions, each cap `min(max_rate, remaining)` can only fall,
@@ -134,10 +133,7 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
                     and all(s.max_rate > 0.0 for s in span))
         for t in range(a, b):
             if kernel is not None:
-                evs, caps, rates = _contention(span, remaining, p_limit, t)
-                at_caps = rates is not None
-                if not at_caps:
-                    rates = kernel(evs, caps, remaining, t, p_limit)[0]
+                rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t)
             else:
                 rates = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
                 if rates is None:

@@ -3,10 +3,11 @@
 `full_scan_step`, `full_scan_chargeable` and `full_scan_active` find the
 active sessions by testing `arrival <= t < departure` on all of them, and
 `full_scan_simulate` calls the policy at every slot of the horizon,
-uncontended ones included, with `Instance.active_at` answered by that scan,
-and steps each into horizon-long rows, each holding the rate
-`full_scan_charge` applied, and carries the run memory from each state to
-the next.
+uncontended ones included, with `Instance.active_at` answered by that scan
+and `schedulers._unfinished` by `full_scan_unfinished`, which tests the
+finished rule and takes the caps with `max` and `min`.  It steps each slot
+into horizon-long rows, each holding the rate `full_scan_charge` applied,
+and carries the run memory from each state to the next.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
@@ -21,6 +22,7 @@ must stay equal to it.
 import math
 from unittest import mock
 
+from evcs import schedulers
 from evcs.dynamics import (RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state,
                            laxity, min_laxity)
 from evcs.feasibility import DEMAND_TOL
@@ -108,16 +110,18 @@ def full_scan_step(state, rates, instance):
     return full_scan_charge(state, rates, instance)[0]
 
 
+def full_scan_unfinished(sessions, remaining):
+    """(the sessions with unfinished demand, their caps), as
+    `schedulers._unfinished` gives them."""
+    out = [s for s in sessions if remaining[s.id] > FINISHED_EPS * max(1.0, s.energy)]
+    return out, [min(s.max_rate, remaining[s.id]) for s in out]
+
+
 def full_scan_chargeable(state, instance, t):
     """(chargeable sessions, their caps), as `schedulers._chargeable` gives them."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    out = []
-    for s in instance.sessions:
-        if s.arrival <= t < s.departure:
-            if state.remaining[s.id] > FINISHED_EPS * max(1.0, s.energy):
-                out.append(s)
-    return out, [min(s.max_rate, state.remaining[s.id]) for s in out]
+    return full_scan_unfinished(full_scan_active(instance, t), state.remaining)
 
 
 def full_scan_active(instance, t):
@@ -128,9 +132,11 @@ def full_scan_active(instance, t):
 
 def full_scan_simulate(instance, policy_name):
     """The whole run, with every policy reading its active sessions from
-    `full_scan_active`; one run memory, as `simulate` makes, goes from slot
-    to slot."""
-    with mock.patch.object(Instance, "active_at", full_scan_active):
+    `full_scan_active` and its chargeable ones and caps from
+    `full_scan_unfinished`; one run memory, as `simulate` makes, goes from
+    slot to slot."""
+    with mock.patch.object(Instance, "active_at", full_scan_active), \
+            mock.patch.object(schedulers, "_unfinished", full_scan_unfinished):
         policy = POLICIES[policy_name]
         horizon = instance.horizon
         state = SimState(0, initial_state(instance).remaining, {})

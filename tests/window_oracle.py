@@ -1,6 +1,5 @@
 """Frozen per-slot window reads: `theorem2_bound` and OLP's `_window_power`
-as they were before each read its window as one slice of a stepwise profile
-and one value of a constant one.
+as they were before each read its window through `power.window`.
 
 Each reads P(t) with one `power.at(t)` call per slot of the window, and
 `window_power` walks the whole window again for a negative power.  The
