@@ -144,12 +144,13 @@ def theorem2_bound(instance: Instance) -> float:
     """Power+rate augmentation guarantee from per-window power spread and rate share.
 
     Evaluated over the discrete slots of each sojourn window, clipped to
-    [0, horizon), read as one window.  The formula can go negative when
+    [0, horizon), read as the values the power takes there (`levels`), whose
+    min, max and ratios are the window's.  The formula can go negative when
     some peak rate exceeds the window's power; callers report max(0, bound).
     """
     power, horizon, worst = instance.power, instance.horizon, -math.inf
     for s in instance.sessions:
-        powers = power.window(max(s.arrival, 0), min(s.departure, horizon))
+        powers = power.levels(max(s.arrival, 0), min(s.departure, horizon))
         if not powers:
             raise ContractError(f"theorem 2 needs a sojourn inside the horizon, "
                                 f"and session {s.id} has none")

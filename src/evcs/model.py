@@ -38,6 +38,11 @@ class ConstantPower:
         """P(lo), ..., P(hi - 1): the one power, hi - lo times."""
         return (self.power,) * (hi - lo)
 
+    def levels(self, lo: int, hi: int) -> tuple[float, ...]:
+        """The values P takes over slots lo ... hi - 1, each at least once, in
+        slot order: the one power, once, or none for an empty window."""
+        return (self.power,) if lo < hi else ()
+
     def bounds(self, horizon: int) -> tuple[float, float]:
         return self.power, self.power
 
@@ -62,6 +67,11 @@ class StepwisePower:
         if 0 <= lo <= hi <= len(values):
             return values[lo:hi]
         return tuple(values[t] for t in range(lo, hi))
+
+    def levels(self, lo: int, hi: int) -> tuple[float, ...]:
+        """The values P takes over slots lo ... hi - 1, each at least once, in
+        slot order: the window itself."""
+        return self.window(lo, hi)
 
     def bounds(self, horizon: int) -> tuple[float, float]:
         window = self.values[: horizon or None]

@@ -1,5 +1,6 @@
 """Frozen per-slot window reads: `theorem2_bound` and OLP's `_window_power`
-as they were before each read its window through `power.window`.
+as they were before `theorem2_bound` read each window through
+`power.levels` and `_window_power` through `power.window`.
 
 Each reads P(t) with one `power.at(t)` call per slot of the window, and
 `window_power` walks the whole window again for a negative power.  The
