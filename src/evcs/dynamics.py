@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, islice, repeat
 
 from .model import ChargingSession, ContractError, Instance
 
@@ -12,6 +12,9 @@ RATE_TOL = 1e-9
 
 #: a rate at or below this magnitude counts as off when switches are counted
 ZERO_EPS = 1e-12
+
+#: remaining energy below this fraction of the original demand counts as done
+FINISHED_EPS = 1e-12
 
 
 def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
@@ -30,16 +33,16 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 
 @dataclass(frozen=True)
 class SimState:
-    """Simulation state at the start of slot t: remaining energy per session.
+    """Simulation state at the start of slot t: remaining energy per session id.
 
-    Within one simulator run, `remaining` is the run's single dict, charged
-    in place after each decision; a policy may read it only during its call.
-    `memory` is what a policy keeps from one slot to the next of one run:
-    OLP's plan, or after a fallback the sessions of the residual that could
-    not ship, and nothing else.  The simulator creates it once per run, and
-    charges from OLP's plan where it holds (see `simulator._run`); `step`
-    carries it on.  It takes no part in equality, and a state without
-    it (None) gets every decision solved afresh.
+    A simulator run keeps its remaining energies by id number and builds
+    this dict for each policy call.  `memory` is what a policy keeps from
+    one slot to the next of one run: OLP's plan, or after a fallback the
+    sessions of the residual that could not ship, and nothing else.  The
+    simulator creates it once per run, and charges from OLP's plan where it
+    holds (see `simulator._run`); `step` carries it on.  It takes no part in
+    equality, and a state without it (None) gets every decision solved
+    afresh.
     """
 
     t: int
@@ -51,31 +54,29 @@ def initial_state(instance: Instance) -> SimState:
     return SimState(0, {s.id: s.energy for s in instance.sessions})
 
 
-def _rate_limits(sessions) -> list[tuple[str, tuple[float, float]]]:
-    """(id, (peak rate, rate tolerance)) of each session, in order; as a dict,
-    `_charge`'s limits, in which a repeated id takes the last of its sessions."""
-    return [(s.id, (s.max_rate, RATE_TOL * max(1.0, s.max_rate))) for s in sessions]
+def _cells(sessions, keys) -> list[tuple]:
+    """A run's cell of each session, in order: (key, peak rate, rate
+    tolerance, id, done level, session).  The key names its id's remaining
+    energy in the run's `remaining`; the session is finished once that is
+    at most the done level, `FINISHED_EPS` * max(1.0, energy)."""
+    return [(key, s.max_rate, RATE_TOL * (s.max_rate if s.max_rate > 1.0 else 1.0), s.id,
+             FINISHED_EPS * (s.energy if s.energy > 1.0 else 1.0), s)  # max(1.0, x), NaN alike
+            for s, key in zip(sessions, keys)]
 
 
-def _charge(remaining: dict[str, float], rates: dict[str, float],
-            limits: dict[str, tuple[float, float]], t: int, p_limit: float,
-            rows: dict | None = None) -> None:
-    """Check one slot's rates and charge them into `remaining` in place.
+def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:
+    """Check one slot's rates and charge them into `remaining` in place: the
+    one rate check of the package, which `step` and the simulator's runs use.
 
-    `limits` maps each active id to its `_rate_limits` entry.  With `rows`, a
-    run's (window start, row) per id, each id's applied (clamped) rate above 0
-    is written at slot t of its row, which covers t as the id is active.  The
-    one rate check of the package: `step` and the simulator's runs use it.
+    `rates[j]` is the rate of the session of `_cells` entry `cells[j]`, whose
+    key names its id's remaining energy in `remaining` and, with `rows`, its
+    id's (window start, row), where a rate above 0 is written at slot t as
+    applied (clamped).  Each key appears once.  The total is summed in the
+    given order.
     """
     total = 0.0
-    for sid, r in rates.items():
-        limit = limits.get(sid)
-        if limit is None:
-            if r != 0.0:
-                raise ContractError(f"rate {r} for inactive session {sid} at slot {t}")
-            continue
-        max_rate, tol = limit
-        rem = remaining[sid]
+    for (key, max_rate, tol, sid, _, _), r in zip(cells, rates):
+        rem = remaining[key]
         cap = rem if rem < max_rate else max_rate  # min(max_rate, rem), NaN alike
         if not -tol <= r <= cap + tol:  # written so that NaN fails too
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
@@ -83,25 +84,46 @@ def _charge(remaining: dict[str, float], rates: dict[str, float],
         if cap < charged:
             charged = cap
         if r > 0.0 and rows is not None:
-            start, row = rows[sid]
+            start, row = rows[key]
             row[t - start] = charged
         rem -= charged
-        remaining[sid] = 0.0 if rem < 0.0 else rem  # max(rem, 0.0), NaN kept
+        remaining[key] = 0.0 if rem < 0.0 else rem  # max(rem, 0.0), NaN kept
         total += charged
     if not total <= p_limit + RATE_TOL * max(1.0, p_limit):  # a NaN power fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
 
 
+def _charge_ids(remaining, rates: dict[str, float], active: dict, t: int, p_limit: float,
+                rows=None) -> None:
+    """`_charge` of rates by id, in the dict's order: `active` maps each
+    active id to its cell (a repeated id to that of its last session).  A
+    rate for another id is skipped if it is 0 and otherwise a
+    `ContractError`, raised after the rates before it are checked."""
+    cells, values = [], []
+    for sid, r in rates.items():
+        cell = active.get(sid)
+        if cell is None:
+            if r != 0.0:
+                _charge(remaining, cells, values, t, math.inf, rows)  # no total is over inf
+                raise ContractError(f"rate {r} for inactive session {sid} at slot {t}")
+            continue
+        cells.append(cell)
+        values.append(r)
+    _charge(remaining, cells, values, t, p_limit, rows)
+
+
 def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimState:
     """Apply one slot of charging and advance time; pure state-in/state-out.
 
-    `state` is left as it is: `_charge` checks the rates and charges them into
-    a copy of its `remaining`, without rows; the run memory is carried on.
+    `state` is left as it is: `_charge_ids` checks the rates and charges them
+    into a copy of its `remaining`, keyed by id, without rows; the run
+    memory is carried on.
     """
     t = state.t
     p_limit = instance.power.at(t) if t < instance.horizon else 0.0
-    remaining = dict(state.remaining)
-    _charge(remaining, rates, dict(_rate_limits(instance.active_at(t))), t, p_limit)
+    remaining, active = dict(state.remaining), instance.active_at(t)
+    _charge_ids(remaining, rates, {c[3]: c for c in _cells(active, [s.id for s in active])},
+                t, p_limit)
     return SimState(t + 1, remaining, state.memory)
 
 
@@ -142,18 +164,30 @@ class Schedule:
     def _metrics(self) -> tuple[float, int]:
         """(total variation, switch count) in one walk over each window and its
         bordering zeros in [0, horizon); any other slot pair adds +0.0 and no
-        switch.  A running sum in row order: `sum()` compensates from 3.12 on.
-        `evcs run` prints both, so it takes them from this one walk.
+        switch.  Each rate's zero test is carried to the next pair.  A running
+        sum in row order: `sum()` compensates from 3.12 on.  `evcs run`
+        prints both, so it takes them from this one walk.
         """
-        horizon, switches = self.horizon, 0
+        horizon, starts, switches = self.horizon, self.starts, 0
         variation = 0.0 if self.rates and horizon > 1 else 0
         for sid, row in self.rates.items():
-            start = self.starts.get(sid, 0)
-            padded = chain((0.0,) if start > 0 else (), row,
-                           (0.0,) if start + len(row) < horizon else ())
-            for a, b in pairwise(padded):
-                variation += abs(b - a)
-                if (abs(a) <= ZERO_EPS) != (abs(b) <= ZERO_EPS):
+            start, rates = starts.get(sid, 0), iter(row)
+            if start > 0:
+                prev = 0.0  # the zero before the window
+            elif row:
+                prev = next(rates)
+            else:
+                continue
+            off = -ZERO_EPS <= prev <= ZERO_EPS  # abs(prev) <= ZERO_EPS, NaN alike
+            for r in rates:
+                variation += abs(r - prev)
+                now = -ZERO_EPS <= r <= ZERO_EPS
+                if now is not off:
+                    switches += 1
+                prev, off = r, now
+            if start + len(row) < horizon:  # the zero after the window
+                variation += abs(0.0 - prev)
+                if not off:
                     switches += 1
         return variation, switches
 
@@ -164,17 +198,28 @@ def min_laxity(instance: Instance, schedule: Schedule) -> float:
     Each session is followed from its arrival to its departure (or the
     horizon).  After the departure its laxity is -remaining/max_rate, which
     nonnegative rates can only raise, so the slots after it are skipped.
+    Each row is read over the session's slots, from a slice of its window.
     """
     horizon, lowest = schedule.horizon, math.inf
+    rates, starts = schedule.rates, schedule.starts
     for s in instance.sessions:
-        rem, lo = s.energy, max(s.arrival, 0)
-        departure, max_rate = s.departure, s.max_rate
-        for t, r in zip(range(lo, min(departure, horizon) + 1), schedule._rates_from(s.id, lo)):
-            # `laxity`'s closed form, as arrival <= t <= departure; plain compares: a hot loop
+        row, start = rates[s.id], starts.get(s.id, 0)
+        rem, lo, departure, max_rate = s.energy, max(s.arrival, 0), s.departure, s.max_rate
+        last = min(departure, horizon)
+        if start <= lo:  # r(lo), ..., r(last - 1) as far as the window reaches
+            window = row[lo - start:max(last - start, 0)]
+        else:
+            window = (0.0,) * (min(start, last) - lo) + tuple(row[:max(last - start, 0)])
+        # `laxity`'s closed form, as arrival <= t <= departure; plain compares: a hot loop
+        for t, r in zip(range(lo, last), window):
             lax = departure - t - (0.0 if rem < 0.0 else rem) / max_rate
             if lax < lowest:
                 lowest = lax
-            rem -= r  # after the last slot, rem is not read again
+            rem -= r
+        for t in range(lo + len(window), last + 1):  # rate 0.0; rem is not read after `last`
+            lax = departure - t - (0.0 if rem < 0.0 else rem) / max_rate
+            if lax < lowest:
+                lowest = lax
     return lowest
 
 

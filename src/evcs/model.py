@@ -118,11 +118,10 @@ class Instance:
         Instance order decides the policies' tie-breaks and the order of their
         float sums, so it is kept.  Any integer t is allowed, and so are
         instances that `validate` rejects: a session with `arrival >= departure`
-        is never active.  The first call builds the event index (see
-        `_active_index`); each call is then a binary search.
+        is never active.  The first call builds the session tuples (see
+        `_active_sets`); each call is then a binary search.
         """
-        points, active, _ = self._active_index
-        return active[bisect.bisect_right(points, t)]
+        return self._active_sets[bisect.bisect_right(self._active_index[0], t)]
 
     def spans(self):
         """(start, end, positions) per stretch of [0, horizon) between event
@@ -132,7 +131,7 @@ class Instance:
         `positions` and the power is the same.  Positions, unlike sessions,
         stay apart when one session object is listed twice.
         """
-        points, _, members = self._active_index
+        points, members = self._active_index
         for k, point in enumerate(points, 1):  # members[k] holds from points[k - 1] on
             start = max(point, 0)
             end = min(points[k], self.horizon) if k < len(points) else self.horizon
@@ -145,12 +144,12 @@ class Instance:
 
     @cached_property
     def _active_index(self):
-        """(event points, active tuples, their positions): `active[k]` holds on
+        """(event points, member positions): `members[k]` holds on
         `[points[k-1], points[k])`.
 
         The points are 0, each arrival and departure of a non-empty sojourn,
         and each slot at which a stepwise power changes; a profile shorter than
-        the horizon is a ContractError.  `active[0]`, before the first point,
+        the horizon is a ContractError.  `members[0]`, before the first point,
         is empty; so is the last, since every departure is a point.
         """
         horizon, power = max(self.horizon, 0), self.power
@@ -174,8 +173,15 @@ class Instance:
                 else:
                     live.remove(~k)
             members.append(tuple(sorted(live)))
-        active = [tuple(self.sessions[k] for k in m) for m in members]
-        return points, active, members
+        return points, members
+
+    @cached_property
+    def _active_sets(self):
+        """The sessions at each of `_active_index`'s member positions, built on
+        the first `active_at` call: runs and the feasibility network read
+        only the positions."""
+        sessions = self.sessions
+        return [tuple(sessions[k] for k in m) for m in self._active_index[1]]
 
 
 @dataclass(frozen=True)

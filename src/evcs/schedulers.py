@@ -8,18 +8,18 @@ power is used exactly; rates that would miss P(t) by more than `_charge`'s
 tolerance, as next to a huge peak rate, are taken again from L's segment
 (`_share_exactly`).
 
-sLLF, LLF, EDF, ES and REP are each a rate kernel, `kernel(evs, caps,
-remaining, t, p_limit)` -> (rates, threshold, solver steps or None), behind a
-thin public function.  `_kernel_rates` holds the rule for all five:
-`_contention` decides an uncontended slot, and the kernel a contended one.
-The public functions call it with a `SimState`'s view of the slot, and a
-run calls it itself (`KERNELS`) on the sessions and power of the busy span
-it holds, with no `SimState` or `RateDecision` per slot; OLP, and any other
-function in `POLICIES`, is called with a `SimState`.
+sLLF, LLF, EDF, ES and REP are each a rate kernel, `kernel(cells, caps,
+rems, t, p_limit)` -> (fill order or None, rates, threshold, solver steps or
+None), on the chargeable sessions' `_cells` and their caps and remaining
+energies as aligned lists, with the rates aligned with the cells (or with
+the fill order), behind a thin public function.  `_kernel_rates` holds the
+rule for all five.  The public functions call it on the cells of a
+`SimState`'s slot, keyed by id, and a run calls it itself (`KERNELS`) on the
+cells and power of the busy span it holds, keyed by id number.
 
 A contended slot walks its sessions once per step: one scan for the
-chargeable sessions and their caps, one for each policy's keys, slopes or
-weights, one sort of the breakpoints, and one fill into the rates dict, whose
+chargeable cells and their caps, one for each policy's keys, slopes or
+weights, one sort of the breakpoints, and one fill into the rates, whose
 plain compares keep `min(max(x, 0.0), cap)`'s results, -0.0 and NaN included.
 """
 from __future__ import annotations
@@ -27,13 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import RATE_TOL, SimState
+from .dynamics import FINISHED_EPS, RATE_TOL, SimState, _cells
 from .feasibility import is_offline_feasible, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
-
-#: remaining energy below this fraction of the original demand counts as done
-FINISHED_EPS = 1e-12
 
 
 @dataclass
@@ -41,14 +38,9 @@ class RateDecision:
     """This slot's rates, the sLLF water-level (when applicable), and solver stats.
 
     `rates` is written in the one walk that computes it, so a repeated id
-    keeps its first place and its last rate.
-    `threshold == inf` means every chargeable session at its cap, for each of
-    sLLF, LLF, EDF, ES and REP (`_contention`).  A run of these five builds
-    no decision: it calls their rate kernels (`KERNELS`, by `_kernel_rates`),
-    and charges the rest of the busy span at the caps once `_kernel_rates`
-    gives them; a run
-    that calls a function put in `POLICIES` under one of their names does so
-    once its decision has `threshold == inf`.
+    keeps its first place and its last rate.  `threshold == inf` means every
+    chargeable session at its cap, for each of sLLF, LLF, EDF, ES and REP
+    (`_kernel_rates`).
 
     The `diagnostics` keys, all optional, are:
 
@@ -80,13 +72,13 @@ def _at_slot(state: SimState, t: int) -> None:
 
 
 def _unfinished(sessions, remaining: dict[str, float]) -> tuple[list, list[float]]:
-    """(the sessions with unfinished demand, their caps) in the given order, in
-    one scan: unfinished while remaining > `FINISHED_EPS` * max(1.0, energy),
-    cap min(max_rate, remaining), both in plain compares, NaN alike (a hot loop)."""
+    """(the sessions with unfinished demand, their caps) in the given order,
+    with the remaining energies keyed by id: `_live`'s rule, for sessions
+    without cells (OLP's `_chargeable`)."""
     out, caps = [], []
     for s in sessions:
         rem, energy = remaining[s.id], s.energy
-        if rem > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
+        if rem > FINISHED_EPS * (energy if energy > 1.0 else 1.0):  # `_cells`' done level
             out.append(s)
             max_rate = s.max_rate
             caps.append(rem if rem < max_rate else max_rate)
@@ -99,43 +91,64 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list
     return _unfinished(instance.active_at(t), state.remaining)
 
 
-def _contention(sessions, remaining: dict[str, float], p_limit: float, t: int):
-    """(chargeable sessions, their caps, the caps by id or None) at slot t,
-    where `sessions` are the active ones in instance order and P(t) is `p_limit`.
+def _live(cells, remaining) -> tuple[list, list[float], list[float]]:
+    """(the `_cells` with unfinished demand, their caps and remaining
+    energies) among `cells` in the given order, in one scan: unfinished
+    while remaining > the done level, cap min(max_rate, remaining), both in
+    plain compares, NaN alike (a hot loop)."""
+    live, caps, rems = [], [], []
+    for cell in cells:
+        rem = remaining[cell[0]]
+        if rem > cell[4]:
+            live.append(cell)
+            rems.append(rem)
+            max_rate = cell[1]
+            caps.append(rem if rem < max_rate else max_rate)
+    return live, caps, rems
 
-    The caps by id, in instance order, are returned when their `sum()` (which
-    compensates from Python 3.12 on) is at most P(t), and None otherwise, a
-    NaN power included: in such an uncontended slot sLLF, LLF, EDF, ES and REP
-    each give every session its cap, so each decides it here first (with
-    `threshold=inf`).  A negative P(t) is a `ContractError` naming its slot.
+
+def _kernel_rates(kernel, cells, remaining, p_limit: float, t: int, ordered=None):
+    """(cells, rates, at the caps, threshold, solver steps or None) at slot t
+    of the policy with rate kernel `kernel`, for the `_cells` of its active
+    sessions in instance order, their remaining energies by key in
+    `remaining`, under P(t) = `p_limit`.  The rates are aligned with the
+    cells returned, the chargeable ones in the order `_charge` sums them.
+
+    The caps are given when their `sum()` (which compensates from Python
+    3.12 on) is at most P(t): in such an uncontended slot sLLF, LLF, EDF, ES
+    and REP each give every chargeable session its cap (True,
+    `threshold=inf`, 0 steps).  A contended slot, a NaN power included, is
+    the kernel's (False).  A negative P(t) is a `ContractError` naming its slot.
+
+    A kernel with a fixed fill order (`FILL_KEYS`) is given its chargeable
+    cells in that order: those of `ordered`, the cells sorted by its key
+    (stably, as a run sorts each busy span's once), or sorted here.
     """
-    evs, caps = _unfinished(sessions, remaining)
+    live, caps, rems = _live(cells, remaining)
     if p_limit < 0.0:
         raise ContractError(f"negative station power P({t}) = {p_limit} at slot {t}")
-    return evs, caps, ({s.id: cap for s, cap in zip(evs, caps)} if sum(caps) <= p_limit
-                       else None)
-
-
-def _kernel_rates(kernel, sessions, remaining: dict[str, float], p_limit: float, t: int):
-    """(rates, at the caps, threshold, solver steps or None) at slot t of the
-    policy with rate kernel `kernel`, for its active `sessions` under P(t) =
-    `p_limit`: `_contention` first, which at an uncontended slot gives every
-    session its cap (True, `threshold=inf`, 0 steps), and the kernel at a
-    contended one (False)."""
-    evs, caps, at_caps = _contention(sessions, remaining, p_limit, t)
-    if at_caps is not None:
-        return at_caps, True, math.inf, 0
-    rates, threshold, steps = kernel(evs, caps, remaining, t, p_limit)
-    return rates, False, threshold, steps
+    if sum(caps) <= p_limit:
+        return live, caps, True, math.inf, 0
+    if kernel in FILL_KEYS:
+        if ordered is None:
+            ordered = sorted(cells, key=FILL_KEYS[kernel])
+        live, caps, rems = _live(ordered, remaining)
+    order, rates, threshold, steps = kernel(live, caps, rems, t, p_limit)
+    if order is not None:
+        live = [live[j] for j in order]
+    return live, rates, False, threshold, steps
 
 
 def _decide(kernel, state: SimState, instance: Instance, t: int, stepped: bool) -> RateDecision:
     """The decision of a policy with rate kernel `kernel` at slot t
-    (`_kernel_rates`); `stepped` when the kernel counts solver steps."""
+    (`_kernel_rates`), its rates by id; `stepped` when the kernel counts
+    solver steps."""
     _at_slot(state, t)
-    rates, _, threshold, steps = _kernel_rates(kernel, instance.active_at(t), state.remaining,
-                                               instance.power.at(t), t)
-    return RateDecision(rates, threshold, {"solver_steps": steps} if stepped else {})
+    active = instance.active_at(t)
+    cells, rates, _, threshold, steps = _kernel_rates(
+        kernel, _cells(active, [s.id for s in active]), state.remaining, instance.power.at(t), t)
+    return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold,
+                        {"solver_steps": steps} if stepped else {})
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -145,7 +158,7 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     c + cap / a, so one sorted sweep over those 2n breakpoints finds the
     segment holding p_limit, where one linear equation gives L (the
     continuous-knapsack breakpoint search; the breakpoints, starts first, are
-    sorted in place).  The caps sum to more than p_limit (`_contention`
+    sorted in place).  The caps sum to more than p_limit (`_kernel_rates`
     decides every slot where they fit); L is -inf when there is no power to
     share, NaN included.
     """
@@ -172,8 +185,8 @@ def _off_power(total: float, caps, p_limit: float) -> bool:
     return abs(total - p_limit) > RATE_TOL * max(1.0, p_limit) and all(c == c for c in caps)
 
 
-def _share_exactly(evs, slopes, offsets, caps, p_limit: float) -> dict[str, float]:
-    """The rates clamp(a * (L - c), 0, cap) by id, for a slot where those taken
+def _share_exactly(slopes, offsets, caps, p_limit: float) -> list[float]:
+    """The rates clamp(a * (L - c), 0, cap), for a slot where those taken
     from `_water_level`'s L miss p_limit by more than `_charge`'s tolerance:
     a * (L - c) scales the rounding of L by a, which next to a peak rate of
     1e10 is too much, and the sweep's running slope can lose a small slope
@@ -211,41 +224,42 @@ def _share_exactly(evs, slopes, offsets, caps, p_limit: float) -> dict[str, floa
         delta = (p_limit - sum(rates)) / slope
         rates = [min(a * ((x - c) + delta), cap) if f else r
                  for a, c, cap, r, f in zip(slopes, offsets, caps, rates, free)]
-    return {s.id: r for s, r in zip(evs, rates)}
+    return rates
 
 
-def _laxities(evs, remaining: dict[str, float], t: int):
-    """(laxities at t, peak rates, laxities - 1.0) in one scan, each laxity in
-    `laxity`'s closed form: t lies inside each sojourn and every energy left is
-    positive.  A peak rate of 0 is a `ContractError` naming session and slot."""
+def _laxities(cells, rems, t: int):
+    """(laxities at t, peak rates, laxities - 1.0) of the sessions of
+    `_cells`, in one scan, each laxity in `laxity`'s closed form: t lies
+    inside each sojourn and every energy left (`rems`) is positive.  A peak
+    rate of 0 is a `ContractError` naming session and slot."""
     lax, rbars, offsets = [], [], []
     try:
-        for s in evs:
-            rb = s.max_rate
-            lx = s.departure - t - remaining[s.id] / rb
+        for cell, rem in zip(cells, rems):
+            rb = cell[1]
+            lx = cell[5].departure - t - rem / rb
             lax.append(lx)
             rbars.append(rb)
             offsets.append(lx - 1.0)
     except ZeroDivisionError:
         raise ContractError(
-            f"session {s.id} has peak rate 0 at slot {t}: its laxity is undefined") from None
+            f"session {cell[3]} has peak rate 0 at slot {t}: its laxity is undefined") from None
     return lax, rbars, offsets
 
 
-def _sllf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
-    """sLLF's rate kernel: (rates, water level, solver steps) at a contended slot."""
-    lax, rbars, offsets = _laxities(evs, remaining, t)
+def _sllf(cells, caps, rems, t: int, p_limit: float):
+    """sLLF's rate kernel: (None, rates, water level, solver steps) at a contended slot."""
+    lax, rbars, offsets = _laxities(cells, rems, t)
     level, steps = _water_level(rbars, offsets, caps, p_limit)
-    rates, total = {}, 0.0
-    for s, lx, rb, cap in zip(evs, lax, rbars, caps):
+    rates, total = [], 0.0
+    for lx, rb, cap in zip(lax, rbars, caps):
         r = rb * (level - lx + 1.0)  # not level - (lx - 1.0), which rounds differently
         r = 0.0 if 0.0 > r else r
         r = cap if cap < r else r
-        rates[s.id] = r
+        rates.append(r)
         total += r
     if _off_power(total, caps, p_limit):
-        rates = _share_exactly(evs, rbars, offsets, caps, p_limit)
-    return rates, level, steps
+        rates = _share_exactly(rbars, offsets, caps, p_limit)
+    return None, rates, level, steps
 
 
 def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -253,25 +267,28 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_sllf, state, instance, t, stepped=True)
 
 
-def _greedy_fill(evs, caps, p_limit, keys) -> dict[str, float]:
-    """Each session in increasing `keys` order takes what its cap and the
-    power left allow."""
-    rates = {}
+def _greedy_fill(caps, p_limit, order) -> list[float]:
+    """The rates in `order`, indices into `caps`: each session in turn takes
+    what its cap and the power left allow."""
+    rates = []
     residual = p_limit
-    for k in sorted(range(len(evs)), key=keys.__getitem__):
+    for k in order:
         cap = caps[k]  # max(min(max_rate, remaining, residual), 0.0), NaN alike
         r = residual if residual < cap else cap
         if r < 0.0:
             r = 0.0
-        rates[evs[k].id] = r
+        rates.append(r)
         residual -= r
     return rates
 
 
-def _llf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
-    """LLF's rate kernel: (rates, None, None) at a contended slot."""
-    keys = [(lx, s.arrival, s.id) for s, lx in zip(evs, _laxities(evs, remaining, t)[0])]
-    return _greedy_fill(evs, caps, p_limit, keys), None, None
+def _llf(cells, caps, rems, t: int, p_limit: float):
+    """LLF's rate kernel: (fill order, rates, None, None) at a contended slot,
+    filled in increasing (laxity, arrival, id) order."""
+    lax = _laxities(cells, rems, t)[0]
+    keys = [(lx, cell[5].arrival, cell[3]) for cell, lx in zip(cells, lax)]
+    order = sorted(range(len(caps)), key=keys.__getitem__)
+    return order, _greedy_fill(caps, p_limit, order), None, None
 
 
 def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -279,10 +296,16 @@ def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_llf, state, instance, t, stepped=False)
 
 
-def _edf(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
-    """EDF's rate kernel: (rates, None, None) at a contended slot."""
-    keys = [(s.departure, s.arrival, s.id) for s in evs]
-    return _greedy_fill(evs, caps, p_limit, keys), None, None
+def _edf_key(cell) -> tuple:
+    """EDF's fill key of a cell: (departure, arrival, id)."""
+    s = cell[5]
+    return s.departure, s.arrival, s.id
+
+
+def _edf(cells, caps, rems, t: int, p_limit: float):
+    """EDF's rate kernel: (None, rates, None, None) at a contended slot,
+    filled in the order of `cells`, which `_kernel_rates` sorts by `_edf_key`."""
+    return None, _greedy_fill(caps, p_limit, range(len(caps))), None, None
 
 
 def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -290,26 +313,26 @@ def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_edf, state, instance, t, stepped=False)
 
 
-def _proportional_fill(evs, caps, weights, p_limit: float):
-    """(rates `clamp(w * L, 0, cap)`, None, solver steps): the power shared in
-    proportion to the weights."""
-    offsets = [0.0] * len(evs)
+def _proportional_fill(caps, weights, p_limit: float):
+    """(None, rates `clamp(w * L, 0, cap)`, None, solver steps): the power
+    shared in proportion to the weights."""
+    offsets = [0.0] * len(caps)
     level, steps = _water_level(weights, offsets, caps, p_limit)
-    rates, total = {}, 0.0
-    for s, w, cap in zip(evs, weights, caps):
+    rates, total = [], 0.0
+    for w, cap in zip(weights, caps):
         r = w * level
         r = 0.0 if 0.0 > r else r
         r = cap if cap < r else r
-        rates[s.id] = r
+        rates.append(r)
         total += r
     if _off_power(total, caps, p_limit):
-        rates = _share_exactly(evs, weights, offsets, caps, p_limit)
-    return rates, None, steps
+        rates = _share_exactly(weights, offsets, caps, p_limit)
+    return None, rates, None, steps
 
 
-def _es(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+def _es(cells, caps, rems, t: int, p_limit: float):
     """ES's rate kernel at a contended slot: one weight for every session."""
-    return _proportional_fill(evs, caps, [1.0] * len(evs), p_limit)
+    return _proportional_fill(caps, [1.0] * len(caps), p_limit)
 
 
 def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -317,9 +340,9 @@ def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_es, state, instance, t, stepped=True)
 
 
-def _rep(evs, caps, remaining: dict[str, float], t: int, p_limit: float):
+def _rep(cells, caps, rems, t: int, p_limit: float):
     """REP's rate kernel at a contended slot: each remaining energy its weight."""
-    return _proportional_fill(evs, caps, [remaining[s.id] for s in evs], p_limit)
+    return _proportional_fill(caps, rems, p_limit)
 
 
 def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
@@ -449,18 +472,24 @@ POLICIES = {
 }
 
 
+#: the fill key of each rate kernel that fills in a fixed order, one that
+#: cannot change inside a busy span (see `_kernel_rates`)
+FILL_KEYS = {_edf: _edf_key}
+
+
 #: each simple policy's rate kernel, keyed by its public function: a run
 #: whose `get_policy` gives one of these calls the kernel, and any other
 #: function (OLP, or a wrapper put in `POLICIES`) with a `SimState`
 KERNELS = {sllf_rates: _sllf, llf_rates: _llf, edf_rates: _edf, es_rates: _es, rep_rates: _rep}
 
 
-#: the policies that decide an uncontended slot by `_contention` alone, by
-#: name: a run of their kernels charges the rest of a busy span at the caps
-#: once `_kernel_rates` gives the caps, and a run that calls a function put
-#: under one of these names once its decision has `threshold == inf`; not
-#: OLP, whose fallback carries sLLF's `threshold == inf` while its failed
-#: residual must be asked again at the next slot (its plan: `simulator._run`)
+#: the policies that give every chargeable session its cap at an
+#: uncontended slot (`_kernel_rates`), by name: a run charges the rest of a
+#: busy span in one pass once a slot is charged at the caps, by
+#: `_kernel_rates` or by a called function's `threshold == inf`
+#: (`simulator._charge_at_caps`); not OLP, whose fallback carries sLLF's
+#: `threshold == inf` while its failed residual must be asked again at the
+#: next slot
 CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 
-from .dynamics import (RunVerdict, Schedule, SimState, _charge, _rate_limits,
-                       initial_state, laxity)
+from .dynamics import RunVerdict, Schedule, SimState, _cells, _charge, _charge_ids, laxity
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import CAPS_FIRST, FINISHED_EPS, KERNELS, _kernel_rates, get_policy
+from .schedulers import CAPS_FIRST, FILL_KEYS, KERNELS, _kernel_rates, get_policy
 
 
 class PolicyContractError(ContractError):
@@ -27,16 +26,15 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
 
     Every busy slot is decided, checked and recorded (see `_run`).  Each row
     is a window over its sojourn clipped to [0, horizon), joined over an id,
-    and records the rate that `_charge`, the rate check `step` runs too,
-    applied at each slot; it rejects rates outside the window.
+    and records the rate that `_charge` applied at each slot.
     """
-    starts, ends = _windows(instance)
-    rows = {sid: (lo, [0.0] * (ends[sid] - lo)) for sid, lo in starts.items()}
-    remaining = _run(instance, policy_name, rows)
-    schedule = Schedule(instance.horizon, {sid: tuple(row) for sid, (_, row) in rows.items()},
-                        starts)
-    unmet = {s.id: remaining[s.id] for s in instance.sessions}
-    return schedule, RunVerdict(_meets_demand(instance.sessions, remaining), unmet)
+    ids, keys, starts, ends = _index(instance)
+    rows = [(lo, [0.0] * (hi - lo)) for lo, hi in zip(starts, ends)]
+    remaining = _run(instance, policy_name, ids, keys, ends, rows)
+    schedule = Schedule(instance.horizon, {sid: tuple(row) for sid, (_, row) in zip(ids, rows)},
+                        dict(zip(ids, starts)))
+    verdict = _meets_demand(zip(instance.sessions, keys), remaining)
+    return schedule, RunVerdict(verdict, dict(zip(ids, remaining)))
 
 
 def run_feasibility(instances, policy_name: str) -> list[bool]:
@@ -51,96 +49,101 @@ def run_feasibility(instances, policy_name: str) -> list[bool]:
     the shipped policies only an instance that `validate` rejects, such as
     one with a NaN power, can have one.
     """
-    return [_meets_demand(inst.sessions, _run(inst, policy_name, None)) for inst in instances]
+    flags = []
+    for inst in instances:
+        ids, keys, _, ends = _index(inst)
+        flags.append(_meets_demand(zip(inst.sessions, keys),
+                                   _run(inst, policy_name, ids, keys, ends, None)))
+    return flags
 
 
-def _windows(instance: Instance) -> tuple[dict[str, int], dict[str, int]]:
-    """(starts, ends): each id's window, its sessions' sojourns clipped to
-    [0, horizon) and joined, as its first slot and the slot after its last."""
-    horizon, starts, ends = instance.horizon, {}, {}
+def _index(instance: Instance) -> tuple[list[str], list[int], list[int], list[int]]:
+    """(the distinct ids in order of first appearance, each session's id as
+    its number in that list, and the starts and ends by number): a run
+    keeps its remaining energies and rows by number, and each id's window,
+    its sessions' sojourns clipped to [0, horizon) and joined, is its first
+    slot and the slot after its last."""
+    horizon, number, keys, starts, ends = instance.horizon, {}, [], {}, {}
     for s in instance.sessions:
+        n = number.setdefault(s.id, len(number))  # numbers come in order: 0, 1, ...
+        keys.append(n)
         lo, hi = min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon)
-        starts[s.id], ends[s.id] = min(lo, starts.get(s.id, lo)), max(hi, ends.get(s.id, hi))
-    return starts, ends
+        starts[n], ends[n] = min(lo, starts.get(n, lo)), max(hi, ends.get(n, hi))
+    return list(number), keys, list(starts.values()), list(ends.values())
 
 
-def _meets_demand(sessions, remaining: dict[str, float]) -> bool:
-    """Whether each session's id has at most `DEMAND_TOL` of its energy left."""
-    return all(remaining[s.id] <= DEMAND_TOL * s.energy for s in sessions)
+def _meets_demand(pairs, remaining: list[float]) -> bool:
+    """Whether each (session, id number) of `pairs` has at most `DEMAND_TOL`
+    of the session's energy left under its number."""
+    return all(remaining[n] <= DEMAND_TOL * s.energy for s, n in pairs)
 
 
-def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, float]:
-    """The one slot loop of a run; returns the run's `remaining` energies.
+def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
+         ends: list[int], rows: list | None) -> list[float]:
+    """The one slot loop of a run; returns its remaining energies by id number.
 
-    Only the slots of `Instance.busy_spans` are decided and charged, so `P(t)`
-    is never read at an idle slot: a negative power there is left to
-    `validate`, which rejects it.  Each span's power is read once, at its
-    first slot.  Each session's rate limits are taken once per run, and each
-    span's dict is built from them by position.  Every slot's rates are
-    checked and charged by `_charge`.
+    The run keeps its state by position: each session's id is its number
+    `keys[k]` (`_index`), which indexes the remaining energies, the window
+    `ends` and, with `rows`, each id's (window start, row).  Each session's
+    `_cells` entry is built once per run.  Only the slots of
+    `Instance.busy_spans` are decided and charged, so `P(t)` is never read
+    at an idle slot (a negative one there is left to `validate`); each
+    span's power is read once, at its first slot.
 
-    For sLLF, LLF, EDF, ES and REP, the functions `get_policy` gives for
-    them, each slot is decided on the span the loop holds, with no
-    `SimState` or `RateDecision`: `_kernel_rates` with the policy's rate
-    kernel (`schedulers.KERNELS`) on the span's sessions, its power and the
-    run's `remaining` gives the rates the public function would.  Any other
-    function in `POLICIES` (OLP, or a wrapper put there) is called with a
-    `SimState` that wraps the run's one `remaining` dict and run memory.
+    sLLF, LLF, EDF, ES and REP are decided by `_kernel_rates` on the span's
+    cells, with no `SimState` or `RateDecision`; any other function in
+    `POLICIES` (OLP, or a wrapper put there) is called with a `SimState`
+    whose `remaining`, keyed by id, is built for the call.  Every slot's
+    rates go through `_charge`: positional rates directly, where the span's
+    ids are unique, and by id through `_charge_ids` otherwise.
 
-    A policy decides each busy slot but those a run charges by one of two
-    rules.  First, at the caps: once a `CAPS_FIRST` policy gives every
-    chargeable session its cap (`_kernel_rates` gives the caps, or a called
-    function's decision has `threshold == inf`) at a slot t of a span
-    [a, b), it would at every later slot, since the span has one power and
-    one set of sessions, each cap `min(max_rate, remaining)` can only fall,
-    finished sessions only drop out, and a float sum of fewer, smaller
-    nonnegative terms in the same order is no larger.  So `_charge_at_caps`
-    charges slots t + 1 ... b - 1 in one pass per session, with the float
-    operations `_charge` would make at each slot.  That needs each id's
-    remaining energy to be its one session's and every cap above 0, so a
-    span with a repeated id or a peak rate that is not above 0 (NaN
-    included) is decided slot by slot.
-
-    Second, OLP's plan: OLP is asked at a busy slot only where the run
-    memory holds no plan (before its first solve, and after a fallback) or
-    the plan misses a chargeable session.  At every other busy slot
-    `olp_rates` would follow the plan and leave the memory as it is, so the
-    run charges the rates it would follow there (`_followed_rates`), and a
-    plan rate that breaks a check raises at its slot as a call's would.
-
-    `rows` maps each id to (window start, row), and `_charge` writes each
-    applied rate there.  Without rows (None) the run stops after the first span
-    [a, b) at whose end b some id's window closes with a session of that id
-    short of its demand: `_charge` charges only the ids of a span's limits,
-    so an id's remaining energy is final once its window has ended.
+    A `CAPS_FIRST` policy's span is charged in one pass (`_charge_at_caps`)
+    from the slot after one at the caps on; OLP is asked only where its plan
+    misses a chargeable session (`_followed_rates`).  Without rows (None)
+    the run stops after the first span [a, b) at whose end b some id's
+    window closes with a session of that id short of its demand: an id is
+    charged only while one of its sessions is active.
     """
     policy = get_policy(policy_name)
     kernel = KERNELS.get(policy)
+    fill_key = FILL_KEYS.get(kernel)
     sessions, power = instance.sessions, instance.power
-    remaining, memory = initial_state(instance).remaining, {}
-    limits_of = _rate_limits(sessions)
+    # each id's energy is that of its last session, as in `initial_state`
+    remaining, memory = list({s.id: s.energy for s in sessions}.values()), {}
+    cells = _cells(sessions, keys)
+    unique = len(ids) == len(sessions)
     follows = policy_name == "olp"
-    due = {}  # window end -> the sessions whose id's window ends there
+    due = {}  # window end -> the (session, id number) pairs whose id's window ends there
     if rows is None:
-        ends = _windows(instance)[1]
-        for s in sessions:
-            due.setdefault(ends[s.id], []).append(s)
+        for s, n in zip(sessions, keys):
+            due.setdefault(ends[n], []).append((s, n))
     for a, b, positions in instance.busy_spans():
-        span = [sessions[k] for k in positions]  # `active_at` of each slot of the span
-        limits = dict([limits_of[k] for k in positions])
+        span = [cells[k] for k in positions]
+        ordered = sorted(span, key=fill_key) if fill_key is not None else None
+        # each active id's cell, for rates by id: a policy call's, or a kernel's in a span
+        # that repeats an id
+        active = None if unique and kernel is not None else {cell[3]: cell for cell in span}
+        distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
-        one_pass = (policy_name in CAPS_FIRST and len(limits) == len(span)
-                    and all(s.max_rate > 0.0 for s in span))
+        one_pass = (policy_name in CAPS_FIRST and distinct
+                    and all(cell[1] > 0.0 for cell in span))
         for t in range(a, b):
+            followed = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
             if kernel is not None:
-                rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t)
+                charged, rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t,
+                                                              ordered)
+            elif followed is not None:
+                charged, rates = followed
             else:
-                rates = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
-                if rates is None:
-                    decision = policy(SimState(t, remaining, memory), instance, t)
-                    rates, at_caps = decision.rates, decision.threshold == math.inf
+                decision = policy(SimState(t, dict(zip(ids, remaining)), memory), instance, t)
+                charged, rates, at_caps = None, decision.rates, decision.threshold == math.inf
+            if charged is not None and not distinct:
+                charged, rates = None, {cell[3]: r for cell, r in zip(charged, rates)}
             try:
-                _charge(remaining, rates, limits, t, p_limit, rows)
+                if charged is None:
+                    _charge_ids(remaining, rates, active, t, p_limit, rows)
+                else:
+                    _charge(remaining, charged, rates, t, p_limit, rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
             if one_pass and at_caps:  # never OLP, which may follow
@@ -151,51 +154,59 @@ def _run(instance: Instance, policy_name: str, rows: dict | None) -> dict[str, f
     return remaining
 
 
-def _followed_rates(span, remaining: dict[str, float], plan, t: int) -> dict[str, float] | None:
-    """The rates `olp_rates` follows at slot t of `span` from the run
-    memory's `plan`, or None without a plan or where a chargeable session
-    (`_chargeable`'s rule) is one the plan does not hold: each chargeable
-    session's row entry at t by id, in span order, where a later session of
-    a repeated id sets that id's rate; none when no session is chargeable.
-    A held session's row reaches its departure clipped to the horizon, so
-    it covers t, and t lies in the plan's window."""
+def _followed_rates(span, remaining: list[float], plan, t: int) -> tuple[list, list] | None:
+    """(the chargeable cells, their rates) that `olp_rates` follows at slot t
+    of the span's `_cells` from the run memory's `plan`, or None without a
+    plan or where a chargeable session (`_live`'s rule) is one the
+    plan does not hold: each chargeable session's row entry at t, in span
+    order.  A held session's row reaches its departure clipped to the
+    horizon, so it covers t, and t lies in the plan's window.
+
+    Where they are given, `olp_rates` would follow the plan and leave the
+    run memory as it is, so the run charges them without a call, and a plan
+    rate that breaks a check raises at its slot as a call's would."""
     if plan is None:
         return None
     _, start, _, planned = plan
-    rates = {}
-    for s in span:
-        energy = s.energy
-        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
-            row = planned.get(id(s))
+    at, charged, rates = t - start, [], []
+    for cell in span:
+        if remaining[cell[0]] > cell[4]:
+            row = planned.get(id(cell[5]))
             if row is None:
                 return None
-            rates[s.id] = row[t - start]
-    return rates
+            charged.append(cell)
+            rates.append(row[at])
+    return charged, rates
 
 
-def _charge_at_caps(span, remaining: dict[str, float], rows: dict | None,
-                    t: int, b: int) -> None:
-    """Charge each session of `span` at its cap over slots t ... b - 1, in
-    place, as `_charge` would slot by slot (see `_run`): a session charges
-    while it is unfinished by `_chargeable`'s rule, its peak rate while that
-    fits, and then all it has left, to 0.0."""
-    for s in span:
-        sid, max_rate, energy = s.id, s.max_rate, s.energy
-        done = FINISHED_EPS * (energy if energy > 1.0 else 1.0)
-        rem, u = remaining[sid], t
+def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: int) -> None:
+    """Charge each session of the span's `_cells` at its cap over slots
+    t ... b - 1, in place, as `_charge` would slot by slot: once a
+    `CAPS_FIRST` policy gives every chargeable session its cap at a slot of
+    a span, it would at every later slot, since the span has one power and
+    one set of sessions, each cap `min(max_rate, remaining)` can only fall,
+    finished sessions only drop out, and a float sum of fewer, smaller
+    nonnegative terms in the same order is no larger.  That needs each
+    id's remaining energy to be its one session's and every cap above 0,
+    so `_run` guards a span with a repeated id or a peak rate that is not
+    above 0 (NaN included).  A session charges while it is unfinished by
+    `_live`'s rule, its peak rate while that fits, and then all it
+    has left, to 0.0."""
+    for n, max_rate, _, _, done, _ in span:
+        rem, u = remaining[n], t
         if rows is None:
             while u < b and rem > done:
                 rem = 0.0 if rem < max_rate else rem - max_rate
                 u += 1
         else:
-            start, row = rows[sid]
+            start, row = rows[n]
             while u < b and rem > done:
                 if rem < max_rate:
                     row[u - start], rem = rem, 0.0
                 else:
                     row[u - start], rem = max_rate, rem - max_rate
                 u += 1
-        remaining[sid] = rem
+        remaining[n] = rem
 
 
 def success_rate(instances, policy_name: str) -> float:

@@ -4,10 +4,11 @@
 active sessions by testing `arrival <= t < departure` on all of them, and
 `full_scan_simulate` calls the policy at every slot of the horizon,
 uncontended ones included, with `Instance.active_at` answered by that scan
-and `schedulers._unfinished` by `full_scan_unfinished`, which tests the
-finished rule and takes the caps with `max` and `min`.  It steps each slot
-into horizon-long rows, each holding the rate `full_scan_charge` applied,
-and carries the run memory from each state to the next.
+and `schedulers._unfinished` and `schedulers._live` by `full_scan_unfinished`
+and `full_scan_live`, which test the finished rule and take the caps with
+`max` and `min`.  It steps each slot into horizon-long rows, each holding
+the rate `full_scan_charge` applied, and carries the run memory from each
+state to the next.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
@@ -117,6 +118,16 @@ def full_scan_unfinished(sessions, remaining):
     return out, [min(s.max_rate, remaining[s.id]) for s in out]
 
 
+def full_scan_live(cells, remaining):
+    """(the cells with unfinished demand, their caps and remaining energies),
+    as `schedulers._live` gives them, each cell's session at cell[5] and its
+    remaining energy under cell[0]; the cell's own done level is not read."""
+    live = [cell for cell in cells
+            if remaining[cell[0]] > FINISHED_EPS * max(1.0, cell[5].energy)]
+    rems = [remaining[cell[0]] for cell in live]
+    return live, [min(cell[5].max_rate, rem) for cell, rem in zip(live, rems)], rems
+
+
 def full_scan_chargeable(state, instance, t):
     """(chargeable sessions, their caps), as `schedulers._chargeable` gives them."""
     if state.t != t:
@@ -133,10 +144,11 @@ def full_scan_active(instance, t):
 def full_scan_simulate(instance, policy_name):
     """The whole run, with every policy reading its active sessions from
     `full_scan_active` and its chargeable ones and caps from
-    `full_scan_unfinished`; one run memory, as `simulate` makes, goes from
-    slot to slot."""
+    `full_scan_unfinished` and `full_scan_live`; one run memory, as
+    `simulate` makes, goes from slot to slot."""
     with mock.patch.object(Instance, "active_at", full_scan_active), \
-            mock.patch.object(schedulers, "_unfinished", full_scan_unfinished):
+            mock.patch.object(schedulers, "_unfinished", full_scan_unfinished), \
+            mock.patch.object(schedulers, "_live", full_scan_live):
         policy = POLICIES[policy_name]
         horizon = instance.horizon
         state = SimState(0, initial_state(instance).remaining, {})

@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs.dynamics import (RATE_TOL, SimState, _charge, _rate_limits, initial_state, laxity,
+from evcs.dynamics import (RATE_TOL, SimState, _cells, _charge, _charge_ids, initial_state, laxity,
                            step)
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _contention, edf_rates, es_rates,
-                             get_policy, llf_rates, olp_rates, rep_rates, residual_instance,
-                             sllf_rates)
+from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _kernel_rates, _sllf,
+                             _unfinished, edf_rates, es_rates, get_policy, llf_rates, olp_rates,
+                             rep_rates, residual_instance, sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
@@ -218,7 +218,8 @@ class TestFarApartNumbers:
     @given(far_apart_slots())
     def test_rates_stay_within_the_caps_and_the_power(self, case):
         state, inst = case
-        limits = dict(_rate_limits(inst.sessions))
+        ids = [s.id for s in inst.sessions]
+        limits = dict(zip(ids, _cells(inst.sessions, ids)))
         p = inst.power.at(0)
         caps = [min(s.max_rate, state.remaining[s.id]) for s in inst.sessions]
         for policy in (sllf_rates, es_rates, rep_rates):
@@ -226,7 +227,7 @@ class TestFarApartNumbers:
             for s, cap in zip(inst.sessions, caps):
                 assert 0.0 <= rates[s.id] <= cap, policy
             # `_charge` raises on a total over p_limit + RATE_TOL * max(1.0, p_limit)
-            _charge(dict(state.remaining), rates, limits, 0, p)
+            _charge_ids(dict(state.remaining), rates, limits, 0, p)
             total = 0.0
             for r in rates.values():
                 total += r
@@ -326,7 +327,7 @@ def uncontended_spans(draw):
             0.0, 1e-13, energy, energy / 3, max_rate * draw(st.integers(1, 5)),
             max_rate * 0.999, max_rate + 3e-12 * max(1.0, energy),
             2 * max_rate + 0.5e-12 * max(1.0, energy)]))
-    caps = _contention(span, remaining, 0.0, 0)[1]
+    caps = _unfinished(span, remaining)[1]
     power = sum(caps) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
     return Instance(span, ConstantPower(power), 1000), remaining
 
@@ -339,15 +340,15 @@ class TestUncontendedSpans:
         busy span: one power, one set of sessions, caps that only fall."""
         inst, remaining = case
         span, power = inst.sessions, inst.power.at(0)
-        limits = dict(_rate_limits(span))
+        cells = _cells(span, [s.id for s in span])
         slots = max(math.ceil(remaining[s.id] / s.max_rate) for s in span) + 1
         for t in range(slots + 1):
-            evs, _, caps = _contention(span, remaining, power, t)
-            if not evs:
+            charged, caps, at_caps, _, _ = _kernel_rates(_sllf, cells, remaining, power, t)
+            if not charged:
                 break
-            assert caps is not None, t
-            _charge(remaining, caps, limits, t, power)
-        assert not evs, slots
+            assert at_caps, t
+            _charge(remaining, charged, caps, t, power)
+        assert not charged, slots
 
 
 class TestOlp:

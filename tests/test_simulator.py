@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness, simulate,
                             success_rate)
 
+from policy_oracle import REFERENCE_POLICIES
 from sim_oracle import (assert_dense_metrics, dense, full_scan_chargeable, full_scan_charge,
                         full_scan_simulate)
 
@@ -387,6 +389,43 @@ class TestAgainstFullScan:
             for sid, row in schedule.rates.items():
                 assert sum(row) == pytest.approx(initial[sid] - verdict.unmet_energy[sid],
                                                  abs=1e-12), (policy, sid)
+
+
+def day_width_instance(seed: int) -> Instance:
+    """48 valid sessions whose sojourns of 30-70 slots overlap, 20 or more
+    at once over most of the horizon, under a constant power below their
+    peak rates' sum there: the width at which a run's per-slot scans, sorts
+    and fills carry most of its cost."""
+    rng, sessions = random.Random(seed), []
+    for k in range(48):
+        arrival = rng.randrange(40)
+        sojourn = rng.randint(30, 70)
+        max_rate = rng.choice([1.0, 2.0, 3.3, 6.6])
+        energy = max_rate * sojourn * rng.uniform(0.1, 0.6)
+        sessions.append(ChargingSession(f"ev{k:02d}", arrival, arrival + sojourn, energy,
+                                        max_rate))
+    horizon = max(s.departure for s in sessions)
+    return Instance(sessions, ConstantPower(1.5 * sum(s.energy for s in sessions) / horizon))
+
+
+class TestDayWidth:
+    def test_simple_policies_run_as_the_full_scan(self):
+        inst = day_width_instance(31)
+        assert validate(inst) == []
+        widths = [len(positions) for _, _, positions in inst.busy_spans()]
+        assert len(inst.sessions) >= 40 and max(widths) >= 20, widths
+        widest = max(inst.busy_spans(), key=lambda span: len(span[2]))[2]
+        assert sum(inst.sessions[k].max_rate for k in widest) > inst.power.at(0)
+        for policy in sorted(CAPS_FIRST):
+            assert_same_run(inst, policy)
+
+    def test_simple_policies_run_as_their_frozen_reference(self):
+        # the run that calls the reference policy, put in `POLICIES`, at each slot it decides
+        inst = day_width_instance(31)
+        for name in sorted(CAPS_FIRST):
+            with mock.patch.dict(POLICIES, {name: REFERENCE_POLICIES[name]}):
+                expected = simulate(inst, name)
+            assert repr(simulate(inst, name)) == repr(expected), name
 
 
 def policy_calls(monkeypatch, name, instance, run=simulate):
