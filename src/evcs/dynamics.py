@@ -36,8 +36,9 @@ class SimState:
     """Simulation state at the start of slot t: remaining energy per session id.
 
     A simulator run keeps its remaining energies by id number and builds
-    this dict for each policy call.  `memory` is what a policy keeps from
-    one slot to the next of one run: OLP's plan, or after a fallback the
+    this dict only to call a function in `POLICIES` that is no rate
+    kernel's, such as a wrapper.  `memory` is what a policy keeps from one
+    slot to the next of one run: OLP's plan, or after a fallback the
     sessions of the residual that could not ship, and nothing else.  The
     simulator creates it once per run, and charges from OLP's plan where it
     holds (see `simulator._run`); `step` carries it on.  It takes no part in

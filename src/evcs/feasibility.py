@@ -10,7 +10,9 @@ arcs the peak rate times l up to the demand, interval -> sink arcs the power
 times l: at most 2n + 1 interval nodes plus the power changes, whatever the
 horizon, for the max-flow value of the network with one node per slot.  The
 instance is offline feasible exactly when the maximum flow ships every unit
-of demand; Newton steps on its minimum cut give the exact minimum power.
+of demand; Newton steps on its minimum cut give the exact minimum power,
+and a cut whose capacity falls short of the demand proves infeasibility
+without a max-flow (`cut_capacity`).
 """
 from __future__ import annotations
 
@@ -28,15 +30,20 @@ DEMAND_TOL = 1e-6
 SOURCE, SINK = 0, 1
 
 
-def _build_network(instance: Instance, power_override: float | None = None):
-    """Interval network; returns (graph, session arcs, sink arcs).
+def _network(instance: Instance):
+    """The instance's interval network with every sink arc at capacity 0:
+    (graph, session arcs, sink arcs).  It is built once per instance and
+    kept in the instance's `__dict__`, as `functools.cached_property` keeps
+    a value, so the checks of one instance share its nodes and arcs.
 
     `session_arcs[k]` lists session k's (start, end, arc) per interval of its
     window and `sink_arcs` every interval node's (start, end, arc), each in
     time order.  Session k's node is 2 + k, its source arc 2k; its arcs are
-    capped at its energy, so their tolerance is at the demand's scale.  An override
-    power keeps the profile's change points as cuts, which keep the max-flow value.
+    capped at its energy, so their tolerance is at the demand's scale.
     """
+    built = instance.__dict__.get("_interval_network")
+    if built is not None:
+        return built
     spans = list(instance.busy_spans())
     sessions = instance.sessions
     g = FlowGraph(2 + len(sessions) + len(spans))
@@ -49,8 +56,20 @@ def _build_network(instance: Instance, power_override: float | None = None):
         for k in members:
             cap, e = sessions[k].max_rate * length, sessions[k].energy
             session_arcs[k].append((a, b, g.add_edge(2 + k, node, cap if cap < e else e)))
-        p = instance.power.at(a) if power_override is None else power_override
-        sink_arcs.append((a, b, g.add_edge(node, SINK, p * length)))
+        sink_arcs.append((a, b, g.add_edge(node, SINK, 0.0)))
+    built = instance.__dict__["_interval_network"] = g, session_arcs, sink_arcs
+    return built
+
+
+def _build_network(instance: Instance, power_override: float | None = None):
+    """A fresh copy of the interval network (`_network`), with no flow and
+    each interval's sink arc at its power times its length; returns (graph,
+    session arcs, sink arcs).  An override power keeps the profile's change
+    points as cuts, which keep the max-flow value."""
+    template, session_arcs, sink_arcs = _network(instance)
+    g, power = template.copy(), instance.power
+    for a, b, idx in sink_arcs:
+        g.reset_arc(idx, (power.at(a) if power_override is None else power_override) * (b - a))
     return g, session_arcs, sink_arcs
 
 
@@ -77,6 +96,43 @@ def is_offline_feasible(instance: Instance, power_override: float | None = None,
     """The flag of `offline_feasible`, without the witness's rows; OLP judges a
     residual by the `demands` its sessions arrived with, as their run is."""
     return _solve(instance, power_override, demands)[0]
+
+
+def failed_cut(instance: Instance, demands=None) -> list[bool] | None:
+    """None when `is_offline_feasible(instance, demands=demands)`, and
+    otherwise, per session, whether its node lies on the source side of the
+    max-flow's last level search: a minimum cut."""
+    ships, g, _ = _solve(instance, None, demands)
+    if ships:
+        return None
+    level = g.source_levels
+    return [level[node] >= 0 for node in range(2, 2 + len(instance.sessions))]
+
+
+def cut_capacity(instance: Instance, sourced) -> float:
+    """The capacity of the least cut of the interval network whose source
+    side holds, of the session nodes, those that `sourced` flags: each other
+    session's source arc, and per interval the lesser of its sink arc and
+    the flagged sessions' arcs into it.  An arc a max-flow cannot use, whose
+    capacity is not above 0 (NaN included), counts 0.  Every cut's capacity
+    is at least the max-flow value (Ford & Fulkerson 1956), so one below the
+    demand proves the instance infeasible."""
+    sessions, power, total = instance.sessions, instance.power, 0.0
+    for s, on in zip(sessions, sourced):
+        if not on and s.energy > 0.0:
+            total += s.energy
+    for a, b, members in instance.busy_spans():
+        length, into = b - a, 0.0
+        for k in members:
+            if sourced[k]:
+                cap, e = sessions[k].max_rate * length, sessions[k].energy
+                cap = cap if cap < e else e  # `_network`'s arc
+                if cap > 0.0:
+                    into += cap
+        p = power.at(a) * length
+        if p > 0.0:
+            total += p if p < into else into
+    return total
 
 
 def offline_feasible(

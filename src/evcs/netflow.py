@@ -6,7 +6,8 @@ tolerance.  That keeps the level-graph phases finite despite floating-point
 arithmetic, whatever the capacities span; cap an arc at what can cross it.
 Capacities may be raised between `max_flow` calls; a later call continues
 augmenting on top of the existing flow, which is what the Newton steps of
-`feasibility.min_power_capacity` rely on.
+`feasibility.min_power_capacity` rely on.  `copy` gives a graph of the same
+arcs with residuals of its own, so one network serves many solves.
 
 Each phase labels levels by a BFS that stops at the sink's level, since only
 nodes below it can lie on a shortest path to the sink, then finds augmenting
@@ -47,6 +48,21 @@ class FlowGraph:
         self._initial.append(0.0)
         self.adj[v].append(idx + 1)
         return idx
+
+    def copy(self) -> "FlowGraph":
+        """A graph of the same arcs whose residuals, tolerances and
+        capacities are copies of these.  The structure, `to` and `adj`, is
+        shared: no method but `add_edge` changes it, and no arc is added to
+        a copy."""
+        g = object.__new__(FlowGraph)
+        g.n, g.to, g.adj, g.source_levels = self.n, self.to, self.adj, []
+        g.cap, g.tol, g._initial = self.cap[:], self.tol[:], self._initial[:]
+        return g
+
+    def reset_arc(self, idx: int, cap: float) -> None:
+        """Give forward arc `idx` capacity `cap` and no flow, as `add_edge` makes it."""
+        self.cap[idx], self.cap[idx ^ 1], self._initial[idx] = cap, 0.0, cap
+        self.tol[idx] = self.tol[idx ^ 1] = ARC_TOL * cap if cap > 0.0 else 0.0
 
     def raise_capacity(self, idx: int, cap: float) -> None:
         """Increase a forward arc's capacity to `cap` (flow already sent is kept)."""
@@ -149,7 +165,7 @@ class SlotRows:
 
     def __init__(self, supplies, caps, lengths, powers, warm):
         self.flows, self.residuals = flows, residuals = [], []
-        self.supply_left, loads = list(supplies), [0.0] * len(powers)
+        self.supply_left, loads = list(supplies), None
         for k, (cap, length, row) in enumerate(zip(caps, lengths, warm)):
             if row is None:
                 flows.append([0.0] * length)
@@ -158,11 +174,18 @@ class SlotRows:
                 flows.append(row)
                 residuals.append([cap - f for f in row])
                 self.supply_left[k] -= sum(row)
+                if loads is None:
+                    loads = [0.0] * len(powers)
                 loads[:len(row)] = [load + f for load, f in zip(loads, row)]
         self.tols = [ARC_TOL * c if c > 0.0 else 0.0 for c in caps]
         self.supply_tols = [ARC_TOL * c if c > 0.0 else 0.0 for c in supplies]
-        self.power_left = [p - load for p, load in zip(powers, loads)]
-        self.power_tols = [ARC_TOL * p if p > 0.0 else 0.0 for p in powers]
+        # p - 0.0 is p, -0.0 and NaN included; equal powers have equal tolerances
+        self.power_left = list(powers) if loads is None else [
+            p - load for p, load in zip(powers, loads)]
+        first = powers[0] if powers else 0.0
+        self.power_tols = ([ARC_TOL * first if first > 0.0 else 0.0] * len(powers)
+                           if powers.count(first) == len(powers) else
+                           [ARC_TOL * p if p > 0.0 else 0.0 for p in powers])
         self.cover, members = [], list(range(len(lengths)))  # per slot, its sessions in order
         for stop in sorted(set(lengths)):
             self.cover += [members] * (stop - len(self.cover))
@@ -177,32 +200,41 @@ class SlotRows:
         session -> slot, by the first session with supply left and a free
         arc into the slot, is taken without a search, and a slot that no
         arc enters is passed over.  Returns the pushes, plus one for a last
-        search that finds no path."""
+        search that finds no path.
+
+        A slot's direct pushes are made in one scan of its sessions: a push
+        spends the slot's power, the session's arc or its supply, and
+        neither an arc nor a supply of a session before it can grow."""
         flows, residuals, tols, cover = self.flows, self.residuals, self.tols, self.cover
         supply, supply_tols = self.supply_left, self.supply_tols
         power, power_tols = self.power_left, self.power_tols
-        n, steps, lo, stale = len(power), 0, 0, True
+        sourced = [c > tol for c, tol in zip(supply, supply_tols)]
+        n, steps, lo = len(power), 0, 0
         while lo < n:
             if not power[lo] > power_tols[lo]:  # a NaN left too
                 lo += 1
                 continue
-            if stale:  # only a push that exhausts its session's supply changes them
-                sourced, stale = [c > tol for c, tol in zip(supply, supply_tols)], False
-            w, entered = -1, False
-            for k in cover[lo]:
-                if residuals[k][lo] > tols[k]:
-                    if sourced[k]:
-                        w = k
-                        break
+            entered = False
+            for w in cover[lo]:
+                if not residuals[w][lo] > tols[w]:
+                    continue
+                if not sourced[w]:
                     entered = True
-            if w >= 0:
+                    continue
                 pushed = min(power[lo], residuals[w][lo], supply[w])
                 residuals[w][lo] -= pushed
                 flows[w][lo] += pushed
-            elif not entered:
-                lo += 1
-                continue
+                steps += 1
+                power[lo] -= pushed
+                supply[w] -= pushed
+                sourced[w] = supply[w] > supply_tols[w]
+                if not power[lo] > power_tols[lo]:
+                    break
+                entered = entered or residuals[w][lo] > tols[w]  # its supply is spent
             else:
+                if not entered:
+                    lo += 1
+                    continue
                 lo, path, w = self._search(lo, sourced)
                 if path is None:
                     return steps + 1
@@ -210,10 +242,10 @@ class SlotRows:
                 for row, paired, i in path:
                     row[i] -= pushed
                     paired[i] += pushed
-            steps += 1
-            power[lo] -= pushed
-            supply[w] -= pushed
-            stale = not supply[w] > supply_tols[w]
+                steps += 1
+                power[lo] -= pushed
+                supply[w] -= pushed
+                sourced[w] = supply[w] > supply_tols[w]
         return steps
 
     def _search(self, x: int, sourced):

@@ -15,7 +15,9 @@ energies as aligned lists, with the rates aligned with the cells (or with
 the fill order), behind a thin public function.  `_kernel_rates` holds the
 rule for all five.  The public functions call it on the cells of a
 `SimState`'s slot, keyed by id, and a run calls it itself (`KERNELS`) on the
-cells and power of the busy span it holds, keyed by id number.
+cells and power of the busy span it holds, keyed by id number.  OLP's
+kernel, `_olp`, takes the same cells and the run memory that keeps its plan;
+`olp_rates` is its adapter.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import FINISHED_EPS, RATE_TOL, SimState, _cells
-from .feasibility import is_offline_feasible, ships_demand
+from .feasibility import DEMAND_TOL, cut_capacity, failed_cut, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
 
@@ -56,8 +58,8 @@ class RateDecision:
       remaining demand, by the rule of `feasibility.ships_demand`, and the
       sLLF rates were taken;
     - `olp_unsolved` (olp): on a fallback decided without a solve,
-      "checked" when `is_offline_feasible` on the residual decided it and
-      "skipped" when the run memory's failed residual did.
+      "checked" when the residual was checked again (`_recheck`) and
+      "skipped" when the run memory's failed residual decided it.
     """
 
     rates: dict[str, float]
@@ -351,115 +353,183 @@ def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
 
 
 def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
-    """The problem left at slot t: each chargeable session arrives at t and
-    departs at its departure clipped to the horizon, with its remaining energy
-    and peak rate, under the instance's power and horizon."""
-    horizon, remaining = instance.horizon, state.remaining
-    return Instance([ChargingSession(s.id, t, min(s.departure, horizon), remaining[s.id],
-                                     s.max_rate) for s in _chargeable(state, instance, t)[0]],
-                    instance.power, horizon)
+    """The problem left at slot t (`_residual`) of the chargeable sessions of `state`."""
+    evs = _chargeable(state, instance, t)[0]
+    return _residual(instance, evs, [state.remaining[s.id] for s in evs], t)
+
+
+def _residual(instance: Instance, evs, rems, t: int) -> Instance:
+    """The problem left at slot t: each session of `evs` arrives at t and
+    departs at its departure clipped to the horizon, with its remaining
+    energy (`rems`) and peak rate, under the instance's power and horizon."""
+    horizon = instance.horizon
+    return Instance([ChargingSession(s.id, t, min(s.departure, horizon), rem, s.max_rate)
+                     for s, rem in zip(evs, rems)], instance.power, horizon)
 
 
 def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
     """P(t), ..., P(end - 1), read as one window; a negative one is a
-    `ContractError` naming its slot."""
+    `ContractError` naming its slot.  The window is walked only when its
+    `min()` is not at least 0: a negative power after a number lowers the
+    min, and a leading NaN keeps it NaN."""
     powers = instance.power.window(t, end)
-    for tau, p in enumerate(powers, t):
-        if p < 0:
-            raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
+    if not min(powers, default=0.0) >= 0.0:
+        for tau, p in enumerate(powers, t):
+            if p < 0:
+                raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
     return powers
 
 
-def _olp_fallback(state: SimState, instance: Instance, t: int, failed, unsolved=None):
-    """The sLLF rates, with the sessions of the residual that could not ship
-    (ids of the objects) kept in the run memory."""
-    if state.memory is not None:
-        state.memory["olp"] = None
-        state.memory["olp_infeasible"] = (instance, failed)
-    fallback = sllf_rates(state, instance, t)
-    fallback.diagnostics["olp_fallback"] = True
-    if unsolved:
-        fallback.diagnostics["olp_unsolved"] = unsolved
-    return fallback
+#: the relative margin by which a kept cut must miss the demand to decide a
+#: failed residual without a max-flow, against the float error of either
+CUT_MARGIN = 1e-9
 
 
-def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Front-load the residual problem: earliest-slot-first minimum-cost flow.
+def _recheck(residual: Instance, evs, rems, energies, cut):
+    """The cut that shows the residual (of the sessions `evs`) cannot ship
+    by `ships_demand`'s rule, as the sessions (ids of the objects) on its
+    source side, or None when the residual ships.
 
-    The residual transportation network (current EVs, remaining demands,
-    remaining horizon) has per-unit cost equal to the slot index on the
-    slot -> sink arcs, so every augmenting path's cost is the index of the
-    slot it exits through, and `netflow.SlotRows` solves it by successive
-    shortest paths on each session's rows over its window, with no graph
-    built: each path leaves through the earliest slot with power left that
-    the residual network reaches.  A min-cost flow ships through slots
-    t..tau together the most they can ship, for every tau, so its slot
-    totals are unique; only the split between sessions depends on the order
-    of the searches.  The slot window ends at the last departure:
-    a later slot has no arc in, so its flow could only be zero.
+    The run memory's `cut`, evaluated on this residual, decides alone when
+    its capacity is below the remaining energies less `DEMAND_TOL` of the
+    demands by `CUT_MARGIN` of the remaining energies: a max-flow can ship
+    no more than a cut lets through, so some session would be left more
+    than its tolerance.  Otherwise `is_offline_feasible`'s max-flow on the
+    interval network, whose value is the per-slot network's (Horn 1974),
+    decides, and gives the cut of a failure."""
+    if cut is not None:
+        total = sum(rems)
+        short = total - DEMAND_TOL * sum(energies) - CUT_MARGIN * total
+        if cut_capacity(residual, [id(s) in cut for s in evs]) < short:
+            return cut
+    sourced = failed_cut(residual, energies)
+    return None if sourced is None else frozenset(id(s) for s, on in zip(evs, sourced) if on)
 
-    If the flow leaves some session more than `DEMAND_TOL` of its energy
-    unshipped (`feasibility.ships_demand`: the rule its run is judged by, not
-    tightened as the remaining energy shrinks), this slot falls back to the
-    sLLF rates.  A negative power in the window is a `ContractError` naming
-    its slot.  A session's arcs are capped at its remaining energy.
 
-    In a run (`state.memory` set, as the simulator sets it) a solve keeps its
-    flow rows as a plan, each session's rates over the window, and later slots
-    follow it until a chargeable session is one the plan does not hold
-    (sessions are held by object, so a repeated id solves again), the window
-    ends, or the solve fell back; a run charges the followed slots without a
-    call (see `simulator._run`).  The rest of a min-cost flow stays min-cost
-    for the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9),
-    so a followed slot ships a fresh solve's slot total, and the next solve
-    starts from it: the sessions the plan holds keep their planned rows as
-    flow, and only the demand not yet shipped, that of the sessions that
-    arrived since, is augmented.  Without a plan a solve starts from no flow.
+def _followed_rates(span, remaining: list[float], plan, t: int) -> tuple[list, list] | None:
+    """(the chargeable cells, their rates) that OLP follows at slot t of the
+    span's `_cells` from the run memory's `plan`, or None without a
+    plan or where a chargeable session (`_live`'s rule) is one the
+    plan does not hold: each chargeable session's row entry at t, in span
+    order.  A held session's row reaches its departure clipped to the
+    horizon, so it covers t, and t lies in the plan's window.
 
-    A fallback keeps instead the sessions of the residual that could not
-    ship, and a later slot without a plan falls back at once while all of
-    them are still chargeable: if the later residual could ship, the rates
-    taken since, put in front of its schedule, would ship the failed one,
-    and arrivals only add demand.  Once one of them has departed or
-    finished, `is_offline_feasible` on `residual_instance`, one max-flow on
-    its interval network, whose value is the per-slot network's (Horn
-    1974), decides by the same rule, and only a residual that ships is
-    solved.  A solve that ships forgets the failed residual.  Without run
-    memory every slot is solved.
+    Where they are given, OLP follows the plan and leaves the run memory as
+    it is, so a run charges them without asking it (`simulator._run`), and
+    a plan rate that breaks a check raises at its slot as a call's would."""
+    if plan is None:
+        return None
+    _, start, _, planned = plan
+    at, charged, rates = t - start, [], []
+    for cell in span:
+        if remaining[cell[0]] > cell[4]:
+            row = planned.get(id(cell[5]))
+            if row is None:
+                return None
+            charged.append(cell)
+            rates.append(row[at])
+    return charged, rates
+
+
+def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
+    """OLP's rate kernel at slot t where no plan is followed, for the
+    `_cells` of its active sessions in instance order and their remaining
+    energies by key in `remaining`: (cells, rates aligned with them,
+    threshold, solver steps, how, cut).
+
+    OLP front-loads the residual problem (`_residual`): its min-cost flow,
+    each unit costing the index of the slot it leaves by, is solved by
+    `netflow.SlotRows` on each chargeable session's row over its window
+    (slot t to its departure clipped to the horizon, each arc capped at the
+    session's cap; a later slot has no arc in, so the window ends at the
+    last departure), and its slot-t flows are the rates, None the
+    threshold, and how "solved".  A min-cost flow ships through slots
+    t..tau together the most they can, for every tau, so its slot totals
+    are unique.  A residual that leaves some session more than `DEMAND_TOL`
+    of its energy unshipped (`ships_demand`, the rule its run is judged by)
+    falls back to sLLF's rates, threshold and steps, how "fallback".  A
+    negative power in the window is a `ContractError` naming its slot.
+
+    `memory`, the run memory (None: none, and every slot is solved from no
+    flow), keeps a solve that ships as the plan (instance, t, window end,
+    each session's flow row by object, so a repeated id solves again),
+    which a run follows (`_followed_rates`); a session the plan holds starts
+    the next solve from its planned row, which stays min-cost for the
+    residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9).  A
+    fallback keeps instead the sessions of the residual that could not ship,
+    and falls back at once ("skipped") while all of them are chargeable: if
+    the later residual could ship, the rates taken since, put in front of
+    its schedule, would ship the failed one, and arrivals only add demand.
+    Once one has left, the new residual is checked again (`_recheck`,
+    "checked"), given the kept `cut`; the cut returned is the one of the
+    last failed check, or None after a solve that ships, which also forgets
+    the failed residual.
     """
-    evs, caps = _chargeable(state, instance, t)
-    if not evs:
-        return RateDecision({})
-    memory = state.memory
+    live, caps, rems = _live(cells, remaining)
+    if not live:
+        return live, caps, None, None, "solved", cut
+    evs = [cell[5] for cell in live]
     plan = memory.get("olp") if memory is not None else None
     start, warm = t, [None] * len(evs)
     if plan is not None and plan[0] is instance and plan[1] <= t:
-        _, start, end, planned = plan
+        _, start, _, planned = plan
         warm = [planned.get(id(s)) for s in evs]
-        if t < end and None not in warm:
-            return RateDecision({s.id: row[t - start] for s, row in zip(evs, warm)},
-                                diagnostics={"olp_plan_slot": start})
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
     powers = _window_power(instance, t, end)
-    held, energies = frozenset(map(id, evs)), [s.energy for s in evs]
+    energies, how = [s.energy for s in evs], None
     failed = memory.get("olp_infeasible") if memory is not None else None
     if failed is not None and failed[0] is instance:
+        held = frozenset(map(id, evs))
         if failed[1] <= held:
-            return _olp_fallback(state, instance, t, failed[1], "skipped")
-        if not is_offline_feasible(residual_instance(state, instance, t), demands=energies):
-            return _olp_fallback(state, instance, t, held, "checked")
-    net = SlotRows([state.remaining[s.id] for s in evs], caps, [stop - t for stop in stops],
-                   powers, [row if row is None else row[t - start:] for row in warm])
-    steps = net.solve()
-    if not ships_demand(net.supply_left, energies):
-        return _olp_fallback(state, instance, t, held)
-    if memory is not None:  # keyed by identity; the instance keeps those objects alive
-        memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, net.flows)})
-        memory.pop("olp_infeasible", None)
-    return RateDecision({s.id: (row[0] if row else 0.0) for s, row in zip(evs, net.flows)},
-                        diagnostics={"solver_steps": steps})
+            how, held = "skipped", failed[1]
+        else:
+            checked = _recheck(_residual(instance, evs, rems, t), evs, rems, energies, cut)
+            if checked is not None:
+                how, cut = "checked", checked
+    if how is None:
+        net = SlotRows(rems, caps, [stop - t for stop in stops], powers,
+                       [row if row is None else row[t - start:] for row in warm])
+        steps = net.solve()
+        if ships_demand(net.supply_left, energies):
+            if memory is not None:  # keyed by identity; the instance keeps those objects alive
+                memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, net.flows)})
+                memory.pop("olp_infeasible", None)
+            return live, [row[0] if row else 0.0 for row in net.flows], None, steps, "solved", None
+        how, held = "fallback", frozenset(map(id, evs))
+    if memory is not None:
+        memory["olp"] = None
+        memory["olp_infeasible"] = (instance, held)
+    charged, rates, _, threshold, steps = _kernel_rates(_sllf, cells, remaining,
+                                                        instance.power.at(t), t)
+    return charged, rates, threshold, steps, how, cut
+
+
+def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
+    """Front-load the residual problem: earliest-slot-first minimum-cost flow
+    (`_olp`), its rates by id.  With run memory, a slot whose plan holds
+    every chargeable session follows it (`olp_plan_slot`); a `SimState`
+    keeps no cut, so each failed residual is checked again by a max-flow."""
+    _at_slot(state, t)
+    active, memory = instance.active_at(t), state.memory
+    cells = _cells(active, [s.id for s in active])
+    live = _live(cells, state.remaining)[0]
+    if not live:
+        return RateDecision({})
+    plan = memory.get("olp") if memory is not None else None
+    if plan is not None and plan[0] is instance and plan[1] <= t < plan[2]:
+        followed = _followed_rates(live, state.remaining, plan, t)
+        if followed is not None:
+            return RateDecision({cell[3]: r for cell, r in zip(*followed)},
+                                diagnostics={"olp_plan_slot": plan[1]})
+    cells, rates, threshold, steps, how, _ = _olp(instance, cells, state.remaining, t, memory)
+    diagnostics = {"solver_steps": steps}
+    if how != "solved":
+        diagnostics["olp_fallback"] = True
+        if how != "fallback":
+            diagnostics["olp_unsolved"] = how
+    return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold, diagnostics)
 
 
 POLICIES = {
@@ -478,8 +548,9 @@ FILL_KEYS = {_edf: _edf_key}
 
 
 #: each simple policy's rate kernel, keyed by its public function: a run
-#: whose `get_policy` gives one of these calls the kernel, and any other
-#: function (OLP, or a wrapper put in `POLICIES`) with a `SimState`
+#: whose `get_policy` gives one of these calls the kernel, for `olp_rates`
+#: `_olp`, and any other function (a wrapper put in `POLICIES`) with a
+#: `SimState`
 KERNELS = {sllf_rates: _sllf, llf_rates: _llf, edf_rates: _edf, es_rates: _es, rep_rates: _rep}
 
 

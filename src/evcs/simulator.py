@@ -14,7 +14,8 @@ from .dynamics import RunVerdict, Schedule, SimState, _cells, _charge, _charge_i
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import CAPS_FIRST, FILL_KEYS, KERNELS, _kernel_rates, get_policy
+from .schedulers import (CAPS_FIRST, FILL_KEYS, KERNELS, _followed_rates, _kernel_rates, _olp,
+                         get_policy, olp_rates)
 
 
 class PolicyContractError(ContractError):
@@ -91,11 +92,13 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     span's power is read once, at its first slot.
 
     sLLF, LLF, EDF, ES and REP are decided by `_kernel_rates` on the span's
-    cells, with no `SimState` or `RateDecision`; any other function in
-    `POLICIES` (OLP, or a wrapper put there) is called with a `SimState`
-    whose `remaining`, keyed by id, is built for the call.  Every slot's
-    rates go through `_charge`: positional rates directly, where the span's
-    ids are unique, and by id through `_charge_ids` otherwise.
+    cells, and OLP by its kernel `_olp`, with no `SimState` or
+    `RateDecision`; the run memory keeps OLP's plan and failed residual, and
+    `cut` its last failed cut.  Any other function in `POLICIES` (a wrapper
+    put there) is called with a `SimState` whose `remaining`, keyed by id,
+    is built for the call.  Every slot's rates go through `_charge`:
+    positional rates directly, where the span's ids are unique, and by id
+    through `_charge_ids` otherwise.
 
     A `CAPS_FIRST` policy's span is charged in one pass (`_charge_at_caps`)
     from the slot after one at the caps on; OLP is asked only where its plan
@@ -107,12 +110,14 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     policy = get_policy(policy_name)
     kernel = KERNELS.get(policy)
     fill_key = FILL_KEYS.get(kernel)
+    olp = policy is olp_rates
+    calls = kernel is None and not olp  # a function called with a `SimState`
     sessions, power = instance.sessions, instance.power
     # each id's energy is that of its last session, as in `initial_state`
-    remaining, memory = list({s.id: s.energy for s in sessions}.values()), {}
+    remaining, memory, cut = list({s.id: s.energy for s in sessions}.values()), {}, None
     cells = _cells(sessions, keys)
     unique = len(ids) == len(sessions)
-    follows = policy_name == "olp"
+    follows = olp or policy_name == "olp"
     due = {}  # window end -> the (session, id number) pairs whose id's window ends there
     if rows is None:
         for s, n in zip(sessions, keys):
@@ -122,7 +127,7 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
         ordered = sorted(span, key=fill_key) if fill_key is not None else None
         # each active id's cell, for rates by id: a policy call's, or a kernel's in a span
         # that repeats an id
-        active = None if unique and kernel is not None else {cell[3]: cell for cell in span}
+        active = None if unique and not calls else {cell[3]: cell for cell in span}
         distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
         one_pass = (policy_name in CAPS_FIRST and distinct
@@ -134,6 +139,8 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
                                                               ordered)
             elif followed is not None:
                 charged, rates = followed
+            elif olp:
+                charged, rates, _, _, _, cut = _olp(instance, span, remaining, t, memory, cut)
             else:
                 decision = policy(SimState(t, dict(zip(ids, remaining)), memory), instance, t)
                 charged, rates, at_caps = None, decision.rates, decision.threshold == math.inf
@@ -152,31 +159,6 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
         if b in due and not _meets_demand(due[b], remaining):
             break
     return remaining
-
-
-def _followed_rates(span, remaining: list[float], plan, t: int) -> tuple[list, list] | None:
-    """(the chargeable cells, their rates) that `olp_rates` follows at slot t
-    of the span's `_cells` from the run memory's `plan`, or None without a
-    plan or where a chargeable session (`_live`'s rule) is one the
-    plan does not hold: each chargeable session's row entry at t, in span
-    order.  A held session's row reaches its departure clipped to the
-    horizon, so it covers t, and t lies in the plan's window.
-
-    Where they are given, `olp_rates` would follow the plan and leave the
-    run memory as it is, so the run charges them without a call, and a plan
-    rate that breaks a check raises at its slot as a call's would."""
-    if plan is None:
-        return None
-    _, start, _, planned = plan
-    at, charged, rates = t - start, [], []
-    for cell in span:
-        if remaining[cell[0]] > cell[4]:
-            row = planned.get(id(cell[5]))
-            if row is None:
-                return None
-            charged.append(cell)
-            rates.append(row[at])
-    return charged, rates
 
 
 def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: int) -> None:

@@ -12,6 +12,8 @@ shortest paths, from the plan it follows in a run, so it must fall back on
 the same slots and ship the same slot totals, up to the flow tolerance; the
 split between sessions may differ.
 
+`add_edge_network` is the interval network built arc by arc, which
+`feasibility._build_network`'s copies of one shared network must equal.
 `slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
 the time-expanded network with one node and one sink arc per slot and one
 arc per (session, slot), and rebuild it for every Newton step.
@@ -29,7 +31,7 @@ import math
 from collections import deque
 
 from evcs.dynamics import Schedule
-from evcs.feasibility import DEMAND_TOL
+from evcs.feasibility import DEMAND_TOL, SINK, SOURCE
 from evcs.model import ContractError
 from evcs.netflow import ARC_TOL, FlowGraph
 from evcs.schedulers import RateDecision, _chargeable, sllf_rates
@@ -144,6 +146,28 @@ def full_horizon_olp_rates(state, instance, t):
         return fallback
     rates = {s.id: (g.flow_on(arcs[0]) if arcs else 0.0) for s, arcs in zip(evs, window_arcs)}
     return RateDecision(rates)
+
+
+def add_edge_network(instance, power_override=None):
+    """The interval network as `feasibility._build_network` built it before
+    each instance's nodes and arcs were shared: every arc added by
+    `add_edge`, the sink arcs at the power; returns (graph, session arcs,
+    sink arcs)."""
+    spans = list(instance.busy_spans())
+    sessions = instance.sessions
+    g = FlowGraph(2 + len(sessions) + len(spans))
+    for k, s in enumerate(sessions):
+        g.add_edge(SOURCE, 2 + k, s.energy)
+    session_arcs = [[] for _ in sessions]
+    sink_arcs = []
+    for node, (a, b, members) in enumerate(spans, 2 + len(sessions)):
+        length = b - a
+        for k in members:
+            cap, e = sessions[k].max_rate * length, sessions[k].energy
+            session_arcs[k].append((a, b, g.add_edge(2 + k, node, cap if cap < e else e)))
+        p = instance.power.at(a) if power_override is None else power_override
+        sink_arcs.append((a, b, g.add_edge(node, SINK, p * length)))
+    return g, session_arcs, sink_arcs
 
 
 def slot_build_network(instance, power_override=None):

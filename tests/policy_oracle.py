@@ -11,7 +11,8 @@ reference.
 `olp_rates` and `earliest_exit_flow` are OLP and its solver as they stood
 before a solve skipped the exits nothing can reach and stopped each search
 once it labelled the exit it looks for, the second as a function over a
-`FlowGraph`.  OLP must give the same decisions with the same diagnostics
+`FlowGraph`; `_olp_fallback` is OLP's fallback as it stood before OLP became
+a rate kernel, on the current `sllf_rates`.  OLP must give the same decisions with the same diagnostics
 but `solver_steps`, which may be one fewer: a solve no longer runs its last,
 empty search.  `searching_earliest_exit_flow` is the solver with those two
 skips, as it stood before paths of at most two free arcs were taken without
@@ -29,9 +30,9 @@ from evcs.dynamics import SimState
 from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
-from evcs.schedulers import (FINISHED_EPS, RateDecision, _olp_fallback, _window_power,
-                             residual_instance)
+from evcs.schedulers import FINISHED_EPS, RateDecision, _window_power, residual_instance
 from evcs.schedulers import _chargeable as _chargeable_with_caps
+from evcs.schedulers import sllf_rates as _sllf_rates
 
 
 def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
@@ -408,6 +409,19 @@ def two_arc_earliest_exit_flow(graph: FlowGraph, s: int,
         total += pushed
         stale = not cap[path[-1]] > tol[path[-1]]
     return total, searches
+
+
+def _olp_fallback(state: SimState, instance: Instance, t: int, failed, unsolved=None):
+    """The sLLF rates, with the sessions of the residual that could not ship
+    (ids of the objects) kept in the run memory."""
+    if state.memory is not None:
+        state.memory["olp"] = None
+        state.memory["olp_infeasible"] = (instance, failed)
+    fallback = _sllf_rates(state, instance, t)
+    fallback.diagnostics["olp_fallback"] = True
+    if unsolved:
+        fallback.diagnostics["olp_unsolved"] = unsolved
+    return fallback
 
 
 def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:

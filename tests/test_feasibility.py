@@ -1,19 +1,22 @@
+import dataclasses
 import math
 import random
 import time
 
 import pytest
 
+from evcs import cli, corpus, schedulers
 from evcs.corpus import read_instance
 from evcs.dynamics import Schedule, min_laxity
-from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network,
-                              is_offline_feasible, min_power_capacity,
+from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network, cut_capacity,
+                              failed_cut, is_offline_feasible, min_power_capacity,
                               offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 from evcs.netflow import FlowGraph
+from evcs.schedulers import _residual
 
-from flow_oracle import slot_min_power_capacity, slot_offline_feasible
+from flow_oracle import add_edge_network, slot_min_power_capacity, slot_offline_feasible
 from grid_oracle import grid_feasible, random_grid_instance
 from sim_oracle import assert_dense_metrics, dense, full_scan_validate_schedule
 from evcs.simulator import simulate
@@ -331,6 +334,149 @@ class TestIntervalNetworkAgainstSlots:
         a, b = dense(witness).rates["a"], dense(witness).rates["b"]
         assert a[0] == a[1] and a[2] == a[3] and a[4] == a[5]
         assert b[2] == b[3] and b[:2] == b[4:] == (0.0, 0.0)
+
+
+def graph_floats(g):
+    """A graph's nodes, arcs and adjacency, and its residuals, tolerances and
+    capacities as hex floats, array by array."""
+    def hexed(xs):
+        return [x.hex() if isinstance(x, float) else repr(x) for x in xs]
+    return g.n, g.to, g.adj, hexed(g.cap), hexed(g.tol), hexed(g._initial)
+
+
+class TestSharedNetwork:
+    """Each solve of an instance copies one network of its nodes and arcs,
+    built once, with fresh residuals, tolerances and capacities and the
+    sink arcs at the solve's power: the graph an arc-by-arc build makes."""
+
+    def test_copies_equal_an_add_edge_build(self, reference_corpus):
+        rng = random.Random(31)
+        instances = [random_oracle_instance(rng) for _ in range(300)] + reference_corpus[::25]
+        compared = 0
+        for inst in instances:
+            for power in (None, 0.0, 1.7, -0.0, -1.0, math.nan):
+                g, session_arcs, sink_arcs = _build_network(inst, power)
+                want = add_edge_network(inst, power)
+                assert graph_floats(g) == graph_floats(want[0]), (inst, power)
+                assert (session_arcs, sink_arcs) == want[1:]
+                if power is not None and power >= 0.0:  # raised as `min_power_capacity` raises them
+                    for graph in (g, want[0]):
+                        for a, b, idx in sink_arcs:
+                            graph.raise_capacity(idx, (2.0 * power + 0.5) * (b - a))
+                    assert graph_floats(g) == graph_floats(want[0]), (inst, power)
+                g.max_flow(SOURCE, SINK)
+                want[0].max_flow(SOURCE, SINK)
+                assert graph_floats(g) == graph_floats(want[0]), (inst, power)
+                compared += 1
+        assert compared > 1000
+
+    def test_a_solve_leaves_the_next_one_fresh(self):
+        inst = Instance((ChargingSession("a", 0, 3, 3.0, 1.0), ChargingSession("b", 1, 4, 3.0, 1.0)),
+                        StepwisePower([1.0, 0.5, 2.0, 1.0]))
+        first = _build_network(inst)[0]
+        first.max_flow(SOURCE, SINK)
+        second = _build_network(inst)[0]
+        assert second.adj is first.adj and second.to is first.to
+        assert graph_floats(second) == graph_floats(add_edge_network(inst)[0])
+        assert is_offline_feasible(inst) == is_offline_feasible(inst) is False
+
+    def test_generate_and_check_build_each_instance_s_network_once(self, monkeypatch,
+                                                                  tmp_path, capsys):
+        built, init = [], FlowGraph.__init__
+        monkeypatch.setattr(FlowGraph, "__init__", lambda g, n: built.append(n) or init(g, n))
+        instances = corpus.generate(dataclasses.replace(corpus.reference_spec(), count=5))
+        assert len(built) == len(instances) == 5
+        path = tmp_path / "one.evcs"
+        corpus.write_instance(instances[0], path)
+        del built[:]
+        assert cli.main(["check", str(path)]) == 0
+        assert len(built) == 1 and "True" in capsys.readouterr().out
+
+
+def random_residual_check(rng: random.Random):
+    """(residual, its sessions, remaining energies, demands, kept cut): the
+    problem OLP checks again at slot u after a failed check at slot t < u.
+    Sessions arrive by t and depart up to ten slots later; peak rates now and
+    then span 1e12, are 0, negative or NaN; the power is constant or
+    stepwise, with now and then a slot of NaN or negative power.  The
+    kept cut is the source side of the failed check at t, or of a random
+    one where that residual shipped; at u some sessions have left, some
+    have charged, and one may have arrived."""
+    t = rng.randint(0, 3)
+    sessions = []
+    for k in range(rng.randint(1, 8)):
+        rate = rng.uniform(0.1, 3.0) * rng.choice([1.0, 1.0, 1.0, 1e12])
+        if rng.random() < 0.08:
+            rate = rng.choice([0.0, -1.0, math.nan])
+        d = t + rng.randint(1, 10)
+        reach = rate * (d - t) if rate > 0.0 else rng.uniform(0.1, 3.0)
+        sessions.append(ChargingSession(f"s{k}", rng.randint(0, t), d,
+                                        reach * rng.uniform(0.3, 1.2), rate))
+    horizon = max(s.departure for s in sessions) + 2
+    scale = rng.choice([1.0, 1.0, 1e12])
+    if rng.random() < 0.5:
+        power = ConstantPower(rng.uniform(0.5, 6.0) * scale)
+    else:
+        power = StepwisePower([rng.choice([0.0, 1.0, rng.uniform(0.1, 6.0)]) * scale
+                               if rng.random() < 0.95 else rng.choice([-1.0, math.nan])
+                               for _ in range(horizon)])
+    inst = Instance(tuple(sessions), power, horizon)
+    rems = [s.energy * rng.uniform(0.5, 1.0) for s in sessions]
+    sourced = failed_cut(_residual(inst, sessions, rems, t), [s.energy for s in sessions])
+    if sourced is None:
+        sourced = [rng.random() < 0.5 for _ in sessions]
+    cut = frozenset(id(s) for s, on in zip(sessions, sourced) if on)
+    u = t + rng.randint(0, 2)
+    kept = [(s, rem * rng.uniform(0.6, 1.0)) for s, rem in zip(sessions, rems)
+            if s.departure > u and rng.random() < 0.85]
+    if rng.random() < 0.3:
+        late = ChargingSession("late", u, u + rng.randint(1, 6), rng.uniform(0.1, 5.0) * scale,
+                               rng.uniform(0.5, 3.0) * scale)
+        kept.insert(rng.randint(0, len(kept)), (late, late.energy))
+    evs = [s for s, _ in kept]
+    rems = [rem for _, rem in kept]
+    return _residual(inst, evs, rems, u), evs, rems, [s.energy for s in evs], cut
+
+
+class TestCutCapacity:
+    """A cut's capacity bounds every flow, and a kept cut decides a failed
+    residual only where the max-flow decides the same."""
+
+    def test_every_cut_bounds_the_max_flow_and_the_failed_one_meets_it(self):
+        rng = random.Random(32)
+        failed = 0
+        for _ in range(400):
+            residual, evs, rems, energies, _ = random_residual_check(rng)
+            g = _build_network(residual)[0]
+            flow = g.max_flow(SOURCE, SINK)
+            scale = max(1.0, sum(rems))
+            for _ in range(3):
+                sourced = [rng.random() < 0.5 for _ in evs]
+                assert cut_capacity(residual, sourced) >= flow - 1e-12 * scale
+            sourced = failed_cut(residual, energies)
+            if sourced is not None:
+                failed += 1
+                assert abs(cut_capacity(residual, sourced) - flow) <= 1e-9 * scale
+        assert failed > 50, failed
+
+    def test_the_kept_cut_s_verdict_is_the_max_flow_s(self, monkeypatch):
+        rng = random.Random(33)
+        flows, seen = [], {"cut": 0, "max-flow fails": 0, "ships": 0, "far apart": 0}
+        monkeypatch.setattr(schedulers, "failed_cut",
+                            lambda *args: flows.append(1) or failed_cut(*args))
+        for _ in range(1500):
+            residual, evs, rems, energies, cut = random_residual_check(rng)
+            del flows[:]
+            got = schedulers._recheck(residual, evs, rems, energies, cut)
+            ships = is_offline_feasible(residual, demands=energies)
+            assert (got is None) == ships, residual
+            kind = "ships" if ships else "max-flow fails" if flows else "cut"
+            seen[kind] += 1
+            if not flows:
+                assert got is cut
+            positive = [r for r in rems if r > 0.0]
+            seen["far apart"] += bool(positive) and max(positive) > 1e11 * min(positive)
+        assert min(seen.values()) >= 100, seen
 
 
 class TestValidateSchedule:

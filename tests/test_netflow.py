@@ -484,3 +484,73 @@ class TestRowSolve:
 
     def test_no_slots(self):
         assert SlotRows([1.0], [1.0], [0], [], [None]).solve() == 0
+
+
+class TestDirectPushes:
+    """A slot's direct pushes, source -> session -> slot by the first
+    session with supply left and a free arc, are made in one scan of the
+    slot's sessions; the floats and the count stay those of the graph
+    solver, whose search labels that path first."""
+
+    def test_several_sessions_push_into_one_slot(self):
+        # power 10 at each slot, ten sessions of cap 1: slot 0 takes a push from
+        # each and slot 1 from the seven whose windows reach it and that have
+        # supply left; at slot 2 the three left there are spent, so a last
+        # search finds no path
+        supplies, caps = [1.0, 2.0, 1.0, 3.0] + [1.5] * 6, [1.0] * 10
+        stops = [1, 2, 1, 2, 3, 3, 2, 1, 3, 2]
+        net, steps = TestRowSolve().solve_both(supplies, caps, stops, [10.0] * 3, [None] * 10)
+        assert [row[0] for row in net.flows] == [1.0] * 10
+        assert steps == 10 + 7 + 1
+
+    def test_a_push_that_spends_a_supply_leaves_a_free_arc_to_the_search(self):
+        # "a" holds 0.5 in slot 1 and spends the 0.5 it has left in slot 0 with
+        # its arc there still free; "b" fills its own arc into slot 0, and the
+        # search then moves a's 0.5 out of slot 1 into slot 0 and b's into slot 1
+        net, _ = TestRowSolve().solve_both([1.0, 2.0], [1.0, 1.0], [2, 2], [2.0, 0.5],
+                                           [[0.0, 0.5], None])
+        assert net.flows == [[1.0, 0.0], [1.0, 0.5]] and net.power_left == [0.0, 0.0]
+
+    def test_random_solves_with_several_direct_pushes_per_slot(self, monkeypatch):
+        searches, search = [], SlotRows._search
+        monkeypatch.setattr(SlotRows, "_search",
+                            lambda net, x, sourced: searches.append(x) or search(net, x, sourced))
+        crowded = 0
+        for seed in range(200):
+            rng = random.Random(1000 + seed)
+            stops = [rng.randint(1, 12) for _ in range(rng.randint(2, 30))]
+            caps = [_odd(rng, rng.uniform(0.1, 1.0)) for _ in stops]
+            supplies = [_odd(rng, rng.uniform(0.5, 1.5) * stop * (c if c == c else 1.0))
+                        for stop, c in zip(stops, caps)]
+            # most slots can take several sessions' caps at once
+            powers = [_odd(rng, rng.uniform(0.5, 1.5) * sum(c for c in caps if c == c) / 3)
+                      for _ in range(max(stops))]
+            del searches[:]
+            net, _ = TestRowSolve().solve_both(supplies, caps, stops, powers, [None] * len(stops))
+            shipped = [sum(i < len(row) and row[i] > 0.0 for row in net.flows)
+                       for i in range(len(powers))]
+            if not searches:  # every push was direct
+                crowded += sum(count >= 2 for count in shipped)
+        assert crowded > 200, crowded
+
+
+class TestUniformWindows:
+    """A window of one power fills its exit residuals and tolerances without
+    a per-slot walk, as the graph does them slot by slot."""
+
+    @pytest.mark.parametrize("p", [2.5, 0.0, -0.0, math.nan, 1e-300])
+    def test_one_power_cold_and_warm(self, p):
+        rng = random.Random(7)
+        for _ in range(30):
+            supplies, caps, stops, _ = _rows_state(rng)
+            state = supplies, caps, stops, [p] * max(stops)
+            net, _ = TestRowSolve().solve_both(*state, [None] * len(stops))
+            following = _next_solve(rng, state, net.flows)
+            if following is not None:
+                (supplies, caps, stops, powers), warm = following
+                TestRowSolve().solve_both(supplies, caps, stops, [p] * len(powers), warm)
+
+    def test_zeros_of_both_signs_share_a_tolerance(self):
+        net = SlotRows([1.0], [1.0], [3], (0.0, -0.0, 0.0), [None])
+        assert list(map(float.hex, net.power_tols)) == [float.hex(0.0)] * 3
+        assert list(map(float.hex, net.power_left)) == list(map(float.hex, (0.0, -0.0, 0.0)))

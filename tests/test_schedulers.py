@@ -13,7 +13,7 @@ from evcs.dynamics import (RATE_TOL, SimState, _cells, _charge, _charge_ids, ini
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _kernel_rates, _sllf,
+from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _kernel_rates, _olp, _sllf,
                              _unfinished, edf_rates, es_rates, get_policy, llf_rates, olp_rates,
                              rep_rates, residual_instance, sllf_rates)
 from evcs.netflow import FlowGraph
@@ -604,6 +604,32 @@ class TestOlpAgainstFullHorizon:
         sample = reference_corpus[::20] + spaced_corpus[::20]
         fallbacks, unsolved = olp_runs_as_full_horizon(monkeypatch, sample)
         assert fallbacks > 0 and unsolved["skipped"] > 0
+
+
+class TestOlpKernelDecisions:
+    """`olp_rates` is the adapter of the one OLP, `_olp`: the kernel on cells
+    keyed by id number and remaining energies by number decides as the
+    adapter does on the same state keyed by id, float for float."""
+
+    def test_positional_kernel_decides_as_the_adapter(self):
+        rng = random.Random(112)
+        decided = Counter()
+        for k in range(600):
+            state, inst = (random_mid_run_state if k % 2 else random_wide_state)(rng)
+            t, number = state.t, {}
+            for s in inst.sessions:
+                number.setdefault(s.id, len(number))
+            remaining = [state.remaining[sid] for sid in number]
+            active = inst.active_at(t)
+            cells = _cells(active, [number[s.id] for s in active])
+            charged, rates, threshold, steps, how, _ = _olp(inst, cells, remaining, t, None)
+            want = olp_rates(SimState(t, dict(state.remaining)), inst, t)
+            assert repr({cell[3]: r for cell, r in zip(charged, rates)}) == repr(want.rates)
+            assert repr(threshold) == repr(want.threshold)
+            assert want.diagnostics.get("solver_steps") == steps  # None: none chargeable
+            assert want.diagnostics.get("olp_fallback", False) == (how != "solved")
+            decided[how] += 1
+        assert decided["solved"] > 100 and decided["fallback"] > 100, decided
 
 
 def random_run_instance(rng: random.Random):

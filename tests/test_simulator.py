@@ -20,6 +20,7 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
                             success_rate)
 
 from policy_oracle import REFERENCE_POLICIES
+from policy_oracle import olp_rates as frozen_olp_rates
 from sim_oracle import (assert_dense_metrics, dense, full_scan_chargeable, full_scan_charge,
                         full_scan_simulate)
 
@@ -348,10 +349,12 @@ def valid_instances(draw):
 
 def assert_same_run(instance, policy):
     """`simulate` returns the full-scan run's repr once its schedule is made
-    dense, and the windowed metrics are those of the dense schedule."""
+    dense, and the windowed metrics are those of the dense schedule; the
+    run of the policy's frozen reference has the same outcome."""
     schedule, verdict = simulate(instance, policy)
     assert repr((dense(schedule), verdict)) == repr(full_scan_simulate(instance, policy))
     assert_dense_metrics(instance, schedule)
+    assert run_outcome(instance, policy) == frozen_run_outcome(instance, policy)
 
 
 class TestAgainstFullScan:
@@ -649,6 +652,7 @@ class TestOnePassSpans:
             assert_runs_as_full_scan(inst, name)
             monkeypatch.undo()
             assert seen[:len(passes)] == passes, name  # simulate's; run_feasibility's follow
+            assert run_outcome(inst, name) == frozen_run_outcome(inst, name), name
 
     @pytest.mark.parametrize("sessions", [
         (ChargingSession("a", 0, 8, 4.0, 1.0), ChargingSession("a", 0, 8, 4.0, 0.5),
@@ -664,6 +668,7 @@ class TestOnePassSpans:
             assert_runs_as_full_scan(inst, name)
             monkeypatch.undo()
             assert seen == [], name
+            assert run_outcome(inst, name) == frozen_run_outcome(inst, name), name
             if not math.isnan(sessions[0].max_rate):  # NaN: the run fails at slot 0
                 assert policy_calls(monkeypatch, name, inst) == list(range(8)), name
                 monkeypatch.undo()
@@ -671,11 +676,20 @@ class TestOnePassSpans:
     def test_unvalidated_instances_run_as_the_full_scan(self, monkeypatch):
         rng = random.Random(22)
         seen = one_pass_slots(monkeypatch)
-        for _ in range(300):
-            inst = random_edge_instance(rng)
+        instances = [random_edge_instance(rng) for _ in range(300)]
+        for inst in instances:
             for name in sorted(CAPS_FIRST):
                 assert_runs_as_full_scan(inst, name)
         assert sum(b - t for t, b in seen) > 1000, len(seen)
+        monkeypatch.undo()  # the frozen runs' one passes are not counted
+        # the frozen sLLF and REP overshoot P(t) beside an infinite remaining energy,
+        # which `_share_exactly` corrects
+        finite = [inst for inst in instances
+                  if not any(math.isinf(s.energy) for s in inst.sessions)]
+        for inst in finite:
+            for name in sorted(CAPS_FIRST):
+                assert run_outcome(inst, name) == frozen_run_outcome(inst, name), (name, inst)
+        assert len(finite) > 150, len(finite)
 
 
 def random_kernel_instance(rng: random.Random) -> Instance:
@@ -710,6 +724,18 @@ def run_outcome(instance, name):
     return ran, flags
 
 
+#: each policy's frozen reference (`policy_oracle`), OLP's the frozen OLP
+FROZEN = {**REFERENCE_POLICIES, "olp": frozen_olp_rates}
+
+
+def frozen_run_outcome(instance, name):
+    """`run_outcome` of the run that calls policy `name`'s frozen reference,
+    put in `POLICIES` under its name, at each slot it decides: a rate kernel
+    bug that the full scan shares, through the public functions, shows here."""
+    with mock.patch.dict(POLICIES, {name: FROZEN[name]}):
+        return run_outcome(instance, name)
+
+
 class TestKernelPath:
     """A run of sLLF, LLF, EDF, ES or REP calls the policy's rate kernel on
     the span it holds, with no `SimState` or `RateDecision` per slot and no
@@ -742,6 +768,8 @@ class TestKernelPath:
                 assert kernel == called, (name, inst)
                 assert bool(calls) == bool(busy) and len(built) >= len(calls), name
                 error = kernel[0][1] if isinstance(kernel[0], tuple) else ""
+                if "negative station power" not in error:  # the frozen policies name none
+                    assert kernel == frozen_run_outcome(inst, name), (name, inst)
                 seen.update(kind for kind, hit in (
                     ("negative power", "negative station power" in error),
                     ("nan power", "exceeds power limit nan" in error),
@@ -753,6 +781,98 @@ class TestKernelPath:
                     ("finished", not error),
                 ) if hit)
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+
+def random_contended_instance(rng: random.Random) -> Instance:
+    """Up to ten overlapping valid sessions, arriving over ten slots, under a
+    constant or stepwise power of 0.4-0.9 times their mean demand per slot,
+    so that OLP falls back and checks failed residuals again."""
+    sessions = []
+    for k in range(rng.randint(2, 10)):
+        a = rng.randint(0, 10)
+        d = a + rng.randint(1, 8)
+        r_bar = rng.uniform(0.2, 3.0)
+        sessions.append(ChargingSession(f"s{k}", a, d, r_bar * (d - a) * rng.uniform(0.3, 1.0),
+                                        r_bar))
+    horizon = max(s.departure for s in sessions)
+    mean = sum(s.energy for s in sessions) / horizon
+    if rng.random() < 0.5:
+        power = ConstantPower(mean * rng.uniform(0.4, 0.9))
+    else:
+        power = StepwisePower([mean * rng.uniform(0.3, 1.0) for _ in range(horizon)])
+    return Instance(sessions, power, horizon)
+
+
+class TestOlpKernel:
+    """A run of OLP calls its rate kernel `_olp` where its plan misses a
+    chargeable session, with no `SimState` or `RateDecision` and, where the
+    ids are unique, no rates by id; it equals the run that calls `olp_rates`,
+    the kernel's adapter, put in `POLICIES` behind a wrapper, and the run of
+    the frozen OLP (`policy_oracle.olp_rates`)."""
+
+    def test_runs_equal_the_adapter_s_and_the_frozen_olp_s(self, monkeypatch):
+        built, by_id, fell = [], [], []
+        monkeypatch.setattr(simulator, "SimState",
+                            lambda *args: built.append(args) or SimState(*args))
+        monkeypatch.setattr(schedulers, "RateDecision",
+                            lambda *args, **kw: built.append(args) or RateDecision(*args, **kw))
+        charge_ids, olp = simulator._charge_ids, simulator._olp
+        monkeypatch.setattr(simulator, "_charge_ids",
+                            lambda *args: by_id.append(args[3]) or charge_ids(*args))
+
+        def kernel_counting(*args):
+            decided = olp(*args)
+            fell.append(decided[4])  # how: "solved", "fallback", "skipped" or "checked"
+            return decided
+        monkeypatch.setattr(simulator, "_olp", kernel_counting)
+        followed = followed_slots(monkeypatch)
+        rng, seen = random.Random(34), collections.Counter()
+        for k in range(400):
+            inst = random_kernel_instance(rng) if k % 2 else random_contended_instance(rng)
+            ids = [s.id for s in inst.sessions]
+            for lst in (built, by_id, fell, followed):
+                lst.clear()
+            kernel = run_outcome(inst, "olp")
+            assert built == [], inst
+            if len(set(ids)) == len(ids):
+                assert by_id == [], inst
+            seen.update(fell)
+            seen["followed"] += bool(followed)
+            calls = []
+            monkeypatch.setitem(POLICIES, "olp", lambda state, i, t: calls.append(t) or
+                                schedulers.olp_rates(state, i, t))
+            assert run_outcome(inst, "olp") == kernel, inst
+            monkeypatch.setitem(POLICIES, "olp", schedulers.olp_rates)
+            assert frozen_run_outcome(inst, "olp") == kernel, inst
+            error = kernel[0][1] if isinstance(kernel[0], tuple) else ""
+            seen.update(kind for kind, hit in (
+                ("negative power", "OLP: negative station power" in error),
+                ("stepwise", isinstance(inst.power, StepwisePower)),
+                ("repeated id", len(set(ids)) < len(ids)),
+                ("called", bool(calls)),
+                ("finished", not error),
+            ) if hit)
+        kinds = ("solved", "fallback", "skipped", "checked", "followed", "negative power",
+                 "stepwise", "repeated id", "called", "finished")
+        assert min(seen[kind] for kind in kinds) >= 10, seen
+
+    def test_a_kept_cut_decides_checks_as_the_max_flow_does(self, monkeypatch):
+        # each check of a failed residual after the first is first put to the cut
+        # of the last failed one, and a max-flow runs only where it does not decide
+        checks, flows = [], []
+        recheck, failed_cut = schedulers._recheck, schedulers.failed_cut
+        monkeypatch.setattr(schedulers, "_recheck",
+                            lambda *args: checks.append(args[4]) or recheck(*args))
+        monkeypatch.setattr(schedulers, "failed_cut",
+                            lambda *args: flows.append(1) or failed_cut(*args))
+        rng = random.Random(35)
+        instances = [random_contended_instance(rng) for _ in range(300)]
+        for inst in instances:
+            kernel = run_outcome(inst, "olp")
+            assert frozen_run_outcome(inst, "olp") == kernel, inst
+        kept = sum(cut is not None for cut in checks)
+        assert len(checks) > 100 and kept > 50 and len(flows) < len(checks) - 50, (
+            len(checks), kept, len(flows))
 
 
 def followed_slots(monkeypatch):

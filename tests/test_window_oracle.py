@@ -1,6 +1,7 @@
 """`theorem2_bound` and OLP's `_window_power`, which read each window of the
 power profile at once, against the per-slot reads frozen in `window_oracle`:
 equal `repr`s, or the same error and message."""
+import itertools
 import math
 import random
 
@@ -68,3 +69,19 @@ class TestAgainstPerSlotReads:
             kinds.add(expected[0].__name__ if isinstance(expected, tuple) else
                       "empty" if expected == "[]" else "nan" if "nan" in expected else "window")
         assert kinds == {"window", "empty", "nan", "ContractError", "IndexError"}, kinds
+
+    def test_window_power_on_nan_and_negative_slots(self):
+        # every stepwise window of three slots over NaN, zeros of both signs and
+        # negative powers: a NaN before a negative power hides it from no check
+        values = [math.nan, -0.5, -0.0, 0.0, 1.0, -2.0]
+        errors = 0
+        for powers in itertools.product(values, repeat=3):
+            inst = Instance((), StepwisePower(powers), 3)
+            for t, end in ((0, 3), (1, 3), (0, 2), (2, 3)):
+                expected = outcome(window_oracle.window_power, inst, t, end)
+                assert outcome(_window_power, inst, t, end) == expected, (powers, t, end)
+                errors += isinstance(expected, tuple)
+        assert errors > 400, errors
+        inst = Instance((), StepwisePower([math.nan, math.nan, -1.0, -2.0]), 4)
+        assert outcome(_window_power, inst, 0, 4)[1] == (
+            "OLP: negative station power P(2) = -1.0 at slot 2")
