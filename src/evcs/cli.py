@@ -153,8 +153,9 @@ def _run_csv(schedule, columns: list[str], last: tuple) -> str:
     one `csv.writer` call per session instead of per row: the writer quotes
     the id, and each row appends the slot and the rate's `repr`, as the
     writer renders an int and a float.  Equal nonzero floats have equal
-    `repr`s, so a rate that repeats the one before it reuses its text."""
-    parts = [_csv_line(columns)]
+    `repr`s, so a rate that repeats the one before it reuses its text, and
+    each slot's text is made once, for the slots written only."""
+    parts, slots = [_csv_line(columns)], {}
     for sid, row in schedule.rates.items():
         prefix = _csv_line((sid, ""))[:-2]  # the quoted id and its comma, without "\r\n"
         lines, rate, text = [], None, ""
@@ -162,7 +163,10 @@ def _run_csv(schedule, columns: list[str], last: tuple) -> str:
             if r != 0.0:
                 if r != rate:
                     rate, text = r, f"{r!r}\r\n"
-                lines.append(f"{prefix}{t},{text}")
+                slot = slots.get(t)
+                if slot is None:
+                    slot = slots[t] = f"{t},"
+                lines.append(f"{prefix}{slot}{text}")
         parts.append("".join(lines))
     parts.append(_csv_line(last))
     return "".join(parts)

@@ -117,15 +117,40 @@ def cut_capacity(instance: Instance, sourced) -> float:
     capacity is not above 0 (NaN included), counts 0.  Every cut's capacity
     is at least the max-flow value (Ford & Fulkerson 1956), so one below the
     demand proves the instance infeasible."""
-    sessions, power, total = instance.sessions, instance.power, 0.0
-    for s, on in zip(sessions, sourced):
-        if not on and s.energy > 0.0:
-            total += s.energy
-    for a, b, members in instance.busy_spans():
+    sessions = instance.sessions
+    return _cut_capacity([s.energy for s in sessions], [s.max_rate for s in sessions], sourced,
+                         instance.busy_spans(), instance.power)
+
+
+def residual_cut_capacity(power, t: int, stops, energies, rates, sourced) -> float:
+    """`cut_capacity` of the instance whose session k arrives at slot t and
+    departs at `stops[k]`, at most its horizon, with energy `energies[k]`
+    and peak rate `rates[k]`, under `power`, without building it: its busy
+    spans are cut by t (or 0, if later), the later stops and the power's
+    changes between them, and session k is active on those before
+    `stops[k]`, in session order."""
+    lo = max(t, 0)
+    points = sorted({lo, *[stop for stop in stops if stop > lo],
+                     *power.changes(lo, max(stops, default=lo))})
+    spans, members = [], range(len(stops))
+    for a, b in zip(points, points[1:]):
+        members = [k for k in members if stops[k] > a]
+        spans.append((a, b, members))
+    return _cut_capacity(energies, rates, sourced, spans, power)
+
+
+def _cut_capacity(energies, rates, sourced, spans, power) -> float:
+    """`cut_capacity` of sessions with these energies and peak rates over
+    the busy `spans`, each (start, end, positions of its members)."""
+    total = 0.0
+    for e, on in zip(energies, sourced):
+        if not on and e > 0.0:
+            total += e
+    for a, b, members in spans:
         length, into = b - a, 0.0
         for k in members:
             if sourced[k]:
-                cap, e = sessions[k].max_rate * length, sessions[k].energy
+                cap, e = rates[k] * length, energies[k]
                 cap = cap if cap < e else e  # `_network`'s arc
                 if cap > 0.0:
                     into += cap

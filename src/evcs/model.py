@@ -43,6 +43,10 @@ class ConstantPower:
         slot order: the one power, once, or none for an empty window."""
         return (self.power,) if lo < hi else ()
 
+    def changes(self, lo: int, hi: int) -> list[int]:
+        """The slots lo < t < hi at which P(t) differs from P(t - 1): none."""
+        return []
+
     def bounds(self, horizon: int) -> tuple[float, float]:
         return self.power, self.power
 
@@ -72,6 +76,12 @@ class StepwisePower:
         """The values P takes over slots lo ... hi - 1, each at least once, in
         slot order: the window itself."""
         return self.window(lo, hi)
+
+    def changes(self, lo: int, hi: int) -> list[int]:
+        """The slots lo < t < hi at which P(t) differs from P(t - 1), a NaN
+        from every value, in slot order."""
+        values = self.values
+        return [t for t in range(lo + 1, hi) if values[t] != values[t - 1]]
 
     def bounds(self, horizon: int) -> tuple[float, float]:
         window = self.values[: horizon or None]
@@ -158,7 +168,7 @@ class Instance:
             if len(power.values) < horizon:
                 raise ContractError(f"stepwise power has no value for slot "
                                     f"{len(power.values)} of horizon {horizon}")
-            events.update((t, []) for t in range(1, horizon) if power.at(t) != power.at(t - 1))
+            events.update((t, []) for t in power.changes(0, horizon))
         for k, s in enumerate(self.sessions):
             if s.arrival < s.departure:
                 events.setdefault(s.arrival, []).append(k)

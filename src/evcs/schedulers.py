@@ -21,8 +21,19 @@ kernel, `_olp`, takes the same cells and the run memory that keeps its plan;
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
-weights, one sort of the breakpoints, and one fill into the rates, whose
-plain compares keep `min(max(x, 0.0), cap)`'s results, -0.0 and NaN included.
+weights, one sort, and one fill into the rates, whose plain compares keep
+`min(max(x, 0.0), cap)`'s results, -0.0 and NaN included.
+
+LLF, ES and REP sort one float key per session, stably, into the order
+of the tuples it stands for.  LLF sorts its laxities, a run of equal ones
+by (arrival, id).  ES and REP's breakpoints start at 0.0, so the starts
+come first, in increasing weight, and leave the total at 0.0; only the
+ends cap / w are sorted, and a run of equal ends, which adds no reach past
+its first, leaves the slope in decreasing weight, as (end, -w) orders it.
+A slot with a NaN or infinite laxity, weight or end, or a weight or end
+not above 0, which only an instance that `validate` rejects gives, keeps
+the tuple sort (`_water_level` for ES and REP): no float sort gives its
+order on NaN.  sLLF sorts its breakpoints as tuples.
 """
 from __future__ import annotations
 
@@ -30,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import FINISHED_EPS, RATE_TOL, SimState, _cells
-from .feasibility import DEMAND_TOL, cut_capacity, failed_cut, ships_demand
+from .feasibility import DEMAND_TOL, failed_cut, residual_cut_capacity, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
 
@@ -269,6 +280,22 @@ def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_sllf, state, instance, t, stepped=True)
 
 
+def _tie_sorted(keys, tie) -> list[int]:
+    """The indices of the float `keys` in increasing key order, each run of
+    equal keys in increasing `tie(j)` order, as stable as `sorted`."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        i, n = 0, len(order)
+        while i < n:
+            x, j = keys[order[i]], i + 1
+            while j < n and keys[order[j]] == x:
+                j += 1
+            if j - i > 1:
+                order[i:j] = sorted(order[i:j], key=tie)
+            i = j
+    return order
+
+
 def _greedy_fill(caps, p_limit, order) -> list[float]:
     """The rates in `order`, indices into `caps`: each session in turn takes
     what its cap and the power left allow."""
@@ -287,9 +314,15 @@ def _greedy_fill(caps, p_limit, order) -> list[float]:
 def _llf(cells, caps, rems, t: int, p_limit: float):
     """LLF's rate kernel: (fill order, rates, None, None) at a contended slot,
     filled in increasing (laxity, arrival, id) order."""
-    lax = _laxities(cells, rems, t)[0]
-    keys = [(lx, cell[5].arrival, cell[3]) for cell, lx in zip(cells, lax)]
-    order = sorted(range(len(caps)), key=keys.__getitem__)
+    try:
+        lax = [cell[5].departure - t - rem / cell[1] for cell, rem in zip(cells, rems)]
+    except ZeroDivisionError:
+        lax = _laxities(cells, rems, t)[0]  # raises, naming the session
+    if math.isfinite(sum(lax)):
+        order = _tie_sorted(lax, lambda j: (cells[j][5].arrival, cells[j][3]))
+    else:
+        keys = [(lx, cell[5].arrival, cell[3]) for cell, lx in zip(cells, lax)]
+        order = sorted(range(len(caps)), key=keys.__getitem__)
     return order, _greedy_fill(caps, p_limit, order), None, None
 
 
@@ -315,11 +348,42 @@ def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     return _decide(_edf, state, instance, t, stepped=False)
 
 
+def _proportional_level(weights, caps, p_limit: float) -> tuple[float, int]:
+    """`_water_level` of the slopes `weights` at offsets 0.0."""
+    if not p_limit > 0.0:
+        return -math.inf, 0
+    ends = [0.0 + cap / w for w, cap in zip(weights, caps)]
+    ascending, slope = sorted(weights), 0.0
+    for w in ascending:  # the starts, which leave the total at 0.0
+        slope += w
+    if not (ascending[0] > 0.0 and min(ends) > 0.0 and math.isfinite(slope + sum(ends))):
+        return _water_level(weights, [0.0] * len(caps), caps, p_limit)
+    n = len(ends)
+    order = sorted(range(n), key=ends.__getitem__)
+    level = total = 0.0
+    i = 0
+    while i < n:
+        j = order[i]
+        x = ends[j]
+        reach = total + slope * (x - level)
+        if reach >= p_limit:
+            return level + (p_limit - total) / slope, n + i + 1
+        r = i + 1
+        while r < n and ends[order[r]] == x:
+            r += 1
+        if r == i + 1:
+            slope -= weights[j]
+        else:  # a run of equal ends
+            for w in sorted([weights[k] for k in order[i:r]], reverse=True):
+                slope -= w
+        level, total, i = x, reach, r
+    return level, 2 * n
+
+
 def _proportional_fill(caps, weights, p_limit: float):
     """(None, rates `clamp(w * L, 0, cap)`, None, solver steps): the power
     shared in proportion to the weights."""
-    offsets = [0.0] * len(caps)
-    level, steps = _water_level(weights, offsets, caps, p_limit)
+    level, steps = _proportional_level(weights, caps, p_limit)
     rates, total = [], 0.0
     for w, cap in zip(weights, caps):
         r = w * level
@@ -328,7 +392,7 @@ def _proportional_fill(caps, weights, p_limit: float):
         rates.append(r)
         total += r
     if _off_power(total, caps, p_limit):
-        rates = _share_exactly(weights, offsets, caps, p_limit)
+        rates = _share_exactly(weights, [0.0] * len(caps), caps, p_limit)
     return None, rates, None, steps
 
 
@@ -385,24 +449,27 @@ def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
 CUT_MARGIN = 1e-9
 
 
-def _recheck(residual: Instance, evs, rems, energies, cut):
-    """The cut that shows the residual (of the sessions `evs`) cannot ship
-    by `ships_demand`'s rule, as the sessions (ids of the objects) on its
-    source side, or None when the residual ships.
+def _recheck(instance: Instance, evs, rems, energies, cut, t: int, stops):
+    """The cut that shows the residual at slot t (`_residual`) of the
+    sessions `evs`, which depart at `stops`, cannot ship by `ships_demand`'s
+    rule, as the sessions (ids of the objects) on its source side, or None
+    when the residual ships.
 
-    The run memory's `cut`, evaluated on this residual, decides alone when
-    its capacity is below the remaining energies less `DEMAND_TOL` of the
-    demands by `CUT_MARGIN` of the remaining energies: a max-flow can ship
-    no more than a cut lets through, so some session would be left more
-    than its tolerance.  Otherwise `is_offline_feasible`'s max-flow on the
-    interval network, whose value is the per-slot network's (Horn 1974),
-    decides, and gives the cut of a failure."""
+    The run memory's `cut`, evaluated on this residual without building it
+    (`residual_cut_capacity`), decides alone when its capacity is below the
+    remaining energies less `DEMAND_TOL` of the demands by `CUT_MARGIN` of
+    the remaining energies: a max-flow can ship no more than a cut lets
+    through, so some session would be left more than its tolerance.
+    Otherwise `is_offline_feasible`'s max-flow on the residual's interval
+    network, whose value is the per-slot network's (Horn 1974), decides,
+    and gives the cut of a failure."""
     if cut is not None:
         total = sum(rems)
         short = total - DEMAND_TOL * sum(energies) - CUT_MARGIN * total
-        if cut_capacity(residual, [id(s) in cut for s in evs]) < short:
+        if residual_cut_capacity(instance.power, t, stops, rems, [s.max_rate for s in evs],
+                                 [id(s) in cut for s in evs]) < short:
             return cut
-    sourced = failed_cut(residual, energies)
+    sourced = failed_cut(_residual(instance, evs, rems, t), energies)
     return None if sourced is None else frozenset(id(s) for s, on in zip(evs, sourced) if on)
 
 
@@ -485,7 +552,7 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
         if failed[1] <= held:
             how, held = "skipped", failed[1]
         else:
-            checked = _recheck(_residual(instance, evs, rems, t), evs, rems, energies, cut)
+            checked = _recheck(instance, evs, rems, energies, cut, t, stops)
             if checked is not None:
                 how, cut = "checked", checked
     if how is None:

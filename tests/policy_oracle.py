@@ -8,6 +8,11 @@ for float: the same rates in the same key order, the same `threshold` and
 the same `diagnostics`.  `REFERENCE_POLICIES` maps each policy name to its
 reference.
 
+`proportional_fill_kernel` and `llf_kernel` are ES and REP's shared rate
+kernel and LLF's as they stood before they sorted floats in place of
+tuples: each must return the same fill order, rates, threshold and solver
+steps, or raise the same `ContractError`.
+
 `olp_rates` and `earliest_exit_flow` are OLP and its solver as they stood
 before a solve skipped the exits nothing can reach and stopped each search
 once it labelled the exit it looks for, the second as a function over a
@@ -31,6 +36,9 @@ from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
 from evcs.schedulers import FINISHED_EPS, RateDecision, _window_power, residual_instance
+from evcs.schedulers import _greedy_fill as _kernel_greedy_fill
+from evcs.schedulers import _laxities as _kernel_laxities
+from evcs.schedulers import _off_power, _share_exactly
 from evcs.schedulers import _chargeable as _chargeable_with_caps
 from evcs.schedulers import sllf_rates as _sllf_rates
 
@@ -176,6 +184,31 @@ def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     """Remaining-energy-proportional sharing, clipped to the caps."""
     return _proportional_fill(state, instance, t, lambda s: state.remaining[s.id])
 
+
+def proportional_fill_kernel(caps, weights, p_limit: float):
+    """(None, rates `clamp(w * L, 0, cap)`, None, solver steps): the power
+    shared in proportion to the weights."""
+    offsets = [0.0] * len(caps)
+    level, steps = _water_level(weights, offsets, caps, p_limit)
+    rates, total = [], 0.0
+    for w, cap in zip(weights, caps):
+        r = w * level
+        r = 0.0 if 0.0 > r else r
+        r = cap if cap < r else r
+        rates.append(r)
+        total += r
+    if _off_power(total, caps, p_limit):
+        rates = _share_exactly(weights, offsets, caps, p_limit)
+    return None, rates, None, steps
+
+
+def llf_kernel(cells, caps, rems, t: int, p_limit: float):
+    """LLF's rate kernel: (fill order, rates, None, None) at a contended slot,
+    filled in increasing (laxity, arrival, id) order."""
+    lax = _kernel_laxities(cells, rems, t)[0]
+    keys = [(lx, cell[5].arrival, cell[3]) for cell, lx in zip(cells, lax)]
+    order = sorted(range(len(caps)), key=keys.__getitem__)
+    return order, _kernel_greedy_fill(caps, p_limit, order), None, None
 
 
 REFERENCE_POLICIES = {

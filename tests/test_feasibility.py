@@ -10,7 +10,7 @@ from evcs.corpus import read_instance
 from evcs.dynamics import Schedule, min_laxity
 from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network, cut_capacity,
                               failed_cut, is_offline_feasible, min_power_capacity,
-                              offline_feasible, validate_schedule)
+                              offline_feasible, residual_cut_capacity, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 from evcs.netflow import FlowGraph
@@ -394,7 +394,7 @@ class TestSharedNetwork:
 
 
 def random_residual_check(rng: random.Random):
-    """(residual, its sessions, remaining energies, demands, kept cut): the
+    """(residual, its sessions, remaining energies, demands, kept cut, u): the
     problem OLP checks again at slot u after a failed check at slot t < u.
     Sessions arrive by t and depart up to ten slots later; peak rates now and
     then span 1e12, are 0, negative or NaN; the power is constant or
@@ -435,7 +435,7 @@ def random_residual_check(rng: random.Random):
         kept.insert(rng.randint(0, len(kept)), (late, late.energy))
     evs = [s for s, _ in kept]
     rems = [rem for _, rem in kept]
-    return _residual(inst, evs, rems, u), evs, rems, [s.energy for s in evs], cut
+    return _residual(inst, evs, rems, u), evs, rems, [s.energy for s in evs], cut, u
 
 
 class TestCutCapacity:
@@ -446,7 +446,7 @@ class TestCutCapacity:
         rng = random.Random(32)
         failed = 0
         for _ in range(400):
-            residual, evs, rems, energies, _ = random_residual_check(rng)
+            residual, evs, rems, energies, _, _ = random_residual_check(rng)
             g = _build_network(residual)[0]
             flow = g.max_flow(SOURCE, SINK)
             scale = max(1.0, sum(rems))
@@ -459,15 +459,36 @@ class TestCutCapacity:
                 assert abs(cut_capacity(residual, sourced) - flow) <= 1e-9 * scale
         assert failed > 50, failed
 
+    def test_a_residual_s_cut_is_evaluated_as_on_the_built_residual(self):
+        # the residual's spans come from u, its stops and the power's changes
+        rng = random.Random(34)
+        stepwise = 0
+        for _ in range(600):
+            residual, evs, rems, _, cut, u = random_residual_check(rng)
+            stepwise += isinstance(residual.power, StepwisePower)
+            stops = [s.departure for s in residual.sessions]
+            rates = [s.max_rate for s in evs]
+            # the same sessions arriving before slot 0 are active from 0 on
+            early = Instance([dataclasses.replace(s, arrival=-2) for s in residual.sessions],
+                             residual.power, residual.horizon)
+            for sourced in ([id(s) in cut for s in evs], [rng.random() < 0.5 for _ in evs],
+                            [True] * len(evs)):
+                got = residual_cut_capacity(residual.power, u, stops, rems, rates, sourced)
+                assert repr(got) == repr(cut_capacity(residual, sourced)), residual
+                got = residual_cut_capacity(early.power, -2, stops, rems, rates, sourced)
+                assert repr(got) == repr(cut_capacity(early, sourced)), early
+        assert stepwise > 200, stepwise
+
     def test_the_kept_cut_s_verdict_is_the_max_flow_s(self, monkeypatch):
         rng = random.Random(33)
         flows, seen = [], {"cut": 0, "max-flow fails": 0, "ships": 0, "far apart": 0}
         monkeypatch.setattr(schedulers, "failed_cut",
                             lambda *args: flows.append(1) or failed_cut(*args))
         for _ in range(1500):
-            residual, evs, rems, energies, cut = random_residual_check(rng)
+            residual, evs, rems, energies, cut, u = random_residual_check(rng)
             del flows[:]
-            got = schedulers._recheck(residual, evs, rems, energies, cut)
+            got = schedulers._recheck(residual, evs, rems, energies, cut, u,
+                                      [s.departure for s in residual.sessions])
             ships = is_offline_feasible(residual, demands=energies)
             assert (got is None) == ships, residual
             kind = "ships" if ships else "max-flow fails" if flows else "cut"

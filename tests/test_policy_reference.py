@@ -5,6 +5,8 @@ and in key order, the `threshold` and the `diagnostics`, or the same
 `ContractError` message; OLP's `solver_steps` may be one fewer.  Whole runs
 must give the same schedules and verdicts as runs driven by the reference
 policies; OLP's as runs of the frozen OLP that decide every busy slot.
+LLF's rate kernel and ES and REP's must return what their frozen tuple
+sorts return, on slots built to tie and on inputs that keep the tuple sort.
 These tests run on every Python version of the tier-1 matrix, where `sum()`
 differs from 3.12 on.
 """
@@ -15,12 +17,13 @@ from unittest import mock
 
 import pytest
 
-from evcs.dynamics import SimState, initial_state, step
+from evcs import schedulers
+from evcs.dynamics import SimState, _cells, initial_state, step
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance, StepwisePower
 from evcs.schedulers import FINISHED_EPS, POLICIES
 from evcs.simulator import run_feasibility, simulate
 
-from policy_oracle import REFERENCE_POLICIES
+from policy_oracle import REFERENCE_POLICIES, llf_kernel, proportional_fill_kernel
 from policy_oracle import olp_rates as frozen_olp_rates
 from sim_oracle import dense, full_scan_chargeable
 
@@ -134,6 +137,106 @@ class TestFrozenReference:
                 with mock.patch.dict(POLICIES, {name: reference}):
                     expected = run_outcome(inst, name)
                 assert run_outcome(inst, name) == expected, name
+
+
+def kernel_outcome(kernel, *args):
+    """(fill order, rates, threshold, solver steps) as one repr, or the error message."""
+    try:
+        return repr(kernel(*args))
+    except ContractError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def tied_llf_slot(rng: random.Random):
+    """LLF's kernel inputs at a contended slot t whose laxities tie exactly:
+    each remaining energy a whole number of peak rates of 0.5, 1 or 2, so
+    each laxity is a whole number, with arrivals and ids in unrelated
+    orders, and now and then a repeated id or a NaN or infinite laxity."""
+    t, sessions, rems = rng.randint(0, 5), [], []
+    for k in range(rng.randint(1, 12)):
+        rate = rng.choice([0.5, 1.0, 2.0])
+        rem = rate * rng.randint(1, 4)
+        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.1 else f"s{rng.randrange(100)}"
+        sessions.append(ChargingSession(sid, rng.randint(0, t), t + rng.randint(4, 8), rem, rate))
+        rems.append(rem)
+    if rng.random() < 0.15:
+        rems[rng.randrange(len(rems))] = rng.choice([math.nan, math.inf])
+    cells = _cells(sessions, range(len(sessions)))
+    caps = [rem if rem < s.max_rate else s.max_rate for s, rem in zip(sessions, rems)]
+    return cells, caps, rems, t, rng.uniform(0.0, 1.0) * sum(caps)
+
+
+def tied_proportional_slot(rng: random.Random):
+    """ES or REP's kernel inputs (caps, weights, power) at a contended slot
+    whose breakpoint ends cap / w tie: ES's equal weights, or unequal ones
+    whose caps are a few common ends times the weight; now and then a
+    single session, an end at or below 0, or a NaN or infinite cap or
+    weight."""
+    n = 1 if rng.random() < 0.1 else rng.randint(2, 12)
+    equal = rng.random() < 0.3
+    weights = [1.0 if equal else rng.uniform(0.1, 3.0) for _ in range(n)]
+    targets = [rng.uniform(0.5, 4.0) for _ in range(3)]
+    caps = [w * rng.choice(targets) if rng.random() < 0.8 else rng.uniform(0.1, 4.0)
+            for w in weights]
+    if rng.random() < 0.2:
+        k = rng.randrange(n)
+        caps[k] = rng.choice([0.0, -0.0, -1.0, math.nan, math.inf])
+    if rng.random() < 0.1:
+        weights[rng.randrange(n)] = rng.choice([math.nan, math.inf, -1.0])
+    power = rng.choice([rng.uniform(0.0, 1.0) * sum(c for c in caps if c > 0.0),
+                        rng.uniform(0.0, 10.0), 0.0, math.nan, math.inf])
+    return caps, weights, power
+
+
+class TestFrozenSortKernels:
+    """LLF's kernel and ES and REP's against their frozen tuple sorts, on
+    slots built to tie and on inputs that must take the tuple sorts."""
+
+    def test_llf_ties_are_broken_by_arrival_and_id(self):
+        rng = random.Random(342)
+        seen = Counter()
+        for _ in range(3000):
+            cells, caps, rems, t, p_limit = tied_llf_slot(rng)
+            expected = kernel_outcome(llf_kernel, cells, caps, rems, t, p_limit)
+            assert kernel_outcome(schedulers._llf, cells, caps, rems, t, p_limit) == expected
+            lax = [cell[5].departure - t - rem / cell[1] for cell, rem in zip(cells, rems)]
+            seen["tie"] += len(set(lax)) < len(lax)
+            seen["tie by arrival"] += any(
+                x == y and a.arrival != b.arrival and (a.arrival < b.arrival) != (a.id < b.id)
+                for x, (*_, a) in zip(lax, cells) for y, (*_, b) in zip(lax, cells))
+            seen["not finite"] += not all(map(math.isfinite, lax))
+        assert min(seen.values()) >= 300, seen
+
+    def test_proportional_fill_ties_and_fallbacks(self, monkeypatch):
+        rng = random.Random(343)
+        seen, tuple_sorts = Counter(), []
+        water_level = schedulers._water_level
+        monkeypatch.setattr(schedulers, "_water_level",
+                            lambda *args: tuple_sorts.append(1) or water_level(*args))
+        for _ in range(3000):
+            caps, weights, p_limit = tied_proportional_slot(rng)
+            expected = kernel_outcome(proportional_fill_kernel, caps, weights, p_limit)
+            del tuple_sorts[:]
+            assert kernel_outcome(schedulers._proportional_fill, caps, weights,
+                                  p_limit) == expected, (caps, weights, p_limit)
+            ends = [0.0 + cap / w for w, cap in zip(weights, caps)]
+            usual = all(map(math.isfinite, weights + ends)) and min(weights + ends) > 0.0
+            assert not tuple_sorts if usual or not p_limit > 0.0 else tuple_sorts
+            tied = len(set(ends)) < len(ends)
+            seen["tie"] += usual and tied and len(set(weights)) > 1
+            seen["equal weights"] += usual and tied and len(set(weights)) == 1
+            seen["single"] += len(caps) == 1
+            seen["tuple sort"] += bool(tuple_sorts)
+        assert min(seen.values()) >= 150, seen
+
+    def test_a_peak_rate_of_0_is_named_on_either_path(self):
+        sessions = [ChargingSession("a", 0, 4, 2.0, 1.0), ChargingSession("b", 0, 4, 2.0, 0.0)]
+        cells = _cells(sessions, range(2))
+        for rems in ([2.0, 1.0], [math.nan, 1.0]):
+            expected = kernel_outcome(llf_kernel, cells, [1.0, 0.0], rems, 1, 0.5)
+            assert expected == ("error", "ContractError",
+                                "session b has peak rate 0 at slot 1: its laxity is undefined")
+            assert kernel_outcome(schedulers._llf, cells, [1.0, 0.0], rems, 1, 0.5) == expected
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_POLICIES))
