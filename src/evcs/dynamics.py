@@ -35,15 +35,15 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 class SimState:
     """Simulation state at the start of slot t: remaining energy per session id.
 
-    A simulator run keeps its remaining energies by id number and builds
-    this dict only to call a function in `POLICIES` that is no rate
-    kernel's, such as a wrapper.  `memory` is what a policy keeps from one
-    slot to the next of one run: OLP's plan, or after a fallback the
-    sessions of the residual that could not ship, and nothing else.  The
-    simulator creates it once per run, and charges from OLP's plan where it
-    holds (see `simulator._run`); `step` carries it on.  It takes no part in
-    equality, and a state without it (None) gets every decision solved
-    afresh.
+    It is the state of the public policy functions and of `step`, for
+    direct callers; a simulator run builds none and keeps its remaining
+    energies by id number.  `memory` is what a policy keeps from one slot
+    to the next of one run: OLP's plan, or after a fallback the sessions of
+    the residual that could not ship, and nothing else.  The simulator
+    creates it once per run and hands it to OLP's kernel, which follows the
+    plan where it holds (see `simulator._run`); `step` carries it on.  It
+    takes no part in equality, and a state without it (None) gets every
+    decision solved afresh.
     """
 
     t: int

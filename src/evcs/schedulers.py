@@ -12,12 +12,13 @@ sLLF, LLF, EDF, ES and REP are each a rate kernel, `kernel(cells, caps,
 rems, t, p_limit)` -> (fill order or None, rates, threshold, solver steps or
 None), on the chargeable sessions' `_cells` and their caps and remaining
 energies as aligned lists, with the rates aligned with the cells (or with
-the fill order), behind a thin public function.  `_kernel_rates` holds the
-rule for all five.  The public functions call it on the cells of a
-`SimState`'s slot, keyed by id, and a run calls it itself (`KERNELS`) on the
-cells and power of the busy span it holds, keyed by id number.  OLP's
-kernel, `_olp`, takes the same cells and the run memory that keeps its plan;
-`olp_rates` is its adapter.
+the fill order).  `_kernel_rates` holds the rule for all five.  OLP's
+kernel, `_olp`, takes the same cells and the run memory that keeps its
+plan.  `KERNELS` maps each policy name to its kernel; a run calls only
+these, on the cells and power of the busy span it holds, keyed by id
+number.  The public functions of `(SimState, Instance, t)` in `POLICIES`
+call the same kernels on the cells of the state's slot, keyed by id, for
+direct callers: putting another function into `POLICIES` changes no run.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import FINISHED_EPS, RATE_TOL, SimState, _cells
+from .dynamics import RATE_TOL, SimState, _cells
 from .feasibility import DEMAND_TOL, failed_cut, residual_cut_capacity, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
@@ -63,8 +64,8 @@ class RateDecision:
       source -> session -> slot was taken without one, and one for a last
       search that finds no path; a fallback carries the sLLF decision's;
     - `olp_plan_slot` (olp): the slot whose solve made the plan this decision
-      follows; a decision without it was solved at its own slot.  A run
-      charges such slots without asking OLP (see `simulator._run`);
+      follows, which `_olp` returns as "followed"; a decision without it was
+      solved at its own slot;
     - `olp_fallback` (olp): True when the residual problem could not ship every
       remaining demand, by the rule of `feasibility.ships_demand`, and the
       sLLF rates were taken;
@@ -84,24 +85,12 @@ def _at_slot(state: SimState, t: int) -> None:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
 
 
-def _unfinished(sessions, remaining: dict[str, float]) -> tuple[list, list[float]]:
-    """(the sessions with unfinished demand, their caps) in the given order,
-    with the remaining energies keyed by id: `_live`'s rule, for sessions
-    without cells (OLP's `_chargeable`)."""
-    out, caps = [], []
-    for s in sessions:
-        rem, energy = remaining[s.id], s.energy
-        if rem > FINISHED_EPS * (energy if energy > 1.0 else 1.0):  # `_cells`' done level
-            out.append(s)
-            max_rate = s.max_rate
-            caps.append(rem if rem < max_rate else max_rate)
-    return out, caps
-
-
 def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list[float]]:
     """(active sessions with unfinished demand, their caps) at t, in instance order."""
     _at_slot(state, t)
-    return _unfinished(instance.active_at(t), state.remaining)
+    active = instance.active_at(t)
+    live, caps, _ = _live(_cells(active, [s.id for s in active]), state.remaining)
+    return [cell[5] for cell in live], caps
 
 
 def _live(cells, remaining) -> tuple[list, list[float], list[float]]:
@@ -473,74 +462,66 @@ def _recheck(instance: Instance, evs, rems, energies, cut, t: int, stops):
     return None if sourced is None else frozenset(id(s) for s, on in zip(evs, sourced) if on)
 
 
-def _followed_rates(span, remaining: list[float], plan, t: int) -> tuple[list, list] | None:
-    """(the chargeable cells, their rates) that OLP follows at slot t of the
-    span's `_cells` from the run memory's `plan`, or None without a
-    plan or where a chargeable session (`_live`'s rule) is one the
-    plan does not hold: each chargeable session's row entry at t, in span
-    order.  A held session's row reaches its departure clipped to the
-    horizon, so it covers t, and t lies in the plan's window.
-
-    Where they are given, OLP follows the plan and leaves the run memory as
-    it is, so a run charges them without asking it (`simulator._run`), and
-    a plan rate that breaks a check raises at its slot as a call's would."""
-    if plan is None:
-        return None
-    _, start, _, planned = plan
-    at, charged, rates = t - start, [], []
-    for cell in span:
-        if remaining[cell[0]] > cell[4]:
-            row = planned.get(id(cell[5]))
-            if row is None:
-                return None
-            charged.append(cell)
-            rates.append(row[at])
-    return charged, rates
-
-
 def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
-    """OLP's rate kernel at slot t where no plan is followed, for the
-    `_cells` of its active sessions in instance order and their remaining
-    energies by key in `remaining`: (cells, rates aligned with them,
-    threshold, solver steps, how, cut).
+    """OLP's rate kernel at slot t, for the `_cells` of its active sessions
+    in instance order and their remaining energies by key in `remaining`:
+    (cells, rates aligned with them, threshold, solver steps, how, cut).
 
-    OLP front-loads the residual problem (`_residual`): its min-cost flow,
-    each unit costing the index of the slot it leaves by, is solved by
-    `netflow.SlotRows` on each chargeable session's row over its window
-    (slot t to its departure clipped to the horizon, each arc capped at the
-    session's cap; a later slot has no arc in, so the window ends at the
-    last departure), and its slot-t flows are the rates, None the
-    threshold, and how "solved".  A min-cost flow ships through slots
-    t..tau together the most they can, for every tau, so its slot totals
-    are unique.  A residual that leaves some session more than `DEMAND_TOL`
-    of its energy unshipped (`ships_demand`, the rule its run is judged by)
+    Where the run memory holds a plan whose rows cover every chargeable
+    session (`_live`'s rule) at t, none included, OLP follows it: each
+    one's row entry at t, None threshold and steps, how "followed", and the
+    run memory and `cut` left as they are; a plan rate that breaks a check
+    raises at its slot when it is charged.  A held session's row reaches
+    its departure clipped to the horizon, so it covers each slot of its
+    sojourn in the plan's window.  Without a plan, a slot with none
+    chargeable gives no rates, how "solved".
+
+    Elsewhere OLP front-loads the residual problem (`_residual`): its
+    min-cost flow, each unit costing the index of the slot it leaves by, is
+    solved by `netflow.SlotRows` on each chargeable session's row over its
+    window (slot t to its departure clipped to the horizon, each arc capped
+    at the session's cap; a later slot has no arc in, so the window ends at
+    the last departure), and its slot-t flows are the rates, None the
+    threshold, and how "solved".  A min-cost flow ships through slots t..tau
+    together the most they can, for every tau, so its slot totals are
+    unique.  A residual that leaves some session more than `DEMAND_TOL` of
+    its energy unshipped (`ships_demand`, the rule its run is judged by)
     falls back to sLLF's rates, threshold and steps, how "fallback".  A
     negative power in the window is a `ContractError` naming its slot.
 
     `memory`, the run memory (None: none, and every slot is solved from no
     flow), keeps a solve that ships as the plan (instance, t, window end,
-    each session's flow row by object, so a repeated id solves again),
-    which a run follows (`_followed_rates`); a session the plan holds starts
-    the next solve from its planned row, which stays min-cost for the
-    residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9).  A
-    fallback keeps instead the sessions of the residual that could not ship,
-    and falls back at once ("skipped") while all of them are chargeable: if
-    the later residual could ship, the rates taken since, put in front of
-    its schedule, would ship the failed one, and arrivals only add demand.
-    Once one has left, the new residual is checked again (`_recheck`,
-    "checked"), given the kept `cut`; the cut returned is the one of the
-    last failed check, or None after a solve that ships, which also forgets
-    the failed residual.
+    each session's flow row by object, so a repeated id solves again), which
+    later slots follow; a session the plan holds starts the next solve from
+    its planned row, which stays min-cost for the residual problem it leaves
+    (Ahuja, Magnanti & Orlin 1993, ch. 9).  A fallback keeps instead the
+    sessions of the residual that could not ship, and falls back at once
+    ("skipped") while all of them are chargeable: if the later residual
+    could ship, the rates taken since, put in front of its schedule, would
+    ship the failed one, and arrivals only add demand.  Once one has left,
+    the new residual is checked again (`_recheck`, "checked"), given the
+    kept `cut`; the cut returned is the one of the last failed check, or
+    None after a solve that ships, which also forgets the failed residual.
     """
+    plan = memory.get("olp") if memory is not None else None
+    start, planned = t, {}
+    if plan is not None and plan[0] is instance and plan[1] <= t:
+        _, start, _, planned = plan
+        at, held, rates = t - start, [], []
+        for cell in cells:
+            if remaining[cell[0]] > cell[4]:  # chargeable, by `_live`'s rule
+                row = planned.get(id(cell[5]))
+                if row is None or len(row) <= at:
+                    break
+                held.append(cell)
+                rates.append(row[at])
+        else:
+            return held, rates, None, None, "followed", cut
     live, caps, rems = _live(cells, remaining)
     if not live:
         return live, caps, None, None, "solved", cut
     evs = [cell[5] for cell in live]
-    plan = memory.get("olp") if memory is not None else None
-    start, warm = t, [None] * len(evs)
-    if plan is not None and plan[0] is instance and plan[1] <= t:
-        _, start, _, planned = plan
-        warm = [planned.get(id(s)) for s in evs]
+    warm = [planned.get(id(s)) for s in evs]
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
@@ -580,22 +561,18 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     keeps no cut, so each failed residual is checked again by a max-flow."""
     _at_slot(state, t)
     active, memory = instance.active_at(t), state.memory
-    cells = _cells(active, [s.id for s in active])
-    live = _live(cells, state.remaining)[0]
-    if not live:
+    cells, rates, threshold, steps, how, _ = _olp(
+        instance, _cells(active, [s.id for s in active]), state.remaining, t, memory)
+    if not cells:
         return RateDecision({})
-    plan = memory.get("olp") if memory is not None else None
-    if plan is not None and plan[0] is instance and plan[1] <= t < plan[2]:
-        followed = _followed_rates(live, state.remaining, plan, t)
-        if followed is not None:
-            return RateDecision({cell[3]: r for cell, r in zip(*followed)},
-                                diagnostics={"olp_plan_slot": plan[1]})
-    cells, rates, threshold, steps, how, _ = _olp(instance, cells, state.remaining, t, memory)
-    diagnostics = {"solver_steps": steps}
-    if how != "solved":
-        diagnostics["olp_fallback"] = True
-        if how != "fallback":
-            diagnostics["olp_unsolved"] = how
+    if how == "followed":
+        diagnostics = {"olp_plan_slot": memory["olp"][1]}
+    else:
+        diagnostics = {"solver_steps": steps}
+        if how != "solved":
+            diagnostics["olp_fallback"] = True
+            if how != "fallback":
+                diagnostics["olp_unsolved"] = how
     return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold, diagnostics)
 
 
@@ -614,25 +591,19 @@ POLICIES = {
 FILL_KEYS = {_edf: _edf_key}
 
 
-#: each simple policy's rate kernel, keyed by its public function: a run
-#: whose `get_policy` gives one of these calls the kernel, for `olp_rates`
-#: `_olp`, and any other function (a wrapper put in `POLICIES`) with a
-#: `SimState`
-KERNELS = {sllf_rates: _sllf, llf_rates: _llf, edf_rates: _edf, es_rates: _es, rep_rates: _rep}
-
-
-#: the policies that give every chargeable session its cap at an
-#: uncontended slot (`_kernel_rates`), by name: a run charges the rest of a
-#: busy span in one pass once a slot is charged at the caps, by
-#: `_kernel_rates` or by a called function's `threshold == inf`
-#: (`simulator._charge_at_caps`); not OLP, whose fallback carries sLLF's
-#: `threshold == inf` while its failed residual must be asked again at the
-#: next slot
-CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
+#: each policy's rate kernel by name, the only functions a run calls
+#: (`simulator._run`): OLP's `_olp`, and the others through `_kernel_rates`
+KERNELS = {"sllf": _sllf, "llf": _llf, "edf": _edf, "es": _es, "rep": _rep, "olp": _olp}
 
 
 def get_policy(name: str):
+    return _named(POLICIES, name)
+
+
+def _named(table: dict, name: str):
+    """`table[name]` of `POLICIES` or `KERNELS`, which hold the same names;
+    an unknown name is a KeyError that lists them."""
     try:
-        return POLICIES[name]
+        return table[name]
     except KeyError:
-        raise KeyError(f"unknown policy {name!r}; valid: {', '.join(sorted(POLICIES))}")
+        raise KeyError(f"unknown policy {name!r}; valid: {', '.join(sorted(table))}")

@@ -7,15 +7,13 @@ through `run_feasibility`, which stops each run once its verdict is settled.
 """
 from __future__ import annotations
 
-import math
 import warnings
 
-from .dynamics import RunVerdict, Schedule, SimState, _cells, _charge, _charge_ids, laxity
+from .dynamics import RunVerdict, Schedule, _cells, _charge, _charge_ids, laxity
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
-from .schedulers import (CAPS_FIRST, FILL_KEYS, KERNELS, _followed_rates, _kernel_rates, _olp,
-                         get_policy, olp_rates)
+from .schedulers import FILL_KEYS, KERNELS, _kernel_rates, _named, _olp
 
 
 class PolicyContractError(ContractError):
@@ -91,33 +89,30 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     at an idle slot (a negative one there is left to `validate`); each
     span's power is read once, at its first slot.
 
-    sLLF, LLF, EDF, ES and REP are decided by `_kernel_rates` on the span's
-    cells, and OLP by its kernel `_olp`, with no `SimState` or
-    `RateDecision`; the run memory keeps OLP's plan and failed residual, and
-    `cut` its last failed cut.  Any other function in `POLICIES` (a wrapper
-    put there) is called with a `SimState` whose `remaining`, keyed by id,
-    is built for the call.  Every slot's rates go through `_charge`:
-    positional rates directly, where the span's ids are unique, and by id
-    through `_charge_ids` otherwise.
+    A slot is decided only by the policy's kernel in `KERNELS`, looked up
+    by name: sLLF, LLF, EDF, ES and REP through `_kernel_rates` on the
+    span's cells, and OLP by `_olp`, which follows its plan where it holds
+    every chargeable session; the run memory keeps OLP's plan and failed
+    residual, and `cut` its last failed cut.  No function in `POLICIES` is
+    called.  Every slot's rates go through `_charge`: positional rates
+    directly, where the span's ids are unique, and by id through
+    `_charge_ids` otherwise.
 
-    A `CAPS_FIRST` policy's span is charged in one pass (`_charge_at_caps`)
-    from the slot after one at the caps on; OLP is asked only where its plan
-    misses a chargeable session (`_followed_rates`).  Without rows (None)
-    the run stops after the first span [a, b) at whose end b some id's
-    window closes with a session of that id short of its demand: an id is
-    charged only while one of its sessions is active.
+    Any policy but OLP, whose plan or failed residual is asked at each
+    slot, charges its span in one pass (`_charge_at_caps`) from the slot
+    after one at the caps on.  Without rows (None) the run stops after the
+    first span [a, b) at whose end b some id's window closes with a session
+    of that id short of its demand: an id is charged only while one of its
+    sessions is active.
     """
-    policy = get_policy(policy_name)
-    kernel = KERNELS.get(policy)
+    kernel = _named(KERNELS, policy_name)
+    olp = kernel is KERNELS["olp"]
     fill_key = FILL_KEYS.get(kernel)
-    olp = policy is olp_rates
-    calls = kernel is None and not olp  # a function called with a `SimState`
     sessions, power = instance.sessions, instance.power
     # each id's energy is that of its last session, as in `initial_state`
     remaining, memory, cut = list({s.id: s.energy for s in sessions}.values()), {}, None
     cells = _cells(sessions, keys)
     unique = len(ids) == len(sessions)
-    follows = olp or policy_name == "olp"
     due = {}  # window end -> the (session, id number) pairs whose id's window ends there
     if rows is None:
         for s, n in zip(sessions, keys):
@@ -125,35 +120,25 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     for a, b, positions in instance.busy_spans():
         span = [cells[k] for k in positions]
         ordered = sorted(span, key=fill_key) if fill_key is not None else None
-        # each active id's cell, for rates by id: a policy call's, or a kernel's in a span
-        # that repeats an id
-        active = None if unique and not calls else {cell[3]: cell for cell in span}
+        active = None if unique else {cell[3]: cell for cell in span}  # each active id's cell
         distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
-        one_pass = (policy_name in CAPS_FIRST and distinct
-                    and all(cell[1] > 0.0 for cell in span))
+        one_pass = not olp and distinct and all(cell[1] > 0.0 for cell in span)
         for t in range(a, b):
-            followed = _followed_rates(span, remaining, memory.get("olp"), t) if follows else None
-            if kernel is not None:
-                charged, rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t,
-                                                              ordered)
-            elif followed is not None:
-                charged, rates = followed
-            elif olp:
+            if olp:
                 charged, rates, _, _, _, cut = _olp(instance, span, remaining, t, memory, cut)
             else:
-                decision = policy(SimState(t, dict(zip(ids, remaining)), memory), instance, t)
-                charged, rates, at_caps = None, decision.rates, decision.threshold == math.inf
-            if charged is not None and not distinct:
-                charged, rates = None, {cell[3]: r for cell, r in zip(charged, rates)}
+                charged, rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t,
+                                                              ordered)
             try:
-                if charged is None:
-                    _charge_ids(remaining, rates, active, t, p_limit, rows)
-                else:
+                if distinct:
                     _charge(remaining, charged, rates, t, p_limit, rows)
+                else:
+                    _charge_ids(remaining, {cell[3]: r for cell, r in zip(charged, rates)},
+                                active, t, p_limit, rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
-            if one_pass and at_caps:  # never OLP, which may follow
+            if one_pass and at_caps:
                 _charge_at_caps(span, remaining, rows, t + 1, b)
                 break
         if b in due and not _meets_demand(due[b], remaining):
@@ -163,8 +148,8 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
 
 def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: int) -> None:
     """Charge each session of the span's `_cells` at its cap over slots
-    t ... b - 1, in place, as `_charge` would slot by slot: once a
-    `CAPS_FIRST` policy gives every chargeable session its cap at a slot of
+    t ... b - 1, in place, as `_charge` would slot by slot: once sLLF,
+    LLF, EDF, ES or REP gives every chargeable session its cap at a slot of
     a span, it would at every later slot, since the span has one power and
     one set of sessions, each cap `min(max_rate, remaining)` can only fall,
     finished sessions only drop out, and a float sum of fewer, smaller

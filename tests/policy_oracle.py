@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 
-from evcs.dynamics import SimState
+from evcs.dynamics import FINISHED_EPS, SimState
 from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
-from evcs.schedulers import FINISHED_EPS, RateDecision, _window_power, residual_instance
+from evcs.schedulers import RateDecision, _window_power, residual_instance
 from evcs.schedulers import _greedy_fill as _kernel_greedy_fill
 from evcs.schedulers import _laxities as _kernel_laxities
 from evcs.schedulers import _off_power, _share_exactly

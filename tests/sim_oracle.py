@@ -4,11 +4,15 @@
 active sessions by testing `arrival <= t < departure` on all of them, and
 `full_scan_simulate` calls the policy at every slot of the horizon,
 uncontended ones included, with `Instance.active_at` answered by that scan
-and `schedulers._unfinished` and `schedulers._live` by `full_scan_unfinished`
-and `full_scan_live`, which test the finished rule and take the caps with
-`max` and `min`.  It steps each slot into horizon-long rows, each holding
-the rate `full_scan_charge` applied, and carries the run memory from each
-state to the next.
+and `schedulers._live` by `full_scan_live`, which tests the finished rule
+and takes the caps with `max` and `min`.  It steps each slot into
+horizon-long rows, each holding the rate `full_scan_charge` applied, and
+carries the run memory from each state to the next.
+`busy_slot_run` is the run of any `(SimState, Instance, t)` function, such
+as a frozen reference policy: it calls the function at every slot of
+`Instance.busy_spans()` and charges through `full_scan_charge`, reads no
+power at an idle slot and, with `stop_at_miss`, stops where
+`run_feasibility` stops.
 `evcs.simulator.simulate` steps only the busy slots into rows over each
 sojourn, so `dense` of its schedule must equal the full scan's, and its
 verdict must be the same floats.  `dense_metrics` and `dense_min_laxity`,
@@ -24,12 +28,17 @@ import math
 from unittest import mock
 
 from evcs import schedulers
-from evcs.dynamics import (RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState, initial_state,
-                           laxity, min_laxity)
+from evcs.dynamics import (FINISHED_EPS, RATE_TOL, ZERO_EPS, RunVerdict, Schedule, SimState,
+                           initial_state, laxity, min_laxity)
 from evcs.feasibility import DEMAND_TOL
 from evcs.model import ContractError, Instance, StepwisePower, Violation
-from evcs.schedulers import FINISHED_EPS, POLICIES
+from evcs.schedulers import POLICIES
 from evcs.simulator import PolicyContractError
+
+#: the five policies that a run decides through `_kernel_rates`: each gives
+#: every chargeable session its cap at an uncontended slot, and a run
+#: charges the rest of such a slot's busy span in one pass
+CAPS_FIRST = frozenset({"sllf", "llf", "edf", "es", "rep"})
 
 
 def dense(schedule):
@@ -111,13 +120,6 @@ def full_scan_step(state, rates, instance):
     return full_scan_charge(state, rates, instance)[0]
 
 
-def full_scan_unfinished(sessions, remaining):
-    """(the sessions with unfinished demand, their caps), as
-    `schedulers._unfinished` gives them."""
-    out = [s for s in sessions if remaining[s.id] > FINISHED_EPS * max(1.0, s.energy)]
-    return out, [min(s.max_rate, remaining[s.id]) for s in out]
-
-
 def full_scan_live(cells, remaining):
     """(the cells with unfinished demand, their caps and remaining energies),
     as `schedulers._live` gives them, each cell's session at cell[5] and its
@@ -132,7 +134,10 @@ def full_scan_chargeable(state, instance, t):
     """(chargeable sessions, their caps), as `schedulers._chargeable` gives them."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-    return full_scan_unfinished(full_scan_active(instance, t), state.remaining)
+    remaining = state.remaining
+    out = [s for s in full_scan_active(instance, t)
+           if remaining[s.id] > FINISHED_EPS * max(1.0, s.energy)]
+    return out, [min(s.max_rate, remaining[s.id]) for s in out]
 
 
 def full_scan_active(instance, t):
@@ -144,10 +149,9 @@ def full_scan_active(instance, t):
 def full_scan_simulate(instance, policy_name):
     """The whole run, with every policy reading its active sessions from
     `full_scan_active` and its chargeable ones and caps from
-    `full_scan_unfinished` and `full_scan_live`; one run memory, as
-    `simulate` makes, goes from slot to slot."""
+    `full_scan_live`; one run memory, as `simulate` makes, goes from slot
+    to slot."""
     with mock.patch.object(Instance, "active_at", full_scan_active), \
-            mock.patch.object(schedulers, "_unfinished", full_scan_unfinished), \
             mock.patch.object(schedulers, "_live", full_scan_live):
         policy = POLICIES[policy_name]
         horizon = instance.horizon
@@ -164,6 +168,43 @@ def full_scan_simulate(instance, policy_name):
     schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
     unmet = {s.id: state.remaining[s.id] for s in instance.sessions}
     feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in instance.sessions)
+    return schedule, RunVerdict(feasible, unmet)
+
+
+def busy_slot_run(instance, policy, stop_at_miss=False):
+    """(schedule with horizon-long rows, verdict) of the run that calls
+    `policy(state, instance, t)` at each slot of `instance.busy_spans()`,
+    with one run memory, and charges its rates through `full_scan_charge`.
+
+    With `stop_at_miss` the run stops after the first span end b at which
+    the window of some id, its sessions' sojourns clipped to [0, horizon)
+    and joined, closes with a session of that id short of its demand, as
+    `run_feasibility` stops; the verdict's `feasible` is its flag."""
+    horizon, sessions = instance.horizon, instance.sessions
+    window_end = {}
+    for s in sessions:
+        end = min(max(s.departure, 0), horizon)
+        window_end[s.id] = max(end, window_end.get(s.id, end))
+    remaining, memory = initial_state(instance).remaining, {}
+    rows = {s.id: [0.0] * horizon for s in sessions}
+    for a, b, _ in instance.busy_spans():
+        state = SimState(a, remaining, memory)
+        for t in range(a, b):
+            rates = policy(state, instance, t).rates
+            try:
+                state, applied = full_scan_charge(state, rates, instance)
+            except ContractError as exc:
+                raise PolicyContractError(str(exc)) from exc
+            for sid, r in applied.items():
+                rows[sid][t] = r
+        remaining = state.remaining
+        if stop_at_miss and any(window_end[s.id] == b
+                                and not remaining[s.id] <= DEMAND_TOL * s.energy
+                                for s in sessions):
+            break
+    schedule = Schedule(horizon, {sid: tuple(row) for sid, row in rows.items()})
+    unmet = {s.id: remaining[s.id] for s in sessions}
+    feasible = all(unmet[s.id] <= DEMAND_TOL * s.energy for s in sessions)
     return schedule, RunVerdict(feasible, unmet)
 
 

@@ -13,15 +13,16 @@ from evcs.dynamics import (RATE_TOL, SimState, _cells, _charge, _charge_ids, ini
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs.schedulers import (CAPS_FIRST, POLICIES, _chargeable, _kernel_rates, _olp, _sllf,
-                             _unfinished, edf_rates, es_rates, get_policy, llf_rates, olp_rates,
-                             rep_rates, residual_instance, sllf_rates)
+from evcs import simulator
+from evcs.schedulers import (KERNELS, POLICIES, _chargeable, _kernel_rates, _live, _olp, _sllf,
+                             edf_rates, es_rates, get_policy, llf_rates, olp_rates, rep_rates,
+                             residual_instance, sllf_rates)
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
 from flow_oracle import full_horizon_olp_rates
-from sim_oracle import dense, full_scan_chargeable, full_scan_simulate
+from sim_oracle import CAPS_FIRST, dense, full_scan_chargeable, full_scan_simulate
 
 
 def next_laxities(decision, state, instance):
@@ -287,7 +288,6 @@ class TestUncontendedSlots:
         state, inst, t = case
         caps = {s.id: min(s.max_rate, state.remaining[s.id])
                 for s in full_scan_chargeable(state, inst, t)[0]}
-        assert CAPS_FIRST == {"sllf", "llf", "edf", "es", "rep"}
         for name in sorted(CAPS_FIRST):
             decision = POLICIES[name](state, inst, t)
             assert repr(decision.rates) == repr(caps), name
@@ -327,7 +327,7 @@ def uncontended_spans(draw):
             0.0, 1e-13, energy, energy / 3, max_rate * draw(st.integers(1, 5)),
             max_rate * 0.999, max_rate + 3e-12 * max(1.0, energy),
             2 * max_rate + 0.5e-12 * max(1.0, energy)]))
-    caps = _unfinished(span, remaining)[1]
+    caps = _live(_cells(span, [s.id for s in span]), remaining)[1]
     power = sum(caps) + draw(st.sampled_from([0.0, 0.0, 1e-9, 1.0, 100.0]))
     return Instance(span, ConstantPower(power), 1000), remaining
 
@@ -869,37 +869,39 @@ class TestOlpPlan:
 def run_checking_plans(monkeypatch, instance):
     """Simulate OLP, checking the plan each solve stores; returns (solves,
     solves that started from an earlier plan)."""
-    counts = Counter()
+    counts, olp = Counter(), simulator._olp
 
-    def checking_olp(state, inst, t):
-        evs = _chargeable(state, inst, t)[0]
-        earlier = state.memory.get("olp")
+    def checking_olp(inst, cells, remaining, t, memory, cut=None):
+        live = _live(cells, remaining)[0]
+        evs = [cell[5] for cell in live]
+        earlier = memory.get("olp")
         warm = earlier is not None and any(id(s) in earlier[3] for s in evs)
-        decision = olp_rates(state, inst, t)
-        if not fresh_solve(decision):
-            return decision
+        decided = olp(inst, cells, remaining, t, memory, cut)
+        if decided[4] != "solved" or not evs:
+            return decided
         counts["solves"] += 1
         counts["warm"] += warm
-        owner, start, end, planned = state.memory["olp"]
+        owner, start, end, planned = memory["olp"]
         assert owner is inst and start == t and set(planned) == {id(s) for s in evs}
-        demand = sum(state.remaining[s.id] for s in evs)
+        left = {cell[3]: remaining[cell[0]] for cell in cells}  # by id, as a `SimState` keeps it
+        demand = sum(left[s.id] for s in evs)
         for s in evs:
             row = planned[id(s)]
             assert len(row) == min(s.departure, inst.horizon) - t
             assert all(0.0 <= r <= s.max_rate + RATE_TOL for r in row), (t, s.id)
-            assert abs(sum(row) - state.remaining[s.id]) <= 1e-9 * max(1.0, demand), (t, s.id)
-        totals = planned_slot_totals(state.memory["olp"], t)
+            assert abs(sum(row) - left[s.id]) <= 1e-9 * max(1.0, demand), (t, s.id)
+        totals = planned_slot_totals(memory["olp"], t)
         for tau, total in totals.items():
             p = inst.power.at(tau)
             assert total <= p + RATE_TOL * max(1.0, p), (t, tau)
-        cold = SimState(t, dict(state.remaining), {})
+        cold = SimState(t, left, {})
         olp_rates(cold, inst, t)
         for tau, a in planned_slot_totals(cold.memory["olp"], t).items():
             b = totals[tau]
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (t, tau, a, b)
-        return decision
+        return decided
 
-    monkeypatch.setitem(POLICIES, "olp", checking_olp)
+    monkeypatch.setattr(simulator, "_olp", checking_olp)
     simulate(instance, "olp")
     return counts["solves"], counts["warm"]
 
@@ -931,6 +933,10 @@ class TestAllPolicies:
         assert get_policy("sllf") is sllf_rates
         with pytest.raises(KeyError):
             get_policy("nope")
+
+    def test_runs_have_a_kernel_for_each_policy_name(self):
+        assert set(KERNELS) == set(POLICIES)
+        assert KERNELS["olp"] is _olp and KERNELS["sllf"] is _sllf
 
     @pytest.mark.parametrize("energy, remaining", [
         (math.nan, 0.5), (math.nan, 5e-13), (0.5, 5e-13), (0.5, 2e-12), (4.0, 3e-12),

@@ -4,7 +4,6 @@ import math
 import random
 import re
 import warnings
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +13,15 @@ from evcs.dynamics import SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
-from evcs.schedulers import CAPS_FIRST, POLICIES, RateDecision
+from evcs.schedulers import POLICIES, RateDecision
 from evcs.simulator import (PolicyContractError, binned_success_rates,
                             instance_metrics, run_feasibility, separation_witness, simulate,
                             success_rate)
 
 from policy_oracle import REFERENCE_POLICIES
 from policy_oracle import olp_rates as frozen_olp_rates
-from sim_oracle import (assert_dense_metrics, dense, full_scan_chargeable, full_scan_charge,
-                        full_scan_simulate)
+from sim_oracle import (CAPS_FIRST, assert_dense_metrics, busy_slot_run, dense,
+                        full_scan_chargeable, full_scan_charge, full_scan_simulate)
 
 
 def witness_instance():
@@ -96,21 +95,21 @@ class TestSimulate:
             for sid in ("u", "v"):
                 assert sch_a.rates[sid][:3] == sch_b.rates[sid][:3], name
 
-    def test_contract_breach_detected(self, instance_ia):
-        bad_decisions = (
-            {"EV1": 2.0},              # above the rate cap
-            {"EV1": -0.5},             # negative rate
-            {"EV1": 0.6, "EV2": 0.6},  # total above the power limit
-            {"ghost": 0.5},            # no such session
-            {"EV1": math.nan},
+    def test_contract_breach_detected(self, monkeypatch, instance_ia):
+        # rates by position in the span's cells, EV1's first; a rate for an
+        # inactive session is `step`'s case (test_dynamics)
+        bad_rates = (
+            [2.0],         # above the rate cap
+            [-0.5],        # negative rate
+            [0.6, 0.6],    # total above the power limit
+            [math.nan],
         )
-        try:
-            for rates in bad_decisions:
-                POLICIES["__bad__"] = lambda state, inst, t: RateDecision(rates)
-                with pytest.raises(PolicyContractError):
-                    simulate(instance_ia, "__bad__")
-        finally:
-            del POLICIES["__bad__"]
+        for rates in bad_rates:
+            monkeypatch.setattr(simulator, "_kernel_rates",
+                                lambda kernel, span, *args, rates=rates:
+                                (span, rates, False, None, None))
+            with pytest.raises(PolicyContractError):
+                simulate(instance_ia, "sllf")
 
     def test_idle_slots_read_no_power(self):
         # negative power only before the first arrival and in the idle tail;
@@ -247,19 +246,20 @@ class TestRunFeasibility:
     ], ids=["miss", "duplicate-id-finishes"])
     def test_stops_at_the_first_missed_window_end(self, monkeypatch, sessions, decided,
                                                   feasible):
-        slots = []
-
-        def counting(state, inst, t):
-            slots.append(t)
-            return POLICIES["edf"](state, inst, t)
-
-        monkeypatch.setitem(schedulers.POLICIES, "__count__", counting)
+        # the slots EDF's kernel decides and those charged in one pass after them
+        slots, passes = decided_slots(monkeypatch), one_pass_slots(monkeypatch)
         inst = Instance(sessions, ConstantPower(1.0), 6)
-        assert simulate(inst, "__count__")[1].feasible is feasible
-        assert slots == [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
+
+        def charged():
+            slots.extend(u for t, b in passes for u in range(t, b))
+            passes.clear()
+            return sorted(slots)
+
+        assert simulate(inst, "edf")[1].feasible is feasible
+        assert charged() == [t for a, b, _ in inst.busy_spans() for t in range(a, b)]
         slots.clear()
-        assert run_feasibility([inst], "__count__") == [feasible]
-        assert slots == decided
+        assert run_feasibility([inst], "edf") == [feasible]
+        assert charged() == decided
 
     def test_no_contract_check_after_a_miss(self):
         # "a" misses at slot 1; the NaN power at slot 1 is a contract error
@@ -423,35 +423,86 @@ class TestDayWidth:
             assert_same_run(inst, policy)
 
     def test_simple_policies_run_as_their_frozen_reference(self):
-        # the run that calls the reference policy, put in `POLICIES`, at each slot it decides
+        # the run that calls the reference policy at each busy slot
         inst = day_width_instance(31)
         for name in sorted(CAPS_FIRST):
-            with mock.patch.dict(POLICIES, {name: REFERENCE_POLICIES[name]}):
-                expected = simulate(inst, name)
-            assert repr(simulate(inst, name)) == repr(expected), name
+            schedule, verdict = simulate(inst, name)
+            expected = busy_slot_run(inst, REFERENCE_POLICIES[name])
+            assert repr((dense(schedule), verdict)) == repr(expected), name
+
+
+class TestOneDispatchPath:
+    """A run decides each slot only through `KERNELS`, by the policy's name:
+    what `POLICIES` holds changes no run."""
+
+    def test_runs_call_no_entry_of_policies(self, monkeypatch, reference_corpus, spaced_corpus):
+        repeated = Instance((ChargingSession("a", 0, 5, 6.0, 2.0),
+                             ChargingSession("a", 3, 8, 6.0, 0.5),
+                             ChargingSession("b", 2, 8, 3.0, 1.0)), ConstantPower(2.5), 8)
+        instances = reference_corpus[::25] + spaced_corpus[::25] + [repeated,
+                                                                    day_width_instance(31)]
+
+        def outcomes(name):
+            return (repr([simulate(inst, name) for inst in instances]),
+                    repr(run_feasibility(instances, name)))
+
+        expected = {name: outcomes(name) for name in sorted(POLICIES)}
+
+        def stub(state, instance, t):
+            raise AssertionError(f"a run called a POLICIES entry at slot {t}")
+
+        for name in expected:
+            monkeypatch.setitem(POLICIES, name, stub)
+        for name, want in expected.items():
+            assert outcomes(name) == want, name
+
+    def test_an_unknown_name_is_get_policy_s_key_error(self, instance_ia):
+        with pytest.raises(KeyError) as expected:
+            schedulers.get_policy("nope")
+        for run in (lambda: simulate(instance_ia, "nope"),
+                    lambda: run_feasibility([instance_ia], "nope")):
+            with pytest.raises(KeyError) as raised:
+                run()
+            assert str(raised.value) == str(expected.value)
+            assert "valid: edf, es, llf, olp, rep, sllf" in str(raised.value)
+
+
+def decided_slots(monkeypatch):
+    """The slots at which runs ask a policy's kernel to decide, in order:
+    each `_kernel_rates` call, and each `_olp` call that does not follow
+    OLP's plan."""
+    slots, kernel_rates, olp = [], simulator._kernel_rates, simulator._olp
+
+    def deciding(kernel, span, remaining, p_limit, t, ordered=None):
+        slots.append(t)
+        return kernel_rates(kernel, span, remaining, p_limit, t, ordered)
+
+    def solving(instance, span, remaining, t, memory, cut=None):
+        decided = olp(instance, span, remaining, t, memory, cut)
+        if decided[4] != "followed":
+            slots.append(t)
+        return decided
+
+    monkeypatch.setattr(simulator, "_kernel_rates", deciding)
+    monkeypatch.setattr(simulator, "_olp", solving)
+    return slots
 
 
 def policy_calls(monkeypatch, name, instance, run=simulate):
-    """The slots at which `run` calls policy `name`, registered under its own name."""
-    slots, policy = [], POLICIES[name]
-
-    def counting(state, inst, t):
-        slots.append(t)
-        return policy(state, inst, t)
-
-    monkeypatch.setitem(schedulers.POLICIES, name, counting)
+    """The slots at which `run` asks policy `name`'s kernel to decide (`decided_slots`)."""
+    slots = decided_slots(monkeypatch)
     run(instance, name)
     return slots
 
 
 def expected_calls(instance, name):
-    """The busy slots a run decides by a policy call, found by stepping the
-    full-scan run, which asks the policy at every slot: for a `CAPS_FIRST`
-    policy each one but those after a decision at the caps (`threshold ==
-    inf`) in a span whose ids are unique and whose peak rates are all above
-    0, where a span ends wherever the active sessions or the power change;
-    for OLP each one where the run memory holds no plan, or the plan misses
-    a chargeable session."""
+    """The busy slots a run asks a policy's kernel to decide, found by
+    stepping the full-scan run, which asks the policy at every slot: for a
+    `CAPS_FIRST` policy each one but those after a decision at the caps
+    (`threshold == inf`) in a span whose ids are unique and whose peak rates
+    are all above 0, where a span ends wherever the active sessions or the
+    power change; for OLP each one where the run memory holds no plan, or
+    the plan misses a chargeable session."""
     policy, sessions = POLICIES[name], instance.sessions
     state = SimState(0, initial_state(instance).remaining, {})
     calls, span, power, skip = [], None, None, False
@@ -535,9 +586,7 @@ class TestUncontendedSlots:
             with pytest.raises(PolicyContractError, match="at slot 2$"):
                 run_feasibility([inst], name)
             # slot 1 is charged in the one pass; the NaN at slot 2 opens a span the policy decides
-            slots, policy = [], POLICIES[name]
-            monkeypatch.setitem(schedulers.POLICIES, name,
-                                lambda state, i, t: slots.append(t) or policy(state, i, t))
+            slots = decided_slots(monkeypatch)
             with pytest.raises(PolicyContractError, match="at slot 2$"):
                 simulate(inst, name)
             assert slots == [0, 2], name
@@ -729,23 +778,28 @@ FROZEN = {**REFERENCE_POLICIES, "olp": frozen_olp_rates}
 
 
 def frozen_run_outcome(instance, name):
-    """`run_outcome` of the run that calls policy `name`'s frozen reference,
-    put in `POLICIES` under its name, at each slot it decides: a rate kernel
-    bug that the full scan shares, through the public functions, shows here."""
-    with mock.patch.dict(POLICIES, {name: FROZEN[name]}):
-        return run_outcome(instance, name)
+    """`run_outcome` of the run that calls policy `name`'s frozen reference
+    at each busy slot (`busy_slot_run`): a rate kernel bug that the full
+    scan shares, through the public functions, shows here."""
+    policy = FROZEN[name]
+    try:
+        ran = repr(busy_slot_run(instance, policy))
+    except Exception as exc:  # noqa: BLE001  the error is the outcome compared
+        ran = type(exc), str(exc)
+    try:
+        flags = repr([busy_slot_run(instance, policy, stop_at_miss=True)[1].feasible])
+    except Exception as exc:  # noqa: BLE001
+        flags = type(exc), str(exc)
+    return ran, flags
 
 
 class TestKernelPath:
     """A run of sLLF, LLF, EDF, ES or REP calls the policy's rate kernel on
-    the span it holds, with no `SimState` or `RateDecision` per slot and no
-    call of a `POLICIES` entry, and equals the run that calls the public
-    function at each slot it decides, put in `POLICIES` behind a wrapper."""
+    the span it holds, with no `RateDecision` per slot, and equals the run
+    that calls the frozen reference at each busy slot."""
 
-    def test_runs_equal_runs_that_call_the_policy(self, monkeypatch):
-        built = []  # each SimState the loop builds and each RateDecision a policy builds
-        monkeypatch.setattr(simulator, "SimState",
-                            lambda *args: built.append(args) or SimState(*args))
+    def test_runs_equal_runs_that_call_the_frozen_reference(self, monkeypatch):
+        built = []  # each RateDecision a policy builds
         monkeypatch.setattr(schedulers, "RateDecision",
                             lambda *args, **kw: built.append(args) or RateDecision(*args, **kw))
         passes = one_pass_slots(monkeypatch)
@@ -759,14 +813,6 @@ class TestKernelPath:
                 passes.clear()
                 kernel = run_outcome(inst, name)
                 assert built == [], name
-                policy, calls = POLICIES[name], []
-                monkeypatch.setitem(POLICIES, name,
-                                    lambda state, i, t, policy=policy:
-                                    calls.append(t) or policy(state, i, t))
-                called = run_outcome(inst, name)
-                monkeypatch.setitem(POLICIES, name, policy)
-                assert kernel == called, (name, inst)
-                assert bool(calls) == bool(busy) and len(built) >= len(calls), name
                 error = kernel[0][1] if isinstance(kernel[0], tuple) else ""
                 if "negative station power" not in error:  # the frozen policies name none
                     assert kernel == frozen_run_outcome(inst, name), (name, inst)
@@ -804,16 +850,13 @@ def random_contended_instance(rng: random.Random) -> Instance:
 
 
 class TestOlpKernel:
-    """A run of OLP calls its rate kernel `_olp` where its plan misses a
-    chargeable session, with no `SimState` or `RateDecision` and, where the
-    ids are unique, no rates by id; it equals the run that calls `olp_rates`,
-    the kernel's adapter, put in `POLICIES` behind a wrapper, and the run of
-    the frozen OLP (`policy_oracle.olp_rates`)."""
+    """A run of OLP calls its rate kernel `_olp` at each busy slot, with no
+    `RateDecision` and, where the ids are unique, no rates by id; it equals
+    the run of the frozen OLP (`policy_oracle.olp_rates`), which decides
+    every busy slot."""
 
-    def test_runs_equal_the_adapter_s_and_the_frozen_olp_s(self, monkeypatch):
+    def test_runs_equal_the_frozen_olp_s(self, monkeypatch):
         built, by_id, fell = [], [], []
-        monkeypatch.setattr(simulator, "SimState",
-                            lambda *args: built.append(args) or SimState(*args))
         monkeypatch.setattr(schedulers, "RateDecision",
                             lambda *args, **kw: built.append(args) or RateDecision(*args, **kw))
         charge_ids, olp = simulator._charge_ids, simulator._olp
@@ -822,7 +865,8 @@ class TestOlpKernel:
 
         def kernel_counting(*args):
             decided = olp(*args)
-            fell.append(decided[4])  # how: "solved", "fallback", "skipped" or "checked"
+            if decided[4] != "followed":  # counted by `followed_slots`
+                fell.append(decided[4])  # how: "solved", "fallback", "skipped" or "checked"
             return decided
         monkeypatch.setattr(simulator, "_olp", kernel_counting)
         followed = followed_slots(monkeypatch)
@@ -838,22 +882,16 @@ class TestOlpKernel:
                 assert by_id == [], inst
             seen.update(fell)
             seen["followed"] += bool(followed)
-            calls = []
-            monkeypatch.setitem(POLICIES, "olp", lambda state, i, t: calls.append(t) or
-                                schedulers.olp_rates(state, i, t))
-            assert run_outcome(inst, "olp") == kernel, inst
-            monkeypatch.setitem(POLICIES, "olp", schedulers.olp_rates)
             assert frozen_run_outcome(inst, "olp") == kernel, inst
             error = kernel[0][1] if isinstance(kernel[0], tuple) else ""
             seen.update(kind for kind, hit in (
                 ("negative power", "OLP: negative station power" in error),
                 ("stepwise", isinstance(inst.power, StepwisePower)),
                 ("repeated id", len(set(ids)) < len(ids)),
-                ("called", bool(calls)),
                 ("finished", not error),
             ) if hit)
         kinds = ("solved", "fallback", "skipped", "checked", "followed", "negative power",
-                 "stepwise", "repeated id", "called", "finished")
+                 "stepwise", "repeated id", "finished")
         assert min(seen[kind] for kind in kinds) >= 10, seen
 
     def test_a_kept_cut_decides_checks_as_the_max_flow_does(self, monkeypatch):
@@ -876,37 +914,40 @@ class TestOlpKernel:
 
 
 def followed_slots(monkeypatch):
-    """The slots that runs charge from OLP's plan without a call, in the order
-    they charge them."""
-    slots, follow = [], simulator._followed_rates
+    """The slots at which runs' `_olp` follows OLP's plan, in the order they
+    charge them."""
+    slots, olp = [], simulator._olp
 
-    def spying(span, remaining, plan, t):
-        rates = follow(span, remaining, plan, t)
-        if rates is not None:
+    def spying(instance, span, remaining, t, memory, cut=None):
+        decided = olp(instance, span, remaining, t, memory, cut)
+        if decided[4] == "followed":
             slots.append(t)
-        return rates
+        return decided
 
-    monkeypatch.setattr(simulator, "_followed_rates", spying)
+    monkeypatch.setattr(simulator, "_olp", spying)
     return slots
 
 
 def olp_editing_plans(monkeypatch, edit):
-    """Register under "olp" an OLP whose solves hand each new plan to
-    `edit(rows by session id, plan start)` before the run reads it."""
-    def editing(state, inst, t):
-        decision = schedulers.olp_rates(state, inst, t)
-        if "solver_steps" in decision.diagnostics and "olp_fallback" not in decision.diagnostics:
-            _, start, _, planned = state.memory["olp"]
-            edit({s.id: planned[id(s)] for s in inst.sessions if id(s) in planned}, start)
-        return decision
+    """Make OLP's kernel, in runs and in `olp_rates`, hand each plan a solve
+    stores to `edit(rows by session id, plan start)` before it is read."""
+    olp = schedulers._olp
 
-    monkeypatch.setitem(schedulers.POLICIES, "olp", editing)
+    def editing(inst, cells, remaining, t, memory, cut=None):
+        decided = olp(inst, cells, remaining, t, memory, cut)
+        if decided[4] == "solved" and decided[0] and memory is not None:
+            _, start, _, planned = memory["olp"]
+            edit({s.id: planned[id(s)] for s in inst.sessions if id(s) in planned}, start)
+        return decided
+
+    monkeypatch.setattr(schedulers, "_olp", editing)
+    monkeypatch.setattr(simulator, "_olp", editing)
 
 
 class TestOlpPlanSpans:
-    """Where OLP's plan holds every chargeable session, the run charges the
-    plan's rates without a call, through `_charge`'s clamp and checks, which
-    raise at the slot where a call's rates would."""
+    """Where OLP's plan holds every chargeable session, `_olp` gives the
+    plan's rates and the run charges them through `_charge`'s clamp and
+    checks, which raise at the slot where a solve's rates would."""
 
     def test_rates_are_clamped_as_charge_clamps_them(self, monkeypatch):
         # the plan gives a its cap 1.0 at slots 0 and 1 and b 1.0 at slot 2
