@@ -20,7 +20,7 @@ from pathlib import Path
 from . import augmentation, corpus, dynamics, feasibility, simulator
 from .augmentation import AugmentationMode
 from .model import ContractError, validate
-from .schedulers import POLICIES
+from .schedulers import KERNELS
 
 #: minimum augmentations reported on the unpublished full production traces;
 #: reference annotations only, not reproducible from shipped corpora
@@ -65,10 +65,10 @@ def _load_corpus(path: Path):
 def _parse_algs(raw: str) -> list[str]:
     algs = [a.strip() for a in raw.split(",") if a.strip()]
     if not algs:
-        raise SystemExit2(f"--algs names no algorithm; valid: {', '.join(sorted(POLICIES))}")
+        raise SystemExit2(f"--algs names no algorithm; valid: {', '.join(sorted(KERNELS))}")
     for k, a in enumerate(algs):
-        if a not in POLICIES:
-            raise SystemExit2(f"unknown algorithm {a!r}; valid: {', '.join(sorted(POLICIES))}")
+        if a not in KERNELS:
+            raise SystemExit2(f"unknown algorithm {a!r}; valid: {', '.join(sorted(KERNELS))}")
         if a in algs[:k]:
             raise SystemExit2(f"--algs names {a} twice")
     return algs
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one instance under one algorithm")
     p.add_argument("instance_file")
-    p.add_argument("--alg", required=True, choices=sorted(POLICIES))
+    p.add_argument("--alg", required=True, choices=sorted(KERNELS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run)
 

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 from .feasibility import is_offline_feasible, min_power_capacity
 from .feasibility import offline_feasible  # noqa: F401  kept: the benchmark's tracer wraps it
-from .model import ChargingSession, ConstantPower, Instance, StepwisePower, validate
+from .model import ChargingSession, ConstantPower, ContractError, Instance, StepwisePower, validate
 
 _STD_NORMAL = NormalDist()
 
@@ -227,6 +227,11 @@ def write_instance(instance: Instance, path) -> None:
     else:
         lines.append("power step " + " ".join(_fmt(v) for v in instance.power.values))
     for s in instance.sessions:
+        # the reader splits each line at whitespace, and UTF-8 holds no lone surrogate
+        if s.id.split() != [s.id] or not s.id.isascii() and any(
+                "\ud800" <= c <= "\udfff" for c in s.id):
+            raise ContractError(f"session id {s.id!r} is empty or holds whitespace or a "
+                                "surrogate: the evcs-v1 format cannot hold it")
         lines.append(f"{s.id} {s.arrival} {s.departure} {_fmt(s.energy)} {_fmt(s.max_rate)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

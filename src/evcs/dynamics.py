@@ -16,6 +16,10 @@ ZERO_EPS = 1e-12
 #: remaining energy below this fraction of the original demand counts as done
 FINISHED_EPS = 1e-12
 
+#: relative tolerance on the energy-demand equality: a session whose
+#: remaining energy is at most this fraction of its energy has its demand
+DEMAND_TOL = 1e-6
+
 
 def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
     """Slack before the session becomes unfinishable; +inf before arrival.
@@ -35,8 +39,8 @@ def laxity(session: ChargingSession, t: int, remaining_energy: float) -> float:
 class SimState:
     """Simulation state at the start of slot t: remaining energy per session id.
 
-    It is the state of the public policy functions and of `step`, for
-    direct callers; a simulator run builds none and keeps its remaining
+    It is the state of `schedulers.decide` and of `step`, for direct
+    callers; a simulator run builds none and keeps its remaining
     energies by id number.  `memory` is what a policy keeps from one slot
     to the next of one run: OLP's plan, or after a fallback the sessions of
     the residual that could not ship, and nothing else.  The simulator
@@ -59,10 +63,17 @@ def _cells(sessions, keys) -> list[tuple]:
     """A run's cell of each session, in order: (key, peak rate, rate
     tolerance, id, done level, session).  The key names its id's remaining
     energy in the run's `remaining`; the session is finished once that is
-    at most the done level, `FINISHED_EPS` * max(1.0, energy)."""
-    return [(key, s.max_rate, RATE_TOL * (s.max_rate if s.max_rate > 1.0 else 1.0), s.id,
-             FINISHED_EPS * (s.energy if s.energy > 1.0 else 1.0), s)  # max(1.0, x), NaN alike
-            for s, key in zip(sessions, keys)]
+    at most the done level, `FINISHED_EPS` * max(1.0, energy) capped at a
+    `DEMAND_TOL` * energy above 0, so an energy under 1e-6 is charged until
+    its demand is met.  The plain compares give a NaN energy the level
+    `FINISHED_EPS` and an infinite one inf."""
+    out = []
+    for s, key in zip(sessions, keys):
+        max_rate, energy = s.max_rate, s.energy
+        done, met = FINISHED_EPS * (energy if energy > 1.0 else 1.0), DEMAND_TOL * energy
+        out.append((key, max_rate, RATE_TOL * (max_rate if max_rate > 1.0 else 1.0), s.id,
+                    met if 0.0 < met < done else done, s))
+    return out
 
 
 def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:

@@ -20,12 +20,9 @@ import bisect
 import math
 from typing import Optional
 
-from .dynamics import RATE_TOL, RunVerdict, Schedule
+from .dynamics import DEMAND_TOL, RATE_TOL, RunVerdict, Schedule
 from .model import ContractError, Instance, Violation
 from .netflow import ARC_TOL, FlowGraph
-
-#: relative tolerance on the energy-demand equality
-DEMAND_TOL = 1e-6
 
 SOURCE, SINK = 0, 1
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -194,6 +195,10 @@ class Instance:
         return [tuple(sessions[k] for k in m) for m in self._active_index[1]]
 
 
+#: the largest float: a larger integer field cannot enter a float product
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken structural invariant; data, not an exception."""
@@ -227,7 +232,7 @@ def validate(instance: Instance) -> list[Violation]:
         if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
             out.append(Violation("non-finite", s.id,
                                  f"energy {s.energy} and max rate {s.max_rate} must be finite"))
-        elif math.isinf(s.max_rate * s.sojourn):
+        elif s.sojourn > _FLOAT_MAX or math.isinf(s.max_rate * s.sojourn):
             out.append(Violation("non-finite", s.id,
                                  f"max rate {s.max_rate} * sojourn {s.sojourn} overflows"))
         if s.energy <= 0:
@@ -235,7 +240,7 @@ def validate(instance: Instance) -> list[Violation]:
         if s.max_rate <= 0:
             out.append(Violation("nonpositive-rate-cap", s.id,
                                  f"max rate {s.max_rate} must be > 0"))
-        elif s.energy > s.max_rate * s.sojourn:
+        elif s.sojourn <= _FLOAT_MAX and s.energy > s.max_rate * s.sojourn:
             out.append(Violation("individually-unsatisfiable", s.id,
                                  f"energy {s.energy} exceeds {s.max_rate} * {s.sojourn}"))
     horizon, power = max(instance.horizon, 0), instance.power
@@ -253,6 +258,9 @@ def validate(instance: Instance) -> list[Violation]:
                              "stepwise profile does not cover the horizon"))
     # finite inputs whose products, as the feasibility network forms them, overflow
     energies = [s.energy for s in instance.sessions]
+    if horizon > _FLOAT_MAX:  # not even a float: the products below would raise
+        out.append(Violation("non-finite", "horizon", f"horizon {horizon} overflows a float"))
+        return out
     if all(map(math.isfinite, energies)) and math.isinf(sum(energies) * horizon):
         out.append(Violation("non-finite", "demand",
                              f"total energy {sum(energies)} * horizon {horizon} overflows"))

@@ -16,9 +16,10 @@ the fill order).  `_kernel_rates` holds the rule for all five.  OLP's
 kernel, `_olp`, takes the same cells and the run memory that keeps its
 plan.  `KERNELS` maps each policy name to its kernel; a run calls only
 these, on the cells and power of the busy span it holds, keyed by id
-number.  The public functions of `(SimState, Instance, t)` in `POLICIES`
-call the same kernels on the cells of the state's slot, keyed by id, for
-direct callers: putting another function into `POLICIES` changes no run.
+number.  A direct caller asks `decide(name, state, instance, t)`, which
+calls the same kernel on the cells of the state's slot, keyed by id, and
+returns a `RateDecision`; `POLICIES` holds it for each name as a function
+of `(SimState, Instance, t)`.  No run calls `decide`.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -38,6 +39,7 @@ order on NaN.  sLLF sorts its breakpoints as tuples.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,20 +79,6 @@ class RateDecision:
     rates: dict[str, float]
     threshold: float | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _at_slot(state: SimState, t: int) -> None:
-    """A `ContractError` unless `state` is the state at slot t."""
-    if state.t != t:
-        raise ContractError(f"state at slot {state.t}, policy queried for {t}")
-
-
-def _chargeable(state: SimState, instance: Instance, t: int) -> tuple[list, list[float]]:
-    """(active sessions with unfinished demand, their caps) at t, in instance order."""
-    _at_slot(state, t)
-    active = instance.active_at(t)
-    live, caps, _ = _live(_cells(active, [s.id for s in active]), state.remaining)
-    return [cell[5] for cell in live], caps
 
 
 def _live(cells, remaining) -> tuple[list, list[float], list[float]]:
@@ -139,18 +127,6 @@ def _kernel_rates(kernel, cells, remaining, p_limit: float, t: int, ordered=None
     if order is not None:
         live = [live[j] for j in order]
     return live, rates, False, threshold, steps
-
-
-def _decide(kernel, state: SimState, instance: Instance, t: int, stepped: bool) -> RateDecision:
-    """The decision of a policy with rate kernel `kernel` at slot t
-    (`_kernel_rates`), its rates by id; `stepped` when the kernel counts
-    solver steps."""
-    _at_slot(state, t)
-    active = instance.active_at(t)
-    cells, rates, _, threshold, steps = _kernel_rates(
-        kernel, _cells(active, [s.id for s in active]), state.remaining, instance.power.at(t), t)
-    return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold,
-                        {"solver_steps": steps} if stepped else {})
 
 
 def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
@@ -264,11 +240,6 @@ def _sllf(cells, caps, rems, t: int, p_limit: float):
     return None, rates, level, steps
 
 
-def sllf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Smoothed least-laxity-first: equalize next-slot laxities up to the caps."""
-    return _decide(_sllf, state, instance, t, stepped=True)
-
-
 def _tie_sorted(keys, tie) -> list[int]:
     """The indices of the float `keys` in increasing key order, each run of
     equal keys in increasing `tie(j)` order, as stable as `sorted`."""
@@ -315,11 +286,6 @@ def _llf(cells, caps, rems, t: int, p_limit: float):
     return order, _greedy_fill(caps, p_limit, order), None, None
 
 
-def llf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Classic least-laxity-first: fill EVs in increasing laxity order."""
-    return _decide(_llf, state, instance, t, stepped=False)
-
-
 def _edf_key(cell) -> tuple:
     """EDF's fill key of a cell: (departure, arrival, id)."""
     s = cell[5]
@@ -330,11 +296,6 @@ def _edf(cells, caps, rems, t: int, p_limit: float):
     """EDF's rate kernel: (None, rates, None, None) at a contended slot,
     filled in the order of `cells`, which `_kernel_rates` sorts by `_edf_key`."""
     return None, _greedy_fill(caps, p_limit, range(len(caps))), None, None
-
-
-def edf_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Earliest-deadline-first: fill EVs in increasing departure order."""
-    return _decide(_edf, state, instance, t, stepped=False)
 
 
 def _proportional_level(weights, caps, p_limit: float) -> tuple[float, int]:
@@ -390,25 +351,9 @@ def _es(cells, caps, rems, t: int, p_limit: float):
     return _proportional_fill(caps, [1.0] * len(caps), p_limit)
 
 
-def es_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Equal share: every EV gets the same rate, clipped to its cap."""
-    return _decide(_es, state, instance, t, stepped=True)
-
-
 def _rep(cells, caps, rems, t: int, p_limit: float):
     """REP's rate kernel at a contended slot: each remaining energy its weight."""
     return _proportional_fill(caps, rems, p_limit)
-
-
-def rep_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Remaining-energy-proportional sharing, clipped to the caps."""
-    return _decide(_rep, state, instance, t, stepped=True)
-
-
-def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
-    """The problem left at slot t (`_residual`) of the chargeable sessions of `state`."""
-    evs = _chargeable(state, instance, t)[0]
-    return _residual(instance, evs, [state.remaining[s.id] for s in evs], t)
 
 
 def _residual(instance: Instance, evs, rems, t: int) -> Instance:
@@ -554,38 +499,6 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
     return charged, rates, threshold, steps, how, cut
 
 
-def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
-    """Front-load the residual problem: earliest-slot-first minimum-cost flow
-    (`_olp`), its rates by id.  With run memory, a slot whose plan holds
-    every chargeable session follows it (`olp_plan_slot`); a `SimState`
-    keeps no cut, so each failed residual is checked again by a max-flow."""
-    _at_slot(state, t)
-    active, memory = instance.active_at(t), state.memory
-    cells, rates, threshold, steps, how, _ = _olp(
-        instance, _cells(active, [s.id for s in active]), state.remaining, t, memory)
-    if not cells:
-        return RateDecision({})
-    if how == "followed":
-        diagnostics = {"olp_plan_slot": memory["olp"][1]}
-    else:
-        diagnostics = {"solver_steps": steps}
-        if how != "solved":
-            diagnostics["olp_fallback"] = True
-            if how != "fallback":
-                diagnostics["olp_unsolved"] = how
-    return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold, diagnostics)
-
-
-POLICIES = {
-    "sllf": sllf_rates,
-    "llf": llf_rates,
-    "edf": edf_rates,
-    "es": es_rates,
-    "rep": rep_rates,
-    "olp": olp_rates,
-}
-
-
 #: the fill key of each rate kernel that fills in a fixed order, one that
 #: cannot change inside a busy span (see `_kernel_rates`)
 FILL_KEYS = {_edf: _edf_key}
@@ -596,14 +509,46 @@ FILL_KEYS = {_edf: _edf_key}
 KERNELS = {"sllf": _sllf, "llf": _llf, "edf": _edf, "es": _es, "rep": _rep, "olp": _olp}
 
 
-def get_policy(name: str):
-    return _named(POLICIES, name)
-
-
 def _named(table: dict, name: str):
-    """`table[name]` of `POLICIES` or `KERNELS`, which hold the same names;
-    an unknown name is a KeyError that lists them."""
+    """`table[name]` of a table keyed by policy name, as `KERNELS` is; an
+    unknown name is a KeyError that lists the table's names."""
     try:
         return table[name]
     except KeyError:
         raise KeyError(f"unknown policy {name!r}; valid: {', '.join(sorted(table))}")
+
+
+def decide(policy: str, state: SimState, instance: Instance, t: int) -> RateDecision:
+    """The decision of the policy named `policy` at slot t, its rates by id,
+    for a direct caller: the kernel a run calls (`KERNELS`) on the cells of
+    the sessions active at t, keyed by id.  OLP keeps its plan and failed
+    residual in `state.memory`, but no cut, so each failed residual is
+    checked again by a max-flow.  An unknown name is `_named`'s KeyError,
+    and a state at another slot a `ContractError`."""
+    kernel = _named(KERNELS, policy)
+    if state.t != t:
+        raise ContractError(f"state at slot {state.t}, policy queried for {t}")
+    active = instance.active_at(t)
+    cells = _cells(active, [s.id for s in active])
+    if policy != "olp":
+        cells, rates, _, threshold, steps = _kernel_rates(
+            kernel, cells, state.remaining, instance.power.at(t), t)
+        diagnostics = {"solver_steps": steps} if policy in ("sllf", "es", "rep") else {}
+    else:  # by its global name, not `kernel`, so that an `_olp` patched in here is called
+        cells, rates, threshold, steps, how, _ = _olp(instance, cells, state.remaining, t,
+                                                      state.memory)
+        if not cells:
+            return RateDecision({})
+        if how == "followed":
+            diagnostics = {"olp_plan_slot": state.memory["olp"][1]}
+        else:
+            diagnostics = {"solver_steps": steps}
+            if how != "solved":
+                diagnostics["olp_fallback"] = True
+                if how != "fallback":
+                    diagnostics["olp_unsolved"] = how
+    return RateDecision({cell[3]: r for cell, r in zip(cells, rates)}, threshold, diagnostics)
+
+
+#: each policy's `decide` as a function of `(state, instance, t)`, by name
+POLICIES = {name: functools.partial(decide, name) for name in KERNELS}

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import warnings
 
-from .dynamics import RunVerdict, Schedule, _cells, _charge, _charge_ids, laxity
+from .dynamics import DEMAND_TOL, RunVerdict, Schedule, _cells, _charge, _charge_ids, laxity
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
-from .feasibility import DEMAND_TOL
 from .model import ContractError, Instance
 from .schedulers import FILL_KEYS, KERNELS, _kernel_rates, _named, _olp
 
@@ -93,10 +92,11 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     by name: sLLF, LLF, EDF, ES and REP through `_kernel_rates` on the
     span's cells, and OLP by `_olp`, which follows its plan where it holds
     every chargeable session; the run memory keeps OLP's plan and failed
-    residual, and `cut` its last failed cut.  No function in `POLICIES` is
-    called.  Every slot's rates go through `_charge`: positional rates
-    directly, where the span's ids are unique, and by id through
-    `_charge_ids` otherwise.
+    residual, and `cut` its last failed cut.  `schedulers.decide`, which
+    direct callers ask by id, is not called, and neither is `POLICIES`.
+    Every slot's rates go through `_charge`: positional rates directly,
+    where the span's ids are unique, and by id through `_charge_ids`
+    otherwise.
 
     Any policy but OLP, whose plan or failed residual is asked at each
     slot, charges its span in one pass (`_charge_at_caps`) from the slot

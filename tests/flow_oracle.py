@@ -7,7 +7,7 @@ the pair's capacity, and `FlowGraph.max_flow` must return the same floats.
 `full_horizon_olp_rates` builds every arc up to the instance horizon, then
 raises one slot's sink arc at a time and runs a max-flow after each, past
 the last departure too: earliest-slot-first minimum-cost flow by blocking
-flow.  `evcs.schedulers.olp_rates` solves the same problem by successive
+flow.  `evcs.schedulers.decide("olp", ...)` solves the same problem by successive
 shortest paths, from the plan it follows in a run, so it must fall back on
 the same slots and ship the same slot totals, up to the flow tolerance; the
 split between sessions may differ.
@@ -30,11 +30,11 @@ are capped at its demand, so their tolerance follows the demand's scale.
 import math
 from collections import deque
 
-from evcs.dynamics import Schedule
+from evcs.dynamics import Schedule, _cells
 from evcs.feasibility import DEMAND_TOL, SINK, SOURCE
 from evcs.model import ContractError
 from evcs.netflow import ARC_TOL, FlowGraph
-from evcs.schedulers import RateDecision, _chargeable, sllf_rates
+from evcs.schedulers import RateDecision, _live, decide
 
 
 class RecursiveFlowGraph:
@@ -122,8 +122,18 @@ def ships_every_demand(g, source_arcs, demands):
     return all(g.cap[a] <= DEMAND_TOL * d for a, d in zip(source_arcs, demands))
 
 
+def chargeable(state, instance, t):
+    """(active sessions with unfinished demand, their caps) at t, in instance
+    order, by `schedulers._live`'s rule."""
+    if state.t != t:
+        raise ContractError(f"state at slot {state.t}, policy queried for {t}")
+    active = instance.active_at(t)
+    live, caps, _ = _live(_cells(active, [s.id for s in active]), state.remaining)
+    return [cell[5] for cell in live], caps
+
+
 def full_horizon_olp_rates(state, instance, t):
-    evs = _chargeable(state, instance, t)[0]
+    evs = chargeable(state, instance, t)[0]
     if not evs:
         return RateDecision({})
     horizon = instance.horizon
@@ -141,7 +151,7 @@ def full_horizon_olp_rates(state, instance, t):
         g.raise_capacity(idx, instance.power.at(tau))
         g.max_flow(source, sink)
     if not ships_every_demand(g, source_arcs, [s.energy for s in evs]):
-        fallback = sllf_rates(state, instance, t)
+        fallback = decide("sllf", state, instance, t)
         fallback.diagnostics["olp_fallback"] = True
         return fallback
     rates = {s.id: (g.flow_on(arcs[0]) if arcs else 0.0) for s, arcs in zip(evs, window_arcs)}

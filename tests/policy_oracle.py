@@ -17,15 +17,17 @@ steps, or raise the same `ContractError`.
 before a solve skipped the exits nothing can reach and stopped each search
 once it labelled the exit it looks for, the second as a function over a
 `FlowGraph`; `_olp_fallback` is OLP's fallback as it stood before OLP became
-a rate kernel, on the current `sllf_rates`.  OLP must give the same decisions with the same diagnostics
-but `solver_steps`, which may be one fewer: a solve no longer runs its last,
-empty search.  `searching_earliest_exit_flow` is the solver with those two
-skips, as it stood before paths of at most two free arcs were taken without
-a search, and `two_arc_earliest_exit_flow` the solver with those paths, as
-it stood as a `FlowGraph` method before OLP solved on its sessions' rows:
-each must leave the same residuals and return the same flow and the same
-count as the one after it, and `netflow.SlotRows` the same floats and count
-as the last on OLP's network.
+a rate kernel, on the current sLLF (`decide("sllf", ...)`), and
+`residual_instance` the problem OLP leaves at a slot, as the per-policy
+functions of `evcs.schedulers` built it.  OLP must give the same decisions
+with the same diagnostics but `solver_steps`, which may be one fewer: a
+solve no longer runs its last, empty search.  `searching_earliest_exit_flow`
+is the solver with those two skips, as it stood before paths of at most two
+free arcs were taken without a search, and `two_arc_earliest_exit_flow` the
+solver with those paths, as it stood as a `FlowGraph` method before OLP
+solved on its sessions' rows: each must leave the same residuals and return
+the same flow and the same count as the one after it, and `netflow.SlotRows`
+the same floats and count as the last on OLP's network.
 """
 from __future__ import annotations
 
@@ -35,12 +37,11 @@ from evcs.dynamics import FINISHED_EPS, SimState
 from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
-from evcs.schedulers import RateDecision, _window_power, residual_instance
+from evcs.schedulers import RateDecision, _residual, _window_power, decide
 from evcs.schedulers import _greedy_fill as _kernel_greedy_fill
 from evcs.schedulers import _laxities as _kernel_laxities
 from evcs.schedulers import _off_power, _share_exactly
-from evcs.schedulers import _chargeable as _chargeable_with_caps
-from evcs.schedulers import sllf_rates as _sllf_rates
+from flow_oracle import chargeable as _chargeable_with_caps
 
 
 def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
@@ -444,13 +445,19 @@ def two_arc_earliest_exit_flow(graph: FlowGraph, s: int,
     return total, searches
 
 
+def residual_instance(state: SimState, instance: Instance, t: int) -> Instance:
+    """The problem left at slot t (`schedulers._residual`) of the chargeable sessions of `state`."""
+    evs = _chargeable_with_caps(state, instance, t)[0]
+    return _residual(instance, evs, [state.remaining[s.id] for s in evs], t)
+
+
 def _olp_fallback(state: SimState, instance: Instance, t: int, failed, unsolved=None):
     """The sLLF rates, with the sessions of the residual that could not ship
     (ids of the objects) kept in the run memory."""
     if state.memory is not None:
         state.memory["olp"] = None
         state.memory["olp_infeasible"] = (instance, failed)
-    fallback = _sllf_rates(state, instance, t)
+    fallback = decide("sllf", state, instance, t)
     fallback.diagnostics["olp_fallback"] = True
     if unsolved:
         fallback.diagnostics["olp_unsolved"] = unsolved

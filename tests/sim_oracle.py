@@ -131,7 +131,7 @@ def full_scan_live(cells, remaining):
 
 
 def full_scan_chargeable(state, instance, t):
-    """(chargeable sessions, their caps), as `schedulers._chargeable` gives them."""
+    """(chargeable sessions, their caps), as `flow_oracle.chargeable` gives them."""
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
     remaining = state.remaining

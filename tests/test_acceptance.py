@@ -14,12 +14,14 @@ from evcs.corpus import write_instance
 from evcs.dynamics import initial_state, laxity, step
 from evcs.feasibility import min_power_capacity, offline_feasible
 from evcs.model import ChargingSession, ConstantPower, Instance
-from evcs.schedulers import get_policy, llf_rates, sllf_rates
+from evcs.schedulers import POLICIES
 from evcs.simulator import (binned_success_rates, run_feasibility,
                             separation_witness, simulate)
 
 from conftest import ACCEPTANCE_LINES, random_feasible_rates, random_slot_state
 from grid_oracle import grid_feasible, random_grid_instance
+
+sllf_rates, llf_rates = POLICIES["sllf"], POLICIES["llf"]
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -160,7 +162,7 @@ def test_05_fairness():
 def test_06_laxity_order_persistence(persistence_corpus):
     t0 = time.perf_counter()
     flips = unmatched = 0
-    policy = get_policy("sllf")
+    policy = POLICIES["sllf"]
     for inst in persistence_corpus:
         state = initial_state(inst)
         for t in range(inst.horizon):

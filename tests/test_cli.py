@@ -220,6 +220,32 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("body, violations", [
+        (f"horizon 1{'0' * 400}\npower constant 1\na 0 2 1 1\n", "non-finite:horizon"),
+        (f"horizon 3\npower constant 1\na 0 1{'0' * 400} 1 1\n",
+         "window-out-of-range:a;non-finite:a"),
+        (f"horizon 3\npower constant 1\na -1{'0' * 400} 2 1 1\n",
+         "window-out-of-range:a;non-finite:a"),
+    ], ids=["horizon", "departure", "arrival"])
+    def test_integers_beyond_float_range_are_violations(self, tmp_path, capsys, body,
+                                                         violations):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        path = corpus_dir / "instance_0000.evcs"
+        path.write_text("evcs-v1\n" + body)
+        assert main(["check", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert rows_from_csv(captured.out)[0]["violations"] == violations
+        assert "Traceback" not in captured.err
+        for argv in (["run", str(path), "--alg", "sllf"],
+                     ["sweep", str(corpus_dir), "--algs", "sllf"],
+                     ["augment", str(corpus_dir), "--algs", "sllf", "--mode", "power"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: invalid instance: ")
+            assert captured.err.count("\n") == 1
+
     def test_huge_declared_horizon_is_checked_quickly(self, tmp_path, capsys):
         path = tmp_path / "huge.evcs"
         path.write_text("evcs-v1\nhorizon 10000000000\npower constant 1\na 0 2 1 1\n")
@@ -345,6 +371,18 @@ class TestRun:
         path = tmp_path / "tight.evcs"
         write_instance(inst, path)
         assert main(["run", str(path), "--alg", "sllf"]) == 1
+
+    def test_a_demand_under_the_finished_level_is_met(self, tmp_path, capsys):
+        # a's energy 1e-13 is under FINISHED_EPS: it is charged to DEMAND_TOL of itself
+        inst = Instance((ChargingSession("a", 0, 2, 1e-13, 1.0),
+                         ChargingSession("b", 0, 3, 2.0, 1.0)), ConstantPower(1.0))
+        assert offline_feasible(inst)[0]
+        path = tmp_path / "tiny.evcs"
+        write_instance(inst, path)
+        for alg in sorted(POLICIES):
+            assert simulator.simulate(inst, alg)[1].feasible, alg
+            assert main(["run", str(path), "--alg", alg]) == 0, alg
+            assert f"# alg={alg} feasible=True " in capsys.readouterr().err
 
     def test_invalid_instance_exits_two(self, invalid_file):
         assert main(["run", invalid_file, "--alg", "sllf"]) == 2

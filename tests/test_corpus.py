@@ -14,8 +14,8 @@ from evcs.corpus import (CorpusSpec, GenerationError, ParseError, generate,
                          write_instance)
 from evcs.dynamics import min_laxity
 from evcs.feasibility import offline_feasible, validate_schedule
-from evcs.model import (ChargingSession, ConstantPower, Instance, StepwisePower, Violation,
-                        validate)
+from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
+                        Violation, validate)
 from evcs.schedulers import POLICIES
 from evcs.simulator import simulate
 
@@ -135,6 +135,23 @@ class TestRoundTrip:
              "-c", script, str(path)], capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         assert path.read_bytes().splitlines()[-1] == "év 0 2 1 1".encode()
+
+
+    @pytest.mark.parametrize("sid", ["", "a b", "x\ty", "a\u2028b", "a\ud800"])
+    def test_an_id_the_reader_cannot_split_is_refused_before_writing(self, tmp_path, sid):
+        inst = Instance((ChargingSession(sid, 0, 2, 1.0, 1.0),), ConstantPower(1.0))
+        assert validate(inst) == []
+        path = tmp_path / "id.evcs"
+        with pytest.raises(ContractError) as raised:
+            write_instance(inst, path)
+        assert repr(sid) in str(raised.value)
+        assert not path.exists()
+
+    def test_an_id_of_punctuation_round_trips(self, tmp_path):
+        inst = Instance((ChargingSession("ev-1,\"q\"#é", 0, 2, 1.0, 1.0),), ConstantPower(1.0))
+        path = tmp_path / "id.evcs"
+        write_instance(inst, path)
+        assert read_instance(path) == inst
 
 
 class TestParseErrors:

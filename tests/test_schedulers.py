@@ -13,16 +13,19 @@ from evcs.dynamics import (RATE_TOL, SimState, _cells, _charge, _charge_ids, ini
 from evcs.feasibility import is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs import simulator
-from evcs.schedulers import (KERNELS, POLICIES, _chargeable, _kernel_rates, _live, _olp, _sllf,
-                             edf_rates, es_rates, get_policy, llf_rates, olp_rates, rep_rates,
-                             residual_instance, sllf_rates)
+from evcs import cli, simulator
+from evcs.schedulers import KERNELS, POLICIES, _kernel_rates, _live, _olp, _sllf, decide
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
 
 from conftest import random_feasible_rates, random_slot_state
-from flow_oracle import full_horizon_olp_rates
+from flow_oracle import chargeable as _chargeable, full_horizon_olp_rates
+from policy_oracle import residual_instance
 from sim_oracle import CAPS_FIRST, dense, full_scan_chargeable, full_scan_simulate
+
+# each policy's decision for a direct caller, bound before any test replaces a `POLICIES` entry
+sllf_rates, llf_rates, edf_rates, es_rates, rep_rates, olp_rates = (
+    POLICIES[name] for name in ("sllf", "llf", "edf", "es", "rep", "olp"))
 
 
 def next_laxities(decision, state, instance):
@@ -560,7 +563,7 @@ class TestOlpAgainstFullHorizon:
         with pytest.raises(ValueError) as expected:
             full_horizon_olp_rates(state, inst, 0)
         assert str(expected.value) == "capacities may only be raised"
-        # the reference fails inside the flow graph; olp_rates names slot and power
+        # the reference fails inside the flow graph; OLP's decision names slot and power
         with pytest.raises(ContractError) as raised:
             olp_rates(state, inst, 0)
         assert str(raised.value) == "OLP: negative station power P(3) = -1.0 at slot 3"
@@ -607,9 +610,9 @@ class TestOlpAgainstFullHorizon:
 
 
 class TestOlpKernelDecisions:
-    """`olp_rates` is the adapter of the one OLP, `_olp`: the kernel on cells
-    keyed by id number and remaining energies by number decides as the
-    adapter does on the same state keyed by id, float for float."""
+    """`decide("olp", ...)` is the direct caller's OLP, `_olp`: the kernel on
+    cells keyed by id number and remaining energies by number decides as
+    `decide` does on the same state keyed by id, float for float."""
 
     def test_positional_kernel_decides_as_the_adapter(self):
         rng = random.Random(112)
@@ -713,14 +716,28 @@ def contended_run_instance(rng: random.Random):
     return Instance(inst.sessions, power, inst.horizon)
 
 
-def perfbench_workloads():
-    """The benchmark's `workloads` module, loaded from its file without changing it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name: str):
+    """The benchmark's module `name`, loaded from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps names of the package: each must exist,
+    and leaving the tracer must put each original back."""
+
+    def test_installs_and_restores_what_it_wraps(self):
+        def wrapped():
+            return simulator.step, POLICIES["olp"], Instance.__dict__["session"], cli.main
+
+        before = wrapped()
+        with perfbench_module("tracer").Tracer().install():
+            assert all(a is not b for a, b in zip(wrapped(), before))
+        assert all(a is b for a, b in zip(wrapped(), before))
 
 
 def truncated(instance, cut: int) -> Instance:
@@ -756,7 +773,7 @@ class TestOnlyThePresent:
         assert sum(map(assert_sees_only_the_present, instances)) > 2000
 
     def test_on_a_smoke_day_instance(self):
-        inst = perfbench_workloads().day_instance(42, smoke=True)
+        inst = perfbench_module("workloads").day_instance(42, smoke=True)
         assert assert_sees_only_the_present(inst) > 80
 
 
@@ -771,7 +788,7 @@ class TestOlpFailedResidual:
         assert fallbacks >= 30 and unsolved["skipped"] > 0 and unsolved["checked"] > 0
 
     def test_same_slot_totals_on_a_smoke_day_instance(self, monkeypatch):
-        inst = perfbench_workloads().day_instance(42, smoke=True)
+        inst = perfbench_module("workloads").day_instance(42, smoke=True)
         _, unsolved = olp_runs_as_full_horizon(monkeypatch, [inst])
         assert unsolved["skipped"] > 0 and unsolved["checked"] > 0
 
@@ -930,9 +947,10 @@ class TestOlpPlanValidity:
 class TestAllPolicies:
     def test_registry(self):
         assert set(POLICIES) == {"sllf", "llf", "edf", "es", "rep", "olp"}
-        assert get_policy("sllf") is sllf_rates
+        assert all(POLICIES[name].func is decide and POLICIES[name].args == (name,)
+                   for name in POLICIES)
         with pytest.raises(KeyError):
-            get_policy("nope")
+            decide("nope", SimState(0, {}), Instance((), ConstantPower(1.0)), 0)
 
     def test_runs_have_a_kernel_for_each_policy_name(self):
         assert set(KERNELS) == set(POLICIES)

@@ -456,9 +456,9 @@ class TestOneDispatchPath:
         for name, want in expected.items():
             assert outcomes(name) == want, name
 
-    def test_an_unknown_name_is_get_policy_s_key_error(self, instance_ia):
+    def test_an_unknown_name_is_decide_s_key_error(self, instance_ia):
         with pytest.raises(KeyError) as expected:
-            schedulers.get_policy("nope")
+            schedulers.decide("nope", initial_state(instance_ia), instance_ia, 0)
         for run in (lambda: simulate(instance_ia, "nope"),
                     lambda: run_feasibility([instance_ia], "nope")):
             with pytest.raises(KeyError) as raised:
@@ -929,7 +929,7 @@ def followed_slots(monkeypatch):
 
 
 def olp_editing_plans(monkeypatch, edit):
-    """Make OLP's kernel, in runs and in `olp_rates`, hand each plan a solve
+    """Make OLP's kernel, in runs and in `decide`, hand each plan a solve
     stores to `edit(rows by session id, plan start)` before it is read."""
     olp = schedulers._olp
 
@@ -1015,7 +1015,7 @@ class TestOlpPlanSpans:
 
     def test_a_span_with_a_repeated_id_is_charged_from_the_plan(self, monkeypatch):
         # the plan holds both sessions of "a" by object; its rates go by id,
-        # the second session's entry in the first's place, as `olp_rates` gives them
+        # the second session's entry in the first's place, as `decide` gives them
         inst = Instance((ChargingSession("a", 0, 6, 2.0, 1.0),
                          ChargingSession("a", 0, 6, 2.0, 1.0),
                          ChargingSession("b", 0, 6, 3.0, 1.0)), ConstantPower(2.0))
