@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 
 from .model import ChargingSession, ContractError, Instance
 
@@ -63,16 +63,18 @@ def _cells(sessions, keys) -> list[tuple]:
     """A run's cell of each session, in order: (key, peak rate, rate
     tolerance, id, done level, session).  The key names its id's remaining
     energy in the run's `remaining`; the session is finished once that is
-    at most the done level, `FINISHED_EPS` * max(1.0, energy) capped at a
-    `DEMAND_TOL` * energy above 0, so an energy under 1e-6 is charged until
-    its demand is met.  The plain compares give a NaN energy the level
-    `FINISHED_EPS` and an infinite one inf."""
+    at most the done level, `FINISHED_EPS` * max(1.0, energy), or for a
+    positive energy `DEMAND_TOL` * energy where that is lower, so an energy
+    under 1e-6 is charged until its demand is met, a subnormal one, whose
+    `DEMAND_TOL` * energy rounds to 0.0, until none is left.  The plain
+    compares give a NaN, zero or negative energy the level `FINISHED_EPS`
+    and an infinite one inf."""
     out = []
     for s, key in zip(sessions, keys):
         max_rate, energy = s.max_rate, s.energy
         done, met = FINISHED_EPS * (energy if energy > 1.0 else 1.0), DEMAND_TOL * energy
         out.append((key, max_rate, RATE_TOL * (max_rate if max_rate > 1.0 else 1.0), s.id,
-                    met if 0.0 < met < done else done, s))
+                    met if 0.0 < energy and met < done else done, s))
     return out
 
 
@@ -179,6 +181,13 @@ class Schedule:
         switch.  Each rate's zero test is carried to the next pair.  A running
         sum in row order: `sum()` compensates from 3.12 on.  `evcs run`
         prints both, so it takes them from this one walk.
+
+        The walk steps over each run of equal rates at once (`groupby`): a
+        pair inside it adds +0.0, which leaves the sum as it is, and no
+        switch, and the pair after it differs by the same float from the
+        run's first rate as from its last, ±0.0 alike.  Only a run of one
+        infinity twice or more adds something inside, inf - inf = NaN, once,
+        as NaN keeps the sum NaN.
         """
         horizon, starts, switches = self.horizon, self.starts, 0
         variation = 0.0 if self.rates and horizon > 1 else 0
@@ -191,12 +200,17 @@ class Schedule:
             else:
                 continue
             off = -ZERO_EPS <= prev <= ZERO_EPS  # abs(prev) <= ZERO_EPS, NaN alike
-            for r in rates:
+            for r, run in groupby(rates):
                 variation += abs(r - prev)
                 now = -ZERO_EPS <= r <= ZERO_EPS
                 if now is not off:
                     switches += 1
-                prev, off = r, now
+                    off = now
+                prev = r
+                # r - r is NaN, which is true, only for an infinity or a NaN, and
+                # a NaN equals no rate, so its run is one rate long
+                if r - r and len(tuple(islice(run, 2))) == 2:
+                    variation += abs(r - r)
             if start + len(row) < horizon:  # the zero after the window
                 variation += abs(0.0 - prev)
                 if not off:

@@ -33,17 +33,17 @@ class FlowGraph:
         self._initial: list[float] = []
         self.source_levels: list[int] = []  # see `max_flow`
 
-    def add_edge(self, u: int, v: int, cap: float, flow: float = 0.0) -> int:
-        """Arc u -> v of capacity `cap` that already carries `flow`; returns its index."""
+    def add_edge(self, u: int, v: int, cap: float) -> int:
+        """Arc u -> v of capacity `cap` and no flow; returns its index."""
         idx = len(self.to)
         tol = ARC_TOL * cap if cap > 0.0 else 0.0
         self.to.append(v)
-        self.cap.append(cap - flow)
+        self.cap.append(cap)
         self.tol.append(tol)
         self._initial.append(cap)
         self.adj[u].append(idx)
         self.to.append(u)
-        self.cap.append(flow)
+        self.cap.append(0.0)
         self.tol.append(tol)
         self._initial.append(0.0)
         self.adj[v].append(idx + 1)
@@ -121,10 +121,6 @@ class FlowGraph:
                     break
                 u = to[path.pop() ^ 1]
                 it[u] += 1
-
-    def source_side(self, s: int) -> list[bool]:
-        """Residual reachability from `s`: after `max_flow`, what `source_levels` already holds."""
-        return [lv >= 0 for lv in self._levels(s)]
 
     def _levels(self, s: int, t: int = -1) -> list[int]:
         """BFS levels over residual arcs, -1 where unreached.

@@ -16,10 +16,13 @@ the fill order).  `_kernel_rates` holds the rule for all five.  OLP's
 kernel, `_olp`, takes the same cells and the run memory that keeps its
 plan.  `KERNELS` maps each policy name to its kernel; a run calls only
 these, on the cells and power of the busy span it holds, keyed by id
-number.  A direct caller asks `decide(name, state, instance, t)`, which
-calls the same kernel on the cells of the state's slot, keyed by id, and
-returns a `RateDecision`; `POLICIES` holds it for each name as a function
-of `(SimState, Instance, t)`.  No run calls `decide`.
+number, and skips the slots whose rates it knows: after a slot at the caps,
+and after a contended slot of EDF or ES, whose decision depends on nothing
+but the chargeable cells in fill order, their caps and P(t) (`REPEATING`),
+while those repeat.  A direct caller asks `decide(name, state, instance,
+t)`, which calls the same kernel on the cells of the state's slot, keyed by
+id, and returns a `RateDecision`; `POLICIES` holds it for each name as a
+function of `(SimState, Instance, t)`.  No run calls `decide`.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -502,6 +505,12 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
 #: the fill key of each rate kernel that fills in a fixed order, one that
 #: cannot change inside a busy span (see `_kernel_rates`)
 FILL_KEYS = {_edf: _edf_key}
+
+#: the rate kernels whose contended decision depends only on the chargeable
+#: cells in fill order, their caps and P(t): EDF's greedy fill and ES's equal
+#: weights, unlike the laxities and remaining energies the others read, so a
+#: run charges it again while those repeat (`simulator._charge_repeats`)
+REPEATING = frozenset({_edf, _es})
 
 
 #: each policy's rate kernel by name, the only functions a run calls

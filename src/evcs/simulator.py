@@ -4,6 +4,13 @@ Everything runs serially in the calling process.  `simulate` and
 `run_feasibility` share one slot loop, `_run`; the corpus sweeps, the
 augmentation search and the separation search read only verdicts, so they run
 through `run_feasibility`, which stops each run once its verdict is settled.
+
+The loop asks a kernel only where its rates are not known already.  Two
+one-pass rules charge the rest: after a slot at the caps, the rest of its
+busy span is charged at the caps (`_charge_at_caps`), and after a contended
+EDF or ES slot, the same rates are charged while the chargeable sessions
+and their caps repeat (`_charge_repeats`).  Both need a span with distinct
+ids and peak rates above 0.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ import warnings
 from .dynamics import DEMAND_TOL, RunVerdict, Schedule, _cells, _charge, _charge_ids, laxity
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
 from .model import ContractError, Instance
-from .schedulers import FILL_KEYS, KERNELS, _kernel_rates, _named, _olp
+from .schedulers import FILL_KEYS, KERNELS, REPEATING, _kernel_rates, _named, _olp
 
 
 class PolicyContractError(ContractError):
@@ -98,9 +105,12 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     where the span's ids are unique, and by id through `_charge_ids`
     otherwise.
 
-    Any policy but OLP, whose plan or failed residual is asked at each
-    slot, charges its span in one pass (`_charge_at_caps`) from the slot
-    after one at the caps on.  Without rows (None) the run stops after the
+    In a span whose ids are distinct and whose peak rates are above 0, any
+    policy but OLP, whose plan or failed residual is asked at each slot,
+    charges the span in one pass (`_charge_at_caps`) from the slot after
+    one at the caps on, and EDF and ES (`REPEATING`) charge a contended
+    slot's rates again at the slots after it (`_charge_repeats`) up to the
+    slot that is decided next.  Without rows (None) the run stops after the
     first span [a, b) at whose end b some id's window closes with a session
     of that id short of its demand: an id is charged only while one of its
     sessions is active.
@@ -124,7 +134,9 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
         distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
         one_pass = not olp and distinct and all(cell[1] > 0.0 for cell in span)
-        for t in range(a, b):
+        repeats = one_pass and kernel in REPEATING
+        t = a
+        while t < b:
             if olp:
                 charged, rates, _, _, _, cut = _olp(instance, span, remaining, t, memory, cut)
             else:
@@ -138,9 +150,12 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
                                 active, t, p_limit, rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
+            t += 1
             if one_pass and at_caps:
-                _charge_at_caps(span, remaining, rows, t + 1, b)
+                _charge_at_caps(span, remaining, rows, t, b)
                 break
+            if repeats and not at_caps:
+                t = _charge_repeats(charged, rates, remaining, rows, t, b)
         if b in due and not _meets_demand(due[b], remaining):
             break
     return remaining
@@ -174,6 +189,33 @@ def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: 
                     row[u - start], rem = max_rate, rem - max_rate
                 u += 1
         remaining[n] = rem
+
+
+def _charge_repeats(cells, rates, remaining: list[float], rows: list | None, t: int,
+                    b: int) -> int:
+    """Charge `rates`, which EDF or ES gave the `_cells` `cells` at the
+    contended slot t - 1 of a span with distinct ids and peak rates above 0,
+    again at t, t + 1, ... up to b - 1, in place, as `_charge` would slot by
+    slot; returns the first slot left to decide.  A slot repeats while every
+    session of a rate above 0 has at least its peak rate left, so that its
+    cap is that peak rate again, and more than its done level, so that it is
+    still chargeable; a session of a rate at or below 0 keeps its energy and
+    its cap.  Then the chargeable cells, their caps and the span's one power
+    are those of slot t - 1, and so are the kernel's rates (`REPEATING`),
+    their checks and their total.  Each session of a rate above 0 is charged
+    min(r, peak rate), as `_charge` clamps r to that cap, which is at most
+    its remaining energy, so none falls below 0.0."""
+    charging = [(cell[0], cell[1], cell[4], cell[1] if cell[1] < r else r)
+                for cell, r in zip(cells, rates) if r > 0.0]
+    while t < b and all(remaining[n] >= max_rate and remaining[n] > done
+                        for n, max_rate, done, _ in charging):
+        for n, _, _, amount in charging:
+            remaining[n] -= amount
+            if rows is not None:
+                start, row = rows[n]
+                row[t - start] = amount
+        t += 1
+    return t
 
 
 def success_rate(instances, policy_name: str) -> float:

@@ -12,6 +12,10 @@ shortest paths, from the plan it follows in a run, so it must fall back on
 the same slots and ship the same slot totals, up to the flow tolerance; the
 split between sessions may differ.
 
+`add_flowing_edge` adds a `FlowGraph` arc that already carries a flow, and
+`source_side` reads a `FlowGraph`'s residual reachability; `evcs` needs
+neither since OLP solves on rows and `min_power_capacity` reads the
+max-flow's `source_levels`.
 `add_edge_network` is the interval network built arc by arc, which
 `feasibility._build_network`'s copies of one shared network must equal.
 `slot_offline_feasible` and `slot_min_power_capacity` decide feasibility on
@@ -35,6 +39,20 @@ from evcs.feasibility import DEMAND_TOL, SINK, SOURCE
 from evcs.model import ContractError
 from evcs.netflow import ARC_TOL, FlowGraph
 from evcs.schedulers import RateDecision, _live, decide
+
+
+def add_flowing_edge(g, u, v, cap, flow):
+    """Arc u -> v of capacity `cap` in the `FlowGraph` `g` that already
+    carries `flow`; returns its index."""
+    idx = g.add_edge(u, v, cap)
+    g.cap[idx], g.cap[idx ^ 1] = cap - flow, flow
+    return idx
+
+
+def source_side(g, s):
+    """Residual reachability from `s` in the `FlowGraph` `g`: after
+    `max_flow`, what its `source_levels` already holds."""
+    return [lv >= 0 for lv in g._levels(s)]
 
 
 class RecursiveFlowGraph:
@@ -231,7 +249,7 @@ def slot_min_power_capacity(instance):
         short = demand - g.max_flow(source, sink)
         if ships_every_demand(g, source_arcs, [s.energy for s in instance.sessions]):
             return p
-        reach = g.source_side(source)
+        reach = source_side(g, source)
         k = sum(reach[g.to[idx ^ 1]] for idx in sink_arcs)  # the paired arc leads to the slot
         if k == 0:
             raise ContractError("no constant power ships the demand inside the horizon")

@@ -17,6 +17,7 @@ from evcs.corpus import _STD_NORMAL, CorpusSpec, GenerationError, _geometric
 from evcs.feasibility import SINK, SOURCE, _build_network, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ConstantPower, ContractError, Instance, validate
 from evcs.netflow import ARC_TOL
+from flow_oracle import source_side
 
 
 class _TruncatedLogNormal:
@@ -146,7 +147,7 @@ def min_power_capacity(instance: Instance) -> float:
     g, _, sink_arcs = _build_network(instance, p)
     short = demand - g.max_flow(SOURCE, SINK)
     while not ships_demand([g.cap[a] for a in sources], energies):
-        reach = g.source_side(SOURCE)
+        reach = source_side(g, SOURCE)
         # the paired arc leads back to the interval node
         k = sum(b - a for a, b, idx in sink_arcs if reach[g.to[idx ^ 1]])
         if k == 0:

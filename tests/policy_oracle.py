@@ -41,6 +41,7 @@ from evcs.schedulers import RateDecision, _residual, _window_power, decide
 from evcs.schedulers import _greedy_fill as _kernel_greedy_fill
 from evcs.schedulers import _laxities as _kernel_laxities
 from evcs.schedulers import _off_power, _share_exactly
+from flow_oracle import add_flowing_edge
 from flow_oracle import chargeable as _chargeable_with_caps
 
 
@@ -497,11 +498,12 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     for k, (s, stop, cap) in enumerate(zip(evs, stops, caps)):
         row = planned.get(id(s))
         row = row[t - start:] if row is not None else [0.0] * (stop - t)
-        sources.append(g.add_edge(SOURCE, 2 + k, state.remaining[s.id], sum(row)))
-        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
+        sources.append(add_flowing_edge(g, SOURCE, 2 + k, state.remaining[s.id], sum(row)))
+        arcs.append([add_flowing_edge(g, 2 + k, first_slot + i, cap, f)
+                     for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f
-    exits = [g.add_edge(first_slot + i, SINK, p, load)
+    exits = [add_flowing_edge(g, first_slot + i, SINK, p, load)
              for i, (p, load) in enumerate(zip(powers, loads))]
     searches = earliest_exit_flow(g, SOURCE, exits)[1]
     if not ships_demand([g.cap[a] for a in sources], energies):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,9 +15,10 @@ import pytest
 
 from evcs import augmentation, simulator
 from evcs.augmentation import AugmentationMode
-from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, main
+from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, _run_csv, main
 from evcs.corpus import (generate, read_instance, reference_spec, reference_spec_spaced,
                          write_instance)
+from evcs.dynamics import Schedule
 from evcs.feasibility import offline_feasible, validate_schedule
 from evcs.model import ChargingSession, ConstantPower, Instance
 from evcs.schedulers import POLICIES
@@ -384,6 +386,21 @@ class TestRun:
             assert main(["run", str(path), "--alg", alg]) == 0, alg
             assert f"# alg={alg} feasible=True " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("energy", [1e-300, 1e-318, 1e-320, 5e-324])
+    def test_a_subnormal_demand_is_met(self, tmp_path, capsys, energy):
+        # below about 1e-317 DEMAND_TOL * energy rounds to 0.0: the session is
+        # charged until none is left
+        inst = Instance((ChargingSession("a", 0, 2, energy, 1.0),), ConstantPower(1.0), 3)
+        assert offline_feasible(inst)[0]
+        path = tmp_path / "subnormal.evcs"
+        write_instance(inst, path)
+        for alg in sorted(POLICIES):
+            assert simulator.simulate(inst, alg)[1].feasible, alg
+            assert main(["run", str(path), "--alg", alg]) == 0, alg
+            out, err = capsys.readouterr()
+            assert out == f"session,slot,rate\r\na,0,{energy!r}\r\n__verdict__,-1,\r\n", alg
+            assert f"# alg={alg} feasible=True " in err, alg
+
     def test_invalid_instance_exits_two(self, invalid_file):
         assert main(["run", invalid_file, "--alg", "sllf"]) == 2
 
@@ -457,6 +474,32 @@ class TestRun:
         records = [dict(zip(columns, row)) for row in rows]
         assert capsys.readouterr().out == json.dumps(
             {"schema": REPORT_SCHEMA, "rows": records}, indent=2) + "\n"
+
+    def test_csv_of_random_schedules_is_what_csv_writer_writes(self):
+        # rates repeat along a row and across rows, ids need quoting, and
+        # nonzero rates of one value are written from one text
+        rng = random.Random(38)
+        pool = [1.0, 0.5, 1 / 3, 0.0, -0.0, 1e-320, -2.5, math.inf, -math.inf, math.nan]
+        columns, last = ["session", "slot", "rate"], ("__verdict__", -1, "")
+        for _ in range(200):
+            horizon = rng.randint(1, 30)
+            rates, starts = {}, {}
+            for sid in rng.sample(["a", "a,b", 'q"x', "plain", " sp "], rng.randint(1, 5)):
+                starts[sid] = rng.randrange(horizon)
+                row = []
+                while len(row) < horizon - starts[sid] and rng.random() < 0.9:
+                    row += [rng.choice(pool)] * rng.randint(1, 4)
+                rates[sid] = tuple(row[:horizon - starts[sid]])
+            schedule = Schedule(horizon, rates, starts)
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(columns)
+            for sid, row in rates.items():
+                for t, r in enumerate(row, starts[sid]):
+                    if r != 0.0:
+                        writer.writerow((sid, t, r))
+            writer.writerow(last)
+            assert _run_csv(schedule, columns, last) == expected.getvalue()
 
     def test_directory_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--alg", "sllf"]) == 2

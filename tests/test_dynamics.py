@@ -199,6 +199,24 @@ class TestSchedule:
         assert repr((sch.total_variation(), sch.switch_count())) == repr(dense_metrics(full))
 
 
+    def test_runs_of_equal_rates_read_as_their_dense_form(self):
+        # the walk steps over each run of equal rates; ±0.0 join one run, a
+        # NaN is a run of its own, a run of one infinity adds NaN inside, and
+        # ints join the floats they equal
+        rng = random.Random(38)
+        pool = [0.0, -0.0, 1e-13, 0.5, 2.0, 2, 0, math.nan, math.inf, -math.inf]
+        for _ in range(500):
+            horizon = rng.randint(1, 25)
+            rates, starts = {}, {}
+            for k in range(rng.randint(1, 4)):
+                starts[f"s{k}"] = rng.randrange(horizon)
+                row = [0.0]  # a float, so that the dense sum starts as the windowed one
+                while len(row) < horizon - starts[f"s{k}"] and rng.random() < 0.85:
+                    row += [rng.choice(pool)] * rng.randint(1, 4)
+                rates[f"s{k}"] = tuple(row[:horizon - starts[f"s{k}"]])
+            sch = Schedule(horizon, rates, starts)
+            assert repr(sch._metrics()) == repr(dense_metrics(dense(sch))), sch
+
 
 def min_laxity_to_horizon(instance, schedule):
     """Brute force: every session's laxity at every slot from arrival to the horizon."""

@@ -5,7 +5,7 @@ import pytest
 
 from evcs.netflow import FlowGraph, SlotRows
 
-from flow_oracle import RecursiveFlowGraph
+from flow_oracle import RecursiveFlowGraph, add_flowing_edge, source_side
 from policy_oracle import earliest_exit_flow as frozen_earliest_exit_flow
 from policy_oracle import searching_earliest_exit_flow, two_arc_earliest_exit_flow
 
@@ -49,7 +49,7 @@ class TestMaxFlow:
         g.add_edge(1, 2, 1e300)
         g.add_edge(2, 3, 3.0)
         assert g.max_flow(0, 3) == 2.0
-        assert g.source_side(0) == [True, False, False, False]
+        assert source_side(g, 0) == [True, False, False, False]
 
     def test_disconnected(self):
         g = FlowGraph(3)
@@ -101,7 +101,7 @@ class TestMaxFlow:
                 g.add_edge(u, v, cap)
                 arcs.append((u, v, cap))
             value = g.max_flow(0, n - 1)
-            side = g.source_side(0)
+            side = source_side(g, 0)
             assert side[0] and not side[n - 1]
             cut = sum(cap for u, v, cap in arcs if side[u] and not side[v])
             assert cut == pytest.approx(value, abs=1e-9)
@@ -130,7 +130,7 @@ class TestAgainstRecursiveOracle:
             for _ in range(rng.randint(1, 6)):
                 assert g.max_flow(s, t) == ref.max_flow(s, t)
                 assert [g.flow_on(i) for i in arcs] == [ref.flow_on(i) for i in arcs]
-                assert g.source_side(s) == ref.source_side(s)
+                assert source_side(g, s) == ref.source_side(s)
                 assert g.tol == ref.tol
                 for idx in rng.sample(arcs, rng.randint(1, len(arcs))):
                     extra = rng.choice([0.0, rng.uniform(0.0, 2.0)]) * 10.0 ** rng.randint(-3, 4)
@@ -144,7 +144,7 @@ class TestAgainstRecursiveOracle:
         for u in range(n - 1):
             g.add_edge(u, u + 1, 1.0 + u % 7)
         assert g.max_flow(0, n - 1) == 1.0
-        assert g.source_side(0) == [True] + [False] * (n - 1)
+        assert source_side(g, 0) == [True] + [False] * (n - 1)
 
 
 def _random_slot_network(seed, graph=FlowGraph, closed=False):
@@ -168,7 +168,7 @@ def _random_slot_network(seed, graph=FlowGraph, closed=False):
 class TestEarliestExitFlow:
     def test_an_arc_can_start_with_flow(self):
         g = FlowGraph(3)
-        first = g.add_edge(0, 1, 2.0, 1.5)
+        first = add_flowing_edge(g, 0, 1, 2.0, 1.5)
         assert (g.flow_on(first), g.cap[first], g._initial[first]) == (1.5, 0.5, 2.0)
         assert g.tol[first] == g.tol[first ^ 1] == 2e-12  # 1e-12 of the arc's capacity
         g.add_edge(1, 2, 1.0)
@@ -257,7 +257,7 @@ def _random_exit_graph(seed):
 
     def arc(u, v):
         cap = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 3.0) * scale
-        return g.add_edge(u, v, cap, cap * rng.choice([0.0, 0.0, rng.random(), 1.0]))
+        return add_flowing_edge(g, u, v, cap, cap * rng.choice([0.0, 0.0, rng.random(), 1.0]))
 
     inner = [0] + list(range(2, n))
     for _ in range(rng.randint(n, 4 * n)):
@@ -327,7 +327,8 @@ def _olp_network(shape, arrived, flows=None):
         arcs += [(2 + k, 2 + n + i, rate) for i in range(first, stop)]
     arcs += [(2 + n + i, 1, p) for i, p in enumerate(powers)]
     g = FlowGraph(2 + n + len(powers))
-    ids = [g.add_edge(u, v, c, flows[j] if flows else 0.0) for j, (u, v, c) in enumerate(arcs)]
+    ids = [add_flowing_edge(g, u, v, c, flows[j] if flows else 0.0)
+           for j, (u, v, c) in enumerate(arcs)]
     exits = ids[len(ids) - len(powers):]
     return g, exits, [a for a, (u, _, _) in zip(ids, arcs) if u >= 2]
 
@@ -417,11 +418,12 @@ def _graph_of_rows(supplies, caps, stops, powers, warm):
     loads, sources, arcs = [0.0] * len(powers), [], []
     for k, (supply, cap, stop, row) in enumerate(zip(supplies, caps, stops, warm)):
         row = [0.0] * stop if row is None else row
-        sources.append(g.add_edge(0, 2 + k, supply, sum(row)))
-        arcs.append([g.add_edge(2 + k, first_slot + i, cap, f) for i, f in enumerate(row)])
+        sources.append(add_flowing_edge(g, 0, 2 + k, supply, sum(row)))
+        arcs.append([add_flowing_edge(g, 2 + k, first_slot + i, cap, f)
+                     for i, f in enumerate(row)])
         for i, f in enumerate(row):
             loads[i] += f
-    exits = [g.add_edge(first_slot + i, 1, p, load)
+    exits = [add_flowing_edge(g, first_slot + i, 1, p, load)
              for i, (p, load) in enumerate(zip(powers, loads))]
     return g, sources, arcs, exits
 

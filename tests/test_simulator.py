@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcs import schedulers, simulator
-from evcs.dynamics import SimState, initial_state, min_laxity
+from evcs.dynamics import FINISHED_EPS, SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
@@ -495,41 +495,59 @@ def policy_calls(monkeypatch, name, instance, run=simulate):
     return slots
 
 
+def done_level(session) -> float:
+    """The remaining energy at or below which a run counts a session as
+    finished: `FINISHED_EPS` of its energy or of 1.0, whichever is larger, or
+    `DEMAND_TOL` of a positive energy where that is lower."""
+    done, met = FINISHED_EPS * max(1.0, session.energy), DEMAND_TOL * session.energy
+    return met if 0.0 < session.energy and met < done else done
+
+
 def expected_calls(instance, name):
     """The busy slots a run asks a policy's kernel to decide, found by
     stepping the full-scan run, which asks the policy at every slot: for a
     `CAPS_FIRST` policy each one but those after a decision at the caps
     (`threshold == inf`) in a span whose ids are unique and whose peak rates
     are all above 0, where a span ends wherever the active sessions or the
-    power change; for OLP each one where the run memory holds no plan, or
+    power change; for EDF and ES also but those after a contended decision
+    in such a span, as long as each session given a rate above 0 there is
+    left at least its peak rate and more than its `done_level`; for OLP
+    each one where the run memory holds no plan, or
     the plan misses a chargeable session."""
     policy, sessions = POLICIES[name], instance.sessions
     state = SimState(0, initial_state(instance).remaining, {})
-    calls, span, power, skip = [], None, None, False
+    calls, span, power, skip, repeated = [], None, None, False, None
     for t in range(instance.horizon):
         positions = [k for k, s in enumerate(sessions) if s.arrival <= t < s.departure]
         if positions != span or instance.power.at(t) != power:
-            span, power, skip = positions, instance.power.at(t), False
+            span, power, skip, repeated = positions, instance.power.at(t), False, None
         if name == "olp":
             plan = state.memory.get("olp")
             skip = plan is not None and all(
                 id(s) in plan[3] for s in full_scan_chargeable(state, instance, t)[0])
+        remaining = state.remaining
+        repeats = repeated is not None and all(
+            remaining[s.id] >= s.max_rate and remaining[s.id] > done_level(s) for s in repeated)
         decision = policy(state, instance, t)
-        if positions and not skip:
+        if positions and not skip and not repeats:
             calls.append(t)
             active = [sessions[k] for k in positions]
-            skip = (name in CAPS_FIRST and decision.threshold == math.inf
-                    and len({s.id for s in active}) == len(active)
-                    and all(s.max_rate > 0.0 for s in active))
+            guarded = (len({s.id for s in active}) == len(active)
+                       and all(s.max_rate > 0.0 for s in active))
+            skip = name in CAPS_FIRST and decision.threshold == math.inf and guarded
+            repeated = None
+            if name in ("edf", "es") and decision.threshold != math.inf and guarded:
+                repeated = [s for s in active if decision.rates.get(s.id, 0.0) > 0.0]
         state = full_scan_charge(state, decision.rates, instance)[0]
     return calls
 
 
 class TestUncontendedSlots:
     """After a decision at the caps in a span with unique ids and peak rates
-    above 0 the run charges the rest of the span without a policy call, OLP
-    is not asked where its plan holds every chargeable session, and the
-    policy decides every other busy slot; every run stays the full scan's."""
+    above 0 the run charges the rest of the span without a policy call, EDF
+    and ES are not asked where a contended decision repeats, OLP is not
+    asked where its plan holds every chargeable session, and the policy
+    decides every other busy slot; every run stays the full scan's."""
 
     @pytest.mark.parametrize("sessions, power, horizon", [
         # b contends for slots 0-2; a alone fits from slot 3 on
@@ -827,6 +845,120 @@ class TestKernelPath:
                     ("finished", not error),
                 ) if hit)
         assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+
+def repeated_slots(monkeypatch):
+    """The (first, end) slots of each repeat of a contended EDF or ES
+    decision with slots left, as runs make them (`_charge_repeats`)."""
+    stretches, charge = [], simulator._charge_repeats
+
+    def spying(cells, rates, remaining, rows, t, b):
+        end = charge(cells, rates, remaining, rows, t, b)
+        if end > t:
+            stretches.append((t, end))
+        return end
+
+    monkeypatch.setattr(simulator, "_charge_repeats", spying)
+    return stretches
+
+
+def random_repeating_instance(rng: random.Random) -> Instance:
+    """Up to eight sessions over 30 slots under a power below their peak
+    rates' sum, constant or stepwise in blocks of four slots, so that EDF's
+    and ES's contended decisions repeat: about half the energies a whole
+    multiple of the peak rate, about one peak rate in ten 0, a tiny negative
+    or NaN, about one id in five repeated, and in about one instance in
+    four a NaN or negative power, throughout or at one slot."""
+    sessions = []
+    for k in range(rng.randint(2, 8)):
+        arrival = rng.randint(0, 10)
+        departure = arrival + rng.randint(1, 20)
+        max_rate = rng.choice([0.5, 1.0, rng.uniform(0.2, 3.0)])
+        if rng.random() < 0.5:
+            energy = rng.randint(1, departure - arrival) * max_rate
+        else:
+            energy = max_rate * (departure - arrival) * rng.uniform(0.3, 1.0)
+        if rng.random() < 0.1:
+            max_rate = rng.choice([0.0, -1e-12, math.nan])
+        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.2 else f"s{k}"
+        sessions.append(ChargingSession(sid, arrival, departure, energy, max_rate))
+    horizon = max(s.departure for s in sessions)
+    peak = sum(s.max_rate for s in sessions if s.max_rate > 0.0)
+    if rng.random() < 0.5:
+        power = ConstantPower(peak * rng.uniform(0.1, 0.6))
+    else:
+        levels = [peak * rng.uniform(0.1, 0.6) for _ in range(horizon // 4 + 1)]
+        power = StepwisePower([levels[t // 4] for t in range(horizon)])
+    if rng.random() < 0.25:
+        odd = rng.choice([math.nan, -1.0])
+        if isinstance(power, ConstantPower):
+            power = ConstantPower(odd)
+        else:
+            values = list(power.values)
+            values[rng.randrange(horizon)] = odd
+            power = StepwisePower(values)
+    return Instance(sessions, power, horizon)
+
+
+class TestRepeatedDecisions:
+    """After EDF or ES decides a contended slot of a span with distinct ids
+    and peak rates above 0, the run charges the same rates at the next slots
+    without a kernel call while each session given a rate above 0 keeps its
+    peak rate as its cap and stays chargeable; every run stays the frozen
+    reference's."""
+
+    @pytest.mark.parametrize("name, stretches, decided", [
+        # a takes 1.0 and b 0.5 until a is left 0.0 after slot 4; b alone fits from 5 on
+        ("edf", [(1, 5)], [0, 5]),
+        # each takes 0.75 until both are left 0.5 after slot 5, under their peak rate
+        ("es", [(1, 6)], [0, 6]),
+    ])
+    def test_a_repeat_stops_where_a_cap_falls(self, monkeypatch, name, stretches, decided):
+        inst = Instance((ChargingSession("a", 0, 10, 5.0, 1.0),
+                         ChargingSession("b", 0, 10, 5.0, 1.0)), ConstantPower(1.5), 10)
+        seen = repeated_slots(monkeypatch)
+        assert_same_run(inst, name)
+        assert seen[:len(stretches)] == stretches
+        monkeypatch.undo()
+        assert policy_calls(monkeypatch, name, inst) == decided == expected_calls(inst, name)
+
+    @pytest.mark.parametrize("name", ["edf", "es"])
+    def test_a_repeat_stops_where_a_session_finishes(self, monkeypatch, name):
+        # a's later session sets the id's energy, 3e-9, under its first
+        # session's done level of 1e-9 plus 20 slots at its peak rate 1e-10
+        inst = Instance((ChargingSession("a", 0, 40, 1e3, 1e-10),
+                         ChargingSession("b", 0, 40, 40.0, 1.0),
+                         ChargingSession("a", 50, 52, 3e-9, 1.0)), ConstantPower(0.5), 52)
+        seen = repeated_slots(monkeypatch)
+        assert run_outcome(inst, name) == frozen_run_outcome(inst, name)
+        assert seen[:2] == [(1, 20), (21, 40)]
+        monkeypatch.undo()
+        assert policy_calls(monkeypatch, name, inst) == [0, 20, 50] == expected_calls(inst, name)
+
+    def test_runs_equal_runs_that_call_the_frozen_reference(self, monkeypatch):
+        stretches = repeated_slots(monkeypatch)
+        rng, seen = random.Random(38), collections.Counter()
+        for _ in range(300):
+            inst = random_repeating_instance(rng)
+            ids = [s.id for s in inst.sessions]
+            for name in ("edf", "es"):
+                stretches.clear()
+                ran = run_outcome(inst, name)
+                error = ran[0][1] if isinstance(ran[0], tuple) else ""
+                if "negative station power" not in error:  # the frozen policies name none
+                    assert ran == frozen_run_outcome(inst, name), (name, inst)
+                seen[name] += sum(end - t for t, end in stretches)
+                seen.update(kind for kind, hit in (
+                    ("negative power", "negative station power" in error),
+                    ("nan power", "exceeds power limit nan" in error),
+                    ("stepwise", isinstance(inst.power, StepwisePower)),
+                    ("repeated id", len(set(ids)) < len(ids)),
+                    ("odd peak rate", any(not s.max_rate > 0.0 for s in inst.sessions)),
+                    ("whole multiple", any(s.max_rate > 0.0 and (s.energy / s.max_rate).is_integer()
+                                           for s in inst.sessions)),
+                ) if hit)
+        assert seen["edf"] > 1000 and seen["es"] > 1000, seen
+        assert min(seen.values()) >= 10, seen
 
 
 def random_contended_instance(rng: random.Random) -> Instance:
