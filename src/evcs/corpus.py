@@ -258,8 +258,8 @@ def _parses(convert, token: str) -> bool:
 
 
 def read_instance(path) -> Instance:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:  # one raw read of the whole file
+        data = fh.readall()
     try:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -305,10 +305,9 @@ def read_instance(path) -> Instance:
         parts = line.split()
         if len(parts) != 5:
             fail(ln, 1, "expected 'id a d e rmax'")
-        try:
-            sessions.append(ChargingSession(
-                id=parts[0], arrival=int(parts[1]), departure=int(parts[2]),
-                energy=float(parts[3]), max_rate=float(parts[4])))
+        try:  # the fields in `_SESSION_FIELDS` order
+            sessions.append(ChargingSession(parts[0], int(parts[1]), int(parts[2]),
+                                            float(parts[3]), float(parts[4])))
         except ValueError:
             k = next(k for k in range(1, 5) if not _parses(int if k < 3 else float, parts[k]))
             fail(ln, _column(line, k), f"bad {_SESSION_FIELDS[k]} {parts[k]!r}")

@@ -86,7 +86,9 @@ def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:
     key names its id's remaining energy in `remaining` and, with `rows`, its
     id's (window start, row), where a rate above 0 is written at slot t as
     applied (clamped).  Each key appears once.  The total is summed in the
-    given order.
+    given order.  A rate is applied clamped to [0, cap], and to 0.0 where
+    the cap is below 0 (a negative peak rate or remaining energy), so no
+    remaining energy ever rises.
     """
     total = 0.0
     for (key, max_rate, tol, sid, _, _), r in zip(cells, rates):
@@ -96,14 +98,13 @@ def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
         charged = 0.0 if r < 0.0 else r  # min(max(r, 0.0), cap), -0.0 kept as max keeps it
         if cap < charged:
-            charged = cap
+            charged = cap if cap >= 0.0 else 0.0  # a cap of -0.0 kept, as max keeps it
         if r > 0.0 and rows is not None:
             start, row = rows[key]
             row[t - start] = charged
-        rem -= charged
-        remaining[key] = 0.0 if rem < 0.0 else rem  # max(rem, 0.0), NaN kept
+        remaining[key] = rem - charged
         total += charged
-    if not total <= p_limit + RATE_TOL * max(1.0, p_limit):  # a NaN power fails too
+    if not total <= p_limit + RATE_TOL * (p_limit if p_limit > 1.0 else 1.0):  # NaN fails too
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
 
 

@@ -5,7 +5,6 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 
@@ -129,10 +128,18 @@ class Instance:
         Instance order decides the policies' tie-breaks and the order of their
         float sums, so it is kept.  Any integer t is allowed, and so are
         instances that `validate` rejects: a session with `arrival >= departure`
-        is never active.  The first call builds the session tuples (see
-        `_active_sets`); each call is then a binary search.
+        is never active.  The first call builds the session tuples of
+        `_events`' member positions and keeps them beside them: runs and the
+        feasibility network read only the positions.  Each call is then a
+        binary search.
         """
-        return self._active_sets[bisect.bisect_right(self._active_index[0], t)]
+        index = self._events()
+        sets = self.__dict__.get("_active_sets")
+        if sets is None:
+            sessions = self.sessions
+            sets = self.__dict__["_active_sets"] = [tuple(sessions[k] for k in m)
+                                                    for m in index[1]]
+        return sets[bisect.bisect_right(index[0], t)]
 
     def spans(self):
         """(start, end, positions) per stretch of [0, horizon) between event
@@ -142,57 +149,64 @@ class Instance:
         `positions` and the power is the same.  Positions, unlike sessions,
         stay apart when one session object is listed twice.
         """
-        points, members = self._active_index
-        for k, point in enumerate(points, 1):  # members[k] holds from points[k - 1] on
-            start = max(point, 0)
-            end = min(points[k], self.horizon) if k < len(points) else self.horizon
-            if start < end:
-                yield start, end, members[k]
+        return iter(self._events()[2])
 
     def busy_spans(self):
         """The `spans` at which some session is active."""
-        return ((a, b, m) for a, b, m in self.spans() if m)
+        return iter(self._events()[3])
 
-    @cached_property
-    def _active_index(self):
-        """(event points, member positions): `members[k]` holds on
-        `[points[k-1], points[k])`.
+    def _events(self):
+        """(event points, member positions, spans, busy spans): `members[k]`
+        holds on `[points[k-1], points[k])`, and the spans are `spans()`'s
+        and `busy_spans()`'s lists.
 
         The points are 0, each arrival and departure of a non-empty sojourn,
         and each slot at which a stepwise power changes; a profile shorter than
         the horizon is a ContractError.  `members[0]`, before the first point,
-        is empty; so is the last, since every departure is a point.
+        is empty; so is the last, since every departure is a point.  Built in
+        one pass on the first call and kept in the instance's `__dict__`,
+        outside its fields, as `feasibility._network` keeps its network.
         """
-        horizon, power = max(self.horizon, 0), self.power
+        built = self.__dict__.get("_event_index")
+        if built is not None:
+            return built
+        horizon, power = self.horizon, self.power
+        top = horizon if horizon > 0 else 0
         events: dict[int, list[int]] = {0: []}
         if isinstance(power, StepwisePower):
-            if len(power.values) < horizon:
+            if len(power.values) < top:
                 raise ContractError(f"stepwise power has no value for slot "
-                                    f"{len(power.values)} of horizon {horizon}")
-            events.update((t, []) for t in power.changes(0, horizon))
+                                    f"{len(power.values)} of horizon {top}")
+            for t in power.changes(0, top):
+                events[t] = []
         for k, s in enumerate(self.sessions):
-            if s.arrival < s.departure:
-                events.setdefault(s.arrival, []).append(k)
-                events.setdefault(s.departure, []).append(~k)
+            arrival, departure = s.arrival, s.departure
+            if arrival < departure:
+                events.setdefault(arrival, []).append(k)
+                events.setdefault(departure, []).append(~k)
         points = sorted(events)
-        live: set[int] = set()
+        live: list[int] = []  # the positions active from the point on, kept sorted
         members: list[tuple[int, ...]] = [()]
         for p in points:
             for k in events[p]:
                 if k >= 0:
-                    live.add(k)
+                    bisect.insort(live, k)
                 else:
                     live.remove(~k)
-            members.append(tuple(sorted(live)))
-        return points, members
-
-    @cached_property
-    def _active_sets(self):
-        """The sessions at each of `_active_index`'s member positions, built on
-        the first `active_at` call: runs and the feasibility network read
-        only the positions."""
-        sessions = self.sessions
-        return [tuple(sessions[k] for k in m) for m in self._active_index[1]]
+            members.append(tuple(live))
+        spans, busy, last = [], [], len(points)
+        for k, point in enumerate(points, 1):  # members[k] holds from points[k - 1] on
+            start = point if point > 0 else 0
+            end = points[k] if k < last else horizon
+            if end > horizon:
+                end = horizon
+            if start < end:
+                span = (start, end, members[k])
+                spans.append(span)
+                if members[k]:
+                    busy.append(span)
+        built = self.__dict__["_event_index"] = points, members, spans, busy
+        return built
 
 
 #: the largest float: a larger integer field cannot enter a float product
@@ -214,36 +228,39 @@ class Violation:
 def validate(instance: Instance) -> list[Violation]:
     """Check all structural invariants; empty list means the instance is well formed."""
     out: list[Violation] = []
-    if instance.horizon < 0:
-        out.append(Violation("negative-horizon", "horizon",
-                             f"horizon {instance.horizon} must be >= 0"))
+    horizon = instance.horizon
+    if horizon < 0:
+        out.append(Violation("negative-horizon", "horizon", f"horizon {horizon} must be >= 0"))
     seen: set[str] = set()
     for s in instance.sessions:
-        if s.id in seen:
-            out.append(Violation("duplicate-id", s.id, f"session id {s.id!r} repeated"))
-        seen.add(s.id)
-        if s.arrival >= s.departure:
-            out.append(Violation("empty-sojourn", s.id,
-                                 f"arrival {s.arrival} not before departure {s.departure}"))
+        sid, arrival, departure, energy, max_rate = (s.id, s.arrival, s.departure, s.energy,
+                                                     s.max_rate)
+        if sid in seen:
+            out.append(Violation("duplicate-id", sid, f"session id {sid!r} repeated"))
+        seen.add(sid)
+        if arrival >= departure:
+            out.append(Violation("empty-sojourn", sid,
+                                 f"arrival {arrival} not before departure {departure}"))
             continue
-        if s.arrival < 0 or s.departure > instance.horizon:
-            out.append(Violation("window-out-of-range", s.id,
-                                 f"[{s.arrival}, {s.departure}) outside [0, {instance.horizon}]"))
-        if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
-            out.append(Violation("non-finite", s.id,
-                                 f"energy {s.energy} and max rate {s.max_rate} must be finite"))
-        elif s.sojourn > _FLOAT_MAX or math.isinf(s.max_rate * s.sojourn):
-            out.append(Violation("non-finite", s.id,
-                                 f"max rate {s.max_rate} * sojourn {s.sojourn} overflows"))
-        if s.energy <= 0:
-            out.append(Violation("nonpositive-energy", s.id, f"energy {s.energy} must be > 0"))
-        if s.max_rate <= 0:
-            out.append(Violation("nonpositive-rate-cap", s.id,
-                                 f"max rate {s.max_rate} must be > 0"))
-        elif s.sojourn <= _FLOAT_MAX and s.energy > s.max_rate * s.sojourn:
-            out.append(Violation("individually-unsatisfiable", s.id,
-                                 f"energy {s.energy} exceeds {s.max_rate} * {s.sojourn}"))
-    horizon, power = max(instance.horizon, 0), instance.power
+        sojourn = departure - arrival  # `s.sojourn`, read once
+        if arrival < 0 or departure > horizon:
+            out.append(Violation("window-out-of-range", sid,
+                                 f"[{arrival}, {departure}) outside [0, {horizon}]"))
+        if not (math.isfinite(energy) and math.isfinite(max_rate)):
+            out.append(Violation("non-finite", sid,
+                                 f"energy {energy} and max rate {max_rate} must be finite"))
+        elif sojourn > _FLOAT_MAX or math.isinf(max_rate * sojourn):
+            out.append(Violation("non-finite", sid,
+                                 f"max rate {max_rate} * sojourn {sojourn} overflows"))
+        if energy <= 0:
+            out.append(Violation("nonpositive-energy", sid, f"energy {energy} must be > 0"))
+        if max_rate <= 0:
+            out.append(Violation("nonpositive-rate-cap", sid,
+                                 f"max rate {max_rate} must be > 0"))
+        elif sojourn <= _FLOAT_MAX and energy > max_rate * sojourn:
+            out.append(Violation("individually-unsatisfiable", sid,
+                                 f"energy {energy} exceeds {max_rate} * {sojourn}"))
+    horizon, power = max(horizon, 0), instance.power
     if isinstance(power, ConstantPower):
         levels = (power.power,)[:horizon]  # one check covers every slot
     else:

@@ -67,20 +67,42 @@ def _index(instance: Instance) -> tuple[list[str], list[int], list[int], list[in
     its number in that list, and the starts and ends by number): a run
     keeps its remaining energies and rows by number, and each id's window,
     its sessions' sojourns clipped to [0, horizon) and joined, is its first
-    slot and the slot after its last."""
-    horizon, number, keys, starts, ends = instance.horizon, {}, [], {}, {}
+    slot and the slot after its last.  Each clip is `min(max(x, 0),
+    horizon)` and each join a `min` or `max`, in plain compares (a loop
+    over every session of a corpus)."""
+    horizon, number, ids, keys, starts, ends = instance.horizon, {}, [], [], [], []
     for s in instance.sessions:
-        n = number.setdefault(s.id, len(number))  # numbers come in order: 0, 1, ...
+        sid, lo, hi = s.id, s.arrival, s.departure
+        if lo < 0:
+            lo = 0
+        if lo > horizon:
+            lo = horizon
+        if hi < 0:
+            hi = 0
+        if hi > horizon:
+            hi = horizon
+        n = number.get(sid)
+        if n is None:  # numbers come in order: 0, 1, ...
+            n = number[sid] = len(ids)
+            ids.append(sid)
+            starts.append(lo)
+            ends.append(hi)
+        else:
+            if lo < starts[n]:
+                starts[n] = lo
+            if hi > ends[n]:
+                ends[n] = hi
         keys.append(n)
-        lo, hi = min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon)
-        starts[n], ends[n] = min(lo, starts.get(n, lo)), max(hi, ends.get(n, hi))
-    return list(number), keys, list(starts.values()), list(ends.values())
+    return ids, keys, starts, ends
 
 
 def _meets_demand(pairs, remaining: list[float]) -> bool:
     """Whether each (session, id number) of `pairs` has at most `DEMAND_TOL`
     of the session's energy left under its number."""
-    return all(remaining[n] <= DEMAND_TOL * s.energy for s, n in pairs)
+    for s, n in pairs:
+        if not remaining[n] <= DEMAND_TOL * s.energy:  # NaN fails too
+            return False
+    return True
 
 
 def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
@@ -123,6 +145,7 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     remaining, memory, cut = list({s.id: s.energy for s in sessions}.values()), {}, None
     cells = _cells(sessions, keys)
     unique = len(ids) == len(sessions)
+    positive = all(cell[1] > 0.0 for cell in cells)  # then so is each span's every peak rate
     due = {}  # window end -> the (session, id number) pairs whose id's window ends there
     if rows is None:
         for s, n in zip(sessions, keys):
@@ -133,7 +156,7 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
         active = None if unique else {cell[3]: cell for cell in span}  # each active id's cell
         distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
-        one_pass = not olp and distinct and all(cell[1] > 0.0 for cell in span)
+        one_pass = not olp and distinct and (positive or all(cell[1] > 0.0 for cell in span))
         repeats = one_pass and kernel in REPEATING
         t = a
         while t < b:

@@ -6,7 +6,8 @@ scans, clamps written as plain compares, breakpoints sorted in place).  They
 are kept verbatim, so `evcs.schedulers` must give the same decisions, float
 for float: the same rates in the same key order, the same `threshold` and
 the same `diagnostics`.  `REFERENCE_POLICIES` maps each policy name to its
-reference.
+reference.  Only their finished rule is the run's own, `sim_oracle.done_level`,
+which finishes an energy under 1e-6 at `DEMAND_TOL` of itself.
 
 `proportional_fill_kernel` and `llf_kernel` are ES and REP's shared rate
 kernel and LLF's as they stood before they sorted floats in place of
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from evcs.dynamics import FINISHED_EPS, SimState
+from evcs.dynamics import SimState
 from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
@@ -43,6 +44,7 @@ from evcs.schedulers import _laxities as _kernel_laxities
 from evcs.schedulers import _off_power, _share_exactly
 from flow_oracle import add_flowing_edge
 from flow_oracle import chargeable as _chargeable_with_caps
+from sim_oracle import done_level
 
 
 def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
@@ -51,8 +53,7 @@ def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSes
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
     remaining, out = state.remaining, []
     for s in instance.active_at(t):
-        energy = s.energy  # max(1.0, energy) in plain compares, NaN alike: a hot loop
-        if remaining[s.id] > FINISHED_EPS * (energy if energy > 1.0 else 1.0):
+        if remaining[s.id] > done_level(s):  # the run's finished rule
             out.append(s)
     return out
 

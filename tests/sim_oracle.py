@@ -5,9 +5,9 @@ active sessions by testing `arrival <= t < departure` on all of them, and
 `full_scan_simulate` calls the policy at every slot of the horizon,
 uncontended ones included, with `Instance.active_at` answered by that scan
 and `schedulers._live` by `full_scan_live`, which tests the finished rule
-and takes the caps with `max` and `min`.  It steps each slot into
-horizon-long rows, each holding the rate `full_scan_charge` applied, and
-carries the run memory from each state to the next.
+(`done_level`) and takes the caps with `max` and `min`.  It steps each slot
+into horizon-long rows, each holding the rate `full_scan_charge` applied,
+never below 0.0, and carries the run memory from each state to the next.
 `busy_slot_run` is the run of any `(SimState, Instance, t)` function, such
 as a frozen reference policy: it calls the function at every slot of
 `Instance.busy_spans()` and charges through `full_scan_charge`, reads no
@@ -106,10 +106,10 @@ def full_scan_charge(state, rates, instance):
         tol = RATE_TOL * max(1.0, s.max_rate)
         if not -tol <= r <= cap + tol:
             raise ContractError(f"rate {r} outside [0, {cap}] for {sid} at slot {t}")
-        clamped = min(max(r, 0.0), cap)
+        clamped = max(min(max(r, 0.0), cap), 0.0)  # never below 0.0, whatever the cap
         if r > 0.0:
             applied[sid] = clamped
-        remaining[sid] = max(remaining[sid] - clamped, 0.0)
+        remaining[sid] = remaining[sid] - clamped
         total += clamped
     if not total <= p_limit + power_tol:  # a NaN power fails, as it does for `simulate`
         raise ContractError(f"total rate {total} exceeds power limit {p_limit} at slot {t}")
@@ -120,12 +120,20 @@ def full_scan_step(state, rates, instance):
     return full_scan_charge(state, rates, instance)[0]
 
 
+def done_level(session) -> float:
+    """The remaining energy at or below which a run counts a session as
+    finished: `FINISHED_EPS` of its energy or of 1.0, whichever is larger, or
+    `DEMAND_TOL` of a positive energy where that is lower."""
+    done, met = FINISHED_EPS * max(1.0, session.energy), DEMAND_TOL * session.energy
+    return met if 0.0 < session.energy and met < done else done
+
+
 def full_scan_live(cells, remaining):
     """(the cells with unfinished demand, their caps and remaining energies),
     as `schedulers._live` gives them, each cell's session at cell[5] and its
-    remaining energy under cell[0]; the cell's own done level is not read."""
-    live = [cell for cell in cells
-            if remaining[cell[0]] > FINISHED_EPS * max(1.0, cell[5].energy)]
+    remaining energy under cell[0]; the cell's own done level is not read,
+    the session's `done_level` is."""
+    live = [cell for cell in cells if remaining[cell[0]] > done_level(cell[5])]
     rems = [remaining[cell[0]] for cell in live]
     return live, [min(cell[5].max_rate, rem) for cell, rem in zip(live, rems)], rems
 
@@ -135,8 +143,7 @@ def full_scan_chargeable(state, instance, t):
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")
     remaining = state.remaining
-    out = [s for s in full_scan_active(instance, t)
-           if remaining[s.id] > FINISHED_EPS * max(1.0, s.energy)]
+    out = [s for s in full_scan_active(instance, t) if remaining[s.id] > done_level(s)]
     return out, [min(s.max_rate, remaining[s.id]) for s in out]
 
 

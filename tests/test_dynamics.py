@@ -91,6 +91,27 @@ class TestStep:
         nxt = step(initial_state(inst), {"a": 0.5}, inst)
         assert nxt.remaining["a"] == 0.0
 
+    def test_no_remaining_energy_rises(self):
+        # negative, -0.0 and NaN peak rates and remaining energies: a rate is
+        # charged at no less than 0.0 whatever its cap, as in the full scan
+        rng, stepped = random.Random(39), 0
+        for _ in range(1000):
+            sessions = [ChargingSession(f"s{k}", 0, 3, 1.0, rng.choice(
+                [1.0, 0.5, 0.0, -0.0, -1e-12, -1.0, math.nan])) for k in range(rng.randint(1, 4))]
+            inst = Instance(sessions, ConstantPower(rng.choice([0.0, 1.0, 10.0])))
+            state = SimState(0, {s.id: rng.choice([2.0, 0.5, 1e-13, 0.0, -0.0, -1e-12, -1.0,
+                                                   math.nan]) for s in sessions})
+            rates = {s.id: rng.choice([0.0, -0.0, 1e-10, -1e-10, 0.5, 1.0]) for s in sessions}
+            assert outcome(step, state, rates, inst) == \
+                outcome(full_scan_step, state, rates, inst)
+            try:
+                after = step(state, rates, inst).remaining
+            except ContractError:
+                continue
+            assert not any(after[sid] > rem for sid, rem in state.remaining.items())
+            stepped += 1
+        assert stepped > 150, stepped
+
     def test_same_outcome_as_full_scan(self):
         # active, inactive, unknown and NaN rates, in and out of the bounds
         rng = random.Random(6)

@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs.model import (ChargingSession, ConstantPower, Instance, StepwisePower, Violation,
-                        validate)
+from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
+                        Violation, validate)
 
 
 def codes(instance):
@@ -84,6 +84,75 @@ class TestBusySpans:
                 assert power.at(t) == power.at(start)
             slots += range(start, end)
         assert slots == [t for t in range(horizon) if inst.active_at(t)]
+
+
+def _event_points(inst):
+    """0, each arrival and departure of a non-empty sojourn, and each slot in
+    (0, max(horizon, 0)) at which the stepwise power changes (`!=`, so a NaN
+    from every value), found slot by slot."""
+    points = {0} | {t for s in inst.sessions if s.arrival < s.departure
+                    for t in (s.arrival, s.departure)}
+    if isinstance(inst.power, StepwisePower):
+        values = inst.power.values
+        points |= {t for t in range(1, max(inst.horizon, 0)) if values[t] != values[t - 1]}
+    return points
+
+
+def _brute_spans(inst):
+    """The stretches of [0, max(horizon, 0)) cut at exactly the event points
+    inside it, each with the positions active at its first slot."""
+    top = max(inst.horizon, 0)
+    cuts = sorted({0, top} | {p for p in _event_points(inst) if 0 < p < top})
+    return [(a, b, tuple(k for k, s in enumerate(inst.sessions) if s.arrival <= a < s.departure))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+class TestSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_session, max_size=8), st.integers(-2, 14), st.data())
+    def test_spans_partition_the_horizon_at_the_event_points(self, sessions, horizon, data):
+        # idle spans included; a stepwise power may hold NaN, which is a change
+        # at every slot it touches
+        top = max(horizon, 0)
+        power = data.draw(st.one_of(
+            st.just(ConstantPower(1.0)),
+            st.lists(st.sampled_from([0.0, 0.5, 2.0, math.nan]), min_size=top,
+                     max_size=top + 2).map(StepwisePower)))
+        inst = Instance(sessions, power, horizon)
+        spans = list(inst.spans())
+        assert spans == _brute_spans(inst)
+        for a, b, positions in spans:
+            for t in range(a, b):  # every slot of a stretch has its positions
+                assert positions == tuple(k for k, s in enumerate(inst.sessions)
+                                          if s.arrival <= t < s.departure)
+                assert tuple(inst.sessions[k] for k in positions) == inst.active_at(t)
+        assert list(inst.busy_spans()) == [span for span in spans if span[2]]
+        assert list(inst.spans()) == spans  # the kept lists are not consumed
+
+    def test_repeated_session_object_stays_two_positions(self):
+        s = ChargingSession("a", 0, 2, 1.0, 1.0)
+        inst = Instance((s, ChargingSession("b", 1, 3, 1.0, 1.0), s), ConstantPower(1.0), 4)
+        assert list(inst.spans()) == [(0, 1, (0, 2)), (1, 2, (0, 1, 2)), (2, 3, (1,)),
+                                      (3, 4, ())]
+        assert list(inst.busy_spans()) == list(inst.spans())[:3]
+
+    def test_short_stepwise_profile_raises_by_the_first_iteration(self):
+        # as when each call walked the event points: no later than the first
+        # item of `spans()` or `busy_spans()`, and at every call, since a
+        # failed index is not kept
+        inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),), StepwisePower([1.0, 2.0]), 4)
+        message = "^stepwise power has no value for slot 2 of horizon 4$"
+        for _ in range(2):
+            with pytest.raises(ContractError, match=message):
+                next(inst.spans())
+            with pytest.raises(ContractError, match=message):
+                next(inst.busy_spans())
+            with pytest.raises(ContractError, match=message):
+                inst.active_at(0)
+        assert "power-profile-short" in codes(inst)  # validate reports it, without raising
+        # a profile that covers the horizon is enough, the slots past it unread
+        assert list(Instance(inst.sessions, StepwisePower([1.0, 2.0]), 2).spans()) == [
+            (0, 1, (0,)), (1, 2, (0,))]
 
 
 class TestPowerProfiles:

@@ -8,8 +8,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcs import schedulers, simulator
-from evcs.dynamics import FINISHED_EPS, SimState, initial_state, min_laxity
+from evcs import dynamics, schedulers, simulator
+from evcs.dynamics import SimState, initial_state, min_laxity
 from evcs.feasibility import DEMAND_TOL, is_offline_feasible, offline_feasible, validate_schedule
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance, StepwisePower,
                         validate)
@@ -20,7 +20,7 @@ from evcs.simulator import (PolicyContractError, binned_success_rates,
 
 from policy_oracle import REFERENCE_POLICIES
 from policy_oracle import olp_rates as frozen_olp_rates
-from sim_oracle import (CAPS_FIRST, assert_dense_metrics, busy_slot_run, dense,
+from sim_oracle import (CAPS_FIRST, assert_dense_metrics, busy_slot_run, dense, done_level,
                         full_scan_chargeable, full_scan_charge, full_scan_simulate)
 
 
@@ -201,6 +201,25 @@ def misses_then_finishes(instance, schedule, verdict) -> bool:
             if s.energy - delivered > DEMAND_TOL * s.energy:
                 return True
     return False
+
+
+class TestIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(ChargingSession, st.sampled_from(["a", "b", "c", "d"]),
+                              st.integers(-4, 12), st.integers(-4, 12), st.just(1.0),
+                              st.just(1.0)), max_size=8),
+           st.integers(-2, 14))
+    def test_windows_are_clipped_sojourns_joined_per_id(self, sessions, horizon):
+        # `_index`'s docstring, computed with `min` and `max` per session:
+        # repeated ids, negative arrivals, empty sojourns and negative horizons
+        inst = Instance(sessions, ConstantPower(1.0), horizon)
+        ids = list(dict.fromkeys(s.id for s in sessions))
+        keys = [ids.index(s.id) for s in sessions]
+        clipped = [(min(max(s.arrival, 0), horizon), min(max(s.departure, 0), horizon))
+                   for s in sessions]
+        starts = [min(lo for (lo, _), k in zip(clipped, keys) if k == n) for n in range(len(ids))]
+        ends = [max(hi for (_, hi), k in zip(clipped, keys) if k == n) for n in range(len(ids))]
+        assert repr(simulator._index(inst)) == repr((ids, keys, starts, ends))
 
 
 class TestRunFeasibility:
@@ -393,6 +412,17 @@ class TestAgainstFullScan:
                 assert sum(row) == pytest.approx(initial[sid] - verdict.unmet_energy[sid],
                                                  abs=1e-12), (policy, sid)
 
+    @pytest.mark.parametrize("energy", [1e-13, 1e-300, 1e-320, 5e-324])
+    def test_same_runs_on_demands_under_the_finished_level(self, energy):
+        # under 1e-6 a session is done at DEMAND_TOL of its energy, or at 0.0
+        # where that rounds to it; the full scan and the frozen references
+        # read the same `done_level`, and the instance is feasible
+        instance = Instance((ChargingSession("a", 0, 2, energy, 1.0),
+                             ChargingSession("b", 0, 3, 2.0, 1.0)), ConstantPower(1.0))
+        for policy in sorted(CAPS_FIRST):
+            assert full_scan_simulate(instance, policy)[1].feasible, policy
+            assert_same_run(instance, policy)
+
 
 def day_width_instance(seed: int) -> Instance:
     """48 valid sessions whose sojourns of 30-70 slots overlap, 20 or more
@@ -493,14 +523,6 @@ def policy_calls(monkeypatch, name, instance, run=simulate):
     slots = decided_slots(monkeypatch)
     run(instance, name)
     return slots
-
-
-def done_level(session) -> float:
-    """The remaining energy at or below which a run counts a session as
-    finished: `FINISHED_EPS` of its energy or of 1.0, whichever is larger, or
-    `DEMAND_TOL` of a positive energy where that is lower."""
-    done, met = FINISHED_EPS * max(1.0, session.energy), DEMAND_TOL * session.energy
-    return met if 0.0 < session.energy and met < done else done
 
 
 def expected_calls(instance, name):
@@ -669,6 +691,45 @@ def random_edge_instance(rng: random.Random) -> Instance:
             max_rate = rng.choice([0.0, -1e-12, math.nan])
         sessions.append(dataclasses.replace(s, energy=energy, max_rate=max_rate))
     return Instance(sessions, inst.power, inst.horizon)
+
+
+class TestNoRemainingEnergyRises:
+    """A rate is charged at no less than 0.0, whatever its cap, so no run
+    raises a remaining energy: not with a negative peak rate either."""
+
+    def test_a_negative_peak_rate_keeps_the_demand(self):
+        # EDF, for one, gives s1 a rate of 0 under its cap of -1e-12
+        inst = Instance((ChargingSession("a", 0, 5, 2.0, 1.0),
+                         ChargingSession("s1", 0, 5, 1.0, -1e-12)), ConstantPower(0.5))
+        for name in sorted(POLICIES):
+            assert simulate(inst, name)[1].unmet_energy["s1"] == 1.0, name
+            assert_runs_as_full_scan(inst, name)
+
+    def test_unvalidated_instances_never_raise_a_remaining_energy(self, monkeypatch):
+        rng = random.Random(39)
+        charge, slots = dynamics._charge, collections.Counter()
+
+        def watching(remaining, cells, rates, t, p_limit, rows=None):
+            before = list(remaining)
+            try:
+                charge(remaining, cells, rates, t, p_limit, rows)
+            finally:
+                assert not any(now > then for now, then in zip(remaining, before)), t
+            slots["charged"] += 1
+            slots["negative peak rate"] += any(cell[1] < 0.0 for cell in cells)
+
+        monkeypatch.setattr(simulator, "_charge", watching)
+        monkeypatch.setattr(dynamics, "_charge", watching)  # `_charge_ids`' charge
+        for _ in range(300):
+            inst = random_edge_instance(rng)
+            initial = initial_state(inst).remaining
+            for name in sorted(POLICIES):
+                try:
+                    verdict = simulate(inst, name)[1]
+                except ContractError:
+                    continue
+                assert not any(verdict.unmet_energy[sid] > e for sid, e in initial.items())
+        assert slots["charged"] > 3000 and slots["negative peak rate"] > 50, slots
 
 
 def one_pass_slots(monkeypatch):
