@@ -153,18 +153,16 @@ def _run_csv(schedule, columns: list[str], last: tuple) -> str:
     one `csv.writer` call per session instead of per row: the writer quotes
     the id, and each row appends the slot and the rate's `repr`, as the
     writer renders an int and a float.  Equal nonzero floats have equal
-    `repr`s, so each distinct rate's text is made once per report, and each
-    slot's text once, for the slots written only."""
-    parts, slots, texts = [_csv_line(columns)], {}, {}
+    `repr`s, so a run of equal rates in a row has its text made once, and
+    each slot's text is made once per report, for the slots written only."""
+    parts, slots = [_csv_line(columns)], {}
     for sid, row in schedule.rates.items():
         prefix = _csv_line((sid, ""))[:-2]  # the quoted id and its comma, without "\r\n"
         lines, rate, text = [], None, ""
         for t, r in enumerate(row, schedule.starts[sid]):
             if r != 0.0:
                 if r != rate:
-                    rate, text = r, texts.get(r)
-                    if text is None:
-                        text = texts[r] = f"{r!r}\r\n"
+                    rate, text = r, f"{r!r}\r\n"
                 slot = slots.get(t)
                 if slot is None:
                     slot = slots[t] = f"{t},"

@@ -43,11 +43,12 @@ class SimState:
     callers; a simulator run builds none and keeps its remaining
     energies by id number.  `memory` is what a policy keeps from one slot
     to the next of one run: OLP's plan, or after a fallback the sessions of
-    the residual that could not ship, and nothing else.  The simulator
-    creates it once per run and hands it to OLP's kernel, which follows the
-    plan where it holds (see `simulator._run`); `step` carries it on.  It
-    takes no part in equality, and a state without it (None) gets every
-    decision solved afresh.
+    the residual that could not ship and the cut of its last failed check,
+    and nothing else.  The simulator creates it once per run and hands it
+    to OLP's kernel, which follows the plan where it holds (see
+    `simulator._run`); `step` carries it on, and `schedulers.decide` hands
+    it to the same kernel.  It takes no part in equality, and a state
+    without it (None) gets every decision solved afresh.
     """
 
     t: int

@@ -88,17 +88,16 @@ def _solve(instance: Instance, power_override: float | None, demands=None):
     return ships_demand(g.cap[0:2 * len(demands):2], demands), g, session_arcs
 
 
-def is_offline_feasible(instance: Instance, power_override: float | None = None,
-                        demands=None) -> bool:
-    """The flag of `offline_feasible`, without the witness's rows; OLP judges a
-    residual by the `demands` its sessions arrived with, as their run is."""
-    return _solve(instance, power_override, demands)[0]
+def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
+    """The flag of `offline_feasible`, without the witness's rows."""
+    return _solve(instance, power_override)[0]
 
 
 def failed_cut(instance: Instance, demands=None) -> list[bool] | None:
-    """None when `is_offline_feasible(instance, demands=demands)`, and
-    otherwise, per session, whether its node lies on the source side of the
-    max-flow's last level search: a minimum cut."""
+    """None when the max-flow ships `demands` (by default the energies; OLP
+    judges a residual by the demands its sessions arrived with, as their run
+    is), and otherwise, per session, whether its node lies on the source
+    side of the max-flow's last level search: a minimum cut."""
     ships, g, _ = _solve(instance, None, demands)
     if ships:
         return None
@@ -114,40 +113,17 @@ def cut_capacity(instance: Instance, sourced) -> float:
     capacity is not above 0 (NaN included), counts 0.  Every cut's capacity
     is at least the max-flow value (Ford & Fulkerson 1956), so one below the
     demand proves the instance infeasible."""
-    sessions = instance.sessions
-    return _cut_capacity([s.energy for s in sessions], [s.max_rate for s in sessions], sourced,
-                         instance.busy_spans(), instance.power)
-
-
-def residual_cut_capacity(power, t: int, stops, energies, rates, sourced) -> float:
-    """`cut_capacity` of the instance whose session k arrives at slot t and
-    departs at `stops[k]`, at most its horizon, with energy `energies[k]`
-    and peak rate `rates[k]`, under `power`, without building it: its busy
-    spans are cut by t (or 0, if later), the later stops and the power's
-    changes between them, and session k is active on those before
-    `stops[k]`, in session order."""
-    lo = max(t, 0)
-    points = sorted({lo, *[stop for stop in stops if stop > lo],
-                     *power.changes(lo, max(stops, default=lo))})
-    spans, members = [], range(len(stops))
-    for a, b in zip(points, points[1:]):
-        members = [k for k in members if stops[k] > a]
-        spans.append((a, b, members))
-    return _cut_capacity(energies, rates, sourced, spans, power)
-
-
-def _cut_capacity(energies, rates, sourced, spans, power) -> float:
-    """`cut_capacity` of sessions with these energies and peak rates over
-    the busy `spans`, each (start, end, positions of its members)."""
+    sessions, power = instance.sessions, instance.power
     total = 0.0
-    for e, on in zip(energies, sourced):
-        if not on and e > 0.0:
-            total += e
-    for a, b, members in spans:
+    for s, on in zip(sessions, sourced):
+        if not on and s.energy > 0.0:
+            total += s.energy
+    for a, b, members in instance.busy_spans():
         length, into = b - a, 0.0
         for k in members:
             if sourced[k]:
-                cap, e = rates[k] * length, energies[k]
+                s = sessions[k]
+                cap, e = s.max_rate * length, s.energy
                 cap = cap if cap < e else e  # `_network`'s arc
                 if cap > 0.0:
                     into += cap

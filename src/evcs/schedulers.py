@@ -14,15 +14,16 @@ None), on the chargeable sessions' `_cells` and their caps and remaining
 energies as aligned lists, with the rates aligned with the cells (or with
 the fill order).  `_kernel_rates` holds the rule for all five.  OLP's
 kernel, `_olp`, takes the same cells and the run memory that keeps its
-plan.  `KERNELS` maps each policy name to its kernel; a run calls only
-these, on the cells and power of the busy span it holds, keyed by id
-number, and skips the slots whose rates it knows: after a slot at the caps,
-and after a contended slot of EDF or ES, whose decision depends on nothing
-but the chargeable cells in fill order, their caps and P(t) (`REPEATING`),
-while those repeat.  A direct caller asks `decide(name, state, instance,
-t)`, which calls the same kernel on the cells of the state's slot, keyed by
-id, and returns a `RateDecision`; `POLICIES` holds it for each name as a
-function of `(SimState, Instance, t)`.  No run calls `decide`.
+plan, its failed residual and that residual's cut.  `KERNELS` maps each
+policy name to its kernel; a run calls only these, on the cells and power
+of the busy span it holds, keyed by id number, and skips the slots whose
+rates it knows: after a slot at the caps, and after a contended slot of
+EDF or ES, whose decision depends on nothing but the chargeable cells in
+fill order, their caps and P(t) (`REPEATING`), while those repeat.  A
+direct caller asks `decide(name, state, instance, t)`, which calls the
+same kernel on the cells of the state's slot, keyed by id, and returns a
+`RateDecision`; `POLICIES` holds it for each name as a function of
+`(SimState, Instance, t)`.  No run calls `decide`.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import RATE_TOL, SimState, _cells
-from .feasibility import DEMAND_TOL, failed_cut, residual_cut_capacity, ships_demand
+from .feasibility import DEMAND_TOL, cut_capacity, failed_cut, ships_demand
 from .model import ChargingSession, ContractError, Instance
 from .netflow import SlotRows
 
@@ -244,19 +245,11 @@ def _sllf(cells, caps, rems, t: int, p_limit: float):
 
 
 def _tie_sorted(keys, tie) -> list[int]:
-    """The indices of the float `keys` in increasing key order, each run of
-    equal keys in increasing `tie(j)` order, as stable as `sorted`."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    """The indices of the finite float `keys` in increasing key order, each
+    run of equal keys in increasing `tie(j)` order, as stable as `sorted`."""
     if len(set(keys)) < len(keys):
-        i, n = 0, len(order)
-        while i < n:
-            x, j = keys[order[i]], i + 1
-            while j < n and keys[order[j]] == x:
-                j += 1
-            if j - i > 1:
-                order[i:j] = sorted(order[i:j], key=tie)
-            i = j
-    return order
+        return sorted(range(len(keys)), key=lambda j: (keys[j], tie(j)))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _greedy_fill(caps, p_limit, order) -> list[float]:
@@ -386,43 +379,47 @@ def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
 CUT_MARGIN = 1e-9
 
 
-def _recheck(instance: Instance, evs, rems, energies, cut, t: int, stops):
-    """The cut that shows the residual at slot t (`_residual`) of the
-    sessions `evs`, which depart at `stops`, cannot ship by `ships_demand`'s
-    rule, as the sessions (ids of the objects) on its source side, or None
-    when the residual ships.
+def _recheck(instance: Instance, evs, rems, energies, memory, t: int) -> bool:
+    """Whether the residual at slot t (`_residual`) of the sessions `evs`
+    still cannot ship by `ships_demand`'s rule; the residual is built once.
 
-    The run memory's `cut`, evaluated on this residual without building it
-    (`residual_cut_capacity`), decides alone when its capacity is below the
-    remaining energies less `DEMAND_TOL` of the demands by `CUT_MARGIN` of
-    the remaining energies: a max-flow can ship no more than a cut lets
-    through, so some session would be left more than its tolerance.
-    Otherwise `is_offline_feasible`'s max-flow on the residual's interval
-    network, whose value is the per-slot network's (Horn 1974), decides,
-    and gives the cut of a failure."""
+    The run memory's kept cut, `memory["olp_cut"]` (the sessions on its
+    source side, as ids of the objects), decides alone when its capacity on
+    the residual (`cut_capacity`) is below the remaining energies less
+    `DEMAND_TOL` of the demands by `CUT_MARGIN` of the remaining energies: a
+    max-flow can ship no more than a cut lets through, so some session would
+    be left more than its tolerance.  Any flags are a cut of the residual's
+    network, so a cut kept from another residual is as sound.  Otherwise
+    `failed_cut`'s max-flow on the same residual's interval network, whose
+    value is the per-slot network's (Horn 1974), decides, and the cut of a
+    failure is kept in its place."""
+    residual = _residual(instance, evs, rems, t)
+    cut = memory.get("olp_cut")
     if cut is not None:
         total = sum(rems)
         short = total - DEMAND_TOL * sum(energies) - CUT_MARGIN * total
-        if residual_cut_capacity(instance.power, t, stops, rems, [s.max_rate for s in evs],
-                                 [id(s) in cut for s in evs]) < short:
-            return cut
-    sourced = failed_cut(_residual(instance, evs, rems, t), energies)
-    return None if sourced is None else frozenset(id(s) for s, on in zip(evs, sourced) if on)
+        if cut_capacity(residual, [id(s) in cut for s in evs]) < short:
+            return True
+    sourced = failed_cut(residual, energies)
+    if sourced is None:
+        return False
+    memory["olp_cut"] = frozenset(id(s) for s, on in zip(evs, sourced) if on)
+    return True
 
 
-def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
+def _olp(instance: Instance, cells, remaining, t: int, memory: dict):
     """OLP's rate kernel at slot t, for the `_cells` of its active sessions
     in instance order and their remaining energies by key in `remaining`:
-    (cells, rates aligned with them, threshold, solver steps, how, cut).
+    (cells, rates aligned with them, threshold, solver steps, how).
 
     Where the run memory holds a plan whose rows cover every chargeable
     session (`_live`'s rule) at t, none included, OLP follows it: each
     one's row entry at t, None threshold and steps, how "followed", and the
-    run memory and `cut` left as they are; a plan rate that breaks a check
-    raises at its slot when it is charged.  A held session's row reaches
-    its departure clipped to the horizon, so it covers each slot of its
-    sojourn in the plan's window.  Without a plan, a slot with none
-    chargeable gives no rates, how "solved".
+    run memory left as it is; a plan rate that breaks a check raises at its
+    slot when it is charged.  A held session's row reaches its departure
+    clipped to the horizon, so it covers each slot of its sojourn in the
+    plan's window.  Without a plan, a slot with none chargeable gives no
+    rates, how "solved".
 
     Elsewhere OLP front-loads the residual problem (`_residual`): its
     min-cost flow, each unit costing the index of the slot it leaves by, is
@@ -437,21 +434,22 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
     falls back to sLLF's rates, threshold and steps, how "fallback".  A
     negative power in the window is a `ContractError` naming its slot.
 
-    `memory`, the run memory (None: none, and every slot is solved from no
-    flow), keeps a solve that ships as the plan (instance, t, window end,
-    each session's flow row by object, so a repeated id solves again), which
-    later slots follow; a session the plan holds starts the next solve from
-    its planned row, which stays min-cost for the residual problem it leaves
-    (Ahuja, Magnanti & Orlin 1993, ch. 9).  A fallback keeps instead the
-    sessions of the residual that could not ship, and falls back at once
-    ("skipped") while all of them are chargeable: if the later residual
-    could ship, the rates taken since, put in front of its schedule, would
-    ship the failed one, and arrivals only add demand.  Once one has left,
-    the new residual is checked again (`_recheck`, "checked"), given the
-    kept `cut`; the cut returned is the one of the last failed check, or
-    None after a solve that ships, which also forgets the failed residual.
+    `memory`, the run memory (a fresh dict keeps nothing across calls), is
+    the one owner of what OLP keeps between slots.  It keeps a solve that
+    ships as the plan, `"olp"` (instance, t, window end, each session's flow
+    row by object, so a repeated id solves again), which later slots follow;
+    a session the plan holds starts the next solve from its planned row,
+    which stays min-cost for the residual problem it leaves (Ahuja,
+    Magnanti & Orlin 1993, ch. 9).  A fallback keeps instead the sessions
+    of the residual that could not ship, `"olp_infeasible"`, and falls back
+    at once ("skipped") while all of them are chargeable: if the later
+    residual could ship, the rates taken since, put in front of its
+    schedule, would ship the failed one, and arrivals only add demand.  Once
+    one has left, the new residual is checked again (`_recheck`,
+    "checked"), which keeps the cut of its last failed max-flow,
+    `"olp_cut"`.  A solve that ships forgets the failed residual and its cut.
     """
-    plan = memory.get("olp") if memory is not None else None
+    plan = memory.get("olp")
     start, planned = t, {}
     if plan is not None and plan[0] is instance and plan[1] <= t:
         _, start, _, planned = plan
@@ -464,10 +462,10 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
                 held.append(cell)
                 rates.append(row[at])
         else:
-            return held, rates, None, None, "followed", cut
+            return held, rates, None, None, "followed"
     live, caps, rems = _live(cells, remaining)
     if not live:
-        return live, caps, None, None, "solved", cut
+        return live, caps, None, None, "solved"
     evs = [cell[5] for cell in live]
     warm = [planned.get(id(s)) for s in evs]
     horizon = instance.horizon
@@ -475,31 +473,29 @@ def _olp(instance: Instance, cells, remaining, t: int, memory, cut=None):
     end = max(stops)
     powers = _window_power(instance, t, end)
     energies, how = [s.energy for s in evs], None
-    failed = memory.get("olp_infeasible") if memory is not None else None
+    failed = memory.get("olp_infeasible")
     if failed is not None and failed[0] is instance:
         held = frozenset(map(id, evs))
         if failed[1] <= held:
             how, held = "skipped", failed[1]
-        else:
-            checked = _recheck(instance, evs, rems, energies, cut, t, stops)
-            if checked is not None:
-                how, cut = "checked", checked
+        elif _recheck(instance, evs, rems, energies, memory, t):
+            how = "checked"
     if how is None:
         net = SlotRows(rems, caps, [stop - t for stop in stops], powers,
                        [row if row is None else row[t - start:] for row in warm])
         steps = net.solve()
         if ships_demand(net.supply_left, energies):
-            if memory is not None:  # keyed by identity; the instance keeps those objects alive
-                memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, net.flows)})
-                memory.pop("olp_infeasible", None)
-            return live, [row[0] if row else 0.0 for row in net.flows], None, steps, "solved", None
+            # keyed by identity; the instance keeps those objects alive
+            memory["olp"] = (instance, t, end, {id(s): row for s, row in zip(evs, net.flows)})
+            memory.pop("olp_infeasible", None)
+            memory.pop("olp_cut", None)
+            return live, [row[0] if row else 0.0 for row in net.flows], None, steps, "solved"
         how, held = "fallback", frozenset(map(id, evs))
-    if memory is not None:
-        memory["olp"] = None
-        memory["olp_infeasible"] = (instance, held)
+    memory["olp"] = None
+    memory["olp_infeasible"] = (instance, held)
     charged, rates, _, threshold, steps = _kernel_rates(_sllf, cells, remaining,
                                                         instance.power.at(t), t)
-    return charged, rates, threshold, steps, how, cut
+    return charged, rates, threshold, steps, how
 
 
 #: the fill key of each rate kernel that fills in a fixed order, one that
@@ -530,9 +526,10 @@ def _named(table: dict, name: str):
 def decide(policy: str, state: SimState, instance: Instance, t: int) -> RateDecision:
     """The decision of the policy named `policy` at slot t, its rates by id,
     for a direct caller: the kernel a run calls (`KERNELS`) on the cells of
-    the sessions active at t, keyed by id.  OLP keeps its plan and failed
-    residual in `state.memory`, but no cut, so each failed residual is
-    checked again by a max-flow.  An unknown name is `_named`'s KeyError,
+    the sessions active at t, keyed by id.  OLP keeps its plan, its failed
+    residual and that residual's cut in `state.memory`, as a run keeps them
+    in its memory; a state without one (None) gets a fresh dict, which
+    keeps nothing across calls.  An unknown name is `_named`'s KeyError,
     and a state at another slot a `ContractError`."""
     kernel = _named(KERNELS, policy)
     if state.t != t:
@@ -544,12 +541,12 @@ def decide(policy: str, state: SimState, instance: Instance, t: int) -> RateDeci
             kernel, cells, state.remaining, instance.power.at(t), t)
         diagnostics = {"solver_steps": steps} if policy in ("sllf", "es", "rep") else {}
     else:  # by its global name, not `kernel`, so that an `_olp` patched in here is called
-        cells, rates, threshold, steps, how, _ = _olp(instance, cells, state.remaining, t,
-                                                      state.memory)
+        memory = {} if state.memory is None else state.memory
+        cells, rates, threshold, steps, how = _olp(instance, cells, state.remaining, t, memory)
         if not cells:
             return RateDecision({})
         if how == "followed":
-            diagnostics = {"olp_plan_slot": state.memory["olp"][1]}
+            diagnostics = {"olp_plan_slot": memory["olp"][1]}
         else:
             diagnostics = {"solver_steps": steps}
             if how != "solved":

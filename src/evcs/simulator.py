@@ -120,9 +120,10 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     A slot is decided only by the policy's kernel in `KERNELS`, looked up
     by name: sLLF, LLF, EDF, ES and REP through `_kernel_rates` on the
     span's cells, and OLP by `_olp`, which follows its plan where it holds
-    every chargeable session; the run memory keeps OLP's plan and failed
-    residual, and `cut` its last failed cut.  `schedulers.decide`, which
-    direct callers ask by id, is not called, and neither is `POLICIES`.
+    every chargeable session; the run memory, one dict per run, keeps all
+    that OLP keeps between slots: its plan, its failed residual and that
+    residual's cut.  `schedulers.decide`, which direct callers ask by id,
+    is not called, and neither is `POLICIES`.
     Every slot's rates go through `_charge`: positional rates directly,
     where the span's ids are unique, and by id through `_charge_ids`
     otherwise.
@@ -142,7 +143,7 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     fill_key = FILL_KEYS.get(kernel)
     sessions, power = instance.sessions, instance.power
     # each id's energy is that of its last session, as in `initial_state`
-    remaining, memory, cut = list({s.id: s.energy for s in sessions}.values()), {}, None
+    remaining, memory = list({s.id: s.energy for s in sessions}.values()), {}
     cells = _cells(sessions, keys)
     unique = len(ids) == len(sessions)
     positive = all(cell[1] > 0.0 for cell in cells)  # then so is each span's every peak rate
@@ -161,7 +162,7 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
         t = a
         while t < b:
             if olp:
-                charged, rates, _, _, _, cut = _olp(instance, span, remaining, t, memory, cut)
+                charged, rates, _, _, _ = _olp(instance, span, remaining, t, memory)
             else:
                 charged, rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t,
                                                               ordered)

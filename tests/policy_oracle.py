@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 
 from evcs.dynamics import SimState
-from evcs.feasibility import SINK, SOURCE, is_offline_feasible, ships_demand
+from evcs.feasibility import SINK, SOURCE, failed_cut, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
 from evcs.schedulers import RateDecision, _residual, _window_power, decide
@@ -491,7 +491,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     if failed is not None and failed[0] is instance:
         if failed[1] <= held:
             return _olp_fallback(state, instance, t, failed[1], "skipped")
-        if not is_offline_feasible(residual_instance(state, instance, t), demands=energies):
+        if failed_cut(residual_instance(state, instance, t), energies) is not None:
             return _olp_fallback(state, instance, t, held, "checked")
     first_slot = 2 + len(evs)
     g = FlowGraph(first_slot + (end - t))

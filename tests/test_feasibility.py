@@ -10,7 +10,7 @@ from evcs.corpus import read_instance
 from evcs.dynamics import Schedule, min_laxity
 from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network, cut_capacity,
                               failed_cut, is_offline_feasible, min_power_capacity,
-                              offline_feasible, residual_cut_capacity, validate_schedule)
+                              offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
 from evcs.netflow import FlowGraph
@@ -459,26 +459,6 @@ class TestCutCapacity:
                 assert abs(cut_capacity(residual, sourced) - flow) <= 1e-9 * scale
         assert failed > 50, failed
 
-    def test_a_residual_s_cut_is_evaluated_as_on_the_built_residual(self):
-        # the residual's spans come from u, its stops and the power's changes
-        rng = random.Random(34)
-        stepwise = 0
-        for _ in range(600):
-            residual, evs, rems, _, cut, u = random_residual_check(rng)
-            stepwise += isinstance(residual.power, StepwisePower)
-            stops = [s.departure for s in residual.sessions]
-            rates = [s.max_rate for s in evs]
-            # the same sessions arriving before slot 0 are active from 0 on
-            early = Instance([dataclasses.replace(s, arrival=-2) for s in residual.sessions],
-                             residual.power, residual.horizon)
-            for sourced in ([id(s) in cut for s in evs], [rng.random() < 0.5 for _ in evs],
-                            [True] * len(evs)):
-                got = residual_cut_capacity(residual.power, u, stops, rems, rates, sourced)
-                assert repr(got) == repr(cut_capacity(residual, sourced)), residual
-                got = residual_cut_capacity(early.power, -2, stops, rems, rates, sourced)
-                assert repr(got) == repr(cut_capacity(early, sourced)), early
-        assert stepwise > 200, stepwise
-
     def test_the_kept_cut_s_verdict_is_the_max_flow_s(self, monkeypatch):
         rng = random.Random(33)
         flows, seen = [], {"cut": 0, "max-flow fails": 0, "ships": 0, "far apart": 0}
@@ -487,17 +467,42 @@ class TestCutCapacity:
         for _ in range(1500):
             residual, evs, rems, energies, cut, u = random_residual_check(rng)
             del flows[:]
-            got = schedulers._recheck(residual, evs, rems, energies, cut, u,
-                                      [s.departure for s in residual.sessions])
-            ships = is_offline_feasible(residual, demands=energies)
-            assert (got is None) == ships, residual
+            memory = {"olp_cut": cut}
+            got = schedulers._recheck(residual, evs, rems, energies, memory, u)
+            sourced = failed_cut(residual, energies)
+            ships = sourced is None
+            assert got is not ships, residual
             kind = "ships" if ships else "max-flow fails" if flows else "cut"
             seen[kind] += 1
-            if not flows:
-                assert got is cut
+            # a failed max-flow's cut takes the kept one's place; else it stays
+            if kind == "max-flow fails":
+                cut = frozenset(id(s) for s, on in zip(evs, sourced) if on)
+            assert memory == {"olp_cut": cut}, kind
             positive = [r for r in rems if r > 0.0]
             seen["far apart"] += bool(positive) and max(positive) > 1e11 * min(positive)
         assert min(seen.values()) >= 100, seen
+
+    def test_no_cut_decides_a_residual_that_ships(self, monkeypatch):
+        # any flags are a cut of the residual's network, so a cut carried in
+        # from another residual or state, here random flags, never decides a
+        # residual that the max-flow ships
+        rng = random.Random(36)
+        flows, shipped = [], 0
+        monkeypatch.setattr(schedulers, "failed_cut",
+                            lambda *args: flows.append(1) or failed_cut(*args))
+        for _ in range(600):
+            residual, evs, rems, energies, cut, u = random_residual_check(rng)
+            if failed_cut(residual, energies) is not None:
+                continue
+            shipped += 1
+            for flags in [[id(s) in cut for s in evs]] + [
+                    [rng.random() < 0.5 for _ in evs] for _ in range(4)] + [[True] * len(evs)]:
+                kept = frozenset(id(s) for s, on in zip(evs, flags) if on)
+                memory = {"olp_cut": kept}
+                del flows[:]
+                assert schedulers._recheck(residual, evs, rems, energies, memory, u) is False
+                assert flows == [1] and memory == {"olp_cut": kept}, residual
+        assert shipped >= 100, shipped
 
 
 class TestValidateSchedule:

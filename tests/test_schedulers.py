@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from evcs.dynamics import (RATE_TOL, SimState, _cells, _charge, _charge_ids, initial_state, laxity,
                            step)
-from evcs.feasibility import is_offline_feasible, min_power_capacity
+from evcs.feasibility import failed_cut, is_offline_feasible, min_power_capacity
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
                         StepwisePower)
-from evcs import cli, simulator
+from evcs import cli, schedulers, simulator
 from evcs.schedulers import KERNELS, POLICIES, _kernel_rates, _live, _olp, _sllf, decide
 from evcs.netflow import FlowGraph
 from evcs.simulator import simulate
@@ -522,8 +522,8 @@ def assert_as_full_horizon(state, instance, decision) -> bool:
     assert all(after.remaining[s.id] <= 1e-9 * max(1.0, demand)
                for s, stop in zip(evs, stops) if stop <= t + 1)
     own = Instance(tuple(evs), instance.power, instance.horizon)
-    assert is_offline_feasible(residual_instance(after, own, t + 1), demands=[
-        s.energy for s in _chargeable(after, own, t + 1)[0]])
+    assert failed_cut(residual_instance(after, own, t + 1), [
+        s.energy for s in _chargeable(after, own, t + 1)[0]]) is None
     return False
 
 
@@ -625,7 +625,7 @@ class TestOlpKernelDecisions:
             remaining = [state.remaining[sid] for sid in number]
             active = inst.active_at(t)
             cells = _cells(active, [number[s.id] for s in active])
-            charged, rates, threshold, steps, how, _ = _olp(inst, cells, remaining, t, None)
+            charged, rates, threshold, steps, how = _olp(inst, cells, remaining, t, {})
             want = olp_rates(SimState(t, dict(state.remaining)), inst, t)
             assert repr({cell[3]: r for cell, r in zip(charged, rates)}) == repr(want.rates)
             assert repr(threshold) == repr(want.threshold)
@@ -793,6 +793,74 @@ class TestOlpFailedResidual:
         assert unsolved["skipped"] > 0 and unsolved["checked"] > 0
 
 
+def how_decided(decision) -> str:
+    """How `_olp` decided the slot of an OLP `RateDecision`, by its diagnostics."""
+    diagnostics = decision.diagnostics
+    if "olp_plan_slot" in diagnostics:
+        return "followed"
+    if diagnostics.get("olp_fallback"):
+        return diagnostics.get("olp_unsolved", "fallback")
+    return "solved"
+
+
+def olp_decisions_both_ways(monkeypatch, instance):
+    """Each busy slot's (slot, rates by id, threshold, solver steps, plan
+    slot, how) and the `failed_cut` max-flows, first of `simulate`'s OLP
+    run, which calls `_olp`, and then of `decide("olp")` with `step` along
+    the same run, with one memory."""
+    flows, olp = [], simulator._olp
+    monkeypatch.setattr(schedulers, "failed_cut",
+                        lambda *args: flows.append(1) or failed_cut(*args))
+    ran = []
+
+    def recording(inst, span, remaining, t, memory):
+        charged, rates, threshold, steps, how = olp(inst, span, remaining, t, memory)
+        ran.append((t, repr({cell[3]: r for cell, r in zip(charged, rates)}), repr(threshold),
+                    steps, memory["olp"][1] if how == "followed" else None, how))
+        return charged, rates, threshold, steps, how
+
+    monkeypatch.setattr(simulator, "_olp", recording)
+    simulate(instance, "olp")
+    run_flows = len(flows)
+    del flows[:]
+    busy = {t for a, b, _ in instance.busy_spans() for t in range(a, b)}
+    stepped, state = [], SimState(0, initial_state(instance).remaining, {})
+    for t in range(instance.horizon):
+        decision = decide("olp", state, instance, t)
+        if t in busy:
+            stepped.append((t, repr(decision.rates), repr(decision.threshold),
+                            decision.diagnostics.get("solver_steps"),
+                            decision.diagnostics.get("olp_plan_slot"), how_decided(decision)))
+        state = step(state, decision.rates, instance)
+    return (ran, run_flows), (stepped, len(flows))
+
+
+class TestOlpDirectCallers:
+    """`decide("olp")` with `step` along a run, with one memory, decides as
+    the run's kernel does, and keeps the run's cut, so it runs as many
+    max-flows."""
+
+    def test_on_a_smoke_day_instance(self, monkeypatch):
+        inst = perfbench_module("workloads").day_instance(42, smoke=True)
+        run, stepped = olp_decisions_both_ways(monkeypatch, inst)
+        assert stepped == run
+        checks = sum(d[5] == "checked" for d in run[0])
+        assert checks > run[1], (checks, run[1])  # the cut decided some checks
+
+    def test_a_kept_cut_decides_once_a_second_session_departs(self, monkeypatch):
+        # "b" can never be shipped; slot 0 falls back, slot 2, after "a" has
+        # left, is checked by a max-flow, and slot 4, after "c" has left,
+        # by that check's cut
+        inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),
+                         ChargingSession("b", 0, 10, 20.0, 1.0),
+                         ChargingSession("c", 0, 4, 1.0, 1.0)), ConstantPower(1.0))
+        run, stepped = olp_decisions_both_ways(monkeypatch, inst)
+        assert stepped == run
+        assert [d[5] for d in run[0]] == ["fallback", "skipped", "checked", "skipped",
+                                          "checked"] + ["skipped"] * 5
+        assert run[1] == 1
+
+
 class TestOlpPlan:
     def test_followed_slots_ship_what_a_fresh_solve_ships_on_random_instances(
             self, monkeypatch):
@@ -862,7 +930,7 @@ class TestOlpPlan:
 
     def test_only_a_checked_residual_builds_a_graph(self, monkeypatch):
         # a solve works on its sessions' rows; the one FlowGraph of a run is
-        # that of `is_offline_feasible` on a failed residual
+        # that of `failed_cut` on a failed residual
         built, init = [], FlowGraph.__init__
         monkeypatch.setattr(FlowGraph, "__init__", lambda g, n: built.append(n) or init(g, n))
         ships = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),
@@ -888,12 +956,12 @@ def run_checking_plans(monkeypatch, instance):
     solves that started from an earlier plan)."""
     counts, olp = Counter(), simulator._olp
 
-    def checking_olp(inst, cells, remaining, t, memory, cut=None):
+    def checking_olp(inst, cells, remaining, t, memory):
         live = _live(cells, remaining)[0]
         evs = [cell[5] for cell in live]
         earlier = memory.get("olp")
         warm = earlier is not None and any(id(s) in earlier[3] for s in evs)
-        decided = olp(inst, cells, remaining, t, memory, cut)
+        decided = olp(inst, cells, remaining, t, memory)
         if decided[4] != "solved" or not evs:
             return decided
         counts["solves"] += 1

@@ -507,8 +507,8 @@ def decided_slots(monkeypatch):
         slots.append(t)
         return kernel_rates(kernel, span, remaining, p_limit, t, ordered)
 
-    def solving(instance, span, remaining, t, memory, cut=None):
-        decided = olp(instance, span, remaining, t, memory, cut)
+    def solving(instance, span, remaining, t, memory):
+        decided = olp(instance, span, remaining, t, memory)
         if decided[4] != "followed":
             slots.append(t)
         return decided
@@ -1093,7 +1093,7 @@ class TestOlpKernel:
         checks, flows = [], []
         recheck, failed_cut = schedulers._recheck, schedulers.failed_cut
         monkeypatch.setattr(schedulers, "_recheck",
-                            lambda *args: checks.append(args[4]) or recheck(*args))
+                            lambda *args: checks.append(args[4].get("olp_cut")) or recheck(*args))
         monkeypatch.setattr(schedulers, "failed_cut",
                             lambda *args: flows.append(1) or failed_cut(*args))
         rng = random.Random(35)
@@ -1111,8 +1111,8 @@ def followed_slots(monkeypatch):
     charge them."""
     slots, olp = [], simulator._olp
 
-    def spying(instance, span, remaining, t, memory, cut=None):
-        decided = olp(instance, span, remaining, t, memory, cut)
+    def spying(instance, span, remaining, t, memory):
+        decided = olp(instance, span, remaining, t, memory)
         if decided[4] == "followed":
             slots.append(t)
         return decided
@@ -1126,9 +1126,9 @@ def olp_editing_plans(monkeypatch, edit):
     stores to `edit(rows by session id, plan start)` before it is read."""
     olp = schedulers._olp
 
-    def editing(inst, cells, remaining, t, memory, cut=None):
-        decided = olp(inst, cells, remaining, t, memory, cut)
-        if decided[4] == "solved" and decided[0] and memory is not None:
+    def editing(inst, cells, remaining, t, memory):
+        decided = olp(inst, cells, remaining, t, memory)
+        if decided[4] == "solved" and decided[0]:
             _, start, _, planned = memory["olp"]
             edit({s.id: planned[id(s)] for s in inst.sessions if id(s) in planned}, start)
         return decided
