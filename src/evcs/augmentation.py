@@ -6,7 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .model import ChargingSession, ContractError, Instance
+from .model import ChargingSession, ConstantPower, ContractError, Instance, validate
 from .simulator import run_feasibility
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -27,15 +27,45 @@ class AugmentationMode(enum.Enum):
 
 
 def augment(instance: Instance, mode: AugmentationMode, eps: float) -> Instance:
-    """Scale the power profile (and, in POWER_AND_RATE mode, every peak rate)."""
+    """Scale the power profile (and, in POWER_AND_RATE mode, every peak rate).
+
+    The scaled instance keeps in its `__dict__` what scaling leaves as it
+    is, so that a search's many probes of one source are neither checked
+    nor indexed again: `validate`'s empty result, where it accepts the
+    source and `_accepts_scaled` holds, and under a constant power the
+    source's event index (`Instance._events`), which the power does not move.
+    """
     if eps < 0:
         raise ContractError(f"negative augmentation {eps}")
     factor = 1.0 + eps
-    sessions = instance.sessions
-    if mode is AugmentationMode.POWER_AND_RATE:
+    sessions, rates_scaled = instance.sessions, mode is AugmentationMode.POWER_AND_RATE
+    if rates_scaled:
         sessions = tuple(ChargingSession(s.id, s.arrival, s.departure, s.energy,
                                          s.max_rate * factor) for s in sessions)
-    return Instance(sessions, instance.power.scaled(factor), instance.horizon)
+    scaled = Instance(sessions, instance.power.scaled(factor), instance.horizon)
+    if isinstance(scaled.power, ConstantPower):
+        scaled.__dict__["_event_index"] = instance._events()
+    if not validate(instance) and _accepts_scaled(scaled, factor, rates_scaled):
+        scaled.__dict__["_violations"] = ()  # `validate`'s kept result
+    return scaled
+
+
+def _accepts_scaled(scaled: Instance, factor: float, rates_scaled: bool) -> bool:
+    """Whether `validate` accepts `scaled`, made by `augment` from an
+    instance it accepts.  Scaling by a finite factor of at least 1 keeps
+    every power at least 0, every peak rate above 0 and each energy within
+    its peak rate times its sojourn; it can newly break only the overflow
+    checks, which also catch a value that overflows itself: the largest
+    power times the horizon and, where the peak rates were scaled, a peak
+    rate times its sojourn."""
+    if not math.isfinite(factor):
+        return False
+    horizon = scaled.horizon
+    levels = scaled.power.levels(0, horizon)
+    if levels and not math.isfinite(max(levels) * horizon):
+        return False
+    return not rates_scaled or all(math.isfinite(s.max_rate * s.sojourn)
+                                   for s in scaled.sessions)
 
 
 def min_feasible_eps(instances, policy_name: str, mode: AugmentationMode) -> float:

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -59,7 +60,13 @@ def _read_valid(path):
 
 
 def _load_corpus(path: Path):
-    return [_read_valid(p) for p in sorted(p for p in path.iterdir() if p.suffix == ".evcs")]
+    """The instances of the directory's `.evcs` files, each read by
+    `_read_valid`, in the order of their names.  A file counts where its
+    `Path.suffix` is ".evcs": its name ends so, and is not ".evcs" itself.
+    The names are sorted as strings: the paths of one directory sort
+    alike."""
+    names = sorted(n for n in os.listdir(path) if n.endswith(".evcs") and n != ".evcs")
+    return [_read_valid(path / name) for name in names]
 
 
 def _parse_algs(raw: str) -> list[str]:

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, repeat
 
-from .model import ChargingSession, ContractError, Instance
+from .model import ChargingSession, ContractError, Instance, require_valid
 
 #: relative tolerance separating contract violations from float noise
 RATE_TOL = 1e-9
@@ -41,7 +41,7 @@ class SimState:
 
     It is the state of `schedulers.decide` and of `step`, for direct
     callers; a simulator run builds none and keeps its remaining
-    energies by id number.  `memory` is what a policy keeps from one slot
+    energies by position.  `memory` is what a policy keeps from one slot
     to the next of one run: OLP's plan, or after a fallback the sessions of
     the residual that could not ship and the cut of its last failed check,
     and nothing else.  The simulator creates it once per run and hands it
@@ -64,18 +64,16 @@ def _cells(sessions, keys) -> list[tuple]:
     """A run's cell of each session, in order: (key, peak rate, rate
     tolerance, id, done level, session).  The key names its id's remaining
     energy in the run's `remaining`; the session is finished once that is
-    at most the done level, `FINISHED_EPS` * max(1.0, energy), or for a
-    positive energy `DEMAND_TOL` * energy where that is lower, so an energy
-    under 1e-6 is charged until its demand is met, a subnormal one, whose
-    `DEMAND_TOL` * energy rounds to 0.0, until none is left.  The plain
-    compares give a NaN, zero or negative energy the level `FINISHED_EPS`
-    and an infinite one inf."""
+    at most the done level, `FINISHED_EPS` * max(1.0, energy), or
+    `DEMAND_TOL` * energy where that is lower, so an energy under 1e-6 is
+    charged until its demand is met, a subnormal one, whose `DEMAND_TOL` *
+    energy rounds to 0.0, until none is left."""
     out = []
     for s, key in zip(sessions, keys):
         max_rate, energy = s.max_rate, s.energy
         done, met = FINISHED_EPS * (energy if energy > 1.0 else 1.0), DEMAND_TOL * energy
         out.append((key, max_rate, RATE_TOL * (max_rate if max_rate > 1.0 else 1.0), s.id,
-                    met if 0.0 < energy and met < done else done, s))
+                    met if met < done else done, s))
     return out
 
 
@@ -88,8 +86,8 @@ def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:
     id's (window start, row), where a rate above 0 is written at slot t as
     applied (clamped).  Each key appears once.  The total is summed in the
     given order.  A rate is applied clamped to [0, cap], and to 0.0 where
-    the cap is below 0 (a negative peak rate or remaining energy), so no
-    remaining energy ever rises.
+    the cap is below 0 (a negative remaining energy, which only a direct
+    caller's state can hold), so no remaining energy ever rises.
     """
     total = 0.0
     for (key, max_rate, tol, sid, _, _), r in zip(cells, rates):
@@ -112,9 +110,9 @@ def _charge(remaining, cells, rates, t: int, p_limit: float, rows=None) -> None:
 def _charge_ids(remaining, rates: dict[str, float], active: dict, t: int, p_limit: float,
                 rows=None) -> None:
     """`_charge` of rates by id, in the dict's order: `active` maps each
-    active id to its cell (a repeated id to that of its last session).  A
-    rate for another id is skipped if it is 0 and otherwise a
-    `ContractError`, raised after the rates before it are checked."""
+    active id to its cell.  A rate for another id is skipped if it is 0 and
+    otherwise a `ContractError`, raised after the rates before it are
+    checked."""
     cells, values = [], []
     for sid, r in rates.items():
         cell = active.get(sid)
@@ -133,8 +131,10 @@ def step(state: SimState, rates: dict[str, float], instance: Instance) -> SimSta
 
     `state` is left as it is: `_charge_ids` checks the rates and charges them
     into a copy of its `remaining`, keyed by id, without rows; the run
-    memory is carried on.
+    memory is carried on.  The instance must be one that `validate` accepts
+    (`require_valid`).
     """
+    require_valid(instance)
     t = state.t
     p_limit = instance.power.at(t) if t < instance.horizon else 0.0
     remaining, active = dict(state.remaining), instance.active_at(t)

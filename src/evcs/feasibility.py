@@ -13,15 +13,18 @@ instance is offline feasible exactly when the maximum flow ships every unit
 of demand; Newton steps on its minimum cut give the exact minimum power,
 and a cut whose capacity falls short of the demand proves infeasibility
 without a max-flow (`cut_capacity`).
+
+The oracle's entry points, `offline_feasible`, `is_offline_feasible`,
+`min_power_capacity` and `validate_schedule`, take only instances that
+`validate` accepts (`require_valid`).  `failed_cut` and `cut_capacity` take
+any instance, such as an OLP residual that cannot be met session by session.
 """
 from __future__ import annotations
 
-import bisect
-import math
 from typing import Optional
 
 from .dynamics import DEMAND_TOL, RATE_TOL, RunVerdict, Schedule
-from .model import ContractError, Instance, Violation
+from .model import ContractError, Instance, Violation, require_valid
 from .netflow import ARC_TOL, FlowGraph
 
 SOURCE, SINK = 0, 1
@@ -90,6 +93,7 @@ def _solve(instance: Instance, power_override: float | None, demands=None):
 
 def is_offline_feasible(instance: Instance, power_override: float | None = None) -> bool:
     """The flag of `offline_feasible`, without the witness's rows."""
+    require_valid(instance)
     return _solve(instance, power_override)[0]
 
 
@@ -140,8 +144,9 @@ def offline_feasible(
 
     The witness spreads each interval's flow evenly over its slots, at f / l
     per slot: at most the peak rate, and a slot total of at most the power.
-    Each row is a window over its session's sojourn clipped to the horizon.
+    Each row is a window over its session's sojourn.
     """
+    require_valid(instance)
     feasible, g, session_arcs = _solve(instance, power_override)
     if not feasible:
         return False, None
@@ -150,7 +155,7 @@ def offline_feasible(
         row = []
         for a, b, idx in arcs:
             row += [g.flow_on(idx) / (b - a)] * (b - a)
-        rates[s.id], starts[s.id] = tuple(row), arcs[0][0] if arcs else 0
+        rates[s.id], starts[s.id] = tuple(row), s.arrival
     return True, Schedule(instance.horizon, rates, starts)
 
 
@@ -165,11 +170,7 @@ def min_power_capacity(instance: Instance) -> float:
     the sink arcs to P*l and the next max-flow augments the flow already sent.
     Each step's cut is the last level search of the max-flow before it.
     """
-    for s in instance.sessions:
-        if not (math.isfinite(s.energy) and math.isfinite(s.max_rate)):
-            raise ContractError(f"session {s.id} has non-finite energy or max rate")
-        if s.energy > s.max_rate * s.sojourn:
-            raise ContractError(f"session {s.id} individually unsatisfiable")
+    require_valid(instance)
     energies = [s.energy for s in instance.sessions]
     n, demand, p = len(energies), sum(energies), 0.0
     g, _, sink_arcs = _build_network(instance, p)
@@ -190,16 +191,15 @@ def min_power_capacity(instance: Instance) -> float:
 def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     """Check the box/window, per-slot power, and demand-equality constraints.
 
-    Each row is walked over its window and its session's clipped sojourn:
+    Each row is walked over its window and its session's sojourn:
     the rate bound inside the sojourn, zero outside it.  Slot totals, summed
     window by window in row order, meet the power at every slot, and each
     delivered energy its demand.  A window must lie inside [0, horizon).
-    The power is checked slot by slot only where a window lies; each other
-    slot's total is the same zero and the power is the same at every slot of
-    a stretch of `Instance.spans`, so each run of such slots in a stretch is
-    checked once and, over the bound, is one violation naming its slots:
-    neither the time nor the verdict grows with the horizon.
+    The power is checked only at the slots where a window lies: any other
+    slot's total is zero, within a power of at least 0, so neither the time
+    nor the verdict grows with the horizon.
     """
+    require_valid(instance)
     horizon = instance.horizon
     if (schedule.horizon != horizon or set(schedule.rates) != {s.id for s in instance.sessions}
             or any(not 0 <= schedule.starts.get(sid, 0) <= horizon - len(row)
@@ -208,7 +208,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     violations: list[Violation] = []
     for s in instance.sessions:
         row, start = schedule.rates[s.id], schedule.starts.get(s.id, 0)
-        arrival, departure = (min(max(x, 0), horizon) for x in (s.arrival, s.departure))
+        arrival, departure = s.arrival, s.departure
         lo, tol = min(start, arrival), RATE_TOL * max(1.0, s.max_rate)
         for t, r in zip(range(lo, max(start + len(row), departure)),
                         schedule._rates_from(s.id, lo)):
@@ -223,22 +223,11 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> RunVerdict:
     for sid, row in schedule.rates.items():
         for t, r in enumerate(row, schedule.starts.get(sid, 0)):
             totals[t] = totals.get(t, 0) + r
-    windowed = sorted(totals)
-    idle = 0.0 if schedule.rates else 0  # the total of a slot outside every window
-    for a, b, _ in instance.spans():
-        p = instance.power.at(a)  # the power of every slot of the stretch
-        bound, lo = p + RATE_TOL * max(1.0, p), a
-        inside = windowed[bisect.bisect_left(windowed, a):bisect.bisect_left(windowed, b)]
-        for t in inside + [b]:
-            if lo < t and idle > bound:  # the slots lo..t-1 lie outside every window
-                violations.append(Violation(
-                    "power-bound", f"slots {lo}-{t - 1}",
-                    f"total {idle} exceeds P = {instance.power.at(lo)} at each slot"))
-            if t < b and totals[t] > bound:
-                violations.append(Violation(
-                    "power-bound", f"slot {t}",
-                    f"total {totals[t]} exceeds P({t}) = {instance.power.at(t)}"))
-            lo = t + 1
+    for t in sorted(totals):
+        p = instance.power.at(t)
+        if totals[t] > p + RATE_TOL * max(1.0, p):
+            violations.append(Violation("power-bound", f"slot {t}",
+                                        f"total {totals[t]} exceeds P({t}) = {p}"))
     unmet = {}
     for s in instance.sessions:
         short = s.energy - schedule.delivered(s.id)

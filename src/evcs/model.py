@@ -126,12 +126,10 @@ class Instance:
         """The sessions with `arrival <= t < departure`, in instance order.
 
         Instance order decides the policies' tie-breaks and the order of their
-        float sums, so it is kept.  Any integer t is allowed, and so are
-        instances that `validate` rejects: a session with `arrival >= departure`
-        is never active.  The first call builds the session tuples of
-        `_events`' member positions and keeps them beside them: runs and the
-        feasibility network read only the positions.  Each call is then a
-        binary search.
+        float sums, so it is kept.  Any integer t is allowed.  The first
+        call builds the session tuples of `_events`' member positions and
+        keeps them beside them: runs and the feasibility network read only
+        the positions.  Each call is then a binary search.
         """
         index = self._events()
         sets = self.__dict__.get("_active_sets")
@@ -226,7 +224,30 @@ class Violation:
 
 
 def validate(instance: Instance) -> list[Violation]:
-    """Check all structural invariants; empty list means the instance is well formed."""
+    """Check all structural invariants; empty list means the instance is well formed.
+
+    Checked once per instance: the result is kept in the instance's
+    `__dict__`, outside its fields, as `_events` keeps its index, and each
+    later call copies it.
+    """
+    found = instance.__dict__.get("_violations")
+    if found is None:
+        found = instance.__dict__["_violations"] = tuple(_violations(instance))
+    return list(found)
+
+
+def require_valid(instance: Instance) -> None:
+    """The input rule of every run and oracle entry point: an instance that
+    `validate` rejects is a `ContractError` naming its first `Violation`."""
+    found = instance.__dict__.get("_violations")
+    if found is None:
+        found = validate(instance)
+    if found:
+        raise ContractError(f"invalid instance: {found[0]}")
+
+
+def _violations(instance: Instance) -> list[Violation]:
+    """`validate`'s check, made afresh."""
     out: list[Violation] = []
     horizon = instance.horizon
     if horizon < 0:

@@ -16,14 +16,16 @@ the fill order).  `_kernel_rates` holds the rule for all five.  OLP's
 kernel, `_olp`, takes the same cells and the run memory that keeps its
 plan, its failed residual and that residual's cut.  `KERNELS` maps each
 policy name to its kernel; a run calls only these, on the cells and power
-of the busy span it holds, keyed by id number, and skips the slots whose
+of the busy span it holds, keyed by position, and skips the slots whose
 rates it knows: after a slot at the caps, and after a contended slot of
 EDF or ES, whose decision depends on nothing but the chargeable cells in
 fill order, their caps and P(t) (`REPEATING`), while those repeat.  A
 direct caller asks `decide(name, state, instance, t)`, which calls the
 same kernel on the cells of the state's slot, keyed by id, and returns a
 `RateDecision`; `POLICIES` holds it for each name as a function of
-`(SimState, Instance, t)`.  No run calls `decide`.
+`(SimState, Instance, t)`.  No run calls `decide`.  Runs and `decide`
+take only instances that `validate` accepts: every peak rate is above 0 and
+every power in the horizon a number at least 0.
 
 A contended slot walks its sessions once per step: one scan for the
 chargeable cells and their caps, one for each policy's keys, slopes or
@@ -36,10 +38,7 @@ by (arrival, id).  ES and REP's breakpoints start at 0.0, so the starts
 come first, in increasing weight, and leave the total at 0.0; only the
 ends cap / w are sorted, and a run of equal ends, which adds no reach past
 its first, leaves the slope in decreasing weight, as (end, -w) orders it.
-A slot with a NaN or infinite laxity, weight or end, or a weight or end
-not above 0, which only an instance that `validate` rejects gives, keeps
-the tuple sort (`_water_level` for ES and REP): no float sort gives its
-order on NaN.  sLLF sorts its breakpoints as tuples.
+sLLF sorts its breakpoints as tuples.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import RATE_TOL, SimState, _cells
 from .feasibility import DEMAND_TOL, cut_capacity, failed_cut, ships_demand
-from .model import ChargingSession, ContractError, Instance
+from .model import ChargingSession, ContractError, Instance, require_valid
 from .netflow import SlotRows
 
 
@@ -57,10 +56,9 @@ from .netflow import SlotRows
 class RateDecision:
     """This slot's rates, the sLLF water-level (when applicable), and solver stats.
 
-    `rates` is written in the one walk that computes it, so a repeated id
-    keeps its first place and its last rate.  `threshold == inf` means every
-    chargeable session at its cap, for each of sLLF, LLF, EDF, ES and REP
-    (`_kernel_rates`).
+    `rates` is written in the one walk that computes it.  `threshold == inf`
+    means every chargeable session at its cap, for each of sLLF, LLF, EDF,
+    ES and REP (`_kernel_rates`).
 
     The `diagnostics` keys, all optional, are:
 
@@ -111,16 +109,13 @@ def _kernel_rates(kernel, cells, remaining, p_limit: float, t: int, ordered=None
     The caps are given when their `sum()` (which compensates from Python
     3.12 on) is at most P(t): in such an uncontended slot sLLF, LLF, EDF, ES
     and REP each give every chargeable session its cap (True,
-    `threshold=inf`, 0 steps).  A contended slot, a NaN power included, is
-    the kernel's (False).  A negative P(t) is a `ContractError` naming its slot.
+    `threshold=inf`, 0 steps).  A contended slot is the kernel's (False).
 
     A kernel with a fixed fill order (`FILL_KEYS`) is given its chargeable
     cells in that order: those of `ordered`, the cells sorted by its key
     (stably, as a run sorts each busy span's once), or sorted here.
     """
     live, caps, rems = _live(cells, remaining)
-    if p_limit < 0.0:
-        raise ContractError(f"negative station power P({t}) = {p_limit} at slot {t}")
     if sum(caps) <= p_limit:
         return live, caps, True, math.inf, 0
     if kernel in FILL_KEYS:
@@ -142,7 +137,7 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     continuous-knapsack breakpoint search; the breakpoints, starts first, are
     sorted in place).  The caps sum to more than p_limit (`_kernel_rates`
     decides every slot where they fit); L is -inf when there is no power to
-    share, NaN included.
+    share.
     """
     if not p_limit > 0.0:
         return -math.inf, 0
@@ -159,12 +154,10 @@ def _water_level(slopes, offsets, caps, p_limit: float) -> tuple[float, int]:
     return level, len(points)
 
 
-def _off_power(total: float, caps, p_limit: float) -> bool:
+def _off_power(total: float, p_limit: float) -> bool:
     """Whether rates summing to `total` in session order, as `_charge` sums
-    them when ids are unique, miss p_limit by more than `_charge`'s
-    tolerance, above or below, while every cap is a number (`_charge`
-    refuses the rate under a NaN cap first)."""
-    return abs(total - p_limit) > RATE_TOL * max(1.0, p_limit) and all(c == c for c in caps)
+    them, miss p_limit by more than `_charge`'s tolerance, above or below."""
+    return abs(total - p_limit) > RATE_TOL * max(1.0, p_limit)
 
 
 def _share_exactly(slopes, offsets, caps, p_limit: float) -> list[float]:
@@ -212,19 +205,14 @@ def _share_exactly(slopes, offsets, caps, p_limit: float) -> list[float]:
 def _laxities(cells, rems, t: int):
     """(laxities at t, peak rates, laxities - 1.0) of the sessions of
     `_cells`, in one scan, each laxity in `laxity`'s closed form: t lies
-    inside each sojourn and every energy left (`rems`) is positive.  A peak
-    rate of 0 is a `ContractError` naming session and slot."""
+    inside each sojourn and every energy left (`rems`) is positive."""
     lax, rbars, offsets = [], [], []
-    try:
-        for cell, rem in zip(cells, rems):
-            rb = cell[1]
-            lx = cell[5].departure - t - rem / rb
-            lax.append(lx)
-            rbars.append(rb)
-            offsets.append(lx - 1.0)
-    except ZeroDivisionError:
-        raise ContractError(
-            f"session {cell[3]} has peak rate 0 at slot {t}: its laxity is undefined") from None
+    for cell, rem in zip(cells, rems):
+        rb = cell[1]
+        lx = cell[5].departure - t - rem / rb
+        lax.append(lx)
+        rbars.append(rb)
+        offsets.append(lx - 1.0)
     return lax, rbars, offsets
 
 
@@ -239,13 +227,13 @@ def _sllf(cells, caps, rems, t: int, p_limit: float):
         r = cap if cap < r else r
         rates.append(r)
         total += r
-    if _off_power(total, caps, p_limit):
+    if _off_power(total, p_limit):
         rates = _share_exactly(rbars, offsets, caps, p_limit)
     return None, rates, level, steps
 
 
 def _tie_sorted(keys, tie) -> list[int]:
-    """The indices of the finite float `keys` in increasing key order, each
+    """The indices of the float `keys`, none NaN, in increasing key order, each
     run of equal keys in increasing `tie(j)` order, as stable as `sorted`."""
     if len(set(keys)) < len(keys):
         return sorted(range(len(keys)), key=lambda j: (keys[j], tie(j)))
@@ -258,10 +246,8 @@ def _greedy_fill(caps, p_limit, order) -> list[float]:
     rates = []
     residual = p_limit
     for k in order:
-        cap = caps[k]  # max(min(max_rate, remaining, residual), 0.0), NaN alike
+        cap = caps[k]  # min(max_rate, remaining, residual)
         r = residual if residual < cap else cap
-        if r < 0.0:
-            r = 0.0
         rates.append(r)
         residual -= r
     return rates
@@ -270,15 +256,8 @@ def _greedy_fill(caps, p_limit, order) -> list[float]:
 def _llf(cells, caps, rems, t: int, p_limit: float):
     """LLF's rate kernel: (fill order, rates, None, None) at a contended slot,
     filled in increasing (laxity, arrival, id) order."""
-    try:
-        lax = [cell[5].departure - t - rem / cell[1] for cell, rem in zip(cells, rems)]
-    except ZeroDivisionError:
-        lax = _laxities(cells, rems, t)[0]  # raises, naming the session
-    if math.isfinite(sum(lax)):
-        order = _tie_sorted(lax, lambda j: (cells[j][5].arrival, cells[j][3]))
-    else:
-        keys = [(lx, cell[5].arrival, cell[3]) for cell, lx in zip(cells, lax)]
-        order = sorted(range(len(caps)), key=keys.__getitem__)
+    lax = [cell[5].departure - t - rem / cell[1] for cell, rem in zip(cells, rems)]
+    order = _tie_sorted(lax, lambda j: (cells[j][5].arrival, cells[j][3]))
     return order, _greedy_fill(caps, p_limit, order), None, None
 
 
@@ -299,11 +278,9 @@ def _proportional_level(weights, caps, p_limit: float) -> tuple[float, int]:
     if not p_limit > 0.0:
         return -math.inf, 0
     ends = [0.0 + cap / w for w, cap in zip(weights, caps)]
-    ascending, slope = sorted(weights), 0.0
-    for w in ascending:  # the starts, which leave the total at 0.0
+    slope = 0.0
+    for w in sorted(weights):  # the starts, which leave the total at 0.0
         slope += w
-    if not (ascending[0] > 0.0 and min(ends) > 0.0 and math.isfinite(slope + sum(ends))):
-        return _water_level(weights, [0.0] * len(caps), caps, p_limit)
     n = len(ends)
     order = sorted(range(n), key=ends.__getitem__)
     level = total = 0.0
@@ -337,7 +314,7 @@ def _proportional_fill(caps, weights, p_limit: float):
         r = cap if cap < r else r
         rates.append(r)
         total += r
-    if _off_power(total, caps, p_limit):
+    if _off_power(total, p_limit):
         rates = _share_exactly(weights, [0.0] * len(caps), caps, p_limit)
     return None, rates, None, steps
 
@@ -354,24 +331,10 @@ def _rep(cells, caps, rems, t: int, p_limit: float):
 
 def _residual(instance: Instance, evs, rems, t: int) -> Instance:
     """The problem left at slot t: each session of `evs` arrives at t and
-    departs at its departure clipped to the horizon, with its remaining
-    energy (`rems`) and peak rate, under the instance's power and horizon."""
-    horizon = instance.horizon
-    return Instance([ChargingSession(s.id, t, min(s.departure, horizon), rem, s.max_rate)
-                     for s, rem in zip(evs, rems)], instance.power, horizon)
-
-
-def _window_power(instance: Instance, t: int, end: int) -> tuple[float, ...]:
-    """P(t), ..., P(end - 1), read as one window; a negative one is a
-    `ContractError` naming its slot.  The window is walked only when its
-    `min()` is not at least 0: a negative power after a number lowers the
-    min, and a leading NaN keeps it NaN."""
-    powers = instance.power.window(t, end)
-    if not min(powers, default=0.0) >= 0.0:
-        for tau, p in enumerate(powers, t):
-            if p < 0:
-                raise ContractError(f"OLP: negative station power P({tau}) = {p} at slot {tau}")
-    return powers
+    departs at its departure, with its remaining energy (`rems`) and peak
+    rate, under the instance's power and horizon."""
+    return Instance([ChargingSession(s.id, t, s.departure, rem, s.max_rate)
+                     for s, rem in zip(evs, rems)], instance.power, instance.horizon)
 
 
 #: the relative margin by which a kept cut must miss the demand to decide a
@@ -416,31 +379,29 @@ def _olp(instance: Instance, cells, remaining, t: int, memory: dict):
     session (`_live`'s rule) at t, none included, OLP follows it: each
     one's row entry at t, None threshold and steps, how "followed", and the
     run memory left as it is; a plan rate that breaks a check raises at its
-    slot when it is charged.  A held session's row reaches its departure
-    clipped to the horizon, so it covers each slot of its sojourn in the
-    plan's window.  Without a plan, a slot with none chargeable gives no
-    rates, how "solved".
+    slot when it is charged.  A held session's row reaches its departure,
+    so it covers each slot of its sojourn in the plan's window.  Without a
+    plan, a slot with none chargeable gives no rates, how "solved".
 
     Elsewhere OLP front-loads the residual problem (`_residual`): its
     min-cost flow, each unit costing the index of the slot it leaves by, is
     solved by `netflow.SlotRows` on each chargeable session's row over its
-    window (slot t to its departure clipped to the horizon, each arc capped
-    at the session's cap; a later slot has no arc in, so the window ends at
-    the last departure), and its slot-t flows are the rates, None the
-    threshold, and how "solved".  A min-cost flow ships through slots t..tau
-    together the most they can, for every tau, so its slot totals are
-    unique.  A residual that leaves some session more than `DEMAND_TOL` of
-    its energy unshipped (`ships_demand`, the rule its run is judged by)
-    falls back to sLLF's rates, threshold and steps, how "fallback".  A
-    negative power in the window is a `ContractError` naming its slot.
+    window (slot t to its departure, each arc capped at the session's cap;
+    a later slot has no arc in, so the window ends at the last departure),
+    and its slot-t flows are the rates, None the threshold, and how
+    "solved".  A min-cost flow ships through slots t..tau together the most
+    they can, for every tau, so its slot totals are unique.  A residual that
+    leaves some session more than `DEMAND_TOL` of its energy unshipped
+    (`ships_demand`, the rule its run is judged by) falls back to sLLF's
+    rates, threshold and steps, how "fallback".
 
     `memory`, the run memory (a fresh dict keeps nothing across calls), is
     the one owner of what OLP keeps between slots.  It keeps a solve that
     ships as the plan, `"olp"` (instance, t, window end, each session's flow
-    row by object, so a repeated id solves again), which later slots follow;
-    a session the plan holds starts the next solve from its planned row,
-    which stays min-cost for the residual problem it leaves (Ahuja,
-    Magnanti & Orlin 1993, ch. 9).  A fallback keeps instead the sessions
+    row by object), which later slots follow; a session the plan holds
+    starts the next solve from its planned row, which stays min-cost for
+    the residual problem it leaves (Ahuja, Magnanti & Orlin 1993, ch. 9).
+    A fallback keeps instead the sessions
     of the residual that could not ship, `"olp_infeasible"`, and falls back
     at once ("skipped") while all of them are chargeable: if the later
     residual could ship, the rates taken since, put in front of its
@@ -468,10 +429,9 @@ def _olp(instance: Instance, cells, remaining, t: int, memory: dict):
         return live, caps, None, None, "solved"
     evs = [cell[5] for cell in live]
     warm = [planned.get(id(s)) for s in evs]
-    horizon = instance.horizon
-    stops = [min(s.departure, horizon) for s in evs]
+    stops = [s.departure for s in evs]
     end = max(stops)
-    powers = _window_power(instance, t, end)
+    powers = instance.power.window(t, end)
     energies, how = [s.energy for s in evs], None
     failed = memory.get("olp_infeasible")
     if failed is not None and failed[0] is instance:
@@ -529,8 +489,10 @@ def decide(policy: str, state: SimState, instance: Instance, t: int) -> RateDeci
     the sessions active at t, keyed by id.  OLP keeps its plan, its failed
     residual and that residual's cut in `state.memory`, as a run keeps them
     in its memory; a state without one (None) gets a fresh dict, which
-    keeps nothing across calls.  An unknown name is `_named`'s KeyError,
+    keeps nothing across calls.  An instance that `validate` rejects is
+    `require_valid`'s `ContractError`, an unknown name `_named`'s KeyError,
     and a state at another slot a `ContractError`."""
+    require_valid(instance)
     kernel = _named(KERNELS, policy)
     if state.t != t:
         raise ContractError(f"state at slot {state.t}, policy queried for {t}")

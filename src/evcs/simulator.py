@@ -4,21 +4,23 @@ Everything runs serially in the calling process.  `simulate` and
 `run_feasibility` share one slot loop, `_run`; the corpus sweeps, the
 augmentation search and the separation search read only verdicts, so they run
 through `run_feasibility`, which stops each run once its verdict is settled.
+Every entry point takes only instances that `validate` accepts
+(`require_valid`): each session's id is its own, its sojourn lies inside
+[0, horizon) and its peak rate is above 0.
 
 The loop asks a kernel only where its rates are not known already.  Two
 one-pass rules charge the rest: after a slot at the caps, the rest of its
 busy span is charged at the caps (`_charge_at_caps`), and after a contended
 EDF or ES slot, the same rates are charged while the chargeable sessions
-and their caps repeat (`_charge_repeats`).  Both need a span with distinct
-ids and peak rates above 0.
+and their caps repeat (`_charge_repeats`).
 """
 from __future__ import annotations
 
 import warnings
 
-from .dynamics import DEMAND_TOL, RunVerdict, Schedule, _cells, _charge, _charge_ids, laxity
+from .dynamics import DEMAND_TOL, RunVerdict, Schedule, _cells, _charge, laxity
 from .dynamics import step  # noqa: F401  kept: the benchmark's tracer wraps simulator.step
-from .model import ContractError, Instance
+from .model import ContractError, Instance, require_valid
 from .schedulers import FILL_KEYS, KERNELS, REPEATING, _kernel_rates, _named, _olp
 
 
@@ -30,92 +32,54 @@ def simulate(instance: Instance, policy_name: str) -> tuple[Schedule, RunVerdict
     """Run one policy over the busy slots; deterministic for fixed inputs.
 
     Every busy slot is decided, checked and recorded (see `_run`).  Each row
-    is a window over its sojourn clipped to [0, horizon), joined over an id,
-    and records the rate that `_charge` applied at each slot.
+    is a window over its session's sojourn and records the rate that
+    `_charge` applied at each slot.
     """
-    ids, keys, starts, ends = _index(instance)
-    rows = [(lo, [0.0] * (hi - lo)) for lo, hi in zip(starts, ends)]
-    remaining = _run(instance, policy_name, ids, keys, ends, rows)
-    schedule = Schedule(instance.horizon, {sid: tuple(row) for sid, (_, row) in zip(ids, rows)},
-                        dict(zip(ids, starts)))
-    verdict = _meets_demand(zip(instance.sessions, keys), remaining)
-    return schedule, RunVerdict(verdict, dict(zip(ids, remaining)))
+    require_valid(instance)
+    sessions = instance.sessions
+    rows = [(s.arrival, [0.0] * (s.departure - s.arrival)) for s in sessions]
+    remaining = _run(instance, policy_name, rows)
+    schedule = Schedule(instance.horizon,
+                        {s.id: tuple(row) for s, (_, row) in zip(sessions, rows)},
+                        {s.id: s.arrival for s in sessions})
+    verdict = _meets_demand(sessions, remaining, range(len(sessions)))
+    return schedule, RunVerdict(verdict, {s.id: r for s, r in zip(sessions, remaining)})
 
 
 def run_feasibility(instances, policy_name: str) -> list[bool]:
     """Per-instance feasibility flags in input order: `simulate`'s verdicts,
     from serial runs that build no schedule.
 
-    Each run stops after the first busy stretch at whose end the window of
-    some id closes with a session of that id short of its demand: that id's
-    remaining energy can no longer change, so the verdict is False, and no
-    later slot is decided or checked.  A policy contract error at such a
-    later slot, which `simulate` raises, is therefore not raised here; with
-    the shipped policies only an instance that `validate` rejects, such as
-    one with a NaN power, can have one.
+    Each run stops after the first busy stretch at whose end some session
+    departs short of its demand: its remaining energy can no longer change,
+    so the verdict is False, and no later slot is decided.
     """
     flags = []
     for inst in instances:
-        ids, keys, _, ends = _index(inst)
-        flags.append(_meets_demand(zip(inst.sessions, keys),
-                                   _run(inst, policy_name, ids, keys, ends, None)))
+        require_valid(inst)
+        sessions = inst.sessions
+        flags.append(_meets_demand(sessions, _run(inst, policy_name, None),
+                                   range(len(sessions))))
     return flags
 
 
-def _index(instance: Instance) -> tuple[list[str], list[int], list[int], list[int]]:
-    """(the distinct ids in order of first appearance, each session's id as
-    its number in that list, and the starts and ends by number): a run
-    keeps its remaining energies and rows by number, and each id's window,
-    its sessions' sojourns clipped to [0, horizon) and joined, is its first
-    slot and the slot after its last.  Each clip is `min(max(x, 0),
-    horizon)` and each join a `min` or `max`, in plain compares (a loop
-    over every session of a corpus)."""
-    horizon, number, ids, keys, starts, ends = instance.horizon, {}, [], [], [], []
-    for s in instance.sessions:
-        sid, lo, hi = s.id, s.arrival, s.departure
-        if lo < 0:
-            lo = 0
-        if lo > horizon:
-            lo = horizon
-        if hi < 0:
-            hi = 0
-        if hi > horizon:
-            hi = horizon
-        n = number.get(sid)
-        if n is None:  # numbers come in order: 0, 1, ...
-            n = number[sid] = len(ids)
-            ids.append(sid)
-            starts.append(lo)
-            ends.append(hi)
-        else:
-            if lo < starts[n]:
-                starts[n] = lo
-            if hi > ends[n]:
-                ends[n] = hi
-        keys.append(n)
-    return ids, keys, starts, ends
-
-
-def _meets_demand(pairs, remaining: list[float]) -> bool:
-    """Whether each (session, id number) of `pairs` has at most `DEMAND_TOL`
-    of the session's energy left under its number."""
-    for s, n in pairs:
-        if not remaining[n] <= DEMAND_TOL * s.energy:  # NaN fails too
+def _meets_demand(sessions, remaining: list[float], positions) -> bool:
+    """Whether each session at `positions` has at most `DEMAND_TOL` of its
+    energy left, by position in `remaining`."""
+    for k in positions:
+        if remaining[k] > DEMAND_TOL * sessions[k].energy:
             return False
     return True
 
 
-def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
-         ends: list[int], rows: list | None) -> list[float]:
-    """The one slot loop of a run; returns its remaining energies by id number.
+def _run(instance: Instance, policy_name: str, rows: list | None) -> list[float]:
+    """The one slot loop of a run; returns its remaining energies by position.
 
-    The run keeps its state by position: each session's id is its number
-    `keys[k]` (`_index`), which indexes the remaining energies, the window
-    `ends` and, with `rows`, each id's (window start, row).  Each session's
-    `_cells` entry is built once per run.  Only the slots of
-    `Instance.busy_spans` are decided and charged, so `P(t)` is never read
-    at an idle slot (a negative one there is left to `validate`); each
-    span's power is read once, at its first slot.
+    The run keeps its state by position: the remaining energies and, with
+    `rows`, each session's (window start, row).  Each session's `_cells`
+    entry is built once per run.  Only the slots of `Instance.busy_spans`
+    are decided and charged, and each span's power is read once, at its
+    first slot.
 
     A slot is decided only by the policy's kernel in `KERNELS`, looked up
     by name: sLLF, LLF, EDF, ES and REP through `_kernel_rates` on the
@@ -123,42 +87,32 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
     every chargeable session; the run memory, one dict per run, keeps all
     that OLP keeps between slots: its plan, its failed residual and that
     residual's cut.  `schedulers.decide`, which direct callers ask by id,
-    is not called, and neither is `POLICIES`.
-    Every slot's rates go through `_charge`: positional rates directly,
-    where the span's ids are unique, and by id through `_charge_ids`
-    otherwise.
+    is not called, and neither is `POLICIES`.  Every slot's rates go
+    through `_charge`.
 
-    In a span whose ids are distinct and whose peak rates are above 0, any
-    policy but OLP, whose plan or failed residual is asked at each slot,
-    charges the span in one pass (`_charge_at_caps`) from the slot after
+    Any policy but OLP, whose plan or failed residual is asked at each
+    slot, charges a span in one pass (`_charge_at_caps`) from the slot after
     one at the caps on, and EDF and ES (`REPEATING`) charge a contended
     slot's rates again at the slots after it (`_charge_repeats`) up to the
     slot that is decided next.  Without rows (None) the run stops after the
-    first span [a, b) at whose end b some id's window closes with a session
-    of that id short of its demand: an id is charged only while one of its
-    sessions is active.
+    first span [a, b) at whose end b some session departs short of its
+    demand.
     """
     kernel = _named(KERNELS, policy_name)
     olp = kernel is KERNELS["olp"]
+    repeats = kernel in REPEATING
     fill_key = FILL_KEYS.get(kernel)
     sessions, power = instance.sessions, instance.power
-    # each id's energy is that of its last session, as in `initial_state`
-    remaining, memory = list({s.id: s.energy for s in sessions}.values()), {}
-    cells = _cells(sessions, keys)
-    unique = len(ids) == len(sessions)
-    positive = all(cell[1] > 0.0 for cell in cells)  # then so is each span's every peak rate
-    due = {}  # window end -> the (session, id number) pairs whose id's window ends there
+    remaining, memory = [s.energy for s in sessions], {}
+    cells = _cells(sessions, range(len(sessions)))
+    due = {}  # departure -> the positions of the sessions that depart there
     if rows is None:
-        for s, n in zip(sessions, keys):
-            due.setdefault(ends[n], []).append((s, n))
+        for k, s in enumerate(sessions):
+            due.setdefault(s.departure, []).append(k)
     for a, b, positions in instance.busy_spans():
         span = [cells[k] for k in positions]
         ordered = sorted(span, key=fill_key) if fill_key is not None else None
-        active = None if unique else {cell[3]: cell for cell in span}  # each active id's cell
-        distinct = active is None or len(active) == len(span)
         p_limit = power.at(a)  # the span's one power: its slots' powers compare equal
-        one_pass = not olp and distinct and (positive or all(cell[1] > 0.0 for cell in span))
-        repeats = one_pass and kernel in REPEATING
         t = a
         while t < b:
             if olp:
@@ -167,20 +121,16 @@ def _run(instance: Instance, policy_name: str, ids: list[str], keys: list[int],
                 charged, rates, at_caps, _, _ = _kernel_rates(kernel, span, remaining, p_limit, t,
                                                               ordered)
             try:
-                if distinct:
-                    _charge(remaining, charged, rates, t, p_limit, rows)
-                else:
-                    _charge_ids(remaining, {cell[3]: r for cell, r in zip(charged, rates)},
-                                active, t, p_limit, rows)
+                _charge(remaining, charged, rates, t, p_limit, rows)
             except ContractError as exc:
                 raise PolicyContractError(str(exc)) from exc
             t += 1
-            if one_pass and at_caps:
+            if not olp and at_caps:
                 _charge_at_caps(span, remaining, rows, t, b)
                 break
             if repeats and not at_caps:
                 t = _charge_repeats(charged, rates, remaining, rows, t, b)
-        if b in due and not _meets_demand(due[b], remaining):
+        if b in due and not _meets_demand(sessions, remaining, due[b]):
             break
     return remaining
 
@@ -192,12 +142,9 @@ def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: 
     a span, it would at every later slot, since the span has one power and
     one set of sessions, each cap `min(max_rate, remaining)` can only fall,
     finished sessions only drop out, and a float sum of fewer, smaller
-    nonnegative terms in the same order is no larger.  That needs each
-    id's remaining energy to be its one session's and every cap above 0,
-    so `_run` guards a span with a repeated id or a peak rate that is not
-    above 0 (NaN included).  A session charges while it is unfinished by
-    `_live`'s rule, its peak rate while that fits, and then all it
-    has left, to 0.0."""
+    nonnegative terms in the same order is no larger.  A session charges
+    while it is unfinished by `_live`'s rule, its peak rate while that fits,
+    and then all it has left, to 0.0."""
     for n, max_rate, _, _, done, _ in span:
         rem, u = remaining[n], t
         if rows is None:
@@ -218,9 +165,9 @@ def _charge_at_caps(span, remaining: list[float], rows: list | None, t: int, b: 
 def _charge_repeats(cells, rates, remaining: list[float], rows: list | None, t: int,
                     b: int) -> int:
     """Charge `rates`, which EDF or ES gave the `_cells` `cells` at the
-    contended slot t - 1 of a span with distinct ids and peak rates above 0,
-    again at t, t + 1, ... up to b - 1, in place, as `_charge` would slot by
-    slot; returns the first slot left to decide.  A slot repeats while every
+    contended slot t - 1 of a span, again at t, t + 1, ... up to b - 1, in
+    place, as `_charge` would slot by slot; returns the first slot left to
+    decide.  A slot repeats while every
     session of a rate above 0 has at least its peak rate left, so that its
     cap is that peak rate again, and more than its done level, so that it is
     still chargeable; a session of a rate at or below 0 keeps its energy and
@@ -254,16 +201,11 @@ def success_rate(instances, policy_name: str) -> float:
 def instance_metrics(instance: Instance) -> tuple[float, float]:
     """(max sojourn ratio, min normalized initial laxity) of an instance.
 
-    Without sessions both are at the end of their range: (1.0, 1.0).  A
-    session with an empty sojourn or a peak rate of 0, which `validate`
-    rejects, is a `ContractError` naming it.
+    Without sessions both are at the end of their range: (1.0, 1.0).
     """
+    require_valid(instance)
     if not instance.sessions:
         return 1.0, 1.0
-    for s in instance.sessions:  # each divisor below
-        if s.sojourn == 0 or s.max_rate == 0.0:
-            what = "an empty sojourn" if s.sojourn == 0 else "peak rate 0"
-            raise ContractError(f"session {s.id} has {what}: its instance metrics are undefined")
     sojourns = [s.sojourn for s in instance.sessions]
     ratio = max(sojourns) / min(sojourns)
     norm_lax = min(laxity(s, s.arrival, s.energy) / s.sojourn for s in instance.sessions)

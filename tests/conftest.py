@@ -14,7 +14,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from evcs.corpus import generate, reference_spec, reference_spec_spaced
-from evcs.dynamics import initial_state
+from evcs.dynamics import SimState
 from evcs.model import ChargingSession, ConstantPower, Instance
 
 
@@ -45,21 +45,24 @@ def persistence_corpus():
 
 
 def random_slot_state(rng: random.Random, max_evs: int = 10):
-    """A random single-slot decision problem at t = 0.
+    """A random single-slot decision problem at t = 0: a valid instance and
+    a state of it.
 
-    Sessions may carry negative laxity (mid-run states do); the returned
-    instance is for policy evaluation, not validation.
+    A session's remaining energy may exceed what its peak rate delivers by
+    its departure, a negative laxity, as in a mid-run state of a run short
+    of power; its energy in the instance is that reach at most, as
+    `validate` requires.
     """
     n = rng.randint(1, max_evs)
-    sessions = []
+    sessions, remaining = [], {}
     for k in range(n):
         r_bar = rng.uniform(0.1, 5.0)
         d = rng.randint(1, 10)
         energy = rng.uniform(1e-3, 1.3 * r_bar * d)
-        sessions.append(ChargingSession(f"s{k}", 0, d, energy, r_bar))
+        sessions.append(ChargingSession(f"s{k}", 0, d, min(energy, r_bar * d), r_bar))
+        remaining[f"s{k}"] = energy
     power = ConstantPower(rng.uniform(0.1, 10.0))
-    instance = Instance(tuple(sessions), power)
-    return initial_state(instance), instance
+    return SimState(0, remaining), Instance(tuple(sessions), power)
 
 
 def random_feasible_rates(rng: random.Random, state, instance):

@@ -38,13 +38,14 @@ from evcs.dynamics import SimState
 from evcs.feasibility import SINK, SOURCE, failed_cut, ships_demand
 from evcs.model import ChargingSession, ContractError, Instance
 from evcs.netflow import FlowGraph
-from evcs.schedulers import RateDecision, _residual, _window_power, decide
+from evcs.schedulers import RateDecision, _residual, decide
 from evcs.schedulers import _greedy_fill as _kernel_greedy_fill
 from evcs.schedulers import _laxities as _kernel_laxities
 from evcs.schedulers import _off_power, _share_exactly
 from flow_oracle import add_flowing_edge
 from flow_oracle import chargeable as _chargeable_with_caps
 from sim_oracle import done_level
+from window_oracle import window_power
 
 
 def _chargeable(state: SimState, instance: Instance, t: int) -> list[ChargingSession]:
@@ -200,7 +201,7 @@ def proportional_fill_kernel(caps, weights, p_limit: float):
         r = cap if cap < r else r
         rates.append(r)
         total += r
-    if _off_power(total, caps, p_limit):
+    if _off_power(total, p_limit):
         rates = _share_exactly(weights, offsets, caps, p_limit)
     return None, rates, None, steps
 
@@ -485,7 +486,7 @@ def olp_rates(state: SimState, instance: Instance, t: int) -> RateDecision:
     horizon = instance.horizon
     stops = [min(s.departure, horizon) for s in evs]
     end = max(stops)
-    powers = _window_power(instance, t, end)
+    powers = window_power(instance, t, end)
     held, energies = frozenset(map(id, evs)), [s.energy for s in evs]
     failed = memory.get("olp_infeasible") if memory is not None else None
     if failed is not None and failed[0] is instance:

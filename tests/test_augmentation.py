@@ -67,8 +67,8 @@ class TestMinFeasibleEps:
         assert simulate(inst, "sllf")[1].feasible
 
     def test_unfixable_instance_reports_infinity(self):
-        # power scaling cannot help a session whose rate cap is the binding limit
-        hopeless = Instance((ChargingSession("a", 0, 2, 2.0, 0.5),), ConstantPower(1.0))
+        # no scaling raises a station power of 0
+        hopeless = Instance((ChargingSession("a", 0, 2, 1.0, 0.5),), ConstantPower(0.0))
         assert min_feasible_eps([hopeless], "sllf", AugmentationMode.POWER) == math.inf
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from evcs import augmentation, simulator
+from evcs import augmentation, cli, simulator
 from evcs.augmentation import AugmentationMode
 from evcs.cli import FULL_DATA_REFERENCE_EPS, REPORT_SCHEMA, _run_csv, main
 from evcs.corpus import (generate, read_instance, reference_spec, reference_spec_spaced,
@@ -602,6 +602,23 @@ class TestSweep:
         assert captured.out == "" and "--bins" in captured.err
         assert main(argv + ["--bins", "1"]) == 0
         assert len(rows_from_csv(capsys.readouterr().out)) == 2
+
+    def test_files_are_read_in_path_order_by_their_suffix(self, tmp_path, monkeypatch,
+                                                          instance_ia):
+        # the names sort as strings, as the paths of one directory do, and a
+        # file counts where `Path.suffix` is ".evcs": not ".evcs" itself
+        names = ["b.evcs", "a.evcs", ".evcs", "..evcs", "c.EVCS", "x.evcs.bak", "A.evcs",
+                 "\u00e9.evcs", "10.evcs", "9.evcs", "evcs", "a b.evcs", "-.evcs"]
+        for name in names:
+            write_instance(instance_ia, tmp_path / name)
+        (tmp_path / "d.evcs").mkdir()  # read, and an error, as before
+        read = []
+        monkeypatch.setattr(cli, "_read_valid", lambda path: read.append(path) or instance_ia)
+        cli._load_corpus(tmp_path)
+        assert read == sorted(p for p in tmp_path.iterdir() if p.suffix == ".evcs")
+        assert [p.name for p in read] == ["-.evcs", "..evcs", "10.evcs", "9.evcs", "A.evcs",
+                                          "a b.evcs", "a.evcs", "b.evcs", "d.evcs",
+                                          "\u00e9.evcs"]
 
     def test_reports_are_byte_identical(self, corpus_dir, capsys):
         main(["sweep", str(corpus_dir), "--algs", "sllf,llf"])

@@ -12,7 +12,7 @@ from evcs.feasibility import (DEMAND_TOL, SINK, SOURCE, _build_network, cut_capa
                               failed_cut, is_offline_feasible, min_power_capacity,
                               offline_feasible, validate_schedule)
 from evcs.model import (ChargingSession, ConstantPower, ContractError, Instance,
-                        StepwisePower)
+                        StepwisePower, validate)
 from evcs.netflow import FlowGraph
 from evcs.schedulers import _residual
 
@@ -52,19 +52,13 @@ class TestOfflineFeasible:
         assert not offline_feasible(tight)[0]
 
     def test_window_respected(self):
-        # plenty of power but the window is too short for the rate cap
-        inst = Instance((ChargingSession("a", 1, 2, 1.5, 1.0),), ConstantPower(10.0))
+        # plenty of power at slot 0, before the window, and too little inside it
+        inst = Instance((ChargingSession("a", 1, 3, 1.5, 1.0),), StepwisePower([10.0, 0.5, 0.5]))
         assert not offline_feasible(inst)[0]
 
     def test_empty_instance(self):
         ok, sch = offline_feasible(Instance((), ConstantPower(1.0)))
         assert ok and sch.rates == {}
-
-    def test_zero_demand_witness_covers_every_session(self):
-        inst = single_ev(energy=0.0)
-        ok, sch = offline_feasible(inst)
-        assert ok and dense(sch).rates == {"a": (0.0, 0.0)}
-        assert validate_schedule(inst, sch).feasible
 
     def test_monotone_in_power(self, reference_corpus):
         rng = random.Random(3)
@@ -178,26 +172,27 @@ class TestMinPowerCapacity:
 
 
 def random_oracle_instance(rng: random.Random):
-    """An unvalidated instance whose event points often coincide.
+    """A valid instance whose event points often coincide.
 
-    Arrivals may be negative, departures may pass the horizon, and a few
-    sojourns are empty.  Power is constant, or stepwise in runs of equal
-    values with zero slots, sometimes longer than the horizon.
+    Sessions share arrivals and departures, at slot 0 and at the horizon
+    too, and some energies are all that the peak rate delivers over the
+    sojourn.  Power is constant, or stepwise in runs of equal values with
+    zero slots, sometimes longer than the horizon.
     """
-    horizon = rng.randint(0, 14)
-    shared = [rng.randint(-3, horizon + 3) for _ in range(3)]
+    horizon = rng.randint(1, 14)
+    shared = [rng.randint(0, horizon) for _ in range(3)]
 
     def point():
-        return rng.choice(shared) if rng.random() < 0.6 else rng.randint(-3, horizon + 3)
+        return rng.choice(shared) if rng.random() < 0.6 else rng.randint(0, horizon)
 
     sessions = []
     for k in range(rng.randint(0, 6)):
         a, d = sorted((point(), point()))
-        if rng.random() < 0.05:
-            a, d = d, a
+        if a == d:
+            a, d = (a, d + 1) if d < horizon else (a - 1, d)
         r_bar = rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)])
-        slots = max(min(d, horizon) - max(a, 0), 0)
-        energy = r_bar * slots * rng.choice([1.0, 0.0, rng.random(), rng.random()])
+        energy = r_bar * (d - a) * rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0),
+                                               rng.uniform(0.01, 1.0)])
         sessions.append(ChargingSession(f"s{k}", a, d, energy, r_bar))
     if rng.random() < 0.5:
         power = ConstantPower(rng.uniform(0.5, 6.0))
@@ -233,18 +228,13 @@ class TestIntervalNetworkAgainstSlots:
 
     def test_same_verdicts_and_min_power_on_random_instances(self):
         rng = random.Random(808)
-        seen = {"stepwise": 0, "feasible": 0, "infeasible": 0, "unsatisfiable": 0,
-                "infeasible at 0.999 P*": 0, "tight stepwise": 0}
+        seen = {"stepwise": 0, "feasible": 0, "infeasible": 0, "infeasible at 0.999 P*": 0,
+                "tight stepwise": 0}
         for _ in range(1000):
             inst = random_oracle_instance(rng)
+            assert validate(inst) == []
             seen[("feasible" if self.assert_same_verdict(inst) else "infeasible")] += 1
-            try:
-                want = slot_min_power_capacity(inst)
-            except ContractError:
-                seen["unsatisfiable"] += 1
-                with pytest.raises(ContractError):
-                    min_power_capacity(inst)
-                continue
+            want = slot_min_power_capacity(inst)
             got = min_power_capacity(inst)
             assert abs(got - want) <= 1e-12 * want, (inst, got, want)
             assert self.assert_same_verdict(inst, want)
@@ -304,17 +294,10 @@ class TestIntervalNetworkAgainstSlots:
             assert g.n <= 2 + n + 2 * n + 1 + change_points(inst)
             assert len(sink_arcs) == g.n - 2 - n
 
-    def test_one_session_listed_twice(self):
-        s = ChargingSession("a", 0, 2, 1.5, 1.0)
-        for p in (1.4, 1.5, 1.6):
-            inst = Instance((s, s), ConstantPower(p))
-            assert is_offline_feasible(inst) == slot_offline_feasible(inst)[0] == (p >= 1.5)
-        assert min_power_capacity(inst) == slot_min_power_capacity(inst) == 1.5
-
     def test_short_stepwise_profile_names_the_first_uncovered_slot(self):
         inst = Instance((ChargingSession("a", 0, 4, 1.0, 1.0),), StepwisePower([1.0, 1.0]))
         for call in (offline_feasible, is_offline_feasible, min_power_capacity):
-            with pytest.raises(ContractError, match="slot 2 of horizon 4"):
+            with pytest.raises(ContractError, match=r"power-profile-short \(slot 2\)"):
                 call(inst)
 
     def test_huge_horizon_costs_no_slot_work(self):
@@ -555,31 +538,6 @@ class TestValidateSchedule:
         assert [(v.code, v.subject) for v in over.violations] == [
             ("rate-bound", "a"), ("power-bound", "slot 1"), ("demand-exceeded", "a")]
 
-    def test_negative_power_is_one_violation_per_idle_run(self):
-        # the slots outside every window break a negative power together:
-        # one violation per run of them in a stretch, not one per slot
-        verdicts = []
-        for horizon in (12, 10**10):
-            inst = Instance((ChargingSession("a", 0, 2, 1.0, 1.0),), ConstantPower(-1.0), horizon)
-            schedules = (Schedule(horizon, {"a": ()}),
-                         Schedule(horizon, {"a": (0.5,)}, {"a": 1}),
-                         Schedule(horizon, {"a": (0.5, 0.5)}, {"a": 4}))
-            start = time.perf_counter()
-            verdicts.append([validate_schedule(inst, sch) for sch in schedules])
-            assert time.perf_counter() - start < 1.0
-            if horizon == 12:
-                assert repr(verdicts[0]) == repr([full_scan_validate_schedule(inst, sch)
-                                                  for sch in schedules])
-        empty, inside, outside = verdicts[1]
-        assert [(v.code, v.subject) for v in empty.violations] == [
-            ("power-bound", "slots 0-1"), ("power-bound", "slots 2-9999999999"),
-            ("demand-unmet", "a")]
-        assert empty.violations[1].message == "total 0.0 exceeds P = -1.0 at each slot"
-        assert [v.subject for v in inside.violations] == [
-            "slots 0-0", "slot 1", "slots 2-9999999999", "a"]
-        assert [v.subject for v in outside.violations] == [
-            "a", "a", "slots 0-1", "slots 2-3", "slot 4", "slot 5", "slots 6-9999999999"]
-
     def test_dimension_mismatch_rejected(self, instance_ia):
         with pytest.raises(ContractError):
             validate_schedule(instance_ia, Schedule(2, {"EV1": (0.0, 0.0)}))
@@ -596,26 +554,26 @@ class TestValidateSchedule:
 
 
 def random_schedule_case(rng: random.Random):
-    """A random instance and a schedule of the right shape that may break any bound.
+    """A random valid instance and a schedule of the right shape that may
+    break any bound.
 
     Rates inside a sojourn may sit just over the peak rate, go negative or
     be NaN; outside it they are mostly exact zeros, sometimes -0.0, a value
-    under or over the tolerance, or NaN.  Ids repeat now and then, sojourns
-    may reach past either end of the horizon, and power may be stepwise.
-    About half the rows are windows: the sojourn clipped to the horizon, a
-    part of it, more than it, a stretch beside it, an empty one, or one that
-    touches slot 0 or the horizon.
+    under or over the tolerance, or NaN.  Sojourns may reach either end of
+    the horizon, and power may be stepwise, with zero slots.  About half the
+    rows are windows: the sojourn, a part of it, more than it, a stretch
+    beside it, an empty one, or one that touches slot 0 or the horizon.
     """
     horizon = rng.randint(0, 12)
     sessions = []
-    for k in range(rng.randint(0, 6)):
-        a = rng.randint(-2, horizon + 1)
-        d = rng.randint(a - 1, horizon + 2)
+    for k in range(rng.randint(0, 6) if horizon else 0):
+        a = rng.randint(0, horizon - 1)
+        d = rng.randint(a + 1, horizon)
         r_bar = rng.uniform(0.1, 3.0)
-        sid = f"s{rng.randint(0, k)}" if rng.random() < 0.15 else f"s{k}"
-        sessions.append(ChargingSession(sid, a, d, rng.uniform(0.0, r_bar * max(d - a, 1)), r_bar))
+        sessions.append(ChargingSession(f"s{k}", a, d, rng.uniform(0.01, 1.0) * r_bar * (d - a),
+                                        r_bar))
     if rng.random() < 0.5:
-        power = StepwisePower([rng.choice([rng.uniform(0.0, 6.0), -1.0, 0.0])
+        power = StepwisePower([rng.choice([rng.uniform(0.0, 6.0), 0.0])
                                for _ in range(horizon)])
     else:
         power = ConstantPower(rng.uniform(0.0, 8.0))
@@ -644,33 +602,24 @@ def random_schedule_case(rng: random.Random):
 
     rates, starts = {}, {}
     for s in sessions:
-        if s.id in rates:
-            continue
-        group = [s2 for s2 in sessions if s2.id == s.id]
         start, end = 0, horizon
         if rng.random() < 0.5:
-            clip = [(min(max(w.arrival, 0), horizon), min(max(w.departure, 0), horizon))
-                    for w in group]
-            start, end = window(min(lo for lo, _ in clip), max(hi for _, hi in clip))
+            start, end = window(s.arrival, s.departure)
             start, end = min(start, end), max(start, end)
             starts[s.id] = start
-        rates[s.id] = tuple(
-            inside(s.max_rate) if any(w.arrival <= t < w.departure for w in group)
-            else outside()
-            for t in range(start, end))
+        rates[s.id] = tuple(inside(s.max_rate) if s.arrival <= t < s.departure else outside()
+                            for t in range(start, end))
     keys = list(rates)
     rng.shuffle(keys)
     return inst, Schedule(horizon, {sid: rates[sid] for sid in keys}, starts)
 
 
 def window_kinds(inst, sch):
-    """How each window of the schedule lies against its clipped sojourn."""
+    """How each window of the schedule lies against its session's sojourn."""
     kinds = set()
     for sid, start in sch.starts.items():
         end = start + len(sch.rates[sid])
-        clip = [(min(max(s.arrival, 0), inst.horizon), min(max(s.departure, 0), inst.horizon))
-                for s in inst.sessions if s.id == sid]
-        lo, hi = min(a for a, _ in clip), max(d for _, d in clip)
+        lo, hi = next((s.arrival, s.departure) for s in inst.sessions if s.id == sid)
         if start == end:
             kinds.add("empty")
         elif end <= lo or start >= hi:

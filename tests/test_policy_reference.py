@@ -6,15 +6,13 @@ and in key order, the `threshold` and the `diagnostics`, or the same
 must give the same schedules and verdicts as runs driven by the reference
 policies; OLP's as runs of the frozen OLP that decide every busy slot.
 LLF's rate kernel and ES and REP's must return what their frozen tuple
-sorts return, on slots built to tie and on inputs that keep the tuple sort.
+sorts return, on slots built to tie.
 These tests run on every Python version of the tier-1 matrix, where `sum()`
 differs from 3.12 on.
 """
 import math
 import random
 from collections import Counter
-
-import pytest
 
 from evcs import schedulers
 from evcs.dynamics import FINISHED_EPS, SimState, _cells, initial_state, step
@@ -56,30 +54,31 @@ def reference_run_outcome(instance, policy):
 
 
 def random_policy_state(rng: random.Random):
-    """(state, instance, t, kind): one slot with up to 40 active sessions,
-    some finished, some of them sharing an id, a few inactive; a peak rate of 0 or NaN now and
-    then; a power of 0, NaN, or one that the caps exceed, just fit or leave
-    room under."""
+    """(state, instance, t, kind): one slot of a valid instance with up to 40
+    active sessions, some finished, a few inactive; a power of 0, or one
+    that the caps exceed, just fit or leave room under.  A remaining energy
+    of the state may exceed what its peak rate delivers by its departure, as
+    in a run short of power, up to the drawn demand; the session's energy
+    in the instance is at most that reach."""
     t = rng.randint(0, 4)
     sessions, remaining = [], {}
     for k in range(rng.randint(1, 40)):
-        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.1 else f"s{k}"
         arrival = rng.randint(0, t)
         departure = t + rng.randint(1, 12)
         if rng.random() < 0.05:  # not yet arrived or already gone
-            arrival, departure = rng.choice([(t + 1, t + 3), (0, t)])
-        max_rate = rng.choice([0.0, math.nan]) if rng.random() < 0.01 else rng.uniform(0.05, 5.0)
+            arrival, departure = rng.choice([(t + 1, t + 3), (0, t)] if t else [(t + 1, t + 3)])
+        max_rate = rng.uniform(0.05, 5.0)
         energy = rng.uniform(1e-3, 30.0)
-        sessions.append(ChargingSession(sid, arrival, departure, energy, max_rate))
-        remaining.setdefault(sid, rng.choice([
-            0.0, 1e-13, energy, energy * rng.random(), energy * rng.random(),
-            (max_rate * rng.randint(1, 4)) if math.isfinite(max_rate) else energy]))
+        sessions.append(ChargingSession(f"s{k}", arrival, departure,
+                                        min(energy, max_rate * (departure - arrival)), max_rate))
+        remaining[f"s{k}"] = rng.choice([0.0, 1e-13, energy, energy * rng.random(),
+                                         energy * rng.random(), max_rate * rng.randint(1, 4)])
     state = SimState(t, remaining)
     probe = Instance(sessions, ConstantPower(0.0), t + 13)
-    fitted = sum(c for c in full_scan_chargeable(state, probe, t)[1] if not math.isnan(c))
-    kind = rng.choice(["contended", "contended", "fit", "room", "zero", "nan"])
+    fitted = sum(full_scan_chargeable(state, probe, t)[1])
+    kind = rng.choice(["contended", "contended", "fit", "room", "zero"])
     power = {"contended": fitted * rng.uniform(0.0, 0.999), "fit": fitted,
-             "room": fitted + rng.uniform(1e-9, 10.0), "zero": 0.0, "nan": math.nan}[kind]
+             "room": fitted + rng.uniform(1e-9, 10.0), "zero": 0.0}[kind]
     if rng.random() < 0.5:
         powers = [rng.uniform(0.0, 10.0) for _ in range(t + 13)]
         powers[t] = power
@@ -88,11 +87,11 @@ def random_policy_state(rng: random.Random):
 
 
 def random_run(rng: random.Random):
-    """A run instance with up to 40 sessions: overlapping sojourns, now and
-    then a repeated id, and constant or stepwise power, sometimes too little."""
+    """A valid run instance with up to 40 sessions: overlapping sojourns, and
+    constant or stepwise power, sometimes too little."""
     sessions = []
     for k in range(rng.randint(1, 40)):
-        sid = f"s{rng.randrange(k)}" if k and rng.random() < 0.05 else f"s{k}"
+        sid = f"s{k}"
         a = rng.randint(0, 20)
         d = a + rng.randint(1, 12)
         r_bar = rng.uniform(0.2, 3.0)
@@ -117,26 +116,14 @@ class TestFrozenReference:
             active = [s for s in inst.sessions if s.arrival <= t < s.departure]
             chargeable = full_scan_chargeable(state, inst, t)[0]
             seen[kind] += 1
-            seen["repeated id"] += len({s.id for s in active}) < len(active)
             seen["finished"] += len(chargeable) < len(active)
             seen["many"] += len(chargeable) >= 25
             for name, reference in REFERENCE_POLICIES.items():
                 expected = outcome(reference, state, inst, t)
                 assert outcome(POLICIES[name], state, inst, t) == expected, (name, t, kind)
-                seen["error" if expected[0] == "error" else
-                     "uncontended" if expected[1] == "inf" else "decided"] += 1
+                seen["uncontended" if expected[1] == "inf" else "decided"] += 1
         assert min(seen.values()) >= 10, seen
-        assert seen["uncontended"] >= 1000 and seen["error"] >= 10, seen
-
-    def test_peak_rate_zero_names_the_session(self):
-        sessions = (ChargingSession("a", 0, 4, 2.0, 1.0), ChargingSession("b", 0, 4, 2.0, 0.0))
-        inst = Instance(sessions, ConstantPower(0.5))
-        state = SimState(1, {"a": 2.0, "b": 1.0})
-        for name in ("sllf", "llf"):
-            expected = outcome(REFERENCE_POLICIES[name], state, inst, 1)
-            assert expected == ("error", "ContractError",
-                                "session b has peak rate 0 at slot 1: its laxity is undefined")
-            assert outcome(POLICIES[name], state, inst, 1) == expected
+        assert seen["uncontended"] >= 1000, seen
 
     def test_runs_equal_runs_of_the_reference(self):
         rng = random.Random(241)
@@ -159,7 +146,8 @@ def tied_llf_slot(rng: random.Random):
     """LLF's kernel inputs at a contended slot t whose laxities tie exactly:
     each remaining energy a whole number of peak rates of 0.5, 1 or 2, so
     each laxity is a whole number, with arrivals and ids in unrelated
-    orders, and now and then a repeated id or a NaN or infinite laxity."""
+    orders, and now and then a repeated id or an infinite remaining energy,
+    a laxity of -inf."""
     t, sessions, rems = rng.randint(0, 5), [], []
     for k in range(rng.randint(1, 12)):
         rate = rng.choice([0.5, 1.0, 2.0])
@@ -168,7 +156,7 @@ def tied_llf_slot(rng: random.Random):
         sessions.append(ChargingSession(sid, rng.randint(0, t), t + rng.randint(4, 8), rem, rate))
         rems.append(rem)
     if rng.random() < 0.15:
-        rems[rng.randrange(len(rems))] = rng.choice([math.nan, math.inf])
+        rems[rng.randrange(len(rems))] = math.inf
     cells = _cells(sessions, range(len(sessions)))
     caps = [rem if rem < s.max_rate else s.max_rate for s, rem in zip(sessions, rems)]
     return cells, caps, rems, t, rng.uniform(0.0, 1.0) * sum(caps)
@@ -178,27 +166,20 @@ def tied_proportional_slot(rng: random.Random):
     """ES or REP's kernel inputs (caps, weights, power) at a contended slot
     whose breakpoint ends cap / w tie: ES's equal weights, or unequal ones
     whose caps are a few common ends times the weight; now and then a
-    single session, an end at or below 0, or a NaN or infinite cap or
-    weight."""
+    single session or a power of 0."""
     n = 1 if rng.random() < 0.1 else rng.randint(2, 12)
     equal = rng.random() < 0.3
     weights = [1.0 if equal else rng.uniform(0.1, 3.0) for _ in range(n)]
     targets = [rng.uniform(0.5, 4.0) for _ in range(3)]
     caps = [w * rng.choice(targets) if rng.random() < 0.8 else rng.uniform(0.1, 4.0)
             for w in weights]
-    if rng.random() < 0.2:
-        k = rng.randrange(n)
-        caps[k] = rng.choice([0.0, -0.0, -1.0, math.nan, math.inf])
-    if rng.random() < 0.1:
-        weights[rng.randrange(n)] = rng.choice([math.nan, math.inf, -1.0])
-    power = rng.choice([rng.uniform(0.0, 1.0) * sum(c for c in caps if c > 0.0),
-                        rng.uniform(0.0, 10.0), 0.0, math.nan, math.inf])
+    power = rng.choice([rng.uniform(0.0, 1.0) * sum(caps), rng.uniform(0.0, 10.0), 0.0])
     return caps, weights, power
 
 
 class TestFrozenSortKernels:
     """LLF's kernel and ES and REP's against their frozen tuple sorts, on
-    slots built to tie and on inputs that must take the tuple sorts."""
+    slots built to tie."""
 
     def test_llf_ties_are_broken_by_arrival_and_id(self):
         rng = random.Random(342)
@@ -232,48 +213,21 @@ class TestFrozenSortKernels:
             seen["runs apart"] += sum(n > 1 for n in Counter(keys).values()) > 1
         assert seen["signed zeros"] >= 300 and seen["runs apart"] >= 300, seen
 
-    def test_proportional_fill_ties_and_fallbacks(self, monkeypatch):
+    def test_proportional_fill_ties(self):
         rng = random.Random(343)
-        seen, tuple_sorts = Counter(), []
-        water_level = schedulers._water_level
-        monkeypatch.setattr(schedulers, "_water_level",
-                            lambda *args: tuple_sorts.append(1) or water_level(*args))
+        seen = Counter()
         for _ in range(3000):
             caps, weights, p_limit = tied_proportional_slot(rng)
             expected = kernel_outcome(proportional_fill_kernel, caps, weights, p_limit)
-            del tuple_sorts[:]
             assert kernel_outcome(schedulers._proportional_fill, caps, weights,
                                   p_limit) == expected, (caps, weights, p_limit)
             ends = [0.0 + cap / w for w, cap in zip(weights, caps)]
-            usual = all(map(math.isfinite, weights + ends)) and min(weights + ends) > 0.0
-            assert not tuple_sorts if usual or not p_limit > 0.0 else tuple_sorts
             tied = len(set(ends)) < len(ends)
-            seen["tie"] += usual and tied and len(set(weights)) > 1
-            seen["equal weights"] += usual and tied and len(set(weights)) == 1
+            seen["tie"] += tied and len(set(weights)) > 1
+            seen["equal weights"] += tied and len(set(weights)) == 1
             seen["single"] += len(caps) == 1
-            seen["tuple sort"] += bool(tuple_sorts)
+            seen["no power"] += p_limit == 0.0
         assert min(seen.values()) >= 150, seen
-
-    def test_a_peak_rate_of_0_is_named_on_either_path(self):
-        sessions = [ChargingSession("a", 0, 4, 2.0, 1.0), ChargingSession("b", 0, 4, 2.0, 0.0)]
-        cells = _cells(sessions, range(2))
-        for rems in ([2.0, 1.0], [math.nan, 1.0]):
-            expected = kernel_outcome(llf_kernel, cells, [1.0, 0.0], rems, 1, 0.5)
-            assert expected == ("error", "ContractError",
-                                "session b has peak rate 0 at slot 1: its laxity is undefined")
-            assert kernel_outcome(schedulers._llf, cells, [1.0, 0.0], rems, 1, 0.5) == expected
-
-
-@pytest.mark.parametrize("name", sorted(REFERENCE_POLICIES))
-@pytest.mark.parametrize("entry", ["simulate", "run_feasibility"])
-def test_negative_power_is_named(name, entry):
-    inst = Instance((ChargingSession("a", 0, 3, 1.0, 1.0),), StepwisePower([1.0, -1.0, 1.0]))
-    run = {"simulate": lambda: simulate(inst, name),
-           "run_feasibility": lambda: run_feasibility([inst], name)}[entry]
-    with pytest.raises(ContractError) as raised:
-        run()
-    assert type(raised.value) is ContractError
-    assert str(raised.value) == "negative station power P(1) = -1.0 at slot 1"
 
 
 def olp_outcome(policy, state, instance, t):
@@ -321,14 +275,15 @@ def random_olp_state(rng: random.Random):
 
 
 def random_olp_run(rng: random.Random):
-    """`random_run` with about one session in four demanding its peak rate
-    times its sojourn, plus a hair 0.5e-12 or 3e-12 of it that the run leaves
-    within or beyond `FINISHED_EPS` of its energy."""
+    """`random_run` with about one session in four demanding a whole number
+    of slots at its peak rate, fewer than its sojourn, plus a hair 0.5e-12 or
+    3e-12 of it that the run leaves within or beyond `FINISHED_EPS` of its
+    energy."""
     inst = random_run(rng)
     sessions = []
     for s in inst.sessions:
-        if rng.random() < 0.25:
-            whole = s.max_rate * (s.departure - s.arrival)
+        if rng.random() < 0.25 and s.departure - s.arrival > 1:
+            whole = s.max_rate * rng.randint(1, s.departure - s.arrival - 1)
             s = ChargingSession(s.id, s.arrival, s.departure,
                                 whole * (1.0 + rng.choice([0.5e-12, 3e-12])), s.max_rate)
         sessions.append(s)
@@ -345,7 +300,7 @@ class TestFrozenOlp:
             assert_same_olp_decision(SimState(t, dict(state.remaining)),
                                      SimState(t, dict(state.remaining)), inst, t, seen)
         assert min(seen[k] for k in ("solved", "fallback", "as many searches")) >= 100, seen
-        assert seen["error"] >= 5 and seen["one search fewer"] >= 1, seen
+        assert seen["one search fewer"] >= 1, seen
 
     def test_decisions_along_runs_equal_the_frozen_ones(self):
         # each run follows the frozen decisions slot by slot, and each side
@@ -378,8 +333,6 @@ class TestFrozenOlp:
         seen = Counter()
         for _ in range(150):
             inst = random_olp_run(rng)
-            ids = [s.id for s in inst.sessions]
-            seen["repeated id"] += len(set(ids)) < len(ids)
             seen["stepwise"] += isinstance(inst.power, StepwisePower)
             fallbacks = []
 

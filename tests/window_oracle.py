@@ -1,12 +1,13 @@
-"""Frozen per-slot window reads: `theorem2_bound` and OLP's `_window_power`
-as they were before `theorem2_bound` read each window through
-`power.levels` and `_window_power` through `power.window`.
+"""Frozen per-slot window reads: `theorem2_bound` and OLP's power window as
+they were before `theorem2_bound` read each window through `power.levels`
+and OLP through `power.window`.
 
 Each reads P(t) with one `power.at(t)` call per slot of the window, and
-`window_power` walks the whole window again for a negative power.  The
-bodies are copied unchanged; `evcs.augmentation.theorem2_bound` and
-`evcs.schedulers._window_power` must return the same floats and raise the
-same errors.
+`window_power` walks the whole window again for a negative power, which
+`validate` now rejects before any run.  The bodies are copied unchanged;
+`evcs.augmentation.theorem2_bound` must return the same floats and raise the
+same errors, and the frozen OLP (`policy_oracle.olp_rates`) reads its
+windows through `window_power`.
 """
 from __future__ import annotations
 
